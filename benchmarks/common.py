@@ -55,7 +55,12 @@ class BenchWorkload:
             self.catalog,
             self.stats,
             matcher=self.matcher(view_count, use_filter_tree),
-            config=OptimizerConfig(produce_substitutes=produce_substitutes),
+            # The paper's rule verifies every candidate; its Section 5
+            # substitute counts are for the unbounded rule.
+            config=OptimizerConfig(
+                produce_substitutes=produce_substitutes,
+                cost_bounded_matching=False,
+            ),
         )
 
     def optimize_batch(self, optimizer: Optimizer) -> list:

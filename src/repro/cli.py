@@ -136,11 +136,12 @@ def run_explain_rewrite(
 
     tracer = RewriteTracer(sql=sql)
     error: str | None = None
+    dropped = 0
     with tracing(tracer):
         try:
             with tracer.span("parse"):
                 statement = catalog.bind_sql(sql)
-            optimizer.optimize(statement)
+            dropped = optimizer.optimize(statement).preaggregations_dropped
         except (ReproError, ValueError) as exc:
             error = str(exc)
     trace = tracer.finish(error=error)
@@ -161,6 +162,14 @@ def run_explain_rewrite(
             print("trace validates against the export schema")
     else:
         print(render_trace(trace))  # includes the error line, if any
+        if dropped:
+            # Why the cost comparison lists fewer pre-aggregation rows
+            # than the query has sub-joins: these were never built.
+            print(
+                f"  {dropped} pre-aggregation alternative(s) dropped before "
+                "matching: the rest of the plan alone left no budget for "
+                "any view read"
+            )
     if error is not None:
         if json_output or validate:
             print(f"error: {error}")

@@ -390,11 +390,17 @@ class ViewMatcher:
         ``cost_policy`` enables cost-bounded best-first verification (the
         optimizer's path): candidates are verified cheapest-first by the
         policy's per-view cost lower bound, every successful match is
-        reported through ``policy.observe(result)`` so the policy can
-        tighten its upper bound, and once ``policy.bound()`` proves no
-        remaining candidate can beat the best plan the rest are returned
-        unverified with ``stage="skipped"`` (substitute and reject reason
-        both ``None``). The result list keeps candidate order regardless.
+        reported through ``policy.observe(result)`` (true when it lowered
+        the upper bound), and a candidate whose lower bound proves it
+        cannot become the chosen plan is returned unverified with
+        ``stage="skipped"`` (substitute and reject reason both ``None``)
+        -- never screened, staleness-checked, or walked. "Cannot become
+        the chosen plan" is ``lower_bound > bound``, or ``==`` when the
+        bound's holder precedes the candidate in the optimizer's
+        alternative list (``min`` keeps the earliest of equal costs): the
+        caller's seed alternative precedes every substitute, a verified
+        match precedes the candidates registered after it. The result
+        list keeps candidate order regardless.
         """
         if isinstance(query, SelectStatement):
             query = self.describe_query(query)
@@ -411,28 +417,43 @@ class ViewMatcher:
         stats.invocations += 1
         stats.views_registered_total += self.view_count
         candidates = self.candidates(query)
-        verdicts = self._preverify_verdicts(query, candidates)
-        order = list(range(len(candidates)))
+        order = range(len(candidates))
         bounds = None
-        if cost_policy is not None and len(candidates) > 1:
+        if cost_policy is None or not candidates:
+            verdicts = self._preverify_verdicts(query, candidates)
+        else:
             bounds = [
                 cost_policy.lower_bound(candidate.description)
                 for candidate in candidates
             ]
-            order.sort(key=lambda position: (bounds[position], position))
+            order = sorted(order, key=lambda p: (bounds[p], p))
+            # Screen only what the seed bound leaves standing: the bound
+            # only ever falls, so nothing else can reach verification.
+            seed = cost_policy.bound()
+            live = [p for p in order if bounds[p] < seed]
+            verdicts = None
+            screened = self._preverify_verdicts(
+                query, [candidates[p] for p in live]
+            )
+            if screened is not None:
+                verdicts = [None] * len(candidates)
+                for position, verdict in zip(live, screened):
+                    verdicts[position] = verdict
         results: list[MatchResult | None] = [None] * len(candidates)
         matched = 0
-        skip_from: int | None = None
-        for rank, position in enumerate(order):
+        holder = -1  # position of the match holding the bound; -1 = seed
+        for position in order:
             candidate = candidates[position]
-            if (
-                bounds is not None
-                and cost_policy.bound() <= bounds[position]
-            ):
-                # Bounds ascend along `order`, so nothing later can beat
-                # the best plan either.
-                skip_from = rank
-                break
+            if bounds is not None:
+                limit = cost_policy.bound()
+                if bounds[position] > limit or (
+                    bounds[position] == limit and holder < position
+                ):
+                    stats.candidates_skipped += 1
+                    results[position] = MatchResult(
+                        view=candidate.description, stage=STAGE_SKIPPED
+                    )
+                    continue
             stats.views_considered += 1
             stale_detail = (
                 staleness(candidate.description.name)
@@ -461,20 +482,13 @@ class ViewMatcher:
                 matched += 1
                 stats.matches += 1
                 stats.substitutes += 1
-                if cost_policy is not None:
-                    cost_policy.observe(result)
+                if cost_policy is not None and cost_policy.observe(result):
+                    holder = position
             elif result.reject_reason is not None:
                 stats.record_rejection(result.reject_reason)
                 if result.stage == STAGE_PREVERIFY:
                     stats.preverifier_rejects += 1
             results[position] = result
-        if skip_from is not None:
-            for position in order[skip_from:]:
-                stats.candidates_skipped += 1
-                results[position] = MatchResult(
-                    view=candidates[position].description,
-                    stage=STAGE_SKIPPED,
-                )
         self._record_invocation(
             time.perf_counter() - started, len(candidates), matched
         )

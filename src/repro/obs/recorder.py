@@ -16,13 +16,15 @@ Event schema (version 1)::
      "timed_out": bool, "rejected": bool,
      "max_staleness": float | null,
      "reject_tallies": {reason: count, ...},
-     "preverified_rejects": int, "candidates_skipped": int}
+     "preverified_rejects": int, "candidates_skipped": int,
+     "preaggregations_dropped": int}
 
-The last two fields (candidates dismissed by the columnar
-pre-verifier, and candidates never verified because the cost bound
-closed the search) are additive within version 1: readers fold them
-with ``.get(..., 0)``, so journals written before the vectorized
-verification work keep aggregating.
+The last three fields (candidates dismissed by the columnar
+pre-verifier, candidates never verified because the cost bound
+closed the search, and pre-aggregation alternatives dropped before
+their matcher invocation because no inner plan could fit their budget)
+are additive within version 1: readers fold them with
+``.get(..., 0)``, so journals written before them keep aggregating.
 
 Unknown versions are skipped on read, so a newer writer never breaks
 an older ``workload-report``.  Rotation is copy-free rename chaining
@@ -141,11 +143,13 @@ class WorkloadRecorder:
         tallies: Dict[str, int] = {}
         preverified = 0
         skipped = 0
+        dropped = 0
         inner = getattr(result, "result", None)
         if inner is not None:
             tallies = dict(getattr(inner, "reject_tallies", ()) or ())
             preverified = int(getattr(inner, "preverified_rejects", 0) or 0)
             skipped = int(getattr(inner, "candidates_skipped", 0) or 0)
+            dropped = int(getattr(inner, "preaggregations_dropped", 0) or 0)
         sql = result.sql or ""
         return self.record_event(
             {
@@ -163,6 +167,7 @@ class WorkloadRecorder:
                 "reject_tallies": tallies,
                 "preverified_rejects": preverified,
                 "candidates_skipped": skipped,
+                "preaggregations_dropped": dropped,
             }
         )
 
@@ -273,6 +278,7 @@ class WorkloadAggregate:
         self.stale_rejects = 0
         self.preverified_rejects = 0
         self.candidates_skipped = 0
+        self.preaggregations_dropped = 0
         self.reject_funnel: Dict[str, int] = {}
         self.fingerprints: Dict[str, Dict[str, Any]] = {}
         self.latency = DDSketch()
@@ -303,6 +309,9 @@ class WorkloadAggregate:
         skipped = event.get("candidates_skipped")
         if isinstance(skipped, int):
             self.candidates_skipped += skipped
+        dropped = event.get("preaggregations_dropped")
+        if isinstance(dropped, int):
+            self.preaggregations_dropped += dropped
         latency = event.get("latency_seconds")
         if isinstance(latency, (int, float)) and latency > 0:
             self.latency.record(float(latency))
@@ -389,6 +398,7 @@ class WorkloadAggregate:
             "reject_funnel": dict(self.ranked_rejects()),
             "preverified_rejects": self.preverified_rejects,
             "candidates_skipped": self.candidates_skipped,
+            "preaggregations_dropped": self.preaggregations_dropped,
             "latency": self.latency.snapshot(),
             "cache_hit_rate": self.hit_rate,
         }
@@ -419,10 +429,16 @@ class WorkloadAggregate:
             lines.append(f"reject funnel ({total} rejects):")
             for reason, count in ranked:
                 lines.append(f"  {reason:<18} {count:>8}  {count / total:6.1%}")
-        if self.preverified_rejects or self.candidates_skipped:
+        if (
+            self.preverified_rejects
+            or self.candidates_skipped
+            or self.preaggregations_dropped
+        ):
             lines.append(
                 f"verification: {self.preverified_rejects} pre-verified "
-                f"rejects, {self.candidates_skipped} cost-bound skips"
+                f"rejects, {self.candidates_skipped} cost-bound skips, "
+                f"{self.preaggregations_dropped} pre-aggregation "
+                "alternatives dropped over budget"
             )
         tops = self.top_fingerprints(top)
         if tops:

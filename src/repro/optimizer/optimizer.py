@@ -22,7 +22,7 @@ the rule vs. total optimization time).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from ..catalog.catalog import Catalog
@@ -46,6 +46,10 @@ from .cost import DEFAULT_COST_MODEL, CostModel
 from .plans import BlockNode, DirectNode, FinishNode, HashJoinNode, PlanNode
 
 _PREAGG_RELATION = "#preagg"
+#: Relative slack on a pre-aggregation budget: the budget is the best cost
+#: minus terms the real plan adds in a different order, and only an inner
+#: block that loses by more than float rounding may be skipped.
+_BUDGET_SLACK = 1e-9
 
 
 @dataclass
@@ -61,11 +65,12 @@ class OptimizerConfig:
     #: every estimate and every rule invocation re-describes its block --
     #: which the hot-path benchmark uses as its end-to-end baseline.
     share_descriptions: bool = True
-    #: Verify the top-level invocation's candidates cheapest-first under
-    #: a cost upper bound from the best plan so far (paper §2.4 spirit):
-    #: once no remaining candidate's cost lower bound can beat the bound,
-    #: the rest are skipped unverified. Never changes the chosen plan's
-    #: cost -- skipped candidates are provably at least as expensive.
+    #: Verify every invocation's candidates cheapest-first under a cost
+    #: upper bound seeded from the alternatives already in hand (paper
+    #: §2.4 spirit): a candidate whose cost lower bound cannot beat the
+    #: bound is skipped unverified, and a pre-aggregation alternative
+    #: whose budget no view read fits is dropped before its invocation.
+    #: Never changes the chosen plan (cost or views, ties included).
     cost_bounded_matching: bool = True
 
 
@@ -100,6 +105,10 @@ class OptimizationResult:
     #: candidates the cost bound skipped without verifying at all.
     preverified_rejects: int = 0
     candidates_skipped: int = 0
+    #: Pre-aggregation alternatives dropped before their view-matching
+    #: invocation because no inner plan could bring them under the best
+    #: plan already in hand.
+    preaggregations_dropped: int = 0
 
 
 class Optimizer:
@@ -125,7 +134,6 @@ class Optimizer:
         # materialized views make substitutes cheaper, reproducing the
         # paper's "secondary indexes ... are automatically considered".
         self.index_registry = index_registry
-        self._view_rows_cache: dict[str, float] = {}
 
     def indexed_leading_columns(self, relation_name: str) -> frozenset[str]:
         """Leading columns of the declared indexes on a relation."""
@@ -178,6 +186,7 @@ class Optimizer:
             reject_tallies=tuple(sorted(search.reject_tallies.items())),
             preverified_rejects=search.preverified_rejects,
             candidates_skipped=search.candidates_skipped,
+            preaggregations_dropped=search.preaggregations_dropped,
         )
 
     def explain(self, statement: SelectStatement) -> str:
@@ -200,12 +209,17 @@ class Optimizer:
         return "\n".join(lines)
 
     def view_estimated_rows(self, view: SpjgDescription) -> float:
-        """Cached cardinality estimate for a registered view's extent."""
-        assert view.name is not None
-        cached = self._view_rows_cache.get(view.name)
+        """Cached cardinality estimate for a registered view's extent.
+
+        Memoized on the statistics, keyed by the description object: the
+        estimate outlives this optimizer (the serving layer builds one
+        per epoch over the same statistics and descriptions), and a name
+        re-registered with a new definition never inherits the old one's.
+        """
+        cache = self.stats.view_rows
+        cached = cache.get(view)
         if cached is None:
-            cached = self.estimator.output_cardinality(view)
-            self._view_rows_cache[view.name] = cached
+            cached = cache[view] = self.estimator.output_cardinality(view)
         return cached
 
 
@@ -244,6 +258,13 @@ class _Search:
         self.reject_tallies: dict[str, int] = {}
         self.preverified_rejects = 0
         self.candidates_skipped = 0
+        self.preaggregations_dropped = 0
+        config = optimizer.config
+        self.cost_bounded = (
+            config.cost_bounded_matching
+            and config.produce_substitutes
+            and optimizer.matcher is not None
+        )
         self.best: dict[frozenset[str], PlanNode] = {}
         self._block_cardinality: dict[frozenset[str], float] = {}
         self.share_descriptions = optimizer.config.share_descriptions
@@ -279,6 +300,19 @@ class _Search:
             raise DeadlineExceeded(
                 "optimization overran its deadline mid-search"
             )
+
+    def _cost_policy(
+        self, block: SelectStatement, output_rows: float, bound: float
+    ) -> "_CostBoundPolicy | None":
+        """The verification bound for matching ``block``, seeded with ``bound``.
+
+        ``bound`` must be the cost of an alternative that precedes the
+        invocation's substitutes in the plan list they compete in, so
+        that it wins a cost tie against any of them.
+        """
+        if not self.cost_bounded:
+            return None
+        return _CostBoundPolicy(self, output_rows, bound, block.is_aggregate)
 
     def _invoke_view_matching(
         self, block: SelectStatement, cost_policy=None
@@ -462,7 +496,10 @@ class _Search:
         # The view-matching rule fires on every SPJ block except the full
         # query, which is matched with its real output list in _top_plan.
         if subset != frozenset(self.tables) or self.statement.is_aggregate:
-            for match in self._invoke_view_matching(block):
+            cost_policy = self._cost_policy(
+                block, est_rows, min(plan.cost for plan in candidates)
+            )
+            for match in self._invoke_view_matching(block, cost_policy):
                 candidates.append(
                     self._substitute_block(match, block, est_rows)
                 )
@@ -638,16 +675,8 @@ class _Search:
         # The view-matching rule on the query expression itself. The
         # finish plan built above is a real alternative, so its cost is a
         # valid initial upper bound for cost-bounded verification.
-        cost_policy = None
-        if (
-            self.optimizer.config.cost_bounded_matching
-            and self.optimizer.config.produce_substitutes
-            and self.optimizer.matcher is not None
-        ):
-            cost_policy = _CostBoundPolicy(self, output_rows, finish_cost)
-        for match in self._invoke_view_matching(
-            statement, cost_policy=cost_policy
-        ):
+        cost_policy = self._cost_policy(statement, output_rows, finish_cost)
+        for match in self._invoke_view_matching(statement, cost_policy):
             cost = self._substitute_cost(match, output_rows)
             candidates.append(
                 DirectNode(
@@ -659,7 +688,11 @@ class _Search:
             )
 
         if statement.is_aggregate and self.optimizer.config.enable_preaggregation:
-            candidates.extend(self._preaggregation_plans(output_rows))
+            candidates.extend(
+                self._preaggregation_plans(
+                    output_rows, min(plan.cost for plan in candidates)
+                )
+            )
         best = min(candidates, key=lambda plan: plan.cost)
         tracer = current_tracer()
         if tracer.active:
@@ -684,7 +717,15 @@ class _Search:
 
     # -- pre-aggregation (Example 4) -------------------------------------------------
 
-    def _preaggregation_plans(self, output_rows: float) -> list[PlanNode]:
+    def _preaggregation_plans(
+        self, output_rows: float, best_cost: float
+    ) -> list[PlanNode]:
+        """Every pre-aggregation alternative worth building.
+
+        ``best_cost`` is the cheapest top-level plan so far; it is
+        threaded through the loop so each alternative competes against
+        everything that precedes it in the plan list.
+        """
         plans: list[PlanNode] = []
         all_tables = frozenset(self.tables)
         aggregates = _distinct_aggregate_calls(self.statement)
@@ -696,9 +737,12 @@ class _Search:
             rest = all_tables - subset
             if rest not in self.best:
                 continue
-            plan = self._preaggregation_plan(subset, rest, aggregates, output_rows)
+            plan = self._preaggregation_plan(
+                subset, rest, aggregates, output_rows, best_cost
+            )
             if plan is not None:
                 plans.append(plan)
+                best_cost = min(best_cost, plan.cost)
         return plans
 
     def _preaggregation_plan(
@@ -707,6 +751,7 @@ class _Search:
         rest: frozenset[str],
         aggregates: list[FuncCall],
         output_rows: float,
+        best_cost: float,
     ) -> PlanNode | None:
         # Every aggregate argument must live inside the pre-aggregated side,
         # and count(E) over rows (non-star) cannot be rolled up through a
@@ -770,40 +815,54 @@ class _Search:
             else describe(inner_statement, self.catalog)
         )
         # Direct computation of the inner block from base tables.
-        inner_candidates: list[PlanNode] = [
-            BlockNode(
-                statement=inner_statement,
-                output_keys=tuple(output_keys),
-                est_rows=inner_groups,
-                cost=self.best[subset].cost
-                + self.cost_model.group(inner_spj_rows, inner_groups),
+        direct = BlockNode(
+            statement=inner_statement,
+            output_keys=tuple(output_keys),
+            est_rows=inner_groups,
+            cost=self.best[subset].cost
+            + self.cost_model.group(inner_spj_rows, inner_groups),
+        )
+        rest_plan = self.best[rest]
+        all_tables = frozenset(self.tables)
+        join_rows = min(
+            inner_groups * max(rest_plan.est_rows, 1.0),
+            self._block_rows(all_tables),
+        )
+        final_group = self.cost_model.group(join_rows, output_rows)
+
+        def join_with(inner: PlanNode) -> HashJoinNode:
+            return self._join_plan(
+                inner, rest_plan, subset, rest, all_tables, join_rows
             )
-        ]
-        for match in self._invoke_view_matching(inner_statement):
-            cost = self._substitute_cost(match, inner_groups)
+
+        # Every inner candidate yields inner_groups rows, so the rest
+        # plan, the join and the final grouping cost the same whichever
+        # wins: price them by joining a free inner block. What is left of
+        # the best plan so far is all an inner block may cost; the slack
+        # absorbs the rounding of summing the same terms in another order.
+        fixed = join_with(replace(direct, cost=0.0)).cost + final_group
+        budget = best_cost - fixed + _BUDGET_SLACK * best_cost
+        if self.cost_bounded and budget <= min(
+            direct.cost, self.cost_model.block(0.0, filtered=False)
+        ):
+            # Neither the direct block nor any view read fits the budget.
+            self.preaggregations_dropped += 1
+            return None
+        inner_candidates: list[PlanNode] = [direct]
+        cost_policy = self._cost_policy(
+            inner_statement, inner_groups, min(direct.cost, budget)
+        )
+        for match in self._invoke_view_matching(inner_statement, cost_policy):
             inner_candidates.append(
                 BlockNode(
                     statement=match.substitute,
                     output_keys=tuple(output_keys),
                     view_name=match.view.name,
                     est_rows=inner_groups,
-                    cost=cost,
+                    cost=self._substitute_cost(match, inner_groups),
                 )
             )
-        inner = min(inner_candidates, key=lambda plan: plan.cost)
-
-        rest_plan = self.best[rest]
-        join = self._join_plan(
-            inner,
-            rest_plan,
-            subset,
-            rest,
-            frozenset(self.tables),
-            est_rows=min(
-                inner.est_rows * max(rest_plan.est_rows, 1.0),
-                self._block_rows(frozenset(self.tables)),
-            ),
-        )
+        join = join_with(min(inner_candidates, key=lambda plan: plan.cost))
         rewritten_items = tuple(
             SelectItem(
                 _rewrite_aggregates(item.expression, aggregate_map),
@@ -818,7 +877,7 @@ class _Search:
             aggregate=True,
             distinct=self.statement.distinct,
             est_rows=output_rows,
-            cost=join.cost + self.cost_model.group(join.est_rows, output_rows),
+            cost=join.cost + final_group,
         )
 
 
@@ -826,38 +885,53 @@ class _CostBoundPolicy:
     """Best-first verification oracle for one view-matching invocation.
 
     The matcher sorts candidates by :meth:`lower_bound`, reports each
-    successful match through :meth:`observe`, and stops verifying once
-    :meth:`bound` proves no remaining candidate can beat the best plan.
+    successful match through :meth:`observe`, and skips every candidate
+    :meth:`bound` proves cannot beat the best plan in hand.
     The lower bound is sound against :meth:`_Search._substitute_cost`:
-    every substitute reads the view's extent at least once -- the cheaper
-    of an index seek capped at the output cardinality and an unfiltered
-    scan -- and backjoins, residual filters, and regrouping only add cost.
+    every substitute reads the view's extent at least once -- an
+    unfiltered scan, or, only when the view has an index at all, the
+    cheaper of that and a seek capped at the output cardinality -- an
+    aggregate block over an SPJ view always regroups the view's rows,
+    and backjoins and residual filters only add cost.
     """
 
-    __slots__ = ("_search", "_output_rows", "_bound")
+    __slots__ = ("_search", "_output_rows", "_bound", "_regroup")
 
     def __init__(
-        self, search: "_Search", output_rows: float, initial_bound: float
+        self,
+        search: "_Search",
+        output_rows: float,
+        initial_bound: float,
+        regroup: bool,
     ) -> None:
         self._search = search
         self._output_rows = output_rows
         self._bound = initial_bound
+        self._regroup = regroup
 
     def bound(self) -> float:
         return self._bound
 
     def lower_bound(self, view: SpjgDescription) -> float:
-        view_rows = self._search.optimizer.view_estimated_rows(view)
+        optimizer = self._search.optimizer
         model = self._search.cost_model
-        return min(
-            model.index_seek(min(view_rows, self._output_rows)),
-            model.block(view_rows, filtered=False),
-        )
+        view_rows = optimizer.view_estimated_rows(view)
+        cost = model.block(view_rows, filtered=False)
+        if optimizer.indexed_leading_columns(view.name):
+            cost = min(
+                cost, model.index_seek(min(view_rows, self._output_rows))
+            )
+        if self._regroup and not view.is_aggregate:
+            cost += model.group(view_rows, self._output_rows)
+        return cost
 
-    def observe(self, result) -> None:
+    def observe(self, result) -> bool:
+        """Fold a verified match in; true when it lowered the bound."""
         cost = self._search._substitute_cost(result, self._output_rows)
         if cost < self._bound:
             self._bound = cost
+            return True
+        return False
 
 
 def _rewrite_aggregates(

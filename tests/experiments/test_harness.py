@@ -64,6 +64,24 @@ class TestHarness:
             assert filtered.substitutes == unfiltered.substitutes
             assert filtered.plans_using_views == unfiltered.plans_using_views
 
+    def test_substitute_counts_are_for_the_unbounded_rule(self):
+        # "No Alt" runs the rule with no cost bound. "Alt" must count the
+        # same substitutes over the same invocations, or the Section 5
+        # per-invocation figures silently shrink with the cost bound
+        # (which does engage at this size: 16 vs 20 substitutes).
+        noalt = Configuration(produce_substitutes=False, use_filter_tree=True)
+        result = ExperimentHarness(
+            ExperimentConfig(
+                view_counts=(200,),
+                query_count=20,
+                seed=17,
+                configurations=(ALT_FILTER, noalt),
+            )
+        ).run()
+        alt, reference = result.point(200, ALT_FILTER), result.point(200, noalt)
+        assert alt.substitutes == reference.substitutes > 0
+        assert alt.invocations == reference.invocations
+
     def test_derived_metrics(self, small_result):
         point = small_result.point(60, ALT_FILTER)
         assert point.seconds_per_query == pytest.approx(

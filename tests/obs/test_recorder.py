@@ -78,6 +78,8 @@ class TestRecorder:
     def test_record_result_duck_types_served_result(self, tmp_path):
         class Inner:
             reject_tallies = {"RANGE": 2}
+            candidates_skipped = 7
+            preaggregations_dropped = 3
 
         class Result:
             sql = "select * from t"
@@ -100,6 +102,8 @@ class TestRecorder:
         assert event["views"] == ["mv1"]
         assert event["reject_tallies"] == {"RANGE": 2}
         assert event["max_staleness"] == 5.0
+        assert event["candidates_skipped"] == 7
+        assert event["preaggregations_dropped"] == 3
 
     def test_validation(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -198,6 +202,22 @@ class TestAggregate:
         assert "reject funnel" in text
         assert "RANGE" in text
         assert "query shapes" in text
+
+    def test_cost_bound_counts_fold_and_render(self):
+        aggregate = aggregate_events(
+            [
+                rewrite_event(candidates_skipped=4, preaggregations_dropped=2),
+                rewrite_event(preaggregations_dropped=1),
+                rewrite_event(),  # a journal line written before the fields
+            ]
+        )
+        assert aggregate.candidates_skipped == 4
+        assert aggregate.preaggregations_dropped == 3
+        assert aggregate.to_advisor_input()["preaggregations_dropped"] == 3
+        assert (
+            "4 cost-bound skips, 3 pre-aggregation alternatives dropped"
+            in aggregate.render()
+        )
 
     def test_empty_render(self):
         assert "0 events" in WorkloadAggregate().render()
