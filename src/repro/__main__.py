@@ -181,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "fail unless probe compilation is >=2x faster than the "
-            "reference pipeline and batched rewriting >=2x faster than "
-            "the sequential loop (end-to-end gate needs >=2 cores)"
+            "reference pipeline and the verification floor and memory "
+            "budget hold"
         ),
     )
     hotpath.add_argument(

@@ -388,7 +388,7 @@ def run_bench_hotpath(
     Times candidate filtering and full matching in the interned and
     reference configurations, verifying both return identical results,
     plus probe compilation (single-pass vs reference pipeline) and the
-    batched end-to-end serving path against the legacy sequential loop.
+    batched end-to-end serving path against the sequential serve loop.
     ``output`` writes the machine-readable report; ``check_baseline``
     gates against a committed ``BENCH_matching.json`` and returns
     non-zero on a >2x candidate-filter regression or a >25 % probe-build
@@ -398,11 +398,10 @@ def run_bench_hotpath(
     tracer installed, so any regression it reports is overhead the
     tracing instrumentation added to the disabled path.
     ``check_speedups`` enforces the absolute floors: probe compilation
-    >=2x over the reference pipeline, batched end-to-end rewriting
-    >=2x over the sequential loop on multi-core hosts, and -- when the
-    report carries a memory section -- the bytes-per-registered-view
-    budget. ``catalog_scale`` overrides the 100k-view packed-path
-    point's view count (0 disables it). ``match_only`` restricts the run
+    >=2x over the reference pipeline, and -- when the report carries a
+    memory section -- the bytes-per-registered-view budget.
+    ``catalog_scale`` overrides the 100k-view packed-path point's view
+    count (0 disables it). ``match_only`` restricts the run
     to the matching sweep (probe / filter / match / verification
     timings), disabling the end-to-end, maintenance, catalog-scale,
     pool, telemetry, and memory sections -- the quick loop for iterating

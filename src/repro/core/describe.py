@@ -12,7 +12,6 @@ indexes on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from ..errors import MatchError, UnsupportedSqlError
@@ -23,7 +22,7 @@ from ..sql.expressions import (
     Literal,
 )
 from ..sql.statements import SelectItem, SelectStatement
-from .analyze import analyze_statement
+from .analyze import QueryAnalysis, analyze_statement
 from .equivalence import ColumnKey
 from .intervalsets import OrRangePredicate
 from .normalize import ClassifiedPredicate
@@ -87,6 +86,31 @@ def normalized_aggregate_template(
     raise MatchError(f"unsupported aggregate {call.name}")
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock.
+
+    Before Python 3.12 ``cached_property`` serializes first accesses
+    through one lock per *property*, shared by every instance: a pool
+    worker forked while another thread computes the property of any
+    description inherits that lock held and blocks forever on its own
+    first access. Descriptions are immutable and these computations
+    idempotent, so racing readers need no lock.
+    """
+
+    def __init__(self, compute) -> None:
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class SpjgDescription:
     """Precomputed matching metadata for one SPJG statement.
 
@@ -102,7 +126,20 @@ class SpjgDescription:
         catalog: "Catalog",
         name: str | None = None,
         options: MatchOptions = DEFAULT_OPTIONS,
+        analysis: QueryAnalysis | None = None,
+        block: int | None = None,
     ) -> None:
+        """Describe ``statement``, from scratch or from its request's analysis.
+
+        With ``analysis`` (see :func:`describe_block`), ``statement`` is
+        the analysed statement itself (``block`` ``None``) or the
+        statement of ``block``: the predicate metadata is then the
+        analysis restricted to the block and shallow forms come from the
+        analysis's per-request memo, instead of one fused sweep over the
+        CNF conjuncts (see :mod:`repro.core.analyze`) and a fresh form
+        per output. Output metadata is derived on first use: a block the
+        filter tree finds no candidate for never needs it.
+        """
         self.statement = statement
         self.catalog = catalog
         self.name = name
@@ -110,23 +147,18 @@ class SpjgDescription:
         self.tables: frozenset[str] = frozenset(statement.table_names())
         if not self.tables:
             raise UnsupportedSqlError("statement references no tables")
-
-        # One fused sweep over the CNF conjuncts (see repro.core.analyze)
-        # replaces the former classify / build-classes / derive-ranges /
-        # split-or-ranges / shallow-form pass sequence.
-        analysis = analyze_statement(statement, self.tables, catalog, options)
-        self.classified: ClassifiedPredicate = analysis.classified
-        self.eqclasses = analysis.eqclasses
-        self.ranges: dict[ColumnKey, Interval] = analysis.ranges
-        self.or_ranges: tuple[OrRangePredicate, ...] = analysis.or_ranges
-        self.residual_forms: tuple[ShallowForm, ...] = analysis.residual_forms
-        self.outputs: tuple[OutputInfo, ...] = tuple(
-            OutputInfo(item=item, position=i, form=ShallowForm.of(item.expression))
-            for i, item in enumerate(statement.select_items)
-        )
-        self.group_forms: tuple[ShallowForm, ...] = tuple(
-            ShallowForm.of(expr) for expr in statement.group_by
-        )
+        if analysis is None:
+            predicates = analyze_statement(
+                statement, self.tables, catalog, options
+            )
+        else:
+            predicates = analysis.restrict(block)
+        self._analysis = analysis
+        self.classified: ClassifiedPredicate = predicates.classified
+        self.eqclasses = predicates.eqclasses
+        self.ranges: dict[ColumnKey, Interval] = predicates.ranges
+        self.or_ranges: tuple[OrRangePredicate, ...] = predicates.or_ranges
+        self.residual_forms: tuple[ShallowForm, ...] = predicates.residual_forms
         self.is_aggregate = statement.is_aggregate
         # Memoized derived key sets. Descriptions are immutable after
         # construction and these back every probe compilation and filter
@@ -143,7 +175,31 @@ class SpjgDescription:
 
     # -- output metadata -------------------------------------------------------
 
-    @cached_property
+    def shallow_form(self, expression: Expression) -> ShallowForm:
+        """The shallow form of one of the statement's expressions (from
+        the request analysis's memo when the description has one)."""
+        if self._analysis is not None:
+            return self._analysis.form(expression)
+        return ShallowForm.of(expression)
+
+    @_lazy
+    def outputs(self) -> tuple[OutputInfo, ...]:
+        """Every select-list item with its matching metadata."""
+        return tuple(
+            OutputInfo(
+                item=item, position=i, form=self.shallow_form(item.expression)
+            )
+            for i, item in enumerate(self.statement.select_items)
+        )
+
+    @_lazy
+    def group_forms(self) -> tuple[ShallowForm, ...]:
+        """Shallow forms of the grouping expressions, in order."""
+        return tuple(
+            self.shallow_form(expr) for expr in self.statement.group_by
+        )
+
+    @_lazy
     def simple_output_map(self) -> dict[ColumnKey, str]:
         """Output name per directly-exposed column (first exposure wins).
 
@@ -157,7 +213,7 @@ class SpjgDescription:
                 mapping.setdefault(expr.key, info.name)
         return mapping
 
-    @cached_property
+    @_lazy
     def expression_outputs(self) -> tuple[OutputInfo, ...]:
         """Non-simple, non-constant output items (expressions, aggregates)."""
         return tuple(
@@ -322,6 +378,34 @@ def describe(
 ) -> SpjgDescription:
     """Build the description of a bound SPJG statement."""
     return SpjgDescription(statement, catalog, name=name, options=options)
+
+
+def describe_block(
+    analysis: QueryAnalysis,
+    block: int | None = None,
+    select_items: tuple[SelectItem, ...] | None = None,
+    group_by: tuple[Expression, ...] = (),
+) -> SpjgDescription:
+    """Describe one block of an analysed query without re-analysing it.
+
+    ``block`` is a table bitmask of the analysis (``None``: the analysed
+    statement itself). The block's statement -- its tables in name order
+    under its local conjuncts, selecting ``select_items`` (default: the
+    columns the rest of the query needs from it) grouped by ``group_by``
+    -- is built here and is the result's ``statement``; the description
+    equals ``describe`` of that statement under the analysis's options.
+    """
+    if block is None:
+        statement = analysis.statement
+    else:
+        statement = analysis.block_statement(block, select_items, group_by)
+    return SpjgDescription(
+        statement,
+        analysis.catalog,
+        options=analysis.options,
+        analysis=analysis,
+        block=block,
+    )
 
 
 def validate_view_description(description: SpjgDescription) -> None:

@@ -25,6 +25,9 @@ class EquivalenceClasses:
         self._parent: dict[ColumnKey, ColumnKey] = {}
         self._rank: dict[ColumnKey, int] = {}
         self._class_map: dict[ColumnKey, frozenset[ColumnKey]] | None = None
+        # ``{column: frozenset((column,))}`` over exactly ``_parent``'s
+        # columns, shared read-only between an instance and its copies.
+        self._singletons: dict[ColumnKey, frozenset[ColumnKey]] | None = None
         for column in columns:
             self.add_column(column)
 
@@ -34,6 +37,7 @@ class EquivalenceClasses:
             self._parent[column] = column
             self._rank[column] = 0
             self._class_map = None
+            self._singletons = None
 
     def __contains__(self, column: ColumnKey) -> bool:
         return column in self._parent
@@ -91,10 +95,19 @@ class EquivalenceClasses:
         """
         mapping = self._class_map
         if mapping is None:
+            rank = self._rank
+            singletons = self._singletons
+            mapping = {} if singletons is None else dict(singletons)
             by_root: dict[ColumnKey, list[ColumnKey]] = {}
-            for column in self._parent:
-                by_root.setdefault(self.find(column), []).append(column)
-            mapping = {}
+            for column, up in self._parent.items():
+                if up == column and not rank[column]:
+                    # A rank-0 root never had a tree attached (a merge
+                    # leaves its surviving root at rank >= 1): the
+                    # column is alone, no ``find`` needed.
+                    if singletons is None:
+                        mapping[column] = frozenset((column,))
+                else:
+                    by_root.setdefault(self.find(column), []).append(column)
             for members in by_root.values():
                 cls = frozenset(members)
                 for column in members:
@@ -120,9 +133,16 @@ class EquivalenceClasses:
         )
 
     def copy(self) -> "EquivalenceClasses":
+        """An independent copy; the singleton classes both sides' class
+        maps start from are built once here and shared."""
+        if self._singletons is None:
+            self._singletons = {
+                column: frozenset((column,)) for column in self._parent
+            }
         clone = EquivalenceClasses()
         clone._parent = dict(self._parent)
         clone._rank = dict(self._rank)
+        clone._singletons = self._singletons
         return clone
 
     def refines(self, coarser: "EquivalenceClasses") -> bool:

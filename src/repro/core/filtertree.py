@@ -28,7 +28,6 @@ never prunes a view the matcher would accept.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 from typing import TYPE_CHECKING, Iterable
 
 from ..obs.trace import current_tracer
@@ -178,10 +177,11 @@ def _classes_hit_bits(
 class _BoundProbe:
     """A :class:`QueryProbe` encoded as bitmasks against one interner.
 
-    Built once per filter-tree search (both subtrees share the tree's
-    interner) and reused by every lattice index the search touches.
-    ``class_masks`` memoizes the per-equivalence-class masks the
-    range-constraint level's full condition needs.
+    Built once per search of a recursive (non-packed) interned tree --
+    both subtrees share the tree's interner -- and reused by every
+    lattice index the search touches. ``class_masks`` memoizes the
+    per-equivalence-class masks the range-constraint level's full
+    condition needs.
     """
 
     __slots__ = (
@@ -196,7 +196,6 @@ class _BoundProbe:
         "output_requirements",
         "grouping_requirements",
         "class_masks",
-        "packed_cache",
     )
 
     def __init__(self, probe: "QueryProbe", interner: KeyInterner):
@@ -222,15 +221,16 @@ class _BoundProbe:
             for req in probe.grouping_requirements
         )
         self.class_masks: dict[Key, tuple[int, bool]] = {}
-        # Compiled packed-sweep query vectors, stashed here by
-        # _PackedSubtree keyed on its serial: the bound probe is the
-        # natural lifetime for them (rebuilt whenever the interner grows).
-        self.packed_cache: dict[int, tuple] = {}
 
 
 @dataclass
 class QueryProbe:
-    """The query-side search keys, computed once per filter-tree search."""
+    """The query-side search keys as frozenset lattice keys.
+
+    What the recursive tree's lattice searches and the per-level
+    diagnostics consume; the packed layout compiles its own
+    :class:`_PackedProbe` straight from the description instead.
+    """
 
     tables: Key
     output_requirements: tuple[OutputRequirement, ...]
@@ -240,46 +240,6 @@ class QueryProbe:
     grouping_templates: Key
     grouping_requirements: tuple[OutputRequirement, ...]
     is_aggregate: bool
-    _bindings: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def bind(self, interner: KeyInterner) -> _BoundProbe:
-        """The probe's bitmask encoding under ``interner`` (memoized).
-
-        The memo records the interner *version* it was built against and
-        rebuilds when the interner has grown since: registrations after the
-        first bind intern new atoms, and a stale encoding would keep
-        reporting them unknown -- ``tables_complete`` would stay false and
-        the source-table level would silently drop the new views.
-        """
-        version = interner.version
-        entry = self._bindings.get(interner)
-        if entry is None or entry[0] != version:
-            entry = (version, _BoundProbe(self, interner))
-            self._bindings[interner] = entry
-        return entry[1]
-
-    @classmethod
-    def cached_of(
-        cls,
-        query: SpjgDescription,
-        options: MatchOptions = DEFAULT_OPTIONS,
-    ) -> "QueryProbe":
-        """Like :meth:`of` but memoized on the description object.
-
-        A description is derived once per rule invocation; every filter
-        tree probing it with the same options (e.g. the reference and
-        interned trees of the hot-path benchmark, or repeated probes of
-        one served request) shares the derived keys.
-        """
-        cache = getattr(query, "_probe_cache", None)
-        if cache is None:
-            cache = {}
-            query._probe_cache = cache
-        probe = cache.get(options)
-        if probe is None:
-            probe = cls.of(query, options)
-            cache[options] = probe
-        return probe
 
     @classmethod
     def of(
@@ -401,51 +361,92 @@ def _catalog_check_keys(
     return entry
 
 
-def _output_requirements(query: SpjgDescription) -> tuple[OutputRequirement, ...]:
+def _requirement_encoding(interner: KeyInterner | None):
+    """``(columns_key, templates_key, requirement)`` builders.
+
+    Without an interner: frozenset keys and :class:`OutputRequirement`.
+    With one: each key is compiled straight to its interned bitmask and a
+    requirement to the ``(templates_mask, group_masks)`` pair
+    :func:`_requirements_satisfied_bits` consumes -- atoms the interner
+    has never seen are dropped, which is exact (see
+    :func:`_bind_requirement`).
+    """
+    if interner is None:
+        return _columns_key, _templates_key, OutputRequirement
+    known_bit = interner.known_bit
+
+    def columns_mask(columns: Iterable[ColumnKey]) -> int:
+        mask = 0
+        for column in columns:
+            mask |= known_bit((_COLUMN, *column))
+        return mask
+
+    def templates_mask(templates: Iterable[str]) -> int:
+        mask = 0
+        for template in templates:
+            mask |= known_bit((_TEMPLATE, template))
+        return mask
+
+    def pair(templates: int, groups: tuple[int, ...]) -> tuple:
+        return templates, groups
+
+    return columns_mask, templates_mask, pair
+
+
+def _output_requirements(
+    query: SpjgDescription, interner: KeyInterner | None = None
+) -> tuple:
     """Availability requirements for every output and grouping item.
 
-    One pass reusing the description's precomputed shallow forms; column
-    groups come from the memoized class map with a per-probe group cache
-    (outputs and groupings overwhelmingly repeat the same columns).
+    One pass over the select list and grouping; shallow forms come from
+    the description, column groups from the memoized class map with a
+    per-probe group cache (outputs and groupings overwhelmingly repeat
+    the same columns).
+    ``interner`` selects the bitmask encoding (:func:`_requirement_encoding`).
     """
+    columns_key, templates_key, requirement = _requirement_encoding(interner)
     class_map = query.eqclasses.class_map()
     backjoins = query.options.allow_backjoins
     catalog = query.catalog
-    group_cache: dict[ColumnKey, Key] = {}
+    group_cache: dict = {}
 
-    def column_group(key: ColumnKey) -> Key:
+    def column_group(key: ColumnKey):
         group = group_cache.get(key)
         if group is None:
-            members = set(class_map[key])
+            members = class_map[key]
             if backjoins:
+                members = set(members)
                 table = catalog.table(key[0])
                 for unique_key in table.all_unique_keys():
                     if any(table.is_nullable(column) for column in unique_key):
                         continue
                     for column in unique_key:
                         members |= class_map[(key[0], column)]
-            group = _columns_key(members)
-            group_cache[key] = group
+            group = group_cache[key] = columns_key(members)
         return group
 
-    requirements: list[OutputRequirement] = []
+    requirements: list = []
+    no_templates = templates_key(())
 
-    def add_expression(
-        expression: Expression, form: ShallowForm | None = None
-    ) -> None:
+    def add_expression(expression: Expression) -> None:
+        if isinstance(expression, ColumnRef):
+            requirements.append(
+                requirement(no_templates, (column_group(expression.key),))
+            )
+            return
         if isinstance(expression, FuncCall) and expression.is_aggregate():
             if expression.star:
                 return  # count(*) needs no columns from any view kind
             argument = expression.args[0]
-            argument_form = ShallowForm.of(argument)
+            argument_form = query.shallow_form(argument)
             templates = set(
                 normalized_aggregate_template(expression, argument_form)
             )
             templates.add(argument_form.template)
             requirements.append(
-                OutputRequirement(
-                    templates=_templates_key(templates),
-                    column_groups=tuple(
+                requirement(
+                    templates_key(templates),
+                    tuple(
                         column_group(ref.key)
                         for ref in argument.column_refs()
                     ),
@@ -458,49 +459,39 @@ def _output_requirements(query: SpjgDescription) -> tuple[OutputRequirement, ...
             return
         if isinstance(expression, Literal):
             return
-        if isinstance(expression, ColumnRef):
-            requirements.append(
-                OutputRequirement(
-                    templates=frozenset(),
-                    column_groups=(column_group(expression.key),),
-                )
-            )
-            return
-        template = (form or ShallowForm.of(expression)).template
         requirements.append(
-            OutputRequirement(
-                templates=_templates_key({template}),
-                column_groups=tuple(
+            requirement(
+                templates_key((query.shallow_form(expression).template,)),
+                tuple(
                     column_group(ref.key) for ref in expression.column_refs()
                 ),
             )
         )
 
-    for info in query.outputs:
-        add_expression(info.expression, info.form)
-    for form, expr in zip(query.group_forms, query.statement.group_by):
-        add_expression(expr, form)
+    for item in query.statement.select_items:
+        add_expression(item.expression)
+    for expression in query.statement.group_by:
+        add_expression(expression)
     return tuple(requirements)
 
 
-def _grouping_requirements(query: SpjgDescription) -> tuple[OutputRequirement, ...]:
+def _grouping_requirements(
+    query: SpjgDescription, interner: KeyInterner | None = None
+) -> tuple:
     """Per-item grouping conditions for the grouping-column level."""
+    columns_key, templates_key, requirement = _requirement_encoding(interner)
     class_map = query.eqclasses.class_map()
-    requirements: list[OutputRequirement] = []
+    requirements: list = []
     for form, expr in zip(query.group_forms, query.statement.group_by):
         if isinstance(expr, ColumnRef):
             requirements.append(
-                OutputRequirement(
-                    templates=frozenset(),
-                    column_groups=(_columns_key(class_map[expr.key]),),
+                requirement(
+                    templates_key(()), (columns_key(class_map[expr.key]),)
                 )
             )
         else:
             requirements.append(
-                OutputRequirement(
-                    templates=_templates_key({form.template}),
-                    column_groups=(),
-                )
+                requirement(templates_key((form.template,)), ())
             )
     return tuple(requirements)
 
@@ -1046,10 +1037,52 @@ AGGREGATE_LEVELS: tuple[_Level, ...] = (
 # The packed flat layout
 # ---------------------------------------------------------------------------
 
-# Serial numbers for _PackedSubtree instances: compiled query vectors are
-# cached on the bound probe keyed by serial, and serials are never reused,
-# so a probe outliving an epoch's subtrees can never hit a stale entry.
-_subtree_serials = count()
+class _PackedProbe:
+    """A query's search keys as the packed subtrees consume them.
+
+    Compiled once per search, straight from the description: plain key
+    values (table names, templates, column keys) for the fused mask
+    levels, which each subtree looks up in its own atom dictionaries, and
+    interned ``(templates_mask, group_masks)`` pairs for the two per-item
+    requirement levels. Check-constraint keys widen the residual and
+    range levels exactly as in :meth:`QueryProbe.of`.
+    """
+
+    __slots__ = (
+        "tables",
+        "residual_templates",
+        "constrained_columns",
+        "aggregate_templates",
+        "grouping_templates",
+        "output_requirements",
+        "grouping_requirements",
+    )
+
+    def __init__(
+        self,
+        query: SpjgDescription,
+        options: MatchOptions,
+        interner: KeyInterner,
+    ) -> None:
+        residual_templates = query.residual_templates()
+        constrained = query.extended_range_constrained_columns()
+        if options.use_check_constraints:
+            check_columns, check_templates = _catalog_check_keys(
+                query.catalog, query.options.support_or_ranges
+            )
+            residual_templates = residual_templates | check_templates
+            constrained = constrained | check_columns
+        self.tables = query.tables
+        self.residual_templates = residual_templates
+        self.constrained_columns = constrained
+        self.output_requirements = _output_requirements(query, interner)
+        if query.is_aggregate:
+            self.aggregate_templates = query.aggregate_templates()
+            self.grouping_templates = query.grouping_templates()
+            self.grouping_requirements = _grouping_requirements(query, interner)
+        else:  # the aggregate subtree is not searched
+            self.aggregate_templates = self.grouping_templates = frozenset()
+            self.grouping_requirements = ()
 
 
 class _PackedSubtree:
@@ -1074,9 +1107,14 @@ class _PackedSubtree:
     atom absent from the local dictionary means no view here carries it,
     so the subtree returns empty -- exactly the lattice's completeness
     short-circuit. The range level reduces to subset form per query: each
-    distinct constraint class (itself one atom) gets a pass/fail verdict
-    via the same interned-mask test as :func:`_classes_hit_bits`, and a
+    distinct constraint class is one atom, a class passes iff it holds a
+    range-constrained query column (a column -> class-bits index, filled
+    at ``add``, turns the probe's columns into the passing atoms), and a
     view passes iff its class atoms avoid every failing class.
+
+    Atoms are keyed by plain values per level (table names, templates,
+    classes of column keys): the dictionaries are per level, so the
+    tagged lattice keys of the recursive tree are not needed here.
 
     The two per-item requirement levels (output columns, grouping
     columns) do not fuse into fixed-width masks; they are evaluated only
@@ -1090,7 +1128,6 @@ class _PackedSubtree:
         "interner",
         "aggregate",
         "table",
-        "_serial",
         "_views",
         "_row_of",
         "_output_bits",
@@ -1102,6 +1139,7 @@ class _PackedSubtree:
         "_residual_universe",
         "_range_atoms",
         "_range_universe",
+        "_range_columns",
         "_outexpr_atoms",
         "_groupexpr_atoms",
     )
@@ -1110,7 +1148,6 @@ class _PackedSubtree:
         self.interner = interner
         self.aggregate = aggregate
         self.table = PackedBitsetTable()
-        self._serial = next(_subtree_serials)
         self._views: list[RegisteredView] = []
         self._row_of: dict[str, int] = {}
         # Interned (global) masks of the requirement-level keys, parallel
@@ -1129,6 +1166,8 @@ class _PackedSubtree:
         self._residual_universe = 0
         self._range_atoms: dict = {}
         self._range_universe = 0
+        # column key -> bits of the constraint classes containing it
+        self._range_columns: dict[ColumnKey, int] = {}
         self._outexpr_atoms: dict = {}
         self._groupexpr_atoms: dict = {}
 
@@ -1150,34 +1189,32 @@ class _PackedSubtree:
 
     def add(self, view: RegisteredView) -> None:
         interner = self.interner
-        mask = self._union(
-            self._hub_atoms, _HUB_LEVEL.view_key(view), False
-        )
+        description = view.description
+        mask = self._union(self._hub_atoms, view.hub, False)
         self._hub_universe |= mask
         row_mask = mask
-        row_mask |= self._union(
-            self._tables_atoms, _SOURCE_TABLE_LEVEL.view_key(view), True
-        )
+        row_mask |= self._union(self._tables_atoms, description.tables, True)
         mask = self._union(
-            self._residual_atoms, _RESIDUAL_LEVEL.view_key(view), False
+            self._residual_atoms, description.residual_templates(), False
         )
         self._residual_universe |= mask
         row_mask |= mask
-        mask = self._union(
-            self._range_atoms, _RANGE_LEVEL.view_key(view), False
-        )
-        self._range_universe |= mask
-        row_mask |= mask
+        range_atoms = self._range_atoms
+        range_columns = self._range_columns
+        for cls in description.range_constrained_classes():
+            bit = range_atoms.get(cls)
+            if bit is None:
+                bit = range_atoms[cls] = self.table.alloc_bit(False)
+                self._range_universe |= bit
+                for column in cls:
+                    range_columns[column] = range_columns.get(column, 0) | bit
+            row_mask |= bit
         if self.aggregate:
             row_mask |= self._union(
-                self._outexpr_atoms,
-                _OUTPUT_EXPRESSION_LEVEL.view_key(view),
-                True,
+                self._outexpr_atoms, description.output_templates(), True
             )
             row_mask |= self._union(
-                self._groupexpr_atoms,
-                _GROUPING_EXPRESSION_LEVEL.view_key(view),
-                True,
+                self._groupexpr_atoms, description.grouping_templates(), True
             )
             self._grouping_bits.append(
                 interner.mask(_GROUPING_COLUMN_LEVEL.view_key(view))
@@ -1208,106 +1245,59 @@ class _PackedSubtree:
 
     # -- searching (query side, read-only) -------------------------------------
 
-    @staticmethod
-    def _subset_mask(atoms: dict, elements: Iterable) -> int:
-        """Local bits of the probe atoms this subtree knows (rest dropped:
-        an unknown atom appears in no stored row, so it cannot forbid)."""
-        mask = 0
-        for element in elements:
-            bit = atoms.get(element)
-            if bit is not None:
-                mask |= bit
-        return mask
-
-    @staticmethod
-    def _superset_mask(atoms: dict, elements: Iterable) -> int | None:
-        """Local bits of the probe atoms, or ``None`` when one is unknown
-        here -- no view in this subtree can then cover the probe."""
-        mask = 0
-        for element in elements:
-            bit = atoms.get(element)
-            if bit is None:
-                return None
-            mask |= bit
-        return mask
-
-    def _compile(self, probe: QueryProbe, bound: _BoundProbe):
-        """The fused query vector for one probe, or ``None`` for a
-        provably-empty result (superset-level early out)."""
-        required = self._superset_mask(self._tables_atoms, probe.tables)
-        if required is None:
-            return None
-        query = required
-        if self.aggregate:
-            required = self._superset_mask(
-                self._outexpr_atoms, probe.aggregate_templates
-            )
-            if required is None:
-                return None
-            query |= required
-            required = self._superset_mask(
-                self._groupexpr_atoms, probe.grouping_templates
-            )
-            if required is None:
-                return None
-            query |= required
-        query |= self._hub_universe & ~self._subset_mask(
-            self._hub_atoms, probe.tables
-        )
-        query |= self._residual_universe & ~self._subset_mask(
-            self._residual_atoms, probe.residual_templates
-        )
-        # Range-constraint level: verdict per distinct class, then subset
-        # against the passing classes (mirrors _classes_hit_bits).
-        ok = 0
-        interner = self.interner
-        range_mask = bound.range_mask
-        class_masks = bound.class_masks
-        constrained = None
-        for cls, bit in self._range_atoms.items():
-            entry = class_masks.get(cls)
-            if entry is None:
-                entry = interner.known_mask(cls)
-                class_masks[cls] = entry
-            mask, complete = entry
-            if mask & range_mask:
-                ok |= bit
-                continue
-            if complete:
-                continue
-            if constrained is None:
-                constrained = probe.range_constrained_columns
-            if cls & constrained:
-                ok |= bit
-        query |= self._range_universe & ~ok
-        return self.table.prepare(query)
-
     def collect(
-        self,
-        probe: QueryProbe,
-        bound: _BoundProbe,
-        out: "list[RegisteredView]",
+        self, probe: _PackedProbe, out: "list[RegisteredView]"
     ) -> None:
-        """Append every view passing all of this subtree's levels."""
+        """Append every view passing all of this subtree's levels.
+
+        Builds the fused query vector from the probe's keys -- superset
+        levels contribute the probe's atoms (one unknown here proves the
+        result empty), subset levels the allocated atoms the probe lacks
+        (an atom unknown here appears in no stored row, so it cannot
+        forbid) -- sweeps once, and tests the per-item requirement levels
+        on the survivors.
+        """
         views = self._views
         if not views:
             return
-        generation = self.table.generation
-        cache = bound.packed_cache
-        entry = cache.get(self._serial)
-        if entry is None or entry[0] != generation:
-            entry = (generation, self._compile(probe, bound))
-            cache[self._serial] = entry
-        prepared = entry[1]
-        if prepared is None:
-            return
-        output_requirements = bound.output_requirements
+        tables_atoms = self._tables_atoms
+        hub_atoms = self._hub_atoms
+        query = allowed = 0
+        for table in probe.tables:
+            bit = tables_atoms.get(table)
+            if bit is None:
+                return
+            query |= bit
+            allowed |= hub_atoms.get(table, 0)
+        if self.aggregate:
+            for atoms, templates in (
+                (self._outexpr_atoms, probe.aggregate_templates),
+                (self._groupexpr_atoms, probe.grouping_templates),
+            ):
+                for template in templates:
+                    bit = atoms.get(template)
+                    if bit is None:
+                        return
+                    query |= bit
+        query |= self._hub_universe & ~allowed
+        residual_atoms = self._residual_atoms
+        allowed = 0
+        for template in probe.residual_templates:
+            allowed |= residual_atoms.get(template, 0)
+        query |= self._residual_universe & ~allowed
+        range_columns = self._range_columns
+        allowed = 0
+        for column in probe.constrained_columns:
+            allowed |= range_columns.get(column, 0)
+        query |= self._range_universe & ~allowed
+        output_requirements = probe.output_requirements
         grouping_requirements = (
-            bound.grouping_requirements if self.aggregate else ()
+            probe.grouping_requirements if self.aggregate else ()
         )
         output_bits = self._output_bits
         grouping_bits = self._grouping_bits
-        for row in self.table.sweep(prepared):
+        table = self.table
+        for row in table.sweep(table.prepare(query)):
             if not _requirements_satisfied_bits(
                 output_requirements, output_bits[row]
             ):
@@ -1331,7 +1321,6 @@ class _PackedSubtree:
         clone.interner = self.interner
         clone.aggregate = self.aggregate
         clone.table = self.table.snapshot()
-        clone._serial = next(_subtree_serials)
         clone._views = list(self._views)
         clone._row_of = dict(self._row_of)
         clone._output_bits = list(self._output_bits)
@@ -1343,6 +1332,7 @@ class _PackedSubtree:
         clone._residual_universe = self._residual_universe
         clone._range_atoms = dict(self._range_atoms)
         clone._range_universe = self._range_universe
+        clone._range_columns = dict(self._range_columns)
         clone._outexpr_atoms = dict(self._outexpr_atoms)
         clone._groupexpr_atoms = dict(self._groupexpr_atoms)
         return clone
@@ -1587,11 +1577,10 @@ class FilterTree:
     def register_prebuilt(self, view: RegisteredView) -> RegisteredView:
         """Index an already-described view, reusing its description and hub.
 
-        Snapshot rebuilds (``repro.service``) re-index hundreds of views on
-        every catalog change; describing a view and computing its hub is
-        the expensive part of registration, so the serving layer keeps the
-        :class:`RegisteredView` objects and replays them into fresh trees
-        through this entry point.
+        Describing a view and computing its hub and match context is the
+        expensive part of registration; the serving layer does it outside
+        its writer lock, keeps the :class:`RegisteredView`, and indexes it
+        into the next epoch's tree through this entry point.
         """
         name = view.description.name
         if name is None:
@@ -1650,36 +1639,53 @@ class FilterTree:
         """The registered view under ``name`` (None when absent)."""
         return self._registered.get(name)
 
+    def compile_probe(self, query: SpjgDescription):
+        """The query's search keys in the form this tree's layout sweeps.
+
+        Packed mode compiles a :class:`_PackedProbe` straight from the
+        description; every other configuration gets the frozenset
+        :class:`QueryProbe` plus its bitmask binding (``None`` without
+        interning). Trees sharing options, interner and layout -- the
+        shards of a sharded tree -- can share one compiled probe.
+        """
+        if self._use_packed:
+            return _PackedProbe(query, self.options, self.interner)
+        probe = QueryProbe.of(query, self.options)
+        bound = (
+            _BoundProbe(probe, self.interner)
+            if self.interner is not None
+            else None
+        )
+        return probe, bound
+
     def collect_candidates(
         self,
-        probe: QueryProbe,
-        bound: _BoundProbe | None,
+        compiled,
         out: list[RegisteredView],
         include_aggregate: bool,
     ) -> None:
-        """Append this tree's candidates (unsorted) for a bound probe.
+        """Append this tree's candidates (unsorted) for a compiled probe.
 
         The single entry point behind :meth:`candidates` and the sharded
         tree's per-shard fan-out: packed mode sweeps the flat subtree
         tables, every other configuration walks the recursive tree.
         """
-        if self._use_packed and bound is not None:
-            self._spj_packed.collect(probe, bound, out)
+        if self._use_packed:
+            self._spj_packed.collect(compiled, out)
             if include_aggregate:
-                self._aggregate_packed.collect(probe, bound, out)
+                self._aggregate_packed.collect(compiled, out)
             return
+        probe, bound = compiled
         self._spj_root.search(probe, bound, out)
         if include_aggregate:
             self._aggregate_root.search(probe, bound, out)
 
     def candidates(self, query: SpjgDescription) -> list[RegisteredView]:
         """Views passing all filter conditions, in registration order."""
-        probe = QueryProbe.cached_of(query, self.options)
-        # Bind the probe to the tree's interner once; every lattice index
-        # in both subtrees shares it.
-        bound = probe.bind(self.interner) if self.interner is not None else None
         found: list[RegisteredView] = []
-        self.collect_candidates(probe, bound, found, query.is_aggregate)
+        self.collect_candidates(
+            self.compile_probe(query), found, query.is_aggregate
+        )
         order = self._order
         found.sort(key=lambda view: order[view.description.name])
         tracer = current_tracer()
@@ -1690,13 +1696,13 @@ class FilterTree:
     def clone_cow(self) -> "FilterTree":
         """An epoch clone sharing the packed arrays copy-on-write.
 
-        The serving layer's snapshot rebuild uses this to derive a dirty
-        shard's next epoch from the previous one: the clone shares the
-        packed byte images (copied only if a side mutates rows) and copies
-        the registry dictionaries flat, then the caller applies the
-        registration delta. The recursive trees are reset to lazy -- an
-        unregister on the clone must not splice nodes out of lattice
-        structures the published previous epoch still serves.
+        The serving layer derives every epoch's tree from the previous
+        epoch's this way: the clone shares the packed byte images (copied
+        only if a side mutates rows) and copies the registry dictionaries
+        flat, then the caller applies the registration delta. The
+        recursive trees are reset to lazy -- an unregister on the clone
+        must not splice nodes out of lattice structures the published
+        previous epoch still serves.
         """
         if not self._use_packed:
             raise ValueError("clone_cow requires the packed layout")
@@ -1783,7 +1789,7 @@ class FilterTree:
         narrowing report. The final survivor count equals
         ``len(candidates(query))``.
         """
-        probe = QueryProbe.cached_of(query, self.options)
+        probe = QueryProbe.of(query, self.options)
         spj_views = [
             v for v in self._registered.values() if not v.description.is_aggregate
         ]

@@ -69,21 +69,6 @@ class KeyInterner:
         """Number of distinct atoms interned so far."""
         return len(self._bits)
 
-    @property
-    def version(self) -> int:
-        """Monotone counter that advances whenever a new atom is interned.
-
-        Bit assignments are append-only, so a mask computed under version
-        ``v`` is still *correct* for the atoms it covers at any later
-        version -- but ``known_mask`` completeness flags and masks for
-        atoms interned after ``v`` can change. Consumers that memoize
-        encodings (:meth:`QueryProbe.bind`) record the version they were
-        built against and rebuild when it moves; without that check, a
-        probe bound before a registration would keep reporting
-        newly-interned atoms as unknown and silently miss candidates.
-        """
-        return len(self._bits)
-
     def __contains__(self, atom: Hashable) -> bool:
         return atom in self._bits
 
@@ -102,6 +87,10 @@ class KeyInterner:
                 bits[atom] = bit
             encoded |= bit
         return encoded
+
+    def known_bit(self, atom: Hashable) -> int:
+        """The atom's bit, or 0 when it was never interned (read-only)."""
+        return self._bits.get(atom, 0)
 
     def known_mask(self, atoms: Iterable[Hashable]) -> tuple[int, bool]:
         """``(mask of already-interned atoms, whether all were interned)``.
@@ -203,8 +192,8 @@ class PackedBitsetTable:
         self._ones_rep = 0
         self._guard_rep = 0
         self._total_mask = 0
-        #: Monotone mutation counter; query-side caches (compiled probe
-        #: vectors, localized requirement masks) key on it.
+        #: Monotone mutation counter: a prepared query records it and
+        #: :meth:`sweep` refuses one prepared before a mutation.
         self.generation = 0
 
     # -- shape ----------------------------------------------------------------

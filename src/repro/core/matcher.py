@@ -26,7 +26,13 @@ from ..obs.telemetry import (
 )
 from ..obs.trace import current_tracer
 from ..sql.statements import SelectStatement
-from .describe import SpjgDescription, describe, validate_view_description
+from .analyze import QueryAnalysis
+from .describe import (
+    SpjgDescription,
+    describe,
+    describe_block,
+    validate_view_description,
+)
 from .filtertree import FilterTree, RegisteredView
 from .interning import KeyInterner
 from .matching import (
@@ -216,60 +222,21 @@ class ViewMatcher:
         return self.filter_tree.interner
 
     @classmethod
-    def from_registered_views(
-        cls,
-        catalog: "Catalog",
-        views,
-        options: MatchOptions = DEFAULT_OPTIONS,
-        use_filter_tree: bool = True,
-        interner: KeyInterner | None = None,
-        shard_count: int = 1,
-        telemetry: TelemetryHub | None = None,
-        use_preverifier: bool = True,
-        use_template_cache: bool = True,
-        preverify_schema: PreVerifierSchema | None = None,
-    ) -> "ViewMatcher":
-        """Build a matcher by re-indexing already-described views.
-
-        ``views`` is an iterable of :class:`RegisteredView` objects (from a
-        previous matcher's :meth:`registered_views`). Descriptions, hubs,
-        and match contexts are reused verbatim, so constructing a matcher
-        this way costs only the filter-tree inserts -- the epoch-snapshot
-        rebuild path of ``repro.service`` depends on this being cheap, and
-        passes its long-lived ``interner`` so key encodings stay stable
-        across rebuilds.
-        """
-        matcher = cls(
-            catalog,
-            options=options,
-            use_filter_tree=use_filter_tree,
-            interner=interner,
-            shard_count=shard_count,
-            telemetry=telemetry,
-            use_preverifier=use_preverifier,
-            use_template_cache=use_template_cache,
-            preverify_schema=preverify_schema,
-        )
-        for view in views:
-            matcher.filter_tree.register_prebuilt(view)
-        return matcher
-
-    @classmethod
     def with_filter_tree(
         cls,
         catalog: "Catalog",
-        filter_tree: "FilterTree | ShardedFilterTree",
+        filter_tree: FilterTree,
         options: MatchOptions = DEFAULT_OPTIONS,
         use_match_contexts: bool = True,
         telemetry: TelemetryHub | None = None,
         use_preverifier: bool = True,
         use_template_cache: bool = True,
     ) -> "ViewMatcher":
-        """Build a matcher around an existing (possibly shared) filter tree.
+        """Build a matcher around an existing filter tree.
 
-        The serving layer's copy-on-write epoch rebuild assembles a
-        :class:`ShardedFilterTree` that reuses the unchanged shard trees of
-        the previous epoch and hands it in here; no view is re-indexed.
+        The serving layer derives each epoch's tree from the previous
+        epoch's (:meth:`FilterTree.clone_cow` plus the registration
+        delta) and hands it in here; no view is re-indexed.
         """
         matcher = cls.__new__(cls)
         matcher.catalog = catalog
@@ -278,14 +245,10 @@ class ViewMatcher:
         matcher.use_match_contexts = use_match_contexts
         matcher.use_preverifier = use_preverifier
         matcher.use_template_cache = use_template_cache
-        matcher.shard_count = getattr(filter_tree, "shard_count", 1)
+        matcher.shard_count = 1
         matcher.filter_tree = filter_tree
         matcher.statistics = MatcherStatistics()
         matcher.telemetry = telemetry
-        if hasattr(filter_tree, "telemetry"):
-            # Per-epoch wrappers are rebuilt around shared shard trees,
-            # so the hub pointer must be refreshed on every rebuild.
-            filter_tree.telemetry = telemetry
         return matcher
 
     # -- registration -------------------------------------------------------
@@ -329,8 +292,24 @@ class ViewMatcher:
         """The telemetry sink: the injected hub or the process global."""
         return self.telemetry if self.telemetry is not None else telemetry_hub()
 
-    def describe_query(self, statement: SelectStatement) -> SpjgDescription:
-        """Build a query description under this matcher's options."""
+    def describe_query(
+        self,
+        statement: SelectStatement | QueryAnalysis,
+        block: int | None = None,
+        select_items=None,
+        group_by=(),
+    ) -> SpjgDescription:
+        """Build a query description under this matcher's options.
+
+        The optimizer analyses a request's statement once (a
+        :class:`~repro.core.analyze.QueryAnalysis` built with these
+        options) and passes that instead of a statement: the result then
+        describes ``block`` of it -- the remaining arguments are those of
+        :func:`~repro.core.describe.describe_block` -- derived from the
+        analysis rather than from a fresh pass over the block's AST.
+        """
+        if isinstance(statement, QueryAnalysis):
+            return describe_block(statement, block, select_items, group_by)
         return describe(statement, self.catalog, options=self.options)
 
     def candidates(self, query: SpjgDescription) -> list[RegisteredView]:

@@ -2,12 +2,11 @@
 
 A :class:`ShardedFilterTree` splits the registered views across several
 independent :class:`~repro.core.filtertree.FilterTree` instances that share
-one :class:`~repro.core.interning.KeyInterner` (one probe binding serves
+one :class:`~repro.core.interning.KeyInterner` (one compiled probe serves
 every shard). Shard assignment hashes the view *name* (CRC-32, stable
-across processes and runs), so a view lands on the same shard in every
-epoch and rebuilding after a registration change only re-indexes the one
-affected shard -- the serving layer's epoch snapshots share the untouched
-shard trees structurally.
+across processes and runs). Sharding is a :class:`ViewMatcher`-level
+fan-out only (``ViewMatcher(shard_count=)`` / ``match(workers=)``); the
+serving layer's epochs hold one copy-on-write tree.
 
 Candidate semantics are identical to a single tree: the per-shard
 candidate lists are merged in global registration order, so matching
@@ -20,12 +19,12 @@ per-shard work distribution becomes observable.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 from zlib import crc32
 
 from ..obs.telemetry import telemetry_hub
 from ..obs.trace import current_tracer
-from .filtertree import FilterTree, QueryProbe, RegisteredView
+from .filtertree import FilterTree, RegisteredView
 from .interning import KeyInterner
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .preverify import PreVerifierSchema
@@ -91,34 +90,6 @@ class ShardedFilterTree:
         self._seq: dict[str, int] = {}
         self._next_seq = 0
 
-    @classmethod
-    def from_shards(
-        cls,
-        shards: Sequence[FilterTree],
-        options: MatchOptions,
-        interner: KeyInterner | None,
-        seq: dict[str, int],
-        next_seq: int,
-        preverify_schema: PreVerifierSchema | None = None,
-    ) -> "ShardedFilterTree":
-        """Assemble a tree around existing shard trees (copy-on-write).
-
-        The serving layer's epoch rebuild replaces only the shard a
-        registration change touched and passes the remaining shard trees
-        through unchanged; they are shared structurally with the previous
-        epoch's snapshot, which is safe because published shards are never
-        mutated again.
-        """
-        tree = cls.__new__(cls)
-        tree.options = options
-        tree.interner = interner
-        tree.preverify_schema = preverify_schema
-        tree.telemetry = None
-        tree.shards = tuple(shards)
-        tree._seq = seq
-        tree._next_seq = next_seq
-        return tree
-
     # -- registration ---------------------------------------------------------
 
     @property
@@ -173,10 +144,7 @@ class ShardedFilterTree:
         parallel fan-out (each worker passes its assigned shard indices).
         Pairs are unsorted; callers order by sequence number.
         """
-        probe = QueryProbe.cached_of(query, self.options)
-        bound = (
-            probe.bind(self.interner) if self.interner is not None else None
-        )
+        compiled = self.shards[0].compile_probe(query)
         tracer = current_tracer()
         seq = self._seq
         pairs: list[tuple[int, RegisteredView]] = []
@@ -186,7 +154,7 @@ class ShardedFilterTree:
                 continue
             started = time.perf_counter() if tracer.active else 0.0
             found: list[RegisteredView] = []
-            shard.collect_candidates(probe, bound, found, query.is_aggregate)
+            shard.collect_candidates(compiled, found, query.is_aggregate)
             if tracer.active:
                 elapsed = time.perf_counter() - started
                 tracer.record_span(

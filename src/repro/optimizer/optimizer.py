@@ -26,9 +26,11 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 from ..catalog.catalog import Catalog
-from ..core.describe import SpjgDescription, describe
+from ..core.analyze import QueryAnalysis
+from ..core.describe import SpjgDescription, describe_block
 from ..core.matcher import ViewMatcher
 from ..core.matching import STAGE_PREVERIFY, STAGE_SKIPPED
+from ..core.options import DEFAULT_OPTIONS
 from ..errors import DeadlineExceeded
 from ..obs.trace import PlanAlternative, current_tracer
 from ..sql.expressions import (
@@ -36,10 +38,8 @@ from ..sql.expressions import (
     ColumnRef,
     Expression,
     FuncCall,
-    conjunction,
 )
-from ..sql.statements import SelectItem, SelectStatement, TableRef
-from ..core.normalize import to_cnf
+from ..sql.statements import SelectItem, SelectStatement
 from ..stats.estimator import CardinalityEstimator
 from ..stats.statistics import DatabaseStats
 from .cost import DEFAULT_COST_MODEL, CostModel
@@ -59,12 +59,6 @@ class OptimizerConfig:
     produce_substitutes: bool = True   # "Alt" vs "No Alt" in Figure 2
     enable_preaggregation: bool = True
     max_tables: int = 10
-    #: Describe each block once and share the description between the
-    #: cardinality estimator and the view-matching rule (matching accepts
-    #: prebuilt descriptions). Off reproduces the pre-fusion behaviour --
-    #: every estimate and every rule invocation re-describes its block --
-    #: which the hot-path benchmark uses as its end-to-end baseline.
-    share_descriptions: bool = True
     #: Verify every invocation's candidates cheapest-first under a cost
     #: upper bound seeded from the alternatives already in hand (paper
     #: §2.4 spirit): a candidate whose cost lower bound cannot beat the
@@ -149,16 +143,11 @@ class Optimizer:
     def optimize(
         self,
         statement: SelectStatement,
-        description: SpjgDescription | None = None,
         staleness=None,
         deadline: float | None = None,
     ) -> OptimizationResult:
         """Optimize a bound SPJG statement, returning the cheapest plan.
 
-        ``description`` seeds the search's description memo with an
-        already-built description of ``statement`` (the serving layer
-        reuses fingerprint-cached descriptions across requests); it must
-        describe exactly this statement under the matcher's options.
         ``staleness`` is forwarded to every view-matching invocation (see
         :meth:`repro.core.ViewMatcher.match`): candidates outside the
         bound are rejected as ``STALE`` and never enter plan search.
@@ -169,7 +158,7 @@ class Optimizer:
         """
         started = time.perf_counter()
         search = _Search(
-            self, statement, description, staleness=staleness, deadline=deadline
+            self, statement, staleness=staleness, deadline=deadline
         )
         plan = search.run()
         elapsed = time.perf_counter() - started
@@ -230,7 +219,6 @@ class _Search:
         self,
         optimizer: Optimizer,
         statement: SelectStatement,
-        description: SpjgDescription | None = None,
         staleness=None,
         deadline: float | None = None,
     ):
@@ -246,11 +234,16 @@ class _Search:
             raise ValueError(
                 f"{len(self.tables)} tables exceeds configured maximum"
             )
-        self.conjuncts: tuple[Expression, ...] = to_cnf(statement.where)
-        self.conjunct_tables = [
-            frozenset(ref.table for ref in c.column_refs() if ref.table)
-            for c in self.conjuncts
-        ]
+        # The one analysis of this request: every block the search
+        # describes and matches is derived from it.
+        matcher = optimizer.matcher
+        self.analysis = QueryAnalysis(
+            statement,
+            self.catalog,
+            matcher.options if matcher is not None else DEFAULT_OPTIONS,
+        )
+        self.conjuncts = self.analysis.conjuncts
+        self.conjunct_tables = self.analysis.conjunct_tables
         self.invocations = 0
         self.substitutes_produced = 0
         self.candidates_considered = 0
@@ -266,31 +259,28 @@ class _Search:
             and optimizer.matcher is not None
         )
         self.best: dict[frozenset[str], PlanNode] = {}
+        self._blocks: dict[frozenset[str], SpjgDescription] = {}
         self._block_cardinality: dict[frozenset[str], float] = {}
-        self.share_descriptions = optimizer.config.share_descriptions
-        self._block_statements: dict[frozenset[str], SelectStatement] = {}
-        self._descriptions: dict[int, SpjgDescription] = {}
-        if description is not None and self.share_descriptions:
-            self._descriptions[id(statement)] = description
 
-    # -- shared descriptions ------------------------------------------------------
+    # -- descriptions ----------------------------------------------------------
 
-    def _describe(self, statement: SelectStatement) -> SpjgDescription:
-        """Describe a block once per search (under the matcher's options).
+    def _describe(self, *block) -> SpjgDescription:
+        """Describe the query -- or, given the arguments of
+        :func:`~repro.core.describe.describe_block`, one block of it --
+        under the matcher's options."""
+        matcher = self.optimizer.matcher
+        if matcher is not None:
+            return matcher.describe_query(self.analysis, *block)
+        return describe_block(self.analysis, *block)
 
-        Keyed by statement identity: block statements are memoized per
-        subset, so the estimator and the view-matching rule hit the same
-        entry instead of re-describing the block.
-        """
-        key = id(statement)
-        cached = self._descriptions.get(key)
+    def _block(self, subset: frozenset[str]) -> SpjgDescription:
+        """The SPJ block of ``subset`` (its ``statement`` outputs the
+        columns the rest of the query needs), described once per search:
+        the estimator and the view-matching rule share it."""
+        cached = self._blocks.get(subset)
         if cached is None:
-            matcher = self.optimizer.matcher
-            if matcher is not None:
-                cached = matcher.describe_query(statement)
-            else:
-                cached = describe(statement, self.catalog)
-            self._descriptions[key] = cached
+            cached = self._describe(self.analysis.mask_of(subset))
+            self._blocks[subset] = cached
         return cached
 
     # -- view-matching rule ------------------------------------------------------
@@ -302,7 +292,7 @@ class _Search:
             )
 
     def _cost_policy(
-        self, block: SelectStatement, output_rows: float, bound: float
+        self, block: SpjgDescription, output_rows: float, bound: float
     ) -> "_CostBoundPolicy | None":
         """The verification bound for matching ``block``, seeded with ``bound``.
 
@@ -315,7 +305,7 @@ class _Search:
         return _CostBoundPolicy(self, output_rows, bound, block.is_aggregate)
 
     def _invoke_view_matching(
-        self, block: SelectStatement, cost_policy=None
+        self, block: SpjgDescription, cost_policy=None
     ) -> list:
         """The view-matching rule: returns successful match results."""
         matcher = self.optimizer.matcher
@@ -325,11 +315,10 @@ class _Search:
         # per-invocation check here is what actually bounds a request
         # that started just under its deadline.
         self._check_deadline()
-        query = self._describe(block) if self.share_descriptions else block
         started = time.perf_counter()
         try:
             results = matcher.match(
-                query, staleness=self.staleness, cost_policy=cost_policy
+                block, staleness=self.staleness, cost_policy=cost_policy
             )
         finally:
             self.matching_seconds += time.perf_counter() - started
@@ -384,64 +373,10 @@ class _Search:
             frontier = grown
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
-    def _local_conjuncts(self, subset: frozenset[str]) -> list[Expression]:
-        return [
-            conjunct
-            for conjunct, tables in zip(self.conjuncts, self.conjunct_tables)
-            if tables and tables <= subset
-        ]
-
-    def _needed_columns(self, subset: frozenset[str]) -> list[ColumnRef]:
-        """Columns of ``subset`` the rest of the query requires."""
-        needed: dict[tuple[str, str], ColumnRef] = {}
-
-        def note(expression: Expression) -> None:
-            for ref in expression.column_refs():
-                if ref.table in subset:
-                    needed.setdefault(ref.key, ref)
-
-        for item in self.statement.select_items:
-            note(item.expression)
-        for expr in self.statement.group_by:
-            note(expr)
-        for conjunct, tables in zip(self.conjuncts, self.conjunct_tables):
-            if not tables <= subset:
-                note(conjunct)
-        if not needed:
-            # A block nothing refers to still needs one column to be a
-            # valid statement (pure cardinality contribution).
-            table = sorted(subset)[0]
-            name = self.catalog.table(table).column_names[0]
-            needed[(table, name)] = ColumnRef(table, name)
-        return [needed[key] for key in sorted(needed)]
-
-    def _block_statement(self, subset: frozenset[str]) -> SelectStatement:
-        if not self.share_descriptions:
-            return self._build_block_statement(subset)
-        cached = self._block_statements.get(subset)
-        if cached is None:
-            cached = self._build_block_statement(subset)
-            self._block_statements[subset] = cached
-        return cached
-
-    def _build_block_statement(self, subset: frozenset[str]) -> SelectStatement:
-        refs = self._needed_columns(subset)
-        return SelectStatement(
-            select_items=tuple(SelectItem(ref) for ref in refs),
-            from_tables=tuple(TableRef(t) for t in sorted(subset)),
-            where=conjunction(self._local_conjuncts(subset)),
-        )
-
     def _block_rows(self, subset: frozenset[str]) -> float:
         cached = self._block_cardinality.get(subset)
         if cached is None:
-            block = self._block_statement(subset)
-            description = (
-                self._describe(block)
-                if self.share_descriptions
-                else describe(block, self.catalog)
-            )
-            cached = self.estimator.spj_cardinality(description)
+            cached = self.estimator.spj_cardinality(self._block(subset))
             self._block_cardinality[subset] = cached
         return cached
 
@@ -466,7 +401,8 @@ class _Search:
     def _subset_candidates(
         self, subset: frozenset[str], connected: set[frozenset[str]]
     ) -> list[PlanNode]:
-        block = self._block_statement(subset)
+        description = self._block(subset)
+        block = description.statement
         est_rows = self._block_rows(subset)
         candidates: list[PlanNode] = []
         if len(subset) == 1:
@@ -497,9 +433,9 @@ class _Search:
         # query, which is matched with its real output list in _top_plan.
         if subset != frozenset(self.tables) or self.statement.is_aggregate:
             cost_policy = self._cost_policy(
-                block, est_rows, min(plan.cost for plan in candidates)
+                description, est_rows, min(plan.cost for plan in candidates)
             )
-            for match in self._invoke_view_matching(block, cost_policy):
+            for match in self._invoke_view_matching(description, cost_policy):
                 candidates.append(
                     self._substitute_block(match, block, est_rows)
                 )
@@ -647,11 +583,7 @@ class _Search:
         statement = self.statement
         all_tables = frozenset(self.tables)
         spj_rows = self._block_rows(all_tables)
-        query_description = (
-            self._describe(statement)
-            if self.share_descriptions
-            else describe(statement, self.catalog)
-        )
+        query_description = self._describe()
         output_rows = self.estimator.output_cardinality(query_description)
 
         candidates: list[PlanNode] = []
@@ -675,8 +607,10 @@ class _Search:
         # The view-matching rule on the query expression itself. The
         # finish plan built above is a real alternative, so its cost is a
         # valid initial upper bound for cost-bounded verification.
-        cost_policy = self._cost_policy(statement, output_rows, finish_cost)
-        for match in self._invoke_view_matching(statement, cost_policy):
+        cost_policy = self._cost_policy(
+            query_description, output_rows, finish_cost
+        )
+        for match in self._invoke_view_matching(query_description, cost_policy):
             cost = self._substitute_cost(match, output_rows)
             candidates.append(
                 DirectNode(
@@ -731,6 +665,7 @@ class _Search:
         aggregates = _distinct_aggregate_calls(self.statement)
         if not aggregates:
             return plans
+        aggregate_only = _aggregate_only_columns(self.statement, aggregates)
         for subset in list(self.best):
             if subset == all_tables or len(subset) < 1:
                 continue
@@ -738,7 +673,7 @@ class _Search:
             if rest not in self.best:
                 continue
             plan = self._preaggregation_plan(
-                subset, rest, aggregates, output_rows, best_cost
+                subset, rest, aggregates, aggregate_only, output_rows, best_cost
             )
             if plan is not None:
                 plans.append(plan)
@@ -750,6 +685,7 @@ class _Search:
         subset: frozenset[str],
         rest: frozenset[str],
         aggregates: list[FuncCall],
+        aggregate_only: set[tuple[str, str]],
         output_rows: float,
         best_cost: float,
     ) -> PlanNode | None:
@@ -765,10 +701,11 @@ class _Search:
                 return None
         # Inner grouping keys: subset columns the outside still needs
         # (join columns, predicate columns, grouping/output columns).
+        block = self.analysis.mask_of(subset)
         keys = [
             ref
-            for ref in self._needed_columns(subset)
-            if not _ref_used_only_in_aggregates(ref, self.statement, aggregates)
+            for ref in self.analysis.needed_columns(block)
+            if ref.key not in aggregate_only
         ]
         inner_items = [SelectItem(ref, alias=None) for ref in keys]
         output_keys: list[tuple[str, str]] = [ref.key for ref in keys]
@@ -802,18 +739,10 @@ class _Search:
                 if call.star or call.name in ("count", "count_big"):
                     aggregate_map.setdefault(call, FuncCall("sum", (count_ref,)))
 
-        inner_statement = SelectStatement(
-            select_items=tuple(inner_items),
-            from_tables=tuple(TableRef(t) for t in sorted(subset)),
-            where=conjunction(self._local_conjuncts(subset)),
-            group_by=tuple(keys),
-        )
         inner_spj_rows = self._block_rows(subset)
-        inner_groups = self.estimator.group_count(
-            self._describe(inner_statement)
-            if self.share_descriptions
-            else describe(inner_statement, self.catalog)
-        )
+        inner = self._describe(block, tuple(inner_items), tuple(keys))
+        inner_statement = inner.statement
+        inner_groups = self.estimator.group_count(inner)
         # Direct computation of the inner block from base tables.
         direct = BlockNode(
             statement=inner_statement,
@@ -850,9 +779,9 @@ class _Search:
             return None
         inner_candidates: list[PlanNode] = [direct]
         cost_policy = self._cost_policy(
-            inner_statement, inner_groups, min(direct.cost, budget)
+            inner, inner_groups, min(direct.cost, budget)
         )
-        for match in self._invoke_view_matching(inner_statement, cost_policy):
+        for match in self._invoke_view_matching(inner, cost_policy):
             inner_candidates.append(
                 BlockNode(
                     statement=match.substitute,
@@ -975,18 +904,16 @@ def _distinct_aggregate_calls(statement: SelectStatement) -> list[FuncCall]:
     return calls
 
 
-def _ref_used_only_in_aggregates(
-    ref: ColumnRef, statement: SelectStatement, aggregates: list[FuncCall]
-) -> bool:
-    """True when the column appears solely inside aggregate arguments."""
+def _aggregate_only_columns(
+    statement: SelectStatement, aggregates: list[FuncCall]
+) -> set[tuple[str, str]]:
+    """Columns that appear solely inside aggregate arguments."""
     inside = {
         inner.key
         for call in aggregates
         if not call.star
         for inner in call.args[0].column_refs()
     }
-    if ref.key not in inside:
-        return False
     outside: set[tuple[str, str]] = set()
 
     def note_outside(expression: Expression) -> None:
@@ -1004,7 +931,7 @@ def _ref_used_only_in_aggregates(
         note_outside(expr)
     if statement.where is not None:
         note_outside(statement.where)
-    return ref.key not in outside
+    return inside - outside
 
 
 __all__ = [

@@ -23,7 +23,7 @@ Three cooperating layers:
   gracefully (idle workers drain immediately, busy ones after their
   in-flight response) while a freshly forked fleet takes over.
 * :class:`ServingPool` -- the :class:`~repro.service.server.ViewServer`
-  integration: builds the per-epoch worker handler (bind + describe +
+  integration: builds the per-epoch worker handler (bind +
   optimize against the pinned snapshot, no parent locks touched), exports
   each new epoch's packed tables to shared memory, listens for snapshot
   publications and swaps generations off the writer's critical path,
@@ -57,7 +57,12 @@ from ..core.parallel import (
 from ..errors import DeadlineExceeded, ReproError
 from ..obs.telemetry import WorkerTelemetry
 from .fingerprint import statement_fingerprint
-from .shm import SnapshotArena, export_snapshot
+from .shm import (
+    SnapshotArena,
+    export_snapshot,
+    resource_tracker_running,
+    stop_resource_tracker,
+)
 
 __all__ = [
     "AdmissionController",
@@ -223,6 +228,7 @@ class WorkerPool:
         self._queue: deque[_PoolRequest] = deque()
         self._idle: deque[WorkerHandle] = deque()
         self._workers: dict[int, WorkerHandle] = {}
+        self._readers: list[threading.Thread] = []
         self._generation = 0
         self._pending_handler: Callable[[Any], Any] | None = None
         self._respawn = 0
@@ -302,6 +308,11 @@ class WorkerPool:
         for request in dropped:
             request.future.set_exception(WorkerError("pool closed"))
         self._dispatcher.join(timeout)
+        if not self._dispatcher.is_alive():
+            # Every worker has exited; let its reader reap it so no
+            # zombie outlives close().
+            for reader in self._readers:
+                reader.join(timeout)
 
     @property
     def generation(self) -> int:
@@ -382,6 +393,9 @@ class WorkerPool:
             daemon=True,
         )
         reader.start()
+        # Readers reap their worker; close() waits for the live ones.
+        self._readers = [t for t in self._readers if t.is_alive()]
+        self._readers.append(reader)
         return True
 
     def _fail_if_dead_locked(self) -> None:
@@ -531,7 +545,7 @@ class PoolResponse:
     telemetry: dict | None = None
 
 
-def _build_handler(catalog, snapshot, share_descriptions: bool):
+def _build_handler(catalog, snapshot):
     """The per-generation child request handler.
 
     Runs in the forked worker, so it must not touch parent-shared locks
@@ -541,7 +555,6 @@ def _build_handler(catalog, snapshot, share_descriptions: bool):
     :class:`WorkerTelemetry` whose snapshot rides home in the response.
     """
     statements: dict[str, tuple] = {}
-    descriptions: dict[str, Any] = {}
 
     def handle(payload) -> PoolResponse:
         sql, max_staleness, deadline_at = payload
@@ -558,28 +571,13 @@ def _build_handler(catalog, snapshot, share_descriptions: bool):
                     statements[sql] = (statement, fingerprint)
             else:
                 statement, fingerprint = pair
-            description = None
-            if share_descriptions:
-                description = descriptions.get(fingerprint)
-                if description is None:
-                    try:
-                        description = snapshot.matcher.describe_query(
-                            statement
-                        )
-                    except ReproError:
-                        description = None
-                    if description is not None and len(descriptions) < 4096:
-                        descriptions[fingerprint] = description
             staleness = (
                 snapshot.staleness_bound(max_staleness)
                 if max_staleness is not None
                 else None
             )
             result = snapshot.optimizer.optimize(
-                statement,
-                description=description,
-                staleness=staleness,
-                deadline=deadline_at,
+                statement, staleness=staleness, deadline=deadline_at
             )
         except DeadlineExceeded:
             return PoolResponse(
@@ -652,15 +650,16 @@ class ServingPool:
         self._fingerprints: dict[str, str] = {}
         snapshot = server.snapshots.current
         self._epoch = snapshot.epoch
+        # Exporting starts multiprocessing's resource-tracker child; if
+        # it was not running before, close() stops it again.
+        self._owns_tracker = (
+            export_shared_memory and not resource_tracker_running()
+        )
         self._arena: SnapshotArena | None = (
             export_snapshot(snapshot) if export_shared_memory else None
         )
         self._pool = WorkerPool(
-            _build_handler(
-                server.catalog,
-                snapshot,
-                server.snapshots.optimizer_config.share_descriptions,
-            ),
+            _build_handler(server.catalog, snapshot),
             workers=workers,
             max_queue=max_queue,
             max_retries=max_retries,
@@ -693,11 +692,7 @@ class ServingPool:
             if snapshot.epoch == self._epoch:
                 continue
             arena = export_snapshot(snapshot) if self._export else None
-            handler = _build_handler(
-                server.catalog,
-                snapshot,
-                server.snapshots.optimizer_config.share_descriptions,
-            )
+            handler = _build_handler(server.catalog, snapshot)
             self._epoch = snapshot.epoch
             self._arena = arena  # old arena pages die with their tables
             self._pool.swap(handler)
@@ -898,10 +893,14 @@ class ServingPool:
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the watcher and the pool (``drain`` as in
-        :meth:`WorkerPool.close`). Idempotent."""
+        :meth:`WorkerPool.close`), leaving no child process behind: the
+        workers are reaped and the resource-tracker child the
+        shared-memory export started is stopped. Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._swap_wanted.set()  # wake the watcher so it can exit
         self._watcher.join(timeout=5.0)
         self._pool.close(drain=drain, timeout=timeout)
+        if self._owns_tracker and self._pool.worker_count() == 0:
+            stop_resource_tracker()

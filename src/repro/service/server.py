@@ -33,7 +33,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
-from ..core.describe import SpjgDescription
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
 from ..core.parallel import default_worker_count, fork_available, forked_map
 from ..errors import DeadlineExceeded, ReproError
@@ -185,7 +184,6 @@ class ViewServer:
         index_registry=None,
         trace_sample_rate: float = 0.0,
         trace_capacity: int = 64,
-        shard_count: int = 1,
         slo: SloObjectives | None = None,
     ):
         """``trace_sample_rate`` turns on rewrite-path tracing for a
@@ -194,8 +192,8 @@ class ViewServer:
         The most recent ``trace_capacity`` traces are retained and
         available through :meth:`traces`.
 
-        ``shard_count > 1`` shards each epoch's filter tree by view name:
-        registrations re-index only the affected shard, and
+        Every epoch serves from one filter tree derived copy-on-write
+        from its predecessor's, so a registration costs its delta;
         :meth:`rewrite_many` may fan batch misses out across forked
         workers when the catalog is large enough.
 
@@ -220,7 +218,6 @@ class ViewServer:
             optimizer_config=optimizer_config,
             index_registry=index_registry,
             use_filter_tree=use_filter_tree,
-            shard_count=shard_count,
             telemetry=self.telemetry,
         )
         self.cache: RewriteCache | None = (
@@ -234,11 +231,6 @@ class ViewServer:
         self._slots = threading.BoundedSemaphore(queue_depth)
         self._memo_limit = max(4 * cache_size, 256)
         self._statement_memo = _LruMemo(self._memo_limit)
-        # Fingerprint-keyed query descriptions: the single-pass analysis of
-        # a query shape is snapshot-independent (it depends only on the
-        # catalog and match options), so a repeated shape skips probe
-        # compilation entirely -- across requests AND across epoch bumps.
-        self._description_memo = _LruMemo(self._memo_limit)
         self._sampler = TraceSampler(trace_sample_rate)
         self._traces: deque[RewriteTrace] = deque(maxlen=trace_capacity)
         self._traces_lock = threading.Lock()
@@ -455,7 +447,6 @@ class ViewServer:
                 result = self._optimize(
                     snapshot,
                     statement,
-                    fingerprint,
                     staleness=staleness,
                     deadline_at=deadline_at,
                 )
@@ -502,7 +493,7 @@ class ViewServer:
             self.metrics.counter("cache_misses").increment()
         try:
             result = self._optimize(
-                snapshot, statement, fingerprint, deadline_at=deadline_at
+                snapshot, statement, deadline_at=deadline_at
             )
         except DeadlineExceeded:
             return self._overran(sql, started)
@@ -552,47 +543,15 @@ class ViewServer:
         self._statement_memo.put(sql, (statement, fingerprint))
         return statement, fingerprint
 
-    def _describe(
-        self,
-        snapshot: CatalogSnapshot,
-        statement: SelectStatement,
-        fingerprint: str,
-    ) -> SpjgDescription | None:
-        """The memoized query description for a fingerprint, or ``None``.
-
-        ``None`` (description sharing disabled, or the statement outside
-        the describable class) makes the optimizer fall back to its own
-        per-search description path.
-        """
-        if not self.snapshots.optimizer_config.share_descriptions:
-            return None
-        description = self._description_memo.get(fingerprint)
-        if description is None:
-            try:
-                description = snapshot.matcher.describe_query(statement)
-            except ReproError:
-                return None
-            self._description_memo.put(fingerprint, description)
-        return description
-
     def _optimize(
         self,
         snapshot: CatalogSnapshot,
         statement: SelectStatement,
-        fingerprint: str | None = None,
         staleness=None,
         deadline_at: float | None = None,
     ) -> OptimizationResult:
-        description = (
-            self._describe(snapshot, statement, fingerprint)
-            if fingerprint is not None
-            else None
-        )
         result = snapshot.optimizer.optimize(
-            statement,
-            description=description,
-            staleness=staleness,
-            deadline=deadline_at,
+            statement, staleness=staleness, deadline=deadline_at
         )
         self._record_optimized(result)
         return result
@@ -741,21 +700,16 @@ class ViewServer:
             )
         workers = self._batch_workers(parallel, len(misses), snapshot)
         if workers > 1:
-            # Describe in the parent (warms the shared memo), optimize in
-            # forked children against the copy-on-write shared snapshot.
-            tasks = [
-                (statement, self._describe(snapshot, statement, fingerprint))
-                for fingerprint, statement in misses
-            ]
+            # Optimize in forked children against the copy-on-write
+            # shared snapshot.
             context = current_trace_context()
             batch_trace_id = context.trace_id if context is not None else None
 
-            def optimize_one(task):
-                statement, description = task
+            def optimize_one(statement):
                 worker = WorkerTelemetry()
                 work_started = time.perf_counter()
                 result = snapshot.optimizer.optimize(
-                    statement, description=description, staleness=staleness
+                    statement, staleness=staleness
                 )
                 elapsed = time.perf_counter() - work_started
                 worker.record("batch_worker_optimize_seconds", elapsed)
@@ -772,7 +726,7 @@ class ViewServer:
 
             outcomes = []
             for result, worker_snapshot in forked_map(
-                optimize_one, tasks, workers
+                optimize_one, [statement for _, statement in misses], workers
             ):
                 outcomes.append(result)
                 self._record_optimized(result)
@@ -791,10 +745,8 @@ class ViewServer:
                         )
         else:
             outcomes = [
-                self._optimize(
-                    snapshot, statement, fingerprint, staleness=staleness
-                )
-                for fingerprint, statement in misses
+                self._optimize(snapshot, statement, staleness=staleness)
+                for _, statement in misses
             ]
         for (fingerprint, _), result in zip(misses, outcomes):
             resolved[fingerprint] = result
@@ -1006,10 +958,7 @@ class ViewServer:
             ),
             "counters": metrics["counters"],
             "latency": metrics["latency"],
-            "memos": {
-                "statement": self._statement_memo.stats(),
-                "description": self._description_memo.stats(),
-            },
+            "memos": {"statement": self._statement_memo.stats()},
             "telemetry": self.telemetry.snapshot(),
         }
         if self.slo is not None:
@@ -1075,12 +1024,9 @@ class ViewServer:
         evicted = f"{prefix}_memo_evictions_total"
         lines.append(f"# TYPE {entries} gauge")
         lines.append(f"# TYPE {evicted} counter")
-        for name, memo in (
-            ("statement", self._statement_memo),
-            ("description", self._description_memo),
-        ):
-            lines.append(f'{entries}{{memo="{name}"}} {len(memo)}')
-            lines.append(f'{evicted}{{memo="{name}"}} {memo.evictions}')
+        memo = self._statement_memo
+        lines.append(f'{entries}{{memo="statement"}} {len(memo)}')
+        lines.append(f'{evicted}{{memo="statement"}} {memo.evictions}')
         if self._serving_pool is not None:
             pool = self._serving_pool.stats()
             for key, kind in (

@@ -33,6 +33,40 @@ except ImportError:  # pragma: no cover - platform without _posixshmem
     _shared_memory = None
 
 
+def _resource_tracker():
+    """``multiprocessing``'s process-wide tracker object (private API;
+    ``None`` where it is missing)."""
+    try:
+        from multiprocessing import resource_tracker
+    except ImportError:  # pragma: no cover - platform without it
+        return None
+    return getattr(resource_tracker, "_resource_tracker", None)
+
+
+def resource_tracker_running() -> bool:
+    """Whether ``multiprocessing``'s resource-tracker child is running.
+
+    Creating the first ``SharedMemory`` segment of a process starts it;
+    whoever finds it stopped before exporting owns it afterwards and
+    should :func:`stop_resource_tracker` when done.
+    """
+    return getattr(_resource_tracker(), "_fd", None) is not None
+
+
+def stop_resource_tracker() -> None:
+    """Stop the resource-tracker child and wait for it.
+
+    The tracker holds nothing of ours -- every exported segment is
+    unlinked (hence unregistered) at export -- and ``multiprocessing``
+    restarts it on demand. It exits when the last copy of its pipe
+    closes and forked workers inherit one, so call this only once they
+    are gone; the wait is then immediate.
+    """
+    stop = getattr(_resource_tracker(), "_stop", None)
+    if stop is not None:
+        stop()
+
+
 def shm_available() -> bool:
     """Whether ``multiprocessing.shared_memory`` works on this platform."""
     if _shared_memory is None:

@@ -3,11 +3,11 @@
 The matcher's registry (:class:`~repro.core.filtertree.FilterTree`) is a
 mutable index; mutating it while reader threads search it would tear
 matches. The serving layer therefore never mutates a published tree.
-Instead, every view registration or drop builds a **new** filter tree /
-matcher / optimizer triple from prebuilt :class:`RegisteredView` objects
-(cheap: descriptions and hubs are reused, only tree inserts are replayed)
-and publishes it atomically as a :class:`CatalogSnapshot` with the next
-epoch number.
+Instead, every view registration or drop derives a **new** filter tree /
+matcher / optimizer triple -- a copy-on-write clone of the previous
+epoch's tree with only the registration delta applied, so an epoch costs
+the change, not the catalog -- and publishes it atomically as a
+:class:`CatalogSnapshot` with the next epoch number.
 
 Readers obtain the current snapshot with a single attribute read -- no
 lock, no reference counting -- and keep matching against that immutable
@@ -32,7 +32,6 @@ from ..core.matcher import ViewMatcher
 from ..core.matching import ViewMatchContext
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
 from ..core.preverify import PreVerifierSchema
-from ..core.sharding import ShardedFilterTree, shard_index
 from ..optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer, OptimizerConfig
 from ..sql.statements import SelectStatement
@@ -82,10 +81,11 @@ class SnapshotManager:
     """Builds, publishes, and hands out :class:`CatalogSnapshot` epochs.
 
     Mutations (``register_view`` / ``unregister_view``) run under a writer
-    lock: they copy the prebuilt view registry, replay it into a fresh
-    filter tree, and publish the new snapshot with a single attribute
-    assignment. ``current`` is that attribute read -- the reader hot path
-    takes no lock and can never observe a half-built tree.
+    lock: they copy the prebuilt view registry, clone the published
+    filter tree copy-on-write, apply the delta to the clone, and publish
+    the new snapshot with a single attribute assignment. ``current`` is
+    that attribute read -- the reader hot path takes no lock and can
+    never observe a half-built tree.
     """
 
     def __init__(
@@ -97,19 +97,14 @@ class SnapshotManager:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         index_registry=None,
         use_filter_tree: bool = True,
-        shard_count: int = 1,
         telemetry=None,
     ):
-        """``shard_count > 1`` partitions each epoch's registry across that
-        many per-shard filter trees. Shard assignment hashes the view name,
-        so an epoch rebuild re-indexes only the shard the changed view
-        lives on and shares every other shard tree structurally with the
-        previous snapshot (safe: published shards are never mutated). The
-        sharded layout is also what lets readers fan matching out across
-        forked workers.
+        """Every epoch holds one :class:`FilterTree`, derived from its
+        predecessor's by :meth:`FilterTree.clone_cow` plus the
+        registration delta; ``use_filter_tree=False`` keeps the tree as
+        the registry but matches every view (the paper's NoFilter
+        configuration).
         """
-        if shard_count < 1:
-            raise ValueError("shard_count must be at least 1")
         self.catalog = catalog
         self.stats = stats
         self.options = options
@@ -117,7 +112,6 @@ class SnapshotManager:
         self.cost_model = cost_model
         self.index_registry = index_registry
         self.use_filter_tree = use_filter_tree
-        self.shard_count = shard_count
         # The telemetry hub every epoch's matcher records into (the
         # owning ViewServer injects its own); None = process-global.
         self.telemetry = telemetry
@@ -128,18 +122,16 @@ class SnapshotManager:
         # It only ever grows on the serialized writer path.
         self._interner = KeyInterner()
         # Likewise one pre-verifier schema: pair-bit and column-id
-        # assignments stay stable across epochs so shard trees shared
-        # structurally between snapshots screen with consistent masks.
+        # assignments stay stable across epochs so the packed rows an
+        # epoch shares with its predecessor screen with consistent masks.
         self._preverify_schema = PreVerifierSchema()
+        # Insertion order is registration order (a re-registered name
+        # moves to the end), the order candidate lists are returned in.
         self._views: dict[str, RegisteredView] = {}
-        # Global registration order, preserved across epochs so sharded
-        # candidate merging observes the same order as a single tree.
-        self._order: dict[str, int] = {}
-        self._next_seq = 0
         self._listeners: list[Callable[[CatalogSnapshot], None]] = []
         self._freshness: object | None = None
         self._snapshot: CatalogSnapshot | None = None
-        self._snapshot = self._build(0, self._views, self._order, None)
+        self._snapshot = self._build(0, self._views, ())
 
     # -- reader side ---------------------------------------------------------
 
@@ -161,7 +153,7 @@ class SnapshotManager:
         """Describe, validate, and publish a view; returns the new snapshot.
 
         The expensive work (describe + hub + match context) happens before
-        the writer lock is taken; only the registry copy, tree replay, and
+        the writer lock is taken; only the registry copy, tree clone, and
         publish are serialized. Raises :class:`~repro.errors.MatchError` for view
         definitions outside the indexable class and :class:`ValueError`
         for duplicate names.
@@ -172,9 +164,7 @@ class SnapshotManager:
                 raise ValueError(f"view {name} already registered")
             views = dict(self._views)
             views[name] = view
-            order = dict(self._order)
-            order[name] = self._next_seq
-            return self._publish(views, order, changed={name})
+            return self._publish(views, changed=(name,))
 
     def register_views(
         self, definitions: Iterable[tuple[str, SelectStatement]]
@@ -183,10 +173,9 @@ class SnapshotManager:
 
         All descriptions are built and validated before the writer lock is
         taken, and the whole batch lands in a single epoch -- bulk-loading
-        ``n`` views costs one tree build instead of ``n`` successively
-        larger rebuilds. The batch is atomic: any invalid definition or
-        duplicate name (within the batch or against the registry) raises
-        before anything is published.
+        ``n`` views costs one epoch instead of ``n``. The batch is atomic:
+        any invalid definition or duplicate name (within the batch or
+        against the registry) raises before anything is published.
         """
         prepared: list[tuple[str, RegisteredView]] = []
         seen: set[str] = set()
@@ -202,14 +191,9 @@ class SnapshotManager:
                 if name in self._views:
                     raise ValueError(f"view {name} already registered")
             views = dict(self._views)
-            order = dict(self._order)
-            sequence = self._next_seq
-            for name, view in prepared:
-                views[name] = view
-                order[name] = sequence
-                sequence += 1
+            views.update(prepared)
             return self._publish(
-                views, order, changed={name for name, _ in prepared}
+                views, changed=[name for name, _ in prepared]
             )
 
     def unregister_view(self, name: str) -> CatalogSnapshot:
@@ -222,9 +206,7 @@ class SnapshotManager:
                 raise KeyError(f"view {name} not registered")
             views = dict(self._views)
             del views[name]
-            order = dict(self._order)
-            del order[name]
-            return self._publish(views, order, changed={name})
+            return self._publish(views, changed=(name,))
 
     def attach_freshness(self, tracker) -> CatalogSnapshot:
         """Attach a freshness tracker and republish the current epoch.
@@ -237,9 +219,7 @@ class SnapshotManager:
         """
         with self._write_lock:
             self._freshness = tracker
-            return self._publish(
-                dict(self._views), dict(self._order), changed=set()
-            )
+            return self._publish(dict(self._views), changed=())
 
     def add_listener(
         self, listener: Callable[[CatalogSnapshot], None]
@@ -269,18 +249,11 @@ class SnapshotManager:
         )
 
     def _publish(
-        self,
-        views: dict[str, RegisteredView],
-        order: dict[str, int],
-        changed: set[str],
+        self, views: dict[str, RegisteredView], changed: Iterable[str]
     ) -> CatalogSnapshot:
         # Caller holds the writer lock. Epochs only ever increase.
-        snapshot = self._build(
-            self._snapshot.epoch + 1, views, order, changed
-        )
+        snapshot = self._build(self._snapshot.epoch + 1, views, changed)
         self._views = views
-        self._order = order
-        self._next_seq = max(order.values(), default=-1) + 1
         self._snapshot = snapshot  # the atomic publication point
         for listener in list(self._listeners):
             listener(snapshot)
@@ -290,26 +263,30 @@ class SnapshotManager:
         self,
         epoch: int,
         views: dict[str, RegisteredView],
-        order: dict[str, int],
-        changed: set[str] | None,
+        changed: Iterable[str],
     ) -> CatalogSnapshot:
-        if self.shard_count > 1:
-            tree = self._build_sharded_tree(views, order, changed)
-            matcher = ViewMatcher.with_filter_tree(
-                self.catalog, tree, options=self.options,
-                telemetry=self.telemetry,
-            )
-            matcher.use_filter_tree = self.use_filter_tree
-        else:
-            matcher = ViewMatcher.from_registered_views(
-                self.catalog,
-                views.values(),
-                options=self.options,
-                use_filter_tree=self.use_filter_tree,
+        """The epoch over ``views``: the published tree cloned
+        copy-on-write, then ``changed`` -- the names registered or dropped
+        since, in registration order -- applied to the clone. The packed
+        row images stay shared with the previous epoch until a delta
+        touches them, and the published tree is never mutated."""
+        if self._snapshot is None:
+            tree = FilterTree(
+                self.options,
                 interner=self._interner,
-                telemetry=self.telemetry,
                 preverify_schema=self._preverify_schema,
             )
+        else:
+            tree = self._snapshot.matcher.filter_tree.clone_cow()
+        for name in changed:
+            if tree.view(name) is not None:
+                tree.unregister(name)
+            if name in views:
+                tree.register_prebuilt(views[name])
+        matcher = ViewMatcher.with_filter_tree(
+            self.catalog, tree, options=self.options, telemetry=self.telemetry
+        )
+        matcher.use_filter_tree = self.use_filter_tree
         optimizer = Optimizer(
             self.catalog,
             self.stats,
@@ -324,74 +301,6 @@ class SnapshotManager:
             optimizer=optimizer,
             view_names=frozenset(views),
             freshness=self._freshness,
-        )
-
-    def _build_sharded_tree(
-        self,
-        views: dict[str, RegisteredView],
-        order: dict[str, int],
-        changed: set[str] | None,
-    ) -> ShardedFilterTree:
-        """Assemble the epoch's sharded tree, copy-on-write per shard.
-
-        Only the shards a changed view name hashes to are re-indexed; every
-        other shard tree is taken from the previous snapshot unchanged
-        (published shards are immutable, so structural sharing is safe).
-        A dirty shard with a previous-epoch ancestor is not rebuilt from
-        scratch either: ``FilterTree.clone_cow`` slices the ancestor's
-        packed arrays copy-on-write and only the registration *delta* --
-        names removed, added, or re-described since the previous epoch --
-        is applied, so epoch cost scales with the change, not the catalog.
-        ``changed=None`` forces a full rebuild.
-        """
-        count = self.shard_count
-        previous = (
-            self._snapshot.matcher.filter_tree
-            if self._snapshot is not None
-            else None
-        )
-        if changed is None or not isinstance(previous, ShardedFilterTree):
-            dirty = set(range(count))
-            previous = None
-        else:
-            dirty = {shard_index(name, count) for name in changed}
-        ordered = sorted(views, key=order.__getitem__)
-        shards: list[FilterTree] = []
-        for index in range(count):
-            if index not in dirty:
-                shards.append(previous.shards[index])
-                continue
-            base = previous.shards[index] if previous is not None else None
-            desired = [
-                name for name in ordered if shard_index(name, count) == index
-            ]
-            if base is not None and getattr(base, "_use_packed", False):
-                shard = base.clone_cow()
-                wanted = set(desired)
-                for registered in shard.views():
-                    name = registered.name
-                    if name not in wanted or registered is not views[name]:
-                        shard.unregister(name)
-                for name in desired:
-                    if shard.view(name) is None:
-                        shard.register_prebuilt(views[name])
-            else:
-                shard = FilterTree(
-                    self.options,
-                    interner=self._interner,
-                    preverify_schema=self._preverify_schema,
-                )
-                for name in desired:
-                    shard.register_prebuilt(views[name])
-            shards.append(shard)
-        next_seq = max(order.values(), default=-1) + 1
-        return ShardedFilterTree.from_shards(
-            shards,
-            self.options,
-            self._interner,
-            dict(order),
-            next_seq,
-            preverify_schema=self._preverify_schema,
         )
 
     def __iter__(self) -> Iterator[str]:

@@ -91,6 +91,9 @@ class ColumnRef(Expression):
             raise ValueError(f"unbound column reference: {self.column}")
         return (self.table, self.column)
 
+    def contains_aggregate(self) -> bool:
+        return False  # a leaf: skips the generic walk on the hot path
+
 
 @dataclass(frozen=True)
 class Literal(Expression):

@@ -98,7 +98,7 @@ class CardinalityEstimator:
         # matching how the equivalence classes themselves are built.
         from ..core.equivalence import EquivalenceClasses
 
-        classes = EquivalenceClasses(description.eqclasses.columns())
+        classes = EquivalenceClasses()  # add_equality registers its columns
         for a, b in description.classified.equalities:
             if classes.add_equality(a, b):
                 cardinality *= equijoin_selectivity(

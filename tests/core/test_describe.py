@@ -220,3 +220,51 @@ class TestViewValidation:
             self.validate(
                 catalog, "select sum(l_quantity) as s from lineitem"
             )
+
+
+class TestLazyMetadataTakesNoLock:
+    """Regression: ``functools.cached_property`` (Python < 3.12) shares one
+    lock per property across all instances, so a pool worker forked while
+    another thread derived any description's output metadata inherited
+    the lock held and hung on its first ``outputs`` access."""
+
+    PROPERTIES = (
+        "outputs", "group_forms", "simple_output_map", "expression_outputs"
+    )
+
+    def test_first_access_is_not_serialized_across_descriptions(
+        self, catalog, monkeypatch
+    ):
+        import threading
+
+        from repro.core.describe import SpjgDescription
+
+        sql = "select o_custkey, o_totalprice + 1 as p from orders"
+        stalled, other = desc(catalog, sql), desc(catalog, sql)
+        entered, release = threading.Event(), threading.Event()
+        original = SpjgDescription.shallow_form
+
+        def stalling(self, expression):
+            if self is stalled:
+                entered.set()
+                release.wait(30)
+            return original(self, expression)
+
+        monkeypatch.setattr(SpjgDescription, "shallow_form", stalling)
+        holder = threading.Thread(target=lambda: stalled.outputs)
+        holder.start()
+        try:
+            assert entered.wait(30)
+            # ``stalled`` is mid-derivation on another thread: every lazy
+            # property of ``other`` must still be derivable right now.
+            reader = threading.Thread(
+                target=lambda: [getattr(other, name) for name in self.PROPERTIES]
+            )
+            reader.start()
+            reader.join(10)
+            assert not reader.is_alive()
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        assert [info.name for info in stalled.outputs] == ["o_custkey", "p"]

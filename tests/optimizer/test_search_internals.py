@@ -62,20 +62,27 @@ class TestJoinGraph:
         }
 
 
+def _needed(search, *tables):
+    analysis = search.analysis
+    return analysis.needed_columns(analysis.mask_of(tables))
+
+
 class TestBlockConstruction:
     def test_local_conjuncts_assignment(self, searcher):
         search = searcher(
             "select l_orderkey from lineitem, orders "
             "where l_orderkey = o_orderkey and l_quantity > 5 and o_custkey < 9"
         )
-        local = search._local_conjuncts(frozenset({"lineitem"}))
-        assert len(local) == 1  # only the quantity predicate
+        block = search._block(frozenset({"lineitem"}))
+        # Only the quantity predicate is local to lineitem.
+        assert block.statement.where == search.conjuncts[1]
+        assert len(block.classified.range_predicates) == 1
 
     def test_needed_columns_cover_join_and_output(self, searcher):
         search = searcher(
             "select l_quantity from lineitem, orders where l_orderkey = o_orderkey"
         )
-        needed = {ref.key for ref in search._needed_columns(frozenset({"lineitem"}))}
+        needed = {ref.key for ref in _needed(search, "lineitem")}
         assert needed == {
             ("lineitem", "l_quantity"),
             ("lineitem", "l_orderkey"),
@@ -86,12 +93,12 @@ class TestBlockConstruction:
             "select o_custkey, sum(l_quantity) from lineitem, orders "
             "where l_orderkey = o_orderkey group by o_custkey"
         )
-        needed = {ref.key for ref in search._needed_columns(frozenset({"lineitem"}))}
+        needed = {ref.key for ref in _needed(search, "lineitem")}
         assert ("lineitem", "l_quantity") in needed
 
     def test_unreferenced_block_gets_placeholder_column(self, searcher):
         search = searcher("select r_name from region, nation")
-        needed = search._needed_columns(frozenset({"nation"}))
+        needed = _needed(search, "nation")
         assert len(needed) == 1
 
     def test_block_statement_shape(self, searcher):
@@ -99,7 +106,7 @@ class TestBlockConstruction:
             "select l_quantity from lineitem, orders "
             "where l_orderkey = o_orderkey and l_partkey > 5"
         )
-        block = search._block_statement(frozenset({"lineitem"}))
+        block = search._block(frozenset({"lineitem"})).statement
         assert block.table_names() == ("lineitem",)
         assert block.where is not None  # the l_partkey filter
         assert not block.is_aggregate

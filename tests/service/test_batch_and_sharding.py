@@ -1,9 +1,15 @@
-"""Sharded epoch snapshots, bulk registration, and batched rewriting."""
+"""Incremental epoch snapshots, bulk registration, and batched rewriting.
+
+Every epoch serves from one copy-on-write filter tree; sharding survives
+only as the :class:`ViewMatcher`-level fan-out, which must keep answering
+like the serving tree.
+"""
 
 import pytest
 
+from repro.core import ViewMatcher
 from repro.core.parallel import fork_available
-from repro.core.sharding import shard_index
+from repro.optimizer import Optimizer
 from repro.service import ViewServer
 
 VIEWS = {
@@ -25,61 +31,74 @@ needs_fork = pytest.mark.skipif(
 
 
 @pytest.fixture()
-def sharded(catalog, paper_stats):
-    with ViewServer(
-        catalog, paper_stats, workers=1, shard_count=4
-    ) as server:
+def server(catalog, paper_stats):
+    with ViewServer(catalog, paper_stats, workers=1) as server:
         yield server
 
 
+def _packed_tables(server):
+    """The current epoch's packed row tables, images built."""
+    tables = server.snapshots.current.matcher.filter_tree.packed_tables()
+    for table in tables:
+        table.packed_bytes()
+    return tables
+
+
 class TestShardedSnapshots:
+    """Epochs hold one incrementally-built tree; shards exist only at
+    the matcher level."""
+
     def test_sharded_serving_matches_unsharded(
-        self, catalog, paper_stats, sharded
+        self, catalog, paper_stats, server
     ):
-        with ViewServer(catalog, paper_stats, workers=1) as plain:
-            for name, sql in VIEWS.items():
-                plain.register_view(name, sql)
-                sharded.register_view(name, sql)
-            for sql in QUERIES:
-                a = plain.submit(sql)
-                b = sharded.submit(sql)
-                assert a.ok == b.ok
-                assert a.view_names == b.view_names
-                assert a.fingerprint == b.fingerprint
+        """The matcher-level shard fan-out answers like the serving tree."""
+        matcher = ViewMatcher(catalog, shard_count=4)
+        for name, sql in VIEWS.items():
+            server.register_view(name, sql)
+            matcher.register_view(name, catalog.bind_sql(sql))
+        fanned_out = Optimizer(catalog, paper_stats, matcher=matcher)
+        for sql in QUERIES:
+            a = server.submit(sql)
+            b = fanned_out.optimize(catalog.bind_sql(sql))
+            assert a.ok
+            assert a.view_names == b.view_names
+            assert a.result.cost == b.cost
 
-    def test_incremental_publish_reuses_unchanged_shards(self, sharded):
-        sharded.register_views(VIEWS)
-        before = sharded.snapshots.current.matcher.filter_tree.shards
-        name = "v_extra"
-        sharded.register_view(
-            name, "select o_orderkey, o_custkey from orders where o_orderkey >= 5"
+    def test_incremental_publish_reuses_unchanged_images(self, server):
+        server.register_views(VIEWS)
+        before = _packed_tables(server)
+        server.register_view(
+            "v_extra",
+            "select o_orderkey, o_custkey from orders where o_orderkey >= 5",
         )
-        after = sharded.snapshots.current.matcher.filter_tree.shards
-        dirty = shard_index(name, len(after))
-        for index, (old, new) in enumerate(zip(before, after)):
-            if index == dirty:
-                assert new is not old
-            else:
-                assert new is old  # structurally shared with the old epoch
+        after = _packed_tables(server)
+        # An SPJ view touched the SPJ subtree; the aggregate subtree's
+        # image is the previous epoch's, by identity.
+        assert not after[0].shares_buffer_with(before[0])
+        assert after[1].shares_buffer_with(before[1])
+        assert len(after[0]) == len(before[0]) + 1
 
-    def test_unregister_rebuilds_only_the_affected_shard(self, sharded):
-        sharded.register_views(VIEWS)
+    def test_unregister_rebuilds_only_the_affected_subtree(self, server):
+        server.register_views(VIEWS)
         name = next(iter(VIEWS))
-        before = sharded.snapshots.current.matcher.filter_tree.shards
-        sharded.unregister_view(name)
-        after = sharded.snapshots.current.matcher.filter_tree.shards
-        dirty = shard_index(name, len(after))
-        assert after[dirty] is not before[dirty]
-        assert sum(new is old for new, old in zip(after, before)) == len(
-            after
-        ) - 1
-        result = sharded.submit(QUERIES[2])
+        old_tree = server.snapshots.current.matcher.filter_tree
+        before = _packed_tables(server)
+        server.unregister_view(name)
+        new_tree = server.snapshots.current.matcher.filter_tree
+        after = _packed_tables(server)
+        assert new_tree is not old_tree
+        assert [view.name for view in new_tree.views()] == [
+            view.name for view in old_tree.views() if view.name != name
+        ]
+        assert len(after[0]) == len(before[0]) - 1
+        assert after[1].shares_buffer_with(before[1])
+        result = server.submit(QUERIES[2])
         assert name not in result.view_names
 
-    def test_old_snapshot_unchanged_by_later_publish(self, sharded):
-        sharded.register_views(VIEWS)
-        old = sharded.snapshots.current
-        sharded.register_view(
+    def test_old_snapshot_unchanged_by_later_publish(self, server):
+        server.register_views(VIEWS)
+        old = server.snapshots.current
+        server.register_view(
             "v_later", "select o_orderkey from orders where o_orderkey >= 9"
         )
         assert "v_later" not in old.view_names
@@ -87,32 +106,30 @@ class TestShardedSnapshots:
 
 
 class TestBulkRegistration:
-    def test_batch_publishes_one_epoch(self, sharded):
-        epoch = sharded.register_views(VIEWS)
+    def test_batch_publishes_one_epoch(self, server):
+        epoch = server.register_views(VIEWS)
         assert epoch == 1
-        assert sharded.snapshots.current.view_count == len(VIEWS)
-        assert sharded.stats()["counters"]["epoch_bumps"] == 1
+        assert server.snapshots.current.view_count == len(VIEWS)
+        assert server.stats()["counters"]["epoch_bumps"] == 1
 
-    def test_batch_is_atomic_on_duplicate_names(self, sharded):
+    def test_batch_is_atomic_on_duplicate_names(self, server):
         pairs = list(VIEWS.items()) + [next(iter(VIEWS.items()))]
         with pytest.raises(ValueError, match="duplicated in batch"):
-            sharded.register_views(pairs)
-        assert sharded.snapshots.current.view_count == 0
+            server.register_views(pairs)
+        assert server.snapshots.current.view_count == 0
 
-    def test_batch_rejects_already_registered_names(self, sharded):
+    def test_batch_rejects_already_registered_names(self, server):
         name, sql = next(iter(VIEWS.items()))
-        sharded.register_view(name, sql)
+        server.register_view(name, sql)
         with pytest.raises(ValueError, match="already registered"):
-            sharded.register_views(VIEWS)
-        assert sharded.snapshots.current.view_count == 1
+            server.register_views(VIEWS)
+        assert server.snapshots.current.view_count == 1
 
     def test_bulk_matches_one_by_one_serving(self, catalog, paper_stats):
         with ViewServer(catalog, paper_stats, workers=1) as one_by_one:
             for name, sql in VIEWS.items():
                 one_by_one.register_view(name, sql)
-            with ViewServer(
-                catalog, paper_stats, workers=1, shard_count=4
-            ) as bulk:
+            with ViewServer(catalog, paper_stats, workers=1) as bulk:
                 bulk.register_views(VIEWS)
                 for sql in QUERIES:
                     assert (
@@ -122,51 +139,51 @@ class TestBulkRegistration:
 
 
 class TestRewriteMany:
-    def test_matches_individual_submits(self, catalog, paper_stats, sharded):
-        sharded.register_views(VIEWS)
+    def test_matches_individual_submits(self, catalog, paper_stats, server):
+        server.register_views(VIEWS)
         with ViewServer(catalog, paper_stats, workers=1) as reference:
             reference.register_views(VIEWS)
             singles = [reference.submit(sql) for sql in QUERIES]
-        batch = sharded.rewrite_many(QUERIES)
+        batch = server.rewrite_many(QUERIES)
         assert len(batch) == len(QUERIES)
         for single, batched in zip(singles, batch):
             assert batched.ok == single.ok
             assert batched.view_names == single.view_names
             assert batched.fingerprint == single.fingerprint
-            assert batched.epoch == sharded.epoch
+            assert batched.epoch == server.epoch
 
-    def test_duplicates_are_optimized_once(self, sharded):
-        sharded.register_views(VIEWS)
-        results = sharded.rewrite_many([QUERIES[0], QUERIES[0], QUERIES[0]])
+    def test_duplicates_are_optimized_once(self, server):
+        server.register_views(VIEWS)
+        results = server.rewrite_many([QUERIES[0], QUERIES[0], QUERIES[0]])
         assert [r.ok for r in results] == [True] * 3
         assert len({id(r.result) for r in results}) == 1
-        assert sharded.stats()["counters"]["cache_misses"] == 1
+        assert server.stats()["counters"]["cache_misses"] == 1
 
-    def test_second_batch_hits_cache(self, sharded):
-        sharded.register_views(VIEWS)
-        first = sharded.rewrite_many(QUERIES)
-        second = sharded.rewrite_many(QUERIES)
+    def test_second_batch_hits_cache(self, server):
+        server.register_views(VIEWS)
+        first = server.rewrite_many(QUERIES)
+        second = server.rewrite_many(QUERIES)
         assert all(not r.cache_hit for r in first)
         assert all(r.cache_hit for r in second)
         assert [r.result for r in second] == [r.result for r in first]
 
-    def test_errors_reported_in_place(self, sharded):
-        results = sharded.rewrite_many(
+    def test_errors_reported_in_place(self, server):
+        results = server.rewrite_many(
             [QUERIES[0], "select from broken", QUERIES[1]]
         )
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert results[1].error
 
-    def test_empty_batch(self, sharded):
-        assert sharded.rewrite_many([]) == []
+    def test_empty_batch(self, server):
+        assert server.rewrite_many([]) == []
 
     @needs_fork
     def test_forced_parallel_equals_sequential(
         self, catalog, paper_stats
     ):
         with ViewServer(
-            catalog, paper_stats, workers=1, shard_count=4, cache_enabled=False
+            catalog, paper_stats, workers=1, cache_enabled=False
         ) as server:
             server.register_views(VIEWS)
             sequential = server.rewrite_many(QUERIES)
@@ -176,22 +193,3 @@ class TestRewriteMany:
                 assert a.view_names == b.view_names
                 assert a.fingerprint == b.fingerprint
 
-
-class TestDescriptionMemo:
-    def test_description_memo_survives_epoch_bumps(self, sharded):
-        sharded.register_views(VIEWS)
-        first = sharded.submit(QUERIES[0])
-        memo = dict(sharded._description_memo)
-        assert first.fingerprint in memo
-        sharded.register_view(
-            "v_bump", "select o_orderkey from orders where o_orderkey >= 3"
-        )
-        # Epoch bump purges the rewrite cache but not the descriptions:
-        # they depend only on catalog + options, not on the snapshot.
-        assert (
-            sharded._description_memo[first.fingerprint]
-            is memo[first.fingerprint]
-        )
-        again = sharded.submit(QUERIES[0])
-        assert not again.cache_hit  # the cache generation was purged
-        assert again.view_names == first.view_names

@@ -284,6 +284,23 @@ CHURN_VIEWS = [
 ]
 
 
+def _child_pids() -> set[int]:
+    """Pids of this process's children, zombies included (Linux /proc)."""
+    me = os.getpid()
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we were listing
+        if int(fields[1]) == me:
+            children.add(int(entry))
+    return children
+
+
 @needs_fork
 class TestServingPool:
     def test_rewrite_routes_through_pool(self, catalog, paper_stats):
@@ -370,6 +387,31 @@ class TestServingPool:
             assert server.serving_pool is None
             result = server.rewrite(QUERY_SQL)
             assert result.ok and result.uses_view
+
+    def test_close_leaves_no_child_process(self, catalog, paper_stats):
+        """Exporting a snapshot to shared memory starts multiprocessing's
+        resource-tracker child; ``close()`` must stop and reap it along
+        with every worker of every generation."""
+        from multiprocessing import resource_tracker
+
+        # A tracker some earlier test left running is not the pool's to
+        # stop: start from none.
+        resource_tracker._resource_tracker._stop()
+        before = _child_pids()
+        with ViewServer(catalog, paper_stats, workers=2) as server:
+            server.register_view("pv_line", VIEW_SQL)
+            server.start_pool(workers=2)
+            assert server.rewrite(QUERY_SQL).ok
+            server.register_view(
+                "pv_orders", "select o_orderkey, o_custkey from orders"
+            )
+            pool = server.serving_pool
+            deadline = time.monotonic() + WAIT
+            while pool.epoch != server.epoch and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool.epoch == server.epoch  # the publish was exported
+            assert _child_pids() - before  # workers + tracker are running
+        assert _child_pids() - before == set()
 
     def test_epoch_churn_yields_no_torn_reads(self, catalog, paper_stats):
         """Readers hammer the pool while a writer registers and drops
