@@ -41,7 +41,6 @@ from typing import Callable, Iterable
 from ..catalog.catalog import Catalog
 from ..engine.database import Database
 from ..engine.executor import execute
-from ..errors import ExecutionError, MatchError
 from ..maintenance.maintainer import (
     MaintainedView,
     ViewChangeEvent,
@@ -63,12 +62,22 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ApplierStats:
-    """Cumulative applier counters, for throughput metrics."""
+    """Cumulative applier counters, for throughput metrics.
+
+    ``delta_evaluations`` counts view-delta computations (one per log
+    record per affected view); ``join_index_builds`` counts the join
+    indexes built over the shadow tables. Builds that keep pace with
+    evaluations mean indexes are rebuilt every record (deletes
+    invalidate them); few builds and a low ``rows_per_second`` mean the
+    views themselves are slow.
+    """
 
     records_scanned: int = 0
     base_rows_scanned: int = 0
     delta_batches_merged: int = 0
     delta_rows_merged: int = 0
+    delta_evaluations: int = 0
+    join_index_builds: int = 0
     scan_seconds: float = 0.0
     merge_seconds: float = 0.0
 
@@ -91,6 +100,8 @@ class ApplierStats:
             "base_rows_scanned": self.base_rows_scanned,
             "delta_batches_merged": self.delta_batches_merged,
             "delta_rows_merged": self.delta_rows_merged,
+            "delta_evaluations": self.delta_evaluations,
+            "join_index_builds": self.join_index_builds,
             "scan_seconds": self.scan_seconds,
             "merge_seconds": self.merge_seconds,
             "rows_per_second": self.rows_per_second,
@@ -143,6 +154,7 @@ class ChangeApplier:
         self._clock = clock
         self._lock = lock if lock is not None else threading.RLock()
         self._views: dict[str, MaintainedView] = {}
+        self._views_by_table: dict[str, list[MaintainedView]] = {}
         self._pending: dict[str, deque[_PendingDelta]] = {}
         self._shadow = Database()
         self._scanned_lsn = log.head_lsn
@@ -248,15 +260,13 @@ class ChangeApplier:
                     self._shadow.store(
                         table, live.columns, list(live.rows)
                     )
-            result = execute(statement, self._shadow)
-            for i, item in enumerate(statement.select_items):
-                if item.name is None:
-                    raise MatchError(
-                        f"view {name} output #{i + 1} has no name; use AS"
-                    )
             columns = tuple(item.name for item in statement.select_items)
+            result = execute(statement, self._shadow)
+            self._count_index_builds()
             self.database.store(name, columns, result.rows)  # type: ignore[arg-type]
             self._views[name] = view
+            for table in view.tables:
+                self._views_by_table.setdefault(table, []).append(view)
             self._pending[name] = deque()
             self.freshness.track(name, self._scanned_lsn)
             return view
@@ -264,7 +274,9 @@ class ChangeApplier:
     def unregister(self, name: str) -> None:
         """Stop maintaining a view and drop its stored relation."""
         with self._lock:
-            del self._views[name]
+            view = self._views.pop(name)
+            for table in view.tables:
+                self._views_by_table[table].remove(view)
             del self._pending[name]
             self.freshness.forget(name)
             if self.database.has(name):
@@ -286,11 +298,7 @@ class ChangeApplier:
             records = self.log.records_after(self._scanned_lsn, limit)
             for record in records:
                 rows = [tuple(row) for row in record.rows]
-                affected = [
-                    v
-                    for v in self._views.values()
-                    if record.table in v.tables
-                ]
+                affected = self._views_by_table.get(record.table, ())
                 if record.kind == "insert":
                     for view in affected:
                         self._queue_delta(
@@ -309,6 +317,7 @@ class ChangeApplier:
             if records:
                 for name in self._views:
                     self._refresh_watermark(name)
+                self._count_index_builds()
             elapsed = self._clock() - started
             self.stats.scan_seconds += elapsed
             self._record_phase("scan", elapsed, records=len(records))
@@ -393,6 +402,7 @@ class ChangeApplier:
         rows: list[tuple[object, ...]],
     ) -> None:
         delta = compute_view_delta(view, table, rows, self._shadow)
+        self.stats.delta_evaluations += 1
         if delta:
             self._pending[view.name].append(_PendingDelta(lsn, sign, delta))
 
@@ -401,25 +411,22 @@ class ChangeApplier:
     ) -> None:
         if not self._shadow.has(table):
             return  # no registered view reads this table (yet)
-        relation = self._shadow.relation(table)
-        relation.rows.extend(rows)
-        relation.bump_version()
+        self._shadow.relation(table).extend(rows)
 
     def _shadow_delete(
         self, table: str, rows: list[tuple[object, ...]]
     ) -> None:
         if not self._shadow.has(table):
             return
-        relation = self._shadow.relation(table)
-        for row in rows:
-            try:
-                relation.rows.remove(row)
-            except ValueError:
-                raise ExecutionError(
-                    f"change log out of sync with shadow of {table}: "
-                    f"row {row} not present"
-                ) from None
-        relation.bump_version()
+        self._shadow.relation(table).remove(rows)
+
+    def _count_index_builds(self) -> None:
+        # Shadow relations are never replaced, so their counters add up
+        # to every join index built on behalf of this applier.
+        self.stats.join_index_builds = sum(
+            self._shadow.relation(table).hash_index_builds
+            for table in self._shadow.names()
+        )
 
     def _refresh_watermark(self, name: str) -> None:
         queue = self._pending[name]

@@ -74,9 +74,7 @@ class CdcPipeline:
         if not rows:
             return None
         with self._lock:
-            relation = self.database.relation(table)
-            relation.rows.extend(rows)
-            relation.bump_version()
+            self.database.relation(table).extend(rows)
             return self.log.append("insert", table, rows)
 
     def delete(
@@ -103,9 +101,7 @@ class CdcPipeline:
                         f"cannot delete from {table}: row {row} not present"
                         f" (or fewer than {count} occurrences)"
                     )
-            for row in rows:
-                relation.rows.remove(row)
-            relation.bump_version()
+            relation.remove(rows)
             return self.log.append("delete", table, rows)
 
     def delete_where(self, table: str, predicate) -> int:
@@ -204,7 +200,9 @@ class CdcPipeline:
         lines.append(
             f"applier: {stats.records_scanned} record(s) scanned, "
             f"{stats.delta_rows_merged} delta row(s) merged, "
-            f"{stats.rows_per_second:.0f} rows/s"
+            f"{stats.rows_per_second:.0f} rows/s, "
+            f"{stats.delta_evaluations} delta evaluation(s), "
+            f"{stats.join_index_builds} join index build(s)"
         )
         return "\n".join(lines)
 

@@ -33,9 +33,10 @@ def _next_version() -> int:
 class Relation:
     """Stored rows plus the column order they are stored in.
 
-    ``version`` increments on every tracked mutation; stored indexes use it
-    to detect staleness. Code that mutates ``rows`` directly must call
-    :meth:`bump_version` afterwards.
+    ``version`` changes on every tracked mutation; stored indexes and the
+    join indexes of :meth:`hash_index` use it to detect staleness. Mutate
+    through :meth:`extend` / :meth:`remove`; code that changes ``rows``
+    directly must call :meth:`bump_version` afterwards.
     """
 
     name: str
@@ -46,6 +47,9 @@ class Relation:
     def __post_init__(self) -> None:
         self._index = {column: i for i, column in enumerate(self.columns)}
         self.version = _next_version()
+        # column positions -> (version the buckets describe, buckets)
+        self._hash_indexes: dict[tuple[int, ...], tuple[int, dict]] = {}
+        self.hash_index_builds = 0
 
     def bump_version(self) -> None:
         self.version = _next_version()
@@ -69,6 +73,72 @@ class Relation:
     def column_values(self, column: str) -> list[object]:
         position = self.column_position(column)
         return [row[position] for row in self.rows]
+
+    def extend(self, rows: Iterable[tuple[object, ...]]) -> None:
+        """Append rows; join indexes that are current stay current."""
+        rows = list(rows)
+        before = self.version
+        self.rows.extend(rows)
+        self.bump_version()
+        carried = {}
+        for positions, (built, buckets) in self._hash_indexes.items():
+            if built == before:
+                _fill_buckets(buckets, positions, rows)
+                carried[positions] = (self.version, buckets)
+        self._hash_indexes = carried
+
+    def remove(self, rows: Iterable[tuple[object, ...]]) -> None:
+        """Remove one occurrence per given row (bag semantics).
+
+        A row that is not stored raises :class:`ExecutionError`; rows
+        before it stay removed, and the version moves either way.
+        """
+        try:
+            for row in rows:
+                try:
+                    self.rows.remove(row)
+                except ValueError:
+                    raise ExecutionError(
+                        f"{self.name} out of sync: row {row} not present"
+                    ) from None
+        finally:
+            self.bump_version()
+            self._hash_indexes = {}
+
+    def hash_index(
+        self, positions: tuple[int, ...]
+    ) -> dict[tuple[object, ...], list[tuple[object, ...]]]:
+        """Join index: values at ``positions`` -> the stored rows holding them.
+
+        Rows with a NULL in any key column are absent (NULL never joins).
+        Built on first use and valid for exactly one ``version``; every
+        execution against this relation shares it. The finished index is
+        published by one assignment, so concurrent builders at worst both
+        build it. Callers must not modify the returned buckets.
+        """
+        version = self.version
+        entry = self._hash_indexes.get(positions)
+        if entry is not None and entry[0] == version:
+            return entry[1]
+        buckets: dict[tuple[object, ...], list[tuple[object, ...]]] = {}
+        _fill_buckets(buckets, positions, self.rows)
+        self.hash_index_builds += 1
+        self._hash_indexes[positions] = (version, buckets)
+        return buckets
+
+
+def _fill_buckets(
+    buckets: dict, positions: tuple[int, ...], rows: list[tuple[object, ...]]
+) -> None:
+    for row in rows:
+        key = tuple([row[p] for p in positions])
+        if None in key:
+            continue
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
 
 
 class Database:

@@ -11,9 +11,11 @@ correctness argument depends on:
   treats NULL as an ordinary key, an aggregate query without GROUP BY over
   an empty input yields one row.
 
-It is deliberately simple -- correctness oracle first, performance second --
-but uses hash joins so that validating substitutes on generated TPC-H data
-stays fast.
+It is deliberately simple -- correctness oracle first, performance second.
+Joins are left-deep: the smallest input (for view maintenance, the delta
+rows) drives, every other table is probed through a hash index its
+relation keeps and shares between executions, and an empty intermediate
+result ends the join (DESIGN section 14, "delta-first evaluation").
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from ..sql.statements import SelectItem, SelectStatement
 from .database import Database
 from .evaluator import evaluate, predicate_holds
 
-RowDict = dict[tuple[str, str], object]
+ColumnKey = tuple[str, str]
+RowDict = dict[ColumnKey, object]
 
 
 @dataclass
@@ -92,48 +95,105 @@ def _split_equijoin(conjunct: Expression) -> tuple[ColumnRef, ColumnRef] | None:
     return None
 
 
-class _JoinState:
-    """Incremental left-deep join with early predicate application."""
+class _JoinPipeline:
+    """Left-deep join: one driving input, every other table probed through
+    its shared :meth:`Relation.hash_index`.
 
-    def __init__(self, database: Database, conjuncts: list[Expression]):
+    The driving table is the named delta table, else the input that is
+    smallest after its own local conjuncts. Each next table is the
+    equijoin-connected one with the smallest estimated fan-out; an empty
+    intermediate ends the join without touching the remaining tables.
+    """
+
+    def __init__(
+        self,
+        database: Database,
+        tables: tuple[str, ...],
+        conjuncts: list[Expression],
+    ):
         self.database = database
-        self.pending = list(conjuncts)
-        self.joined_tables: set[str] = set()
+        self.tables = tables
+        self.local: dict[str, list[Expression]] = {t: [] for t in tables}
+        # Cross-table conjuncts not applied yet, with their table sets and,
+        # for ``col = col``, the two sides.
+        self.pending: list[
+            tuple[Expression, frozenset[str], tuple[ColumnRef, ColumnRef] | None]
+        ] = []
+        self.constant: list[Expression] = []
+        for conjunct in conjuncts:
+            referenced = _referenced_tables(conjunct)
+            if not referenced:
+                self.constant.append(conjunct)
+            elif len(referenced) == 1 and referenced <= self.local.keys():
+                (table,) = referenced
+                self.local[table].append(conjunct)
+            else:
+                self.pending.append(
+                    (conjunct, referenced, _split_equijoin(conjunct))
+                )
+        self._scans: dict[str, list[tuple[object, ...]]] = {}
+        self.order: list[str] = []
         self.rows: list[RowDict] = []
 
-    def _take_applicable(self) -> list[Expression]:
-        """Remove and return pending conjuncts fully covered by joined tables."""
-        applicable: list[Expression] = []
-        remaining: list[Expression] = []
-        for conjunct in self.pending:
-            if _referenced_tables(conjunct) <= self.joined_tables:
-                applicable.append(conjunct)
+    def run(self, delta_table: str | None = None) -> list[RowDict]:
+        """Join all tables (or stop at an empty intermediate); the rows."""
+        start = delta_table
+        if start is None:
+            start = min(self.tables, key=lambda t: len(self._scan(t)))
+        self.order.append(start)
+        to_row = self._row_maker(start)
+        self.rows = [to_row(stored) for stored in self._scan(start)]
+        remaining = [t for t in self.tables if t != start]
+        while remaining and self.rows:
+            table, pairs = self._next_table(remaining)
+            remaining.remove(table)
+            self.order.append(table)
+            if pairs:
+                self._index_join(table, pairs)
             else:
-                remaining.append(conjunct)
-        self.pending = remaining
-        return applicable
+                self._cross_join(table)
+            self._apply_covered()
+        return self.rows
 
-    def _scan(self, table: str) -> list[RowDict]:
-        relation = self.database.relation(table)
-        # Single-table filters on the scanned table apply immediately.
-        local = [
-            conjunct
-            for conjunct in self.pending
-            if _referenced_tables(conjunct) <= {table}
-        ]
-        self.pending = [c for c in self.pending if c not in local]
-        indexed = self._index_scan(relation, local)
-        if indexed is not None:
-            rows = indexed
-        else:
-            rows = list(relation.iter_dicts())
-        if local:
-            rows = [
-                row
-                for row in rows
-                if all(predicate_holds(c, row) for c in local)
-            ]
+    def _scan(self, table: str) -> list[tuple[object, ...]]:
+        """Stored rows of ``table`` passing its local conjuncts (kept)."""
+        rows = self._scans.get(table)
+        if rows is None:
+            relation = self.database.relation(table)
+            local = self.local[table]
+            rows = relation.rows
+            if local:
+                indexed = self._index_scan(relation, local)
+                accepts = self._row_filter(table)
+                rows = [
+                    row
+                    for row in (rows if indexed is None else indexed)
+                    if accepts(row)
+                ]
+            self._scans[table] = rows
         return rows
+
+    def _row_maker(self, table: str):
+        """Stored row of ``table`` -> ``(table, column)``-keyed mapping."""
+        keys = [(table, c) for c in self.database.relation(table).columns]
+        return lambda stored: dict(zip(keys, stored))
+
+    def _row_filter(self, table: str):
+        """Stored row -> whether it passes the table's local conjuncts.
+
+        Only the columns the conjuncts read are laid out for the
+        evaluator, so rejecting a row never builds its full mapping.
+        """
+        local = self.local[table]
+        relation = self.database.relation(table)
+        keys = sorted({ref.key for c in local for ref in c.column_refs()})
+        slots = [(key, relation.column_position(key[1])) for key in keys]
+
+        def accepts(stored: tuple[object, ...]) -> bool:
+            row = {key: stored[position] for key, position in slots}
+            return all(predicate_holds(conjunct, row) for conjunct in local)
+
+        return accepts
 
     def _index_scan(self, relation, local: list[Expression]):
         """Try to narrow the scan through a stored index.
@@ -161,115 +221,118 @@ class _JoinState:
                 continue
             equality = next((p for p in predicates if p.op == "="), None)
             if equality is not None:
-                raw = index.lookup_equal(relation, (equality.value,))
-            else:
-                lower = upper = None
-                for predicate in predicates:
-                    if predicate.op in (">", ">="):
-                        candidate = (predicate.value, predicate.op == ">=")
-                        if lower is None or candidate[0] > lower[0]:
-                            lower = candidate
-                    elif predicate.op in ("<", "<="):
-                        candidate = (predicate.value, predicate.op == "<=")
-                        if upper is None or candidate[0] < upper[0]:
-                            upper = candidate
-                raw = index.lookup_range(relation, lower, upper)
-            keys = [(relation.name, column) for column in relation.columns]
-            return [dict(zip(keys, row)) for row in raw]
+                return index.lookup_equal(relation, (equality.value,))
+            lower = upper = None
+            for predicate in predicates:
+                if predicate.op in (">", ">="):
+                    candidate = (predicate.value, predicate.op == ">=")
+                    if lower is None or candidate[0] > lower[0]:
+                        lower = candidate
+                elif predicate.op in ("<", "<="):
+                    candidate = (predicate.value, predicate.op == "<=")
+                    if upper is None or candidate[0] < upper[0]:
+                        upper = candidate
+            return index.lookup_range(relation, lower, upper)
         return None
 
-    def add_table(self, table: str) -> None:
-        scanned = self._scan(table)
-        if not self.joined_tables:
-            self.joined_tables.add(table)
-            self.rows = scanned
-            return
-        # Find equijoin conjuncts linking the new table to the current result.
-        join_pairs: list[tuple[ColumnRef, ColumnRef]] = []
-        used: list[Expression] = []
-        for conjunct in self.pending:
-            sides = _split_equijoin(conjunct)
+    def _join_pairs(
+        self, table: str
+    ) -> dict[int, tuple[ColumnKey, Expression]]:
+        """Equijoins linking ``table`` to the joined rows.
+
+        Keyed by the column position on ``table``, in position order
+        (so equal joins share one index); the first conjunct per position
+        probes, a second one stays pending and filters as a residual
+        right after the join.
+        """
+        joined = self.order
+        relation = self.database.relation(table)
+        pairs: dict[int, tuple[ColumnKey, Expression]] = {}
+        for conjunct, _, sides in self.pending:
             if sides is None:
                 continue
             left, right = sides
-            if left.table in self.joined_tables and right.table == table:
-                join_pairs.append((left, right))
-                used.append(conjunct)
-            elif right.table in self.joined_tables and left.table == table:
-                join_pairs.append((right, left))
-                used.append(conjunct)
-        self.pending = [c for c in self.pending if c not in used]
-        self.joined_tables.add(table)
-        if join_pairs:
-            self.rows = self._hash_join(scanned, table, join_pairs)
-        else:
-            self.rows = self._cross_join(scanned)
-        # Any now-covered residual conjuncts apply right away.
-        for conjunct in self._take_applicable():
-            self.rows = [row for row in self.rows if predicate_holds(conjunct, row)]
-
-    def _hash_join(
-        self,
-        scanned: list[RowDict],
-        table: str,
-        join_pairs: list[tuple[ColumnRef, ColumnRef]],
-    ) -> list[RowDict]:
-        build_keys = [right.key for _, right in join_pairs]
-        probe_keys = [left.key for left, _ in join_pairs]
-        buckets: dict[tuple[object, ...], list[RowDict]] = {}
-        for row in scanned:
-            key = tuple(row[k] for k in build_keys)
-            if any(v is None for v in key):
-                continue  # NULL never satisfies an equijoin
-            buckets.setdefault(key, []).append(row)
-        joined: list[RowDict] = []
-        for row in self.rows:
-            key = tuple(row[k] for k in probe_keys)
-            if any(v is None for v in key):
+            if right.table == table and left.table in joined:
+                probe, build = left, right
+            elif left.table == table and right.table in joined:
+                probe, build = right, left
+            else:
                 continue
-            for match in buckets.get(key, ()):
-                merged = dict(row)
-                merged.update(match)
-                joined.append(merged)
-        return joined
+            pairs.setdefault(
+                relation.column_position(build.column), (probe.key, conjunct)
+            )
+        return dict(sorted(pairs.items()))
 
-    def _cross_join(self, scanned: list[RowDict]) -> list[RowDict]:
+    def _next_table(
+        self, remaining: list[str]
+    ) -> tuple[str, dict[int, tuple[ColumnKey, Expression]]]:
+        """The connected table with the smallest estimated fan-out.
+
+        Fan-out is ``row_count / distinct join keys`` of the index the
+        join would probe. Ties prefer a table that still has a local
+        conjunct, then the smaller relation, then statement order. With
+        no connected table left, the smallest input cross-joins.
+        """
+        best = None
+        for table in remaining:
+            pairs = self._join_pairs(table)
+            if not pairs:
+                continue
+            relation = self.database.relation(table)
+            index = relation.hash_index(tuple(pairs))
+            fan_out = relation.row_count / len(index) if index else 0.0
+            rank = (fan_out, not self.local[table], relation.row_count)
+            if best is None or rank < best[0]:
+                best = (rank, table, pairs)
+        if best is None:
+            return min(remaining, key=lambda t: len(self._scan(t))), {}
+        return best[1], best[2]
+
+    def _index_join(
+        self, table: str, pairs: dict[int, tuple[ColumnKey, Expression]]
+    ) -> None:
+        probe_keys = [key for key, _ in pairs.values()]
+        used = {id(conjunct) for _, conjunct in pairs.values()}
+        self.pending = [p for p in self.pending if id(p[0]) not in used]
+        buckets = self.database.relation(table).hash_index(tuple(pairs))
+        to_row = self._row_maker(table)
+        accepts = self._row_filter(table) if self.local[table] else None
+        # Each bucket is filtered and laid out once, however many
+        # intermediate rows probe it.
+        matched: dict[tuple[object, ...], list[RowDict]] = {}
         joined: list[RowDict] = []
         for row in self.rows:
-            for other in scanned:
-                merged = dict(row)
-                merged.update(other)
-                joined.append(merged)
-        return joined
+            key = tuple([row[k] for k in probe_keys])
+            matches = matched.get(key)
+            if matches is None:
+                # A NULL probe value finds nothing: NULL keys are not indexed.
+                matches = matched[key] = [
+                    to_row(stored)
+                    for stored in buckets.get(key, ())
+                    if accepts is None or accepts(stored)
+                ]
+            for match in matches:
+                joined.append({**row, **match})
+        self.rows = joined
 
+    def _cross_join(self, table: str) -> None:
+        to_row = self._row_maker(table)
+        scanned = [to_row(stored) for stored in self._scan(table)]
+        self.rows = [{**row, **other} for row in self.rows for other in scanned]
 
-def _choose_join_order(
-    tables: tuple[str, ...], conjuncts: list[Expression]
-) -> list[str]:
-    """Greedy connected order: prefer tables linked by an equijoin."""
-    if len(tables) <= 2:
-        return list(tables)
-    edges: set[frozenset[str]] = set()
-    for conjunct in conjuncts:
-        sides = _split_equijoin(conjunct)
-        if sides and sides[0].table != sides[1].table:
-            edges.add(frozenset({sides[0].table or "", sides[1].table or ""}))
-    order = [tables[0]]
-    remaining = list(tables[1:])
-    while remaining:
-        placed = set(order)
-        connected = next(
-            (
-                t
-                for t in remaining
-                if any(frozenset({t, p}) in edges for p in placed)
-            ),
-            None,
-        )
-        chosen = connected if connected is not None else remaining[0]
-        order.append(chosen)
-        remaining.remove(chosen)
-    return order
+    def _apply_covered(self) -> None:
+        """Filter by the pending conjuncts whose tables are all joined."""
+        joined = set(self.order)
+        remaining = []
+        for entry in self.pending:
+            conjunct, referenced, _ = entry
+            if referenced <= joined:
+                self.rows = [
+                    row for row in self.rows if predicate_holds(conjunct, row)
+                ]
+            else:
+                remaining.append(entry)
+        self.pending = remaining
 
 
 class _AggregateAccumulator:
@@ -351,22 +414,30 @@ def _as_literal(value: object):
     return Literal(value)
 
 
-def execute(statement: SelectStatement, database: Database) -> QueryResult:
-    """Execute a bound SPJG statement against ``database``."""
+def execute(
+    statement: SelectStatement,
+    database: Database,
+    delta_table: str | None = None,
+) -> QueryResult:
+    """Execute a bound SPJG statement against ``database``.
+
+    ``delta_table`` names the table whose rows drive the join -- view
+    maintenance passes the changed table, whose few delta rows every
+    output row contains. It affects row order only, never the bag.
+    """
     from ..sql.expressions import conjuncts_of
 
-    conjuncts = list(conjuncts_of(statement.where))
-    order = _choose_join_order(statement.table_names(), conjuncts)
-    state = _JoinState(database, conjuncts)
-    for table in order:
-        state.add_table(table)
-    rows = state.rows
-    # Conjuncts can only remain if they reference no tables at all
-    # (constant predicates); apply them now.
-    for conjunct in state.pending:
-        if _referenced_tables(conjunct):
-            raise ExecutionError(f"unapplied predicate {conjunct}")
-        rows = [row for row in rows if predicate_holds(conjunct, row)]
+    pipeline = _JoinPipeline(
+        database, statement.table_names(), list(conjuncts_of(statement.where))
+    )
+    rows = pipeline.run(delta_table)
+    if rows:
+        # An empty join discards what was not applied; otherwise only
+        # constant predicates can be left.
+        if pipeline.pending:
+            raise ExecutionError(f"unapplied predicate {pipeline.pending[0][0]}")
+        for conjunct in pipeline.constant:
+            rows = [row for row in rows if predicate_holds(conjunct, row)]
 
     column_names = tuple(
         item.name if item.name is not None else f"col{i + 1}"
@@ -388,14 +459,30 @@ def execute(statement: SelectStatement, database: Database) -> QueryResult:
     return QueryResult(columns=column_names, rows=output_rows)
 
 
+def _tuple_reader(expressions):
+    """``row -> tuple`` of the expressions' values; plain columns are read
+    straight from the row mapping."""
+    if expressions and all(isinstance(e, ColumnRef) for e in expressions):
+        keys = [e.key for e in expressions]
+
+        def read_columns(row: RowDict) -> tuple[object, ...]:
+            try:
+                return tuple([row[key] for key in keys])
+            except KeyError as missing:
+                raise ExecutionError(
+                    f"row has no column {'.'.join(missing.args[0])}"
+                ) from None
+
+        return read_columns
+    return lambda row: tuple([evaluate(e, row) for e in expressions])
+
+
 def project_rows(
     rows: list[RowDict], select_items: tuple[SelectItem, ...] | list[SelectItem]
 ) -> list[tuple[object, ...]]:
     """Plain (non-grouping) projection of row mappings to output tuples."""
-    return [
-        tuple(evaluate(item.expression, row) for item in select_items)
-        for row in rows
-    ]
+    read = _tuple_reader([item.expression for item in select_items])
+    return [read(row) for row in rows]
 
 
 def aggregate_rows(
@@ -409,40 +496,56 @@ def aggregate_rows(
     ``group_by``) over an empty input yields one row.
     """
     aggregate_calls = _distinct_aggregates(select_items)
+    group_key = _tuple_reader(list(group_by))
+    # group key -> (first row of the group, one accumulator per call)
     groups: dict[tuple[object, ...], tuple[RowDict, list[_AggregateAccumulator]]] = {}
-    ordered_keys: list[tuple[object, ...]] = []
     for row in rows:
-        key = tuple(evaluate(expr, row) for expr in group_by)
+        key = group_key(row)
         entry = groups.get(key)
         if entry is None:
-            entry = (row, [_AggregateAccumulator(call) for call in aggregate_calls])
-            groups[key] = entry
-            ordered_keys.append(key)
+            entry = groups[key] = (
+                row,
+                [_AggregateAccumulator(call) for call in aggregate_calls],
+            )
         for accumulator in entry[1]:
             accumulator.update(row)
     if not group_by and not groups:
         # Global aggregation over an empty input: one row of "empty" values.
-        empty = [_AggregateAccumulator(call) for call in aggregate_calls]
-        values = {call: acc.result() for call, acc in zip(aggregate_calls, empty)}
-        return [
-            tuple(
-                _evaluate_output(item.expression, values, {})
-                for item in select_items
-            )
-        ]
-    output: list[tuple[object, ...]] = []
-    for key in ordered_keys:
-        representative, accumulators = groups[key]
-        values = {
-            call: acc.result() for call, acc in zip(aggregate_calls, accumulators)
-        }
-        output.append(
-            tuple(
-                _evaluate_output(item.expression, values, representative)
-                for item in select_items
-            )
-        )
-    return output
+        groups[()] = ({}, [_AggregateAccumulator(call) for call in aggregate_calls])
+    # Where each output comes from is decided once per statement: an
+    # accumulator, a slot of the group key, or an expression over both.
+    readers = [
+        _output_reader(item.expression, list(group_by), aggregate_calls)
+        for item in select_items
+    ]
+    return [
+        tuple([read(key, first, accumulators) for read in readers])
+        for key, (first, accumulators) in groups.items()
+    ]
+
+
+def _output_reader(
+    expression: Expression,
+    group_by: list[Expression],
+    aggregate_calls: list[FuncCall],
+):
+    """``(group key, first row, accumulators) -> value`` of one output."""
+    if expression in aggregate_calls:
+        slot = aggregate_calls.index(expression)
+        return lambda key, first, accumulators: accumulators[slot].result()
+    if expression in group_by:
+        slot = group_by.index(expression)
+        return lambda key, first, accumulators: key[slot]
+    if not expression.contains_aggregate():
+        return lambda key, first, accumulators: evaluate(expression, first)
+    return lambda key, first, accumulators: _evaluate_output(
+        expression,
+        {
+            call: accumulator.result()
+            for call, accumulator in zip(aggregate_calls, accumulators)
+        },
+        first,
+    )
 
 
 def _distinct_aggregates(
@@ -464,11 +567,10 @@ def materialize_view(
     Output column names follow SQL Server's rule: every output expression of
     an indexed view must have a name (alias or plain column).
     """
-    result = execute(query, database)
     for i, item in enumerate(query.select_items):
         if item.name is None:
             raise ExecutionError(
                 f"view {name} output #{i + 1} has no name; use AS"
             )
     columns = tuple(item.name for item in query.select_items)  # type: ignore[misc]
-    database.store(name, columns, result.rows)
+    database.store(name, columns, execute(query, database).rows)

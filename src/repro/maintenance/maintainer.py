@@ -174,31 +174,7 @@ def compute_view_delta(
     victims are removed.
     """
     overlay = _OverlayDatabase(database, table, delta_rows)
-    return execute(view.statement, overlay).rows  # type: ignore[arg-type]
-
-
-def extend_view_rows(
-    view_name: str, delta: list[tuple[object, ...]], database: Database
-) -> None:
-    """Append an SPJ insert-delta to the stored view (bag semantics)."""
-    relation = database.relation(view_name)
-    relation.rows.extend(delta)
-    relation.bump_version()
-
-
-def remove_view_rows(
-    view_name: str, delta: list[tuple[object, ...]], database: Database
-) -> None:
-    """Remove one occurrence per SPJ delete-delta row from the stored view."""
-    relation = database.relation(view_name)
-    for row in delta:
-        try:
-            relation.rows.remove(row)
-        except ValueError:
-            raise ExecutionError(
-                f"view {view_name} out of sync: delta row {row} missing"
-            ) from None
-    relation.bump_version()
+    return execute(view.statement, overlay, delta_table=table).rows  # type: ignore[arg-type]
 
 
 def merge_aggregate_delta(
@@ -239,9 +215,11 @@ def merge_aggregate_delta(
             del index[key]
         else:
             relation.rows[existing_position] = merged
-    relation.bump_version()
     for position in sorted(removed, reverse=True):
         del relation.rows[position]
+    # Only now: an index built at the new version must not see a group
+    # that is about to be deleted.
+    relation.bump_version()
 
 
 def apply_view_delta(
@@ -254,9 +232,9 @@ def apply_view_delta(
     if view.is_aggregate:
         merge_aggregate_delta(view, delta, sign, database)
     elif sign > 0:
-        extend_view_rows(view.name, delta, database)
+        database.relation(view.name).extend(delta)
     else:
-        remove_view_rows(view.name, delta, database)
+        database.relation(view.name).remove(delta)
 
 
 def _merge_row(
@@ -377,9 +355,7 @@ class ViewMaintainer:
         if not rows:
             return
         deltas = self._view_deltas(table, rows)
-        relation = self.database.relation(table)
-        relation.rows.extend(rows)
-        relation.bump_version()
+        self.database.relation(table).extend(rows)
         for view, delta in deltas:
             apply_view_delta(view, delta, +1, self.database)
         self._notify(
@@ -395,15 +371,7 @@ class ViewMaintainer:
         rows = [tuple(row) for row in rows]
         if not rows:
             return
-        relation = self.database.relation(table)
-        for row in rows:
-            try:
-                relation.rows.remove(row)
-            except ValueError:
-                raise ExecutionError(
-                    f"cannot delete from {table}: row {row} not present"
-                ) from None
-        relation.bump_version()
+        self.database.relation(table).remove(rows)
         # Deltas are computed *after* removal so joins see the final state
         # of the changed table's partners -- but the delta itself uses the
         # removed rows.
@@ -439,9 +407,6 @@ class ViewMaintainer:
             (view, compute_view_delta(view, table, delta_rows, self.database))
             for view in affected
         ]
-
-    def _remove_rows(self, view_name: str, delta: list[tuple[object, ...]]) -> None:
-        remove_view_rows(view_name, delta, self.database)
 
     def _merge_aggregate(
         self,

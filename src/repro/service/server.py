@@ -1103,6 +1103,16 @@ class ViewServer:
                 f"{prefix}_cdc_apply_rows_per_second "
                 f"{format(applier.rows_per_second, '.6g')}"
             )
+            lines.append(f"# TYPE {prefix}_cdc_delta_evaluations_total counter")
+            lines.append(
+                f"{prefix}_cdc_delta_evaluations_total "
+                f"{applier.delta_evaluations}"
+            )
+            lines.append(f"# TYPE {prefix}_cdc_join_index_builds_total counter")
+            lines.append(
+                f"{prefix}_cdc_join_index_builds_total "
+                f"{applier.join_index_builds}"
+            )
         return "\n".join(lines) + "\n"
 
     def report(self) -> str:

@@ -176,3 +176,41 @@ def test_cdc_apply_events_and_listener_isolation(pipeline, catalog):
     pipeline.drain()
     applies = [e for e in events if e.kind == "cdc-apply"]
     assert applies and all("mv" in e.views for e in applies)
+
+
+def test_stats_tell_rebuilt_indexes_from_slow_views(pipeline, catalog):
+    pipeline.register_view("mv", catalog.bind_sql(JOIN_VIEW))
+    pipeline.register_view("rollup", catalog.bind_sql(ROLLUP))
+    stats = pipeline.stats
+    built = stats.join_index_builds
+    assert built >= 1 and stats.delta_evaluations == 0
+    # An insert-only stream evaluates one delta per record and view and
+    # keeps every join index it has.
+    for offset in (1, 2, 3):
+        pipeline.insert("orders", [fresh_order_row(pipeline, offset)])
+    pipeline.drain()
+    assert stats.delta_evaluations == 6
+    assert stats.join_index_builds == built
+    # The lineitem delta probes orders (first use of that index); the
+    # delete invalidates lineitem's own, so the next orders delta
+    # rebuilds it.
+    lineitem = pipeline.database.relation("lineitem")
+    pipeline.delete("lineitem", [lineitem.rows[0]])
+    pipeline.insert("orders", [fresh_order_row(pipeline, 4)])
+    pipeline.drain()
+    assert stats.delta_evaluations == 9
+    assert stats.join_index_builds == built + 2
+    snapshot = stats.snapshot()
+    assert snapshot["delta_evaluations"] == 9
+    assert snapshot["join_index_builds"] == built + 2
+    assert "9 delta evaluation(s)" in pipeline.report()
+
+
+def test_unregistered_view_no_longer_receives_deltas(pipeline, catalog):
+    pipeline.register_view("mv", catalog.bind_sql(ROLLUP))
+    pipeline.register_view("other", catalog.bind_sql(ROLLUP))
+    pipeline.unregister_view("mv")
+    pipeline.insert("orders", [fresh_order_row(pipeline)])
+    pipeline.drain()
+    assert pipeline.stats.delta_evaluations == 1
+    assert [view.name for view in pipeline.applier.views()] == ["other"]

@@ -63,3 +63,22 @@ class TestRelation:
         relation = db.store("t", ("a", "b"), [(1, 2)])
         (row,) = relation.iter_dicts()
         assert row == {("t", "a"): 1, ("t", "b"): 2}
+
+    def test_extend_and_remove_move_the_version(self):
+        relation = Database().store("t", ("a",), [(1,), (2,), (2,)])
+        version = relation.version
+        relation.extend([(3,)])
+        assert relation.rows == [(1,), (2,), (2,), (3,)]
+        assert relation.version > version
+        version = relation.version
+        relation.remove([(2,), (3,)])  # one occurrence per given row
+        assert relation.rows == [(1,), (2,)]
+        assert relation.version > version
+
+    def test_remove_of_a_missing_row_raises_and_still_moves_the_version(self):
+        relation = Database().store("t", ("a",), [(1,), (2,)])
+        version = relation.version
+        with pytest.raises(ExecutionError, match="not present"):
+            relation.remove([(1,), (9,)])
+        assert relation.rows == [(2,)]
+        assert relation.version > version

@@ -169,6 +169,12 @@ class TestMaterializeView:
         with pytest.raises(ExecutionError, match="no name"):
             materialize_view("mv", statement, db)
 
+    def test_unnamed_output_rejected_before_the_view_is_executed(self, cat):
+        # No table t to read: executing first would fail on that instead.
+        statement = cat.bind_sql("select t.a + 1 from t")
+        with pytest.raises(ExecutionError, match="no name"):
+            materialize_view("mv", statement, Database())
+
 
 class TestBagEquality:
     def test_bag_equals_detects_multiplicity(self, cat, db):

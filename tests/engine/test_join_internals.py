@@ -1,6 +1,7 @@
 """White-box tests for the executor's join machinery."""
 
-from repro.engine.executor import _choose_join_order, _split_equijoin
+from repro.engine import Database
+from repro.engine.executor import _JoinPipeline, _split_equijoin
 from repro.sql import parse_predicate
 
 
@@ -25,29 +26,82 @@ class TestSplitEquijoin:
         assert _split_equijoin(bound("t.a + 1 = u.b")) is None
 
 
-class TestJoinOrder:
-    def conjuncts(self, *texts):
-        return [bound(t) for t in texts]
+def join_order(sizes, *conjuncts, delta_table=None):
+    """Run the join over tables ``name -> rows`` (columns x, y, z); the order.
 
+    Row ``i`` of every table is ``(i, i, i)``, so each equijoin is 1:1
+    and no intermediate is empty unless a table is.
+    """
+    database = Database()
+    for name, rows in sizes.items():
+        rows = rows if isinstance(rows, list) else [(i, i, i) for i in range(rows)]
+        database.store(name, ("x", "y", "z"), rows)
+    pipeline = _JoinPipeline(
+        database, tuple(sizes), [bound(text) for text in conjuncts]
+    )
+    pipeline.run(delta_table)
+    return pipeline.order
+
+
+class TestJoinOrder:
     def test_two_tables_keep_given_order(self):
-        order = _choose_join_order(("a", "b"), [])
-        assert order == ["a", "b"]
+        assert join_order({"a": 2, "b": 2}) == ["a", "b"]
 
     def test_connected_table_preferred(self):
         # c connects to a; b is isolated -- c should be joined before b to
         # avoid an intermediate cross product.
-        order = _choose_join_order(
-            ("a", "b", "c"), self.conjuncts("a.x = c.y")
-        )
+        order = join_order({"a": 2, "b": 2, "c": 2}, "a.x = c.y")
         assert order.index("c") < order.index("b")
 
     def test_chain_order(self):
-        order = _choose_join_order(
-            ("a", "b", "c", "d"),
-            self.conjuncts("a.x = b.x", "b.y = c.y", "c.z = d.z"),
+        order = join_order(
+            {"a": 2, "b": 2, "c": 2, "d": 2},
+            "a.x = b.x",
+            "b.y = c.y",
+            "c.z = d.z",
         )
         assert order == ["a", "b", "c", "d"]
 
     def test_disconnected_tables_still_all_present(self):
-        order = _choose_join_order(("a", "b", "c"), [])
-        assert sorted(order) == ["a", "b", "c"]
+        assert sorted(join_order({"a": 2, "b": 2, "c": 2})) == ["a", "b", "c"]
+
+    def test_smallest_input_drives(self):
+        assert join_order({"a": 5, "b": 2, "c": 3}, "a.x = b.x", "b.y = c.y") == [
+            "b",
+            "c",
+            "a",
+        ]
+
+    def test_inputs_are_sized_after_their_local_conjuncts(self):
+        order = join_order({"a": 5, "b": 2}, "a.x = b.x", "a.y = 3")
+        assert order == ["a", "b"]
+
+    def test_named_delta_table_drives_whatever_its_size(self):
+        order = join_order(
+            {"a": 5, "b": 2, "c": 3}, "a.x = b.x", "b.y = c.y", delta_table="a"
+        )
+        assert order == ["a", "b", "c"]
+
+    def test_smallest_fan_out_joins_first(self):
+        # From a, b fans out 3x (three rows per key), c is 1:1.
+        wide = [(i % 2, i, i) for i in range(6)]
+        order = join_order(
+            {"a": 2, "b": wide, "c": 4}, "a.x = b.x", "a.x = c.x"
+        )
+        assert order == ["a", "c", "b"]
+
+    def test_fan_out_tie_prefers_a_table_with_a_local_conjunct(self):
+        order = join_order(
+            {"a": 2, "b": 4, "c": 4}, "a.x = b.x", "a.x = c.x", "c.y >= 0"
+        )
+        assert order == ["a", "c", "b"]
+
+    def test_fan_out_tie_then_prefers_the_smaller_relation(self):
+        order = join_order({"a": 2, "b": 5, "c": 4}, "a.x = b.x", "a.x = c.x")
+        assert order == ["a", "c", "b"]
+
+    def test_empty_intermediate_ends_the_join(self):
+        order = join_order(
+            {"a": 2, "b": 3, "c": 4}, "a.x = b.x", "b.y = c.y", "a.y < 0"
+        )
+        assert order == ["a"]

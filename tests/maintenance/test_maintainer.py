@@ -172,6 +172,25 @@ class TestAggregateMaintenance:
         assert groups == {1}
         assert view_matches_recompute(database, maintainer, "mv")
 
+    def test_emptied_group_is_gone_before_the_version_moves(self, setup):
+        # Anything keyed on the version may be built the moment it moves
+        # (another thread's join, a stored index). Build the join index
+        # on the grouping column right then: it must not hold the group
+        # the merge is emptying.
+        catalog, database, maintainer = setup
+        maintainer.register("mv", catalog.bind_sql(self.AGG))
+        relation = database.relation("mv")
+        bump = relation.bump_version
+
+        def bump_then_build():
+            bump()
+            relation.hash_index((0,))
+
+        relation.bump_version = bump_then_build
+        maintainer.delete("t", [(1, 0, 10.0, "a"), (2, 0, 20.0, "b")])
+        assert (0,) not in relation.hash_index((0,))
+        assert relation.hash_index((0,)) == {(1,): [(1, 70.0, 2)]}
+
     def test_join_aggregate_view(self, setup):
         catalog, database, maintainer = setup
         maintainer.register(

@@ -108,6 +108,8 @@ def test_stale_rejections_reach_funnel_and_prometheus(server, pipeline):
     assert 'repro_match_rejects_total{reason="stale"}' in exposition
     assert "repro_cdc_head_lsn" in exposition
     assert 'repro_cdc_view_lag_records{view="mv_rev"} 1' in exposition
+    assert "repro_cdc_delta_evaluations_total 0" in exposition
+    assert "repro_cdc_join_index_builds_total" in exposition
 
 
 def test_bounded_requests_bypass_the_cache(server):
