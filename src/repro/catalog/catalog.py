@@ -13,8 +13,9 @@ from typing import Iterator, Sequence
 
 from ..errors import CatalogError
 from ..sql.binder import bind_statement
+from ..sql.expressions import ColumnRef
 from ..sql.parser import parse_select, parse_view
-from ..sql.statements import CreateViewStatement, SelectStatement
+from ..sql.statements import CreateViewStatement, SelectStatement, TableRef
 from .schema import ForeignKey, Table
 
 
@@ -36,6 +37,15 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ViewDefinition] = {}
+        # The bound leaves every statement bound against this catalog
+        # shares: one TableRef per table, one ColumnRef per declared
+        # column, made when the table is added -- the schema bounds them.
+        # Literals are not shared; their values are unbounded.
+        self._table_refs: dict[str, TableRef] = {}
+        self._column_refs: dict[tuple[str, str], ColumnRef] = {}
+        #: ``ShallowForm``s of expressions over those leaves alone; filled
+        #: and bounded by :meth:`repro.core.residual.ShallowForm.shared`.
+        self.shallow_forms: dict = {}
 
     # -- tables --------------------------------------------------------------
 
@@ -45,6 +55,9 @@ class Catalog:
         for fk in table.foreign_keys:
             self._validate_foreign_key(table, fk)
         self._tables[table.name] = table
+        self._table_refs[table.name] = TableRef(name=table.name)
+        for column in table.column_names:
+            self._column_refs[table.name, column] = ColumnRef(table.name, column)
 
     def _validate_foreign_key(self, table: Table, fk: ForeignKey) -> None:
         parent = self._tables.get(fk.parent_table)
@@ -72,6 +85,15 @@ class Catalog:
 
     def column_names(self, table: str) -> Sequence[str]:
         return self.table(table).column_names
+
+    def table_ref(self, name: str) -> TableRef:
+        """The shared canonical FROM entry of table ``name``."""
+        return self._table_refs[name]
+
+    def column_ref(self, table: str, column: str) -> ColumnRef | None:
+        """The shared bound reference to ``table.column``, or ``None``
+        when the table declares no such column."""
+        return self._column_refs.get((table, column))
 
     # -- views ---------------------------------------------------------------
 

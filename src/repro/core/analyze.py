@@ -368,5 +368,7 @@ class QueryAnalysis:
         """``ShallowForm.of(expression)``, computed once per request."""
         form = self._forms.get(expression)
         if form is None:
-            form = self._forms[expression] = ShallowForm.of(expression)
+            form = self._forms[expression] = ShallowForm.shared(
+                expression, self.catalog
+            )
         return form

@@ -180,7 +180,7 @@ class SpjgDescription:
         the request analysis's memo when the description has one)."""
         if self._analysis is not None:
             return self._analysis.form(expression)
-        return ShallowForm.of(expression)
+        return ShallowForm.shared(expression, self.catalog)
 
     @_lazy
     def outputs(self) -> tuple[OutputInfo, ...]:

@@ -428,15 +428,21 @@ def _output_requirements(
     requirements: list = []
     no_templates = templates_key(())
 
-    def add_expression(expression: Expression) -> None:
+    # Depth-first over an explicit stack: a nested function that calls
+    # itself is a reference cycle through its own closure cell, which
+    # would leave ``query`` -- the whole description -- to the collector.
+    pending = [item.expression for item in query.statement.select_items]
+    pending.extend(query.statement.group_by)
+    pending.reverse()
+    while pending:
+        expression = pending.pop()
         if isinstance(expression, ColumnRef):
             requirements.append(
                 requirement(no_templates, (column_group(expression.key),))
             )
-            return
-        if isinstance(expression, FuncCall) and expression.is_aggregate():
+        elif isinstance(expression, FuncCall) and expression.is_aggregate():
             if expression.star:
-                return  # count(*) needs no columns from any view kind
+                continue  # count(*) needs no columns from any view kind
             argument = expression.args[0]
             argument_form = query.shallow_form(argument)
             templates = set(
@@ -452,26 +458,17 @@ def _output_requirements(
                     ),
                 )
             )
-            return
-        if expression.contains_aggregate():
-            for child in expression.children():
-                add_expression(child)
-            return
-        if isinstance(expression, Literal):
-            return
-        requirements.append(
-            requirement(
-                templates_key((query.shallow_form(expression).template,)),
-                tuple(
-                    column_group(ref.key) for ref in expression.column_refs()
-                ),
+        elif expression.contains_aggregate():
+            pending.extend(reversed(expression.children()))
+        elif not isinstance(expression, Literal):
+            requirements.append(
+                requirement(
+                    templates_key((query.shallow_form(expression).template,)),
+                    tuple(
+                        column_group(ref.key) for ref in expression.column_refs()
+                    ),
+                )
             )
-        )
-
-    for item in query.statement.select_items:
-        add_expression(item.expression)
-    for expression in query.statement.group_by:
-        add_expression(expression)
     return tuple(requirements)
 
 

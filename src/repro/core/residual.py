@@ -13,10 +13,21 @@ of the filter tree's residual/output/grouping-expression levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..sql.expressions import BinaryOp, ColumnRef, Expression, Literal
+from ..sql.expressions import (
+    QUERY_AGGREGATES,
+    BinaryOp,
+    ColumnRef,
+    Expression,
+    FuncCall,
+    Literal,
+)
 from ..sql.printer import shallow_template
 from .equivalence import EquivalenceClasses
+
+if TYPE_CHECKING:
+    from ..catalog.catalog import Catalog
 
 #: Binary operators whose operands may be reordered without changing the
 #: predicate's meaning. ``=`` and ``<>`` are symmetric comparisons; ``<``
@@ -61,6 +72,21 @@ def canonical_operand_order(expression: Expression) -> Expression:
     return expression.transform(reorder)
 
 
+def _schema_bounded(expression: Expression, catalog: "Catalog") -> bool:
+    """Whether ``expression`` is a column of ``catalog`` or one aggregate
+    over such a column or over ``*``."""
+    if type(expression) is FuncCall and expression.name in QUERY_AGGREGATES:
+        if expression.star:
+            return True
+        if len(expression.args) != 1:
+            return False
+        expression = expression.args[0]
+    return (
+        type(expression) is ColumnRef
+        and catalog.column_ref(expression.table, expression.column) is not None
+    )
+
+
 @dataclass(frozen=True)
 class ShallowForm:
     """An expression's shallow-match representation."""
@@ -73,6 +99,25 @@ class ShallowForm:
     def of(cls, expression: Expression) -> "ShallowForm":
         template, refs = shallow_template(canonical_operand_order(expression))
         return cls(template=template, refs=refs, expression=expression)
+
+    @classmethod
+    def shared(cls, expression: Expression, catalog: "Catalog") -> "ShallowForm":
+        """``of(expression)``, one per catalog where the schema bounds it.
+
+        A bare column of ``catalog`` and a single aggregate over one (or
+        over ``*``) are most of what views output, and there are at most
+        (columns + 1) x (aggregate names + 1) of them: those forms are
+        kept in ``catalog.shallow_forms`` and shared by every
+        description. Anything else -- above all anything holding a
+        literal, whose values are unbounded -- is derived afresh.
+        """
+        if not _schema_bounded(expression, catalog):
+            return cls.of(expression)
+        forms = catalog.shallow_forms
+        form = forms.get(expression)
+        if form is None:
+            form = forms[expression] = cls.of(expression)
+        return form
 
     def matches(self, other: "ShallowForm", eqclasses: EquivalenceClasses) -> bool:
         """Shallow equivalence under the given equivalence classes."""

@@ -10,11 +10,13 @@ from __future__ import annotations
 from ..catalog.catalog import Catalog
 from ..errors import ExecutionError
 from ..sql.binder import bind_statement
+from ..sql.expressions import ColumnRef
 from ..sql.parser import parse
 from ..sql.statements import (
     CreateIndexStatement,
     CreateViewStatement,
     SelectStatement,
+    TableRef,
 )
 from .database import Database
 from .executor import QueryResult, execute, materialize_view
@@ -38,6 +40,19 @@ class _CatalogWithViews:
             return self._catalog.column_names(table)
         view = self._catalog.view(table)
         return [item.name for item in view.query.select_items]
+
+    def table_ref(self, name: str) -> TableRef:
+        if self._catalog.has_table(name):
+            return self._catalog.table_ref(name)
+        return TableRef(name=name)
+
+    def column_ref(self, table: str, column: str) -> ColumnRef | None:
+        if self._catalog.has_table(table):
+            return self._catalog.column_ref(table, column)
+        # A view's outputs are not schema: nothing shares their references.
+        if column in self.column_names(table):
+            return ColumnRef(table, column)
+        return None
 
 
 def run_sql(text: str, catalog: Catalog, database: Database):

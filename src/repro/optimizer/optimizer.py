@@ -916,21 +916,20 @@ def _aggregate_only_columns(
     }
     outside: set[tuple[str, str]] = set()
 
-    def note_outside(expression: Expression) -> None:
+    # An explicit stack, not a nested function calling itself: that is a
+    # reference cycle only the collector frees.
+    pending = [item.expression for item in statement.select_items]
+    pending.extend(statement.group_by)
+    if statement.where is not None:
+        pending.append(statement.where)
+    while pending:
+        expression = pending.pop()
         if isinstance(expression, FuncCall) and expression.is_aggregate():
-            return
+            continue
         if isinstance(expression, ColumnRef):
             outside.add(expression.key)
-            return
-        for child in expression.children():
-            note_outside(child)
-
-    for item in statement.select_items:
-        note_outside(item.expression)
-    for expr in statement.group_by:
-        note_outside(expr)
-    if statement.where is not None:
-        note_outside(statement.where)
+        else:
+            pending.extend(expression.children())
     return inside - outside
 
 

@@ -59,7 +59,7 @@ from ..stats.statistics import DatabaseStats
 from .cache import RewriteCache
 from .fingerprint import statement_fingerprint
 from .metrics import MetricsRegistry
-from .snapshot import CatalogSnapshot, SnapshotManager
+from .snapshot import CatalogSnapshot, SnapshotManager, collector_paused
 
 _STAGE_ORDER = ("parse", "fingerprint", "match", "plan", "hit", "miss", "total")
 
@@ -117,6 +117,10 @@ class _LruMemo:
         while len(entries) > self.capacity:
             entries.popitem(last=False)
             self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every entry (the eviction count is preserved)."""
+        self._entries.clear()
 
     def stats(self) -> dict:
         return {
@@ -812,6 +816,7 @@ class ViewServer:
         snapshot = self.snapshots.register_view(name, definition)
         return snapshot.epoch
 
+    @collector_paused()  # binding is most of a bulk load
     def register_views(self, definitions) -> int:
         """Register a batch of views in one epoch; returns that epoch.
 
@@ -1134,10 +1139,21 @@ class ViewServer:
         return "\n".join(lines)
 
     def close(self) -> None:
-        """Stop accepting work and shut the worker pools down."""
+        """Stop accepting work, shut the worker pools down and let go of
+        the served catalog.
+
+        Afterwards the server holds an empty epoch, an empty cache and an
+        empty statement memo, and no listener refers back to it: every
+        registered view is freed by reference counting, without waiting
+        for (or, frozen at publish, being lost to) the cyclic collector.
+        """
         self.stop_pool(drain=True)
         self._closed = True
         self._pool.shutdown(wait=True)
+        self.snapshots.close()
+        if self.cache is not None:
+            self.cache.clear()
+        self._statement_memo.clear()
 
     def __enter__(self) -> "ViewServer":
         return self

@@ -19,6 +19,8 @@ integer comparison.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -36,6 +38,28 @@ from ..optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer, OptimizerConfig
 from ..sql.statements import SelectStatement
 from ..stats.statistics import DatabaseStats
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector from running during a bulk load.
+
+    A load allocates hundreds of long-lived objects per view and no
+    reference cycle, so every collection it triggers re-walks the
+    growing catalog to free nothing (a quarter of a 10k-view load).
+    The collector is process-wide state, so the pause only ever hands
+    back what it found: it nests, leaves a collector the application
+    disabled disabled, and restores on error. Two threads pausing at
+    once can at worst re-enable the collector while the slower one is
+    still loading. Also usable as ``@collector_paused()``.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -130,8 +154,7 @@ class SnapshotManager:
         self._views: dict[str, RegisteredView] = {}
         self._listeners: list[Callable[[CatalogSnapshot], None]] = []
         self._freshness: object | None = None
-        self._snapshot: CatalogSnapshot | None = None
-        self._snapshot = self._build(0, self._views, ())
+        self._snapshot = self._build(0, self._new_tree(), self._views)
 
     # -- reader side ---------------------------------------------------------
 
@@ -166,6 +189,7 @@ class SnapshotManager:
             views[name] = view
             return self._publish(views, changed=(name,))
 
+    @collector_paused()
     def register_views(
         self, definitions: Iterable[tuple[str, SelectStatement]]
     ) -> CatalogSnapshot:
@@ -175,7 +199,9 @@ class SnapshotManager:
         taken, and the whole batch lands in a single epoch -- bulk-loading
         ``n`` views costs one epoch instead of ``n``. The batch is atomic:
         any invalid definition or duplicate name (within the batch or
-        against the registry) raises before anything is published.
+        against the registry) raises before anything is published. The
+        cyclic collector is paused for the duration
+        (:func:`collector_paused`).
         """
         prepared: list[tuple[str, RegisteredView]] = []
         seen: set[str] = set()
@@ -233,6 +259,24 @@ class SnapshotManager:
         """
         self._listeners.append(listener)
 
+    def close(self) -> None:
+        """Let go of the served catalog and of every listener.
+
+        The registry and the published epoch are replaced by empty ones,
+        and the listeners -- bound methods of the owning server and its
+        pool, the one reference cycle through this manager -- are
+        dropped, so every registered view is freed by reference counting
+        as soon as the last reader drops its snapshot. That matters
+        because :meth:`_publish` froze those objects: the cyclic
+        collector will never look at them again.
+        """
+        with self._write_lock:
+            self._listeners.clear()
+            self._views = {}
+            self._snapshot = self._build(
+                self._snapshot.epoch, self._new_tree(), self._views
+            )
+
     # -- internals -----------------------------------------------------------
 
     def _prepare(self, name: str, statement: SelectStatement) -> RegisteredView:
@@ -251,38 +295,48 @@ class SnapshotManager:
     def _publish(
         self, views: dict[str, RegisteredView], changed: Iterable[str]
     ) -> CatalogSnapshot:
-        # Caller holds the writer lock. Epochs only ever increase.
-        snapshot = self._build(self._snapshot.epoch + 1, views, changed)
-        self._views = views
-        self._snapshot = snapshot  # the atomic publication point
-        for listener in list(self._listeners):
-            listener(snapshot)
-        return snapshot
+        """Publish the epoch over ``views``. Caller holds the writer lock.
 
-    def _build(
-        self,
-        epoch: int,
-        views: dict[str, RegisteredView],
-        changed: Iterable[str],
-    ) -> CatalogSnapshot:
-        """The epoch over ``views``: the published tree cloned
-        copy-on-write, then ``changed`` -- the names registered or dropped
-        since, in registration order -- applied to the clone. The packed
-        row images stay shared with the previous epoch until a delta
-        touches them, and the published tree is never mutated."""
-        if self._snapshot is None:
-            tree = FilterTree(
-                self.options,
-                interner=self._interner,
-                preverify_schema=self._preverify_schema,
-            )
-        else:
-            tree = self._snapshot.matcher.filter_tree.clone_cow()
+        The published tree is cloned copy-on-write and ``changed`` -- the
+        names registered or dropped since, in registration order --
+        applied to the clone: the packed row images stay shared with the
+        previous epoch until a delta touches them, and the published
+        tree is never mutated. Epochs only ever increase.
+        """
+        tree = self._snapshot.matcher.filter_tree.clone_cow()
         for name in changed:
             if tree.view(name) is not None:
                 tree.unregister(name)
             if name in views:
                 tree.register_prebuilt(views[name])
+        snapshot = self._build(self._snapshot.epoch + 1, tree, views)
+        self._views = views
+        self._snapshot = snapshot  # the atomic publication point
+        # Everything alive now -- above all the registered catalog -- moves
+        # to the collector's permanent generation: no later collection, in
+        # this process or in a pool worker forked from it, walks it again
+        # (a walk writes every object's GC header, un-sharing the worker's
+        # pages). Frozen objects are still freed by reference counting;
+        # a frozen reference *cycle* is not, which is why registration
+        # creates none and close() drops the listeners. Done before the
+        # listeners run, because the pool's schedules a fork.
+        gc.freeze()
+        for listener in list(self._listeners):
+            listener(snapshot)
+        return snapshot
+
+    def _new_tree(self) -> FilterTree:
+        return FilterTree(
+            self.options,
+            interner=self._interner,
+            preverify_schema=self._preverify_schema,
+        )
+
+    def _build(
+        self, epoch: int, tree: FilterTree, views: dict[str, RegisteredView]
+    ) -> CatalogSnapshot:
+        """The snapshot of ``epoch``: matcher and optimizer over ``tree``,
+        which holds exactly ``views``."""
         matcher = ViewMatcher.with_filter_tree(
             self.catalog, tree, options=self.options, telemetry=self.telemetry
         )
@@ -310,4 +364,4 @@ class SnapshotManager:
         return len(self._snapshot.view_names)
 
 
-__all__ = ["CatalogSnapshot", "SnapshotManager"]
+__all__ = ["CatalogSnapshot", "SnapshotManager", "collector_paused"]

@@ -22,11 +22,25 @@ from .statements import CreateViewStatement, SelectItem, SelectStatement, TableR
 
 
 class SchemaProvider(Protocol):
-    """The slice of a catalog the binder needs."""
+    """The slice of a catalog the binder needs.
+
+    Bound leaves come from the provider, so a provider with a fixed
+    schema can hand every statement the same ``ColumnRef`` / ``TableRef``
+    objects (:class:`repro.catalog.Catalog` does).
+    """
 
     def has_table(self, name: str) -> bool: ...
 
     def column_names(self, table: str) -> Sequence[str]: ...
+
+    def table_ref(self, name: str) -> TableRef:
+        """The canonical FROM entry of a table the provider has."""
+        ...
+
+    def column_ref(self, table: str, column: str) -> ColumnRef | None:
+        """The bound reference to ``table.column``; ``None`` when a table
+        the provider has lacks that column."""
+        ...
 
 
 def bind_statement(
@@ -56,12 +70,11 @@ def bind_statement(
         alias_to_table[binding] = ref.name
         # Canonical form drops the schema qualifier and the alias; column
         # references are rewritten to the base table name below.
-        bound_tables.append(TableRef(name=ref.name))
+        bound_tables.append(schema.table_ref(ref.name))
 
+    # Owners of each column name, for unqualified references; built when
+    # the first one turns up.
     column_owner: dict[str, list[str]] = {}
-    for table in seen_tables:
-        for column in schema.column_names(table):
-            column_owner.setdefault(column, []).append(table)
 
     def bind_ref(ref: ColumnRef) -> ColumnRef:
         if ref.table is not None:
@@ -74,9 +87,14 @@ def bind_statement(
                     table = ref.table
                 else:
                     raise BindError(f"unknown table or alias: {ref.table}")
-            if ref.column not in schema.column_names(table):
+            bound = schema.column_ref(table, ref.column)
+            if bound is None:
                 raise BindError(f"unknown column: {table}.{ref.column}")
-            return ColumnRef(table, ref.column)
+            return bound
+        if not column_owner:
+            for table in seen_tables:
+                for column in schema.column_names(table):
+                    column_owner.setdefault(column, []).append(table)
         owners = column_owner.get(ref.column, [])
         if not owners:
             raise BindError(f"unknown column: {ref.column}")
@@ -84,25 +102,27 @@ def bind_statement(
             raise BindError(
                 f"ambiguous column {ref.column}: in tables {sorted(owners)}"
             )
-        return ColumnRef(owners[0], ref.column)
+        bound = schema.column_ref(owners[0], ref.column)
+        assert bound is not None
+        return bound
+
+    def bind_node(node: Expression) -> Expression:
+        return bind_ref(node) if type(node) is ColumnRef else node
 
     def bind_expr(expression: Expression) -> Expression:
-        return expression.transform(
-            lambda node: bind_ref(node) if isinstance(node, ColumnRef) else node
-        )
+        if type(expression) is ColumnRef:
+            return bind_ref(expression)
+        return expression.transform(bind_node)
 
-    items = tuple(
-        SelectItem(bind_expr(item.expression), item.alias)
-        for item in statement.select_items
-    )
-    where = bind_expr(statement.where) if statement.where is not None else None
-    group_by = tuple(bind_expr(expr) for expr in statement.group_by)
-    return replace(
-        statement,
-        select_items=items,
+    return SelectStatement(
+        select_items=tuple(
+            SelectItem(bind_expr(item.expression), item.alias)
+            for item in statement.select_items
+        ),
         from_tables=tuple(bound_tables),
-        where=where,
-        group_by=group_by,
+        where=bind_expr(statement.where) if statement.where is not None else None,
+        group_by=tuple(bind_expr(expr) for expr in statement.group_by),
+        distinct=statement.distinct,
     )
 
 

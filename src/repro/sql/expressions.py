@@ -14,7 +14,7 @@ in queries, where it is rewritten to SUM / COUNT_BIG).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 # Comparison operators recognised as *range* predicate builders when one side
@@ -56,9 +56,18 @@ class Expression:
         return tuple(node for node in self.walk() if isinstance(node, ColumnRef))
 
     def transform(self, fn: Callable[["Expression"], "Expression"]) -> "Expression":
-        """Bottom-up rewrite: apply ``fn`` to every node, children first."""
-        rebuilt = self.with_children([child.transform(fn) for child in self.children()])
-        return fn(rebuilt)
+        """Bottom-up rewrite: apply ``fn`` to every node, children first.
+
+        A node none of whose children changed is passed to ``fn`` as it
+        is, so a rewrite that touches nothing returns ``self`` and one
+        that touches a leaf rebuilds only that leaf's ancestors.
+        """
+        children = self.children()
+        rebuilt = [child.transform(fn) for child in children]
+        for old, new in zip(children, rebuilt):
+            if new is not old:
+                return fn(self.with_children(rebuilt))
+        return fn(self)
 
     def is_constant(self) -> bool:
         """True when the expression references no columns."""
@@ -123,7 +132,7 @@ class BinaryOp(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "BinaryOp":
         left, right = children
-        return replace(self, left=left, right=right)
+        return BinaryOp(self.op, left, right)
 
     def is_comparison(self) -> bool:
         return self.op in COMPARISON_OPERATORS
@@ -147,7 +156,7 @@ class UnaryMinus(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "UnaryMinus":
         (operand,) = children
-        return replace(self, operand=operand)
+        return UnaryMinus(operand)
 
     def __str__(self) -> str:
         return f"(-{self.operand})"
@@ -194,7 +203,7 @@ class Not(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "Not":
         (operand,) = children
-        return replace(self, operand=operand)
+        return Not(operand)
 
     def __str__(self) -> str:
         return f"(NOT {self.operand})"
@@ -219,7 +228,7 @@ class FuncCall(Expression):
         return self.args
 
     def with_children(self, children: Sequence[Expression]) -> "FuncCall":
-        return replace(self, args=tuple(children))
+        return FuncCall(self.name, tuple(children), self.star)
 
     def is_aggregate(self) -> bool:
         return self.name in QUERY_AGGREGATES
@@ -242,7 +251,7 @@ class LikePredicate(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "LikePredicate":
         (operand,) = children
-        return replace(self, operand=operand)
+        return LikePredicate(operand, self.pattern, self.negated)
 
     def __str__(self) -> str:
         middle = "NOT LIKE" if self.negated else "LIKE"
@@ -262,7 +271,7 @@ class IsNull(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "IsNull":
         (operand,) = children
-        return replace(self, operand=operand)
+        return IsNull(operand, self.negated)
 
     def __str__(self) -> str:
         middle = "IS NOT NULL" if self.negated else "IS NULL"
@@ -282,7 +291,7 @@ class InList(Expression):
 
     def with_children(self, children: Sequence[Expression]) -> "InList":
         operand, *items = children
-        return replace(self, operand=operand, items=tuple(items))
+        return InList(operand, tuple(items), self.negated)
 
     def __str__(self) -> str:
         middle = "NOT IN" if self.negated else "IN"

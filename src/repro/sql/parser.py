@@ -42,62 +42,85 @@ from .statements import (
     SelectStatement,
     TableRef,
 )
-from .tokens import Token, TokenType, tokenize
+from .tokens import TokenType, position, tokenize
+
+_IDENT = TokenType.IDENT
+_KEYWORD = TokenType.KEYWORD
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_OPERATOR = TokenType.OPERATOR
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+_LPAREN = TokenType.LPAREN
+_RPAREN = TokenType.RPAREN
+_STAR = TokenType.STAR
+_EOF = TokenType.EOF
+
+_COMPARISONS = frozenset(("=", "<>", "<", "<=", ">", ">="))
+_SUFFIX_KEYWORDS = frozenset(("like", "between", "in", "is", "not"))
 
 
 class _Parser:
+    """One statement's tokens and a cursor.
+
+    Tokens are ``(kind, value, offset)`` tuples; the productions index
+    ``self.tokens[self.pos]`` directly. A token's line and column are
+    worked out from its offset only when an error names it.
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        self.pos += 1
-        return token
+    def error(self, message: str) -> SqlSyntaxError:
+        """A syntax error located at the current token."""
+        offset = self.tokens[self.pos][2]
+        return SqlSyntaxError(message, *position(self.text, offset))
 
     def check_keyword(self, *words: str) -> bool:
-        return self.current.type is TokenType.KEYWORD and self.current.value in words
+        kind, value, _ = self.tokens[self.pos]
+        return kind is _KEYWORD and value in words
 
     def accept_keyword(self, word: str) -> bool:
-        if self.check_keyword(word):
-            self.advance()
+        kind, value, _ = self.tokens[self.pos]
+        if kind is _KEYWORD and value == word:
+            self.pos += 1
             return True
         return False
 
-    def expect_keyword(self, word: str) -> Token:
-        if not self.check_keyword(word):
-            raise SqlSyntaxError(
-                f"expected {word.upper()}, found {self.current.value!r}",
-                self.current.line,
-                self.current.column,
-            )
-        return self.advance()
+    def expect_keyword(self, word: str) -> None:
+        kind, value, _ = self.tokens[self.pos]
+        if kind is not _KEYWORD or value != word:
+            raise self.error(f"expected {word.upper()}, found {value!r}")
+        self.pos += 1
 
-    def accept(self, token_type: TokenType) -> Token | None:
-        if self.current.type is token_type:
-            return self.advance()
-        return None
+    def accept(self, token_type: TokenType) -> bool:
+        if self.tokens[self.pos][0] is token_type:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, token_type: TokenType) -> Token:
-        token = self.accept(token_type)
-        if token is None:
-            raise SqlSyntaxError(
-                f"expected {token_type.name}, found {self.current.value!r}",
-                self.current.line,
-                self.current.column,
-            )
-        return token
+    def expect(self, token_type: TokenType) -> str:
+        """Consume a token of ``token_type`` and return its value."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind is not token_type:
+            raise self.error(f"expected {token_type.name}, found {value!r}")
+        self.pos += 1
+        return value
 
     def expect_ident(self) -> str:
         # Non-reserved keywords may be used as identifiers only where the
         # grammar is unambiguous; we keep it strict and require IDENT.
-        return self.expect(TokenType.IDENT).value
+        return self.expect(_IDENT)
+
+    def expect_end(self) -> None:
+        if self.tokens[self.pos][0] is not _EOF:
+            raise self.error(
+                f"unexpected trailing input {self.tokens[self.pos][1]!r}"
+            )
 
     # -- statements --------------------------------------------------------
 
@@ -106,19 +129,15 @@ class _Parser:
     ) -> SelectStatement | CreateViewStatement | CreateIndexStatement:
         statement: SelectStatement | CreateViewStatement | CreateIndexStatement
         if self.check_keyword("create"):
-            if self.tokens[self.pos + 1].matches_keyword("view"):
+            kind, value, _ = self.tokens[self.pos + 1]
+            if kind is _KEYWORD and value == "view":
                 statement = self.parse_create_view()
             else:
                 statement = self.parse_create_index()
         else:
             statement = self.parse_select()
         self.accept(TokenType.SEMICOLON)
-        if self.current.type is not TokenType.EOF:
-            raise SqlSyntaxError(
-                f"unexpected trailing input {self.current.value!r}",
-                self.current.line,
-                self.current.column,
-            )
+        self.expect_end()
         return statement
 
     def parse_create_view(self) -> CreateViewStatement:
@@ -141,11 +160,11 @@ class _Parser:
         name = self.expect_ident()
         self.expect_keyword("on")
         relation = self.expect_ident()
-        self.expect(TokenType.LPAREN)
+        self.expect(_LPAREN)
         columns = [self.expect_ident()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(_COMMA):
             columns.append(self.expect_ident())
-        self.expect(TokenType.RPAREN)
+        self.expect(_RPAREN)
         return CreateIndexStatement(
             name=name,
             relation=relation,
@@ -155,16 +174,19 @@ class _Parser:
         )
 
     def parse_select(self) -> SelectStatement:
+        tokens = self.tokens
         self.expect_keyword("select")
         distinct = self.accept_keyword("distinct")
         items = [self.parse_select_item()]
-        while self.accept(TokenType.COMMA):
+        while tokens[self.pos][0] is _COMMA:
+            self.pos += 1
             items.append(self.parse_select_item())
         self.expect_keyword("from")
         tables = [self.parse_table_ref()]
         join_predicates: list[Expression] = []
         while True:
-            if self.accept(TokenType.COMMA):
+            if tokens[self.pos][0] is _COMMA:
+                self.pos += 1
                 tables.append(self.parse_table_ref())
                 continue
             if self.check_keyword("inner", "join"):
@@ -184,7 +206,8 @@ class _Parser:
         if self.accept_keyword("group"):
             self.expect_keyword("by")
             group_by.append(self.parse_expression())
-            while self.accept(TokenType.COMMA):
+            while tokens[self.pos][0] is _COMMA:
+                self.pos += 1
                 group_by.append(self.parse_expression())
         if self.check_keyword("having"):
             raise UnsupportedSqlError("HAVING is outside the supported SPJG class")
@@ -196,32 +219,33 @@ class _Parser:
             distinct=distinct,
         )
 
+    def parse_alias(self) -> str | None:
+        """``[AS] ident`` after a select item or a table, if present."""
+        kind, value, _ = self.tokens[self.pos]
+        if kind is _IDENT:
+            self.pos += 1
+            return value
+        if kind is _KEYWORD and value == "as":
+            self.pos += 1
+            return self.expect_ident()
+        return None
+
     def parse_select_item(self) -> SelectItem:
-        if self.current.type is TokenType.STAR:
+        if self.tokens[self.pos][0] is _STAR:
             raise UnsupportedSqlError(
                 "SELECT * is not supported; indexable views require explicit output lists"
             )
         expression = self.parse_expression()
-        alias = None
-        if self.accept_keyword("as"):
-            alias = self.expect_ident()
-        elif self.current.type is TokenType.IDENT:
-            alias = self.advance().value
-        return SelectItem(expression=expression, alias=alias)
+        return SelectItem(expression=expression, alias=self.parse_alias())
 
     def parse_table_ref(self) -> TableRef:
         first = self.expect_ident()
         schema = None
         name = first
-        if self.accept(TokenType.DOT):
+        if self.accept(_DOT):
             schema = first
             name = self.expect_ident()
-        alias = None
-        if self.accept_keyword("as"):
-            alias = self.expect_ident()
-        elif self.current.type is TokenType.IDENT:
-            alias = self.advance().value
-        return TableRef(name=name, alias=alias, schema=schema)
+        return TableRef(name=name, alias=self.parse_alias(), schema=schema)
 
     # -- predicates ----------------------------------------------------------
 
@@ -251,11 +275,11 @@ class _Parser:
         # is resolved by parsing an expression and checking what follows: a
         # comparison or predicate suffix promotes it to a predicate operand.
         checkpoint = self.pos
-        if self.current.type is TokenType.LPAREN:
-            self.advance()
+        if self.tokens[checkpoint][0] is _LPAREN:
+            self.pos += 1
             try:
                 inner = self.parse_predicate()
-                self.expect(TokenType.RPAREN)
+                self.expect(_RPAREN)
             except SqlSyntaxError:
                 # Not a predicate after all -- a parenthesised arithmetic
                 # operand like "(a + b) > 5"; backtrack and reparse.
@@ -271,24 +295,21 @@ class _Parser:
         return self.parse_predicate_suffix(operand)
 
     def _at_predicate_suffix(self) -> bool:
-        token = self.current
-        if token.type is TokenType.OPERATOR and token.value in ("=", "<>", "<", "<=", ">", ">="):
-            return True
-        return token.type is TokenType.KEYWORD and token.value in ("like", "between", "in", "is", "not")
+        kind, value, _ = self.tokens[self.pos]
+        if kind is _OPERATOR:
+            return value in _COMPARISONS
+        return kind is _KEYWORD and value in _SUFFIX_KEYWORDS
 
     def parse_predicate_suffix(self, operand: Expression) -> Expression:
-        token = self.current
-        if token.type is TokenType.OPERATOR and token.value in ("=", "<>", "<", "<=", ">", ">="):
-            op = self.advance().value
+        kind, value, _ = self.tokens[self.pos]
+        if kind is _OPERATOR and value in _COMPARISONS:
+            self.pos += 1
             right = self.parse_expression()
-            return BinaryOp(op, operand, right)
-        negated = False
-        if self.check_keyword("not"):
-            self.advance()
-            negated = True
+            return BinaryOp(value, operand, right)
+        negated = self.accept_keyword("not")
         if self.accept_keyword("like"):
-            pattern_token = self.expect(TokenType.STRING)
-            return LikePredicate(operand, pattern_token.value, negated=negated)
+            pattern = self.expect(_STRING)
+            return LikePredicate(operand, pattern, negated=negated)
         if self.accept_keyword("between"):
             low = self.parse_expression()
             self.expect_keyword("and")
@@ -296,103 +317,102 @@ class _Parser:
             result = between(operand, low, high)
             return Not(result) if negated else result
         if self.accept_keyword("in"):
-            self.expect(TokenType.LPAREN)
+            self.expect(_LPAREN)
             items = [self.parse_expression()]
-            while self.accept(TokenType.COMMA):
+            while self.accept(_COMMA):
                 items.append(self.parse_expression())
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             return InList(operand, tuple(items), negated=negated)
         if not negated and self.accept_keyword("is"):
             is_not = self.accept_keyword("not")
             self.expect_keyword("null")
             return IsNull(operand, negated=is_not)
         if negated:
-            raise SqlSyntaxError(
-                "expected LIKE, BETWEEN or IN after NOT",
-                self.current.line,
-                self.current.column,
-            )
-        raise SqlSyntaxError(
-            f"expected a predicate, found {self.current.value!r}",
-            self.current.line,
-            self.current.column,
+            raise self.error("expected LIKE, BETWEEN or IN after NOT")
+        raise self.error(
+            f"expected a predicate, found {self.tokens[self.pos][1]!r}"
         )
 
     # -- arithmetic expressions ----------------------------------------------
 
     def parse_expression(self) -> Expression:
+        tokens = self.tokens
         left = self.parse_term()
-        while self.current.type in (TokenType.OPERATOR, TokenType.STAR) and self.current.value in ("+", "-"):
-            op = self.advance().value
-            right = self.parse_term()
-            left = BinaryOp(op, left, right)
-        return left
+        while True:
+            kind, value, _ = tokens[self.pos]
+            if kind is not _OPERATOR or (value != "+" and value != "-"):
+                return left
+            self.pos += 1
+            left = BinaryOp(value, left, self.parse_term())
 
     def parse_term(self) -> Expression:
+        tokens = self.tokens
         left = self.parse_factor()
-        while (
-            self.current.type is TokenType.STAR
-            or (self.current.type is TokenType.OPERATOR and self.current.value in ("*", "/", "%"))
-        ):
-            op = "*" if self.current.type is TokenType.STAR else self.current.value
-            self.advance()
-            right = self.parse_factor()
-            left = BinaryOp(op, left, right)
-        return left
+        while True:
+            kind, value, _ = tokens[self.pos]
+            if kind is not _STAR and (
+                kind is not _OPERATOR or (value != "/" and value != "%")
+            ):
+                return left
+            self.pos += 1
+            left = BinaryOp(value, left, self.parse_factor())
 
     def parse_factor(self) -> Expression:
-        token = self.current
-        if token.type is TokenType.OPERATOR and token.value == "-":
-            self.advance()
-            return UnaryMinus(self.parse_factor())
-        if token.type is TokenType.OPERATOR and token.value == "+":
-            self.advance()
-            return self.parse_factor()
-        if token.type is TokenType.NUMBER:
-            self.advance()
-            if "." in token.value:
-                return Literal(float(token.value))
-            return Literal(int(token.value))
-        if token.type is TokenType.STRING:
-            self.advance()
-            return Literal(token.value)
-        if token.type is TokenType.KEYWORD and token.value in ("true", "false"):
-            self.advance()
-            return Literal(token.value == "true")
-        if token.type is TokenType.KEYWORD and token.value == "null":
-            self.advance()
-            return Literal(None)
-        if token.type is TokenType.LPAREN:
-            self.advance()
-            inner = self.parse_expression()
-            self.expect(TokenType.RPAREN)
-            return inner
-        if token.type is TokenType.IDENT:
+        kind, value, _ = self.tokens[self.pos]
+        if kind is _IDENT:
             return self.parse_identifier_expression()
-        raise SqlSyntaxError(
-            f"expected an expression, found {token.value!r}", token.line, token.column
-        )
+        if kind is _NUMBER:
+            self.pos += 1
+            return Literal(float(value) if "." in value else int(value))
+        if kind is _STRING:
+            self.pos += 1
+            return Literal(value)
+        if kind is _LPAREN:
+            self.pos += 1
+            inner = self.parse_expression()
+            self.expect(_RPAREN)
+            return inner
+        if kind is _OPERATOR:
+            if value == "-":
+                self.pos += 1
+                return UnaryMinus(self.parse_factor())
+            if value == "+":
+                self.pos += 1
+                return self.parse_factor()
+        elif kind is _KEYWORD:
+            if value == "true" or value == "false":
+                self.pos += 1
+                return Literal(value == "true")
+            if value == "null":
+                self.pos += 1
+                return Literal(None)
+        raise self.error(f"expected an expression, found {value!r}")
 
     def parse_identifier_expression(self) -> Expression:
-        name = self.expect_ident()
-        if self.current.type is TokenType.LPAREN:
-            self.advance()
-            if self.current.type is TokenType.STAR:
-                self.advance()
-                self.expect(TokenType.RPAREN)
+        tokens = self.tokens
+        name = tokens[self.pos][1]  # the caller saw an IDENT here
+        self.pos += 1
+        kind = tokens[self.pos][0]
+        if kind is _DOT:
+            self.pos += 1
+            second = self.expect_ident()
+            if tokens[self.pos][0] is _DOT:
+                # schema.table.column -- schema part is dropped after parsing
+                self.pos += 1
+                return ColumnRef(second, self.expect_ident())
+            return ColumnRef(name, second)
+        if kind is _LPAREN:
+            self.pos += 1
+            if tokens[self.pos][0] is _STAR:
+                self.pos += 1
+                self.expect(_RPAREN)
                 return FuncCall(name, star=True)
             args = [self.parse_expression()]
-            while self.accept(TokenType.COMMA):
+            while tokens[self.pos][0] is _COMMA:
+                self.pos += 1
                 args.append(self.parse_expression())
-            self.expect(TokenType.RPAREN)
+            self.expect(_RPAREN)
             return FuncCall(name, tuple(args))
-        if self.accept(TokenType.DOT):
-            second = self.expect_ident()
-            if self.accept(TokenType.DOT):
-                # schema.table.column -- schema part is dropped after parsing
-                third = self.expect_ident()
-                return ColumnRef(second, third)
-            return ColumnRef(name, second)
         return ColumnRef(None, name)
 
 
@@ -421,12 +441,7 @@ def parse_expression(text: str) -> Expression:
     """Parse a standalone scalar expression (handy in tests)."""
     parser = _Parser(text)
     expression = parser.parse_expression()
-    if parser.current.type is not TokenType.EOF:
-        raise SqlSyntaxError(
-            f"unexpected trailing input {parser.current.value!r}",
-            parser.current.line,
-            parser.current.column,
-        )
+    parser.expect_end()
     return expression
 
 
@@ -434,10 +449,5 @@ def parse_predicate(text: str) -> Expression:
     """Parse a standalone predicate (handy in tests)."""
     parser = _Parser(text)
     predicate = parser.parse_predicate()
-    if parser.current.type is not TokenType.EOF:
-        raise SqlSyntaxError(
-            f"unexpected trailing input {parser.current.value!r}",
-            parser.current.line,
-            parser.current.column,
-        )
+    parser.expect_end()
     return predicate

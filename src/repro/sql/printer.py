@@ -27,50 +27,51 @@ from .statements import CreateViewStatement, SelectStatement
 _COLUMN_PLACEHOLDER = "?"
 
 
-def _render(expression: Expression, hide_columns: bool, refs: list[ColumnRef] | None) -> str:
-    """Shared renderer for :func:`to_sql` and :func:`shallow_template`."""
+def _render(node: Expression, refs: list[ColumnRef] | None) -> str:
+    """Shared renderer for :func:`to_sql` and :func:`shallow_template`.
 
-    def go(node: Expression) -> str:
-        if isinstance(node, ColumnRef):
-            if hide_columns:
-                assert refs is not None
-                refs.append(node)
-                return _COLUMN_PLACEHOLDER
-            return f"{node.table}.{node.column}" if node.table else node.column
-        if isinstance(node, Literal):
-            return str(node)
-        if isinstance(node, BinaryOp):
-            return f"({go(node.left)} {node.op} {go(node.right)})"
-        if isinstance(node, UnaryMinus):
-            return f"(- {go(node.operand)})"
-        if isinstance(node, And):
-            return "(" + " AND ".join(go(part) for part in node.conjuncts) + ")"
-        if isinstance(node, Or):
-            return "(" + " OR ".join(go(part) for part in node.disjuncts) + ")"
-        if isinstance(node, Not):
-            return f"(NOT {go(node.operand)})"
-        if isinstance(node, FuncCall):
-            inner = "*" if node.star else ", ".join(go(arg) for arg in node.args)
-            return f"{node.name}({inner})"
-        if isinstance(node, LikePredicate):
-            middle = "NOT LIKE" if node.negated else "LIKE"
-            escaped = node.pattern.replace("'", "''")
-            return f"({go(node.operand)} {middle} '{escaped}')"
-        if isinstance(node, IsNull):
-            middle = "IS NOT NULL" if node.negated else "IS NULL"
-            return f"({go(node.operand)} {middle})"
-        if isinstance(node, InList):
-            middle = "NOT IN" if node.negated else "IN"
-            inner = ", ".join(go(item) for item in node.items)
-            return f"({go(node.operand)} {middle} ({inner}))"
-        raise TypeError(f"cannot render {type(node).__name__}")
-
-    return go(expression)
+    With ``refs`` a list, column references render as the placeholder and
+    are appended to it in source order. A plain module-level recursion: a
+    nested function calling itself would sit in a reference cycle with
+    its own closure cell, cyclic garbage on every call.
+    """
+    if isinstance(node, ColumnRef):
+        if refs is not None:
+            refs.append(node)
+            return _COLUMN_PLACEHOLDER
+        return f"{node.table}.{node.column}" if node.table else node.column
+    if isinstance(node, Literal):
+        return str(node)
+    if isinstance(node, BinaryOp):
+        return f"({_render(node.left, refs)} {node.op} {_render(node.right, refs)})"
+    if isinstance(node, UnaryMinus):
+        return f"(- {_render(node.operand, refs)})"
+    if isinstance(node, And):
+        return "(" + " AND ".join([_render(part, refs) for part in node.conjuncts]) + ")"
+    if isinstance(node, Or):
+        return "(" + " OR ".join([_render(part, refs) for part in node.disjuncts]) + ")"
+    if isinstance(node, Not):
+        return f"(NOT {_render(node.operand, refs)})"
+    if isinstance(node, FuncCall):
+        inner = "*" if node.star else ", ".join([_render(arg, refs) for arg in node.args])
+        return f"{node.name}({inner})"
+    if isinstance(node, LikePredicate):
+        middle = "NOT LIKE" if node.negated else "LIKE"
+        escaped = node.pattern.replace("'", "''")
+        return f"({_render(node.operand, refs)} {middle} '{escaped}')"
+    if isinstance(node, IsNull):
+        middle = "IS NOT NULL" if node.negated else "IS NULL"
+        return f"({_render(node.operand, refs)} {middle})"
+    if isinstance(node, InList):
+        middle = "NOT IN" if node.negated else "IN"
+        inner = ", ".join([_render(item, refs) for item in node.items])
+        return f"({_render(node.operand, refs)} {middle} ({inner}))"
+    raise TypeError(f"cannot render {type(node).__name__}")
 
 
 def to_sql(expression: Expression) -> str:
     """SQL text of an expression (fully parenthesised, deterministic)."""
-    return _render(expression, hide_columns=False, refs=None)
+    return _render(expression, None)
 
 
 def shallow_template(expression: Expression) -> tuple[str, tuple[ColumnRef, ...]]:
@@ -81,7 +82,7 @@ def shallow_template(expression: Expression) -> tuple[str, tuple[ColumnRef, ...]
     the same query equivalence class.
     """
     refs: list[ColumnRef] = []
-    text = _render(expression, hide_columns=True, refs=refs)
+    text = _render(expression, refs)
     return text, tuple(refs)
 
 

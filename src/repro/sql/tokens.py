@@ -1,8 +1,16 @@
-"""Tokenizer for the SPJG SQL subset."""
+"""Tokenizer for the SPJG SQL subset: one compiled regex, tokens as tuples.
+
+A token is a plain ``(kind, value, offset)`` tuple -- a :class:`TokenType`,
+the normalised lexeme and its 0-based offset into the source text. Line and
+column are not stored: :func:`position` derives them from the offset, and
+only error paths ask.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import re
+import sys
 from enum import Enum, auto
 
 from ..errors import SqlSyntaxError
@@ -22,7 +30,7 @@ class TokenType(Enum):
     KEYWORD = auto()
     NUMBER = auto()
     STRING = auto()
-    OPERATOR = auto()      # = <> < <= > >= + - * / %
+    OPERATOR = auto()      # = <> < <= > >= + - / %
     COMMA = auto()
     DOT = auto()
     LPAREN = auto()
@@ -32,19 +40,70 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
-    type: TokenType
-    value: str
-    line: int
-    column: int
+Token = tuple[TokenType, str, int]
 
-    def matches_keyword(self, word: str) -> bool:
-        return self.type is TokenType.KEYWORD and self.value == word
+# Capture-group numbers of the master pattern; ``Match.lastindex`` names
+# the alternative that matched (no alternative nests a capture group).
+_WORD, _STRING, _BAD = 1, 3, 11
+_GROUP_KINDS = (
+    None,
+    None,  # _WORD: IDENT or KEYWORD, decided by the lowered text
+    TokenType.NUMBER,
+    TokenType.STRING,
+    TokenType.OPERATOR,
+    TokenType.STAR,
+    TokenType.COMMA,
+    TokenType.DOT,
+    TokenType.LPAREN,
+    TokenType.RPAREN,
+    TokenType.SEMICOLON,
+)
 
 
-_OPERATOR_CHARS = frozenset("=<>!+-*/%")
-_TWO_CHAR_OPERATORS = {"<=", ">=", "<>", "!="}
+def _master(alpha: str, digit: str) -> re.Pattern[str]:
+    """The token pattern over the given letter and digit classes.
+
+    Each match skips whitespace and ``--`` comments, then takes one
+    lexeme; the last alternative matches only at the end of the text. A
+    string's closing quote must not be followed by another quote, so an
+    unterminated ``'abc''`` fails as a whole (and is reported at its
+    opening quote) instead of matching ``'abc'``. A number takes one
+    fraction, and only when a digit follows the dot.
+    """
+    return re.compile(
+        r"(?:\s+|--[^\n]*)*(?:"
+        rf"({alpha}\w*)"
+        rf"|({digit}+(?:\.{digit}+)?|\.{digit}+)"
+        r"|('[^']*(?:''[^']*)*'(?!'))"
+        r"|(<=|>=|<>|!=|[=<>+\-/%])"
+        r"|(\*)|(,)|(\.)|(\()|(\))|(;)"
+        r"|([\s\S])"
+        r"|\Z)"
+    )
+
+
+_ASCII = _master("[A-Za-z_]", "[0-9]")
+
+
+@functools.lru_cache(maxsize=None)
+def _unicode() -> re.Pattern[str]:
+    """The pattern for text beyond ASCII, built on first use (~0.3 s).
+
+    A word starts at ``str.isalpha`` and a number is made of
+    ``str.isdigit`` characters. ``re`` has no such classes: ``[^\\W\\d]``
+    also admits the alphanumerics that are neither (vulgar fractions,
+    Roman numerals, superscripts), and ``\\d`` lacks the superscript-like
+    digits, so both are listed from the interpreter's own tables.
+    """
+    beyond_ascii = "".join(map(chr, range(128, sys.maxunicode + 1)))
+    not_letters = [
+        ch for ch in re.findall(r"[^\W\d]", beyond_ascii) if not ch.isalpha()
+    ]
+    more_digits = [ch for ch in not_letters if ch.isdigit()]
+    return _master(
+        f"(?![{''.join(not_letters)}])[^\\W\\d]",
+        f"[\\d{''.join(more_digits)}]",
+    )
 
 
 def tokenize(text: str) -> list[Token]:
@@ -52,96 +111,40 @@ def tokenize(text: str) -> list[Token]:
 
     Identifiers and keywords are lower-cased (the SQL subset is
     case-insensitive); string literal contents are preserved verbatim with
-    ``''`` unescaped to ``'``.
+    ``''`` unescaped to ``'``, and ``!=`` reads as ``<>``.
     """
+    pattern = _ASCII if text.isascii() else _unicode()
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-
-    def column_of(pos: int) -> int:
-        return pos - line_start + 1
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        start_col = column_of(i)
-        if ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i].lower()
-            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, word, line, start_col))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            seen_dot = False
-            while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-                if text[i] == ".":
-                    # A dot not followed by a digit terminates the number
-                    # (e.g. range syntax would, though we never see it).
-                    if i + 1 >= n or not text[i + 1].isdigit():
-                        break
-                    seen_dot = True
-                i += 1
-            tokens.append(Token(TokenType.NUMBER, text[start:i], line, start_col))
-            continue
-        if ch == "'":
-            i += 1
-            parts: list[str] = []
-            while True:
-                if i >= n:
-                    raise SqlSyntaxError("unterminated string literal", line, start_col)
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), line, start_col))
-            continue
-        if ch in _OPERATOR_CHARS:
-            pair = text[i : i + 2]
-            if pair in _TWO_CHAR_OPERATORS:
-                value = "<>" if pair == "!=" else pair
-                tokens.append(Token(TokenType.OPERATOR, value, line, start_col))
-                i += 2
-                continue
-            if ch == "*":
-                tokens.append(Token(TokenType.STAR, "*", line, start_col))
-            elif ch == "!":
-                raise SqlSyntaxError("unexpected character '!'", line, start_col)
-            else:
-                tokens.append(Token(TokenType.OPERATOR, ch, line, start_col))
-            i += 1
-            continue
-        simple = {
-            ",": TokenType.COMMA,
-            ".": TokenType.DOT,
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            ";": TokenType.SEMICOLON,
-        }
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, line, start_col))
-            i += 1
-            continue
-        raise SqlSyntaxError(f"unexpected character {ch!r}", line, start_col)
-
-    tokens.append(Token(TokenType.EOF, "", line, column_of(i)))
+    append = tokens.append
+    keywords = KEYWORDS
+    kinds = _GROUP_KINDS
+    ident, keyword = TokenType.IDENT, TokenType.KEYWORD
+    for match in pattern.finditer(text):
+        group = match.lastindex
+        if group == _WORD:
+            word = match.group(group).lower()
+            append((keyword if word in keywords else ident, word, match.start(group)))
+        elif group is None:
+            append((TokenType.EOF, "", match.end()))
+            break
+        elif group == _STRING:
+            body = match.group(group)[1:-1]
+            append((TokenType.STRING, body.replace("''", "'"), match.start(group)))
+        elif group == _BAD:
+            char = match.group(group)
+            message = (
+                "unterminated string literal"
+                if char == "'"
+                else f"unexpected character {char!r}"
+            )
+            raise SqlSyntaxError(message, *position(text, match.start(group)))
+        else:
+            lexeme = match.group(group)
+            append((kinds[group], "<>" if lexeme == "!=" else lexeme, match.start(group)))
     return tokens
+
+
+def position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based ``(line, column)`` of ``offset`` in ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1

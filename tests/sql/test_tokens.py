@@ -1,67 +1,59 @@
-"""Lexer tests."""
+"""Lexer tests. A token is a ``(kind, value, offset)`` tuple."""
 
 import pytest
 
 from repro.errors import SqlSyntaxError
-from repro.sql.tokens import TokenType, tokenize
+from repro.sql.tokens import TokenType, position, tokenize
 
 
 def kinds(text):
-    return [t.type for t in tokenize(text)[:-1]]
+    return [kind for kind, _, _ in tokenize(text)[:-1]]
 
 
 def values(text):
-    return [t.value for t in tokenize(text)[:-1]]
+    return [value for _, value, _ in tokenize(text)[:-1]]
+
+
+def positions(text):
+    return [position(text, offset) for _, _, offset in tokenize(text)[:-1]]
 
 
 class TestBasicTokens:
     def test_empty_input_yields_only_eof(self):
-        tokens = tokenize("")
-        assert len(tokens) == 1
-        assert tokens[0].type is TokenType.EOF
+        assert tokenize("") == [(TokenType.EOF, "", 0)]
 
     def test_keywords_are_recognized_case_insensitively(self):
         for text in ("SELECT", "select", "SeLeCt"):
-            (token,) = tokenize(text)[:-1]
-            assert token.type is TokenType.KEYWORD
-            assert token.value == "select"
+            assert tokenize(text)[:-1] == [(TokenType.KEYWORD, "select", 0)]
 
     def test_identifiers_are_lowercased(self):
-        (token,) = tokenize("L_OrderKey")[:-1]
-        assert token.type is TokenType.IDENT
-        assert token.value == "l_orderkey"
+        assert tokenize("L_OrderKey")[:-1] == [(TokenType.IDENT, "l_orderkey", 0)]
 
     def test_identifier_with_underscores_and_digits(self):
-        (token,) = tokenize("tab_1_x")[:-1]
-        assert token.value == "tab_1_x"
+        assert values("tab_1_x") == ["tab_1_x"]
 
     def test_integer_and_float_literals(self):
-        tokens = tokenize("42 3.14")[:-1]
-        assert [t.value for t in tokens] == ["42", "3.14"]
-        assert all(t.type is TokenType.NUMBER for t in tokens)
+        assert values("42 3.14") == ["42", "3.14"]
+        assert kinds("42 3.14") == [TokenType.NUMBER, TokenType.NUMBER]
 
     def test_qualified_name_tokenizes_as_ident_dot_ident(self):
         assert kinds("a.b") == [TokenType.IDENT, TokenType.DOT, TokenType.IDENT]
 
     def test_number_followed_by_dot_ident_is_not_merged(self):
         # "1.x" would be nonsense SQL; the number stops before the dot.
-        tokens = tokenize("1 .5")[:-1]
-        assert [t.value for t in tokens] == ["1", ".5"]
+        assert values("1 .5") == ["1", ".5"]
+        assert values("1.x") == ["1", ".", "x"]
 
 
 class TestStrings:
     def test_simple_string(self):
-        (token,) = tokenize("'hello'")[:-1]
-        assert token.type is TokenType.STRING
-        assert token.value == "hello"
+        assert tokenize("'hello'")[:-1] == [(TokenType.STRING, "hello", 0)]
 
     def test_doubled_quote_escapes(self):
-        (token,) = tokenize("'it''s'")[:-1]
-        assert token.value == "it's"
+        assert values("'it''s'") == ["it's"]
 
     def test_string_preserves_case_and_spaces(self):
-        (token,) = tokenize("'Hello World'")[:-1]
-        assert token.value == "Hello World"
+        assert values("'Hello World'") == ["Hello World"]
 
     def test_unterminated_string_raises(self):
         with pytest.raises(SqlSyntaxError):
@@ -96,12 +88,11 @@ class TestCommentsAndLines:
         assert values("a -- comment here\n b") == ["a", "b"]
 
     def test_line_numbers_advance(self):
-        tokens = tokenize("a\nb\nc")[:-1]
-        assert [t.line for t in tokens] == [1, 2, 3]
+        assert [line for line, _ in positions("a\nb\nc")] == [1, 2, 3]
 
     def test_column_positions(self):
-        tokens = tokenize("ab cd")[:-1]
-        assert [t.column for t in tokens] == [1, 4]
+        assert [column for _, column in positions("ab cd")] == [1, 4]
+        assert positions("ab\n  cd") == [(1, 1), (2, 3)]
 
     def test_minus_not_starting_comment(self):
         assert values("a - b") == ["a", "-", "b"]
@@ -117,8 +108,3 @@ class TestPunctuation:
             TokenType.RPAREN,
             TokenType.SEMICOLON,
         ]
-
-    def test_matches_keyword_helper(self):
-        token = tokenize("select")[0]
-        assert token.matches_keyword("select")
-        assert not token.matches_keyword("from")
