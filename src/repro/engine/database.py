@@ -1,8 +1,8 @@
 """In-memory database: base-table and materialized-view storage.
 
 Relations are stored as lists of tuples with a per-relation column order;
-the executor converts them to ``(relation, column) -> value`` row mappings
-on demand. Both base tables and materialized views live here, so a
+the executor joins by concatenating those tuples and reads columns by
+position. Both base tables and materialized views live here, so a
 substitute expression that scans a view executes through exactly the same
 path as a query over base tables.
 """
@@ -10,7 +10,7 @@ path as a query over base tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ExecutionError
 
@@ -63,12 +63,6 @@ class Relation:
             return self._index[column]
         except KeyError:
             raise ExecutionError(f"{self.name} has no column {column}") from None
-
-    def iter_dicts(self) -> Iterator[dict[tuple[str, str], object]]:
-        """Rows as executor-friendly mappings keyed by (relation, column)."""
-        keys = [(self.name, column) for column in self.columns]
-        for row in self.rows:
-            yield dict(zip(keys, row))
 
     def column_values(self, column: str) -> list[object]:
         position = self.column_position(column)

@@ -11,16 +11,23 @@ correctness argument depends on:
   treats NULL as an ordinary key, an aggregate query without GROUP BY over
   an empty input yields one row.
 
-It is deliberately simple -- correctness oracle first, performance second.
-Joins are left-deep: the smallest input (for view maintenance, the delta
-rows) drives, every other table is probed through a hash index its
-relation keeps and shares between executions, and an empty intermediate
-result ends the join (DESIGN section 14, "delta-first evaluation").
+It is the oracle the differential tests compare rewrites against *and*
+what every materialization and view delta waits for, so there is one row
+format and one evaluator: a row is a plain tuple -- the stored tuples of
+the joined tables concatenated in join order -- and each conjunct, key
+and output expression is compiled into a closure over that tuple
+(:mod:`repro.engine.evaluator`) once per execution, when the first row
+is about to reach it. Joins are left-deep: the smallest input (for view
+maintenance, the delta rows) drives, every other table is probed through
+a hash index its relation keeps and shares between executions, and an
+empty intermediate result ends the join (DESIGN section 14, "delta-first
+evaluation").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from ..errors import ExecutionError
 from ..sql.expressions import (
@@ -28,13 +35,19 @@ from ..sql.expressions import (
     ColumnRef,
     Expression,
     FuncCall,
+    conjuncts_of,
 )
 from ..sql.statements import SelectItem, SelectStatement
 from .database import Database
-from .evaluator import evaluate, predicate_holds
-
-ColumnKey = tuple[str, str]
-RowDict = dict[ColumnKey, object]
+from .evaluator import (
+    ColumnKey,
+    Row,
+    Slots,
+    compile_expression,
+    compile_predicate,
+    compile_tuple,
+    layout,
+)
 
 
 @dataclass
@@ -103,6 +116,9 @@ class _JoinPipeline:
     smallest after its own local conjuncts. Each next table is the
     equijoin-connected one with the smallest estimated fan-out; an empty
     intermediate ends the join without touching the remaining tables.
+
+    ``rows`` hold the stored tuples of the tables in ``order``,
+    concatenated; ``slots`` maps each of their columns to its position.
     """
 
     def __init__(
@@ -131,31 +147,46 @@ class _JoinPipeline:
                 self.pending.append(
                     (conjunct, referenced, _split_equijoin(conjunct))
                 )
-        self._scans: dict[str, list[tuple[object, ...]]] = {}
+        self._scans: dict[str, list[Row]] = {}
         self.order: list[str] = []
-        self.rows: list[RowDict] = []
+        self.slots: dict[ColumnKey, int] = {}
+        self.rows: list[Row] = []
 
-    def run(self, delta_table: str | None = None) -> list[RowDict]:
+    def run(self, delta_table: str | None = None) -> list[Row]:
         """Join all tables (or stop at an empty intermediate); the rows."""
         start = delta_table
         if start is None:
             start = min(self.tables, key=lambda t: len(self._scan(t)))
-        self.order.append(start)
-        to_row = self._row_maker(start)
-        self.rows = [to_row(stored) for stored in self._scan(start)]
+        self.rows = self._scan(start)
+        self._place(start)
         remaining = [t for t in self.tables if t != start]
         while remaining and self.rows:
             table, pairs = self._next_table(remaining)
             remaining.remove(table)
-            self.order.append(table)
             if pairs:
                 self._index_join(table, pairs)
             else:
-                self._cross_join(table)
+                scanned = self._scan(table)
+                self.rows = [row + stored for row in self.rows for stored in scanned]
+            self._place(table)
             self._apply_covered()
         return self.rows
 
-    def _scan(self, table: str) -> list[tuple[object, ...]]:
+    def _place(self, table: str) -> None:
+        """Record that ``table``'s stored tuple now ends every row."""
+        self.order.append(table)
+        offset = len(self.slots)
+        for position, column in enumerate(self.database.relation(table).columns):
+            self.slots[(table, column)] = offset + position
+
+    def _accepts(self, table: str) -> Callable[[Row], bool]:
+        """Stored row of ``table`` -> whether it passes the local conjuncts."""
+        columns = self.database.relation(table).columns
+        return compile_predicate(
+            self.local[table], layout((table, column) for column in columns)
+        )
+
+    def _scan(self, table: str) -> list[Row]:
         """Stored rows of ``table`` passing its local conjuncts (kept)."""
         rows = self._scans.get(table)
         if rows is None:
@@ -164,36 +195,13 @@ class _JoinPipeline:
             rows = relation.rows
             if local:
                 indexed = self._index_scan(relation, local)
-                accepts = self._row_filter(table)
-                rows = [
-                    row
-                    for row in (rows if indexed is None else indexed)
-                    if accepts(row)
-                ]
+                rows = list(
+                    filter(
+                        self._accepts(table), rows if indexed is None else indexed
+                    )
+                )
             self._scans[table] = rows
         return rows
-
-    def _row_maker(self, table: str):
-        """Stored row of ``table`` -> ``(table, column)``-keyed mapping."""
-        keys = [(table, c) for c in self.database.relation(table).columns]
-        return lambda stored: dict(zip(keys, stored))
-
-    def _row_filter(self, table: str):
-        """Stored row -> whether it passes the table's local conjuncts.
-
-        Only the columns the conjuncts read are laid out for the
-        evaluator, so rejecting a row never builds its full mapping.
-        """
-        local = self.local[table]
-        relation = self.database.relation(table)
-        keys = sorted({ref.key for c in local for ref in c.column_refs()})
-        slots = [(key, relation.column_position(key[1])) for key in keys]
-
-        def accepts(stored: tuple[object, ...]) -> bool:
-            row = {key: stored[position] for key, position in slots}
-            return all(predicate_holds(conjunct, row) for conjunct in local)
-
-        return accepts
 
     def _index_scan(self, relation, local: list[Expression]):
         """Try to narrow the scan through a stored index.
@@ -237,17 +245,17 @@ class _JoinPipeline:
 
     def _join_pairs(
         self, table: str
-    ) -> dict[int, tuple[ColumnKey, Expression]]:
+    ) -> dict[int, tuple[ColumnRef, Expression]]:
         """Equijoins linking ``table`` to the joined rows.
 
         Keyed by the column position on ``table``, in position order
-        (so equal joins share one index); the first conjunct per position
-        probes, a second one stays pending and filters as a residual
-        right after the join.
+        (so equal joins share one index), each with the joined side's
+        column; the first conjunct per position probes, a second one stays
+        pending and filters as a residual right after the join.
         """
         joined = self.order
         relation = self.database.relation(table)
-        pairs: dict[int, tuple[ColumnKey, Expression]] = {}
+        pairs: dict[int, tuple[ColumnRef, Expression]] = {}
         for conjunct, _, sides in self.pending:
             if sides is None:
                 continue
@@ -259,13 +267,13 @@ class _JoinPipeline:
             else:
                 continue
             pairs.setdefault(
-                relation.column_position(build.column), (probe.key, conjunct)
+                relation.column_position(build.column), (probe, conjunct)
             )
         return dict(sorted(pairs.items()))
 
     def _next_table(
         self, remaining: list[str]
-    ) -> tuple[str, dict[int, tuple[ColumnKey, Expression]]]:
+    ) -> tuple[str, dict[int, tuple[ColumnRef, Expression]]]:
         """The connected table with the smallest estimated fan-out.
 
         Fan-out is ``row_count / distinct join keys`` of the index the
@@ -289,36 +297,39 @@ class _JoinPipeline:
         return best[1], best[2]
 
     def _index_join(
-        self, table: str, pairs: dict[int, tuple[ColumnKey, Expression]]
+        self, table: str, pairs: dict[int, tuple[ColumnRef, Expression]]
     ) -> None:
-        probe_keys = [key for key, _ in pairs.values()]
         used = {id(conjunct) for _, conjunct in pairs.values()}
         self.pending = [p for p in self.pending if id(p[0]) not in used]
-        buckets = self.database.relation(table).hash_index(tuple(pairs))
-        to_row = self._row_maker(table)
-        accepts = self._row_filter(table) if self.local[table] else None
-        # Each bucket is filtered and laid out once, however many
-        # intermediate rows probe it.
-        matched: dict[tuple[object, ...], list[RowDict]] = {}
-        joined: list[RowDict] = []
+        # A NULL probe value finds nothing: NULL keys are not indexed.
+        bucket = self.database.relation(table).hash_index(tuple(pairs)).get
+        probe = compile_tuple([column for column, _ in pairs.values()], self.slots)
+        if not self.local[table]:
+            self.rows = [
+                row + stored
+                for row in self.rows
+                for stored in bucket(probe(row), ())
+            ]
+            return
+        scanned = self._scans.get(table)
+        if scanned is None:
+            accepts = self._accepts(table)
+        else:
+            # A full evaluation already filtered the table to size it: a
+            # stored row passes when that scan kept it.
+            kept = set(map(id, scanned))
+            accepts = lambda stored: id(stored) in kept  # noqa: E731
+        # Each bucket is filtered once, however many rows probe it.
+        matched: dict[Row, list[Row]] = {}
+        joined: list[Row] = []
         for row in self.rows:
-            key = tuple([row[k] for k in probe_keys])
+            key = probe(row)
             matches = matched.get(key)
             if matches is None:
-                # A NULL probe value finds nothing: NULL keys are not indexed.
-                matches = matched[key] = [
-                    to_row(stored)
-                    for stored in buckets.get(key, ())
-                    if accepts is None or accepts(stored)
-                ]
-            for match in matches:
-                joined.append({**row, **match})
+                matches = matched[key] = list(filter(accepts, bucket(key, ())))
+            for stored in matches:
+                joined.append(row + stored)
         self.rows = joined
-
-    def _cross_join(self, table: str) -> None:
-        to_row = self._row_maker(table)
-        scanned = [to_row(stored) for stored in self._scan(table)]
-        self.rows = [{**row, **other} for row in self.rows for other in scanned]
 
     def _apply_covered(self) -> None:
         """Filter by the pending conjuncts whose tables are all joined."""
@@ -326,92 +337,16 @@ class _JoinPipeline:
         remaining = []
         for entry in self.pending:
             conjunct, referenced, _ = entry
-            if referenced <= joined:
-                self.rows = [
-                    row for row in self.rows if predicate_holds(conjunct, row)
-                ]
-            else:
+            if not referenced <= joined:
                 remaining.append(entry)
+            elif self.rows:
+                self.rows = _filter_rows(self.rows, conjunct, self.slots)
         self.pending = remaining
 
 
-class _AggregateAccumulator:
-    """Running state for one aggregate call within one group."""
-
-    def __init__(self, call: FuncCall):
-        self.call = call
-        self.count = 0
-        self.total: float | int | None = None
-
-    def update(self, row: RowDict) -> None:
-        if self.call.star:
-            self.count += 1
-            return
-        value = evaluate(self.call.args[0], row)
-        if value is None:
-            return
-        self.count += 1
-        if self.call.name in ("sum", "avg"):
-            if not isinstance(value, (int, float)):
-                raise ExecutionError(f"SUM/AVG over non-numeric value {value!r}")
-            self.total = value if self.total is None else self.total + value
-
-    def result(self) -> object:
-        name = self.call.name
-        if name in ("count", "count_big"):
-            return self.count
-        if name == "sum":
-            return self.total
-        if name == "avg":
-            if self.count == 0 or self.total is None:
-                return None
-            return self.total / self.count
-        raise ExecutionError(f"unsupported aggregate {name}")
-
-
-def _evaluate_output(
-    expression: Expression,
-    aggregate_values: dict[FuncCall, object],
-    representative: RowDict,
-) -> object:
-    """Evaluate an output expression of an aggregate query.
-
-    Aggregate sub-calls are replaced by their computed per-group values;
-    everything else (grouping expressions, constants, arithmetic over them)
-    evaluates on a representative row of the group.
-    """
-    if isinstance(expression, FuncCall) and expression.is_aggregate():
-        return aggregate_values[expression]
-    if not expression.contains_aggregate():
-        return evaluate(expression, representative)
-    if isinstance(expression, BinaryOp):
-        left = _evaluate_output(expression.left, aggregate_values, representative)
-        right = _evaluate_output(expression.right, aggregate_values, representative)
-        synthetic = BinaryOp(
-            expression.op,
-            _as_literal(left),
-            _as_literal(right),
-        )
-        return evaluate(synthetic, {})
-    if isinstance(expression, FuncCall):
-        # A scalar function (e.g. coalesce) over aggregate sub-expressions:
-        # evaluate each argument in this grouping context first.
-        arguments = tuple(
-            _as_literal(
-                _evaluate_output(argument, aggregate_values, representative)
-            )
-            for argument in expression.args
-        )
-        return evaluate(FuncCall(expression.name, arguments), {})
-    raise ExecutionError(
-        f"cannot evaluate aggregate output expression {expression}"
-    )
-
-
-def _as_literal(value: object):
-    from ..sql.expressions import Literal
-
-    return Literal(value)
+def _filter_rows(rows: list[Row], conjunct: Expression, slots: Slots) -> list[Row]:
+    """The rows on which ``conjunct`` is SQL TRUE."""
+    return list(filter(compile_predicate([conjunct], slots), rows))
 
 
 def execute(
@@ -425,8 +360,6 @@ def execute(
     maintenance passes the changed table, whose few delta rows every
     output row contains. It affects row order only, never the bag.
     """
-    from ..sql.expressions import conjuncts_of
-
     pipeline = _JoinPipeline(
         database, statement.table_names(), list(conjuncts_of(statement.where))
     )
@@ -437,120 +370,120 @@ def execute(
         if pipeline.pending:
             raise ExecutionError(f"unapplied predicate {pipeline.pending[0][0]}")
         for conjunct in pipeline.constant:
-            rows = [row for row in rows if predicate_holds(conjunct, row)]
-
-    column_names = tuple(
-        item.name if item.name is not None else f"col{i + 1}"
-        for i, item in enumerate(statement.select_items)
+            rows = _filter_rows(rows, conjunct, pipeline.slots)
+    return finish_rows(
+        rows,
+        pipeline.slots,
+        statement.select_items,
+        statement.group_by,
+        aggregate=statement.is_aggregate,
+        distinct=statement.distinct,
     )
 
-    if statement.is_aggregate:
-        output_rows = aggregate_rows(rows, statement.select_items, statement.group_by)
+
+def finish_rows(
+    rows: list[Row],
+    slots: Slots,
+    select_items: Sequence[SelectItem],
+    group_by: Sequence[Expression] = (),
+    aggregate: bool = False,
+    distinct: bool = False,
+) -> QueryResult:
+    """Project or group joined rows (laid out by ``slots``) to the output."""
+    if aggregate:
+        output = aggregate_rows(rows, slots, select_items, group_by)
     else:
-        output_rows = project_rows(rows, statement.select_items)
-    if statement.distinct:
-        seen: set[tuple[object, ...]] = set()
-        deduped: list[tuple[object, ...]] = []
-        for row in output_rows:
-            if row not in seen:
-                seen.add(row)
-                deduped.append(row)
-        output_rows = deduped
-    return QueryResult(columns=column_names, rows=output_rows)
-
-
-def _tuple_reader(expressions):
-    """``row -> tuple`` of the expressions' values; plain columns are read
-    straight from the row mapping."""
-    if expressions and all(isinstance(e, ColumnRef) for e in expressions):
-        keys = [e.key for e in expressions]
-
-        def read_columns(row: RowDict) -> tuple[object, ...]:
-            try:
-                return tuple([row[key] for key in keys])
-            except KeyError as missing:
-                raise ExecutionError(
-                    f"row has no column {'.'.join(missing.args[0])}"
-                ) from None
-
-        return read_columns
-    return lambda row: tuple([evaluate(e, row) for e in expressions])
-
-
-def project_rows(
-    rows: list[RowDict], select_items: tuple[SelectItem, ...] | list[SelectItem]
-) -> list[tuple[object, ...]]:
-    """Plain (non-grouping) projection of row mappings to output tuples."""
-    read = _tuple_reader([item.expression for item in select_items])
-    return [read(row) for row in rows]
+        read = compile_tuple([item.expression for item in select_items], slots)
+        output = list(map(read, rows))
+    if distinct:
+        output = list(dict.fromkeys(output))
+    columns = tuple(
+        item.name if item.name is not None else f"col{i + 1}"
+        for i, item in enumerate(select_items)
+    )
+    return QueryResult(columns=columns, rows=output)
 
 
 def aggregate_rows(
-    rows: list[RowDict],
-    select_items: tuple[SelectItem, ...] | list[SelectItem],
-    group_by: tuple[Expression, ...] | list[Expression],
-) -> list[tuple[object, ...]]:
-    """SQL grouping and aggregation over row mappings.
+    rows: list[Row],
+    slots: Slots,
+    select_items: Sequence[SelectItem],
+    group_by: Sequence[Expression],
+) -> list[Row]:
+    """SQL grouping and aggregation over rows laid out by ``slots``.
 
     NULL is an ordinary grouping key; a global aggregation (empty
     ``group_by``) over an empty input yields one row.
     """
-    aggregate_calls = _distinct_aggregates(select_items)
-    group_key = _tuple_reader(list(group_by))
-    # group key -> (first row of the group, one accumulator per call)
-    groups: dict[tuple[object, ...], tuple[RowDict, list[_AggregateAccumulator]]] = {}
+    calls = _distinct_aggregates(select_items)
+    width = len(calls)
+    group_key = compile_tuple(group_by, slots)
+    # A group's state is one list: per call the count of rows (``*``) or of
+    # non-NULL values, then per call the total, NULL until a value arrives.
+    blank = [0] * width + [None] * width
+    # Per call: where it counts, its argument (None for ``*``), where it totals.
+    updates = [
+        (
+            position,
+            None if call.star else compile_expression(call.args[0], slots),
+            width + position if call.name in ("sum", "avg") else None,
+        )
+        for position, call in enumerate(calls)
+    ]
+    # group key -> (first row of the group, state)
+    groups: dict[Row, tuple[Row, list]] = {}
     for row in rows:
         key = group_key(row)
         entry = groups.get(key)
         if entry is None:
-            entry = groups[key] = (
-                row,
-                [_AggregateAccumulator(call) for call in aggregate_calls],
-            )
-        for accumulator in entry[1]:
-            accumulator.update(row)
+            entry = groups[key] = (row, blank.copy())
+        state = entry[1]
+        for count_at, argument, total_at in updates:
+            if argument is not None:
+                value = argument(row)
+                if value is None:
+                    continue
+                if total_at is not None:
+                    if not isinstance(value, (int, float)):
+                        raise ExecutionError(
+                            f"SUM/AVG over non-numeric value {value!r}"
+                        )
+                    total = state[total_at]
+                    state[total_at] = value if total is None else total + value
+            state[count_at] += 1
     if not group_by and not groups:
-        # Global aggregation over an empty input: one row of "empty" values.
-        groups[()] = ({}, [_AggregateAccumulator(call) for call in aggregate_calls])
-    # Where each output comes from is decided once per statement: an
-    # accumulator, a slot of the group key, or an expression over both.
-    readers = [
-        _output_reader(item.expression, list(group_by), aggregate_calls)
-        for item in select_items
-    ]
-    return [
-        tuple([read(key, first, accumulators) for read in readers])
-        for key, (first, accumulators) in groups.items()
-    ]
-
-
-def _output_reader(
-    expression: Expression,
-    group_by: list[Expression],
-    aggregate_calls: list[FuncCall],
-):
-    """``(group key, first row, accumulators) -> value`` of one output."""
-    if expression in aggregate_calls:
-        slot = aggregate_calls.index(expression)
-        return lambda key, first, accumulators: accumulators[slot].result()
-    if expression in group_by:
-        slot = group_by.index(expression)
-        return lambda key, first, accumulators: key[slot]
-    if not expression.contains_aggregate():
-        return lambda key, first, accumulators: evaluate(expression, first)
-    return lambda key, first, accumulators: _evaluate_output(
-        expression,
-        {
-            call: accumulator.result()
-            for call, accumulator in zip(aggregate_calls, accumulators)
-        },
-        first,
+        # Global aggregation over an empty input: one row of "empty"
+        # values, and no column to read.
+        groups[()] = ((), blank)
+        slots = {}
+    if not groups:
+        return []
+    # An output reads the group's first row with its state appended, so any
+    # expression over grouping columns and aggregates compiles like any other.
+    offset = len(next(iter(groups.values()))[0])
+    result_slots: dict[object, int] = dict(slots)
+    for position, call in enumerate(calls):
+        count_at, total_at = offset + position, offset + width + position
+        if call.name == "avg":
+            result_slots[FuncCall("sum", call.args)] = total_at
+            result_slots[FuncCall("count", call.args)] = count_at
+        else:
+            result_slots[call] = total_at if call.name == "sum" else count_at
+    read = compile_tuple(
+        [item.expression.transform(_average_as_quotient) for item in select_items],
+        result_slots,
     )
+    return [read(first + tuple(state)) for first, state in groups.values()]
 
 
-def _distinct_aggregates(
-    select_items: tuple[SelectItem, ...] | list[SelectItem],
-) -> list[FuncCall]:
+def _average_as_quotient(node: Expression) -> Expression:
+    """``avg(x)`` as ``sum(x) / count(x)``: NULL when nothing was summed."""
+    if isinstance(node, FuncCall) and node.name == "avg":
+        return BinaryOp("/", FuncCall("sum", node.args), FuncCall("count", node.args))
+    return node
+
+
+def _distinct_aggregates(select_items: Sequence[SelectItem]) -> list[FuncCall]:
     calls: list[FuncCall] = []
     for item in select_items:
         for node in item.expression.walk():

@@ -5,25 +5,20 @@ through the engine (either a block over base tables or a substitute over a
 materialized view). Internal nodes join blocks; a :class:`FinishNode` on
 top projects or aggregates to the query's output.
 
-Rows flow between operators as ``(relation, column) -> value`` mappings so
-the scalar evaluator works unchanged; a block's result tuples are re-keyed
-via its declared output keys, which lets a substitute transparently stand
-in for the block it replaces.
+Rows flow between operators as plain tuples, the engine's row format:
+a node's ``output_keys`` name the ``(relation, column)`` key of each
+position, so a block's result tuples pass through untouched, a join
+concatenates its inputs' tuples, and a substitute transparently stands in
+for the block it replaces by publishing the same keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from ..engine.database import Database
-from ..engine.evaluator import predicate_holds
-from ..engine.executor import (
-    QueryResult,
-    RowDict,
-    aggregate_rows,
-    execute,
-    project_rows,
-)
-from ..sql.expressions import Expression
+from ..engine.evaluator import Row, compile_predicate, compile_tuple, layout
+from ..engine.executor import QueryResult, execute, finish_rows
+from ..sql.expressions import ColumnRef, Expression
 from ..sql.statements import SelectItem, SelectStatement
 from ..core.equivalence import ColumnKey
 
@@ -35,7 +30,7 @@ class PlanNode:
     est_rows: float = field(default=0.0, kw_only=True)
     cost: float = field(default=0.0, kw_only=True)
 
-    def rows(self, database: Database) -> list[RowDict]:
+    def rows(self, database: Database) -> list[Row]:
         raise NotImplementedError
 
     def children(self) -> tuple["PlanNode", ...]:
@@ -63,7 +58,7 @@ class PlanNode:
 
 @dataclass
 class BlockNode(PlanNode):
-    """A single-level statement executed by the engine, re-keyed for parents.
+    """A single-level statement executed by the engine, keyed for parents.
 
     ``output_keys`` gives the (relation, column) key each result column is
     published under; for base-table blocks these are the original column
@@ -76,14 +71,14 @@ class BlockNode(PlanNode):
     output_keys: tuple[ColumnKey, ...]
     view_name: str | None = None
 
-    def rows(self, database: Database) -> list[RowDict]:
+    def rows(self, database: Database) -> list[Row]:
         result = execute(self.statement, database)
         if len(self.output_keys) != len(result.columns):
             raise ValueError(
                 f"block publishes {len(self.output_keys)} keys but produced "
                 f"{len(result.columns)} columns"
             )
-        return [dict(zip(self.output_keys, row)) for row in result.rows]
+        return result.rows
 
 
 @dataclass
@@ -102,44 +97,46 @@ class HashJoinNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
 
-    def rows(self, database: Database) -> list[RowDict]:
+    @property
+    def output_keys(self) -> tuple[ColumnKey, ...]:
+        return self.left.output_keys + self.right.output_keys
+
+    def rows(self, database: Database) -> list[Row]:
         left_rows = self.left.rows(database)
         right_rows = self.right.rows(database)
         if self.join_pairs:
             joined = self._hash_join(left_rows, right_rows)
         else:
             joined = [
-                {**left_row, **right_row}
+                left_row + right_row
                 for left_row in left_rows
                 for right_row in right_rows
             ]
         if self.residual:
-            joined = [
-                row
-                for row in joined
-                if all(predicate_holds(conjunct, row) for conjunct in self.residual)
-            ]
+            holds = compile_predicate(self.residual, layout(self.output_keys))
+            joined = list(filter(holds, joined))
         return joined
 
-    def _hash_join(
-        self, left_rows: list[RowDict], right_rows: list[RowDict]
-    ) -> list[RowDict]:
-        left_keys = [pair[0] for pair in self.join_pairs]
-        right_keys = [pair[1] for pair in self.join_pairs]
-        buckets: dict[tuple[object, ...], list[RowDict]] = {}
+    def _hash_join(self, left_rows: list[Row], right_rows: list[Row]) -> list[Row]:
+        left_key = compile_tuple(
+            [ColumnRef(*left) for left, _ in self.join_pairs],
+            layout(self.left.output_keys),
+        )
+        right_key = compile_tuple(
+            [ColumnRef(*right) for _, right in self.join_pairs],
+            layout(self.right.output_keys),
+        )
+        buckets: dict[Row, list[Row]] = {}
         for row in right_rows:
-            key = tuple(row[k] for k in right_keys)
-            if any(v is None for v in key):
-                continue
-            buckets.setdefault(key, []).append(row)
-        joined: list[RowDict] = []
-        for row in left_rows:
-            key = tuple(row[k] for k in left_keys)
-            if any(v is None for v in key):
-                continue
-            for match in buckets.get(key, ()):
-                joined.append({**row, **match})
-        return joined
+            key = right_key(row)
+            if None not in key:
+                buckets.setdefault(key, []).append(row)
+        # A NULL probe value finds nothing: NULL keys are not in the buckets.
+        return [
+            row + match
+            for row in left_rows
+            for match in buckets.get(left_key(row), ())
+        ]
 
 
 @dataclass
@@ -155,28 +152,18 @@ class FinishNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def rows(self, database: Database) -> list[RowDict]:
+    def rows(self, database: Database) -> list[Row]:
         raise NotImplementedError("FinishNode produces a QueryResult, not rows")
 
     def result(self, database: Database) -> QueryResult:
-        input_rows = self.child.rows(database)
-        if self.aggregate:
-            output = aggregate_rows(input_rows, self.select_items, self.group_by)
-        else:
-            output = project_rows(input_rows, self.select_items)
-        if self.distinct:
-            seen: set[tuple[object, ...]] = set()
-            deduped = []
-            for row in output:
-                if row not in seen:
-                    seen.add(row)
-                    deduped.append(row)
-            output = deduped
-        columns = tuple(
-            item.name if item.name is not None else f"col{i + 1}"
-            for i, item in enumerate(self.select_items)
+        return finish_rows(
+            self.child.rows(database),
+            layout(self.child.output_keys),
+            self.select_items,
+            self.group_by,
+            aggregate=self.aggregate,
+            distinct=self.distinct,
         )
-        return QueryResult(columns=columns, rows=output)
 
 
 @dataclass
@@ -186,7 +173,7 @@ class DirectNode(PlanNode):
     statement: SelectStatement
     view_name: str | None = None
 
-    def rows(self, database: Database) -> list[RowDict]:
+    def rows(self, database: Database) -> list[Row]:
         raise NotImplementedError("DirectNode produces a QueryResult, not rows")
 
     def result(self, database: Database) -> QueryResult:

@@ -58,12 +58,6 @@ class TestRelation:
         with pytest.raises(ExecutionError, match="no column"):
             relation.column_position("zz")
 
-    def test_iter_dicts_keys(self):
-        db = Database()
-        relation = db.store("t", ("a", "b"), [(1, 2)])
-        (row,) = relation.iter_dicts()
-        assert row == {("t", "a"): 1, ("t", "b"): 2}
-
     def test_extend_and_remove_move_the_version(self):
         relation = Database().store("t", ("a",), [(1,), (2,), (2,)])
         version = relation.version

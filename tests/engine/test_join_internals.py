@@ -1,5 +1,7 @@
 """White-box tests for the executor's join machinery."""
 
+from collections import Counter
+
 from repro.engine import Database
 from repro.engine.executor import _JoinPipeline, _split_equijoin
 from repro.sql import parse_predicate
@@ -105,3 +107,51 @@ class TestJoinOrder:
             {"a": 2, "b": 3, "c": 4}, "a.x = b.x", "b.y = c.y", "a.y < 0"
         )
         assert order == ["a"]
+
+
+class TestLocalConjunctsRunOncePerStoredRow:
+    """``big`` fans out: every ``small`` row probes the one bucket of
+    ``big``, whose rows carry a local conjunct."""
+
+    def pipeline(self, monkeypatch):
+        database = Database()
+        database.store("small", ("x", "y", "z"), [(0, i, i) for i in range(4)])
+        database.store("big", ("x", "y", "z"), [(0, i, i) for i in range(10)])
+        tested: Counter = Counter()
+        compiled = _JoinPipeline._accepts
+
+        def counting(self, table):
+            accepts = compiled(self, table)
+
+            def counted(stored):
+                tested[table, id(stored)] += 1
+                return accepts(stored)
+
+            return counted
+
+        monkeypatch.setattr(_JoinPipeline, "_accepts", counting)
+        pipeline = _JoinPipeline(
+            database,
+            ("small", "big"),
+            [bound("small.x = big.x"), bound("big.y >= 5"), bound("big.y <> 7")],
+        )
+        return pipeline, tested, database.relation("big")
+
+    def test_a_full_evaluation_reuses_the_scan_that_sized_the_table(
+        self, monkeypatch
+    ):
+        pipeline, tested, big = self.pipeline(monkeypatch)
+        rows = pipeline.run()
+        assert pipeline.order == ["small", "big"]
+        assert len(rows) == 4 * 4 and all(row[4] in (5, 6, 8, 9) for row in rows)
+        # Sizing tested every stored row once; the join tested none again.
+        assert tested == {("big", id(stored)): 1 for stored in big.rows}
+        assert big.hash_index_builds == 1
+
+    def test_a_delta_evaluation_filters_only_the_rows_it_matches(self, monkeypatch):
+        pipeline, tested, big = self.pipeline(monkeypatch)
+        big.extend([(1, 9, 9)] * 3)  # a bucket no delta row probes
+        rows = pipeline.run(delta_table="small")
+        assert len(rows) == 4 * 4
+        assert tested == {("big", id(stored)): 1 for stored in big.rows[:10]}
+        assert big.hash_index_builds == 1

@@ -4,7 +4,8 @@
 early termination -- against a nested-loop reference evaluator that
 lives only here: it walks the tables in statement order, pairs every
 partial row with every stored row, and filters by the conjuncts whose
-tables are bound. Everything the two share is the scalar evaluator.
+tables are bound. The two share nothing: its scalar evaluator is the
+recursive interpreter of ``_reference_evaluator``, over row mappings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, Table
 from repro.datagen import generate_tpch
-from repro.engine import Database, QueryResult, evaluate, execute, predicate_holds
+from repro.engine import Database, QueryResult, execute
 from repro.maintenance.maintainer import (
     analyze_view,
     apply_view_delta,
@@ -27,6 +28,8 @@ from repro.maintenance.maintainer import (
 )
 from repro.sql.expressions import FuncCall, Literal, conjuncts_of
 from repro.workload import WorkloadGenerator
+
+from ._reference_evaluator import evaluate, predicate_holds
 
 
 # -- the reference ------------------------------------------------------------

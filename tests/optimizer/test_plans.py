@@ -42,8 +42,12 @@ class TestBlockNode:
     def test_rows_rekeyed(self, setup):
         cat, db = setup
         node = block_over(cat, "t", ["a", "b"])
-        rows = node.rows(db)
-        assert rows[0] == {("t", "a"): 1, ("t", "b"): 10}
+        node.output_keys = (("v", "x"), ("v", "y"))
+        assert node.rows(db)[0] == (1, 10)
+        finish = FinishNode(
+            child=node, select_items=(SelectItem(ColumnRef("v", "y")),)
+        )
+        assert finish.result(db).rows == [(10,), (20,), (21,)]
 
     def test_key_count_mismatch_raises(self, setup):
         cat, db = setup
@@ -71,7 +75,8 @@ class TestHashJoinNode:
         )
         rows = join.rows(db)
         assert len(rows) == 3  # (1), (2), (2)
-        assert all(row[("t", "a")] == row[("u", "a")] for row in rows)
+        assert join.output_keys == (("t", "a"), ("t", "b"), ("u", "a"), ("u", "c"))
+        assert all(row[0] == row[2] for row in rows)
 
     def test_cross_join(self, setup):
         cat, db = setup
