@@ -57,7 +57,9 @@ class Catalog:
         self._tables[table.name] = table
         self._table_refs[table.name] = TableRef(name=table.name)
         for column in table.column_names:
-            self._column_refs[table.name, column] = ColumnRef(table.name, column)
+            self._column_refs[table.name, column] = ColumnRef.shared(
+                table.name, column
+            )
 
     def _validate_foreign_key(self, table: Table, fk: ForeignKey) -> None:
         parent = self._tables.get(fk.parent_table)

@@ -19,9 +19,9 @@ derived block presents exactly what describing its statement from scratch
 would (same tuples, same order -- the cardinality estimator multiplies
 floats in that order).
 
-Equivalence classes start from a per-``(catalog, tables)`` seed that is
-built once and copied, instead of re-registering every column of every
-referenced table on each description.
+Equivalence classes start over a per-``(catalog, tables)`` column domain
+that is built once and shared, instead of registering every column of
+every referenced table on each description.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..errors import MatchError
 from ..sql.expressions import ColumnRef, Expression, conjunction
 from ..sql.statements import SelectItem, SelectStatement, TableRef
-from .equivalence import ColumnKey, EquivalenceClasses
+from .equivalence import ColumnDomain, ColumnKey, EquivalenceClasses
 from .intervalsets import OrRangePredicate, as_or_range
 from .normalize import (
     ClassifiedPredicate,
@@ -46,7 +46,13 @@ from .residual import ShallowForm
 if TYPE_CHECKING:
     from ..catalog.catalog import Catalog
 
-__all__ = ["PredicateAnalysis", "QueryAnalysis", "analyze_statement"]
+__all__ = [
+    "PredicateAnalysis",
+    "QueryAnalysis",
+    "analyze_statement",
+    "column_domain",
+    "intern_tables",
+]
 
 # Conjunct kinds, as classified by :func:`_classify`.
 _EQUALITY, _RANGE, _RESIDUAL = range(3)
@@ -65,29 +71,51 @@ class PredicateAnalysis:
         self.residual_forms: tuple[ShallowForm, ...] = residual_forms
 
 
+def column_domain(catalog: "Catalog", tables: frozenset[str]) -> ColumnDomain:
+    """The catalog's one column domain of the table set ``tables``.
+
+    Every column of every table in the set, tables in name order, so the
+    domain does not depend on which statement asked for the set first.
+    Built once per distinct table set and shared by every description over
+    it.
+    """
+    domains = getattr(catalog, "_column_domains", None)
+    if domains is None:
+        domains = catalog._column_domains = {}
+    domain = domains.get(tables)
+    if domain is None:
+        domain = domains.setdefault(
+            tables,
+            ColumnDomain(
+                (table, column)
+                for table in sorted(tables)
+                for column in catalog.table(table).column_names
+            ),
+        )
+    return domain
+
+
+def intern_tables(catalog: "Catalog", tables: frozenset[str]) -> frozenset[str]:
+    """The catalog's shared frozenset equal to ``tables`` *and iterating in
+    the same order*.
+
+    Registered views keep their table set and hub, and a schema has few
+    distinct ones. Equality alone is not enough to share them: a set's
+    iteration order depends on how it was built, and the estimator
+    multiplies per-table row counts in that order.
+    """
+    interned = getattr(catalog, "_table_sets", None)
+    if interned is None:
+        interned = catalog._table_sets = {}
+    return interned.setdefault(tuple(tables), tables)
+
+
 def _seed_classes(
     catalog: "Catalog", tables: frozenset[str]
 ) -> EquivalenceClasses:
-    """Fresh equivalence classes with every referenced column registered.
-
-    The trivial-classes starting point depends only on the catalog and the
-    referenced table set, so it is built once per distinct table set and
-    copied -- one dict copy instead of ~60 ``add_column`` calls per
-    description on the TPC-H schema. Tables register in name order, so the
-    seed does not depend on which statement asked for the set first.
-    """
-    seeds = getattr(catalog, "_eqclass_seeds", None)
-    if seeds is None:
-        seeds = {}
-        catalog._eqclass_seeds = seeds
-    seed = seeds.get(tables)
-    if seed is None:
-        seed = EquivalenceClasses()
-        for table in sorted(tables):
-            for column in catalog.table(table).column_names:
-                seed.add_column((table, column))
-        seeds[tables] = seed
-    return seed.copy()
+    """Fresh equivalence classes with every referenced column registered:
+    trivial classes over the table set's shared domain."""
+    return EquivalenceClasses(domain=column_domain(catalog, tables))
 
 
 def _classify(conjunct: Expression, support_or_ranges: bool) -> tuple:

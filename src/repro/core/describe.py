@@ -22,7 +22,7 @@ from ..sql.expressions import (
     Literal,
 )
 from ..sql.statements import SelectItem, SelectStatement
-from .analyze import QueryAnalysis, analyze_statement
+from .analyze import QueryAnalysis, analyze_statement, intern_tables
 from .equivalence import ColumnKey
 from .intervalsets import OrRangePredicate
 from .normalize import ClassifiedPredicate
@@ -86,31 +86,6 @@ def normalized_aggregate_template(
     raise MatchError(f"unsupported aggregate {call.name}")
 
 
-class _lazy:
-    """``functools.cached_property`` without its lock.
-
-    Before Python 3.12 ``cached_property`` serializes first accesses
-    through one lock per *property*, shared by every instance: a pool
-    worker forked while another thread computes the property of any
-    description inherits that lock held and blocks forever on its own
-    first access. Descriptions are immutable and these computations
-    idempotent, so racing readers need no lock.
-    """
-
-    def __init__(self, compute) -> None:
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 class SpjgDescription:
     """Precomputed matching metadata for one SPJG statement.
 
@@ -118,7 +93,43 @@ class SpjgDescription:
     for registered views and ``None`` for query expressions. All predicate
     metadata describes the *SPJ part* (the WHERE clause); grouping and
     output metadata describe the full statement.
+
+    Output metadata is derived on first read (:meth:`__getattr__`):
+
+    * ``outputs`` -- every select-list item with its matching metadata;
+    * ``group_forms`` -- shallow forms of the grouping expressions, in order;
+    * ``simple_output_map`` -- output name per directly-exposed column
+      (first exposure wins);
+    * ``expression_outputs`` -- non-simple, non-constant output items
+      (expressions, aggregates).
     """
+
+    # A registered catalog keeps one description per view: slots, not an
+    # instance dict. The last four are query-side memos of the matcher and
+    # pre-verifier (``None`` until first computed).
+    __slots__ = (
+        "statement",
+        "catalog",
+        "name",
+        "options",
+        "tables",
+        "_analysis",
+        "classified",
+        "eqclasses",
+        "ranges",
+        "or_ranges",
+        "residual_forms",
+        "is_aggregate",
+        "outputs",
+        "group_forms",
+        "simple_output_map",
+        "expression_outputs",
+        "_query_plain_ranges",
+        "_query_range_sets",
+        "_template_fp",
+        "_preverify_sig",
+        "__weakref__",  # DatabaseStats.view_rows is keyed weakly
+    )
 
     def __init__(
         self,
@@ -144,9 +155,10 @@ class SpjgDescription:
         self.catalog = catalog
         self.name = name
         self.options = options
-        self.tables: frozenset[str] = frozenset(statement.table_names())
-        if not self.tables:
+        tables = frozenset(statement.table_names())
+        if not tables:
             raise UnsupportedSqlError("statement references no tables")
+        self.tables: frozenset[str] = intern_tables(catalog, tables)
         if analysis is None:
             predicates = analyze_statement(
                 statement, self.tables, catalog, options
@@ -160,20 +172,32 @@ class SpjgDescription:
         self.or_ranges: tuple[OrRangePredicate, ...] = predicates.or_ranges
         self.residual_forms: tuple[ShallowForm, ...] = predicates.residual_forms
         self.is_aggregate = statement.is_aggregate
-        # Memoized derived key sets. Descriptions are immutable after
-        # construction and these back every probe compilation and filter
-        # tree registration touching this description; writes are
-        # idempotent, so concurrent readers race benignly.
-        self._extended_output_columns: frozenset[ColumnKey] | None = None
-        self._extended_grouping_columns: frozenset[ColumnKey] | None = None
-        self._range_constrained_classes: tuple[frozenset[ColumnKey], ...] | None = None
-        self._extended_range_constrained: frozenset[ColumnKey] | None = None
-        self._reduced_range_constrained: frozenset[ColumnKey] | None = None
-        self._output_templates: frozenset[str] | None = None
-        self._residual_templates: frozenset[str] | None = None
-        self._aggregate_templates: frozenset[str] | None = None
+        self._query_plain_ranges = None
+        self._query_range_sets = None
+        self._template_fp = None
+        self._preverify_sig = None
 
     # -- output metadata -------------------------------------------------------
+
+    def __getattr__(self, name: str):
+        """Derive an output-metadata slot on its first read.
+
+        Only an unset slot (or an unknown name) reaches here; afterwards
+        the slot answers at plain attribute speed. Slot ``x`` is derived by
+        ``_derive_x``. No lock (``functools.cached_property`` before Python
+        3.12 shares one per property across instances, and a pool worker
+        forked while another thread held it blocked forever): descriptions
+        are immutable and the derivations idempotent, so racing readers
+        agree.
+        """
+        derive = getattr(SpjgDescription, f"_derive_{name}", None)
+        if derive is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value = derive(self)
+        setattr(self, name, value)
+        return value
 
     def shallow_form(self, expression: Expression) -> ShallowForm:
         """The shallow form of one of the statement's expressions (from
@@ -182,9 +206,7 @@ class SpjgDescription:
             return self._analysis.form(expression)
         return ShallowForm.shared(expression, self.catalog)
 
-    @_lazy
-    def outputs(self) -> tuple[OutputInfo, ...]:
-        """Every select-list item with its matching metadata."""
+    def _derive_outputs(self) -> tuple[OutputInfo, ...]:
         return tuple(
             OutputInfo(
                 item=item, position=i, form=self.shallow_form(item.expression)
@@ -192,20 +214,12 @@ class SpjgDescription:
             for i, item in enumerate(self.statement.select_items)
         )
 
-    @_lazy
-    def group_forms(self) -> tuple[ShallowForm, ...]:
-        """Shallow forms of the grouping expressions, in order."""
+    def _derive_group_forms(self) -> tuple[ShallowForm, ...]:
         return tuple(
             self.shallow_form(expr) for expr in self.statement.group_by
         )
 
-    @_lazy
-    def simple_output_map(self) -> dict[ColumnKey, str]:
-        """Output name per directly-exposed column (first exposure wins).
-
-        Cached: descriptions are immutable after construction and this
-        map backs every output-mapping step of the matcher.
-        """
+    def _derive_simple_output_map(self) -> dict[ColumnKey, str]:
         mapping: dict[ColumnKey, str] = {}
         for info in self.outputs:
             expr = info.expression
@@ -213,52 +227,41 @@ class SpjgDescription:
                 mapping.setdefault(expr.key, info.name)
         return mapping
 
-    @_lazy
-    def expression_outputs(self) -> tuple[OutputInfo, ...]:
-        """Non-simple, non-constant output items (expressions, aggregates)."""
+    def _derive_expression_outputs(self) -> tuple[OutputInfo, ...]:
         return tuple(
             info
             for info in self.outputs
             if not info.is_simple_column and not info.is_constant
         )
 
+    # The key sets below are computed per call, not kept: a view's are read
+    # once, when the filter tree registers it, and a query's once per probe.
+
     def extended_output_columns(self) -> frozenset[ColumnKey]:
         """The paper's extended output list (Section 4.2.3).
 
         Every column equivalent (under *this* statement's classes) to a
-        directly-exposed output column. Memoized (one ``class_map`` lookup
-        per output column instead of a per-call class rescan).
+        directly-exposed output column.
         """
-        cached = self._extended_output_columns
-        if cached is None:
-            class_map = self.eqclasses.class_map()
-            members: set[ColumnKey] = set()
-            for key in self.simple_output_map:
-                members.update(class_map[key])
-            cached = self._extended_output_columns = frozenset(members)
-        return cached
+        class_of = self.eqclasses.class_of
+        members: set[ColumnKey] = set()
+        for key in self.simple_output_map:
+            members.update(class_of(key))
+        return frozenset(members)
 
     def output_templates(self) -> frozenset[str]:
         """Templates of non-simple outputs, with aggregates normalized."""
-        cached = self._output_templates
-        if cached is None:
-            templates: set[str] = set()
-            for info in self.expression_outputs:
-                expr = info.expression
-                if isinstance(expr, FuncCall) and expr.is_aggregate():
-                    templates.update(normalized_aggregate_template(expr))
-                else:
-                    templates.add(info.form.template)
-            cached = self._output_templates = frozenset(templates)
-        return cached
+        templates: set[str] = set()
+        for info in self.expression_outputs:
+            expr = info.expression
+            if isinstance(expr, FuncCall) and expr.is_aggregate():
+                templates.update(normalized_aggregate_template(expr))
+            else:
+                templates.add(info.form.template)
+        return frozenset(templates)
 
     def residual_templates(self) -> frozenset[str]:
-        cached = self._residual_templates
-        if cached is None:
-            cached = self._residual_templates = frozenset(
-                form.template for form in self.residual_forms
-            )
-        return cached
+        return frozenset(form.template for form in self.residual_forms)
 
     def aggregate_templates(self) -> frozenset[str]:
         """Normalized templates of every aggregate call in the output list.
@@ -266,13 +269,10 @@ class SpjgDescription:
         The query-side counterpart of :meth:`output_templates`: the
         aggregation subtree's output-expression level probes with these.
         """
-        cached = self._aggregate_templates
-        if cached is None:
-            templates: set[str] = set()
-            for call in self.statement.aggregate_outputs():
-                templates.update(normalized_aggregate_template(call))
-            cached = self._aggregate_templates = frozenset(templates)
-        return cached
+        templates: set[str] = set()
+        for call in self.statement.aggregate_outputs():
+            templates.update(normalized_aggregate_template(call))
+        return frozenset(templates)
 
     # -- grouping metadata -------------------------------------------------------
 
@@ -286,14 +286,11 @@ class SpjgDescription:
 
     def extended_grouping_columns(self) -> frozenset[ColumnKey]:
         """Extended grouping list (Section 4.2.4), mirroring output columns."""
-        cached = self._extended_grouping_columns
-        if cached is None:
-            class_map = self.eqclasses.class_map()
-            members: set[ColumnKey] = set()
-            for key in self.simple_grouping_columns:
-                members.update(class_map[key])
-            cached = self._extended_grouping_columns = frozenset(members)
-        return cached
+        class_of = self.eqclasses.class_of
+        members: set[ColumnKey] = set()
+        for key in self.simple_grouping_columns:
+            members.update(class_of(key))
+        return frozenset(members)
 
     def grouping_templates(self) -> frozenset[str]:
         """Templates of non-simple grouping expressions."""
@@ -318,36 +315,24 @@ class SpjgDescription:
         too: their presence in a view demands a corresponding constraint in
         the query just like a plain bound does.
         """
-        cached = self._range_constrained_classes
-        if cached is None:
-            class_map = self.eqclasses.class_map()
-            cached = self._range_constrained_classes = tuple(
-                class_map[rep]
-                for rep in sorted(self._constrained_representatives())
-            )
-        return cached
+        class_of = self.eqclasses.class_of
+        return tuple(
+            class_of(rep) for rep in sorted(self._constrained_representatives())
+        )
 
     def extended_range_constrained_columns(self) -> frozenset[ColumnKey]:
         """All columns equivalent to some range-constrained column."""
-        cached = self._extended_range_constrained
-        if cached is None:
-            members: set[ColumnKey] = set()
-            for cls in self.range_constrained_classes():
-                members.update(cls)
-            cached = self._extended_range_constrained = frozenset(members)
-        return cached
+        members: set[ColumnKey] = set()
+        for cls in self.range_constrained_classes():
+            members.update(cls)
+        return frozenset(members)
 
     def reduced_range_constrained_columns(self) -> frozenset[ColumnKey]:
         """Range-constrained columns in *trivial* classes (Section 4.2.5)."""
-        cached = self._reduced_range_constrained
-        if cached is None:
-            class_map = self.eqclasses.class_map()
-            cached = self._reduced_range_constrained = frozenset(
-                rep
-                for rep in self._constrained_representatives()
-                if len(class_map[rep]) == 1
-            )
-        return cached
+        is_trivial = self.eqclasses.is_trivial
+        return frozenset(
+            rep for rep in self._constrained_representatives() if is_trivial(rep)
+        )
 
     # -- misc -------------------------------------------------------------------
 

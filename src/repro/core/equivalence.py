@@ -5,6 +5,13 @@ equality predicates PE of an SPJ expression. Knowledge about column
 equivalences lets later tests reroute a column reference to any column in
 the same class, which is the backbone of all three subsumption tests and of
 output-column mapping.
+
+The union-find is *sparse*: it stores only the columns that took part in
+an equality -- a view equates about three of the fifty columns its tables
+declare. Which columns exist at all is a :class:`ColumnDomain`, built once
+per referenced table set and shared by every description over that set
+(:func:`repro.core.analyze.column_domain`); every other column is its own
+root with rank 0, exactly as in a union-find that registered it.
 """
 
 from __future__ import annotations
@@ -14,49 +21,94 @@ from typing import Iterable, Iterator
 ColumnKey = tuple[str, str]
 
 
+class ColumnDomain:
+    """The columns an :class:`EquivalenceClasses` accepts, in registration order.
+
+    ``position`` numbers the columns in the order they were registered,
+    which is the order classes are enumerated in. Shared domains are never
+    mutated: an ``EquivalenceClasses`` that registers a column outside its
+    domain copies the domain first.
+    """
+
+    __slots__ = ("position", "_singletons")
+
+    def __init__(self, columns: Iterable[ColumnKey] = ()) -> None:
+        self.position: dict[ColumnKey, int] = {}
+        # ``{column: frozenset((column,))}``, filled on first request.
+        self._singletons: dict[ColumnKey, frozenset[ColumnKey]] = {}
+        for column in columns:
+            self.add(column)
+
+    def add(self, column: ColumnKey) -> None:
+        self.position.setdefault(column, len(self.position))
+
+    def copy(self) -> "ColumnDomain":
+        clone = ColumnDomain()
+        clone.position = dict(self.position)
+        return clone
+
+    def singleton(self, column: ColumnKey) -> frozenset[ColumnKey]:
+        """The one-column class of ``column`` (``KeyError`` if unknown)."""
+        cls = self._singletons.get(column)
+        if cls is None:
+            if column not in self.position:
+                raise KeyError(f"unregistered column {column}")
+            cls = self._singletons.setdefault(column, frozenset((column,)))
+        return cls
+
+
 class EquivalenceClasses:
     """A union-find over column keys with class enumeration helpers.
 
     Columns must be registered (``add_column``) before equalities are
     applied; every registered column starts in its own trivial class.
+    ``domain`` starts the classes over a shared :class:`ColumnDomain`
+    instead of registering ``columns``.
     """
 
-    def __init__(self, columns: Iterable[ColumnKey] = ()) -> None:
+    __slots__ = ("_domain", "_shared", "_parent", "_rank", "_merged")
+
+    def __init__(
+        self,
+        columns: Iterable[ColumnKey] = (),
+        domain: ColumnDomain | None = None,
+    ) -> None:
+        self._shared = domain is not None
+        self._domain = domain if domain is not None else ColumnDomain(columns)
+        # Only merged columns have a parent entry (a root maps to itself)
+        # and only roots of rank >= 1 a rank entry.
         self._parent: dict[ColumnKey, ColumnKey] = {}
         self._rank: dict[ColumnKey, int] = {}
-        self._class_map: dict[ColumnKey, frozenset[ColumnKey]] | None = None
-        # ``{column: frozenset((column,))}`` over exactly ``_parent``'s
-        # columns, shared read-only between an instance and its copies.
-        self._singletons: dict[ColumnKey, frozenset[ColumnKey]] | None = None
-        for column in columns:
-            self.add_column(column)
+        # ``{column: class}`` over the merged columns; rebuilt after a merge.
+        self._merged: dict[ColumnKey, frozenset[ColumnKey]] | None = None
 
     def add_column(self, column: ColumnKey) -> None:
         """Register a column in its own class (no-op if already present)."""
-        if column not in self._parent:
-            self._parent[column] = column
-            self._rank[column] = 0
-            self._class_map = None
-            self._singletons = None
+        if column not in self._domain.position:
+            if self._shared:  # copy on write
+                self._domain = self._domain.copy()
+                self._shared = False
+            self._domain.add(column)
 
     def __contains__(self, column: ColumnKey) -> bool:
-        return column in self._parent
+        return column in self._domain.position
 
     def __len__(self) -> int:
-        return len(self._parent)
+        return len(self._domain.position)
 
     def columns(self) -> Iterator[ColumnKey]:
-        yield from self._parent
+        yield from self._domain.position
 
     def find(self, column: ColumnKey) -> ColumnKey:
         """Canonical representative of the column's class."""
         parent = self._parent
-        root = column
-        try:
-            while parent[root] != root:
-                root = parent[root]
-        except KeyError:
-            raise KeyError(f"unregistered column {column}") from None
+        root = parent.get(column)
+        if root is None:
+            if column in self._domain.position:
+                return column
+            raise KeyError(f"unregistered column {column}")
+        while parent[root] != root:
+            root = parent[root]
         # Path compression.
         while parent[column] != root:
             parent[column], column = root, parent[column]
@@ -69,80 +121,88 @@ class EquivalenceClasses:
         root_a, root_b = self.find(a), self.find(b)
         if root_a == root_b:
             return False
-        if self._rank[root_a] < self._rank[root_b]:
+        rank = self._rank
+        rank_a, rank_b = rank.get(root_a, 0), rank.get(root_b, 0)
+        if rank_a < rank_b:
             root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        if self._rank[root_a] == self._rank[root_b]:
-            self._rank[root_a] += 1
-        self._class_map = None
+        parent = self._parent
+        parent[root_a] = root_a
+        parent[root_b] = root_a
+        rank.pop(root_b, None)  # never a root again
+        if rank_a == rank_b:
+            rank[root_a] = rank_a + 1
+        self._merged = None
         return True
 
     def same_class(self, a: ColumnKey, b: ColumnKey) -> bool:
         return self.find(a) == self.find(b)
 
-    def class_of(self, column: ColumnKey) -> frozenset[ColumnKey]:
-        root = self.find(column)
-        return frozenset(c for c in self._parent if self.find(c) == root)
-
-    def class_map(self) -> dict[ColumnKey, frozenset[ColumnKey]]:
-        """Every column's full class, as one memoized dict.
-
-        ``class_of`` rescans all registered columns per call, which makes
-        the per-output/per-grouping lookups of probe compilation
-        quadratic. This builds the column-to-class mapping once (one
-        linear grouping pass) and caches it until the next mutation;
-        callers must not mutate the returned dict.
-        """
-        mapping = self._class_map
-        if mapping is None:
-            rank = self._rank
-            singletons = self._singletons
-            mapping = {} if singletons is None else dict(singletons)
+    def _merged_classes(self) -> dict[ColumnKey, frozenset[ColumnKey]]:
+        merged = self._merged
+        if merged is None:
+            position = self._domain.position
             by_root: dict[ColumnKey, list[ColumnKey]] = {}
-            for column, up in self._parent.items():
-                if up == column and not rank[column]:
-                    # A rank-0 root never had a tree attached (a merge
-                    # leaves its surviving root at rank >= 1): the
-                    # column is alone, no ``find`` needed.
-                    if singletons is None:
-                        mapping[column] = frozenset((column,))
-                else:
-                    by_root.setdefault(self.find(column), []).append(column)
+            for column in sorted(self._parent, key=position.__getitem__):
+                by_root.setdefault(self.find(column), []).append(column)
+            merged = {}
             for members in by_root.values():
                 cls = frozenset(members)
                 for column in members:
-                    mapping[column] = cls
-            self._class_map = mapping
-        return mapping
+                    merged[column] = cls
+            self._merged = merged
+        return merged
+
+    def class_of(self, column: ColumnKey) -> frozenset[ColumnKey]:
+        """The column's full class: its merged class (built once per merge
+        state) or the domain's shared singleton, so nothing is copied."""
+        return self._merged_classes().get(column) or self._domain.singleton(
+            column
+        )
+
+    def class_map(self) -> dict[ColumnKey, frozenset[ColumnKey]]:
+        """Every column's full class, in registration order.
+
+        A new domain-sized dict per call, for callers that want every
+        class at once; per-column lookups use :meth:`class_of`.
+        """
+        class_of = self.class_of
+        return {column: class_of(column) for column in self._domain.position}
 
     def classes(self) -> list[frozenset[ColumnKey]]:
-        """All classes, including trivial single-column ones."""
+        """All classes, including trivial single-column ones, ordered by
+        each class's first registered column."""
+        parent = self._parent
         by_root: dict[ColumnKey, set[ColumnKey]] = {}
-        for column in self._parent:
-            by_root.setdefault(self.find(column), set()).add(column)
+        for column in self._domain.position:
+            root = self.find(column) if column in parent else column
+            by_root.setdefault(root, set()).add(column)
         return [frozenset(members) for members in by_root.values()]
 
     def nontrivial_classes(self) -> list[frozenset[ColumnKey]]:
-        return [cls for cls in self.classes() if len(cls) > 1]
+        """The classes of two or more columns, in :meth:`classes` order."""
+        position = self._domain.position
+        by_root: dict[ColumnKey, set[ColumnKey]] = {}
+        for column in sorted(self._parent, key=position.__getitem__):
+            by_root.setdefault(self.find(column), set()).add(column)
+        return [frozenset(members) for members in by_root.values()]
 
     def is_trivial(self, column: ColumnKey) -> bool:
         """True when the column's class contains only itself."""
-        root = self.find(column)
-        return all(
-            self.find(other) != root for other in self._parent if other != column
-        )
+        if column in self._parent:
+            return False
+        if column not in self._domain.position:
+            raise KeyError(f"unregistered column {column}")
+        return True
 
     def copy(self) -> "EquivalenceClasses":
-        """An independent copy; the singleton classes both sides' class
-        maps start from are built once here and shared."""
-        if self._singletons is None:
-            self._singletons = {
-                column: frozenset((column,)) for column in self._parent
-            }
-        clone = EquivalenceClasses()
+        """An independent copy; both sides share the domain until either
+        registers a column outside it."""
+        clone = EquivalenceClasses.__new__(EquivalenceClasses)
+        clone._domain = self._domain
+        clone._shared = self._shared = True
         clone._parent = dict(self._parent)
         clone._rank = dict(self._rank)
-        clone._singletons = self._singletons
+        clone._merged = self._merged  # replaced, never mutated, on a merge
         return clone
 
     def refines(self, coarser: "EquivalenceClasses") -> bool:
@@ -150,14 +210,15 @@ class EquivalenceClasses:
 
         This is exactly the equijoin subsumption test with ``self`` as the
         view classes and ``coarser`` as the query classes, restricted to the
-        columns present in both.
+        columns present in both: every merged column must share its
+        representative's class in ``coarser``.
         """
-        for cls in self.nontrivial_classes():
-            members = iter(cls)
-            first = next(members)
-            if first not in coarser:
+        for column in self._parent:
+            root = self.find(column)
+            if column == root:
+                continue
+            if column not in coarser or root not in coarser:
                 return False
-            for other in members:
-                if other not in coarser or not coarser.same_class(first, other):
-                    return False
+            if not coarser.same_class(column, root):
+                return False
         return True

@@ -249,9 +249,9 @@ class QueryProbe:
     ) -> "QueryProbe":
         """Compile the query-side search keys (fast single-pass pipeline).
 
-        Reuses the shallow forms and memoized class map the description
+        Reuses the shallow forms and merged classes the description
         already carries, derives every per-column group through one
-        ``class_map`` lookup, and pulls check-constraint keys from a
+        ``class_of`` lookup, and pulls check-constraint keys from a
         per-catalog cache. ``options.use_fast_probe=False`` dispatches to
         :meth:`of_reference`, the pre-fusion pipeline kept as the hot-path
         benchmark's baseline; both build identical probes.
@@ -399,13 +399,13 @@ def _output_requirements(
     """Availability requirements for every output and grouping item.
 
     One pass over the select list and grouping; shallow forms come from
-    the description, column groups from the memoized class map with a
+    the description, column groups from ``class_of`` lookups with a
     per-probe group cache (outputs and groupings overwhelmingly repeat
     the same columns).
     ``interner`` selects the bitmask encoding (:func:`_requirement_encoding`).
     """
     columns_key, templates_key, requirement = _requirement_encoding(interner)
-    class_map = query.eqclasses.class_map()
+    class_of = query.eqclasses.class_of
     backjoins = query.options.allow_backjoins
     catalog = query.catalog
     group_cache: dict = {}
@@ -413,7 +413,7 @@ def _output_requirements(
     def column_group(key: ColumnKey):
         group = group_cache.get(key)
         if group is None:
-            members = class_map[key]
+            members = class_of(key)
             if backjoins:
                 members = set(members)
                 table = catalog.table(key[0])
@@ -421,7 +421,7 @@ def _output_requirements(
                     if any(table.is_nullable(column) for column in unique_key):
                         continue
                     for column in unique_key:
-                        members |= class_map[(key[0], column)]
+                        members |= class_of((key[0], column))
             group = group_cache[key] = columns_key(members)
         return group
 
@@ -477,13 +477,13 @@ def _grouping_requirements(
 ) -> tuple:
     """Per-item grouping conditions for the grouping-column level."""
     columns_key, templates_key, requirement = _requirement_encoding(interner)
-    class_map = query.eqclasses.class_map()
+    class_of = query.eqclasses.class_of
     requirements: list = []
     for form, expr in zip(query.group_forms, query.statement.group_by):
         if isinstance(expr, ColumnRef):
             requirements.append(
                 requirement(
-                    templates_key(()), (columns_key(class_map[expr.key]),)
+                    templates_key(()), (columns_key(class_of(expr.key)),)
                 )
             )
         else:
@@ -500,6 +500,21 @@ def _grouping_requirements(
 # ---------------------------------------------------------------------------
 
 
+def _class_of_reference(
+    query: SpjgDescription, key: ColumnKey
+) -> frozenset[ColumnKey]:
+    """``key``'s class by a scan of every registered column.
+
+    How ``class_of`` answered before the equivalence classes kept a class
+    map: the per-call rescan this pipeline is the baseline for.
+    """
+    eqclasses = query.eqclasses
+    root = eqclasses.find(key)
+    return frozenset(
+        column for column in eqclasses.columns() if eqclasses.find(column) == root
+    )
+
+
 def _extended_range_constrained_reference(
     query: SpjgDescription,
 ) -> set[ColumnKey]:
@@ -509,7 +524,7 @@ def _extended_range_constrained_reference(
         representatives.add(query.eqclasses.find(or_range.column))
     members: set[ColumnKey] = set()
     for rep in representatives:
-        members.update(query.eqclasses.class_of(rep))
+        members.update(_class_of_reference(query, rep))
     return members
 
 
@@ -553,14 +568,14 @@ def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
     unique key of the owning table also suffices (the matcher can join the
     view back to the base table), so those classes widen the group.
     """
-    group = set(query.eqclasses.class_of(key))
+    group = set(_class_of_reference(query, key))
     if query.options.allow_backjoins:
         table = query.catalog.table(key[0])
         for unique_key in table.all_unique_keys():
             if any(table.is_nullable(column) for column in unique_key):
                 continue
             for column in unique_key:
-                group |= query.eqclasses.class_of((key[0], column))
+                group |= _class_of_reference(query, (key[0], column))
     return _columns_key(group)
 
 
@@ -642,7 +657,7 @@ def _grouping_requirements_reference(
                 OutputRequirement(
                     templates=frozenset(),
                     column_groups=(
-                        _columns_key(query.eqclasses.class_of(expr.key)),
+                        _columns_key(_class_of_reference(query, expr.key)),
                     ),
                 )
             )

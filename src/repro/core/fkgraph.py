@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .analyze import intern_tables
 from .equivalence import ColumnKey, EquivalenceClasses
 from .options import DEFAULT_OPTIONS, MatchOptions
 
@@ -170,12 +171,9 @@ def compute_hub(
     )
     removable = set(description.tables)
     if options.effective_hub_refinement:
+        eqclasses = description.eqclasses
         for column in description.columns_with_predicates():
-            table = column[0]
-            if (
-                column in description.eqclasses
-                and len(description.eqclasses.class_of(column)) == 1
-            ):
-                removable.discard(table)
+            if column in eqclasses and eqclasses.is_trivial(column):
+                removable.discard(column[0])
     result = eliminate_tables(description.tables, edges, frozenset(removable))
-    return result.remaining
+    return intern_tables(description.catalog, result.remaining)

@@ -765,12 +765,11 @@ def _query_plain_ranges(query: SpjgDescription) -> dict[ColumnKey, "Interval"]:
     extra-table augmentation applies, so the derivation runs once per
     query instead of once per template replay.
     """
-    ranges = query.__dict__.get("_query_plain_ranges")
+    ranges = query._query_plain_ranges
     if ranges is None:
-        ranges = derive_ranges(
+        ranges = query._query_plain_ranges = derive_ranges(
             query.classified.range_predicates, query.eqclasses
         )
-        query.__dict__["_query_plain_ranges"] = ranges
     return ranges
 
 
@@ -783,14 +782,13 @@ def _query_range_sets(query: SpjgDescription) -> dict[ColumnKey, IntervalSet]:
     candidate. The pre-verifier builds its query signature from the same
     memo, keeping screen and full match literally in agreement.
     """
-    sets = query.__dict__.get("_query_range_sets")
+    sets = query._query_range_sets
     if sets is None:
-        sets = _interval_sets(
+        sets = query._query_range_sets = _interval_sets(
             tuple(query.classified.range_predicates),
             tuple(query.or_ranges),
             query.eqclasses,
         )
-        query.__dict__["_query_range_sets"] = sets
     return sets
 
 
@@ -1261,7 +1259,6 @@ _TEMPLATE_CACHE: dict = {}
 _TEMPLATE_CACHE_LIMIT = 4096
 _template_hits = 0
 _template_stores = 0
-_UNSET = object()
 
 
 def template_cache_info() -> dict:
@@ -1291,13 +1288,11 @@ def _template_fingerprint(query: SpjgDescription):
     subsumption test and range-constant compensations is then identical.
     Queries with disjunctive ranges are not fingerprinted (None).
     """
-    fingerprint = query.__dict__.get("_template_fp", _UNSET)
-    if fingerprint is not _UNSET:
-        return fingerprint
     if query.or_ranges:
-        fingerprint = None
-    else:
-        fingerprint = (
+        return None
+    fingerprint = query._template_fp
+    if fingerprint is None:
+        fingerprint = query._template_fp = (
             query.tables,
             query.is_aggregate,
             query.statement.distinct,
@@ -1320,7 +1315,6 @@ def _template_fingerprint(query: SpjgDescription):
             ),
             tuple(repr(expr) for expr in query.statement.group_by),
         )
-    query.__dict__["_template_fp"] = fingerprint
     return fingerprint
 
 

@@ -442,7 +442,7 @@ class PreVerifierSchema:
     def signature_for(self, query) -> QuerySignature:
         """The query's signature, cached on the description until the
         schema grows (new pairs/columns interned by later registrations)."""
-        cached = query.__dict__.get("_preverify_sig")
+        cached = query._preverify_sig
         if (
             cached is not None
             and cached[0] is self
@@ -451,7 +451,7 @@ class PreVerifierSchema:
         ):
             return cached[1]
         signature = self._build_signature(query)
-        query.__dict__["_preverify_sig"] = (self, signature)
+        query._preverify_sig = (self, signature)
         return signature
 
     def _build_signature(self, query) -> QuerySignature:

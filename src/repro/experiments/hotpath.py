@@ -64,9 +64,10 @@ PROBE_SPEEDUP_FLOOR = 2.0
 # otherwise-identical runs on one host, and calibration does not track
 # it (the calibration loop is an order of magnitude longer). The
 # regression class this check exists for -- accidentally timing the
-# multi-walk reference pipeline as the fast path -- costs 3x+, still
-# far outside the budget; the in-process PROBE_SPEEDUP_FLOOR gate
-# handles ratios host-independently.
+# multi-walk reference pipeline, with its per-lookup class rescans, as
+# the fast path -- costs 3.5-4.5x at 1,000 views, still far outside the
+# budget; the in-process PROBE_SPEEDUP_FLOOR gate handles ratios
+# host-independently.
 PROBE_REGRESSION_TOLERANCE = 0.6
 
 # The end-to-end section times the fork fan-out leg only where it has
@@ -120,11 +121,12 @@ VERIFICATION_BASELINE_XCAL = 1628.98 / 1228.25
 # Resident-footprint budget for the memory gate: amortized deep-walk
 # bytes per registered view (filter tree + descriptions + match
 # contexts, shared catalog/statistics excluded). Calibration-free --
-# bytes don't depend on host speed -- and sized with ~65 % headroom over
-# the ~29 KB/view measured at 10k views, so it catches a structural
-# regression (a dropped ``__slots__``, an accidentally per-view copy of
-# shared state) rather than getsizeof jitter between interpreters.
-MEMORY_BYTES_PER_VIEW_BUDGET = 48 * 1024
+# bytes don't depend on host speed -- and sized with ~50 % headroom over
+# the ~16-17 KB/view measured at 1,000 (smoke) and 10,000 views, so it
+# catches a structural regression (a dropped ``__slots__``, an
+# accidentally per-view copy of shared state such as the column domain)
+# rather than getsizeof jitter between interpreters.
+MEMORY_BYTES_PER_VIEW_BUDGET = 24 * 1024
 
 
 @dataclass(frozen=True)
@@ -326,8 +328,9 @@ def _time_probe(descriptions, options, builder, repetitions, runs) -> float:
 
     ``builder`` is :meth:`QueryProbe.of` (the fused single-pass compiler)
     or :meth:`QueryProbe.of_reference` (the preserved multi-walk
-    pipeline). A warm-up pass populates the description-level memo fields
-    first so both builders are timed at their steady state.
+    pipeline). A warm-up pass derives the descriptions' output metadata
+    and merged classes first so both builders are timed at their steady
+    state.
     """
     for description in descriptions:
         builder(description, options)

@@ -130,8 +130,10 @@ def _walk(obj: Any, seen: set[int]) -> int:
         if instance_dict is not None:
             stack.append(instance_dict)
         for name in _slot_names(type(current)):
+            # Past any ``__getattr__``: measuring must not derive an
+            # unset slot (``SpjgDescription`` computes one on first read).
             try:
-                stack.append(getattr(current, name))
+                stack.append(object.__getattribute__(current, name))
             except AttributeError:
                 pass  # slot declared but never assigned
         # Containers that are neither builtin sequences nor slot/dict

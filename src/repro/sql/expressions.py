@@ -15,7 +15,7 @@ in queries, where it is rewritten to SUM / COUNT_BIG).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 # Comparison operators recognised as *range* predicate builders when one side
 # is a constant, per Section 3.1.2 of the paper.
@@ -89,6 +89,17 @@ class ColumnRef(Expression):
 
     table: str | None
     column: str
+    # The ``key`` tuple of a reference made by :meth:`shared`; ``None``
+    # (this class default, no per-instance storage) for every other one.
+    _key: ClassVar[tuple[str, str] | None] = None
+
+    @classmethod
+    def shared(cls, table: str, column: str) -> "ColumnRef":
+        """A bound reference whose ``key`` is built once, for the leaves a
+        catalog owns and hands to every statement bound against it."""
+        ref = cls(table, column)
+        object.__setattr__(ref, "_key", (table, column))
+        return ref
 
     def __str__(self) -> str:
         return f"{self.table}.{self.column}" if self.table else self.column
@@ -96,9 +107,12 @@ class ColumnRef(Expression):
     @property
     def key(self) -> tuple[str, str]:
         """Hashable (table, column) identity; requires a bound reference."""
-        if self.table is None:
-            raise ValueError(f"unbound column reference: {self.column}")
-        return (self.table, self.column)
+        key = self._key
+        if key is None:
+            if self.table is None:
+                raise ValueError(f"unbound column reference: {self.column}")
+            return (self.table, self.column)
+        return key
 
     def contains_aggregate(self) -> bool:
         return False  # a leaf: skips the generic walk on the hot path

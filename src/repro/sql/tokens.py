@@ -110,8 +110,9 @@ def tokenize(text: str) -> list[Token]:
     """Convert SQL text into a token list ending with an EOF token.
 
     Identifiers and keywords are lower-cased (the SQL subset is
-    case-insensitive); string literal contents are preserved verbatim with
-    ``''`` unescaped to ``'``, and ``!=`` reads as ``<>``.
+    case-insensitive) and identifiers ``sys.intern``-ed; string literal
+    contents are preserved verbatim with ``''`` unescaped to ``'``, and
+    ``!=`` reads as ``<>``.
     """
     pattern = _ASCII if text.isascii() else _unicode()
     tokens: list[Token] = []
@@ -119,11 +120,17 @@ def tokenize(text: str) -> list[Token]:
     keywords = KEYWORDS
     kinds = _GROUP_KINDS
     ident, keyword = TokenType.IDENT, TokenType.KEYWORD
+    intern = sys.intern
     for match in pattern.finditer(text):
         group = match.lastindex
         if group == _WORD:
             word = match.group(group).lower()
-            append((keyword if word in keywords else ident, word, match.start(group)))
+            if word in keywords:
+                append((keyword, word, match.start(group)))
+            else:
+                # Interned: aliases and names outlive the statement in
+                # every view that spells them.
+                append((ident, intern(word), match.start(group)))
         elif group is None:
             append((TokenType.EOF, "", match.end()))
             break

@@ -4,11 +4,17 @@ Binding hands out the catalog's own ``ColumnRef`` / ``TableRef`` objects
 instead of rebuilding the tree around fresh copies, and
 ``ShallowForm.shared`` keeps one form per expression whose variety the
 schema bounds. Both tables must stop growing however many statements
-pass through, and nothing holding a literal may ever be kept.
+pass through, and nothing holding a literal may ever be kept. Names are
+shared too: a catalog ref's key tuple, lexed identifiers, and the table
+sets descriptions and hubs keep.
 """
 
+import pytest
+
 from repro.catalog import tpch_catalog
+from repro.core.analyze import intern_tables
 from repro.core.describe import describe
+from repro.core.fkgraph import compute_hub
 from repro.core.residual import ShallowForm
 from repro.sql import (
     ColumnRef,
@@ -70,6 +76,54 @@ class TestSharedLeaves:
         assert one.where.left is other.where.left
         assert one.where.right == other.where.right
         assert one.where.right is not other.where.right
+
+
+class TestSharedNames:
+    def test_a_catalog_ref_builds_its_key_once(self):
+        catalog = tpch_catalog()
+        ref = catalog.column_ref("lineitem", "l_orderkey")
+        assert ref.key is ref.key
+        assert ref.key == ("lineitem", "l_orderkey")
+        parsed = ColumnRef("lineitem", "l_orderkey")
+        assert parsed == ref and hash(parsed) == hash(ref)
+        assert parsed.key == ref.key
+        assert "_key" not in vars(parsed)  # only catalog refs store one
+
+    def test_an_unbound_ref_has_no_key(self):
+        with pytest.raises(ValueError, match="unbound column reference: x"):
+            ColumnRef(None, "x").key
+
+    def test_identifiers_are_interned(self):
+        # Spelled differently and built at run time, so only the lexer
+        # can make the lowered names the same object.
+        one = parse_select("select l_orderkey as " + "Qty" + "_" + "A from lineitem")
+        other = parse_select("SELECT L_ORDERKEY AS QTY_a FROM LINEITEM")
+        assert one.select_items[0].alias is other.select_items[0].alias
+
+    def test_table_sets_are_shared_per_iteration_order(self):
+        catalog = tpch_catalog()
+        names = ["lineitem", "orders", "customer", "nation", "region"]
+        seen = {}
+        for start in range(len(names)):
+            for step in (1, -1):
+                order = [names[(start + step * i) % len(names)] for i in range(5)]
+                for size in range(1, 6):
+                    built = frozenset(order[:size])
+                    interned = intern_tables(catalog, built)
+                    assert interned == built
+                    assert tuple(interned) == tuple(built)
+                    assert seen.setdefault(tuple(built), interned) is interned
+
+    def test_descriptions_and_hubs_share_table_sets(self):
+        catalog = tpch_catalog()
+        sql = (
+            "select l_orderkey, o_custkey from lineitem, orders "
+            "where l_orderkey = o_orderkey"
+        )
+        one = describe(catalog.bind_sql(sql), catalog)
+        other = describe(catalog.bind_sql(sql), catalog)
+        assert one.tables is other.tables
+        assert compute_hub(one) is compute_hub(other)
 
 
 class TestIdentityPreservingTransform:
