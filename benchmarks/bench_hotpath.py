@@ -27,8 +27,8 @@ slower (calibration-normalized). ``--check-overhead`` applies the much
 tighter disabled-tracing guard (calibration-normalized; run the full
 sweep, not ``--smoke``, so the configuration matches the baseline's).
 ``--check-speedups`` enforces the absolute floors: probe compilation
->=2x over the reference pipeline, the verification floor and the memory
-budget. ``--profile N`` skips timing and
+>=2x over the reference pipeline and the memory budget. ``--profile N``
+skips timing and
 prints cProfile top-N tables for the probe-build and full-match phases.
 The module is also collectable by pytest (one smoke-sized test), like
 the other bench files.
@@ -113,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check-speedups",
         action="store_true",
         help="fail unless probe building is >=2x the reference pipeline "
-        "and the verification floor and memory budget hold",
+        "and the memory budget holds",
     )
     parser.add_argument(
         "--profile",

@@ -145,8 +145,8 @@ def main(argv: list[str] | None = None) -> int:
         "--match-only",
         action="store_true",
         help=(
-            "run only the matching sweep (probe/filter/match/"
-            "verification); skips the end-to-end, maintenance, "
+            "run only the matching sweep (probe/filter/match); "
+            "skips the end-to-end, maintenance, "
             "catalog-scale, pool, telemetry, and memory sections"
         ),
     )
@@ -181,8 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "fail unless probe compilation is >=2x faster than the "
-            "reference pipeline and the verification floor and memory "
-            "budget hold"
+            "reference pipeline and the memory budget holds"
         ),
     )
     hotpath.add_argument(

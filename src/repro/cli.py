@@ -402,12 +402,11 @@ def run_bench_hotpath(
     memory section -- the bytes-per-registered-view budget.
     ``catalog_scale`` overrides the 100k-view packed-path point's view
     count (0 disables it). ``match_only`` restricts the run
-    to the matching sweep (probe / filter / match / verification
-    timings), disabling the end-to-end, maintenance, catalog-scale,
-    pool, telemetry, and memory sections -- the quick loop for iterating
-    on matcher code, and what the no-numpy CI leg runs. ``profile``
-    skips the benchmark entirely and prints cProfile top-N tables for
-    the probe-build and full-match phases instead.
+    to the matching sweep (probe / filter / match timings), disabling
+    the end-to-end, maintenance, catalog-scale, pool, telemetry, and
+    memory sections -- the quick loop for iterating on matcher code.
+    ``profile`` skips the benchmark entirely and prints cProfile top-N
+    tables for the probe-build and full-match phases instead.
     """
     import dataclasses
     import json

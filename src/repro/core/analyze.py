@@ -235,6 +235,7 @@ class QueryAnalysis:
         "_conjunct_columns",
         "_table_columns",
         "_forms",
+        "probe_masks",
     )
 
     def __init__(
@@ -305,6 +306,9 @@ class QueryAnalysis:
             for name in names
         ]
         self._forms: dict[Expression, ShallowForm] = {}
+        # ``(interner, {column class: mask})``: the filter tree's probe
+        # compiler keeps its per-request class masks here.
+        self.probe_masks = None
 
     # -- blocks ---------------------------------------------------------------
 

@@ -105,8 +105,8 @@ class SpjgDescription:
     """
 
     # A registered catalog keeps one description per view: slots, not an
-    # instance dict. The last four are query-side memos of the matcher and
-    # pre-verifier (``None`` until first computed).
+    # instance dict. ``_query_ranges`` is the matcher's query-side memo
+    # (``None`` until first computed).
     __slots__ = (
         "statement",
         "catalog",
@@ -124,10 +124,7 @@ class SpjgDescription:
         "group_forms",
         "simple_output_map",
         "expression_outputs",
-        "_query_plain_ranges",
-        "_query_range_sets",
-        "_template_fp",
-        "_preverify_sig",
+        "_query_ranges",
         "__weakref__",  # DatabaseStats.view_rows is keyed weakly
     )
 
@@ -172,10 +169,7 @@ class SpjgDescription:
         self.or_ranges: tuple[OrRangePredicate, ...] = predicates.or_ranges
         self.residual_forms: tuple[ShallowForm, ...] = predicates.residual_forms
         self.is_aggregate = statement.is_aggregate
-        self._query_plain_ranges = None
-        self._query_range_sets = None
-        self._template_fp = None
-        self._preverify_sig = None
+        self._query_ranges = None
 
     # -- output metadata -------------------------------------------------------
 
@@ -198,6 +192,11 @@ class SpjgDescription:
         value = derive(self)
         setattr(self, name, value)
         return value
+
+    @property
+    def analysis(self) -> QueryAnalysis | None:
+        """The request analysis this description was derived from, if any."""
+        return self._analysis
 
     def shallow_form(self, expression: Expression) -> ShallowForm:
         """The shallow form of one of the statement's expressions (from

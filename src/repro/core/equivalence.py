@@ -137,7 +137,9 @@ class EquivalenceClasses:
     def same_class(self, a: ColumnKey, b: ColumnKey) -> bool:
         return self.find(a) == self.find(b)
 
-    def _merged_classes(self) -> dict[ColumnKey, frozenset[ColumnKey]]:
+    def merged_classes(self) -> dict[ColumnKey, frozenset[ColumnKey]]:
+        """``{column: class}`` over the columns of the non-trivial classes,
+        in registration order. Memoised until the next merge: read-only."""
         merged = self._merged
         if merged is None:
             position = self._domain.position
@@ -155,7 +157,7 @@ class EquivalenceClasses:
     def class_of(self, column: ColumnKey) -> frozenset[ColumnKey]:
         """The column's full class: its merged class (built once per merge
         state) or the domain's shared singleton, so nothing is copied."""
-        return self._merged_classes().get(column) or self._domain.singleton(
+        return self.merged_classes().get(column) or self._domain.singleton(
             column
         )
 
@@ -203,6 +205,14 @@ class EquivalenceClasses:
         clone._parent = dict(self._parent)
         clone._rank = dict(self._rank)
         clone._merged = self._merged  # replaced, never mutated, on a merge
+        return clone
+
+    def over(self, domain: ColumnDomain) -> "EquivalenceClasses":
+        """A copy of these classes over a shared ``domain`` that holds all
+        of this one's columns and more: every ``find`` agrees, and the
+        columns new to ``domain`` start in trivial classes."""
+        clone = self.copy()
+        clone._domain = domain
         return clone
 
     def refines(self, coarser: "EquivalenceClasses") -> bool:

@@ -40,7 +40,6 @@ from .lattice import Key, LatticeIndex
 from .matching import ViewMatchContext
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
-from .preverify import CandidatePreVerifier, PreVerifierSchema
 from .residual import ShallowForm
 
 if TYPE_CHECKING:
@@ -137,6 +136,25 @@ def _requirements_satisfied_bits(
             if not (mask & key_bits):
                 return False
     return True
+
+
+def _split_requirements(requirements: tuple) -> tuple[tuple[int, ...], tuple]:
+    """``(column_masks, rest)``: requirements as the survivor loop tests them.
+
+    A requirement with no template bits and one column group -- every
+    plain column output -- holds iff the view key intersects that group,
+    so those collapse to the distinct group masks, tested inline; the
+    rest keep the :func:`_requirements_satisfied_bits` form. Together
+    they hold exactly when every requirement does.
+    """
+    column_masks: dict[int, None] = {}
+    rest = []
+    for templates_mask, group_masks in requirements:
+        if not templates_mask and len(group_masks) == 1:
+            column_masks[group_masks[0]] = None
+        else:
+            rest.append((templates_mask, group_masks))
+    return tuple(column_masks), tuple(rest)
 
 
 def _classes_hit_bits(
@@ -361,24 +379,50 @@ def _catalog_check_keys(
     return entry
 
 
-def _requirement_encoding(interner: KeyInterner | None):
-    """``(columns_key, templates_key, requirement)`` builders.
+def _class_masks(query: SpjgDescription, interner: KeyInterner) -> dict:
+    """``{column class: interned mask}``, shared by every probe of a request.
+
+    The blocks of one request repeat the same columns and classes, so a
+    description derived from a request's analysis compiles each class's
+    mask once per request; any other description gets a fresh dict. A
+    mask compiled before a concurrent registration interned a new atom
+    lacks that atom's bit, which no view of the request's snapshot
+    carries, so it stays exact for that snapshot.
+    """
+    analysis = query.analysis
+    if analysis is None:
+        return {}
+    memo = analysis.probe_masks
+    if memo is None or memo[0] is not interner:
+        memo = analysis.probe_masks = (interner, {})
+    return memo[1]
+
+
+def _requirement_encoding(
+    query: SpjgDescription, interner: KeyInterner | None
+):
+    """``(columns_key, templates_key, requirement)`` builders for ``query``.
 
     Without an interner: frozenset keys and :class:`OutputRequirement`.
     With one: each key is compiled straight to its interned bitmask and a
     requirement to the ``(templates_mask, group_masks)`` pair
     :func:`_requirements_satisfied_bits` consumes -- atoms the interner
     has never seen are dropped, which is exact (see
-    :func:`_bind_requirement`).
+    :func:`_bind_requirement`). ``columns_key`` takes one equivalence
+    class (masks come from :func:`_class_masks`).
     """
     if interner is None:
         return _columns_key, _templates_key, OutputRequirement
     known_bit = interner.known_bit
+    masks = _class_masks(query, interner)
 
-    def columns_mask(columns: Iterable[ColumnKey]) -> int:
-        mask = 0
-        for column in columns:
-            mask |= known_bit((_COLUMN, *column))
+    def columns_mask(columns: frozenset[ColumnKey]) -> int:
+        mask = masks.get(columns)
+        if mask is None:
+            mask = 0
+            for column in columns:
+                mask |= known_bit((_COLUMN, *column))
+            masks[columns] = mask
         return mask
 
     def templates_mask(templates: Iterable[str]) -> int:
@@ -404,7 +448,9 @@ def _output_requirements(
     the same columns).
     ``interner`` selects the bitmask encoding (:func:`_requirement_encoding`).
     """
-    columns_key, templates_key, requirement = _requirement_encoding(interner)
+    columns_key, templates_key, requirement = _requirement_encoding(
+        query, interner
+    )
     class_of = query.eqclasses.class_of
     backjoins = query.options.allow_backjoins
     catalog = query.catalog
@@ -413,16 +459,15 @@ def _output_requirements(
     def column_group(key: ColumnKey):
         group = group_cache.get(key)
         if group is None:
-            members = class_of(key)
+            group = columns_key(class_of(key))
             if backjoins:
-                members = set(members)
                 table = catalog.table(key[0])
                 for unique_key in table.all_unique_keys():
                     if any(table.is_nullable(column) for column in unique_key):
                         continue
                     for column in unique_key:
-                        members |= class_of((key[0], column))
-            group = group_cache[key] = columns_key(members)
+                        group |= columns_key(class_of((key[0], column)))
+            group_cache[key] = group
         return group
 
     requirements: list = []
@@ -476,7 +521,9 @@ def _grouping_requirements(
     query: SpjgDescription, interner: KeyInterner | None = None
 ) -> tuple:
     """Per-item grouping conditions for the grouping-column level."""
-    columns_key, templates_key, requirement = _requirement_encoding(interner)
+    columns_key, templates_key, requirement = _requirement_encoding(
+        query, interner
+    )
     class_of = query.eqclasses.class_of
     requirements: list = []
     for form, expr in zip(query.group_forms, query.statement.group_by):
@@ -1056,8 +1103,10 @@ class _PackedProbe:
     values (table names, templates, column keys) for the fused mask
     levels, which each subtree looks up in its own atom dictionaries, and
     interned ``(templates_mask, group_masks)`` pairs for the two per-item
-    requirement levels. Check-constraint keys widen the residual and
-    range levels exactly as in :meth:`QueryProbe.of`.
+    requirement levels (``output_check`` is the output pairs split for
+    the survivor loop, :func:`_split_requirements`). Check-constraint
+    keys widen the residual and range levels exactly as in
+    :meth:`QueryProbe.of`.
     """
 
     __slots__ = (
@@ -1067,6 +1116,7 @@ class _PackedProbe:
         "aggregate_templates",
         "grouping_templates",
         "output_requirements",
+        "output_check",
         "grouping_requirements",
     )
 
@@ -1088,6 +1138,7 @@ class _PackedProbe:
         self.residual_templates = residual_templates
         self.constrained_columns = constrained
         self.output_requirements = _output_requirements(query, interner)
+        self.output_check = _split_requirements(self.output_requirements)
         if query.is_aggregate:
             self.aggregate_templates = query.aggregate_templates()
             self.grouping_templates = query.grouping_templates()
@@ -1130,8 +1181,9 @@ class _PackedSubtree:
 
     The two per-item requirement levels (output columns, grouping
     columns) do not fuse into fixed-width masks; they are evaluated only
-    on sweep survivors via :func:`_requirements_satisfied_bits` against
-    per-view interned key masks kept in parallel arrays -- survivors are
+    on sweep survivors (plain column outputs inline, the rest via
+    :func:`_requirements_satisfied_bits`) against per-view interned key
+    masks kept in parallel arrays -- survivors are
     a tiny fraction of the catalog, so this stage stays off the
     per-view-python-loop hot path.
     """
@@ -1302,7 +1354,7 @@ class _PackedSubtree:
         for column in probe.constrained_columns:
             allowed |= range_columns.get(column, 0)
         query |= self._range_universe & ~allowed
-        output_requirements = probe.output_requirements
+        column_masks, other_requirements = probe.output_check
         grouping_requirements = (
             probe.grouping_requirements if self.aggregate else ()
         )
@@ -1310,15 +1362,20 @@ class _PackedSubtree:
         grouping_bits = self._grouping_bits
         table = self.table
         for row in table.sweep(table.prepare(query)):
-            if not _requirements_satisfied_bits(
-                output_requirements, output_bits[row]
-            ):
-                continue
-            if grouping_requirements and not _requirements_satisfied_bits(
-                grouping_requirements, grouping_bits[row]
-            ):
-                continue
-            out.append(views[row])
+            bits = output_bits[row]
+            for mask in column_masks:
+                if not mask & bits:
+                    break
+            else:
+                if other_requirements and not _requirements_satisfied_bits(
+                    other_requirements, bits
+                ):
+                    continue
+                if grouping_requirements and not _requirements_satisfied_bits(
+                    grouping_requirements, grouping_bits[row]
+                ):
+                    continue
+                out.append(views[row])
 
     # -- copy-on-write snapshots -----------------------------------------------
 
@@ -1460,8 +1517,6 @@ class FilterTree:
         interner: KeyInterner | None = None,
         use_interning: bool = True,
         use_packed: bool = True,
-        preverify_schema: PreVerifierSchema | None = None,
-        use_preverifier: bool = True,
     ):
         """Build an empty tree.
 
@@ -1484,13 +1539,6 @@ class FilterTree:
         (diagnostics, custom traversals). ``use_packed=False`` keeps the
         recursive tree as the primary index -- the property tests pin the
         two paths to identical candidate lists.
-
-        ``preverify_schema`` shares an existing
-        :class:`~repro.core.preverify.PreVerifierSchema` across trees (the
-        serving layer passes one per snapshot manager, like the interner,
-        so pre-verifier encodings stay valid across epoch rebuilds);
-        ``use_preverifier=False`` drops the columnar candidate screen
-        entirely (the reference configuration for equivalence tests).
         """
         self.options = options
         if interner is None and use_interning:
@@ -1519,9 +1567,6 @@ class FilterTree:
             self._aggregate_root_node = _TreeNode(
                 self._aggregate_levels, 0, interner
             )
-        self._preverifier = (
-            CandidatePreVerifier(preverify_schema) if use_preverifier else None
-        )
         self._registered: dict[str, RegisteredView] = {}
         # Registration sequence numbers: candidate lists are returned in
         # registration order (a deterministic, index-layout-independent
@@ -1613,8 +1658,6 @@ class FilterTree:
             (self._aggregate_root_node if aggregate else self._spj_root_node).add(
                 view
             )
-        if self._preverifier is not None:
-            self._preverifier.add(name, view.description, view.match_context)
         self._registered[name] = view
         self._order[name] = self._next_order
         self._next_order += 1
@@ -1640,8 +1683,6 @@ class FilterTree:
             (
                 self._aggregate_root_node if aggregate else self._spj_root_node
             ).remove(view)
-        if self._preverifier is not None:
-            self._preverifier.remove(name)
 
     def views(self) -> tuple[RegisteredView, ...]:
         """All registered views, in registration order."""
@@ -1728,45 +1769,21 @@ class FilterTree:
         clone._aggregate_packed = self._aggregate_packed.snapshot()
         clone._spj_root_node = None
         clone._aggregate_root_node = None
-        clone._preverifier = (
-            self._preverifier.snapshot()
-            if self._preverifier is not None
-            else None
-        )
         clone._registered = dict(self._registered)
         clone._order = dict(self._order)
         clone._next_order = self._next_order
         return clone
-
-    def preverify_screen(self, query: SpjgDescription, candidates) -> list | None:
-        """Columnar pre-verification verdicts for filter-tree survivors.
-
-        ``candidates`` are :class:`RegisteredView` objects this tree
-        returned from :meth:`candidates`. The result is position-aligned:
-        ``None`` means "proceed to the full match", anything else is a
-        rejecting :class:`~repro.core.matching.MatchResult` whose reason
-        and detail are exactly what ``match_view`` would produce. Returns
-        ``None`` when the tree was built without a pre-verifier.
-        """
-        if self._preverifier is None:
-            return None
-        return self._preverifier.screen(query, candidates)
 
     def packed_tables(self) -> tuple:
         """The packed row tables backing this tree (empty unless packed).
 
         The serving pool exports each table's byte image into shared
         memory before forking workers; see
-        :func:`repro.service.shm.export_snapshot`. Includes the
-        pre-verifier's equijoin and range tables so forked workers screen
-        candidates from the same physical copy.
+        :func:`repro.service.shm.export_snapshot`.
         """
         if not self._use_packed:
             return ()
-        tables: tuple = (self._spj_packed.table, self._aggregate_packed.table)
-        if self._preverifier is not None:
-            tables += self._preverifier.packed_tables()
-        return tables
+        return (self._spj_packed.table, self._aggregate_packed.table)
 
     def lattice_node_count(self) -> int:
         """Total lattice nodes across every index of both subtrees.

@@ -366,8 +366,12 @@ class PackedBitsetTable:
             if self._words == 1:
                 misses = (matrix.reshape(-1) ^ flip) & query
                 return _numpy.nonzero(misses == 0)[0].tolist()
-            misses = ((matrix ^ flip) & query).any(axis=1)
-            return _numpy.nonzero(~misses)[0].tolist()
+            # Word by word into one row vector: a 2-D ``any(axis=1)``
+            # reduction over uint64 costs ten times as much.
+            misses = (matrix[:, 0] ^ flip[0]) & query[0]
+            for word in range(1, self._words):
+                misses |= (matrix[:, word] ^ flip[word]) & query[word]
+            return _numpy.nonzero(misses == 0)[0].tolist()
         # Pure backend: one failed row sets its guard bit via the lane-local
         # carry of ``miss + (2**(stride-1) - 1)``; surviving rows are the
         # guard bytes left at zero. All full-width operations below run in
@@ -390,33 +394,6 @@ class PackedBitsetTable:
     def sweep_mask(self, query_mask: int, flip_mask: int | None = None) -> list[int]:
         """One-shot :meth:`prepare` + :meth:`sweep`."""
         return self.sweep(self.prepare(query_mask, flip_mask))
-
-    def rows_intersecting(self, rows: list[int], mask: int) -> list[bool]:
-        """Per-row truth of ``row & mask != 0`` for the given row indices.
-
-        The candidate pre-verifier's equijoin screen asks this for the
-        (small) set of rows that survived the lattice walk; bits of
-        ``mask`` above this table's width are ignored (no stored row can
-        carry them).
-        """
-        if not rows:
-            return []
-        # Tiny batches: the numpy gather's fixed overhead exceeds a direct
-        # int-and per row, and ``_rows`` holds the same canonical masks
-        # under both backends.
-        if not self._use_numpy or len(rows) < 24:
-            table = self._rows
-            return [(table[row] & mask) != 0 for row in rows]
-        self._ensure_packed()
-        sub = self._matrix[_ACTIVE_NUMPY.asarray(rows, dtype=_ACTIVE_NUMPY.intp)]
-        words = self._words
-        if words == 1:
-            query = _ACTIVE_NUMPY.uint64(mask & 0xFFFFFFFFFFFFFFFF)
-            return ((sub.reshape(-1) & query) != 0).tolist()
-        qvec = _ACTIVE_NUMPY.empty(words, dtype=_ACTIVE_NUMPY.uint64)
-        for word in range(words):
-            qvec[word] = (mask >> (word * 64)) & 0xFFFFFFFFFFFFFFFF
-        return ((sub & qvec).any(axis=1)).tolist()
 
     # -- copy-on-write snapshots ----------------------------------------------
 

@@ -63,6 +63,12 @@ class IntervalSet:
         return len(self.intervals) == 1 and self.intervals[0].is_unbounded
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
+        # The full line is the identity: intersecting with it would only
+        # re-normalize the other (already normalized) operand.
+        if self is UNBOUNDED_SET:
+            return other
+        if other is UNBOUNDED_SET:
+            return self
         pieces = [
             mine.intersect(theirs)
             for mine in self.intervals

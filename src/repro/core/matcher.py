@@ -35,16 +35,9 @@ from .describe import (
 )
 from .filtertree import FilterTree, RegisteredView
 from .interning import KeyInterner
-from .matching import (
-    STAGE_PREVERIFY,
-    STAGE_SKIPPED,
-    MatchResult,
-    RejectReason,
-    match_view,
-)
+from .matching import STAGE_SKIPPED, MatchResult, RejectReason, match_view
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .parallel import fork_available, forked_map
-from .preverify import PreVerifierSchema
 from .sharding import ShardedFilterTree
 
 if TYPE_CHECKING:
@@ -61,11 +54,8 @@ class MatcherStatistics:
     matches: int = 0              # candidates that produced a substitute
     substitutes: int = 0          # total substitutes returned
     rejects_by_reason: dict[str, int] = field(default_factory=dict)
-    # Rejections decided by the columnar pre-verifier sweep (a subset of
-    # rejects_by_reason's RANGE/EQUIJOIN counts -- same reasons, no
-    # match_view walk) and candidates never verified at all because the
-    # optimizer's cost bound proved no cheaper plan was reachable.
-    preverifier_rejects: int = 0
+    # Candidates never verified at all because the optimizer's cost bound
+    # proved no cheaper plan was reachable.
     candidates_skipped: int = 0
 
     def record_rejection(self, reason: RejectReason) -> None:
@@ -99,7 +89,6 @@ class MatcherStatistics:
         self.matches = 0
         self.substitutes = 0
         self.rejects_by_reason.clear()
-        self.preverifier_rejects = 0
         self.candidates_skipped = 0
 
     def merge(self, other: "MatcherStatistics") -> None:
@@ -118,7 +107,6 @@ class MatcherStatistics:
             self.rejects_by_reason[reason] = (
                 self.rejects_by_reason.get(reason, 0) + count
             )
-        self.preverifier_rejects += other.preverifier_rejects
         self.candidates_skipped += other.candidates_skipped
 
     def report(self) -> str:
@@ -131,10 +119,6 @@ class MatcherStatistics:
             f"({self.candidate_success_rate:.0%} of candidates)",
             f"substitutes/invocation: {self.substitutes_per_invocation:.2f}",
         ]
-        if self.preverifier_rejects:
-            lines.append(
-                f"pre-verifier rejects:   {self.preverifier_rejects}"
-            )
         if self.candidates_skipped:
             lines.append(
                 f"cost-bound skipped:     {self.candidates_skipped}"
@@ -164,9 +148,6 @@ class ViewMatcher:
         use_match_contexts: bool = True,
         shard_count: int = 1,
         telemetry: TelemetryHub | None = None,
-        use_preverifier: bool = True,
-        use_template_cache: bool = True,
-        preverify_schema: PreVerifierSchema | None = None,
     ):
         """``interner`` shares key-atom bit assignments with other trees
         (the serving layer reuses one across epoch rebuilds).
@@ -180,20 +161,11 @@ class ViewMatcher:
         are unchanged. ``telemetry`` injects the sink for the always-on
         cross-process pipeline (invocation sketches, worker snapshots);
         ``None`` falls back to the process-global hub.
-
-        ``use_preverifier`` / ``use_template_cache`` toggle the columnar
-        candidate screen and the compensation-template cache; both change
-        only latency, never results (the bench's modes-identical
-        assertion and the property suite pin this down).
-        ``preverify_schema`` shares pre-verifier encodings across trees,
-        like ``interner``.
         """
         self.catalog = catalog
         self.options = options
         self.use_filter_tree = use_filter_tree
         self.use_match_contexts = use_match_contexts
-        self.use_preverifier = use_preverifier
-        self.use_template_cache = use_template_cache
         self.shard_count = shard_count
         self.telemetry = telemetry
         if shard_count > 1:
@@ -202,17 +174,11 @@ class ViewMatcher:
                 shard_count=shard_count,
                 interner=interner,
                 use_interning=use_interning,
-                preverify_schema=preverify_schema,
-                use_preverifier=use_preverifier,
             )
             self.filter_tree.telemetry = telemetry
         else:
             self.filter_tree = FilterTree(
-                options,
-                interner=interner,
-                use_interning=use_interning,
-                preverify_schema=preverify_schema,
-                use_preverifier=use_preverifier,
+                options, interner=interner, use_interning=use_interning
             )
         self.statistics = MatcherStatistics()
 
@@ -229,8 +195,6 @@ class ViewMatcher:
         options: MatchOptions = DEFAULT_OPTIONS,
         use_match_contexts: bool = True,
         telemetry: TelemetryHub | None = None,
-        use_preverifier: bool = True,
-        use_template_cache: bool = True,
     ) -> "ViewMatcher":
         """Build a matcher around an existing filter tree.
 
@@ -243,8 +207,6 @@ class ViewMatcher:
         matcher.options = options
         matcher.use_filter_tree = True
         matcher.use_match_contexts = use_match_contexts
-        matcher.use_preverifier = use_preverifier
-        matcher.use_template_cache = use_template_cache
         matcher.shard_count = 1
         matcher.filter_tree = filter_tree
         matcher.statistics = MatcherStatistics()
@@ -322,26 +284,6 @@ class ViewMatcher:
             return self.filter_tree.candidates(query)
         return list(self.filter_tree.views())
 
-    def _preverify_verdicts(self, query, candidates):
-        """Columnar screen verdicts for ``candidates`` (None = no screen).
-
-        Gated on the precomputed-context configuration: the screen's
-        rejects replay registration-time context state, so the
-        rebuilt-contexts reference mode must measure the unscreened path.
-        """
-        if not candidates:
-            return None
-        if not (
-            self.use_preverifier
-            and self.use_filter_tree
-            and self.use_match_contexts
-        ):
-            return None
-        screener = getattr(self.filter_tree, "preverify_screen", None)
-        if screener is None:
-            return None
-        return screener(query, candidates)
-
     def match(
         self,
         query: SpjgDescription | SelectStatement,
@@ -373,7 +315,7 @@ class ViewMatcher:
         the upper bound), and a candidate whose lower bound proves it
         cannot become the chosen plan is returned unverified with
         ``stage="skipped"`` (substitute and reject reason both ``None``)
-        -- never screened, staleness-checked, or walked. "Cannot become
+        -- never staleness-checked or walked. "Cannot become
         the chosen plan" is ``lower_bound > bound``, or ``==`` when the
         bound's holder precedes the candidate in the optimizer's
         alternative list (``min`` keeps the earliest of equal costs): the
@@ -398,26 +340,12 @@ class ViewMatcher:
         candidates = self.candidates(query)
         order = range(len(candidates))
         bounds = None
-        if cost_policy is None or not candidates:
-            verdicts = self._preverify_verdicts(query, candidates)
-        else:
+        if cost_policy is not None and candidates:
             bounds = [
                 cost_policy.lower_bound(candidate.description)
                 for candidate in candidates
             ]
             order = sorted(order, key=lambda p: (bounds[p], p))
-            # Screen only what the seed bound leaves standing: the bound
-            # only ever falls, so nothing else can reach verification.
-            seed = cost_policy.bound()
-            live = [p for p in order if bounds[p] < seed]
-            verdicts = None
-            screened = self._preverify_verdicts(
-                query, [candidates[p] for p in live]
-            )
-            if screened is not None:
-                verdicts = [None] * len(candidates)
-                for position, verdict in zip(live, screened):
-                    verdicts[position] = verdict
         results: list[MatchResult | None] = [None] * len(candidates)
         matched = 0
         holder = -1  # position of the match holding the bound; -1 = seed
@@ -445,8 +373,6 @@ class ViewMatcher:
                     reject_reason=RejectReason.STALE,
                     reject_detail=stale_detail,
                 )
-            elif verdicts is not None and verdicts[position] is not None:
-                result = verdicts[position]
             else:
                 result = match_view(
                     query,
@@ -455,7 +381,6 @@ class ViewMatcher:
                     context=(
                         candidate.match_context if self.use_match_contexts else None
                     ),
-                    use_templates=self.use_template_cache,
                 )
             if result.matched:
                 matched += 1
@@ -465,8 +390,6 @@ class ViewMatcher:
                     holder = position
             elif result.reject_reason is not None:
                 stats.record_rejection(result.reject_reason)
-                if result.stage == STAGE_PREVERIFY:
-                    stats.preverifier_rejects += 1
             results[position] = result
         self._record_invocation(
             time.perf_counter() - started, len(candidates), matched
@@ -523,8 +446,6 @@ class ViewMatcher:
         ]
         options = self.options
         use_contexts = self.use_match_contexts
-        use_templates = self.use_template_cache
-        screen_enabled = self.use_preverifier and use_contexts
         # Captured by value into the closure: the context crosses the
         # fork inside the child's copy-on-write image.
         context = current_trace_context()
@@ -537,19 +458,9 @@ class ViewMatcher:
             sketch = worker.sketch("match_worker_view_seconds")
             worker_started = time.perf_counter()
             pairs = tree.shard_candidates(query, shard_indices)
-            verdicts = (
-                tree.preverify_screen(
-                    query, [candidate for _, candidate in pairs]
-                )
-                if screen_enabled and pairs
-                else None
-            )
             entries = []
             matched = 0
-            for position, (sequence, candidate) in enumerate(pairs):
-                if verdicts is not None and verdicts[position] is not None:
-                    entries.append((sequence, candidate, verdicts[position]))
-                    continue
+            for sequence, candidate in pairs:
                 candidate_started = time.perf_counter()
                 result = match_view(
                     query,
@@ -558,7 +469,6 @@ class ViewMatcher:
                     context=(
                         candidate.match_context if use_contexts else None
                     ),
-                    use_templates=use_templates,
                 )
                 sketch.record(time.perf_counter() - candidate_started)
                 if result.matched:
@@ -627,8 +537,6 @@ class ViewMatcher:
                 stats.substitutes += 1
             elif result.reject_reason is not None:
                 stats.record_rejection(result.reject_reason)
-                if result.stage == STAGE_PREVERIFY:
-                    stats.preverifier_rejects += 1
             results.append(result)
         self._record_invocation(
             time.perf_counter() - started, len(candidates), matched

@@ -23,7 +23,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from itertools import count
 
 from ..sql.expressions import (
     BinaryOp,
@@ -35,6 +34,7 @@ from ..sql.expressions import (
     conjunction,
 )
 from ..sql.statements import SelectItem, SelectStatement, TableRef
+from .analyze import column_domain
 from .describe import SpjgDescription
 from .equivalence import ColumnKey, EquivalenceClasses
 from .fkgraph import FkEdge, build_fk_join_graph, eliminate_tables
@@ -68,19 +68,11 @@ class RejectReason(Enum):
 
 
 #: Pipeline stage that produced a :class:`MatchResult`. ``verify`` is the
-#: full per-candidate walk below; ``preverify`` marks rejects issued by the
-#: vectorized candidate screen (:mod:`repro.core.preverify`) before any
-#: ``match_view`` call; ``skipped`` marks candidates the matcher never
+#: per-candidate walk below; ``skipped`` marks candidates the matcher never
 #: verified because the optimizer's cost bound proved no cheaper plan was
 #: reachable (neither matched nor rejected).
 STAGE_VERIFY = "verify"
-STAGE_PREVERIFY = "preverify"
 STAGE_SKIPPED = "skipped"
-
-#: The exact detail string of an equijoin-subsumption reject. The packed
-#: pre-verifier re-issues equijoin rejects without running ``_match``, and
-#: the no-false-rejects contract includes the detail text.
-EQUIJOIN_REJECT_DETAIL = "view equates columns the query does not"
 
 
 @dataclass
@@ -97,24 +89,8 @@ class MatchResult:
     regrouped: bool = False
     eliminated_tables: tuple[str, ...] = ()
     backjoined_tables: tuple[str, ...] = ()
-    #: Which stage produced this result (``compare=False``: the enabled and
-    #: disabled pre-verifier paths must yield *equal* result sets even when
-    #: a reject short-circuited at a different stage).
+    #: Which stage produced this result (bookkeeping, not an outcome).
     stage: str = field(default=STAGE_VERIFY, compare=False, repr=False)
-    #: Internal: ``(equality prefix, residual/backjoin suffix,
-    #: class-augmentation data or None)`` -- the compensation conjuncts
-    #: split around the range slice plus the extra-table class
-    #: augmentation, captured by ``_match`` so a successful result can
-    #: seed the compensation-template cache without re-deriving anything.
-    template_parts: tuple | None = field(
-        default=None, compare=False, repr=False
-    )
-    #: Internal: ``(phase, augmentation)`` progress marker maintained by
-    #: ``_match`` so a reject can be classified (constant-independent or
-    #: not, relative to the range tests) for the compensation-template
-    #: cache. Phases: 0 = steps 1-2, 1 = range containment, 2 = residual
-    #: test / equality mapping, 3 = range-compensation mapping, 4 = later.
-    match_progress: tuple = field(default=(0, None), compare=False, repr=False)
 
     @property
     def matched(self) -> bool:
@@ -175,7 +151,7 @@ class _ViewOutputs:
     ``slots=True``: one instance lives on every registered view for the
     process lifetime, so per-instance ``__dict__`` overhead is resident
     catalog memory. ``copy.copy`` (see ``fresh_outputs``) works with
-    slots classes, which is all the per-match path needs.
+    slots classes, which is all a match with backjoins needs.
     """
 
     view_name: str
@@ -315,14 +291,6 @@ def _intern_tuple(value: tuple) -> tuple:
         return value
 
 
-# Every context gets a process-unique serial: the compensation-template
-# cache keys on it, so unregistering and re-registering a view (which
-# builds a fresh context) can never resurrect templates derived from the
-# old registration, while epoch swaps that carry contexts forward keep
-# their cache entries warm.
-_context_serials = count()
-
-
 @dataclass(frozen=True, slots=True)
 class ViewMatchContext:
     """Frozen per-view matching state, built once at registration time.
@@ -340,15 +308,12 @@ class ViewMatchContext:
 
     view: SpjgDescription
     options: MatchOptions
-    outputs: _ViewOutputs  # backjoins is always None here; copied per match
+    outputs: _ViewOutputs  # backjoins always None; copied to attach them
     range_items: tuple[tuple[ColumnKey, IntervalSet], ...]
     check_ranges: tuple[RangePredicate, ...]
     check_or_ranges: tuple[OrRangePredicate, ...]
     check_residuals: tuple[ShallowForm, ...]
     fk_edges: tuple[FkEdge, ...]
-    serial: int = field(
-        default_factory=lambda: next(_context_serials), compare=False
-    )
 
     @classmethod
     def of(
@@ -388,46 +353,26 @@ def match_view(
     view: SpjgDescription,
     options: MatchOptions = DEFAULT_OPTIONS,
     context: ViewMatchContext | None = None,
-    use_templates: bool = True,
 ) -> MatchResult:
     """Match one query expression against one materialized view.
 
     ``context`` is the view's precomputed :class:`ViewMatchContext`; when
     absent (or built under different options) an equivalent one is derived
     on the fly, so direct callers need not manage contexts.
-
-    ``use_templates`` enables the compensation-template cache: repeat
-    query shapes (same fingerprint, different range constants) against the
-    same registration-time context replay the stored compensation skeleton
-    and re-derive only the range subsumption test and range constants.
-    Only authoritative contexts participate -- a context rebuilt on the
-    fly would mint a fresh cache key per call.
     """
     result = MatchResult(view=view)
-    authoritative = (
-        context is not None
-        and context.view is view
-        and context.options == options
-    )
-    if not authoritative:
+    if (
+        context is None
+        or context.view is not view
+        or context.options != options
+    ):
         context = ViewMatchContext.of(view, options)
-    full_match_ran = False
     try:
-        if use_templates and authoritative:
-            if _try_template(query, view, options, context, result):
-                return result
-        full_match_ran = True
         _match(query, view, options, context, result)
-        if use_templates and authoritative:
-            _store_template(query, view, options, context, result)
     except _Reject as reject:
         result.substitute = None
         result.reject_reason = reject.reason
         result.reject_detail = reject.detail
-        # Rejects raised by the full match (not by a template replay,
-        # whose outcomes are already cached) seed reject templates.
-        if full_match_ran and use_templates and authoritative:
-            _store_reject_template(query, view, options, context, result)
     return result
 
 
@@ -450,47 +395,47 @@ def _match(
         missing = query.tables - view.tables
         raise _Reject(RejectReason.TABLES, f"view lacks {sorted(missing)}")
     extras = view.tables - query.tables
-    # The query's classes are only mutated when extra view tables extend
-    # them; the no-extras common case reuses them directly (``find`` path
-    # compression is the only mutation below, and it is idempotent).
-    augmented = query.eqclasses.copy() if extras else query.eqclasses
-    augmentation: tuple | None = None
+    # The query's classes are only extended when the view has extra
+    # tables; the no-extras common case reuses them directly (``find``
+    # path compression is the only mutation below, and it is idempotent).
+    augmented = query.eqclasses
     if extras:
         used_edges = _eliminate_extras(query, view, extras, context.fk_edges)
         result.eliminated_tables = tuple(sorted(extras))
-        added_columns: list[ColumnKey] = []
-        for table in sorted(extras):
-            for column in view.catalog.table(table).column_names:
-                added_columns.append((table, column))
-                augmented.add_column((table, column))
-        added_equalities: list[tuple[ColumnKey, ColumnKey]] = []
+        # The view's column domain holds the query's columns and every
+        # column of the extra tables.
+        augmented = augmented.over(column_domain(view.catalog, view.tables))
         for edge in used_edges:
             for child_key, parent_key in edge.column_pairs:
-                added_equalities.append((child_key, parent_key))
                 augmented.add_equality(child_key, parent_key)
-        augmentation = (tuple(added_columns), tuple(added_equalities))
 
     # ---- Step 2: equijoin subsumption ---------------------------------------
     if not view.eqclasses.refines(augmented):
-        raise _Reject(RejectReason.EQUIJOIN, EQUIJOIN_REJECT_DETAIL)
+        raise _Reject(
+            RejectReason.EQUIJOIN, "view equates columns the query does not"
+        )
     equality_partitions = _equality_partitions(view, augmented)
 
     # ---- Step 3: range subsumption -------------------------------------------
-    result.match_progress = (1, augmentation)
     check_ranges = context.check_ranges
     check_or_ranges = context.check_or_ranges
     check_residuals = context.check_residuals
     view_sets = _interval_sets_from_items(context.range_items, augmented)
-    if extras or check_ranges or check_or_ranges:
+    query_ranges = _QueryRanges.of(query)
+    if check_ranges or check_or_ranges:
         query_test_sets = _interval_sets(
             tuple(query.classified.range_predicates) + check_ranges,
             tuple(query.or_ranges) + check_or_ranges,
             augmented,
         )
+    elif extras:
+        query_test_sets = _interval_sets_from_items(
+            query_ranges.items, augmented
+        )
     else:
         # No per-view antecedent strengthening and no class augmentation:
-        # the query-side sets are view-independent and memoized per query.
-        query_test_sets = _query_range_sets(query)
+        # the query-side sets are view-independent.
+        query_test_sets = query_ranges.sets
     for representative, view_set in view_sets.items():
         query_set = query_test_sets.get(representative, UNBOUNDED_SET)
         if not view_set.contains(query_set):
@@ -499,9 +444,8 @@ def _match(
                 f"view range {view_set} does not contain query range "
                 f"{query_set}",
             )
-    result.match_progress = (2, augmentation)
     range_compensations, or_range_compensations = _range_compensations(
-        query, view, augmented, context.range_items
+        query, view, augmented, context.range_items, query_ranges
     )
 
     # ---- Step 4: residual subsumption ----------------------------------------
@@ -510,8 +454,10 @@ def _match(
     )
 
     # ---- Step 5: build and map compensating predicates ------------------------
-    outputs = context.fresh_outputs()
+    # The shared outputs are only ever read; a backjoin state needs a copy.
+    outputs = context.outputs
     if options.allow_backjoins and not view.is_aggregate:
+        outputs = context.fresh_outputs()
         backjoins = _BackjoinState(view, augmented)
         backjoins.outputs = outputs
         outputs.backjoins = backjoins
@@ -519,7 +465,6 @@ def _match(
     for partition in equality_partitions:
         compensations.extend(_map_equality_partition(partition, outputs, view))
         result.compensating_equalities += len(partition) - 1
-    result.match_progress = (3, augmentation)
     for representative, op, value in range_compensations:
         reference = outputs.column_for(representative, augmented)
         if reference is None:
@@ -529,7 +474,6 @@ def _match(
             )
         compensations.append(BinaryOp(op, reference, Literal(value)))
         result.compensating_ranges += 1
-    result.match_progress = (4, augmentation)
     for expression in or_range_compensations:
         mapped = _map_expression(expression, augmented, outputs, options)
         if mapped is None:
@@ -574,16 +518,6 @@ def _match(
         where=conjunction(compensations),
         group_by=tuple(group_by),
         distinct=query.statement.distinct,
-    )
-    # Split the conjunct list around the range slice so a template replay
-    # can splice rebuilt range constants between the (shape-stable)
-    # equality prefix and residual/backjoin suffix.
-    equalities = result.compensating_equalities
-    ranges = result.compensating_ranges
-    result.template_parts = (
-        tuple(compensations[:equalities]),
-        tuple(compensations[equalities + ranges:]),
-        augmentation,
     )
 
 
@@ -657,21 +591,23 @@ def _equality_partitions(
 
     Each returned partition lists the view classes falling into one query
     class; partitions of size >= 2 need len-1 compensating column-equality
-    predicates to merge them (Section 3.1.2, equijoin subsumption).
+    predicates to merge them (Section 3.1.2, equijoin subsumption). Only a
+    query class of two or more columns can hold two view classes, so the
+    walk covers the query's merged classes, not every view class. The
+    augmented classes range over the view's column domain (the query's
+    own when the table sets are equal), and ``merged_classes`` lists
+    classes by their first column in it: the order a walk over every
+    view class would meet the partitions in.
     """
-    by_query_root: dict[ColumnKey, dict[ColumnKey, frozenset[ColumnKey]]] = {}
-    for view_class in view.eqclasses.classes():
-        member = next(iter(view_class))
-        if member not in augmented:
-            continue
-        query_root = augmented.find(member)
-        view_root = view.eqclasses.find(member)
-        by_query_root.setdefault(query_root, {})[view_root] = view_class
-    return [
-        sorted(partitions.values(), key=lambda cls: sorted(cls))
-        for partitions in by_query_root.values()
-        if len(partitions) > 1
-    ]
+    view_classes = view.eqclasses
+    partitions: list[list[frozenset[ColumnKey]]] = []
+    for query_class in dict.fromkeys(augmented.merged_classes().values()):
+        view_roots = dict.fromkeys(map(view_classes.find, query_class))
+        if len(view_roots) > 1:
+            partitions.append(
+                sorted(map(view_classes.class_of, view_roots), key=sorted)
+            )
+    return partitions
 
 
 def _map_equality_partition(
@@ -758,72 +694,29 @@ def _interval_sets(
     )
 
 
-def _query_plain_ranges(query: SpjgDescription) -> dict[ColumnKey, "Interval"]:
-    """The query's own per-class plain range intervals, memoized.
+class _QueryRanges:
+    """A query's own range derivations, computed once per description.
 
-    Same amortization as :func:`_query_range_sets`: valid whenever no
-    extra-table augmentation applies, so the derivation runs once per
-    query instead of once per template replay.
+    Every candidate of an invocation reads them: the per-conjunct interval
+    sets, their per-class intersections and the per-class plain intervals
+    under the query's classes. The class-dependent two are only valid
+    while no extra-table augmentation applies.
     """
-    ranges = query._query_plain_ranges
-    if ranges is None:
-        ranges = query._query_plain_ranges = derive_ranges(
-            query.classified.range_predicates, query.eqclasses
-        )
-    return ranges
 
+    __slots__ = ("items", "sets", "plain")
 
-def _query_range_sets(query: SpjgDescription) -> dict[ColumnKey, IntervalSet]:
-    """The query's own per-class interval sets, memoized on the description.
+    def __init__(self, query: SpjgDescription) -> None:
+        predicates = query.classified.range_predicates
+        self.items = _range_items(predicates, query.or_ranges)
+        self.sets = _interval_sets_from_items(self.items, query.eqclasses)
+        self.plain = derive_ranges(predicates, query.eqclasses)
 
-    Valid whenever no extra-table augmentation and no per-view check
-    constraints apply -- which is every candidate of the common equal-table
-    case, so the derivation runs once per query instead of once per
-    candidate. The pre-verifier builds its query signature from the same
-    memo, keeping screen and full match literally in agreement.
-    """
-    sets = query._query_range_sets
-    if sets is None:
-        sets = query._query_range_sets = _interval_sets(
-            tuple(query.classified.range_predicates),
-            tuple(query.or_ranges),
-            query.eqclasses,
-        )
-    return sets
-
-
-def range_reject_detail(
-    query: SpjgDescription, context: ViewMatchContext
-) -> str | None:
-    """The exact RANGE reject detail ``_match`` would raise, or None.
-
-    Re-runs the real containment loop (same interval sets, same iteration
-    order, same f-string) so a pre-verifier RANGE verdict carries the
-    identical detail; ``None`` means the real test would not reject --
-    callers must then fall through to the full match.
-    """
-    try:
-        view_sets = _interval_sets_from_items(
-            context.range_items, query.eqclasses
-        )
-        if context.check_ranges or context.check_or_ranges:
-            query_test_sets = _interval_sets(
-                tuple(query.classified.range_predicates) + context.check_ranges,
-                tuple(query.or_ranges) + context.check_or_ranges,
-                query.eqclasses,
-            )
-        else:
-            query_test_sets = _query_range_sets(query)
-    except KeyError:
-        return None  # view column unknown to the query's classes
-    for representative, view_set in view_sets.items():
-        query_set = query_test_sets.get(representative, UNBOUNDED_SET)
-        if not view_set.contains(query_set):
-            return (
-                f"view range {view_set} does not contain query range "
-                f"{query_set}"
-            )
-    return None
+    @staticmethod
+    def of(query: SpjgDescription) -> "_QueryRanges":
+        ranges = query._query_ranges
+        if ranges is None:
+            ranges = query._query_ranges = _QueryRanges(query)
+        return ranges
 
 
 def _range_compensations(
@@ -831,6 +724,7 @@ def _range_compensations(
     view: SpjgDescription,
     augmented: EquivalenceClasses,
     view_range_items: tuple[tuple[ColumnKey, IntervalSet], ...],
+    query_ranges: _QueryRanges,
 ) -> tuple[list[tuple[ColumnKey, str, object]], list["Expression"]]:
     """Compensating range predicates, assuming containment already holds.
 
@@ -841,7 +735,13 @@ def _range_compensations(
     and simple, at the cost of occasionally re-checking a bound the view
     already enforces.
     """
-    query_plain = derive_ranges(query.classified.range_predicates, augmented)
+    unaugmented = augmented is query.eqclasses
+    if unaugmented:
+        query_plain = query_ranges.plain
+    else:
+        query_plain = derive_ranges(
+            query.classified.range_predicates, augmented
+        )
     view_plain = derive_ranges(view.classified.range_predicates, augmented)
     or_representatives: set[ColumnKey] = {
         augmented.find(orr.column) for orr in query.or_ranges
@@ -859,8 +759,10 @@ def _range_compensations(
             plain_compensations.append((representative, op, value))
     or_compensations: list[Expression] = []
     if or_representatives:
-        query_sets = _interval_sets(
-            query.classified.range_predicates, query.or_ranges, augmented
+        query_sets = (
+            query_ranges.sets
+            if unaugmented
+            else _interval_sets_from_items(query_ranges.items, augmented)
         )
         view_sets = _interval_sets_from_items(view_range_items, augmented)
         for representative in sorted(or_representatives):
@@ -1177,512 +1079,6 @@ def _rollup_aggregate(
     return None
 
 
-# ---------------------------------------------------------------------------
-# Compensation-template cache
-# ---------------------------------------------------------------------------
-#
-# Successful matches of the same *query shape* against the same registered
-# view differ only in range constants: every other step (equijoin
-# partitions, residual matching, output/grouping mapping, backjoins) is a
-# pure function of the shape fingerprint below plus the registration-time
-# context. A template stores the finished substitute skeleton with the
-# range conjuncts cut out; a hit re-runs only the range subsumption test
-# and rebuilds the range constants.
-
-
-#: Template kinds, by how far the stored outcome is constant-independent.
-#: Every ``_match`` step except range containment (step 3) and
-#: range-compensation mapping (step 5's range slice) depends only on the
-#: query's shape fingerprint, so a reject raised *outside* those two
-#: points replays verbatim once the constant-dependent checks up to its
-#: raise point have re-run. Rejects raised *at* those points are stored
-#: as "unknown" templates that replay the verified constant-independent
-#: prefix and fall back to the full match if the constant-dependent check
-#: now passes.
-_TPL_SUCCESS = 0          # full match succeeded; replay builds the substitute
-_TPL_REJECT_PRE = 1       # rejected in steps 1-2; replay raises immediately
-_TPL_RANGE_UNKNOWN = 2    # rejected at containment; steps 1-2 verified
-_TPL_REJECT_MID = 3       # rejected between containment and range mapping
-_TPL_MAP_UNKNOWN = 4      # rejected at range mapping; prefix verified
-_TPL_REJECT_POST = 5      # rejected after range mapping
-
-
-@dataclass(frozen=True, slots=True)
-class _CompensationTemplate:
-    kind: int
-    #: Extra-table elimination outcome and the ``(columns, equalities)``
-    #: class-augmentation lists (or None) that rebuild step 1's augmented
-    #: classes without re-running the FK graph search. The elimination
-    #: search and its null-rejection check read only fingerprint-stable
-    #: query facts (table set, class membership, range-column presence,
-    #: residual shapes), so the outcome replays verbatim.
-    eliminated: tuple[str, ...]
-    augmentation: tuple | None
-    #: Raise-time compensation counters (fingerprint-stable; the range
-    #: count is recomputed at replay because it depends on constants).
-    equalities: int
-    residuals: int
-    #: Stored reject for the _TPL_REJECT_* kinds.
-    reject_reason: RejectReason | None = None
-    reject_detail: str = ""
-    #: Range-class representative -> resolved view output reference, or
-    #: None when no output column exists (a compensation need then raises
-    #: the same PREDICATE_MAPPING reject the full match would). Used by
-    #: every kind that replays past range mapping.
-    range_refs: dict | None = None
-    #: View-side range structures precomputed at store time for the
-    #: unaugmented case: the per-class containment sets (as items) and
-    #: the per-class plain intervals the bound-difference rule reads.
-    #: Both are keyed by store-time class representatives; equal
-    #: fingerprints share the class *partition* (it is part of the
-    #: fingerprint), and replays guard each stored representative with
-    #: ``find(rep) == rep`` -- any canonical-representative drift bails
-    #: to the full match instead of trusting a stale key.
-    view_sets: tuple = ()
-    view_plain: dict | None = None
-    #: Success-only substitute skeleton.
-    select_items: tuple = ()
-    from_tables: tuple = ()
-    group_by: tuple = ()
-    distinct: bool = False
-    prefix: tuple = ()       # compensating equalities
-    suffix: tuple = ()       # residual compensations + backjoin predicates
-    regrouped: bool = False
-    backjoined: tuple[str, ...] = ()
-
-
-#: ``(context serial, query fingerprint) -> _CompensationTemplate``.
-#: Insertion-ordered; eviction drops the oldest entry. A plain dict keeps
-#: lookups race-tolerant under the serving layer's reader threads (at
-#: worst a concurrent eviction makes a ``get`` miss).
-_TEMPLATE_CACHE: dict = {}
-_TEMPLATE_CACHE_LIMIT = 4096
-_template_hits = 0
-_template_stores = 0
-
-
-def template_cache_info() -> dict:
-    """Hit/store counters and current size (benchmark reporting)."""
-    return {
-        "hits": _template_hits,
-        "stores": _template_stores,
-        "entries": len(_TEMPLATE_CACHE),
-    }
-
-
-def clear_template_cache() -> None:
-    """Drop all templates and reset counters (tests and benchmarks)."""
-    global _template_hits, _template_stores
-    _TEMPLATE_CACHE.clear()
-    _template_hits = 0
-    _template_stores = 0
-
-
-def _template_fingerprint(query: SpjgDescription):
-    """The query's shape fingerprint: everything but range constants.
-
-    Two queries with equal fingerprints agree on tables (hence on the
-    seeded column universe), equivalence classes, residual and output
-    expressions, grouping, DISTINCT, and the (column, op) skeleton of
-    their range predicates -- every ``match_view`` step except the range
-    subsumption test and range-constant compensations is then identical.
-    Queries with disjunctive ranges are not fingerprinted (None).
-    """
-    if query.or_ranges:
-        return None
-    fingerprint = query._template_fp
-    if fingerprint is None:
-        fingerprint = query._template_fp = (
-            query.tables,
-            query.is_aggregate,
-            query.statement.distinct,
-            tuple(
-                sorted(
-                    tuple(sorted(cls))
-                    for cls in query.eqclasses.nontrivial_classes()
-                )
-            ),
-            tuple(
-                sorted(
-                    (predicate.column, predicate.op)
-                    for predicate in query.classified.range_predicates
-                )
-            ),
-            tuple(repr(form.expression) for form in query.residual_forms),
-            tuple(
-                (info.item.alias, repr(info.expression))
-                for info in query.outputs
-            ),
-            tuple(repr(expr) for expr in query.statement.group_by),
-        )
-    return fingerprint
-
-
-def _store_template(
-    query: SpjgDescription,
-    view: SpjgDescription,
-    options: MatchOptions,
-    context: ViewMatchContext,
-    result: MatchResult,
-) -> None:
-    """Cache a successful match's compensation skeleton, when safe.
-
-    Not stored: views with disjunctive ranges (compensated by re-applying
-    query conjuncts wholesale) and any range class whose compensation
-    would have to resolve through a backjoin (resolution could alter the
-    join skeleton between store and hit time). Extra-table eliminations
-    *are* stored: the elimination search and its null-rejection check
-    read only fingerprint-stable facts, so the template carries the
-    outcome and the class augmentation needed to replay it.
-    """
-    global _template_stores
-    if result.substitute is None or result.template_parts is None:
-        return
-    if view.or_ranges:
-        return
-    fingerprint = _template_fingerprint(query)
-    if fingerprint is None:
-        return
-    prefix, suffix, augmentation = result.template_parts
-    range_refs = _derive_range_refs(query, view, options, context, augmentation)
-    if range_refs is None:
-        return
-    view_sets, view_plain = _stored_view_ranges(
-        query, view, context, augmentation, need_plain=True
-    )
-    substitute = result.substitute
-    _cache_put(
-        (context.serial, fingerprint),
-        _CompensationTemplate(
-            kind=_TPL_SUCCESS,
-            eliminated=result.eliminated_tables,
-            augmentation=augmentation,
-            equalities=result.compensating_equalities,
-            residuals=result.compensating_residuals,
-            range_refs=range_refs,
-            view_sets=view_sets,
-            view_plain=view_plain,
-            select_items=substitute.select_items,
-            from_tables=substitute.from_tables,
-            group_by=substitute.group_by,
-            distinct=substitute.distinct,
-            prefix=prefix,
-            suffix=suffix,
-            regrouped=result.regrouped,
-            backjoined=result.backjoined_tables,
-        ),
-    )
-    _template_stores += 1
-
-
-def _stored_view_ranges(
-    query: SpjgDescription,
-    view: SpjgDescription,
-    context: ViewMatchContext,
-    augmentation: tuple | None,
-    need_plain: bool,
-) -> tuple[tuple, dict | None]:
-    """The view-side range structures a template can replay verbatim.
-
-    Only the unaugmented case is precomputed: with extra-table
-    elimination the grouping classes are query-augmented, so replays
-    rebuild them (the rare path). The returned structures are functions
-    of the view's registration-time range conjuncts and the query's
-    class partition -- both fingerprint-stable -- keyed by store-time
-    representatives, which replays re-validate with ``find``.
-    """
-    if augmentation is not None:
-        return (), None
-    eqclasses = query.eqclasses
-    view_sets = tuple(
-        _interval_sets_from_items(context.range_items, eqclasses).items()
-    )
-    view_plain = (
-        derive_ranges(view.classified.range_predicates, eqclasses)
-        if need_plain
-        else None
-    )
-    return view_sets, view_plain
-
-
-def _derive_range_refs(
-    query: SpjgDescription,
-    view: SpjgDescription,
-    options: MatchOptions,
-    context: ViewMatchContext,
-    augmentation: tuple | None,
-) -> dict | None:
-    """Range-class representative -> view output reference (or None).
-
-    ``None`` overall means "do not template": some class has no direct
-    output column while backjoins are enabled, so resolution at replay
-    time could alter the join skeleton.
-    """
-    if augmentation is None:
-        eqclasses = query.eqclasses
-    else:
-        eqclasses = _augment_classes(query.eqclasses, *augmentation)
-    range_refs: dict = {}
-    for representative in derive_ranges(
-        query.classified.range_predicates, eqclasses
-    ):
-        direct = context.outputs.direct_column_for(representative, eqclasses)
-        if direct is None:
-            if options.allow_backjoins and not view.is_aggregate:
-                return None
-            range_refs[representative] = None
-        else:
-            range_refs[representative] = direct
-    return range_refs
-
-
-#: Reject phase (``MatchResult.match_progress``) -> stored template kind.
-_REJECT_KINDS = {
-    0: _TPL_REJECT_PRE,
-    1: _TPL_RANGE_UNKNOWN,
-    2: _TPL_REJECT_MID,
-    3: _TPL_MAP_UNKNOWN,
-    4: _TPL_REJECT_POST,
-}
-
-
-def _store_reject_template(
-    query: SpjgDescription,
-    view: SpjgDescription,
-    options: MatchOptions,
-    context: ViewMatchContext,
-    result: MatchResult,
-) -> None:
-    """Cache a full-match reject's replayable outcome, when safe.
-
-    The raise phase recorded by ``_match`` decides the kind: rejects in
-    the constant-independent steps replay directly (after re-running any
-    constant-dependent checks that precede them), while rejects *at* the
-    range containment test or the range-compensation mapping -- whose
-    outcome depends on the query's range constants -- are stored as
-    "unknown" templates that only fast-path the verified prefix.
-    """
-    global _template_stores
-    if view.or_ranges:
-        return
-    fingerprint = _template_fingerprint(query)
-    if fingerprint is None:
-        return
-    phase, augmentation = result.match_progress
-    kind = _REJECT_KINDS[phase]
-    range_refs: dict | None = None
-    needs_plain = kind in (_TPL_MAP_UNKNOWN, _TPL_REJECT_POST)
-    if needs_plain:
-        range_refs = _derive_range_refs(
-            query, view, options, context, augmentation
-        )
-        if range_refs is None:
-            return
-    if kind == _TPL_REJECT_PRE:
-        view_sets, view_plain = (), None
-    else:
-        view_sets, view_plain = _stored_view_ranges(
-            query, view, context, augmentation, need_plain=needs_plain
-        )
-    _cache_put(
-        (context.serial, fingerprint),
-        _CompensationTemplate(
-            kind=kind,
-            eliminated=result.eliminated_tables,
-            augmentation=augmentation,
-            equalities=result.compensating_equalities,
-            residuals=result.compensating_residuals,
-            reject_reason=result.reject_reason,
-            reject_detail=result.reject_detail,
-            range_refs=range_refs,
-            view_sets=view_sets,
-            view_plain=view_plain,
-        ),
-    )
-    _template_stores += 1
-
-
-def _cache_put(key: tuple, template: _CompensationTemplate) -> None:
-    cache = _TEMPLATE_CACHE
-    if key not in cache and len(cache) >= _TEMPLATE_CACHE_LIMIT:
-        try:
-            del cache[next(iter(cache))]
-        except (StopIteration, KeyError, RuntimeError):
-            pass
-    cache[key] = template
-
-
-def _augment_classes(
-    eqclasses: EquivalenceClasses,
-    columns: tuple,
-    equalities: tuple,
-) -> EquivalenceClasses:
-    """The extra-table class augmentation ``_match`` performs in step 1,
-    replayed from a template's stored column/equality lists (same
-    insertion order, so the merged classes are identical)."""
-    augmented = eqclasses.copy()
-    for key in columns:
-        augmented.add_column(key)
-    for child_key, parent_key in equalities:
-        augmented.add_equality(child_key, parent_key)
-    return augmented
-
-
-def _try_template(
-    query: SpjgDescription,
-    view: SpjgDescription,
-    options: MatchOptions,
-    context: ViewMatchContext,
-    result: MatchResult,
-) -> bool:
-    """Replay a cached template; True when ``result`` was filled in.
-
-    The fingerprint guarantees every step except range containment and
-    range-compensation mapping is byte-identical to the stored walk, so
-    only those re-run: the real containment loop (raising the identical
-    RANGE reject on failure) and the range-constant compensations
-    (raising the identical PREDICATE_MAPPING reject when a class has no
-    output column). The constant-independent outcome beyond them --
-    success or a stored reject -- then replays verbatim.
-    Eliminated-extra-table templates rebuild the augmented classes from
-    the stored column/equality lists instead of re-running the FK graph
-    search -- the elimination outcome itself is fingerprint-stable. A
-    ``False`` return falls through to the full match; a stored reject is
-    raised as ``_Reject`` exactly like the full match would.
-    """
-    global _template_hits
-    fingerprint = _template_fingerprint(query)
-    if fingerprint is None:
-        return False
-    template = _TEMPLATE_CACHE.get((context.serial, fingerprint))
-    if template is None:
-        return False
-    kind = template.kind
-    # Mirror the raise-time state of the full match: step 1 records the
-    # eliminated extras before any later reject, and the raise-time
-    # compensation counters are fingerprint-stable.
-    result.eliminated_tables = template.eliminated
-    if kind == _TPL_REJECT_PRE:
-        result.compensating_equalities = template.equalities
-        result.compensating_residuals = template.residuals
-        _template_hits += 1
-        raise _Reject(template.reject_reason, template.reject_detail)
-    if template.augmentation is not None:
-        augmented = _augment_classes(query.eqclasses, *template.augmentation)
-        view_set_items = _interval_sets_from_items(
-            context.range_items, augmented
-        ).items()
-    else:
-        augmented = query.eqclasses
-        # Replay the view-side sets stored at derivation time: the class
-        # partition is part of the fingerprint, so the stored grouping is
-        # this query's grouping unless the canonical representative of a
-        # class drifted -- checked per key, bailing to the full match.
-        for representative, _ in template.view_sets:
-            if augmented.find(representative) != representative:
-                result.eliminated_tables = ()
-                return False
-        view_set_items = template.view_sets
-    if (
-        template.augmentation is not None
-        or context.check_ranges
-        or context.check_or_ranges
-    ):
-        query_test_sets = _interval_sets(
-            tuple(query.classified.range_predicates) + context.check_ranges,
-            tuple(query.or_ranges) + context.check_or_ranges,
-            augmented,
-        )
-    else:
-        query_test_sets = _query_range_sets(query)
-    for representative, view_set in view_set_items:
-        query_set = query_test_sets.get(representative, UNBOUNDED_SET)
-        if not view_set.contains(query_set):
-            _template_hits += 1
-            raise _Reject(
-                RejectReason.RANGE,
-                f"view range {view_set} does not contain query range "
-                f"{query_set}",
-            )
-    if kind == _TPL_REJECT_MID:
-        result.compensating_equalities = template.equalities
-        result.compensating_residuals = template.residuals
-        _template_hits += 1
-        raise _Reject(template.reject_reason, template.reject_detail)
-    if kind == _TPL_RANGE_UNKNOWN:
-        # The stored walk never got past containment; this query's
-        # constants do. Hand off to the full match, which will upgrade
-        # the cache entry with whatever it finds.
-        result.eliminated_tables = ()
-        return False
-    if template.view_plain is not None:
-        # Fast bound-difference pass: the view-side intervals replay from
-        # the store (guarded above), and the query side is memoized on
-        # the description -- only the (op, constant) pairs are fresh.
-        view_plain = template.view_plain
-        plain = [
-            (representative, op, value)
-            for representative, query_interval in _query_plain_ranges(
-                query
-            ).items()
-            for op, value in compensating_range_conjuncts(
-                view_plain.get(representative, UNBOUNDED), query_interval
-            )
-        ]
-    else:
-        plain, or_compensations = _range_compensations(
-            query, view, augmented, context.range_items
-        )
-        if or_compensations:
-            result.eliminated_tables = ()
-            return False  # cannot arise (no disjunctions on either side)
-    compensations: list[Expression] = []
-    range_refs = template.range_refs
-    for representative, op, value in plain:
-        if representative not in range_refs:
-            result.eliminated_tables = ()
-            return False
-        reference = range_refs[representative]
-        if reference is None:
-            result.compensating_equalities = template.equalities
-            result.compensating_ranges = len(compensations)
-            _template_hits += 1
-            raise _Reject(
-                RejectReason.PREDICATE_MAPPING,
-                f"no output column for range compensation on {representative}",
-            )
-        compensations.append(BinaryOp(op, reference, Literal(value)))
-    if kind == _TPL_REJECT_POST:
-        result.compensating_equalities = template.equalities
-        result.compensating_ranges = len(compensations)
-        result.compensating_residuals = template.residuals
-        _template_hits += 1
-        raise _Reject(template.reject_reason, template.reject_detail)
-    if kind == _TPL_MAP_UNKNOWN:
-        # The stored walk rejected at range mapping; this query's
-        # compensation needs all mapped. Fall through to the full match.
-        result.eliminated_tables = ()
-        result.compensating_equalities = 0
-        result.compensating_ranges = 0
-        return False
-    result.substitute = SelectStatement(
-        select_items=template.select_items,
-        from_tables=template.from_tables,
-        where=conjunction(
-            list(template.prefix) + compensations + list(template.suffix)
-        ),
-        group_by=template.group_by,
-        distinct=template.distinct,
-    )
-    result.compensating_equalities = template.equalities
-    result.compensating_ranges = len(compensations)
-    result.compensating_residuals = template.residuals
-    result.regrouped = template.regrouped
-    result.backjoined_tables = template.backjoined
-    _template_hits += 1
-    return True
-
-
 def _map_aggregate_aware(
     expression: Expression,
     eqclasses: EquivalenceClasses,
@@ -1704,3 +1100,12 @@ def _map_aggregate_aware(
             return None
         mapped_children.append(mapped)
     return expression.with_children(mapped_children)
+
+
+def template_cache_info() -> dict:
+    """Counters of the compensation-template cache, which no longer exists.
+
+    Always zero. ``benchmarks/e2e/runner.py`` imports it and reports a
+    replay ratio from it; it stays until that harness is next revised.
+    """
+    return {"hits": 0, "stores": 0, "entries": 0}

@@ -27,7 +27,6 @@ from ..obs.trace import current_tracer
 from .filtertree import FilterTree, RegisteredView
 from .interning import KeyInterner
 from .options import DEFAULT_OPTIONS, MatchOptions
-from .preverify import PreVerifierSchema
 
 if TYPE_CHECKING:
     from .describe import SpjgDescription
@@ -57,32 +56,18 @@ class ShardedFilterTree:
         shard_count: int = DEFAULT_SHARD_COUNT,
         interner: KeyInterner | None = None,
         use_interning: bool = True,
-        preverify_schema: PreVerifierSchema | None = None,
-        use_preverifier: bool = True,
     ):
         if shard_count < 1:
             raise ValueError("shard_count must be at least 1")
         if interner is None and use_interning:
             interner = KeyInterner()
-        if preverify_schema is None and use_preverifier:
-            # One schema across every shard: pair-bit and column-id
-            # assignments are global, so one query signature serves all
-            # shard screens (mirrors the shared interner).
-            preverify_schema = PreVerifierSchema()
         self.options = options
         self.interner = interner
-        self.preverify_schema = preverify_schema
         # Sink for per-shard filter timings on traced searches; the
         # owning matcher points it at its hub, ``None`` = process global.
         self.telemetry = None
         self.shards: tuple[FilterTree, ...] = tuple(
-            FilterTree(
-                options,
-                interner=interner,
-                use_interning=use_interning,
-                preverify_schema=preverify_schema,
-                use_preverifier=use_preverifier,
-            )
+            FilterTree(options, interner=interner, use_interning=use_interning)
             for _ in range(shard_count)
         )
         # Global registration order: candidate merging and ``views()`` use
@@ -185,35 +170,6 @@ class ShardedFilterTree:
         if tracer.active:
             tracer.on_filter_tree(self, query, found)
         return found
-
-    def preverify_screen(self, query: "SpjgDescription", candidates) -> list | None:
-        """Merged per-candidate pre-verification verdicts across shards.
-
-        Groups the candidate positions by owning shard, screens each
-        shard's slice against its columnar tables (one shared
-        :class:`~repro.core.preverify.QuerySignature` serves every shard),
-        and reassembles verdicts position-aligned with ``candidates``.
-        Returns ``None`` when no shard carries a pre-verifier.
-        """
-        verdicts: list = [None] * len(candidates)
-        if not candidates:
-            return verdicts
-        by_shard: dict[int, list[int]] = {}
-        for position, candidate in enumerate(candidates):
-            by_shard.setdefault(
-                self.shard_for(candidate.description.name), []
-            ).append(position)
-        screened = False
-        for index, positions in by_shard.items():
-            shard_verdicts = self.shards[index].preverify_screen(
-                query, [candidates[p] for p in positions]
-            )
-            if shard_verdicts is None:
-                continue
-            screened = True
-            for position, verdict in zip(positions, shard_verdicts):
-                verdicts[position] = verdict
-        return verdicts if screened else None
 
     def packed_tables(self):
         """Every shard's packed row tables, in shard order (may be empty)."""

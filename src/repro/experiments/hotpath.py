@@ -33,7 +33,6 @@ from ..catalog import tpch_catalog
 from ..core import ViewMatcher
 from ..core.filtertree import QueryProbe
 from ..core.interning import packed_backend_name
-from ..core.matching import clear_template_cache, template_cache_info
 from ..core.parallel import (
     default_worker_count,
     effective_cpu_count,
@@ -105,18 +104,6 @@ TRACING_OVERHEAD_TOLERANCE = 0.05
 # needed); the cache is disabled on both sides so the comparison times
 # real rewrite work rather than journal writes against cache probes.
 TELEMETRY_OVERHEAD_TOLERANCE = 0.25
-
-# Vectorized-verification gate: with the columnar pre-verifier and the
-# compensation-template cache enabled (the defaults), the
-# calibration-normalized full-match latency at the gated view count
-# must be at least VERIFICATION_SPEEDUP_FLOOR times better than the
-# committed pre-preverifier baseline (with_contexts 1628.98us against
-# calibration_us 1228.25 on the baseline host). The floor only applies
-# on the numpy packed backend -- the pure-python sweep preserves
-# correctness and byte layout, not the vectorized constant factor.
-VERIFICATION_GATE_VIEWS = 10000
-VERIFICATION_SPEEDUP_FLOOR = 2.0
-VERIFICATION_BASELINE_XCAL = 1628.98 / 1228.25
 
 # Resident-footprint budget for the memory gate: amortized deep-walk
 # bytes per registered view (filter tree + descriptions + match
@@ -232,21 +219,11 @@ class HotpathMismatchError(AssertionError):
     """The before/after modes disagreed on candidates or match results."""
 
 
-def _build_matcher(
-    catalog,
-    views,
-    *,
-    use_interning,
-    use_match_contexts,
-    use_preverifier=True,
-    use_template_cache=True,
-):
+def _build_matcher(catalog, views, *, use_interning, use_match_contexts):
     matcher = ViewMatcher(
         catalog,
         use_interning=use_interning,
         use_match_contexts=use_match_contexts,
-        use_preverifier=use_preverifier,
-        use_template_cache=use_template_cache,
     )
     for name, view in views:
         matcher.register_view(name, view.statement)
@@ -481,114 +458,6 @@ def _verify_modes(interned, reference, descriptions) -> tuple[dict, dict]:
             f"{interned_funnel} vs {reference_funnel}"
         )
     return interned_funnel, reference_funnel
-
-
-def _verification_stats(matcher, descriptions) -> dict:
-    """One instrumented double-pass over the workload.
-
-    The first pass (cold template cache) yields the per-pass funnel --
-    candidates considered and pre-verifier short-circuits; the second
-    pass counts how many of its matches replayed a cached compensation
-    template instead of re-deriving residuals.
-    """
-    matcher.statistics.reset()
-    clear_template_cache()
-    for description in descriptions:
-        matcher.match(description)
-    first = template_cache_info()
-    rejects = matcher.statistics.preverifier_rejects
-    considered = matcher.statistics.views_considered
-    for description in descriptions:
-        matcher.match(description)
-    second = template_cache_info()
-    return {
-        "considered_per_pass": considered,
-        "preverifier_rejects_per_pass": rejects,
-        "template_stores_first_pass": first["stores"],
-        "template_replays_second_pass": second["hits"] - first["hits"],
-    }
-
-
-def _verification_entry(
-    view_count,
-    descriptions,
-    enabled,
-    enabled_us,
-    disabled_us,
-    mean_candidates,
-) -> dict:
-    """One row of the ``verification`` section."""
-    per_candidate = max(mean_candidates, 1e-9)
-    entry = {
-        "views": view_count,
-        "queries": len(descriptions),
-        "mean_candidates": round(mean_candidates, 2),
-        "full_match_us": {
-            "enabled": round(enabled_us, 2),
-            "disabled": (
-                round(disabled_us, 2) if disabled_us is not None else None
-            ),
-            "speedup": (
-                round(disabled_us / enabled_us, 2)
-                if disabled_us is not None
-                else None
-            ),
-        },
-        "per_candidate_us": {
-            "enabled": round(enabled_us / per_candidate, 2),
-            "disabled": (
-                round(disabled_us / per_candidate, 2)
-                if disabled_us is not None
-                else None
-            ),
-        },
-    }
-    entry.update(_verification_stats(enabled, descriptions))
-    return entry
-
-
-def _result_key(result) -> tuple:
-    """A :class:`MatchResult`'s observable content, matcher-independent.
-
-    ``result.view`` compares by identity, and the enabled and disabled
-    matchers each registered their own description objects -- the view's
-    *name* plus every user-visible outcome field is the honest equality.
-    The bookkeeping ``stage`` deliberately stays out: a reject may
-    short-circuit at a different stage yet must mean the same thing.
-    """
-    return (
-        result.view.name,
-        result.substitute,
-        result.reject_reason,
-        result.reject_detail,
-        result.compensating_equalities,
-        result.compensating_ranges,
-        result.compensating_residuals,
-        result.regrouped,
-        result.eliminated_tables,
-        result.backjoined_tables,
-    )
-
-
-def _verify_verification_modes(enabled, disabled, descriptions) -> None:
-    """Pre-verifier/template-cache on and off must agree result-for-result.
-
-    Compares the full per-candidate :class:`MatchResult` lists (reject
-    reason, detail, and compensated substitute all participate), so a
-    pre-verifier verdict that diverges from ``match_view`` by even a
-    detail string fails the whole bench.
-    """
-    for description in descriptions:
-        fast = [_result_key(r) for r in enabled.match(description)]
-        slow = [_result_key(r) for r in disabled.match(description)]
-        if fast != slow:
-            diverging = [
-                (a, b) for a, b in zip(fast, slow) if a != b
-            ] or [(fast, slow)]
-            raise HotpathMismatchError(
-                "verification modes diverge for query over "
-                f"{sorted(description.tables)}: {diverging[0]}"
-            )
 
 
 def _maintenance_view_sql(index: int, group_columns, bounds) -> str:
@@ -866,7 +735,7 @@ def _run_pool_bench(config: "HotpathConfig", echo) -> dict:
 
 
 def _run_catalog_scale(
-    config, catalog, stats, queries, sizes, verification, echo
+    config, catalog, stats, queries, sizes, echo
 ) -> dict | None:
     """The 100k-view point: packed/interned path only.
 
@@ -901,15 +770,7 @@ def _run_catalog_scale(
     mean_candidates = sum(
         len(matcher.filter_tree.candidates(d)) for d in descriptions
     ) / len(descriptions)
-    # Verification point at catalog scale: enabled path only -- a second
-    # 100k registration for the disabled comparison would double the
-    # section's build time to prove a delta already pinned (with full
-    # result-equality checks) at every ``view_counts`` size.
     match_us = _time_match(matcher, descriptions, 1, config.catalog_scale_runs)
-    scale_verification = _verification_entry(
-        target, descriptions, matcher, match_us, None, mean_candidates
-    )
-    verification.append(scale_verification)
     entry = {
         "views": target,
         "generate_seconds": round(generate_seconds, 2),
@@ -939,9 +800,7 @@ def _run_catalog_scale(
         echo(
             f"{target:6d} views (catalog scale): filter "
             f"{filter_us:8.1f}us ({entry['ns_per_view']:.2f}ns/view)   "
-            f"match {match_us:8.1f}us "
-            f"({scale_verification['preverifier_rejects_per_pass']} "
-            f"pre-verified rejects)   "
+            f"match {match_us:8.1f}us   "
             f"register {register_seconds:.1f}s{note}"
         )
     return entry
@@ -963,7 +822,6 @@ def run_hotpath_benchmark(
     ]
 
     sizes = []
-    verification = []
     memory_views = None
     calibrations = [_calibrate()]
     for view_count in config.view_counts:
@@ -1015,29 +873,7 @@ def run_hotpath_benchmark(
         reference_match = _time_match(
             reference, descriptions, config.match_repetitions, config.match_runs
         )
-
-        # Same interned configuration minus the vectorized verification
-        # stack: no columnar pre-verifier, no compensation-template
-        # cache. The delta against ``interned`` is what the
-        # ``verification`` section measures. Built only now, with the
-        # reference matcher released first, so both verification modes
-        # are timed against a two-matcher heap -- the same allocation
-        # profile the committed pre-verification baseline was measured
-        # under (a third resident 10k-view matcher inflates every timed
-        # loop by ~15% through cache and allocator pressure alone).
         reference = None
-        plain = _build_matcher(
-            catalog,
-            pool,
-            use_interning=True,
-            use_match_contexts=True,
-            use_preverifier=False,
-            use_template_cache=False,
-        )
-        _verify_verification_modes(interned, plain, descriptions)
-        plain_match = _time_match(
-            plain, descriptions, config.match_repetitions, config.match_runs
-        )
 
         mean_candidates = sum(
             len(interned.filter_tree.candidates(d)) for d in descriptions
@@ -1065,17 +901,6 @@ def run_hotpath_benchmark(
             "modes_identical": True,  # _verify_modes raised otherwise
         }
         sizes.append(entry)
-        verification_entry = _verification_entry(
-            view_count,
-            descriptions,
-            interned,
-            interned_match,
-            plain_match,
-            mean_candidates,
-        )
-        # _verify_verification_modes raised otherwise.
-        verification_entry["modes_identical"] = True
-        verification.append(verification_entry)
         if config.measure_memory and view_count == max(config.view_counts):
             memory_views = view_memory_report(
                 interned.filter_tree,
@@ -1093,18 +918,6 @@ def run_hotpath_benchmark(
                 f"vs {filt['reference']:8.1f}us ({filt['speedup']:.2f}x)   "
                 f"match {full['with_contexts']:8.1f}us vs "
                 f"{full['rebuilt_contexts']:8.1f}us ({full['speedup']:.2f}x)"
-            )
-            verify_us = verification_entry["full_match_us"]
-            echo(
-                f"{view_count:5d} views verification: "
-                f"{verify_us['enabled']:8.1f}us with pre-verifier vs "
-                f"{verify_us['disabled']:8.1f}us without "
-                f"({verify_us['speedup']:.2f}x), "
-                f"{verification_entry['preverifier_rejects_per_pass']} "
-                f"pre-verified rejects of "
-                f"{verification_entry['considered_per_pass']} considered, "
-                f"{verification_entry['template_replays_second_pass']} "
-                f"template replays"
             )
 
     end_to_end = (
@@ -1138,7 +951,7 @@ def run_hotpath_benchmark(
     )
 
     catalog_scale = _run_catalog_scale(
-        config, catalog, stats, queries, sizes, verification, echo
+        config, catalog, stats, queries, sizes, echo
     )
 
     serving_pool = _run_pool_bench(config, echo) if config.pool_views else None
@@ -1155,7 +968,6 @@ def run_hotpath_benchmark(
         "environment": environment,
         "calibration_us": round(min(calibrations), 2),
         "sizes": sizes,
-        "verification": verification,
         "memory": memory,
         "catalog_scale": catalog_scale,
         "end_to_end": end_to_end,
@@ -1496,7 +1308,6 @@ def check_speedup_gates(report: dict, echo=print) -> list[str]:
                 f"faster than the reference pipeline "
                 f"(floor {PROBE_SPEEDUP_FLOOR:g}x)"
             )
-    failures.extend(_check_verification_gate(report, echo))
     memory = report.get("memory")
     if memory and memory.get("views"):
         per_view = memory["views"]["bytes_per_view"]
@@ -1515,72 +1326,6 @@ def check_speedup_gates(report: dict, echo=print) -> list[str]:
                 f"{MEMORY_BYTES_PER_VIEW_BUDGET:,}-byte budget"
             )
     return failures
-
-
-def _check_verification_gate(report: dict, echo=print) -> list[str]:
-    """The vectorized-verification floor; returns failure messages.
-
-    Applies when the report measured the verification sweep at
-    ``VERIFICATION_GATE_VIEWS`` (the full config; the smoke sweep stops
-    at 1000 views and skips naturally) on the numpy packed backend.
-    The enabled-path full-match latency, normalized by the run's own
-    ``calibration_us``, must be at least ``VERIFICATION_SPEEDUP_FLOOR``
-    times better than the committed pre-preverifier baseline constant
-    (``VERIFICATION_BASELINE_XCAL``) -- host speed divides out, so the
-    >= 2x claim is enforced on any runner. The in-run enabled/disabled
-    speedup is echoed for context but not gated: the disabled side of a
-    fresh run already carries this PR's unrelated matcher improvements,
-    so the committed constant is the honest denominator.
-    """
-    entries = {
-        entry["views"]: entry for entry in report.get("verification") or []
-    }
-    entry = entries.get(VERIFICATION_GATE_VIEWS)
-    if entry is None:
-        if echo is not None:
-            echo(
-                "verification gate skipped: no sweep entry at "
-                f"{VERIFICATION_GATE_VIEWS} views (smoke-sized run)"
-            )
-        return []
-    backend = (report.get("environment") or {}).get("packed_backend")
-    if backend != "packed-numpy":
-        if echo is not None:
-            echo(
-                f"verification gate skipped on backend {backend!r}: the "
-                "floor assumes vectorized sweeps (pure-python runs gate "
-                "on correctness, not the constant factor)"
-            )
-        return []
-    calibration = report.get("calibration_us")
-    if not calibration:
-        return [
-            "verification gate needs calibration_us in the report; "
-            "regenerate with bench-hotpath --output"
-        ]
-    fresh_xcal = entry["full_match_us"]["enabled"] / calibration
-    limit = VERIFICATION_BASELINE_XCAL / VERIFICATION_SPEEDUP_FLOOR
-    speedup = entry["full_match_us"].get("speedup")
-    if echo is not None:
-        in_run = (
-            f", in-run {speedup:.2f}x vs disabled" if speedup else ""
-        )
-        echo(
-            f"verification gate at {VERIFICATION_GATE_VIEWS} views: "
-            f"{entry['full_match_us']['enabled']:.1f}us / "
-            f"{fresh_xcal:.3f}x-cal (limit {limit:.3f}x-cal = baseline "
-            f"{VERIFICATION_BASELINE_XCAL:.3f} / "
-            f"{VERIFICATION_SPEEDUP_FLOOR:g}x){in_run}"
-        )
-    if fresh_xcal > limit:
-        return [
-            f"vectorized verification at {VERIFICATION_GATE_VIEWS} views "
-            f"is {fresh_xcal:.3f}x calibration, short of the "
-            f"{VERIFICATION_SPEEDUP_FLOOR:g}x floor over the committed "
-            f"baseline ({VERIFICATION_BASELINE_XCAL:.3f}x-cal; "
-            f"limit {limit:.3f})"
-        ]
-    return []
 
 
 def check_tracing_overhead(
@@ -1776,9 +1521,6 @@ __all__ = [
     "REGRESSION_FACTOR",
     "TELEMETRY_OVERHEAD_TOLERANCE",
     "TRACING_OVERHEAD_TOLERANCE",
-    "VERIFICATION_BASELINE_XCAL",
-    "VERIFICATION_GATE_VIEWS",
-    "VERIFICATION_SPEEDUP_FLOOR",
     "check_against_baseline",
     "check_pool_slo",
     "check_speedup_gates",

@@ -25,6 +25,9 @@ closed the search, and pre-aggregation alternatives dropped before
 their matcher invocation because no inner plan could fit their budget)
 are additive within version 1: readers fold them with
 ``.get(..., 0)``, so journals written before them keep aggregating.
+The pre-verifier is gone, so ``preverified_rejects`` is now always 0;
+the field stays, like ``OptimizationResult.preverified_rejects``, until
+the serve-path benchmark harness that reads it is next revised.
 
 Unknown versions are skipped on read, so a newer writer never breaks
 an older ``workload-report``.  Rotation is copy-free rename chaining

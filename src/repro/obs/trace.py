@@ -52,7 +52,8 @@ from .telemetry import current_trace_context
 #:   rejected by the columnar pre-verifier sweep, "skipped" = never
 #:   verified because the optimizer's cost bound proved no cheaper plan
 #:   was reachable), so pre-verifier rejects and early terminations are
-#:   distinct funnel lines.
+#:   distinct funnel lines. The pre-verifier is gone and nothing writes
+#:   "preverify" any more; traces that carry it still load and render.
 #:
 #: The validator in :mod:`repro.obs.render` accepts all versions.
 TRACE_VERSION = 3
@@ -111,9 +112,10 @@ class CandidateTrace:
     or rejected with the :class:`~repro.core.matching.RejectReason` name
     and its detail string. ``stage`` (schema version 3) says how the
     verdict was reached: ``"verify"`` is the full ``match_view`` walk,
-    ``"preverify"`` a columnar pre-verifier rejection, ``"skipped"`` a
-    candidate the optimizer's cost bound never verified (neither matched
-    nor rejected).
+    ``"skipped"`` a candidate the optimizer's cost bound never verified
+    (neither matched nor rejected), and ``"preverify"`` -- only in traces
+    written while the columnar pre-verifier existed -- a rejection it
+    issued.
     """
 
     view: str

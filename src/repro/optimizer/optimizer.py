@@ -29,7 +29,7 @@ from ..catalog.catalog import Catalog
 from ..core.analyze import QueryAnalysis
 from ..core.describe import SpjgDescription, describe_block
 from ..core.matcher import ViewMatcher
-from ..core.matching import STAGE_PREVERIFY, STAGE_SKIPPED
+from ..core.matching import STAGE_SKIPPED
 from ..core.options import DEFAULT_OPTIONS
 from ..errors import DeadlineExceeded
 from ..obs.trace import PlanAlternative, current_tracer
@@ -94,10 +94,11 @@ class OptimizationResult:
     #: the workload recorder can journal the funnel even for requests
     #: answered from the rewrite cache.
     reject_tallies: tuple[tuple[str, int], ...] = ()
-    #: How many of the rejects above were decided by the columnar
-    #: pre-verifier sweep (no ``match_view`` walk), and how many
-    #: candidates the cost bound skipped without verifying at all.
+    #: Always 0: every candidate goes through the one verification path.
+    #: ``benchmarks/e2e/runner.py`` and the workload journal still read
+    #: it; it stays until that harness is next revised.
     preverified_rejects: int = 0
+    #: Candidates the cost bound skipped without verifying at all.
     candidates_skipped: int = 0
     #: Pre-aggregation alternatives dropped before their view-matching
     #: invocation because no inner plan could bring them under the best
@@ -173,7 +174,6 @@ class Optimizer:
             optimize_seconds=elapsed,
             matching_seconds=search.matching_seconds,
             reject_tallies=tuple(sorted(search.reject_tallies.items())),
-            preverified_rejects=search.preverified_rejects,
             candidates_skipped=search.candidates_skipped,
             preaggregations_dropped=search.preaggregations_dropped,
         )
@@ -249,7 +249,6 @@ class _Search:
         self.candidates_considered = 0
         self.matching_seconds = 0.0
         self.reject_tallies: dict[str, int] = {}
-        self.preverified_rejects = 0
         self.candidates_skipped = 0
         self.preaggregations_dropped = 0
         config = optimizer.config
@@ -329,8 +328,6 @@ class _Search:
             if result.reject_reason is not None:
                 name = result.reject_reason.name
                 tallies[name] = tallies.get(name, 0) + 1
-                if result.stage == STAGE_PREVERIFY:
-                    self.preverified_rejects += 1
             elif result.stage == STAGE_SKIPPED:
                 self.candidates_skipped += 1
         matches = [r for r in results if r.matched]

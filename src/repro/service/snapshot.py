@@ -33,7 +33,6 @@ from ..core.interning import KeyInterner
 from ..core.matcher import ViewMatcher
 from ..core.matching import ViewMatchContext
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
-from ..core.preverify import PreVerifierSchema
 from ..optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer, OptimizerConfig
 from ..sql.statements import SelectStatement
@@ -145,10 +144,6 @@ class SnapshotManager:
         # bound-probe encodings readers cache) stay valid across rebuilds.
         # It only ever grows on the serialized writer path.
         self._interner = KeyInterner()
-        # Likewise one pre-verifier schema: pair-bit and column-id
-        # assignments stay stable across epochs so the packed rows an
-        # epoch shares with its predecessor screen with consistent masks.
-        self._preverify_schema = PreVerifierSchema()
         # Insertion order is registration order (a re-registered name
         # moves to the end), the order candidate lists are returned in.
         self._views: dict[str, RegisteredView] = {}
@@ -326,11 +321,7 @@ class SnapshotManager:
         return snapshot
 
     def _new_tree(self) -> FilterTree:
-        return FilterTree(
-            self.options,
-            interner=self._interner,
-            preverify_schema=self._preverify_schema,
-        )
+        return FilterTree(self.options, interner=self._interner)
 
     def _build(
         self, epoch: int, tree: FilterTree, views: dict[str, RegisteredView]

@@ -4,8 +4,9 @@ The context is frozen per-view matching state computed once when a view
 is registered. These tests pin the invalidation contract: re-registering
 a name after unregister rebuilds the context for the *new* definition,
 snapshot rebuilds reuse surviving contexts by identity but never
-resurrect dropped ones, and matching with contexts on agrees exactly
-with deriving everything per invocation.
+resurrect dropped ones, matching with contexts on agrees exactly
+with deriving everything per invocation, and register/unregister churn
+-- in a matcher or across serving epochs -- leaves every answer alone.
 """
 
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from repro.core import ViewMatcher, describe, match_view
 from repro.core.filtertree import FilterTree
 from repro.core.matching import ViewMatchContext
-from repro.service import SnapshotManager
+from repro.service import SnapshotManager, ViewServer
+from repro.sql import statement_to_sql
+from repro.workload import WorkloadGenerator
 
 
 def described(catalog, sql, name=None):
@@ -180,3 +183,79 @@ class TestSnapshotRebuilds:
         # Every epoch's tree shares the manager-lifetime interner, so bit
         # assignments stay stable across rebuilds.
         assert manager.current.matcher.interner is before
+
+
+def _result_key(result):
+    return (
+        result.view.name,
+        result.substitute,
+        result.reject_reason,
+        result.reject_detail,
+        result.compensating_equalities,
+        result.compensating_ranges,
+        result.compensating_residuals,
+        result.regrouped,
+        result.eliminated_tables,
+        result.backjoined_tables,
+    )
+
+
+class TestRegistrationChurn:
+    """Dropping and re-registering views never changes an answer."""
+
+    @pytest.fixture(scope="class")
+    def workload(self, catalog, paper_stats):
+        generator = WorkloadGenerator(catalog, paper_stats, seed=29)
+        views = generator.generate_views(80)
+        queries = [q.statement for q in generator.generate_queries(45)]
+        return views, queries
+
+    def test_unregister_churn_keeps_results_identical(self, workload, catalog):
+        views, queries = workload
+        matcher = ViewMatcher(catalog)
+        for name, generated in views:
+            matcher.register_view(name, generated.statement)
+        baseline = {
+            statement: sorted(
+                _result_key(r)
+                for r in matcher.match(matcher.describe_query(statement))
+            )
+            for statement in queries
+        }
+        # Every view gets a fresh description and context.
+        for name, generated in views:
+            matcher.unregister_view(name)
+            matcher.register_view(name, generated.statement)
+        for statement in queries:
+            got = sorted(
+                _result_key(r)
+                for r in matcher.match(matcher.describe_query(statement))
+            )
+            assert got == baseline[statement]
+
+    def test_epoch_swaps_keep_serving_answers_stable(
+        self, catalog, paper_stats
+    ):
+        generator = WorkloadGenerator(catalog, paper_stats, seed=3)
+        views = generator.generate_views(30)
+        queries = [
+            statement_to_sql(q.statement)
+            for q in generator.generate_queries(8)
+        ]
+        sql = {}
+        with ViewServer(catalog, paper_stats) as server:
+            for name, generated in views:
+                sql[name] = statement_to_sql(generated.statement)
+                server.register_view(name, sql[name])
+            baseline = [server.rewrite(q) for q in queries]
+            # Epoch churn: drop half the views and restore them; every
+            # swap publishes a new snapshot with new contexts.
+            for name, _ in views[::2]:
+                server.unregister_view(name)
+            for name, _ in views[::2]:
+                server.register_view(name, sql[name])
+            after = [server.rewrite(q) for q in queries]
+        for before_result, after_result in zip(baseline, after):
+            assert before_result.ok == after_result.ok
+            assert before_result.uses_view == after_result.uses_view
+            assert before_result.sql == after_result.sql

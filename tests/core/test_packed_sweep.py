@@ -4,7 +4,8 @@ Three layers of pinning:
 
 * kernel: ``PackedBitsetTable.sweep`` against a brute-force evaluation of
   ``(row ^ flip) & query == 0`` on randomized tables, on both backends,
-  through append/pop churn and copy-on-write snapshots;
+  through append/pop churn and copy-on-write snapshots; the survivor
+  loop's split of the output requirements against the unsplit test;
 * tree: packed ``FilterTree``/``ShardedFilterTree`` candidates must be
   *identical* (same views, same registration order) to the interned
   non-packed tree walk and to the frozenset reference tree, across shard
@@ -29,7 +30,11 @@ from hypothesis import strategies as st
 
 import repro.core.interning as interning
 from repro.core import ViewMatcher
-from repro.core.filtertree import FilterTree
+from repro.core.filtertree import (
+    FilterTree,
+    _requirements_satisfied_bits,
+    _split_requirements,
+)
 from repro.core.interning import KeyInterner, PackedBitsetTable
 from repro.core.sharding import ShardedFilterTree
 from repro.stats import synthetic_tpch_stats
@@ -130,6 +135,28 @@ class TestPackedKernel:
         assert list(snap.row_masks()) == rows
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_rows_that_differ_only_past_the_first_word(self, backend):
+        # Random wide rows nearly always fail in their first word; these
+        # agree there, so only the later words decide.
+        table = PackedBitsetTable(backend=backend)
+        bits = [table.alloc_bit(flip=bit % 2 == 1) for bit in range(140)]
+        rows = [
+            0,
+            bits[70],
+            bits[71],
+            bits[130],
+            bits[3] | bits[130],
+            bits[71] | bits[131],
+        ]
+        for row in rows:
+            table.append(row)
+        for query in (bits[70], bits[71] | bits[130], bits[130] | bits[131]):
+            flip = query & sum(bits[1::2])
+            assert list(table.sweep(table.prepare(query))) == _brute_force(
+                rows, query, flip
+            )
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_stale_prepared_query_raises(self, backend):
         table = PackedBitsetTable(backend=backend)
         bit = table.alloc_bit()
@@ -139,6 +166,27 @@ class TestPackedKernel:
         table.append(bit)
         with pytest.raises(ValueError):
             table.sweep(prepared)
+
+
+_masks = st.integers(min_value=0, max_value=15)
+
+
+@settings(max_examples=300)
+@given(
+    requirements=st.lists(
+        st.tuples(_masks, st.lists(_masks, max_size=3).map(tuple)),
+        max_size=6,
+    ),
+    key_bits=_masks,
+)
+def test_split_requirements_hold_exactly_when_the_pairs_do(
+    requirements, key_bits
+):
+    column_masks, rest = _split_requirements(tuple(requirements))
+    split = all(mask & key_bits for mask in column_masks) and (
+        _requirements_satisfied_bits(rest, key_bits)
+    )
+    assert split == _requirements_satisfied_bits(tuple(requirements), key_bits)
 
 
 TREE_BACKENDS = (
