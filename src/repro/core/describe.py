@@ -22,7 +22,12 @@ from ..sql.expressions import (
     Literal,
 )
 from ..sql.statements import SelectItem, SelectStatement
-from .analyze import QueryAnalysis, analyze_statement, intern_tables
+from .analyze import (
+    QueryAnalysis,
+    analyze_statement,
+    intern_tables,
+    normalized_aggregate_template,
+)
 from .equivalence import ColumnKey
 from .intervalsets import OrRangePredicate
 from .normalize import ClassifiedPredicate
@@ -63,27 +68,17 @@ class OutputInfo:
         return self.item.expression.contains_aggregate()
 
 
-def normalized_aggregate_template(
-    call: FuncCall, form: ShallowForm | None = None
-) -> tuple[str, ...]:
-    """Canonical template strings an aggregate call requires of a view.
-
-    COUNT and COUNT_BIG are interchangeable for matching, so both normalize
-    to ``count_big``; AVG expands to the SUM and COUNT_BIG it is computed
-    from. The returned tuple lists every view output template the call needs.
-    ``form`` passes a precomputed shallow form of the argument so callers
-    that already derived it avoid a second derivation.
-    """
-    if call.star:
-        return ("count_big(*)",)
-    argument_template = (form or ShallowForm.of(call.args[0])).template
-    if call.name == "sum":
-        return (f"sum({argument_template})",)
-    if call.name in ("count", "count_big"):
-        return (f"count_big({argument_template})",)
-    if call.name == "avg":
-        return (f"sum({argument_template})", "count_big(*)")
-    raise MatchError(f"unsupported aggregate {call.name}")
+# Predicate metadata, all derived together (:meth:`QueryAnalysis.restrict`).
+_PREDICATE_SLOTS = frozenset(
+    (
+        "classified",
+        "eqclasses",
+        "ranges",
+        "or_ranges",
+        "residual_forms",
+        "merging_equalities",
+    )
+)
 
 
 class SpjgDescription:
@@ -102,6 +97,12 @@ class SpjgDescription:
       (first exposure wins);
     * ``expression_outputs`` -- non-simple, non-constant output items
       (expressions, aggregates).
+
+    A description of one block of a request (:func:`describe_block`)
+    derives ``statement`` and its predicate metadata on first read too:
+    its tables, probe keys and cardinality terms come from the request's
+    analysis, and only a block that becomes a plan node or has a
+    candidate verified needs the rest.
     """
 
     # A registered catalog keeps one description per view: slots, not an
@@ -114,11 +115,13 @@ class SpjgDescription:
         "options",
         "tables",
         "_analysis",
+        "_block",
         "classified",
         "eqclasses",
         "ranges",
         "or_ranges",
         "residual_forms",
+        "merging_equalities",
         "is_aggregate",
         "outputs",
         "group_forms",
@@ -134,20 +137,9 @@ class SpjgDescription:
         catalog: "Catalog",
         name: str | None = None,
         options: MatchOptions = DEFAULT_OPTIONS,
-        analysis: QueryAnalysis | None = None,
-        block: int | None = None,
     ) -> None:
-        """Describe ``statement``, from scratch or from its request's analysis.
-
-        With ``analysis`` (see :func:`describe_block`), ``statement`` is
-        the analysed statement itself (``block`` ``None``) or the
-        statement of ``block``: the predicate metadata is then the
-        analysis restricted to the block and shallow forms come from the
-        analysis's per-request memo, instead of one fused sweep over the
-        CNF conjuncts (see :mod:`repro.core.analyze`) and a fresh form
-        per output. Output metadata is derived on first use: a block the
-        filter tree finds no candidate for never needs it.
-        """
+        """Describe ``statement`` from scratch: one fused sweep over its
+        CNF conjuncts (see :mod:`repro.core.analyze`)."""
         self.statement = statement
         self.catalog = catalog
         self.name = name
@@ -156,20 +148,61 @@ class SpjgDescription:
         if not tables:
             raise UnsupportedSqlError("statement references no tables")
         self.tables: frozenset[str] = intern_tables(catalog, tables)
-        if analysis is None:
-            predicates = analyze_statement(
-                statement, self.tables, catalog, options
+        self._analysis = None
+        self._block = None
+        self._set_predicates(
+            analyze_statement(statement, self.tables, catalog, options)
+        )
+        self.is_aggregate = statement.is_aggregate
+        self._query_ranges = None
+
+    @classmethod
+    def of_block(
+        cls,
+        analysis: QueryAnalysis,
+        block: int | None = None,
+        select_items: tuple[SelectItem, ...] | None = None,
+        group_by: tuple[Expression, ...] = (),
+    ) -> "SpjgDescription":
+        """Describe one block of an analysed query (see :func:`describe_block`)."""
+        description = cls.__new__(cls)
+        description.catalog = analysis.catalog
+        description.name = None
+        description.options = analysis.options
+        description._analysis = analysis
+        description._query_ranges = None
+        if block is None:
+            statement = description.statement = analysis.statement
+            tables = frozenset(statement.table_names())
+            if not tables:
+                raise UnsupportedSqlError("statement references no tables")
+            description.tables = intern_tables(analysis.catalog, tables)
+            description._block = None
+            description.is_aggregate = statement.is_aggregate
+            description._set_predicates(
+                analysis.restrict(None, description.tables)
             )
-        else:
-            predicates = analysis.restrict(block)
-        self._analysis = analysis
+            analysis.block_keys(None)
+            return description
+        # The statement and the predicates are derived on first read: a
+        # block the filter tree finds no candidate for is costed and
+        # probed from its block keys alone.
+        analysis.block_keys(block)
+        description.tables = analysis.block_tables(block)
+        description._block = (block, select_items, group_by)
+        description.is_aggregate = select_items is not None and (
+            bool(group_by)
+            or any(item.expression.contains_aggregate() for item in select_items)
+        )
+        return description
+
+    def _set_predicates(self, predicates) -> None:
         self.classified: ClassifiedPredicate = predicates.classified
         self.eqclasses = predicates.eqclasses
         self.ranges: dict[ColumnKey, Interval] = predicates.ranges
         self.or_ranges: tuple[OrRangePredicate, ...] = predicates.or_ranges
         self.residual_forms: tuple[ShallowForm, ...] = predicates.residual_forms
-        self.is_aggregate = statement.is_aggregate
-        self._query_ranges = None
+        self.merging_equalities = predicates.merging_equalities
 
     # -- output metadata -------------------------------------------------------
 
@@ -184,6 +217,11 @@ class SpjgDescription:
         are immutable and the derivations idempotent, so racing readers
         agree.
         """
+        if name in _PREDICATE_SLOTS and self._block is not None:
+            self._set_predicates(
+                self._analysis.restrict(self._block[0], self.tables)
+            )
+            return getattr(self, name)
         derive = getattr(SpjgDescription, f"_derive_{name}", None)
         if derive is None:
             raise AttributeError(
@@ -197,6 +235,28 @@ class SpjgDescription:
     def analysis(self) -> QueryAnalysis | None:
         """The request analysis this description was derived from, if any."""
         return self._analysis
+
+    @property
+    def block(self) -> tuple | None:
+        """``(mask, select_items, group_by)`` of a block derived from its
+        request's analysis (``select_items`` ``None``: the columns the
+        rest of the query needs); ``None`` for the analysed statement
+        itself and for a description made from scratch."""
+        return self._block
+
+    def _derive_statement(self) -> SelectStatement:
+        return self._analysis.block_statement(*self._block)
+
+    def cardinality_terms(self) -> tuple:
+        """``(merging equalities, ranges, residual conjuncts)``: what the
+        cardinality estimator multiplies, in its order. A block of a
+        request answers from its request's block keys, without deriving
+        its predicates."""
+        block = self._block
+        if block is not None:
+            keys = self._analysis.block_keys(block[0])
+            return keys.merging_equalities, keys.ranges, keys.residuals
+        return self.merging_equalities, self.ranges, self.classified.residuals
 
     def shallow_form(self, expression: Expression) -> ShallowForm:
         """The shallow form of one of the statement's expressions (from
@@ -376,20 +436,11 @@ def describe_block(
     statement itself). The block's statement -- its tables in name order
     under its local conjuncts, selecting ``select_items`` (default: the
     columns the rest of the query needs from it) grouped by ``group_by``
-    -- is built here and is the result's ``statement``; the description
-    equals ``describe`` of that statement under the analysis's options.
+    -- is built on the result's first read of ``statement``; the
+    description equals ``describe`` of that statement under the
+    analysis's options.
     """
-    if block is None:
-        statement = analysis.statement
-    else:
-        statement = analysis.block_statement(block, select_items, group_by)
-    return SpjgDescription(
-        statement,
-        analysis.catalog,
-        options=analysis.options,
-        analysis=analysis,
-        block=block,
-    )
+    return SpjgDescription.of_block(analysis, block, select_items, group_by)
 
 
 def validate_view_description(description: SpjgDescription) -> None:

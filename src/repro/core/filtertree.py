@@ -32,7 +32,13 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..obs.trace import current_tracer
 from ..sql.expressions import ColumnRef, Expression, FuncCall, Literal
-from .describe import SpjgDescription, normalized_aggregate_template
+from .analyze import (
+    QueryAnalysis,
+    bit_indices,
+    bit_masks,
+    normalized_aggregate_template,
+)
+from .describe import SpjgDescription
 from .equivalence import ColumnKey
 from .fkgraph import compute_hub
 from .interning import KeyInterner, PackedBitsetTable
@@ -246,8 +252,8 @@ class QueryProbe:
     """The query-side search keys as frozenset lattice keys.
 
     What the recursive tree's lattice searches and the per-level
-    diagnostics consume; the packed layout compiles its own
-    :class:`_PackedProbe` straight from the description instead.
+    diagnostics consume; the packed layout derives its own
+    :class:`_PackedProbe` from the request's analysis instead.
     """
 
     tables: Key
@@ -379,99 +385,37 @@ def _catalog_check_keys(
     return entry
 
 
-def _class_masks(query: SpjgDescription, interner: KeyInterner) -> dict:
-    """``{column class: interned mask}``, shared by every probe of a request.
-
-    The blocks of one request repeat the same columns and classes, so a
-    description derived from a request's analysis compiles each class's
-    mask once per request; any other description gets a fresh dict. A
-    mask compiled before a concurrent registration interned a new atom
-    lacks that atom's bit, which no view of the request's snapshot
-    carries, so it stays exact for that snapshot.
-    """
-    analysis = query.analysis
-    if analysis is None:
-        return {}
-    memo = analysis.probe_masks
-    if memo is None or memo[0] is not interner:
-        memo = analysis.probe_masks = (interner, {})
-    return memo[1]
-
-
-def _requirement_encoding(
-    query: SpjgDescription, interner: KeyInterner | None
-):
-    """``(columns_key, templates_key, requirement)`` builders for ``query``.
-
-    Without an interner: frozenset keys and :class:`OutputRequirement`.
-    With one: each key is compiled straight to its interned bitmask and a
-    requirement to the ``(templates_mask, group_masks)`` pair
-    :func:`_requirements_satisfied_bits` consumes -- atoms the interner
-    has never seen are dropped, which is exact (see
-    :func:`_bind_requirement`). ``columns_key`` takes one equivalence
-    class (masks come from :func:`_class_masks`).
-    """
-    if interner is None:
-        return _columns_key, _templates_key, OutputRequirement
-    known_bit = interner.known_bit
-    masks = _class_masks(query, interner)
-
-    def columns_mask(columns: frozenset[ColumnKey]) -> int:
-        mask = masks.get(columns)
-        if mask is None:
-            mask = 0
-            for column in columns:
-                mask |= known_bit((_COLUMN, *column))
-            masks[columns] = mask
-        return mask
-
-    def templates_mask(templates: Iterable[str]) -> int:
-        mask = 0
-        for template in templates:
-            mask |= known_bit((_TEMPLATE, template))
-        return mask
-
-    def pair(templates: int, groups: tuple[int, ...]) -> tuple:
-        return templates, groups
-
-    return columns_mask, templates_mask, pair
-
-
 def _output_requirements(
-    query: SpjgDescription, interner: KeyInterner | None = None
-) -> tuple:
+    query: SpjgDescription,
+) -> tuple[OutputRequirement, ...]:
     """Availability requirements for every output and grouping item.
 
     One pass over the select list and grouping; shallow forms come from
     the description, column groups from ``class_of`` lookups with a
     per-probe group cache (outputs and groupings overwhelmingly repeat
     the same columns).
-    ``interner`` selects the bitmask encoding (:func:`_requirement_encoding`).
     """
-    columns_key, templates_key, requirement = _requirement_encoding(
-        query, interner
-    )
     class_of = query.eqclasses.class_of
     backjoins = query.options.allow_backjoins
     catalog = query.catalog
     group_cache: dict = {}
 
-    def column_group(key: ColumnKey):
+    def column_group(key: ColumnKey) -> Key:
         group = group_cache.get(key)
         if group is None:
-            group = columns_key(class_of(key))
+            group = _columns_key(class_of(key))
             if backjoins:
                 table = catalog.table(key[0])
                 for unique_key in table.all_unique_keys():
                     if any(table.is_nullable(column) for column in unique_key):
                         continue
                     for column in unique_key:
-                        group |= columns_key(class_of((key[0], column)))
+                        group |= _columns_key(class_of((key[0], column)))
             group_cache[key] = group
         return group
 
-    requirements: list = []
-    no_templates = templates_key(())
+    requirements: list[OutputRequirement] = []
+    no_templates = _templates_key(())
 
     # Depth-first over an explicit stack: a nested function that calls
     # itself is a reference cycle through its own closure cell, which
@@ -483,7 +427,7 @@ def _output_requirements(
         expression = pending.pop()
         if isinstance(expression, ColumnRef):
             requirements.append(
-                requirement(no_templates, (column_group(expression.key),))
+                OutputRequirement(no_templates, (column_group(expression.key),))
             )
         elif isinstance(expression, FuncCall) and expression.is_aggregate():
             if expression.star:
@@ -495,8 +439,8 @@ def _output_requirements(
             )
             templates.add(argument_form.template)
             requirements.append(
-                requirement(
-                    templates_key(templates),
+                OutputRequirement(
+                    _templates_key(templates),
                     tuple(
                         column_group(ref.key)
                         for ref in argument.column_refs()
@@ -507,8 +451,8 @@ def _output_requirements(
             pending.extend(reversed(expression.children()))
         elif not isinstance(expression, Literal):
             requirements.append(
-                requirement(
-                    templates_key((query.shallow_form(expression).template,)),
+                OutputRequirement(
+                    _templates_key((query.shallow_form(expression).template,)),
                     tuple(
                         column_group(ref.key) for ref in expression.column_refs()
                     ),
@@ -518,24 +462,21 @@ def _output_requirements(
 
 
 def _grouping_requirements(
-    query: SpjgDescription, interner: KeyInterner | None = None
-) -> tuple:
+    query: SpjgDescription,
+) -> tuple[OutputRequirement, ...]:
     """Per-item grouping conditions for the grouping-column level."""
-    columns_key, templates_key, requirement = _requirement_encoding(
-        query, interner
-    )
     class_of = query.eqclasses.class_of
-    requirements: list = []
+    requirements: list[OutputRequirement] = []
     for form, expr in zip(query.group_forms, query.statement.group_by):
         if isinstance(expr, ColumnRef):
             requirements.append(
-                requirement(
-                    templates_key(()), (columns_key(class_of(expr.key)),)
+                OutputRequirement(
+                    _templates_key(()), (_columns_key(class_of(expr.key)),)
                 )
             )
         else:
             requirements.append(
-                requirement(templates_key((form.template,)), ())
+                OutputRequirement(_templates_key((form.template,)), ())
             )
     return tuple(requirements)
 
@@ -1096,17 +1037,86 @@ AGGREGATE_LEVELS: tuple[_Level, ...] = (
 # The packed flat layout
 # ---------------------------------------------------------------------------
 
+class _RequestKeys:
+    """One request's query-side atoms, bound to one interner.
+
+    Built on the request's first probe and kept on its analysis
+    (``QueryAnalysis.probe_keys``): the interned bit of every numbered
+    column, and per-request memos of the interned mask of a column set
+    (an equivalence class, widened by back-join keys when those are on)
+    and of a template tuple -- the blocks of one request repeat the same
+    classes. ``size`` is the interner's size at build time: an atom
+    interned since (a registration) makes the keys stale and they are
+    rebuilt, so a description probed before a registration stays exact
+    after it. A concurrent registration only adds atoms no view of the
+    request's snapshot carries, so keys built either side of it agree
+    on that snapshot.
+    """
+
+    __slots__ = ("interner", "size", "column_bits", "groups", "templates")
+
+    def __init__(self, analysis: QueryAnalysis, interner: KeyInterner) -> None:
+        known_bit = interner.known_bit
+        self.interner = interner
+        self.size = len(interner)
+        self.column_bits = [
+            known_bit((_COLUMN, *ref.key)) for ref in analysis.columns
+        ]
+        self.groups: dict[int, int] = {}
+        self.templates: dict[tuple[str, ...], int] = {}
+
+    @classmethod
+    def of(cls, analysis: QueryAnalysis, interner: KeyInterner) -> "_RequestKeys":
+        keys = analysis.probe_keys
+        if (
+            keys is None
+            or keys.interner is not interner
+            or keys.size != len(interner)
+        ):
+            keys = analysis.probe_keys = cls(analysis, interner)
+        return keys
+
+    def group(self, columns: int) -> int:
+        """The interned mask of a set of the analysis's columns."""
+        mask = self.groups.get(columns)
+        if mask is None:
+            mask = 0
+            column_bits = self.column_bits
+            for index in bit_indices(columns):
+                mask |= column_bits[index]
+            self.groups[columns] = mask
+        return mask
+
+    def template_mask(self, templates: tuple[str, ...]) -> int:
+        """The interned mask of ``templates`` (unknown ones dropped)."""
+        mask = self.templates.get(templates)
+        if mask is None:
+            known_bit = self.interner.known_bit
+            mask = 0
+            for template in templates:
+                mask |= known_bit((_TEMPLATE, template))
+            self.templates[templates] = mask
+        return mask
+
+
 class _PackedProbe:
     """A query's search keys as the packed subtrees consume them.
 
-    Compiled once per search, straight from the description: plain key
+    Derived from the request's :class:`QueryAnalysis` and the block's
+    table mask, with no walk over the block's expressions: plain key
     values (table names, templates, column keys) for the fused mask
     levels, which each subtree looks up in its own atom dictionaries, and
     interned ``(templates_mask, group_masks)`` pairs for the two per-item
-    requirement levels (``output_check`` is the output pairs split for
-    the survivor loop, :func:`_split_requirements`). Check-constraint
-    keys widen the residual and range levels exactly as in
-    :meth:`QueryProbe.of`.
+    requirement levels (``output_check`` holds the output pairs split for
+    the survivor loop, :func:`_split_requirements`). A group mask is the
+    interned column class of the block-local equality components
+    (:meth:`QueryAnalysis.block_keys`); an SPJ block's outputs are its
+    needed columns, so its requirements are one group per needed column.
+    Atoms the interner has never seen are dropped from the masks, which
+    is exact (see :func:`_bind_requirement`). Check-constraint keys widen
+    the residual and range levels exactly as in :meth:`QueryProbe.of`.
+    A description made from scratch is probed through an analysis of its
+    statement, so every probe takes this one path.
     """
 
     __slots__ = (
@@ -1115,9 +1125,9 @@ class _PackedProbe:
         "constrained_columns",
         "aggregate_templates",
         "grouping_templates",
-        "output_requirements",
         "output_check",
         "grouping_requirements",
+        "_outputs",
     )
 
     def __init__(
@@ -1126,26 +1136,123 @@ class _PackedProbe:
         options: MatchOptions,
         interner: KeyInterner,
     ) -> None:
-        residual_templates = query.residual_templates()
-        constrained = query.extended_range_constrained_columns()
+        analysis = query.analysis
+        if analysis is None:
+            analysis = QueryAnalysis(query.statement, query.catalog, query.options)
+        block = query.block
+        if block is None:
+            mask = None
+            items = analysis.statement.select_items
+            group_by = analysis.statement.group_by
+        else:
+            mask, items, group_by = block
+        block_keys = analysis.block_keys(mask)
+        components = block_keys.components
+        residual_templates = block_keys.residual_templates
+        constrained_columns = block_keys.constrained_columns
         if options.use_check_constraints:
             check_columns, check_templates = _catalog_check_keys(
                 query.catalog, query.options.support_or_ranges
             )
-            residual_templates = residual_templates | check_templates
-            constrained = constrained | check_columns
+            residual_templates += tuple(check_templates)
+            constrained_columns += tuple(check_columns)
         self.tables = query.tables
         self.residual_templates = residual_templates
-        self.constrained_columns = constrained
-        self.output_requirements = _output_requirements(query, interner)
-        self.output_check = _split_requirements(self.output_requirements)
+        self.constrained_columns = constrained_columns
+
+        keys = _RequestKeys.of(analysis, interner)
+        widening = (
+            analysis.backjoin_columns if query.options.allow_backjoins else None
+        )
+        if items is None:  # an SPJ block selects the columns others need
+            self._outputs = (
+                analysis.needed_mask(mask), components, keys, widening
+            )
+            self.aggregate_templates = self.grouping_templates = frozenset()
+            self.grouping_requirements = ()
+            return
+        self._outputs = None
+        template_mask = keys.template_mask
+        available = _availability(components, keys, widening)
+        requirements, aggregate_templates = analysis.requirements(
+            [item.expression for item in items] + list(group_by)
+        )
+        self.output_check = _split_requirements(
+            [
+                (
+                    template_mask(item_templates) if item_templates else 0,
+                    tuple(map(available, item_columns)),
+                )
+                for item_templates, item_columns in requirements
+            ]
+        )
         if query.is_aggregate:
-            self.aggregate_templates = query.aggregate_templates()
-            self.grouping_templates = query.grouping_templates()
-            self.grouping_requirements = _grouping_requirements(query, interner)
+            self.aggregate_templates = aggregate_templates
+            classes = _availability(components, keys, None)
+            grouping_templates = set()
+            grouping = []
+            for expression in group_by:
+                if isinstance(expression, ColumnRef):
+                    column = analysis.column_bit(expression.key)
+                    grouping.append((0, (classes(column),)))
+                else:
+                    template = analysis.form(expression).template
+                    grouping_templates.add(template)
+                    grouping.append((template_mask((template,)), ()))
+            self.grouping_templates = frozenset(grouping_templates)
+            self.grouping_requirements = tuple(grouping)
         else:  # the aggregate subtree is not searched
             self.aggregate_templates = self.grouping_templates = frozenset()
             self.grouping_requirements = ()
+
+    def __getattr__(self, name: str):
+        """Group an SPJ block's needed columns on the first read of
+        ``output_check``: about half the blocks of a request sweep no
+        survivor, and never need them."""
+        if name != "output_check" or self._outputs is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        needed, components, keys, widening = self._outputs
+        available = _availability(components, keys, widening)
+        check = self.output_check = (
+            tuple(dict.fromkeys(map(available, bit_masks(needed)))),
+            (),
+        )
+        return check
+
+
+def _availability(
+    components: dict[int, int],
+    keys: _RequestKeys,
+    widening,
+):
+    """``available(bit)``: the interned group of view columns that make
+    column ``bit`` available -- its class under ``components``, widened
+    by the classes of its table's back-join key columns when
+    ``widening`` (``QueryAnalysis.backjoin_columns``) is given."""
+    column_bits = keys.column_bits
+    memo = keys.groups
+    group = keys.group
+    if widening is None:
+
+        def available(bit: int) -> int:
+            classes = components.get(bit)
+            if classes is None:
+                return column_bits[bit.bit_length() - 1]
+            found = memo.get(classes)
+            return group(classes) if found is None else found
+
+    else:
+
+        def available(bit: int) -> int:
+            classes = components.get(bit, bit)
+            for key_bit in bit_masks(widening(bit)):
+                classes |= components.get(key_bit, key_bit)
+            found = memo.get(classes)
+            return group(classes) if found is None else found
+
+    return available
 
 
 class _PackedSubtree:
@@ -1354,14 +1461,17 @@ class _PackedSubtree:
         for column in probe.constrained_columns:
             allowed |= range_columns.get(column, 0)
         query |= self._range_universe & ~allowed
+        table = self.table
+        rows = table.sweep(table.prepare(query))
+        if not rows:
+            return
         column_masks, other_requirements = probe.output_check
         grouping_requirements = (
             probe.grouping_requirements if self.aggregate else ()
         )
         output_bits = self._output_bits
         grouping_bits = self._grouping_bits
-        table = self.table
-        for row in table.sweep(table.prepare(query)):
+        for row in rows:
             bits = output_bits[row]
             for mask in column_masks:
                 if not mask & bits:
@@ -1695,8 +1805,8 @@ class FilterTree:
     def compile_probe(self, query: SpjgDescription):
         """The query's search keys in the form this tree's layout sweeps.
 
-        Packed mode compiles a :class:`_PackedProbe` straight from the
-        description; every other configuration gets the frozenset
+        Packed mode derives a :class:`_PackedProbe` from the query's
+        analysis and block mask; every other configuration gets the frozenset
         :class:`QueryProbe` plus its bitmask binding (``None`` without
         interning). Trees sharing options, interner and layout -- the
         shards of a sharded tree -- can share one compiled probe.

@@ -364,14 +364,16 @@ class PackedBitsetTable:
         if self._use_numpy:
             matrix = self._matrix
             if self._words == 1:
-                misses = (matrix.reshape(-1) ^ flip) & query
-                return _numpy.nonzero(misses == 0)[0].tolist()
+                # ``prepare`` keeps ``flip`` inside ``query``, so a row
+                # passes iff its bits under ``query`` equal ``flip``: two
+                # array passes instead of three.
+                return ((matrix.reshape(-1) & query) == flip).nonzero()[0].tolist()
             # Word by word into one row vector: a 2-D ``any(axis=1)``
             # reduction over uint64 costs ten times as much.
             misses = (matrix[:, 0] ^ flip[0]) & query[0]
             for word in range(1, self._words):
                 misses |= (matrix[:, word] ^ flip[word]) & query[word]
-            return _numpy.nonzero(misses == 0)[0].tolist()
+            return (misses == 0).nonzero()[0].tolist()
         # Pure backend: one failed row sets its guard bit via the lane-local
         # carry of ``miss + (2**(stride-1) - 1)``; surviving rows are the
         # guard bytes left at zero. All full-width operations below run in

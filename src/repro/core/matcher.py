@@ -231,7 +231,7 @@ class ViewMatcher:
         """Register every view currently defined in the catalog."""
         count = 0
         for view in self.catalog.views():
-            if view.name not in {v.name for v in self.filter_tree.views()}:
+            if self.filter_tree.view(view.name) is None:
                 self.register_view(view.name, view.query)
                 count += 1
         return count
@@ -268,11 +268,13 @@ class ViewMatcher:
         options) and passes that instead of a statement: the result then
         describes ``block`` of it -- the remaining arguments are those of
         :func:`~repro.core.describe.describe_block` -- derived from the
-        analysis rather than from a fresh pass over the block's AST.
+        analysis rather than from a fresh pass over the block's AST. A
+        statement is analysed here and described whole, so every query
+        description carries its analysis.
         """
-        if isinstance(statement, QueryAnalysis):
-            return describe_block(statement, block, select_items, group_by)
-        return describe(statement, self.catalog, options=self.options)
+        if not isinstance(statement, QueryAnalysis):
+            statement = QueryAnalysis(statement, self.catalog, self.options)
+        return describe_block(statement, block, select_items, group_by)
 
     def candidates(self, query: SpjgDescription) -> list[RegisteredView]:
         """The candidate set for one query expression.

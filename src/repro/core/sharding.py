@@ -118,6 +118,10 @@ class ShardedFilterTree:
             self.shards[self.shard_for(name)].view(name) for name, _ in ordered
         )
 
+    def view(self, name: str) -> RegisteredView | None:
+        """The registered view under ``name`` (None when absent)."""
+        return self.shards[self.shard_for(name)].view(name)
+
     # -- searching ------------------------------------------------------------
 
     def shard_candidates(

@@ -22,15 +22,17 @@ the rule vs. total optimization time).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from ..catalog.catalog import Catalog
-from ..core.analyze import QueryAnalysis
+from ..core.analyze import QueryAnalysis, bit_indices, bit_masks
 from ..core.describe import SpjgDescription, describe_block
 from ..core.matcher import ViewMatcher
 from ..core.matching import STAGE_SKIPPED
+from ..core.normalize import conjuncts_of
 from ..core.options import DEFAULT_OPTIONS
+from ..core.ranges import as_range_predicate
 from ..errors import DeadlineExceeded
 from ..obs.trace import PlanAlternative, current_tracer
 from ..sql.expressions import (
@@ -242,8 +244,8 @@ class _Search:
             self.catalog,
             matcher.options if matcher is not None else DEFAULT_OPTIONS,
         )
-        self.conjuncts = self.analysis.conjuncts
-        self.conjunct_tables = self.analysis.conjunct_tables
+        #: The block of every table (table ``i`` of the analysis is bit ``i``).
+        self.all_tables = (1 << len(self.analysis.table_names)) - 1
         self.invocations = 0
         self.substitutes_produced = 0
         self.candidates_considered = 0
@@ -257,9 +259,28 @@ class _Search:
             and config.produce_substitutes
             and optimizer.matcher is not None
         )
-        self.best: dict[frozenset[str], PlanNode] = {}
-        self._blocks: dict[frozenset[str], SpjgDescription] = {}
-        self._block_cardinality: dict[frozenset[str], float] = {}
+        # Keyed by block mask. Pre-aggregation iterates ``best`` in
+        # insertion order, and plan cost ties depend on that order.
+        self.best: dict[int, PlanNode] = {}
+        self._blocks: dict[int, SpjgDescription] = {}
+        self._block_cardinality: dict[int, float] = {}
+        # ``(mask, conjunct, pair)`` of every conjunct that names a table,
+        # where ``pair`` is ``(table bit, key, table bit, key)`` of a
+        # column equality's two sides (``None`` for any other conjunct).
+        self._joining: list = []
+        analysis = self.analysis
+        for mask, conjunct, equality in zip(
+            analysis.conjunct_masks,
+            analysis.conjuncts,
+            analysis.conjunct_equalities,
+        ):
+            if not mask:
+                continue
+            pair = None
+            if equality is not None and not mask & ~self.all_tables:
+                a, b = equality
+                pair = (analysis.mask_of((a[0],)), a, analysis.mask_of((b[0],)), b)
+            self._joining.append((mask, conjunct, pair))
 
     # -- descriptions ----------------------------------------------------------
 
@@ -272,14 +293,13 @@ class _Search:
             return matcher.describe_query(self.analysis, *block)
         return describe_block(self.analysis, *block)
 
-    def _block(self, subset: frozenset[str]) -> SpjgDescription:
+    def _block(self, subset: int) -> SpjgDescription:
         """The SPJ block of ``subset`` (its ``statement`` outputs the
         columns the rest of the query needs), described once per search:
         the estimator and the view-matching rule share it."""
         cached = self._blocks.get(subset)
         if cached is None:
-            cached = self._describe(self.analysis.mask_of(subset))
-            self._blocks[subset] = cached
+            cached = self._blocks[subset] = self._describe(subset)
         return cached
 
     # -- view-matching rule ------------------------------------------------------
@@ -338,39 +358,48 @@ class _Search:
 
     # -- subset machinery -----------------------------------------------------------
 
-    def _join_edges(self) -> set[frozenset[str]]:
-        edges: set[frozenset[str]] = set()
-        for conjunct, tables in zip(self.conjuncts, self.conjunct_tables):
-            if (
-                isinstance(conjunct, BinaryOp)
-                and conjunct.op == "="
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-                and len(tables) == 2
-            ):
-                edges.add(tables)
-        return edges
+    def _join_edges(self) -> set[int]:
+        """The join graph's edges: the two-table mask of every column
+        equality between two tables."""
+        return {
+            mask
+            for mask, _, pair in self._joining
+            if pair is not None and mask & (mask - 1)
+        }
 
-    def _connected_subsets(self) -> list[frozenset[str]]:
-        """All connected subsets of the join graph, smallest first."""
-        edges = self._join_edges()
-        found: set[frozenset[str]] = {frozenset({t}) for t in self.tables}
+    def _neighbours(self) -> list[int]:
+        """Per table, the mask of the tables it joins."""
+        neighbours = [0] * len(self.analysis.table_names)
+        for edge in self._join_edges():
+            low = edge & -edge
+            high = edge ^ low
+            neighbours[low.bit_length() - 1] |= high
+            neighbours[high.bit_length() - 1] |= low
+        return neighbours
+
+    def _connected_subsets(self) -> list[int]:
+        """All connected subsets of the join graph, smallest first (ties
+        in table-name order)."""
+        neighbours = self._neighbours()
+        found = {1 << index for index in range(len(neighbours))}
         frontier = list(found)
         while frontier:
-            grown: list[frozenset[str]] = []
+            grown = []
             for subset in frontier:
-                for table in self.tables:
-                    if table in subset:
-                        continue
-                    if any(frozenset({table, member}) in edges for member in subset):
-                        candidate = subset | {table}
-                        if candidate not in found:
-                            found.add(candidate)
-                            grown.append(candidate)
+                reach = 0
+                for index in bit_indices(subset):
+                    reach |= neighbours[index]
+                for bit in bit_masks(reach & ~subset):
+                    candidate = subset | bit
+                    if candidate not in found:
+                        found.add(candidate)
+                        grown.append(candidate)
             frontier = grown
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        return sorted(
+            found, key=lambda subset: (subset.bit_count(), bit_indices(subset))
+        )
 
-    def _block_rows(self, subset: frozenset[str]) -> float:
+    def _block_rows(self, subset: int) -> float:
         cached = self._block_cardinality.get(subset)
         if cached is None:
             cached = self.estimator.spj_cardinality(self._block(subset))
@@ -380,47 +409,40 @@ class _Search:
     # -- DP over subsets -----------------------------------------------------------
 
     def run(self) -> PlanNode:
-        connected = self._connected_subsets()
-        connected_set = set(connected)
-        all_tables = frozenset(self.tables)
-
         # Leaf plans and view matching per connected subset (except the full
         # set, which is matched as the actual query expression below).
-        for subset in connected:
+        for subset in self._connected_subsets():
             self._check_deadline()
-            candidates = self._subset_candidates(subset, connected_set)
+            candidates = self._subset_candidates(subset)
             self.best[subset] = min(candidates, key=lambda plan: plan.cost)
 
-        if all_tables not in self.best:
-            self._cover_disconnected(all_tables)
-        return self._top_plan(self.best[all_tables])
+        if self.all_tables not in self.best:
+            self._cover_disconnected()
+        return self._top_plan(self.best[self.all_tables])
 
-    def _subset_candidates(
-        self, subset: frozenset[str], connected: set[frozenset[str]]
-    ) -> list[PlanNode]:
+    def _subset_candidates(self, subset: int) -> list[PlanNode]:
         description = self._block(subset)
-        block = description.statement
         est_rows = self._block_rows(subset)
         candidates: list[PlanNode] = []
-        if len(subset) == 1:
-            (table,) = subset
+        if not subset & (subset - 1):
+            table = self.analysis.table_names[subset.bit_length() - 1]
             scan_rows = self.stats_rows(table)
-            if self._has_usable_index(table, block):
+            if self._has_usable_index(table, self.analysis.local_ranges(subset)):
                 cost = self.cost_model.index_seek(est_rows)
             else:
                 cost = self.cost_model.block(
-                    scan_rows, filtered=block.where is not None
+                    scan_rows, filtered=self.analysis.has_local(subset)
                 )
             candidates.append(
                 BlockNode(
-                    statement=block,
-                    output_keys=tuple(ref.key for ref in block.output_expressions()),  # type: ignore[arg-type]
+                    statement=description.statement,
+                    output_keys=self._output_keys(subset),
                     est_rows=est_rows,
                     cost=cost,
                 )
             )
         else:
-            for left_set, right_set in self._splits(subset, connected):
+            for left_set, right_set in self._splits(subset):
                 left = self.best[left_set]
                 right = self.best[right_set]
                 candidates.append(
@@ -428,29 +450,34 @@ class _Search:
                 )
         # The view-matching rule fires on every SPJ block except the full
         # query, which is matched with its real output list in _top_plan.
-        if subset != frozenset(self.tables) or self.statement.is_aggregate:
+        if subset != self.all_tables or self.statement.is_aggregate:
             cost_policy = self._cost_policy(
                 description, est_rows, min(plan.cost for plan in candidates)
             )
             for match in self._invoke_view_matching(description, cost_policy):
                 candidates.append(
-                    self._substitute_block(match, block, est_rows)
+                    self._substitute_block(
+                        match, self._output_keys(subset), est_rows
+                    )
                 )
         return candidates
+
+    def _output_keys(self, subset: int) -> tuple:
+        """The keys a plan of block ``subset`` publishes: its needed
+        columns, the select list of its statement."""
+        return tuple(ref.key for ref in self.analysis.needed_columns(subset))
 
     def stats_rows(self, table: str) -> float:
         return float(self.optimizer.stats.row_count(table))
 
-    def _splits(
-        self, subset: frozenset[str], connected: set[frozenset[str]]
-    ):
-        members = sorted(subset)
-        anchor = members[0]
+    def _splits(self, subset: int):
+        """Every ``(left, right)`` split of ``subset`` into two planned
+        blocks, the lowest table always on the left."""
+        members = bit_masks(subset)
         for size in range(1, len(members)):
             for combo in combinations(members[1:], size):
-                right_set = frozenset(combo)
-                left_set = subset - right_set
-                assert anchor in left_set
+                right_set = sum(combo)
+                left_set = subset ^ right_set
                 if left_set in self.best and right_set in self.best:
                     yield left_set, right_set
 
@@ -458,23 +485,27 @@ class _Search:
         self,
         left: PlanNode,
         right: PlanNode,
-        left_set: frozenset[str],
-        right_set: frozenset[str],
-        subset: frozenset[str],
+        left_set: int,
+        right_set: int,
+        subset: int,
         est_rows: float,
     ) -> HashJoinNode:
         join_pairs: list[tuple[tuple[str, str], tuple[str, str]]] = []
         residual: list[Expression] = []
-        for conjunct, tables in zip(self.conjuncts, self.conjunct_tables):
-            if not tables or not tables <= subset:
+        for mask, conjunct, pair in self._joining:
+            if mask & ~subset:
                 continue
-            if tables <= left_set or tables <= right_set:
+            if not mask & ~left_set or not mask & ~right_set:
                 continue  # already applied inside a child block
-            pair = _equijoin_pair(conjunct, left_set, right_set)
             if pair is not None:
-                join_pairs.append(pair)
-            else:
-                residual.append(conjunct)
+                bit_a, a, bit_b, b = pair
+                if bit_a & left_set and bit_b & right_set:
+                    join_pairs.append((a, b))
+                    continue
+                if bit_b & left_set and bit_a & right_set:
+                    join_pairs.append((b, a))
+                    continue
+            residual.append(conjunct)
         if join_pairs:
             join_cost = self.cost_model.hash_join(
                 left.est_rows, right.est_rows, est_rows
@@ -490,64 +521,57 @@ class _Search:
             cost=left.cost + right.cost + join_cost,
         )
 
-    def _has_usable_index(
-        self, relation_name: str, statement: SelectStatement
-    ) -> bool:
-        """An index seek applies when a sargable conjunct hits a leading column."""
+    def _has_usable_index(self, relation_name: str, ranges) -> bool:
+        """An index seek applies when a range conjunct (``ranges``: its
+        ``RangePredicate``) hits a leading column."""
         leading = self.optimizer.indexed_leading_columns(relation_name)
         if not leading:
             return False
-        from ..core.ranges import as_range_predicate
-        from ..core.normalize import conjuncts_of
-
-        for conjunct in conjuncts_of(statement.where):
-            recognised = as_range_predicate(conjunct)
-            if recognised is not None and recognised.column[1] in leading:
-                return True
-        return False
+        return any(predicate.column[1] in leading for predicate in ranges)
 
     def _substitute_cost(self, match, output_rows: float) -> float:
         """Cost of evaluating a substitute: view scan, backjoins, regroup."""
         view_rows = self.optimizer.view_estimated_rows(match.view)
         view_name = match.view.name
+        substitute = match.substitute
         if view_name is not None and self._has_usable_index(
-            view_name, match.substitute
+            view_name,
+            filter(None, map(as_range_predicate, conjuncts_of(substitute.where))),
         ):
             cost = self.cost_model.index_seek(min(view_rows, output_rows))
         else:
             cost = self.cost_model.block(
-                view_rows, filtered=match.substitute.where is not None
+                view_rows, filtered=substitute.where is not None
             )
         # Backjoined base tables (Section 7 extension) add a join each.
-        for ref in match.substitute.from_tables[1:]:
+        for ref in substitute.from_tables[1:]:
             cost += self.cost_model.hash_join(
                 view_rows, self.stats_rows(ref.name), view_rows
             )
-        if match.substitute.is_aggregate:
+        if substitute.is_aggregate:
             cost += self.cost_model.group(view_rows, output_rows)
         return cost
 
     def _substitute_block(
-        self, match, block: SelectStatement, est_rows: float
+        self, match, output_keys: tuple, est_rows: float
     ) -> BlockNode:
         cost = self._substitute_cost(match, est_rows)
         return BlockNode(
             statement=match.substitute,
-            output_keys=tuple(
-                ref.key for ref in block.output_expressions()  # type: ignore[union-attr]
-            ),
+            output_keys=output_keys,
             view_name=match.view.name,
             est_rows=est_rows,
             cost=cost,
         )
 
-    def _cover_disconnected(self, all_tables: frozenset[str]) -> None:
+    def _cover_disconnected(self) -> None:
         """Cross-join the connected components when the graph is split."""
-        components = [s for s in self.best if s in self._component_set()]
-        components.sort(key=lambda s: sorted(s))
-        current_set = components[0]
+        components = self._component_set()
+        ordered = [subset for subset in self.best if subset in components]
+        ordered.sort(key=bit_indices)
+        current_set = ordered[0]
         current = self.best[current_set]
-        for component in components[1:]:
+        for component in ordered[1:]:
             joined_set = current_set | component
             est = self._block_rows(joined_set)
             current = self._join_plan(
@@ -556,30 +580,28 @@ class _Search:
             current_set = joined_set
             self.best[current_set] = current
 
-    def _component_set(self) -> set[frozenset[str]]:
-        edges = self._join_edges()
-        remaining = set(self.tables)
-        components: set[frozenset[str]] = set()
+    def _component_set(self) -> set[int]:
+        """The connected components of the join graph, as block masks."""
+        neighbours = self._neighbours()
+        remaining = self.all_tables
+        components: set[int] = set()
         while remaining:
-            start = sorted(remaining)[0]
-            component = {start}
-            frontier = [start]
+            component = frontier = remaining & -remaining
             while frontier:
-                node = frontier.pop()
-                for other in list(remaining):
-                    if other not in component and frozenset({node, other}) in edges:
-                        component.add(other)
-                        frontier.append(other)
-            components.add(frozenset(component))
-            remaining -= component
+                reach = 0
+                for index in bit_indices(frontier):
+                    reach |= neighbours[index]
+                frontier = reach & ~component
+                component |= frontier
+            components.add(component)
+            remaining &= ~component
         return components
 
     # -- top-level alternatives --------------------------------------------------------
 
     def _top_plan(self, spj_plan: PlanNode) -> PlanNode:
         statement = self.statement
-        all_tables = frozenset(self.tables)
-        spj_rows = self._block_rows(all_tables)
+        spj_rows = self._block_rows(self.all_tables)
         query_description = self._describe()
         output_rows = self.estimator.output_cardinality(query_description)
 
@@ -658,19 +680,31 @@ class _Search:
         everything that precedes it in the plan list.
         """
         plans: list[PlanNode] = []
-        all_tables = frozenset(self.tables)
+        all_tables = self.all_tables
         aggregates = _distinct_aggregate_calls(self.statement)
         if not aggregates:
             return plans
+        rollup = _rollup(self.statement, aggregates)
+        if rollup is None:
+            return plans
         aggregate_only = _aggregate_only_columns(self.statement, aggregates)
+        # The tables the aggregate arguments read: all of them must lie in
+        # the pre-aggregated side.
+        mask_of = self.analysis.mask_of
+        argument_tables = 0
+        for call in aggregates:
+            if not call.star:
+                argument_tables |= mask_of(
+                    ref.table for ref in call.args[0].column_refs()
+                )
         for subset in list(self.best):
-            if subset == all_tables or len(subset) < 1:
+            if subset == all_tables or not subset:
                 continue
-            rest = all_tables - subset
-            if rest not in self.best:
+            rest = all_tables ^ subset
+            if rest not in self.best or argument_tables & ~subset:
                 continue
             plan = self._preaggregation_plan(
-                subset, rest, aggregates, aggregate_only, output_rows, best_cost
+                subset, rest, rollup, aggregate_only, output_rows, best_cost
             )
             if plan is not None:
                 plans.append(plan)
@@ -679,77 +713,30 @@ class _Search:
 
     def _preaggregation_plan(
         self,
-        subset: frozenset[str],
-        rest: frozenset[str],
-        aggregates: list[FuncCall],
+        subset: int,
+        rest: int,
+        rollup: tuple,
         aggregate_only: set[tuple[str, str]],
         output_rows: float,
         best_cost: float,
     ) -> PlanNode | None:
-        # Every aggregate argument must live inside the pre-aggregated side,
-        # and count(E) over rows (non-star) cannot be rolled up through a
-        # group/join/group pipeline, so it disables the alternative.
-        for call in aggregates:
-            if call.star:
-                continue
-            if call.name in ("count", "count_big"):
-                return None
-            if any(ref.table not in subset for ref in call.args[0].column_refs()):
-                return None
+        aggregate_items, aggregate_keys, rewritten_items = rollup
         # Inner grouping keys: subset columns the outside still needs
         # (join columns, predicate columns, grouping/output columns).
-        block = self.analysis.mask_of(subset)
-        keys = [
+        keys = tuple(
             ref
-            for ref in self.analysis.needed_columns(block)
+            for ref in self.analysis.needed_columns(subset)
             if ref.key not in aggregate_only
-        ]
-        inner_items = [SelectItem(ref, alias=None) for ref in keys]
-        output_keys: list[tuple[str, str]] = [ref.key for ref in keys]
-        aggregate_map: dict[FuncCall, Expression] = {}
-        needs_count = False
-        for i, call in enumerate(aggregates):
-            if call.star or call.name in ("count", "count_big"):
-                needs_count = True
-                continue
-            if call.name == "avg":
-                needs_count = True
-            virtual = ColumnRef(_PREAGG_RELATION, f"agg{i}")
-            inner_items.append(
-                SelectItem(FuncCall("sum", call.args), alias=f"agg{i}")
-            )
-            output_keys.append(virtual.key)
-            if call.name == "sum":
-                aggregate_map[call] = FuncCall("sum", (virtual,))
-            else:  # avg
-                count_ref = ColumnRef(_PREAGG_RELATION, "cnt")
-                aggregate_map[call] = BinaryOp(
-                    "/",
-                    FuncCall("sum", (virtual,)),
-                    FuncCall("sum", (count_ref,)),
-                )
-        count_ref = ColumnRef(_PREAGG_RELATION, "cnt")
-        inner_items.append(SelectItem(FuncCall("count_big", star=True), alias="cnt"))
-        output_keys.append(count_ref.key)
-        if needs_count:
-            for call in aggregates:
-                if call.star or call.name in ("count", "count_big"):
-                    aggregate_map.setdefault(call, FuncCall("sum", (count_ref,)))
-
+        )
+        output_keys = tuple(ref.key for ref in keys) + aggregate_keys
         inner_spj_rows = self._block_rows(subset)
-        inner = self._describe(block, tuple(inner_items), tuple(keys))
-        inner_statement = inner.statement
-        inner_groups = self.estimator.group_count(inner)
+        inner_groups = self.estimator.group_rows(inner_spj_rows, keys)
         # Direct computation of the inner block from base tables.
-        direct = BlockNode(
-            statement=inner_statement,
-            output_keys=tuple(output_keys),
-            est_rows=inner_groups,
-            cost=self.best[subset].cost
-            + self.cost_model.group(inner_spj_rows, inner_groups),
+        direct_cost = self.best[subset].cost + self.cost_model.group(
+            inner_spj_rows, inner_groups
         )
         rest_plan = self.best[rest]
-        all_tables = frozenset(self.tables)
+        all_tables = self.all_tables
         join_rows = min(
             inner_groups * max(rest_plan.est_rows, 1.0),
             self._block_rows(all_tables),
@@ -766,36 +753,39 @@ class _Search:
         # wins: price them by joining a free inner block. What is left of
         # the best plan so far is all an inner block may cost; the slack
         # absorbs the rounding of summing the same terms in another order.
-        fixed = join_with(replace(direct, cost=0.0)).cost + final_group
+        fixed = join_with(PlanNode(est_rows=inner_groups)).cost + final_group
         budget = best_cost - fixed + _BUDGET_SLACK * best_cost
         if self.cost_bounded and budget <= min(
-            direct.cost, self.cost_model.block(0.0, filtered=False)
+            direct_cost, self.cost_model.block(0.0, filtered=False)
         ):
             # Neither the direct block nor any view read fits the budget.
             self.preaggregations_dropped += 1
             return None
-        inner_candidates: list[PlanNode] = [direct]
+        inner = self._describe(
+            subset, tuple(SelectItem(ref) for ref in keys) + aggregate_items, keys
+        )
+        inner_candidates: list[PlanNode] = [
+            BlockNode(
+                statement=inner.statement,
+                output_keys=output_keys,
+                est_rows=inner_groups,
+                cost=direct_cost,
+            )
+        ]
         cost_policy = self._cost_policy(
-            inner, inner_groups, min(direct.cost, budget)
+            inner, inner_groups, min(direct_cost, budget)
         )
         for match in self._invoke_view_matching(inner, cost_policy):
             inner_candidates.append(
                 BlockNode(
                     statement=match.substitute,
-                    output_keys=tuple(output_keys),
+                    output_keys=output_keys,
                     view_name=match.view.name,
                     est_rows=inner_groups,
                     cost=self._substitute_cost(match, inner_groups),
                 )
             )
         join = join_with(min(inner_candidates, key=lambda plan: plan.cost))
-        rewritten_items = tuple(
-            SelectItem(
-                _rewrite_aggregates(item.expression, aggregate_map),
-                alias=item.alias,
-            )
-            for item in self.statement.select_items
-        )
         return FinishNode(
             child=join,
             select_items=rewritten_items,
@@ -860,6 +850,50 @@ class _CostBoundPolicy:
         return False
 
 
+def _rollup(
+    statement: SelectStatement, aggregates: list[FuncCall]
+) -> tuple | None:
+    """How the query's aggregates regroup over a pre-aggregated block.
+
+    ``(inner items, their output keys, rewritten select items)``: the
+    inner block outputs ``sum(x)`` per summed or averaged argument and
+    ``count_big(*)``, and the query's select list sums those up again.
+    ``None`` when a ``count(E)`` over rows cannot be rolled up through a
+    group/join/group pipeline, which disables the alternative.
+    """
+    items: list[SelectItem] = []
+    output_keys: list[tuple[str, str]] = []
+    aggregate_map: dict[FuncCall, Expression] = {}
+    count_ref = ColumnRef(_PREAGG_RELATION, "cnt")
+    for i, call in enumerate(aggregates):
+        if call.star:
+            aggregate_map[call] = FuncCall("sum", (count_ref,))
+            continue
+        if call.name in ("count", "count_big"):
+            return None
+        virtual = ColumnRef(_PREAGG_RELATION, f"agg{i}")
+        items.append(SelectItem(FuncCall("sum", call.args), alias=f"agg{i}"))
+        output_keys.append(virtual.key)
+        if call.name == "sum":
+            aggregate_map[call] = FuncCall("sum", (virtual,))
+        else:  # avg
+            aggregate_map[call] = BinaryOp(
+                "/",
+                FuncCall("sum", (virtual,)),
+                FuncCall("sum", (count_ref,)),
+            )
+    items.append(SelectItem(FuncCall("count_big", star=True), alias="cnt"))
+    output_keys.append(count_ref.key)
+    rewritten = tuple(
+        SelectItem(
+            _rewrite_aggregates(item.expression, aggregate_map),
+            alias=item.alias,
+        )
+        for item in statement.select_items
+    )
+    return tuple(items), tuple(output_keys), rewritten
+
+
 def _rewrite_aggregates(
     expression: Expression, aggregate_map: dict[FuncCall, Expression]
 ) -> Expression:
@@ -871,25 +905,6 @@ def _rewrite_aggregates(
     return expression.with_children(
         [_rewrite_aggregates(child, aggregate_map) for child in expression.children()]
     )
-
-
-def _equijoin_pair(
-    conjunct: Expression,
-    left_set: frozenset[str],
-    right_set: frozenset[str],
-) -> tuple[tuple[str, str], tuple[str, str]] | None:
-    if (
-        isinstance(conjunct, BinaryOp)
-        and conjunct.op == "="
-        and isinstance(conjunct.left, ColumnRef)
-        and isinstance(conjunct.right, ColumnRef)
-    ):
-        left, right = conjunct.left, conjunct.right
-        if left.table in left_set and right.table in right_set:
-            return left.key, right.key
-        if right.table in left_set and left.table in right_set:
-            return right.key, left.key
-    return None
 
 
 def _distinct_aggregate_calls(statement: SelectStatement) -> list[FuncCall]:

@@ -117,6 +117,9 @@ class ColumnRef(Expression):
     def contains_aggregate(self) -> bool:
         return False  # a leaf: skips the generic walk on the hot path
 
+    def column_refs(self) -> tuple["ColumnRef", ...]:
+        return (self,)  # a leaf, as above
+
 
 @dataclass(frozen=True)
 class Literal(Expression):

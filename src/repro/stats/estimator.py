@@ -20,7 +20,15 @@ from __future__ import annotations
 from ..core.describe import SpjgDescription
 from ..core.equivalence import ColumnKey
 from ..core.ranges import Interval
-from ..sql.expressions import Expression, InList, IsNull, LikePredicate, Not, Or
+from ..sql.expressions import (
+    BinaryOp,
+    Expression,
+    InList,
+    IsNull,
+    LikePredicate,
+    Not,
+    Or,
+)
 from .statistics import ColumnStats, DatabaseStats
 
 DEFAULT_RESIDUAL_SELECTIVITY = 1.0 / 3.0
@@ -71,8 +79,6 @@ def residual_selectivity(conjunct: Expression) -> float:
         for part in conjunct.disjuncts:
             miss *= 1.0 - residual_selectivity(part)
         return 1.0 - miss
-    from ..sql.expressions import BinaryOp
-
     if isinstance(conjunct, BinaryOp) and conjunct.op == "<>":
         return DEFAULT_NOT_EQUAL_SELECTIVITY
     return DEFAULT_RESIDUAL_SELECTIVITY
@@ -87,29 +93,53 @@ class CardinalityEstimator:
     def column_stats(self, key: ColumnKey) -> ColumnStats:
         return self.stats.column(key[0], key[1])
 
+    def _request_memo(self, description: SpjgDescription) -> tuple[dict, dict]:
+        """``(column stats by key, residual selectivity by conjunct id)``.
+
+        Kept on the request's analysis, so the blocks of one request look
+        each column and residual up once; a description with no analysis
+        (a registered view, estimated once) gets fresh dicts. Conjunct ids
+        are stable because the analysis holds every conjunct it numbers.
+        """
+        analysis = description.analysis
+        if analysis is None:
+            return {}, {}
+        memo = analysis.estimates
+        if memo is None or memo[0] is not self.stats:
+            memo = analysis.estimates = (self.stats, {}, {})
+        return memo[1], memo[2]
+
     def spj_cardinality(self, description: SpjgDescription) -> float:
         """Estimated cardinality of the SPJ part (before any group-by)."""
+        stats = self.stats
         cardinality = 1.0
         for table in description.tables:
-            cardinality *= max(1, self.stats.row_count(table))
-        # Column-equality predicates: each merge of two classes applies one
-        # equijoin selectivity. Replaying through a fresh union-find counts
-        # only the effective merges, so redundant equalities are free --
-        # matching how the equivalence classes themselves are built.
-        from ..core.equivalence import EquivalenceClasses
+            cardinality *= max(1, stats.row_count(table))
+        columns, residuals = self._request_memo(description)
 
-        classes = EquivalenceClasses()  # add_equality registers its columns
-        for a, b in description.classified.equalities:
-            if classes.add_equality(a, b):
-                cardinality *= equijoin_selectivity(
-                    self.column_stats(a), self.column_stats(b)
+        def column(key: ColumnKey) -> ColumnStats:
+            found = columns.get(key)
+            if found is None:
+                found = columns[key] = stats.column(key[0], key[1])
+            return found
+
+        merging_equalities, ranges, residual_conjuncts = (
+            description.cardinality_terms()
+        )
+        # Column-equality predicates: each merge of two classes applies one
+        # equijoin selectivity, so redundant equalities are free --
+        # matching how the equivalence classes themselves are built.
+        for a, b in merging_equalities:
+            cardinality *= equijoin_selectivity(column(a), column(b))
+        for representative, interval in ranges.items():
+            cardinality *= range_selectivity(column(representative), interval)
+        for conjunct in residual_conjuncts:
+            selectivity = residuals.get(id(conjunct))
+            if selectivity is None:
+                selectivity = residuals[id(conjunct)] = residual_selectivity(
+                    conjunct
                 )
-        for representative, interval in description.ranges.items():
-            cardinality *= range_selectivity(
-                self.column_stats(representative), interval
-            )
-        for conjunct in description.classified.residuals:
-            cardinality *= residual_selectivity(conjunct)
+            cardinality *= selectivity
         return max(cardinality, 0.0)
 
     def group_count(self, description: SpjgDescription) -> float:
@@ -117,16 +147,20 @@ class CardinalityEstimator:
         spj = self.spj_cardinality(description)
         if not description.is_aggregate:
             return spj
-        if not description.statement.group_by:
+        return self.group_rows(spj, description.statement.group_by)
+
+    def group_rows(self, rows: float, group_by) -> float:
+        """Estimated number of groups ``group_by`` forms over ``rows`` rows."""
+        if not group_by:
             return 1.0
         distinct_product = 1.0
-        for expr in description.statement.group_by:
+        for expr in group_by:
             refs = expr.column_refs()
             if refs:
                 distinct_product *= max(
                     1, min(self.column_stats(ref.key).distinct for ref in refs)
                 )
-        return max(1.0, min(spj, distinct_product))
+        return max(1.0, min(rows, distinct_product))
 
     def output_cardinality(self, description: SpjgDescription) -> float:
         """Rows the full SPJG expression is estimated to return."""

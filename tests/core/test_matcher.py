@@ -44,6 +44,27 @@ class TestRegistration:
         matcher = matcher_for_catalog(cat)
         assert matcher.view_count == 1
 
+    @pytest.mark.parametrize("shard_count", [1, 3])
+    def test_register_from_catalog_registers_each_view_once(self, shard_count):
+        from repro.catalog import tpch_catalog
+
+        cat = tpch_catalog()
+        for n in range(6):
+            cat.add_view(
+                f"create view cv{n} as select l_orderkey as k, "
+                f"l_quantity as q from lineitem where l_quantity >= {n}"
+            )
+        matcher = ViewMatcher(cat, shard_count=shard_count)
+        matcher.register_view(
+            "cv2", cat.bind_sql("select l_orderkey as k from lineitem")
+        )
+        assert matcher.register_from_catalog() == 5  # cv2 already registered
+        assert sorted(view.name for view in matcher.registered_views()) == [
+            f"cv{n}" for n in range(6)
+        ]
+        assert matcher.register_from_catalog() == 0
+        assert matcher.view_count == 6
+
 
 class TestMatching:
     def test_match_sql_end_to_end(self, catalog):

@@ -1,5 +1,8 @@
 """View-matching with extra tables (Section 3.2)."""
 
+import pytest
+
+from repro.catalog import Catalog, Column, ColumnType, ForeignKey, Table
 from repro.core import MatchOptions, RejectReason, describe, match_view
 from repro.sql import statement_to_sql
 
@@ -10,6 +13,47 @@ def match(catalog, view_sql, query_sql, options=None, name="v"):
     if options is None:
         return match_view(query, view)
     return match_view(query, view, options)
+
+
+@pytest.fixture()
+def extension_catalog() -> Catalog:
+    """``child -> parent -> grand`` where ``parent`` is a one-to-one
+    extension of ``grand``: its primary key is also its foreign key."""
+    catalog = Catalog()
+    catalog.add_table(
+        Table(
+            name="grand",
+            columns=(
+                Column("gk", ColumnType.INTEGER),
+                Column("gdata", ColumnType.INTEGER),
+            ),
+            primary_key=("gk",),
+        )
+    )
+    catalog.add_table(
+        Table(
+            name="parent",
+            columns=(
+                Column("pk", ColumnType.INTEGER),
+                Column("pdata", ColumnType.INTEGER),
+            ),
+            primary_key=("pk",),
+            foreign_keys=(ForeignKey(("pk",), "grand", ("gk",)),),
+        )
+    )
+    catalog.add_table(
+        Table(
+            name="child",
+            columns=(
+                Column("ck", ColumnType.INTEGER),
+                Column("pid", ColumnType.INTEGER),
+                Column("cdata", ColumnType.INTEGER),
+            ),
+            primary_key=("ck",),
+            foreign_keys=(ForeignKey(("pid",), "parent", ("pk",)),),
+        )
+    )
+    return catalog
 
 
 class TestCardinalityPreservingJoins:
@@ -132,6 +176,34 @@ class TestAugmentedEquivalence:
             "select l_partkey, sum(l_quantity) from lineitem group by l_partkey",
         )
         assert result.matched
+
+    @pytest.mark.parametrize(
+        "view_range, query_range, substitute",
+        [
+            ("gk >= 10", "pid >= 10", "SELECT v.d FROM v"),
+            ("pk >= 10", "pid >= 10", "SELECT v.d FROM v"),
+            ("gk >= 10", "pid >= 20", "SELECT v.d FROM v WHERE (v.p >= 20)"),
+        ],
+        ids=["grand-key-equal", "parent-key-equal", "grand-key-narrower"],
+    )
+    def test_query_range_keyed_by_the_augmented_representative(
+        self, extension_catalog, view_range, query_range, substitute
+    ):
+        # ``parent`` extends ``grand`` (its key is its FK), so eliminating
+        # ``grand`` first merges the parent key's class, which then
+        # outranks the child's: under the augmented classes the query's
+        # range on ``child.pid`` belongs to the representative
+        # ``parent.pk``, not to ``child.pid`` as under the query's own
+        # classes. A range compensated against the query's own
+        # representatives would re-apply a bound the view already holds.
+        result = match(
+            extension_catalog,
+            "select cdata as d, pid as p from child, parent, grand "
+            f"where pid = pk and pk = gk and {view_range}",
+            f"select cdata from child where {query_range}",
+        )
+        assert result.eliminated_tables == ("grand", "parent")
+        assert statement_to_sql(result.substitute) == substitute
 
 
 class TestNullableForeignKeys:

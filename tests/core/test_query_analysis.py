@@ -1,15 +1,16 @@
 """Request-scoped analysis: derived blocks equal the from-scratch path.
 
 The optimizer analyses a statement once (``QueryAnalysis``) and derives
-every sub-block's statement, description and filter-tree probe from it.
-These tests keep the from-scratch path alive *as a test helper* -- block
-statements built by AST walks, ``describe`` on the result, the reference
-probe pipeline, the recursive lattice tree -- and pin the derived path to
-it: same statements, same descriptions in the same iteration order (the
-cardinality estimator multiplies floats in that order, so ``==`` on the
-estimate, not approx), same compiled probes, and on a 1k-view catalog the
-same ``(cost, view_names, candidates_considered, invocations)`` for
-every request.
+every sub-block's description, cardinality terms and filter-tree probe
+from it by table mask. These tests keep the from-scratch path alive *as
+a test helper* -- block statements built by AST walks, ``describe`` on
+the result, the description-walk probe compiler
+(``_reference_probe.py``), the recursive lattice tree -- and pin the
+derived path to it: same statements, same descriptions in the same
+iteration order (the cardinality estimator multiplies floats in that
+order, so ``==`` on the estimate, not approx), same compiled probes and
+candidate lists, and on a 1k-view catalog the same ``(cost, view_names,
+candidates_considered, invocations)`` for every request.
 """
 
 from __future__ import annotations
@@ -21,15 +22,16 @@ import pytest
 
 from repro.catalog import CheckConstraint, tpch_catalog
 from repro.core import FilterTree, ViewMatcher, describe
-from repro.core.analyze import QueryAnalysis
+from repro.core.analyze import QueryAnalysis, bit_indices
 from repro.core.describe import describe_block
 from repro.core.filtertree import (
     _BoundProbe,
     _PackedProbe,
+    _split_requirements,
     QueryProbe,
 )
 from repro.core.options import MatchOptions
-from repro.optimizer import Optimizer
+from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.optimizer import _Search
 from repro.sql import parse_predicate
 from repro.sql.expressions import (
@@ -43,6 +45,8 @@ from repro.sql.expressions import (
 from repro.sql.statements import SelectItem, SelectStatement, TableRef
 from repro.stats.estimator import CardinalityEstimator
 from repro.workload import WorkloadGenerator
+
+from ._reference_probe import reference_probe
 
 OPTIONS = MatchOptions(support_or_ranges=True, use_check_constraints=True)
 SEEDS = (5, 17)
@@ -141,7 +145,9 @@ def queries(checked_catalog, paper_stats):
 # -- the from-scratch path (what the optimizer did before the analysis) ------
 
 
-def _reference_block_statement(search: _Search, subset: frozenset[str]):
+def _reference_block_statement(search: _Search, block: int):
+    names = search.analysis.table_names
+    subset = frozenset(names[index] for index in bit_indices(block))
     needed: dict[tuple[str, str], ColumnRef] = {}
 
     def note(expression) -> None:
@@ -154,7 +160,8 @@ def _reference_block_statement(search: _Search, subset: frozenset[str]):
     for expression in search.statement.group_by:
         note(expression)
     local = []
-    for conjunct, tables in zip(search.conjuncts, search.conjunct_tables):
+    for conjunct in search.analysis.conjuncts:
+        tables = frozenset(ref.table for ref in conjunct.column_refs())
         if not tables <= subset:
             note(conjunct)
         elif tables:
@@ -189,6 +196,13 @@ def _assert_same_description(derived, scratch) -> None:
     for column, cls in scratch_map.items():
         assert list(derived_map[column]) == list(cls)
         assert derived.eqclasses.find(column) == scratch.eqclasses.find(column)
+    assert list(derived.merging_equalities) == list(scratch.merging_equalities)
+    # The estimator's terms come from the block keys' own union-find: the
+    # same merges and the same class representatives, in the same order.
+    merging, ranges, residuals = derived.cardinality_terms()
+    assert list(merging) == list(scratch.merging_equalities)
+    assert list(ranges.items()) == list(scratch.ranges.items())
+    assert list(residuals) == list(scratch.classified.residuals)
 
 
 def _matcher(catalog) -> ViewMatcher:
@@ -286,6 +300,51 @@ class _ScratchMatcher(ViewMatcher):
         return describe(statement, self.catalog, options=self.options)
 
 
+def _described_blocks(catalog, stats, matcher, statements):
+    """Every description the optimizer asks for while planning
+    ``statements``: each connected subset's block, each pre-aggregation
+    inner block (the cost bound off, so none is dropped unasked) and each
+    whole statement."""
+    optimizer = Optimizer(
+        catalog,
+        stats,
+        matcher=matcher,
+        config=OptimizerConfig(cost_bounded_matching=False),
+    )
+    described = []
+    derive = matcher.describe_query
+
+    def spy(*args):
+        described.append(derive(*args))
+        return described[-1]
+
+    matcher.describe_query = spy
+    for statement in statements:
+        optimizer.optimize(statement)
+    del matcher.describe_query
+    return described
+
+
+def _assert_probe_equals(packed, reference) -> None:
+    assert set(packed.tables) == reference.tables
+    assert set(packed.residual_templates) == reference.residual_templates
+    assert set(packed.constrained_columns) == reference.constrained_columns
+    assert packed.output_check == reference.output_check
+    assert packed.aggregate_templates == reference.aggregate_templates
+    assert packed.grouping_templates == reference.grouping_templates
+    assert packed.grouping_requirements == reference.grouping_requirements
+
+
+PROBE_OPTIONS = {
+    "plain": MatchOptions(support_or_ranges=True),
+    "checks": MatchOptions(support_or_ranges=True, use_check_constraints=True),
+    "backjoins": MatchOptions(support_or_ranges=True, allow_backjoins=True),
+    "checks+backjoins": MatchOptions(
+        support_or_ranges=True, use_check_constraints=True, allow_backjoins=True
+    ),
+}
+
+
 class TestCompiledProbeAndPlans:
     def test_packed_probe_equals_the_reference_pipeline(
         self, checked_catalog, paper_stats, queries, catalog_1k
@@ -294,18 +353,10 @@ class TestCompiledProbeAndPlans:
         for name, statement in catalog_1k[:200]:  # populate the interner
             matcher.register_view(name, statement)
         interner = matcher.interner
-        optimizer = Optimizer(checked_catalog, paper_stats, matcher=matcher)
-        described = []
-        derive = matcher.describe_query
-
-        def spy(*args):
-            described.append(derive(*args))
-            return described[-1]
-
-        matcher.describe_query = spy
-        for statement in queries:
-            optimizer.optimize(statement)
         nonzero = 0
+        described = _described_blocks(
+            checked_catalog, paper_stats, matcher, queries
+        )
         for derived in described:
             packed = _PackedProbe(derived, OPTIONS, interner)
             reference = QueryProbe.of_reference(
@@ -320,7 +371,9 @@ class TestCompiledProbeAndPlans:
             assert {
                 ("c", *c) for c in packed.constrained_columns
             } == reference.range_constrained_columns
-            assert packed.output_requirements == bound.output_requirements
+            assert packed.output_check == _split_requirements(
+                bound.output_requirements
+            )
             if derived.is_aggregate:
                 assert {
                     ("x", t) for t in packed.aggregate_templates
@@ -331,10 +384,59 @@ class TestCompiledProbeAndPlans:
                 assert (
                     packed.grouping_requirements == bound.grouping_requirements
                 )
-            nonzero += any(
-                mask for _, groups in packed.output_requirements for mask in groups
-            )
+            nonzero += any(mask for mask in packed.output_check[0])
         assert nonzero > len(described) // 2  # the comparison was not vacuous
+
+    @pytest.mark.parametrize("option_set", sorted(PROBE_OPTIONS))
+    def test_masked_probe_equals_the_description_walk(
+        self, checked_catalog, paper_stats, queries, catalog_1k, option_set
+    ):
+        """Every block the optimizer describes -- connected subsets,
+        pre-aggregation inner blocks, whole statements -- probes like the
+        description-walk compiler on its from-scratch description, finds
+        the same candidates, and builds its statement lazily as the
+        analysis's ``block_statement``."""
+        options = PROBE_OPTIONS[option_set]
+        matcher = ViewMatcher(checked_catalog, options=options)
+        for name, statement in catalog_1k[:300]:
+            matcher.register_view(name, statement)
+        tree = matcher.filter_tree
+        interner = matcher.interner
+        order = {view.name: n for n, view in enumerate(tree.views())}
+        described = _described_blocks(
+            checked_catalog, paper_stats, matcher, queries
+        )
+        kinds = {"subset": 0, "inner": 0, "whole": 0}
+        found_any = 0
+        for derived in described:
+            block = derived.block
+            if block is None:
+                kinds["whole"] += 1
+            else:
+                kinds["subset" if block[1] is None else "inner"] += 1
+                assert derived.statement == derived.analysis.block_statement(
+                    *block
+                )
+            scratch = describe(derived.statement, checked_catalog, options=options)
+            reference = reference_probe(scratch, options, interner)
+            _assert_probe_equals(
+                _PackedProbe(derived, options, interner), reference
+            )
+            # A description made from scratch takes the same masked path.
+            _assert_probe_equals(
+                _PackedProbe(scratch, options, interner), reference
+            )
+            expected: list = []
+            tree.collect_candidates(reference, expected, derived.is_aggregate)
+            expected.sort(key=lambda view: order[view.name])
+            candidates = tree.candidates(derived)
+            assert [view.name for view in candidates] == [
+                view.name for view in expected
+            ]
+            found_any += bool(candidates)
+        assert kinds["subset"] > 200 and kinds["whole"] == len(queries)
+        assert kinds["inner"] > 20
+        assert found_any > 20  # the candidate comparison was not vacuous
 
     def test_every_request_plans_like_the_scratch_path(
         self, checked_catalog, paper_stats, queries, catalog_1k

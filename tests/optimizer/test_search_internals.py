@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ViewMatcher
 from repro.optimizer.optimizer import _Search, Optimizer
 
 
@@ -15,6 +16,10 @@ def searcher(catalog, paper_stats):
     return make
 
 
+def _mask(search, *tables):
+    return search.analysis.mask_of(tables)
+
+
 class TestJoinGraph:
     def test_edges_from_equijoins(self, searcher):
         search = searcher(
@@ -22,8 +27,8 @@ class TestJoinGraph:
             "where l_orderkey = o_orderkey and o_custkey = c_custkey"
         )
         assert search._join_edges() == {
-            frozenset({"lineitem", "orders"}),
-            frozenset({"orders", "customer"}),
+            _mask(search, "lineitem", "orders"),
+            _mask(search, "orders", "customer"),
         }
 
     def test_range_predicates_are_not_edges(self, searcher):
@@ -41,7 +46,8 @@ class TestJoinGraph:
         subsets = search._connected_subsets()
         # A 3-chain has 3 singletons + 2 pairs + 1 triple = 6.
         assert len(subsets) == 6
-        assert frozenset({"lineitem", "customer"}) not in subsets
+        assert _mask(search, "lineitem", "customer") not in subsets
+        assert _mask(search, "lineitem", "orders", "customer") in subsets
 
     def test_connected_subsets_of_a_star(self, searcher):
         search = searcher(
@@ -57,14 +63,13 @@ class TestJoinGraph:
     def test_component_detection(self, searcher):
         search = searcher("select r_name, n_name from region, nation")
         assert search._component_set() == {
-            frozenset({"region"}),
-            frozenset({"nation"}),
+            _mask(search, "region"),
+            _mask(search, "nation"),
         }
 
 
 def _needed(search, *tables):
-    analysis = search.analysis
-    return analysis.needed_columns(analysis.mask_of(tables))
+    return search.analysis.needed_columns(_mask(search, *tables))
 
 
 class TestBlockConstruction:
@@ -73,9 +78,9 @@ class TestBlockConstruction:
             "select l_orderkey from lineitem, orders "
             "where l_orderkey = o_orderkey and l_quantity > 5 and o_custkey < 9"
         )
-        block = search._block(frozenset({"lineitem"}))
+        block = search._block(_mask(search, "lineitem"))
         # Only the quantity predicate is local to lineitem.
-        assert block.statement.where == search.conjuncts[1]
+        assert block.statement.where == search.analysis.conjuncts[1]
         assert len(block.classified.range_predicates) == 1
 
     def test_needed_columns_cover_join_and_output(self, searcher):
@@ -106,7 +111,7 @@ class TestBlockConstruction:
             "select l_quantity from lineitem, orders "
             "where l_orderkey = o_orderkey and l_partkey > 5"
         )
-        block = search._block(frozenset({"lineitem"})).statement
+        block = search._block(_mask(search, "lineitem")).statement
         assert block.table_names() == ("lineitem",)
         assert block.where is not None  # the l_partkey filter
         assert not block.is_aggregate
@@ -120,10 +125,64 @@ class TestSplits:
         )
         for subset in search._connected_subsets():
             search.best[subset] = object()  # placeholder plans
-        full = frozenset({"lineitem", "orders", "customer"})
-        splits = list(search._splits(full, set()))
-        anchor = sorted(full)[0]
+        full = _mask(search, "lineitem", "orders", "customer")
+        splits = list(search._splits(full))
+        anchor = full & -full  # the table first in name order
+        assert splits  # customer | lineitem+orders, customer+orders | lineitem
         for left, right in splits:
             assert left | right == full
             assert not (left & right)
-            assert anchor in left
+            assert anchor & left
+
+
+class TestDisconnectedGroups:
+    """A query over join-graph components the optimizer cross-joins:
+    the components are found once, and the plan is the one the search
+    picked when it rebuilt them for every planned subset."""
+
+    @pytest.fixture(scope="class")
+    def optimizer(self, catalog, paper_stats):
+        matcher = ViewMatcher(catalog)
+        matcher.register_view(
+            "lo",
+            catalog.bind_sql(
+                "select l_orderkey as k, l_quantity as q, o_orderdate as d "
+                "from lineitem, orders "
+                "where l_orderkey = o_orderkey and l_quantity >= 5"
+            ),
+        )
+        matcher.register_view(
+            "pps",
+            catalog.bind_sql(
+                "select p_partkey as pk, p_name as n, ps_availqty as a "
+                "from part, partsupp where p_partkey = ps_partkey"
+            ),
+        )
+        return Optimizer(catalog, paper_stats, matcher=matcher)
+
+    @pytest.mark.parametrize(
+        "sql, cost, views",
+        [
+            (
+                "select l_orderkey, l_quantity, p_name "
+                "from lineitem, orders, part, partsupp "
+                "where l_orderkey = o_orderkey and p_partkey = ps_partkey "
+                "and l_quantity > 10",
+                1077554451020.4082,
+                ("lo", "pps"),
+            ),
+            (
+                "select l_orderkey, p_name, r_name "
+                "from lineitem, orders, part, partsupp, region "
+                "where l_orderkey = o_orderkey and p_partkey = ps_partkey "
+                "and l_quantity > 10 and ps_availqty < 100",
+                63052815180.03501,
+                ("lo", "pps"),
+            ),
+            ("select r_name, n_name from region, nation", 167.5, ()),
+        ],
+        ids=["two-groups", "three-groups", "two-tables"],
+    )
+    def test_plan_is_unchanged(self, optimizer, catalog, sql, cost, views):
+        result = optimizer.optimize(catalog.bind_sql(sql))
+        assert (result.cost, result.view_names) == (cost, views)
