@@ -4,8 +4,12 @@ For each candidate of each committed difftest corpus case and of the
 first 400 covering cases of seed 4 -- 875 outcomes -- the reject reason,
 its detail and the substitute SQL must equal the recorded ones in
 ``match_outcomes.json`` (reason in clear, detail and SQL as a digest).
-A refactor of the matcher must leave all of them alone. A deliberate
-change of outcomes re-records the file with::
+A second pass matches the same cases with every documented extension
+switched on (check constraints, OR-ranges, back-joins, null-rejecting
+nullable foreign keys, complex-expression mapping) and pins its outcomes
+in ``match_outcomes_extensions.json``. A refactor of the matcher must
+leave all of them alone. A deliberate change of outcomes re-records both
+files with::
 
     PYTHONPATH=src python -m tests.core.test_match_outcomes
 """
@@ -16,6 +20,7 @@ from pathlib import Path
 
 from repro.catalog.tpch import tpch_catalog
 from repro.core.matcher import ViewMatcher
+from repro.core.options import DEFAULT_OPTIONS, MatchOptions
 from repro.datagen.tpch_gen import generate_tpch
 from repro.difftest.corpus import load_corpus
 from repro.difftest.harness import DifftestConfig
@@ -25,8 +30,16 @@ from repro.stats.statistics import DatabaseStats
 from repro.workload.covering import CoveringCaseGenerator
 
 RECORDED = Path(__file__).parent / "match_outcomes.json"
+RECORDED_EXTENSIONS = Path(__file__).parent / "match_outcomes_extensions.json"
 CORPUS = Path(__file__).parents[1] / "difftest" / "corpus"
 CONFIG = DifftestConfig(seed=4, cases=400)
+EXTENSIONS = MatchOptions(
+    use_check_constraints=True,
+    support_or_ranges=True,
+    allow_backjoins=True,
+    allow_null_rejecting_fk=True,
+    map_complex_expressions=True,
+)
 
 
 def _row(label, result) -> list:
@@ -40,14 +53,24 @@ def _row(label, result) -> list:
     return [label, result.view.name, reason, digest]
 
 
-def outcomes() -> list[list]:
+def _register(matcher, name, statement) -> None:
+    try:
+        matcher.register_view(name, statement)
+    except (ReproError, ValueError):
+        pass
+
+
+def outcomes(options: MatchOptions = DEFAULT_OPTIONS) -> list[list]:
     """One row per match result, in case and candidate order."""
     catalog = tpch_catalog()
     rows = []
     for case in load_corpus(CORPUS):
-        matcher = ViewMatcher(catalog)
+        matcher = ViewMatcher(catalog, options=options)
         for name, sql in case.views.items():
-            matcher.register_view(name, catalog.bind_sql(sql))
+            if options is DEFAULT_OPTIONS:
+                matcher.register_view(name, catalog.bind_sql(sql))
+            else:
+                _register(matcher, name, catalog.bind_sql(sql))
         for result in matcher.match(catalog.bind_sql(case.query)):
             rows.append(_row(case.name, result))
     database = generate_tpch(scale=CONFIG.scale, seed=CONFIG.data_seed)
@@ -57,12 +80,9 @@ def outcomes() -> list[list]:
     for index in range(CONFIG.cases):
         seed = CONFIG.case_seed(index)
         case = generator.case(seed, views=CONFIG.views_per_case)
-        matcher = ViewMatcher(catalog)
+        matcher = ViewMatcher(catalog, options=options)
         for name, view in case.views.items():
-            try:
-                matcher.register_view(name, view)
-            except (ReproError, ValueError):
-                continue
+            _register(matcher, name, view)
         for result in matcher.match(case.query):
             rows.append(_row(str(seed), result))
     return rows
@@ -74,9 +94,19 @@ def test_outcomes_equal_the_recorded_ones():
     assert outcomes() == recorded
 
 
-if __name__ == "__main__":
-    rows = outcomes()
-    RECORDED.write_text(
+def test_extension_outcomes_equal_the_recorded_ones():
+    recorded = json.loads(RECORDED_EXTENSIONS.read_text())
+    assert len(recorded) == 1090
+    assert outcomes(EXTENSIONS) == recorded
+
+
+def _write(path: Path, rows: list[list]) -> None:
+    path.write_text(
         "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
     )
-    print(f"{len(rows)} outcomes written to {RECORDED}")
+    print(f"{len(rows)} outcomes written to {path}")
+
+
+if __name__ == "__main__":
+    _write(RECORDED, outcomes())
+    _write(RECORDED_EXTENSIONS, outcomes(EXTENSIONS))
