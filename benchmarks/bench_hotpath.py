@@ -1,11 +1,10 @@
 """Hot-path benchmark: bitset-interned candidate filtering, before/after.
 
-Times one filter-tree ``candidates`` call and one full ``match``
-invocation at 100/500/1000 registered views, comparing the interned
-bitset path and registration-time match contexts against the frozenset
-reference path with per-invocation context rebuilds. Both modes are
-cross-checked to return identical candidate sets and matcher statistics
-before anything is timed. Run directly::
+Times one filter-tree ``candidates`` call at 100/500/1000 registered
+views, comparing the interned bitset path against the frozenset
+reference path, and one full ``match`` invocation on the interned path.
+Both trees are cross-checked to return identical candidate sets and
+matcher statistics before anything is timed. Run directly::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py                 # full sweep
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke         # CI, seconds

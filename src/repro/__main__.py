@@ -23,7 +23,7 @@ Commands
     the calibration-normalized regression gates.
 ``bench-hotpath [--smoke]``
     Time the matching hot path before/after the bitset-interned filter
-    tree and registration-time match contexts, cross-checking that both
+    tree against the frozenset reference tree, cross-checking that both
     configurations return identical candidates and match statistics.
     Also times single-pass probe compilation against the reference
     pipeline and the batched serving path against the sequential loop

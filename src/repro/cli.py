@@ -383,7 +383,7 @@ def run_bench_hotpath(
     check_speedups: bool = False,
     profile: int | None = None,
 ) -> int:
-    """Benchmark the matching hot path (bitset interning, match contexts).
+    """Benchmark the matching hot path (bitset interning, view records).
 
     Times candidate filtering and full matching in the interned and
     reference configurations, verifying both return identical results,

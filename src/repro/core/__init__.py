@@ -8,7 +8,7 @@ from .interning import KeyInterner
 from .intervalsets import IntervalSet, OrRangePredicate, as_or_range
 from .lattice import LatticeIndex, LatticeNode
 from .matcher import MatcherStatistics, ViewMatcher, matcher_for_catalog
-from .matching import MatchResult, RejectReason, ViewMatchContext, match_view
+from .matching import MatchResult, RejectReason, ViewRecord, match_view
 from .normalize import ClassifiedPredicate, classify_predicate, to_cnf
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .ranges import Bound, Interval, RangePredicate, as_range_predicate, derive_ranges
@@ -40,7 +40,7 @@ __all__ = [
     "ShallowForm",
     "SpjgDescription",
     "UnionSubstitute",
-    "ViewMatchContext",
+    "ViewRecord",
     "ViewMatcher",
     "as_range_predicate",
     "build_fk_join_graph",

@@ -106,8 +106,8 @@ class SpjgDescription:
     """
 
     # A registered catalog keeps one description per view: slots, not an
-    # instance dict. ``_query_ranges`` is the matcher's query-side memo
-    # (``None`` until first computed).
+    # instance dict. ``_side`` is the matcher's query-side memo (``None``
+    # until first computed).
     __slots__ = (
         "statement",
         "catalog",
@@ -127,7 +127,7 @@ class SpjgDescription:
         "group_forms",
         "simple_output_map",
         "expression_outputs",
-        "_query_ranges",
+        "_side",
         "__weakref__",  # DatabaseStats.view_rows is keyed weakly
     )
 
@@ -154,7 +154,7 @@ class SpjgDescription:
             analyze_statement(statement, self.tables, catalog, options)
         )
         self.is_aggregate = statement.is_aggregate
-        self._query_ranges = None
+        self._side = None
 
     @classmethod
     def of_block(
@@ -170,7 +170,7 @@ class SpjgDescription:
         description.name = None
         description.options = analysis.options
         description._analysis = analysis
-        description._query_ranges = None
+        description._side = None
         if block is None:
             statement = description.statement = analysis.statement
             tables = frozenset(statement.table_names())
@@ -246,6 +246,22 @@ class SpjgDescription:
 
     def _derive_statement(self) -> SelectStatement:
         return self._analysis.block_statement(*self._block)
+
+    def output_expressions(self) -> tuple[Expression, ...]:
+        """The select-list expressions, in order; a block of a request
+        answers without building its statement."""
+        block = self._block
+        if block is None:
+            return self.statement.output_expressions()
+        mask, select_items, _ = block
+        if select_items is None:
+            return tuple(self._analysis.needed_columns(mask))
+        return tuple(item.expression for item in select_items)
+
+    def group_by_expressions(self) -> tuple[Expression, ...]:
+        """The grouping expressions, in order (see :meth:`output_expressions`)."""
+        block = self._block
+        return self.statement.group_by if block is None else block[2]
 
     def cardinality_terms(self) -> tuple:
         """``(merging equalities, ranges, residual conjuncts)``: what the

@@ -25,26 +25,31 @@ class ColumnDomain:
     """The columns an :class:`EquivalenceClasses` accepts, in registration order.
 
     ``position`` numbers the columns in the order they were registered,
-    which is the order classes are enumerated in. Shared domains are never
+    which is the order classes are enumerated in; ``columns`` lists them
+    in that order (``columns[position[c]] == c``). Shared domains are never
     mutated: an ``EquivalenceClasses`` that registers a column outside its
     domain copies the domain first.
     """
 
-    __slots__ = ("position", "_singletons")
+    __slots__ = ("position", "columns", "_singletons")
 
     def __init__(self, columns: Iterable[ColumnKey] = ()) -> None:
         self.position: dict[ColumnKey, int] = {}
+        self.columns: list[ColumnKey] = []
         # ``{column: frozenset((column,))}``, filled on first request.
         self._singletons: dict[ColumnKey, frozenset[ColumnKey]] = {}
         for column in columns:
             self.add(column)
 
     def add(self, column: ColumnKey) -> None:
-        self.position.setdefault(column, len(self.position))
+        if column not in self.position:
+            self.position[column] = len(self.columns)
+            self.columns.append(column)
 
     def copy(self) -> "ColumnDomain":
         clone = ColumnDomain()
         clone.position = dict(self.position)
+        clone.columns = list(self.columns)
         return clone
 
     def singleton(self, column: ColumnKey) -> frozenset[ColumnKey]:
@@ -90,6 +95,11 @@ class EquivalenceClasses:
                 self._shared = False
             self._domain.add(column)
 
+    @property
+    def domain(self) -> ColumnDomain:
+        """The domain the classes range over (shared: never mutate it)."""
+        return self._domain
+
     def __contains__(self, column: ColumnKey) -> bool:
         return column in self._domain.position
 
@@ -133,6 +143,12 @@ class EquivalenceClasses:
             rank[root_a] = rank_a + 1
         self._merged = None
         return True
+
+    def merged_roots(self) -> dict[ColumnKey, ColumnKey]:
+        """``{column: its class's root}`` over the columns of the
+        non-trivial classes, in no particular order."""
+        find = self.find
+        return {column: find(column) for column in self._parent}
 
     def same_class(self, a: ColumnKey, b: ColumnKey) -> bool:
         return self.find(a) == self.find(b)

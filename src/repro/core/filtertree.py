@@ -43,7 +43,7 @@ from .equivalence import ColumnKey
 from .fkgraph import compute_hub
 from .interning import KeyInterner, PackedBitsetTable
 from .lattice import Key, LatticeIndex
-from .matching import ViewMatchContext
+from .matching import ViewRecord
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .residual import ShallowForm
@@ -73,17 +73,15 @@ def _templates_key(templates: Iterable[str]) -> Key:
 class RegisteredView:
     """A view plus the registration-time metadata the filter tree keys on.
 
-    ``match_context`` carries the precomputed per-view matching state
-    (:class:`~repro.core.matching.ViewMatchContext`) built once at
+    ``record`` is what the matcher's decision reads of the view
+    (:class:`~repro.core.matching.ViewRecord`), compiled once at
     registration; it rides along through snapshot rebuilds so epoch
-    replays never re-derive it. ``None`` only for views constructed
-    outside the registration entry points -- ``match_view`` then rebuilds
-    the context per invocation.
+    replays never recompile it.
     """
 
     description: SpjgDescription
     hub: frozenset[str]
-    match_context: ViewMatchContext | None = None
+    record: ViewRecord
 
     @property
     def name(self) -> str:
@@ -1727,16 +1725,16 @@ class FilterTree:
     def register(self, description: SpjgDescription) -> RegisteredView:
         """Index a view description into the tree.
 
-        Computes the hub and the view's :class:`ViewMatchContext` here,
+        Computes the hub and compiles the view's :class:`ViewRecord` here,
         once -- re-registering a name after :meth:`unregister` therefore
-        always yields a fresh context for the new description.
+        always yields a fresh record for the new description.
         """
         if description.name is None:
             raise ValueError("only named views can be registered")
         view = RegisteredView(
             description=description,
             hub=compute_hub(description, self.options),
-            match_context=ViewMatchContext.of(description, self.options),
+            record=ViewRecord.of(description, self.options),
         )
         self.register_prebuilt(view)
         return view
@@ -1744,7 +1742,7 @@ class FilterTree:
     def register_prebuilt(self, view: RegisteredView) -> RegisteredView:
         """Index an already-described view, reusing its description and hub.
 
-        Describing a view and computing its hub and match context is the
+        Describing a view and compiling its hub and record is the
         expensive part of registration; the serving layer does it outside
         its writer lock, keeps the :class:`RegisteredView`, and indexes it
         into the next epoch's tree through this entry point.

@@ -45,6 +45,8 @@ class IntervalSet:
     def of(cls, intervals) -> "IntervalSet":
         """Normalize: drop empties, sort, merge overlapping intervals."""
         candidates = [i for i in intervals if not i.is_empty]
+        if len(candidates) < 2:
+            return cls(intervals=tuple(candidates))
         candidates.sort(key=_lower_sort_key)
         merged: list[Interval] = []
         for interval in candidates:

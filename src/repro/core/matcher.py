@@ -35,7 +35,13 @@ from .describe import (
 )
 from .filtertree import FilterTree, RegisteredView
 from .interning import KeyInterner
-from .matching import STAGE_SKIPPED, MatchResult, RejectReason, match_view
+from .matching import (
+    STAGE_SKIPPED,
+    MatchResult,
+    RejectReason,
+    decide,
+    match_view,
+)
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .parallel import fork_available, forked_map
 from .sharding import ShardedFilterTree
@@ -145,16 +151,14 @@ class ViewMatcher:
         use_filter_tree: bool = True,
         interner: KeyInterner | None = None,
         use_interning: bool = True,
-        use_match_contexts: bool = True,
         shard_count: int = 1,
         telemetry: TelemetryHub | None = None,
     ):
         """``interner`` shares key-atom bit assignments with other trees
         (the serving layer reuses one across epoch rebuilds).
-        ``use_interning=False`` / ``use_match_contexts=False`` disable the
-        bitset keys and the precomputed per-view contexts respectively --
-        the "before" configurations the hot-path benchmark compares
-        against; production callers leave both on. ``shard_count > 1``
+        ``use_interning=False`` disables the bitset keys -- the "before"
+        configuration the hot-path benchmark compares against; production
+        callers leave it on. ``shard_count > 1``
         partitions the registry across that many per-shard filter trees
         (:class:`~repro.core.sharding.ShardedFilterTree`), the layout the
         parallel matching fan-out requires; candidate sets and ordering
@@ -165,7 +169,6 @@ class ViewMatcher:
         self.catalog = catalog
         self.options = options
         self.use_filter_tree = use_filter_tree
-        self.use_match_contexts = use_match_contexts
         self.shard_count = shard_count
         self.telemetry = telemetry
         if shard_count > 1:
@@ -193,7 +196,6 @@ class ViewMatcher:
         catalog: "Catalog",
         filter_tree: FilterTree,
         options: MatchOptions = DEFAULT_OPTIONS,
-        use_match_contexts: bool = True,
         telemetry: TelemetryHub | None = None,
     ) -> "ViewMatcher":
         """Build a matcher around an existing filter tree.
@@ -206,7 +208,6 @@ class ViewMatcher:
         matcher.catalog = catalog
         matcher.options = options
         matcher.use_filter_tree = True
-        matcher.use_match_contexts = use_match_contexts
         matcher.shard_count = 1
         matcher.filter_tree = filter_tree
         matcher.statistics = MatcherStatistics()
@@ -297,7 +298,9 @@ class ViewMatcher:
 
         Returns the full :class:`MatchResult` list (successes and
         rejections) for diagnosability; use :meth:`substitutes` when only
-        the rewrites are wanted. ``workers > 1`` fans candidate filtering
+        the rewrites are wanted. Each candidate is *decided* from its
+        registration record; a successful result builds its substitute
+        when it is first read. ``workers > 1`` fans candidate filtering
         and full matching out across forked workers, one shard group each
         -- requires a sharded tree and ``fork``; results, ordering, and
         statistics are identical to a sequential run.
@@ -336,6 +339,7 @@ class ViewMatcher:
         ):
             return self._match_parallel(query, workers, staleness)
         started = time.perf_counter()
+        options = self.options
         stats = self.statistics
         stats.invocations += 1
         stats.views_registered_total += self.view_count
@@ -375,14 +379,11 @@ class ViewMatcher:
                     reject_reason=RejectReason.STALE,
                     reject_detail=stale_detail,
                 )
+            elif candidate.record.options is options:
+                result = decide(query, candidate.record, options)
             else:
                 result = match_view(
-                    query,
-                    candidate.description,
-                    self.options,
-                    context=(
-                        candidate.match_context if self.use_match_contexts else None
-                    ),
+                    query, candidate.description, options, candidate.record
                 )
             if result.matched:
                 matched += 1
@@ -447,7 +448,6 @@ class ViewMatcher:
             for start in range(worker_count)
         ]
         options = self.options
-        use_contexts = self.use_match_contexts
         # Captured by value into the closure: the context crosses the
         # fork inside the child's copy-on-write image.
         context = current_trace_context()
@@ -465,13 +465,12 @@ class ViewMatcher:
             for sequence, candidate in pairs:
                 candidate_started = time.perf_counter()
                 result = match_view(
-                    query,
-                    candidate.description,
-                    options,
-                    context=(
-                        candidate.match_context if use_contexts else None
-                    ),
+                    query, candidate.description, options, candidate.record
                 )
+                # Built here: the result crosses back to the parent by
+                # pickle, which should carry the substitute, not the
+                # query description and view record it is built from.
+                result.substitute
                 sketch.record(time.perf_counter() - candidate_started)
                 if result.matched:
                     matched += 1

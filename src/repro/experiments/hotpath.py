@@ -6,15 +6,15 @@ the same registered view pool:
 * **candidate filtering** -- one :meth:`FilterTree.candidates` call with a
   warm probe cache, comparing the bitset-interned tree against the plain
   frozenset reference tree (``use_interning=False``);
-* **full matching** -- one :meth:`ViewMatcher.match` invocation, comparing
-  registration-time :class:`ViewMatchContext` reuse against per-invocation
-  context rebuilds (``use_match_contexts=False``).
+* **full matching** -- one :meth:`ViewMatcher.match` invocation on the
+  interned tree, each candidate decided from its registration-time
+  :class:`~repro.core.matching.ViewRecord`.
 
-Both comparisons run the *same* queries against the *same* views and the
-engine verifies the two modes agree exactly: identical candidate sets per
-query and identical matcher funnel statistics (candidates considered,
-matches, substitutes, rejection reasons). A speed number from a mode that
-returned different answers would be meaningless.
+Both trees see the *same* queries against the *same* views and the engine
+verifies they agree exactly: identical candidate sets per query and
+identical matcher funnel statistics (candidates considered, matches,
+substitutes, rejection reasons). A speed number from a mode that returned
+different answers would be meaningless.
 
 The report serializes to ``BENCH_matching.json``; the committed copy is
 the regression baseline the CI smoke job checks new runs against.
@@ -106,8 +106,8 @@ TRACING_OVERHEAD_TOLERANCE = 0.05
 TELEMETRY_OVERHEAD_TOLERANCE = 0.25
 
 # Resident-footprint budget for the memory gate: amortized deep-walk
-# bytes per registered view (filter tree + descriptions + match
-# contexts, shared catalog/statistics excluded). Calibration-free --
+# bytes per registered view (filter tree + descriptions + view
+# records, shared catalog/statistics excluded). Calibration-free --
 # bytes don't depend on host speed -- and sized with ~50 % headroom over
 # the ~16-17 KB/view measured at 1,000 (smoke) and 10,000 views, so it
 # catches a structural regression (a dropped ``__slots__``, an
@@ -219,12 +219,8 @@ class HotpathMismatchError(AssertionError):
     """The before/after modes disagreed on candidates or match results."""
 
 
-def _build_matcher(catalog, views, *, use_interning, use_match_contexts):
-    matcher = ViewMatcher(
-        catalog,
-        use_interning=use_interning,
-        use_match_contexts=use_match_contexts,
-    )
+def _build_matcher(catalog, views, *, use_interning):
+    matcher = ViewMatcher(catalog, use_interning=use_interning)
     for name, view in views:
         matcher.register_view(name, view.statement)
     return matcher
@@ -756,9 +752,7 @@ def _run_catalog_scale(
     pool = generator.generate_views(target)
     generate_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    matcher = _build_matcher(
-        catalog, pool, use_interning=True, use_match_contexts=True
-    )
+    matcher = _build_matcher(catalog, pool, use_interning=True)
     register_seconds = time.perf_counter() - started
     descriptions = [matcher.describe_query(q) for q in queries]
     filter_us = _time_filter(
@@ -826,12 +820,8 @@ def run_hotpath_benchmark(
     calibrations = [_calibrate()]
     for view_count in config.view_counts:
         pool = views[:view_count]
-        interned = _build_matcher(
-            catalog, pool, use_interning=True, use_match_contexts=True
-        )
-        reference = _build_matcher(
-            catalog, pool, use_interning=False, use_match_contexts=False
-        )
+        interned = _build_matcher(catalog, pool, use_interning=True)
+        reference = _build_matcher(catalog, pool, use_interning=False)
         descriptions = [interned.describe_query(q) for q in queries]
 
         # Probe compilation, timed both ways on the same descriptions:
@@ -870,9 +860,6 @@ def run_hotpath_benchmark(
         interned_match = _time_match(
             interned, descriptions, config.match_repetitions, config.match_runs
         )
-        reference_match = _time_match(
-            reference, descriptions, config.match_repetitions, config.match_runs
-        )
         reference = None
 
         mean_candidates = sum(
@@ -892,11 +879,9 @@ def run_hotpath_benchmark(
                 "reference": round(reference_filter, 2),
                 "speedup": round(reference_filter / interned_filter, 2),
             },
-            "full_match_us": {
-                "with_contexts": round(interned_match, 2),
-                "rebuilt_contexts": round(reference_match, 2),
-                "speedup": round(reference_match / interned_match, 2),
-            },
+            # The key predates view records; the committed baseline and
+            # the tracing-overhead gate read it.
+            "full_match_us": {"with_contexts": round(interned_match, 2)},
             "funnel": funnel,
             "modes_identical": True,  # _verify_modes raised otherwise
         }
@@ -916,8 +901,7 @@ def run_hotpath_benchmark(
                 f"{probe['reference']:7.1f}us ({probe['speedup']:.2f}x)   "
                 f"filter {filt['interned']:8.1f}us "
                 f"vs {filt['reference']:8.1f}us ({filt['speedup']:.2f}x)   "
-                f"match {full['with_contexts']:8.1f}us vs "
-                f"{full['rebuilt_contexts']:8.1f}us ({full['speedup']:.2f}x)"
+                f"match {full['with_contexts']:8.1f}us"
             )
 
     end_to_end = (
@@ -1466,9 +1450,7 @@ def profile_hotpath(
     queries = [
         q.statement for q in generator.generate_queries(config.query_count)
     ]
-    matcher = _build_matcher(
-        catalog, views, use_interning=True, use_match_contexts=True
-    )
+    matcher = _build_matcher(catalog, views, use_interning=True)
     descriptions = [matcher.describe_query(q) for q in queries]
     options = matcher.options
 

@@ -2,8 +2,8 @@
 
 The paper's scalability claim is not only about time: a 100k-view
 catalog must also *fit*, and the dominant resident costs in this
-implementation are the per-view match state (descriptions, match
-contexts, filter-tree rows) and the rewrite cache's entries. This module
+implementation are the per-view match state (descriptions, view
+records, filter-tree rows) and the rewrite cache's entries. This module
 measures both with one primitive, :func:`deep_sizeof` -- a cycle-safe
 recursive ``sys.getsizeof`` walk -- and two reporting helpers the
 benchmark writes into ``BENCH_matching.json``:

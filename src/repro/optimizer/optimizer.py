@@ -30,9 +30,7 @@ from ..core.analyze import QueryAnalysis, bit_indices, bit_masks
 from ..core.describe import SpjgDescription, describe_block
 from ..core.matcher import ViewMatcher
 from ..core.matching import STAGE_SKIPPED
-from ..core.normalize import conjuncts_of
 from ..core.options import DEFAULT_OPTIONS
-from ..core.ranges import as_range_predicate
 from ..errors import DeadlineExceeded
 from ..obs.trace import PlanAlternative, current_tracer
 from ..sql.expressions import (
@@ -164,6 +162,7 @@ class Optimizer:
             self, statement, staleness=staleness, deadline=deadline
         )
         plan = search.run()
+        _build_substitutes(plan)
         elapsed = time.perf_counter() - started
         return OptimizationResult(
             plan=plan,
@@ -530,25 +529,20 @@ class _Search:
         return any(predicate.column[1] in leading for predicate in ranges)
 
     def _substitute_cost(self, match, output_rows: float) -> float:
-        """Cost of evaluating a substitute: view scan, backjoins, regroup."""
+        """Cost of evaluating a match's substitute -- view scan, backjoins,
+        regroup -- priced from its decision, without building it."""
         view_rows = self.optimizer.view_estimated_rows(match.view)
-        view_name = match.view.name
-        substitute = match.substitute
-        if view_name is not None and self._has_usable_index(
-            view_name,
-            filter(None, map(as_range_predicate, conjuncts_of(substitute.where))),
-        ):
+        leading = self.optimizer.indexed_leading_columns(match.view.name)
+        if leading and any(column in leading for column in match.range_columns()):
             cost = self.cost_model.index_seek(min(view_rows, output_rows))
         else:
-            cost = self.cost_model.block(
-                view_rows, filtered=substitute.where is not None
-            )
+            cost = self.cost_model.block(view_rows, filtered=match.filtered)
         # Backjoined base tables (Section 7 extension) add a join each.
-        for ref in substitute.from_tables[1:]:
+        for table in match.backjoined_tables:
             cost += self.cost_model.hash_join(
-                view_rows, self.stats_rows(ref.name), view_rows
+                view_rows, self.stats_rows(table), view_rows
             )
-        if substitute.is_aggregate:
+        if match.grouped:
             cost += self.cost_model.group(view_rows, output_rows)
         return cost
 
@@ -557,11 +551,12 @@ class _Search:
     ) -> BlockNode:
         cost = self._substitute_cost(match, est_rows)
         return BlockNode(
-            statement=match.substitute,
+            statement=None,
             output_keys=output_keys,
             view_name=match.view.name,
             est_rows=est_rows,
             cost=cost,
+            match=match,
         )
 
     def _cover_disconnected(self) -> None:
@@ -633,10 +628,11 @@ class _Search:
             cost = self._substitute_cost(match, output_rows)
             candidates.append(
                 DirectNode(
-                    statement=match.substitute,
+                    statement=None,
                     view_name=match.view.name,
                     est_rows=output_rows,
                     cost=cost,
+                    match=match,
                 )
             )
 
@@ -778,11 +774,12 @@ class _Search:
         for match in self._invoke_view_matching(inner, cost_policy):
             inner_candidates.append(
                 BlockNode(
-                    statement=match.substitute,
+                    statement=None,
                     output_keys=output_keys,
                     view_name=match.view.name,
                     est_rows=inner_groups,
                     cost=self._substitute_cost(match, inner_groups),
+                    match=match,
                 )
             )
         join = join_with(min(inner_candidates, key=lambda plan: plan.cost))
@@ -848,6 +845,21 @@ class _CostBoundPolicy:
             self._bound = cost
             return True
         return False
+
+
+def _build_substitutes(plan: PlanNode) -> None:
+    """Build the substitute of every view read the chosen plan makes.
+
+    Only these are ever built. Each node then holds its statement and
+    lets go of its match -- and with it of the request's descriptions and
+    the views' records: the pool pickles the result, the rewrite cache
+    keeps it.
+    """
+    for node in plan.walk():
+        match = getattr(node, "match", None)
+        if match is not None:
+            node.statement = match.substitute
+            node.match = None
 
 
 def _rollup(

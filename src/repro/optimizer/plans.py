@@ -64,12 +64,15 @@ class BlockNode(PlanNode):
     published under; for base-table blocks these are the original column
     keys, for pre-aggregation blocks the aggregate columns get virtual keys.
     ``view_name`` is set when the statement scans a materialized view (i.e.
-    it is a substitute produced by view matching).
+    it is a substitute produced by view matching). While the optimizer
+    searches, such a node holds the accepted ``match`` instead of a
+    statement; it builds the statements of the plan it returns.
     """
 
-    statement: SelectStatement
+    statement: SelectStatement | None
     output_keys: tuple[ColumnKey, ...]
     view_name: str | None = None
+    match: object = field(default=None, repr=False, compare=False)
 
     def rows(self, database: Database) -> list[Row]:
         result = execute(self.statement, database)
@@ -168,10 +171,12 @@ class FinishNode(PlanNode):
 
 @dataclass
 class DirectNode(PlanNode):
-    """A whole-query substitute: one statement computes the final result."""
+    """A whole-query substitute: one statement computes the final result
+    (during search, the ``match`` it is built from; see :class:`BlockNode`)."""
 
-    statement: SelectStatement
+    statement: SelectStatement | None
     view_name: str | None = None
+    match: object = field(default=None, repr=False, compare=False)
 
     def rows(self, database: Database) -> list[Row]:
         raise NotImplementedError("DirectNode produces a QueryResult, not rows")

@@ -31,7 +31,7 @@ from ..core.fkgraph import compute_hub
 from ..core.filtertree import FilterTree, RegisteredView
 from ..core.interning import KeyInterner
 from ..core.matcher import ViewMatcher
-from ..core.matching import ViewMatchContext
+from ..core.matching import ViewRecord
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
 from ..optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer, OptimizerConfig
@@ -170,7 +170,7 @@ class SnapshotManager:
     ) -> CatalogSnapshot:
         """Describe, validate, and publish a view; returns the new snapshot.
 
-        The expensive work (describe + hub + match context) happens before
+        The expensive work (describe + hub + view record) happens before
         the writer lock is taken; only the registry copy, tree clone, and
         publish are serialized. Raises :class:`~repro.errors.MatchError` for view
         definitions outside the indexable class and :class:`ValueError`
@@ -275,7 +275,7 @@ class SnapshotManager:
     # -- internals -----------------------------------------------------------
 
     def _prepare(self, name: str, statement: SelectStatement) -> RegisteredView:
-        # The expensive per-view work (describe + hub + match context),
+        # The expensive per-view work (describe + hub + view record),
         # run before the writer lock is taken.
         description = describe(
             statement, self.catalog, name=name, options=self.options
@@ -284,7 +284,7 @@ class SnapshotManager:
         return RegisteredView(
             description=description,
             hub=compute_hub(description, self.options),
-            match_context=ViewMatchContext.of(description, self.options),
+            record=ViewRecord.of(description, self.options),
         )
 
     def _publish(

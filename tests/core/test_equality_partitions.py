@@ -17,7 +17,7 @@ from repro.core.analyze import column_domain
 from repro.core.describe import describe
 from repro.core.fkgraph import eliminate_tables
 from repro.core.matching import (
-    ViewMatchContext,
+    ViewRecord,
     _equality_partitions,
     match_view,
 )
@@ -34,7 +34,7 @@ def _augmented(query, view, catalog):
         return query.eqclasses, query.eqclasses
     edges = eliminate_tables(
         view.tables,
-        list(ViewMatchContext.of(view).fk_edges),
+        list(ViewRecord.of(view).fk_edges),
         removable=extras,
     ).used_edges
     grown = query.eqclasses.copy()

@@ -1,19 +1,20 @@
-"""ViewMatchContext lifecycle: built at registration, never stale.
+"""View-record lifecycle: compiled at registration, never stale.
 
-The context is frozen per-view matching state computed once when a view
-is registered. These tests pin the invalidation contract: re-registering
-a name after unregister rebuilds the context for the *new* definition,
-snapshot rebuilds reuse surviving contexts by identity but never
-resurrect dropped ones, matching with contexts on agrees exactly
-with deriving everything per invocation, and register/unregister churn
--- in a matcher or across serving epochs -- leaves every answer alone.
+A view's :class:`ViewRecord` -- everything the matcher's decision reads
+of it -- is compiled once when the view is registered. These tests pin
+the invalidation contract: re-registering a name after unregister
+compiles a record for the *new* definition, snapshot rebuilds reuse
+surviving records by identity but never resurrect dropped ones, matching
+with registration records agrees exactly with records compiled per call,
+and register/unregister churn -- in a matcher or across serving epochs
+-- leaves every answer alone.
 """
 
 import pytest
 
 from repro.core import ViewMatcher, describe, match_view
 from repro.core.filtertree import FilterTree
-from repro.core.matching import ViewMatchContext
+from repro.core.matching import ViewRecord
 from repro.service import SnapshotManager, ViewServer
 from repro.sql import statement_to_sql
 from repro.workload import WorkloadGenerator
@@ -29,8 +30,8 @@ class TestRegistrationBuildsContext:
         view = tree.register(
             described(catalog, "select l_orderkey as k from lineitem", "v")
         )
-        assert isinstance(view.match_context, ViewMatchContext)
-        assert view.match_context.view is view.description
+        assert isinstance(view.record, ViewRecord)
+        assert view.record.view is view.description
 
     def test_reregistering_same_name_builds_fresh_context(self, catalog):
         tree = FilterTree()
@@ -49,17 +50,17 @@ class TestRegistrationBuildsContext:
                 "v",
             )
         )
-        # Same name, new definition: the context must reflect the new
+        # Same name, new definition: the record must reflect the new
         # statement, not the stale one.
-        assert second.match_context is not first.match_context
-        assert second.match_context.view is second.description
+        assert second.record is not first.record
+        assert second.record.view is second.description
         (registered,) = tree.views()
-        assert registered.match_context is second.match_context
+        assert registered.record is second.record
 
     def test_query_with_stale_context_would_mismatch(self, catalog):
-        """The context carries real per-view state, so reuse must be exact.
+        """The record carries real per-view state, so reuse must be exact.
 
-        Matching a query against view B while passing view A's context
+        Matching a query against view B while passing view A's record
         must not silently succeed -- this is what makes the rebuild-on-
         re-register contract load-bearing rather than cosmetic.
         """
@@ -80,11 +81,11 @@ class TestRegistrationBuildsContext:
         )
         assert not match_view(query, narrow).matched
         assert match_view(query, wide).matched
-        fresh = match_view(query, wide, context=ViewMatchContext.of(wide))
+        fresh = match_view(query, wide, record=ViewRecord.of(wide))
         assert fresh.matched
-        assert (
-            fresh.substitute is not None
-        )  # context path produces a real substitute
+        assert fresh.substitute is not None  # and builds a real substitute
+        # Another view's record is not reused: it is compiled afresh.
+        assert match_view(query, wide, record=ViewRecord.of(narrow)).matched
 
 
 class TestMatcherModesAgree:
@@ -109,20 +110,17 @@ class TestMatcherModesAgree:
     )
 
     def test_contexts_on_and_off_return_identical_results(self, catalog):
-        with_ctx = ViewMatcher(catalog, use_match_contexts=True)
-        without_ctx = ViewMatcher(catalog, use_match_contexts=False)
+        """Registration records against records compiled per call."""
+        matcher = ViewMatcher(catalog)
         for name, sql in self.VIEWS.items():
-            with_ctx.register_view(name, catalog.bind_sql(sql))
-            without_ctx.register_view(name, catalog.bind_sql(sql))
+            matcher.register_view(name, catalog.bind_sql(sql))
         for sql in self.QUERIES:
-            fast = {
-                (r.view.name, r.matched, r.reject_reason)
-                for r in with_ctx.match(catalog.bind_sql(sql))
-            }
-            slow = {
-                (r.view.name, r.matched, r.reject_reason)
-                for r in without_ctx.match(catalog.bind_sql(sql))
-            }
+            query = matcher.describe_query(catalog.bind_sql(sql))
+            fast = sorted(_result_key(r) for r in matcher.match(query))
+            slow = sorted(
+                _result_key(match_view(query, view.description))
+                for view in matcher.candidates(query)
+            )
             assert fast == slow
 
 
@@ -137,39 +135,39 @@ class TestSnapshotRebuilds:
     def manager(self, catalog, paper_stats):
         return SnapshotManager(catalog, paper_stats)
 
-    def context_of(self, snapshot, name):
+    def record_of(self, snapshot, name):
         (view,) = [
             v
             for v in snapshot.matcher.registered_views()
             if v.description.name == name
         ]
-        return view.match_context
+        return view.record
 
     def test_epoch_rebuilds_reuse_context_by_identity(self, manager, catalog):
         first = manager.register_view(
             "v_cheap", catalog.bind_sql(self.VIEW_SQL["v_cheap"])
         )
-        kept = self.context_of(first, "v_cheap")
+        kept = self.record_of(first, "v_cheap")
         second = manager.register_view(
             "v_parts", catalog.bind_sql(self.VIEW_SQL["v_parts"])
         )
         # The rebuild replays prebuilt RegisteredView objects: the
-        # surviving view's context is the same object, not a re-derivation.
-        assert self.context_of(second, "v_cheap") is kept
+        # surviving view's record is the same object, not a recompilation.
+        assert self.record_of(second, "v_cheap") is kept
 
     def test_dropped_context_is_not_resurrected(self, manager, catalog):
         manager.register_view(
             "v_cheap", catalog.bind_sql(self.VIEW_SQL["v_cheap"])
         )
-        dropped = self.context_of(manager.current, "v_cheap")
+        dropped = self.record_of(manager.current, "v_cheap")
         manager.unregister_view("v_cheap")
         assert "v_cheap" not in manager.current.view_names
         # Re-register the name with a different definition: the new
-        # epoch must carry a context for the new statement only.
+        # epoch must carry a record for the new statement only.
         revived = manager.register_view(
             "v_cheap", catalog.bind_sql(self.VIEW_SQL["v_parts"])
         )
-        reborn = self.context_of(revived, "v_cheap")
+        reborn = self.record_of(revived, "v_cheap")
         assert reborn is not dropped
         assert reborn.view.tables != dropped.view.tables
 
@@ -222,7 +220,7 @@ class TestRegistrationChurn:
             )
             for statement in queries
         }
-        # Every view gets a fresh description and context.
+        # Every view gets a fresh description and record.
         for name, generated in views:
             matcher.unregister_view(name)
             matcher.register_view(name, generated.statement)
@@ -249,7 +247,7 @@ class TestRegistrationChurn:
                 server.register_view(name, sql[name])
             baseline = [server.rewrite(q) for q in queries]
             # Epoch churn: drop half the views and restore them; every
-            # swap publishes a new snapshot with new contexts.
+            # swap publishes a new snapshot with new records.
             for name, _ in views[::2]:
                 server.unregister_view(name)
             for name, _ in views[::2]:

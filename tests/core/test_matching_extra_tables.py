@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import Catalog, Column, ColumnType, ForeignKey, Table
 from repro.core import MatchOptions, RejectReason, describe, match_view
+from repro.engine import Database, execute, materialize_view
 from repro.sql import statement_to_sql
 
 
@@ -260,3 +261,60 @@ class TestNullableForeignKeys:
             "select ck, cdata from child",
         )
         assert result.matched
+
+    WITH_FK = (
+        "select ck as c, cdata as d, opt_id as o from child, optional_parent "
+        "where opt_id = opk"
+    )
+
+    @pytest.mark.parametrize(
+        "predicate", ["coalesce(opt_id, 0) = 0", "coalesce(opt_id, 0) >= 0"]
+    )
+    def test_a_function_of_the_fk_column_does_not_reject_nulls(
+        self, two_table_catalog, predicate
+    ):
+        """``coalesce`` turns the NULL into a value: the query keeps the
+        rows the view's join dropped."""
+        result = match(
+            two_table_catalog,
+            self.WITH_FK,
+            f"select ck, cdata from child where {predicate}",
+            options=MatchOptions(allow_null_rejecting_fk=True),
+        )
+        assert result.reject_reason is RejectReason.NULLABLE_FK
+
+    def test_arithmetic_on_the_fk_column_rejects_nulls(self, two_table_catalog):
+        result = match(
+            two_table_catalog,
+            self.WITH_FK,
+            "select ck, cdata from child where opt_id + 1 > 5",
+            options=MatchOptions(allow_null_rejecting_fk=True),
+        )
+        assert result.matched
+
+    def test_substitutes_agree_with_the_query_over_null_fk_rows(
+        self, two_table_catalog
+    ):
+        """Executed over a ``child`` row whose ``opt_id`` is NULL, an
+        accepted substitute returns what the query does, and the rejected
+        query returns exactly the row the view cannot supply."""
+        catalog = two_table_catalog
+        database = Database()
+        database.store("parent", ("pk", "pdata", "pname"), [(1, 1, "p")])
+        database.store("optional_parent", ("opk", "odata"), [(0, 5), (7, 9)])
+        database.store(
+            "child",
+            ("ck", "parent_id", "opt_id", "cdata", "cname"),
+            [(1, 1, None, 10, "a"), (2, 1, 7, 20, "b"), (3, 1, 0, 30, "c")],
+        )
+        materialize_view("v", catalog.bind_sql(self.WITH_FK), database)
+        options = MatchOptions(allow_null_rejecting_fk=True)
+        accepted = "select ck, cdata from child where opt_id + 1 > 5"
+        result = match(catalog, self.WITH_FK, accepted, options=options)
+        expected = execute(catalog.bind_sql(accepted), database)
+        assert execute(result.substitute, database).bag_equals(expected)
+        assert expected.rows == [(2, 20)]
+        rejected = "select ck, cdata from child where coalesce(opt_id, 0) = 0"
+        rows = execute(catalog.bind_sql(rejected), database).rows
+        assert sorted(rows) == [(1, 10), (3, 30)]
+        assert (1,) not in {row[:1] for row in database.relation("v").rows}

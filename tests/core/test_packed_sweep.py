@@ -208,7 +208,7 @@ def workload(catalog, paper_stats):
     generator = WorkloadGenerator(catalog, paper_stats, seed=13)
     views = generator.generate_views(250)
     queries = [q.statement for q in generator.generate_queries(40)]
-    matcher = ViewMatcher(catalog, use_interning=True, use_match_contexts=True)
+    matcher = ViewMatcher(catalog, use_interning=True)
     for name, generated in views:
         matcher.register_view(name, generated.statement)
     descriptions = [matcher.describe_query(q) for q in queries]
@@ -314,7 +314,7 @@ def test_100k_view_catalog_smoke(catalog):
     generator = WorkloadGenerator(catalog, stats, seed=42)
     views = generator.generate_views(100_000)
     queries = [q.statement for q in generator.generate_queries(10)]
-    matcher = ViewMatcher(catalog, use_interning=True, use_match_contexts=True)
+    matcher = ViewMatcher(catalog, use_interning=True)
     for name, generated in views:
         matcher.register_view(name, generated.statement)
     tree = matcher.filter_tree
