@@ -320,7 +320,7 @@ class WorkerHandle:
     responses with :meth:`recv`; the pool keeps exactly one request in
     flight per worker, so sends and receives never interleave. The
     handle is not itself thread-safe -- the pool serializes access
-    (dispatcher sends, one reader thread receives).
+    (sends happen under the pool's lock, one reader thread receives).
     """
 
     __slots__ = (

@@ -194,7 +194,7 @@ def cache_memory_report(
 ) -> dict[str, Any]:
     """Total/per-entry resident bytes for a ``RewriteCache``.
 
-    Counts only the entry table (results, epochs, recency stamps), not
+    Counts only the entry table (results and their epochs), not
     the cache shell; ``exclude`` keeps plan-referenced shared objects
     (catalog, statistics) out of the per-entry figure.
     """

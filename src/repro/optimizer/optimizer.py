@@ -21,8 +21,9 @@ the rule vs. total optimization time).
 
 from __future__ import annotations
 
+import pickle
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 from ..catalog.catalog import Catalog
@@ -68,6 +69,39 @@ class OptimizerConfig:
     cost_bounded_matching: bool = True
 
 
+_UNDECODED = object()
+
+
+class _PlanField:
+    """The ``plan`` field of :class:`OptimizationResult`, decoded on demand.
+
+    A result built in-process holds its plan. A result rebuilt from a
+    worker-pool frame (:meth:`OptimizationResult.from_frame`) holds the
+    plan's pickle instead and decodes it on the first read of ``plan``;
+    the bytes are then dropped and every later read returns the decoded
+    object. Two threads reading a fresh frame at once may both decode,
+    but ``dict.setdefault`` (atomic under the GIL) keeps the first
+    decoded plan, so both return that same object.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("plan")  # a required field: no default
+        state = result.__dict__
+        plan = state.get("_plan", _UNDECODED)
+        if plan is not _UNDECODED:
+            return plan
+        encoded = state.get("_plan_bytes")
+        if encoded is None:  # a concurrent reader decoded it meanwhile
+            return state["_plan"]
+        plan = state.setdefault("_plan", pickle.loads(encoded))
+        state.pop("_plan_bytes", None)
+        return plan
+
+    def __set__(self, result, plan) -> None:
+        result.__dict__["_plan"] = plan
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     """The chosen plan plus the instrumentation Section 5 reports.
@@ -77,9 +111,14 @@ class OptimizationResult:
     fingerprint-keyed cache and hands one instance to many concurrent
     readers. ``view_names`` doubles as the cache-invalidation key -- an
     entry is evicted when any view it reads changes or is dropped.
+
+    :meth:`to_frame` / :meth:`from_frame` carry a result across a
+    process boundary as plain scalars plus the plan's pickle, which the
+    receiving side decodes only when ``plan`` is read (see
+    :class:`_PlanField`).
     """
 
-    plan: PlanNode
+    plan: PlanNode = _PlanField()
     cost: float
     uses_view: bool
     view_names: tuple[str, ...]
@@ -104,6 +143,29 @@ class OptimizationResult:
     #: invocation because no inner plan could bring them under the best
     #: plan already in hand.
     preaggregations_dropped: int = 0
+
+    def to_frame(self) -> tuple:
+        """``(scalars, plan pickle)``: every field but ``plan``, in
+        declaration order, then the plan pickled to bytes."""
+        state = self.__dict__
+        return (
+            tuple([state[name] for name in _SCALAR_FIELDS]),
+            pickle.dumps(self.plan, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    @classmethod
+    def from_frame(cls, frame: tuple) -> "OptimizationResult":
+        """The result :meth:`to_frame` encoded; its plan is decoded on
+        the first read of ``plan``."""
+        scalars, encoded = frame
+        result = cls(None, *scalars)
+        state = result.__dict__
+        state["_plan_bytes"] = encoded
+        del state["_plan"]
+        return result
+
+
+_SCALAR_FIELDS = tuple(field.name for field in fields(OptimizationResult))[1:]
 
 
 class Optimizer:

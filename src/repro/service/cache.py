@@ -13,19 +13,22 @@ stamped with the epoch it was computed under. Invalidation is two-tier:
   wires it to :class:`~repro.maintenance.maintainer.ViewMaintainer`
   change events.
 
-The hit path is deliberately lock-free: a ``dict`` probe, an epoch
-comparison, and a recency stamp from a shared :func:`itertools.count` --
-all single bytecode-level operations the GIL keeps coherent. Only
-mutation (insert, eviction, invalidation) takes the writer lock. Recency
-is therefore *approximate* LRU: eviction removes the entries with the
-oldest access stamps, which under concurrency may lag a hair behind true
-access order -- a deliberate trade for a zero-lock read side.
+The hit path is deliberately lock-free: an ``OrderedDict`` probe, an
+epoch comparison, and a C-level ``move_to_end`` recency stamp -- each a
+single operation the GIL keeps coherent. Only mutation (insert,
+eviction, invalidation) takes the writer lock, and an insert past
+capacity evicts the front of the order in O(1). Recency is *approximate*
+LRU: a hit racing an insert may land its stamp a hair out of order -- a
+deliberate trade for a zero-lock read side.
+
+:class:`LruMemo` is the same policy without epochs, for the serving
+layer's text-keyed memos.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -36,10 +39,9 @@ from ..optimizer.optimizer import OptimizationResult
 class _Entry:
     # ``slots=True``: the cache holds up to ``capacity`` of these for the
     # process lifetime, so the per-entry ``__dict__`` would be pure
-    # resident overhead on three fixed fields.
+    # resident overhead on two fixed fields.
     result: OptimizationResult
     epoch: int
-    stamp: int
 
 
 @dataclass
@@ -80,8 +82,8 @@ class RewriteCache:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self.statistics = CacheStatistics()
-        self._entries: dict[str, _Entry] = {}
-        self._clock = itertools.count()
+        # Least recently used first: a hit moves its key to the end.
+        self._entries: OrderedDict[str, _Entry] = OrderedDict()
         self._write_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -105,7 +107,12 @@ class RewriteCache:
             self.statistics.epoch_invalidations += 1
             self.statistics.misses += 1
             return None
-        entry.stamp = next(self._clock)
+        try:
+            self._entries.move_to_end(fingerprint)
+        except KeyError:
+            # A concurrent eviction raced the recency stamp; the entry
+            # we already read is still valid for this epoch.
+            pass
         self.statistics.hits += 1
         return entry.result
 
@@ -116,18 +123,13 @@ class RewriteCache:
     ) -> None:
         """Insert a result computed under ``epoch``, evicting LRU overflow."""
         with self._write_lock:
-            self._entries[fingerprint] = _Entry(
-                result=result, epoch=epoch, stamp=next(self._clock)
-            )
+            entries = self._entries
+            entries[fingerprint] = _Entry(result=result, epoch=epoch)
+            entries.move_to_end(fingerprint)
             self.statistics.insertions += 1
-            overflow = len(self._entries) - self.capacity
-            if overflow > 0:
-                oldest = sorted(
-                    self._entries.items(), key=lambda item: item[1].stamp
-                )[:overflow]
-                for key, _ in oldest:
-                    del self._entries[key]
-                self.statistics.evictions += overflow
+            while len(entries) > self.capacity:
+                entries.popitem(last=False)
+                self.statistics.evictions += 1
 
     def invalidate_views(self, view_names: Iterable[str]) -> int:
         """Evict every entry whose plan reads one of the named views.
@@ -141,13 +143,15 @@ class RewriteCache:
         if not names:
             return 0
         with self._write_lock:
+            # ``list()`` snapshots the order in one C call: a lock-free
+            # hit may move a key while the scan runs.
             victims = [
                 key
-                for key, entry in self._entries.items()
+                for key, entry in list(self._entries.items())
                 if names.intersection(entry.result.view_names)
             ]
             for key in victims:
-                del self._entries[key]
+                self._entries.pop(key, None)
             self.statistics.view_invalidations += len(victims)
         return len(victims)
 
@@ -161,11 +165,11 @@ class RewriteCache:
         with self._write_lock:
             victims = [
                 key
-                for key, entry in self._entries.items()
+                for key, entry in list(self._entries.items())
                 if entry.epoch != epoch
             ]
             for key in victims:
-                del self._entries[key]
+                self._entries.pop(key, None)
             self.statistics.epoch_invalidations += len(victims)
         return len(victims)
 
@@ -175,4 +179,70 @@ class RewriteCache:
             self._entries.clear()
 
 
-__all__ = ["CacheStatistics", "RewriteCache"]
+class LruMemo:
+    """A bounded memo with approximate LRU eviction and an eviction count.
+
+    Replaces insert-until-full memos, whose population froze at the cap:
+    a workload whose hot query shapes rotate would keep paying full
+    parse/describe cost for every shape that arrived after the memo
+    filled. Reads stay lock-free (an ``OrderedDict`` probe plus a C-level
+    ``move_to_end`` recency stamp, coherent under the GIL the same way
+    the rewrite cache's read side is); concurrent writers may transiently
+    overshoot the capacity by a few entries, which the next insert's
+    eviction loop reclaims.
+    """
+
+    __slots__ = ("capacity", "evictions", "_entries")
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("memo capacity must be positive")
+        self.capacity = capacity
+        self.evictions = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def __getitem__(self, key):
+        # Plain read for tests/diagnostics; no recency stamp.
+        return self._entries[key]
+
+    def keys(self):
+        return self._entries.keys()
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is not None:
+            try:
+                self._entries.move_to_end(key)
+            except KeyError:
+                # A concurrent eviction raced the recency stamp; the
+                # value we already read is still valid.
+                pass
+        return entry
+
+    def put(self, key, value) -> None:
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+            self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every entry (the eviction count is preserved)."""
+        self._entries.clear()
+
+    def stats(self) -> dict:
+        return {
+            "size": len(self._entries),
+            "capacity": self.capacity,
+            "evictions": self.evictions,
+        }
+
+
+__all__ = ["CacheStatistics", "LruMemo", "RewriteCache"]

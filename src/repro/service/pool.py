@@ -16,19 +16,21 @@ Three cooperating layers:
   is rejected *before* it consumes a queue slot, so one chatty tenant
   cannot starve the rest (the front door of queue-based load leveling).
 * :class:`WorkerPool` -- the generic process pool: a bounded FIFO of
-  pending requests, a dispatcher thread that pairs requests with idle
-  workers (exactly one in flight per worker), one reader thread per
-  worker completing futures, crash respawn with bounded redelivery, and
-  **generation swaps**: :meth:`WorkerPool.swap` retires the current fleet
-  gracefully (idle workers drain immediately, busy ones after their
-  in-flight response) while a freshly forked fleet takes over.
+  pending requests paired with idle workers by the threads already
+  holding the work (the submitter hands a request to an idle worker, a
+  freed worker's reader takes the queue head; exactly one in flight per
+  worker), one reader thread per worker completing futures, crash
+  respawn with bounded redelivery, and **generation swaps**:
+  :meth:`WorkerPool.swap` retires the current fleet gracefully (idle
+  workers drain immediately, busy ones after their in-flight response)
+  while a freshly forked fleet takes over.
 * :class:`ServingPool` -- the :class:`~repro.service.server.ViewServer`
   integration: builds the per-epoch worker handler (bind +
   optimize against the pinned snapshot, no parent locks touched), exports
   each new epoch's packed tables to shared memory, listens for snapshot
-  publications and swaps generations off the writer's critical path,
-  merges per-worker telemetry sketches back into the server's hub, and
-  translates pool outcomes into :class:`ServedResult`.
+  publications and swaps generations off the writer's critical path, and
+  turns each worker's compact response frame into a
+  :class:`ServedResult` on the reader thread that received it.
 
 Epoch correctness: a worker serves every request against the single
 snapshot it was forked with, so a request can never observe half of one
@@ -44,7 +46,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from ..core.parallel import (
@@ -55,7 +58,8 @@ from ..core.parallel import (
     spawn_worker,
 )
 from ..errors import DeadlineExceeded, ReproError
-from ..obs.telemetry import WorkerTelemetry
+from ..optimizer.optimizer import OptimizationResult
+from .cache import LruMemo
 from .fingerprint import statement_fingerprint
 from .shm import (
     SnapshotArena,
@@ -66,7 +70,6 @@ from .shm import (
 
 __all__ = [
     "AdmissionController",
-    "PoolResponse",
     "PoolSaturatedError",
     "ServingPool",
     "TokenBucket",
@@ -186,22 +189,41 @@ class AdmissionController:
 # The generic worker pool
 
 
-@dataclass
+@dataclass(slots=True)
 class _PoolRequest:
     request_id: int
     payload: Any
     future: Future
+    finish: Callable[[Any, BaseException | None], Any] | None = None
     retries: int = 0
+
+    def resolve(self, value: Any, error: BaseException | None = None) -> None:
+        """Complete the future once: with ``finish(value, error)`` when a
+        finisher was given, else with ``value`` or ``error`` as is."""
+        if self.finish is not None:
+            try:
+                value, error = self.finish(value, error), None
+            except Exception as exc:  # the caller must not hang
+                value, error = None, exc
+        if error is None:
+            self.future.set_result(value)
+        else:
+            self.future.set_exception(error)
 
 
 class WorkerPool:
     """Long-lived forked workers behind a bounded FIFO request queue.
 
-    One dispatcher thread pairs queued requests with idle workers (one
-    request in flight per worker -- the pipe is never a hidden second
-    queue); one reader thread per worker blocks on its response pipe and
-    completes futures. All shared state lives under a single condition
-    variable.
+    The pool has no thread of its own. The submitting thread hands a
+    request straight to an idle worker, or queues it; a worker's reader
+    thread, on reading a response, gives that worker the queue head
+    before it completes the response's future. Exactly one request is in
+    flight per worker (the pipe is never a hidden second queue). The
+    rarer duties run on the thread that triggers them: :meth:`swap`
+    forks the new generation on its caller's thread, a dead worker's
+    reader forks its replacement, and :meth:`close` retires the fleet.
+    All shared state lives under a single condition variable; futures
+    are completed outside it.
 
     Failure semantics: a worker that dies mid-request has its request
     redelivered to another worker up to ``max_retries`` times, then the
@@ -230,10 +252,7 @@ class WorkerPool:
         self._workers: dict[int, WorkerHandle] = {}
         self._readers: list[threading.Thread] = []
         self._generation = 0
-        self._pending_handler: Callable[[Any], Any] | None = None
-        self._respawn = 0
         self._closed = False
-        self._drain = True
         self._next_id = 0
         self._counters = {
             "submitted": 0,
@@ -248,20 +267,24 @@ class WorkerPool:
         }
         with self._work:
             for _ in range(self._target):
-                self._spawn_locked(self._generation)
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="pool-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
+                self._spawn_locked()
 
     # -- public API ----------------------------------------------------------
 
-    def submit(self, payload: Any) -> "Future[Any]":
+    def submit(
+        self,
+        payload: Any,
+        finish: Callable[[Any, BaseException | None], Any] | None = None,
+    ) -> "Future[Any]":
         """Queue one request; the future resolves to the handler's result.
 
-        Raises :class:`PoolSaturatedError` when the bounded queue is full
-        -- the caller sheds or backs off; the pool never buffers
-        unboundedly (queue-based load leveling).
+        With ``finish``, the future resolves to ``finish(result, None)``
+        instead -- or ``finish(None, error)`` when the request fails with
+        :class:`WorkerError` -- called once, on the thread that completes
+        the request (normally the worker's reader). Raises
+        :class:`PoolSaturatedError` when the bounded queue is full -- the
+        caller sheds or backs off; the pool never buffers unboundedly
+        (queue-based load leveling).
         """
         future: Future = Future()
         with self._work:
@@ -273,46 +296,75 @@ class WorkerPool:
                     f"pool queue is full ({self._max_queue} pending)"
                 )
             self._next_id += 1
-            self._queue.append(_PoolRequest(self._next_id, payload, future))
+            self._queue.append(
+                _PoolRequest(self._next_id, payload, future, finish)
+            )
             self._counters["submitted"] += 1
-            self._work.notify_all()
+            self._pump_locked()
         return future
 
     def swap(self, handler: Callable[[Any], Any]) -> None:
         """Retire the current fleet and fork a new one running ``handler``.
 
-        Returns immediately (safe to call from a snapshot-publication
-        listener); the dispatcher performs the swap. Graceful: the new
-        generation is spawned *first*, idle old workers drain at once,
-        busy ones finish their in-flight request before retiring, and no
-        queued request is dropped. Back-to-back swaps coalesce -- only
-        the latest handler is ever spawned.
+        Forks on the caller's thread, so call it off any latency-critical
+        path (the serving pool's epoch watcher does). Graceful: the new
+        generation is spawned *first* and takes the queue head at once,
+        idle old workers retire immediately, busy ones after their
+        in-flight response, and no queued request is dropped.
         """
         with self._work:
             if self._closed:
                 return
-            self._pending_handler = handler
-            self._work.notify_all()
+            self._handler = handler
+            self._generation += 1
+            self._counters["swaps"] += 1
+            retiring = list(self._idle)
+            self._idle.clear()
+            for handle in self._workers.values():
+                handle.retired = True  # busy ones retire after responding
+            for _ in range(self._target):
+                self._spawn_locked()
+            for handle in retiring:
+                handle.shutdown()  # reader sees EOF next and reaps
+            self._pump_locked()
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the pool. ``drain=True`` serves queued requests first;
-        ``drain=False`` fails them with :class:`WorkerError` immediately."""
+        ``drain=False`` fails them with :class:`WorkerError` immediately.
+        In-flight requests finish either way; returns once every worker
+        has exited and been reaped, or ``timeout`` seconds have passed."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         dropped: list[_PoolRequest] = []
+        no_workers: list[_PoolRequest] = []
         with self._work:
             if not self._closed:
                 self._closed = True
                 if not drain:
-                    while self._queue:
-                        dropped.append(self._queue.popleft())
-                self._work.notify_all()
+                    dropped = list(self._queue)
+                    self._queue.clear()
+                # A worker is idle only while the queue is empty: nothing
+                # is left for it to serve.
+                for handle in self._idle:
+                    handle.retired = True
+                    handle.shutdown()  # reader sees EOF next and reaps
+                self._idle.clear()
+                no_workers = self._fail_if_dead_locked()
         for request in dropped:
-            request.future.set_exception(WorkerError("pool closed"))
-        self._dispatcher.join(timeout)
-        if not self._dispatcher.is_alive():
-            # Every worker has exited; let its reader reap it so no
-            # zombie outlives close().
-            for reader in self._readers:
-                reader.join(timeout)
+            request.resolve(None, WorkerError("pool closed"))
+        for request in no_workers:
+            request.resolve(None, WorkerError("pool has no live workers"))
+        with self._work:
+            while self._workers:
+                remaining = (
+                    None if deadline is None else deadline - time.monotonic()
+                )
+                if remaining is not None and remaining <= 0:
+                    return
+                self._work.wait(remaining)
+        # Every worker has exited; its reader reaps it, so no zombie
+        # outlives close().
+        for reader in self._readers:
+            reader.join(timeout)
 
     @property
     def generation(self) -> int:
@@ -346,41 +398,11 @@ class WorkerPool:
             stats["target"] = self._target
             return stats
 
-    # -- dispatcher ----------------------------------------------------------
+    # -- fleet bookkeeping (callers hold self._work) -------------------------
 
-    def _dispatch_loop(self) -> None:
-        with self._work:
-            while True:
-                if self._pending_handler is not None:
-                    self._apply_swap_locked()
-                    continue
-                if self._respawn and not self._closed:
-                    count, self._respawn = self._respawn, 0
-                    for _ in range(count):
-                        if self._spawn_locked(self._generation):
-                            self._counters["respawns"] += 1
-                    self._fail_if_dead_locked()
-                    continue
-                if self._queue and self._idle:
-                    self._assign_locked()
-                    continue
-                if self._closed:
-                    self._respawn = 0
-                    self._fail_if_dead_locked()
-                    inflight = any(
-                        handle.inflight
-                        for handle in self._workers.values()
-                    )
-                    if not self._queue and not inflight:
-                        self._retire_all_locked()
-                        while self._workers:
-                            self._work.wait()
-                        return
-                self._work.wait()
-
-    def _spawn_locked(self, generation: int) -> bool:
+    def _spawn_locked(self) -> bool:
         try:
-            handle = spawn_worker(self._handler, generation)
+            handle = spawn_worker(self._handler, self._generation)
         except OSError:
             self._counters["spawn_failures"] += 1
             return False
@@ -398,61 +420,32 @@ class WorkerPool:
         self._readers.append(reader)
         return True
 
-    def _fail_if_dead_locked(self) -> None:
-        """With zero workers and no way to get one, fail queued requests."""
+    def _fail_if_dead_locked(self) -> list[_PoolRequest]:
+        """With zero workers and no way to get one, empty the queue; the
+        caller fails the returned requests outside the lock."""
         if self._workers or not self._queue:
-            return
+            return []
         failed = list(self._queue)
         self._queue.clear()
-        for request in failed:
-            self._counters["failed"] += 1
-            request.future.set_exception(
-                WorkerError("pool has no live workers")
-            )
+        self._counters["failed"] += len(failed)
+        return failed
 
-    def _apply_swap_locked(self) -> None:
-        handler = self._pending_handler
-        self._pending_handler = None
-        self._handler = handler
-        self._generation += 1
-        self._counters["swaps"] += 1
-        for _ in range(self._target):
-            self._spawn_locked(self._generation)
-        for handle in list(self._idle):
-            if handle.generation != self._generation:
-                self._idle.remove(handle)
-                self._retire_locked(handle)
-        for handle in self._workers.values():
-            if handle.generation != self._generation:
-                handle.retired = True
-        self._work.notify_all()
+    def _pump_locked(self) -> None:
+        """Hand queued requests to idle workers, oldest request first."""
+        queue, idle = self._queue, self._idle
+        while queue and idle:
+            self._send_locked(idle.popleft(), queue.popleft())
 
-    def _retire_locked(self, handle: WorkerHandle) -> None:
-        handle.retired = True
-        handle.shutdown()  # reader sees EOF next and reaps
-
-    def _retire_all_locked(self) -> None:
-        self._idle.clear()
-        for handle in self._workers.values():
-            self._retire_locked(handle)
-
-    def _assign_locked(self) -> None:
-        request = self._queue.popleft()
-        while self._idle:
-            handle = self._idle.popleft()
-            if handle.retired or handle.generation != self._generation:
-                self._retire_locked(handle)
-                continue
-            try:
-                handle.send(request.request_id, request.payload)
-            except (OSError, ValueError):
-                # Dead pipe: the worker's reader thread owns the cleanup
-                # (EOF -> reap -> respawn); just try the next idle worker.
-                handle.kill()
-                continue
-            handle.inflight = request
+    def _send_locked(self, handle: WorkerHandle, request: _PoolRequest) -> None:
+        try:
+            handle.send(request.request_id, request.payload)
+        except (OSError, ValueError):
+            # Dead pipe: the worker's reader owns the cleanup (EOF ->
+            # reap -> respawn); the request goes back to the head.
+            handle.kill()
+            self._queue.appendleft(request)
             return
-        self._queue.appendleft(request)  # no usable worker right now
+        handle.inflight = request
 
     # -- per-worker reader ---------------------------------------------------
 
@@ -470,28 +463,25 @@ class WorkerPool:
                 self._counters["completed"] += 1
                 # A closing pool keeps workers in rotation until the
                 # queue is drained; retire only once nothing is pending.
-                retire = (
-                    handle.retired
-                    or handle.generation != self._generation
-                    or (self._closed and not self._queue)
-                )
+                retire = handle.retired or (self._closed and not self._queue)
                 if retire:
                     handle.retired = True
+                elif self._queue:
+                    self._send_locked(handle, self._queue.popleft())
                 else:
                     self._idle.append(handle)
-                self._work.notify_all()
-            # Complete outside the lock: done-callbacks run inline and
-            # must not be able to deadlock against pool state.
+            # Complete outside the lock: the finisher and done-callbacks
+            # run inline and must not be able to deadlock against pool
+            # state. The worker is already serving its next request.
             if request is not None and request.request_id == request_id:
                 if ok:
-                    request.future.set_result(value)
+                    request.resolve(value)
                 else:
-                    request.future.set_exception(WorkerError(str(value)))
+                    request.resolve(None, WorkerError(str(value)))
             if retire:
                 handle.shutdown()  # next recv returns EOF -> reap
 
     def _on_worker_death(self, handle: WorkerHandle) -> None:
-        redeliver: _PoolRequest | None = None
         fail: _PoolRequest | None = None
         with self._work:
             self._workers.pop(handle.pid, None)
@@ -513,36 +503,31 @@ class WorkerPool:
                     self._counters["redelivered"] += 1
             if not handle.retired:
                 self._counters["crashes"] += 1
-                if (
-                    not self._closed
-                    and handle.generation == self._generation
-                ):
-                    self._respawn += 1
-            self._work.notify_all()
+                if not self._closed and self._spawn_locked():
+                    self._counters["respawns"] += 1
+            no_workers = self._fail_if_dead_locked()
+            self._pump_locked()
+            self._work.notify_all()  # close() waits for the fleet to exit
         if fail is not None:
-            fail.future.set_exception(
+            fail.resolve(
+                None,
                 WorkerError(
                     f"worker died serving request {fail.request_id} "
                     f"({fail.retries} attempts)"
-                )
+                ),
             )
+        for request in no_workers:
+            request.resolve(None, WorkerError("pool has no live workers"))
 
 
 # ---------------------------------------------------------------------------
 # The ViewServer-facing serving pool
 
 
-@dataclass
-class PoolResponse:
-    """What one pool worker ships back for one request (pickled)."""
-
-    sql: str
-    fingerprint: str | None
-    epoch: int
-    result: Any = None  # OptimizationResult on success
-    error: str | None = None
-    timed_out: bool = False
-    telemetry: dict | None = None
+#: Parent-side memo of query text -> fingerprint (the cache fast path).
+_FINGERPRINT_MEMO_CAPACITY = 8192
+#: Per-worker memo of query text -> (bound statement, fingerprint).
+_STATEMENT_MEMO_CAPACITY = 4096
 
 
 def _build_handler(catalog, snapshot):
@@ -550,16 +535,18 @@ def _build_handler(catalog, snapshot):
 
     Runs in the forked worker, so it must not touch parent-shared locks
     (metrics registry, telemetry hub, the server's statement memo): it
-    binds and fingerprints with child-private memos, optimizes against
-    the pinned snapshot, and collects telemetry into a lock-free
-    :class:`WorkerTelemetry` whose snapshot rides home in the response.
+    binds and fingerprints with a child-private memo and optimizes
+    against the pinned snapshot. It returns a compact response frame,
+    ``(epoch, fingerprint, error, timed_out, result, serve_seconds)``:
+    ``result`` is the optimization's :meth:`OptimizationResult.to_frame`
+    -- scalars plus the plan as bytes, which the parent decodes only if
+    something reads the plan -- or ``None`` when ``error`` (a message)
+    or ``timed_out`` is set.
     """
-    statements: dict[str, tuple] = {}
+    statements = LruMemo(_STATEMENT_MEMO_CAPACITY)
 
-    def handle(payload) -> PoolResponse:
+    def handle(payload) -> tuple:
         sql, max_staleness, deadline_at = payload
-        epoch = snapshot.epoch
-        worker = WorkerTelemetry()
         started = time.perf_counter()
         fingerprint = None
         try:
@@ -567,8 +554,7 @@ def _build_handler(catalog, snapshot):
             if pair is None:
                 statement = catalog.bind_sql(sql)
                 fingerprint = statement_fingerprint(statement)
-                if len(statements) < 4096:
-                    statements[sql] = (statement, fingerprint)
+                statements.put(sql, (statement, fingerprint))
             else:
                 statement, fingerprint = pair
             staleness = (
@@ -580,30 +566,17 @@ def _build_handler(catalog, snapshot):
                 statement, staleness=staleness, deadline=deadline_at
             )
         except DeadlineExceeded:
-            return PoolResponse(
-                sql=sql,
-                fingerprint=fingerprint,
-                epoch=epoch,
-                timed_out=True,
-            )
+            return (snapshot.epoch, fingerprint, None, True, None, 0.0)
         except (ReproError, ValueError) as exc:
-            return PoolResponse(
-                sql=sql,
-                fingerprint=fingerprint,
-                epoch=epoch,
-                error=str(exc),
-            )
+            return (snapshot.epoch, fingerprint, str(exc), False, None, 0.0)
         elapsed = time.perf_counter() - started
-        worker.record("pool_worker_serve_seconds", elapsed)
-        worker.counter("pool_worker_requests")
-        if result.uses_view:
-            worker.counter("pool_worker_rewrites")
-        return PoolResponse(
-            sql=sql,
-            fingerprint=fingerprint,
-            epoch=epoch,
-            result=result,
-            telemetry=worker.snapshot().to_dict(),
+        return (
+            snapshot.epoch,
+            fingerprint,
+            None,
+            False,
+            result.to_frame(),
+            elapsed,
         )
 
     return handle
@@ -623,7 +596,9 @@ class ServingPool:
     parent-side fast path (fingerprint memo + rewrite cache probe) so
     repeated hot queries never cross a process boundary. Pool responses
     are folded back into the server's metrics, telemetry hub, and --
-    only when their epoch is still current -- its rewrite cache.
+    only when their epoch is still current -- its rewrite cache, on the
+    reader thread that received them; the caller's one future resolves
+    to the finished :class:`ServedResult`.
 
     Bounded-staleness note: freshness is evaluated against the worker's
     snapshot as of its fork, so a bounded request observes view lag with
@@ -647,7 +622,7 @@ class ServingPool:
         self.admission = admission
         self._export = export_shared_memory
         self._closed = False
-        self._fingerprints: dict[str, str] = {}
+        self._fingerprints = LruMemo(_FINGERPRINT_MEMO_CAPACITY)
         snapshot = server.snapshots.current
         self._epoch = snapshot.epoch
         # Exporting starts multiprocessing's resource-tracker child; if
@@ -751,31 +726,15 @@ class ServingPool:
                         )
                     )
         try:
-            inner = self._pool.submit((sql, max_staleness, deadline_at))
+            return self._pool.submit(
+                (sql, max_staleness, deadline_at),
+                partial(self._finish, sql, started, max_staleness),
+            )
         except PoolSaturatedError:
             server.metrics.counter("rejected").increment()
             return self._immediate(
                 self._served_result(sql=sql, rejected=True)
             )
-        outer: Future = Future()
-
-        def _complete(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                server.metrics.counter("requests").increment()
-                server.metrics.counter("errors").increment()
-                served = self._served_result(
-                    sql=sql,
-                    error=str(exc),
-                    latency_seconds=time.perf_counter() - started,
-                )
-            else:
-                served = self._finish(done.result(), started, max_staleness)
-            server._observe(served)
-            outer.set_result(served)
-
-        inner.add_done_callback(_complete)
-        return outer
 
     def rewrite(
         self,
@@ -820,59 +779,70 @@ class ServingPool:
         return future
 
     def _finish(
-        self, response: PoolResponse, started: float, max_staleness
+        self, sql: str, started: float, max_staleness, frame, error
     ):
+        """One worker response frame (or the pool's failure) as the
+        caller's :class:`ServedResult`; runs on the worker's reader."""
         server = self.server
+        metrics = server.metrics
         latency = time.perf_counter() - started
-        server.metrics.counter("requests").increment()
-        if response.telemetry is not None:
-            server.telemetry.merge_snapshot_dict(response.telemetry)
-        if response.error is not None:
-            server.metrics.counter("errors").increment()
-            server.metrics.histogram("total").record(latency)
-            return self._served_result(
-                sql=response.sql,
-                error=response.error,
-                latency_seconds=latency,
+        metrics.counter("requests").increment()
+        if error is not None:
+            metrics.counter("errors").increment()
+            served = self._served_result(
+                sql=sql, error=str(error), latency_seconds=latency
             )
-        if response.timed_out:
-            server.metrics.counter("timeouts").increment()
-            server.metrics.histogram("total").record(latency)
-            return self._served_result(
-                sql=response.sql,
-                timed_out=True,
-                latency_seconds=latency,
+            server._observe(served)
+            return served
+        epoch, fingerprint, message, timed_out, encoded, serve_seconds = frame
+        if message is not None:
+            metrics.counter("errors").increment()
+            metrics.histogram("total").record(latency)
+            served = self._served_result(
+                sql=sql, error=message, latency_seconds=latency
             )
-        result = response.result
-        server.metrics.histogram("match").record(result.matching_seconds)
-        server.metrics.histogram("plan").record(
-            max(result.optimize_seconds - result.matching_seconds, 0.0)
-        )
-        server.metrics.histogram("miss").record(latency)
-        server.metrics.histogram("total").record(latency)
-        if result.uses_view:
-            server.metrics.counter("rewrites").increment()
-        if response.fingerprint is not None:
-            if len(self._fingerprints) < 8192:
-                self._fingerprints[response.sql] = response.fingerprint
-            if (
-                max_staleness is None
-                and server.cache is not None
-                and response.epoch == server.epoch
-            ):
-                # A lagging (retiring-generation) worker's result must
-                # not poison the cache under a newer epoch; insert only
-                # while its epoch is still the served one.
-                server.cache.put(response.fingerprint, response.epoch, result)
-        return self._served_result(
-            sql=response.sql,
-            fingerprint=response.fingerprint,
-            epoch=response.epoch,
-            cache_hit=False,
-            result=result,
-            latency_seconds=latency,
-            max_staleness=max_staleness,
-        )
+        elif timed_out:
+            metrics.counter("timeouts").increment()
+            metrics.histogram("total").record(latency)
+            served = self._served_result(
+                sql=sql, timed_out=True, latency_seconds=latency
+            )
+        else:
+            result = OptimizationResult.from_frame(encoded)
+            telemetry = server.telemetry
+            telemetry.record("pool_worker_serve_seconds", serve_seconds)
+            telemetry.increment("pool_worker_requests")
+            metrics.histogram("match").record(result.matching_seconds)
+            metrics.histogram("plan").record(
+                max(result.optimize_seconds - result.matching_seconds, 0.0)
+            )
+            metrics.histogram("miss").record(latency)
+            metrics.histogram("total").record(latency)
+            if result.uses_view:
+                telemetry.increment("pool_worker_rewrites")
+                metrics.counter("rewrites").increment()
+            if fingerprint is not None:
+                self._fingerprints.put(sql, fingerprint)
+                if (
+                    max_staleness is None
+                    and server.cache is not None
+                    and epoch == server.epoch
+                ):
+                    # A lagging (retiring-generation) worker's result
+                    # must not poison the cache under a newer epoch;
+                    # insert only while its epoch is still the served one.
+                    server.cache.put(fingerprint, epoch, result)
+            served = self._served_result(
+                sql=sql,
+                fingerprint=fingerprint,
+                epoch=epoch,
+                cache_hit=False,
+                result=result,
+                latency_seconds=latency,
+                max_staleness=max_staleness,
+            )
+        server._observe(served)
+        return served
 
     # -- lifecycle / introspection -------------------------------------------
 

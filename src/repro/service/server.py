@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -56,78 +56,12 @@ from ..obs.trace import (
 from ..optimizer.optimizer import OptimizationResult, OptimizerConfig
 from ..sql.statements import SelectStatement
 from ..stats.statistics import DatabaseStats
-from .cache import RewriteCache
+from .cache import LruMemo, RewriteCache
 from .fingerprint import statement_fingerprint
 from .metrics import MetricsRegistry
 from .snapshot import CatalogSnapshot, SnapshotManager, collector_paused
 
 _STAGE_ORDER = ("parse", "fingerprint", "match", "plan", "hit", "miss", "total")
-
-
-class _LruMemo:
-    """A bounded memo with approximate LRU eviction and an eviction count.
-
-    Replaces the old insert-until-full memos, whose population froze at
-    the cap: a workload whose hot query shapes rotate would keep paying
-    full parse/describe cost for every shape that arrived after the memo
-    filled. Reads stay lock-free (an ``OrderedDict`` probe plus a C-level
-    ``move_to_end`` recency stamp, coherent under the GIL the same way
-    the rewrite cache's read side is); concurrent writers may transiently
-    overshoot the capacity by a few entries, which the next insert's
-    eviction loop reclaims.
-    """
-
-    __slots__ = ("capacity", "evictions", "_entries")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("memo capacity must be positive")
-        self.capacity = capacity
-        self.evictions = 0
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def __getitem__(self, key):
-        # Plain read for tests/diagnostics; no recency stamp.
-        return self._entries[key]
-
-    def keys(self):
-        return self._entries.keys()
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is not None:
-            try:
-                self._entries.move_to_end(key)
-            except KeyError:
-                # A concurrent eviction raced the recency stamp; the
-                # value we already read is still valid.
-                pass
-        return entry
-
-    def put(self, key, value) -> None:
-        entries = self._entries
-        entries[key] = value
-        entries.move_to_end(key)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (the eviction count is preserved)."""
-        self._entries.clear()
-
-    def stats(self) -> dict:
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "evictions": self.evictions,
-        }
 
 
 @dataclass(frozen=True)
@@ -234,7 +168,7 @@ class ViewServer:
         )
         self._slots = threading.BoundedSemaphore(queue_depth)
         self._memo_limit = max(4 * cache_size, 256)
-        self._statement_memo = _LruMemo(self._memo_limit)
+        self._statement_memo = LruMemo(self._memo_limit)
         self._sampler = TraceSampler(trace_sample_rate)
         self._traces: deque[RewriteTrace] = deque(maxlen=trace_capacity)
         self._traces_lock = threading.Lock()

@@ -1,5 +1,8 @@
 """Rewrite-cache unit tests: LRU bounds, epoch and view invalidation."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.optimizer.optimizer import OptimizationResult
@@ -73,6 +76,36 @@ class TestLru:
         for i in range(50):
             cache.put(f"q{i}", epoch=1, result=result())
             assert len(cache) <= 5
+
+    def test_evicts_like_the_stamp_sorting_policy(self):
+        """A hot-shaped trace (Zipf draws over 4x the capacity, a put on
+        every miss) evicts the same keys in the same order as the policy
+        it replaced: stamp every access, sort by stamp on overflow."""
+        rng = random.Random(11)
+        capacity, population = 64, 256
+        weights = [1.0 / rank**1.1 for rank in range(1, population + 1)]
+        draws = rng.choices(range(population), weights=weights, k=5000)
+        cache = RewriteCache(capacity=capacity)
+        stamps: dict[str, int] = {}
+        clock = itertools.count()
+        evicted, expected = [], []
+        for draw in draws:
+            key = f"q{draw}"
+            if key in stamps:
+                stamps[key] = next(clock)
+            if cache.get(key, epoch=1) is not None:
+                continue
+            before = set(cache._entries)
+            cache.put(key, epoch=1, result=result())
+            evicted += sorted(before - set(cache._entries))
+            stamps[key] = next(clock)
+            if len(stamps) > capacity:
+                oldest = min(stamps, key=stamps.__getitem__)
+                del stamps[oldest]
+                expected.append(oldest)
+        assert len(expected) > 1000
+        assert evicted == expected
+        assert cache.statistics.evictions == len(expected)
 
 
 class TestEpochInvalidation:

@@ -329,6 +329,26 @@ class TestServingPool:
             # The fast path never crossed a process boundary.
             assert server.stats()["pool"]["submitted"] == 1
 
+    def test_fingerprint_memo_keeps_admitting_new_queries(
+        self, catalog, paper_stats, monkeypatch
+    ):
+        """A full memo evicts its least recent entry: a query first seen
+        after it filled still reaches the parent fast path."""
+        from repro.service import pool as pool_module
+
+        monkeypatch.setattr(pool_module, "_FINGERPRINT_MEMO_CAPACITY", 2)
+        with ViewServer(catalog, paper_stats, workers=2) as server:
+            server.register_view("pv_line", VIEW_SQL)
+            server.start_pool(workers=1)
+            for sql in CHURN_QUERIES:  # fills the memo, then overflows it
+                assert server.rewrite(sql).ok
+            late = "select l_orderkey from lineitem where l_quantity >= 40"
+            first = server.rewrite(late)
+            second = server.rewrite(late)
+            assert not first.cache_hit
+            assert second.cache_hit
+            assert server.stats()["pool"]["submitted"] == len(CHURN_QUERIES) + 1
+
     def test_admission_throttles_before_queueing(self, catalog, paper_stats):
         clock = FakeClock()
         admission = AdmissionController(clock=clock)
