@@ -206,12 +206,11 @@ def test_hotpath_bench_smoke():
     # would be flaky on shared runners).
     (served,) = report["end_to_end"]
     assert served["modes_identical"]
-    # The serving-pool point ran both modes to completion without
-    # shedding or erroring (ratios are timing, so not asserted here).
+    # The serving-pool point served every request of every timed pass
+    # without shedding or erroring (timings are not asserted here).
     pool = report["serving_pool"]
     assert pool["pool"]["failures"] == 0
-    assert pool["fork_batch"]["failures"] == 0
-    assert pool["pool"]["served"] == pool["fork_batch"]["served"]
+    assert pool["pool"]["served"] == 4 * 2
 
 
 if __name__ == "__main__":

@@ -1,20 +1,19 @@
-"""Serving-pool benchmark: persistent workers vs. fork-per-batch.
+"""Serving-pool benchmark: sustained load through persistent workers.
 
-Sustained-load comparison of the two batch serving modes over one
-``ViewServer`` (cache disabled so every request really optimizes): the
-pre-pool path that forks a fan-out per ``rewrite_many`` call, and the
-persistent worker-pool tier that forks once per epoch generation and
-pins the snapshot in shared memory. Live epoch swaps are injected during
-the pool run, so the numbers include generation churn. Run directly::
+Replays a distinct-query schedule through one ``ViewServer``'s
+persistent worker pool (cache disabled so every request really
+optimizes), which forks once per epoch generation and pins the snapshot
+in shared memory. Live epoch swaps are injected mid-run, so the numbers
+include generation churn. Run directly::
 
     PYTHONPATH=src python benchmarks/bench_pool.py            # full, 1000 views
     PYTHONPATH=src python benchmarks/bench_pool.py --smoke    # CI, seconds
     PYTHONPATH=src python benchmarks/bench_pool.py --check    # SLO gate
 
-``--check`` exits non-zero unless the pool beats fork-per-batch on
-sustained throughput AND p99 latency with zero failed requests
-(single-core hosts: must not be meaningfully worse; smoke-sized runs
-gate failures only). The module is also collectable by pytest (one
+``--check`` exits non-zero on any failed request, or when churn was
+injected and no epoch swap was applied; ``--check-baseline`` adds the
+calibration-normalized regression gates against a committed report.
+The module is also collectable by pytest (one
 smoke-sized test), like the other bench files.
 """
 
@@ -47,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="apply the SLO gate (pool must beat fork-per-batch)",
+        help="apply the SLO gate (zero failures, an applied swap)",
     )
     parser.add_argument(
         "--check-baseline",
@@ -71,7 +70,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_pool_bench_smoke():
-    """Pytest entry point: both modes serve everything, swaps happen."""
+    """Pytest entry point: the pool serves everything, swaps happen."""
     if not fork_available():
         import pytest
 
@@ -86,13 +85,11 @@ def test_pool_bench_smoke():
     )
     report = run_pool_benchmark(config, echo=None)
     assert report.pool.failures == 0
-    assert report.fork_batch.failures == 0
-    assert report.pool.served == report.fork_batch.served > 0
+    assert report.pool.served == config.queries * config.passes
     assert report.swaps >= 1  # churn really swapped a generation
-    # Timing ratios are not asserted (flaky on shared runners); shape is.
+    # Timings are not asserted (flaky on shared runners); shape is.
     payload = report.to_dict()
     assert payload["pool"]["p99_ms"] > 0
-    assert payload["fork_batch"]["p99_ms"] > 0
 
 
 if __name__ == "__main__":

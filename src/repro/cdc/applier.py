@@ -198,7 +198,7 @@ class ChangeApplier:
         The span carries the current request's trace id when the applier
         runs inside a traced serving path (a bounded-staleness request
         driving a refresh), so CDC work stitches under the same trace as
-        the matching workers.
+        the request.
         """
         hub = self._hub()
         hub.record(f"cdc_{phase}_seconds", elapsed)

@@ -10,8 +10,8 @@ lag" estimate, which is what callers bound with ``max_staleness``).
 :meth:`FreshnessTracker.bound` freezes the verdicts for one request into
 a :class:`StalenessBound`: a plain callable-over-a-dict that the core
 matcher invokes per candidate. Freezing at creation keeps the serving
-hot path lock-free and makes the policy safe to ship into forked
-matching workers (it is pure data).
+hot path lock-free and makes the policy safe to hand to any thread
+(it is pure data).
 """
 
 from __future__ import annotations

@@ -486,12 +486,11 @@ def run_pool_bench(
 ) -> int:
     """Sustained-load benchmark of the persistent serving pool.
 
-    Replays the same distinct-query schedule through fork-per-batch
-    ``rewrite_many`` and through the persistent worker pool (with live
-    epoch swaps injected mid-load), then prints throughput and latency
-    percentiles side by side. ``check`` applies the in-run SLO gate
-    (pool must beat fork-per-batch on throughput and p99, zero failed
-    requests); ``check_baseline`` additionally applies the
+    Replays a distinct-query schedule through the persistent worker pool
+    (with live epoch swaps injected mid-load), then prints throughput and
+    latency percentiles. ``check`` applies the in-run SLO gate (zero
+    failed requests, at least one applied swap when churn was asked
+    for); ``check_baseline`` additionally applies the
     calibration-normalized regression gates against a committed
     ``BENCH_matching.json``. ``output`` writes the JSON report.
     """
@@ -552,7 +551,6 @@ def run_difftest(
     max_divergences: int = 5,
     emit: str | None = None,
     corpus: str | None = None,
-    parallel: int = 1,
     cdc: bool = False,
     cdc_steps: int = 200,
 ) -> int:
@@ -565,10 +563,7 @@ def run_difftest(
     triple within ``shrink_budget`` oracle calls; with ``--emit DIR``
     the shrunk repro script, the obs trace of the bad rewrite, and a
     corpus-format case are written there. ``--corpus DIR`` additionally
-    re-runs every committed regression case. ``--parallel N`` matches
-    every case through a sharded tree fanned across ``N`` forked
-    workers, so the substitutes being executed are exactly the parallel
-    path's output. ``--cdc`` appends the CDC interleaving harness
+    re-runs every committed regression case. ``--cdc`` appends the CDC interleaving harness
     (``cdc_steps`` randomized insert / delete / delete_where / partial
     scan / partial merge / register churn steps with recompute and
     rewrite checks at every checkpoint) to the same run. Non-zero exit
@@ -601,7 +596,6 @@ def run_difftest(
         data_seed=data_seed,
         shrink_budget=shrink_budget,
         max_divergences=max_divergences,
-        parallel_workers=parallel,
     )
     report = run_harness(config, catalog=catalog)
     print(report.summary())

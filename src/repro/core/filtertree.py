@@ -1678,9 +1678,9 @@ class FilterTree:
         self._registered: dict[str, RegisteredView] = {}
         # Registration sequence numbers: candidate lists are returned in
         # registration order (a deterministic, index-layout-independent
-        # contract -- sharded trees and worker fan-outs preserve it, so
-        # cost ties in the optimizer break identically however the
-        # registry is partitioned).
+        # contract -- packed sweep, tree walk and copy-on-write epoch
+        # clones all preserve it, so cost ties in the optimizer break
+        # identically whichever layout answers).
         self._order: dict[str, int] = {}
         self._next_order = 0
 
@@ -1806,8 +1806,8 @@ class FilterTree:
         Packed mode derives a :class:`_PackedProbe` from the query's
         analysis and block mask; every other configuration gets the frozenset
         :class:`QueryProbe` plus its bitmask binding (``None`` without
-        interning). Trees sharing options, interner and layout -- the
-        shards of a sharded tree -- can share one compiled probe.
+        interning). Trees sharing options, interner and layout can share
+        one compiled probe.
         """
         if self._use_packed:
             return _PackedProbe(query, self.options, self.interner)
@@ -1827,9 +1827,9 @@ class FilterTree:
     ) -> None:
         """Append this tree's candidates (unsorted) for a compiled probe.
 
-        The single entry point behind :meth:`candidates` and the sharded
-        tree's per-shard fan-out: packed mode sweeps the flat subtree
-        tables, every other configuration walks the recursive tree.
+        The single entry point behind :meth:`candidates`: packed mode
+        sweeps the flat subtree tables, every other configuration walks
+        the recursive tree.
         """
         if self._use_packed:
             self._spj_packed.collect(compiled, out)

@@ -142,8 +142,8 @@ class PackedBitsetTable:
     Mutations (``append`` / ``pop`` / ``alloc_bit``) only touch the
     canonical per-row mask list and mark the packed form dirty; it is
     rebuilt lazily before the next sweep. :meth:`snapshot` shares both the
-    mask list and the packed buffers copy-on-write, which is what lets
-    epoch rebuilds slice clean shards out of the previous snapshot without
+    mask list and the packed buffers copy-on-write, which is what lets an
+    epoch rebuild start from the previous snapshot's table without
     copying a byte.
     """
 
@@ -405,7 +405,7 @@ class PackedBitsetTable:
         Both tables mark the row list shared; whichever mutates first
         copies it (O(rows) pointer copy). The packed byte image is
         immutable and simply carried over, so an epoch rebuild that leaves
-        a shard untouched reuses the previous epoch's backing array as-is.
+        a table untouched reuses the previous epoch's backing array as-is.
         """
         clone = PackedBitsetTable.__new__(PackedBitsetTable)
         clone._use_numpy = self._use_numpy

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import MatchError
-from ..obs.telemetry import (
-    TelemetryHub,
-    WorkerTelemetry,
-    current_trace_context,
-    telemetry_hub,
-)
+from ..obs.telemetry import TelemetryHub, telemetry_hub
 from ..obs.trace import current_tracer
 from ..sql.statements import SelectStatement
 from .analyze import QueryAnalysis
@@ -43,8 +38,6 @@ from .matching import (
     match_view,
 )
 from .options import DEFAULT_OPTIONS, MatchOptions
-from .parallel import fork_available, forked_map
-from .sharding import ShardedFilterTree
 
 if TYPE_CHECKING:
     from ..catalog.catalog import Catalog
@@ -97,24 +90,6 @@ class MatcherStatistics:
         self.rejects_by_reason.clear()
         self.candidates_skipped = 0
 
-    def merge(self, other: "MatcherStatistics") -> None:
-        """Fold another counter set into this one.
-
-        The parallel batch path accumulates statistics in forked workers
-        and merges each worker's counters back into the parent matcher,
-        so funnels stay identical to a sequential run of the same batch.
-        """
-        self.invocations += other.invocations
-        self.views_considered += other.views_considered
-        self.views_registered_total += other.views_registered_total
-        self.matches += other.matches
-        self.substitutes += other.substitutes
-        for reason, count in other.rejects_by_reason.items():
-            self.rejects_by_reason[reason] = (
-                self.rejects_by_reason.get(reason, 0) + count
-            )
-        self.candidates_skipped += other.candidates_skipped
-
     def report(self) -> str:
         """A human-readable summary (candidate funnel + rejection reasons)."""
         lines = [
@@ -151,38 +126,23 @@ class ViewMatcher:
         use_filter_tree: bool = True,
         interner: KeyInterner | None = None,
         use_interning: bool = True,
-        shard_count: int = 1,
         telemetry: TelemetryHub | None = None,
     ):
         """``interner`` shares key-atom bit assignments with other trees
         (the serving layer reuses one across epoch rebuilds).
         ``use_interning=False`` disables the bitset keys -- the "before"
         configuration the hot-path benchmark compares against; production
-        callers leave it on. ``shard_count > 1``
-        partitions the registry across that many per-shard filter trees
-        (:class:`~repro.core.sharding.ShardedFilterTree`), the layout the
-        parallel matching fan-out requires; candidate sets and ordering
-        are unchanged. ``telemetry`` injects the sink for the always-on
-        cross-process pipeline (invocation sketches, worker snapshots);
-        ``None`` falls back to the process-global hub.
+        callers leave it on. ``telemetry`` injects the sink for the
+        always-on invocation telemetry (sketches and counters); ``None``
+        falls back to the process-global hub.
         """
         self.catalog = catalog
         self.options = options
         self.use_filter_tree = use_filter_tree
-        self.shard_count = shard_count
         self.telemetry = telemetry
-        if shard_count > 1:
-            self.filter_tree: FilterTree | ShardedFilterTree = ShardedFilterTree(
-                options,
-                shard_count=shard_count,
-                interner=interner,
-                use_interning=use_interning,
-            )
-            self.filter_tree.telemetry = telemetry
-        else:
-            self.filter_tree = FilterTree(
-                options, interner=interner, use_interning=use_interning
-            )
+        self.filter_tree = FilterTree(
+            options, interner=interner, use_interning=use_interning
+        )
         self.statistics = MatcherStatistics()
 
     @property
@@ -208,7 +168,6 @@ class ViewMatcher:
         matcher.catalog = catalog
         matcher.options = options
         matcher.use_filter_tree = True
-        matcher.shard_count = 1
         matcher.filter_tree = filter_tree
         matcher.statistics = MatcherStatistics()
         matcher.telemetry = telemetry
@@ -290,7 +249,6 @@ class ViewMatcher:
     def match(
         self,
         query: SpjgDescription | SelectStatement,
-        workers: int | None = None,
         staleness=None,
         cost_policy=None,
     ) -> list[MatchResult]:
@@ -300,10 +258,7 @@ class ViewMatcher:
         rejections) for diagnosability; use :meth:`substitutes` when only
         the rewrites are wanted. Each candidate is *decided* from its
         registration record; a successful result builds its substitute
-        when it is first read. ``workers > 1`` fans candidate filtering
-        and full matching out across forked workers, one shard group each
-        -- requires a sharded tree and ``fork``; results, ordering, and
-        statistics are identical to a sequential run.
+        when it is first read.
 
         ``staleness`` is an optional policy callable (typically a
         :class:`repro.cdc.StalenessBound`): called with a candidate view's
@@ -330,14 +285,6 @@ class ViewMatcher:
         """
         if isinstance(query, SelectStatement):
             query = self.describe_query(query)
-        if (
-            workers is not None
-            and workers > 1
-            and cost_policy is None
-            and isinstance(self.filter_tree, ShardedFilterTree)
-            and fork_available()
-        ):
-            return self._match_parallel(query, workers, staleness)
         started = time.perf_counter()
         options = self.options
         stats = self.statistics
@@ -415,190 +362,6 @@ class ViewMatcher:
             hub.increment("match_candidates", candidates)
         if matched:
             hub.increment("match_matches", matched)
-
-    def _match_parallel(
-        self, query: SpjgDescription, workers: int, staleness=None
-    ) -> list[MatchResult]:
-        """Fan one invocation's filtering and matching across forked workers.
-
-        Each worker filters its assigned shards and runs ``match_view`` on
-        the survivors; the parent merges by global registration sequence,
-        so the result list is ordered exactly like the sequential path's
-        and the statistics funnel is computed from the merged results.
-        The staleness policy is applied in the parent after the merge --
-        a stale candidate's result is replaced with a ``STALE`` rejection
-        before statistics are computed, so the funnel matches the
-        sequential path exactly.
-
-        Each worker also returns a serialized
-        :class:`~repro.obs.telemetry.TelemetrySnapshot` -- its counters,
-        per-candidate latency sketch, and a ``match.worker`` span tagged
-        with the active :class:`TraceContext`'s trace id -- which the
-        parent merges into its hub and, when a tracer is sampling this
-        request, stitches into the parent trace.  Before this, forked
-        matching recorded nothing: the child's in-memory metrics died
-        with the child.
-        """
-        started = time.perf_counter()
-        tree = self.filter_tree
-        assert isinstance(tree, ShardedFilterTree)
-        worker_count = max(1, min(workers, tree.shard_count))
-        groups = [
-            tuple(range(start, tree.shard_count, worker_count))
-            for start in range(worker_count)
-        ]
-        options = self.options
-        # Captured by value into the closure: the context crosses the
-        # fork inside the child's copy-on-write image.
-        context = current_trace_context()
-        trace_id = context.trace_id if context is not None else None
-
-        def match_group(
-            shard_indices: tuple[int, ...],
-        ) -> tuple[list[tuple[int, RegisteredView, MatchResult]], dict]:
-            worker = WorkerTelemetry()
-            sketch = worker.sketch("match_worker_view_seconds")
-            worker_started = time.perf_counter()
-            pairs = tree.shard_candidates(query, shard_indices)
-            entries = []
-            matched = 0
-            for sequence, candidate in pairs:
-                candidate_started = time.perf_counter()
-                result = match_view(
-                    query, candidate.description, options, candidate.record
-                )
-                # Built here: the result crosses back to the parent by
-                # pickle, which should carry the substitute, not the
-                # query description and view record it is built from.
-                result.substitute
-                sketch.record(time.perf_counter() - candidate_started)
-                if result.matched:
-                    matched += 1
-                entries.append((sequence, candidate, result))
-            elapsed = time.perf_counter() - worker_started
-            worker.counter("match_worker_candidates", len(entries))
-            if matched:
-                worker.counter("match_worker_matches", matched)
-            worker.record_span(
-                "match.worker",
-                elapsed,
-                trace_id=trace_id,
-                shards=list(shard_indices),
-                candidates=len(entries),
-                matched=matched,
-            )
-            return entries, worker.snapshot().to_dict()
-
-        hub = self._hub()
-        tracer = current_tracer()
-        merged: list[tuple[int, RegisteredView, MatchResult]] = []
-        for group, snapshot_dict in forked_map(
-            match_group, groups, worker_count
-        ):
-            merged.extend(group)
-            hub.merge_snapshot_dict(snapshot_dict)
-            if tracer.active:
-                for span in snapshot_dict.get("spans", ()):
-                    attributes = dict(span.get("attributes", {}))
-                    if span.get("trace_id") is not None:
-                        attributes["trace_id"] = span["trace_id"]
-                    tracer.record_span(
-                        span["name"], span.get("duration", 0.0), **attributes
-                    )
-        merged.sort(key=lambda entry: entry[0])
-        if staleness is not None:
-            merged = [
-                (
-                    sequence,
-                    candidate,
-                    MatchResult(
-                        view=candidate.description,
-                        reject_reason=RejectReason.STALE,
-                        reject_detail=stale_detail,
-                    )
-                    if (
-                        stale_detail := staleness(candidate.description.name)
-                    )
-                    is not None
-                    else result,
-                )
-                for sequence, candidate, result in merged
-            ]
-        stats = self.statistics
-        stats.invocations += 1
-        stats.views_registered_total += self.view_count
-        candidates = [candidate for _, candidate, _ in merged]
-        results: list[MatchResult] = []
-        matched = 0
-        for _, _, result in merged:
-            stats.views_considered += 1
-            if result.matched:
-                matched += 1
-                stats.matches += 1
-                stats.substitutes += 1
-            elif result.reject_reason is not None:
-                stats.record_rejection(result.reject_reason)
-            results.append(result)
-        self._record_invocation(
-            time.perf_counter() - started, len(candidates), matched
-        )
-        if tracer.active:
-            tracer.on_match_invocation(self.view_count, candidates, results)
-        return results
-
-    def match_many(
-        self,
-        queries,
-        workers: int | None = None,
-        staleness=None,
-    ) -> list[list[MatchResult]]:
-        """Match a batch of queries, one full result list per query.
-
-        With ``workers > 1`` (and ``fork`` available) the batch is split
-        across forked workers, each running the ordinary sequential match
-        for its queries against the copy-on-write shared registry; worker
-        statistics merge back into this matcher so the funnel equals a
-        sequential run of the same batch. Tracer events raised inside
-        workers stay in the worker process.
-        """
-        described = [
-            self.describe_query(query)
-            if isinstance(query, SelectStatement)
-            else query
-            for query in queries
-        ]
-        if not described:
-            return []
-        worker_count = workers or 1
-        if worker_count <= 1 or not fork_available():
-            return [
-                self.match(query, staleness=staleness) for query in described
-            ]
-
-        def match_one(
-            query: SpjgDescription,
-        ) -> tuple[list[MatchResult], MatcherStatistics, dict]:
-            # Child-local statistics and telemetry: start fresh so the
-            # parent can merge exactly this query's contribution.
-            self.statistics = MatcherStatistics()
-            self.telemetry = TelemetryHub()
-            results = self.match(query, staleness=staleness)
-            return (
-                results,
-                self.statistics,
-                self.telemetry.export_snapshot().to_dict(),
-            )
-
-        outcomes = forked_map(
-            match_one, described, min(worker_count, len(described))
-        )
-        hub = self._hub()
-        combined: list[list[MatchResult]] = []
-        for results, stats, snapshot_dict in outcomes:
-            self.statistics.merge(stats)
-            hub.merge_snapshot_dict(snapshot_dict)
-            combined.append(results)
-        return combined
 
     def substitutes(
         self, query: SpjgDescription | SelectStatement, staleness=None

@@ -1,50 +1,37 @@
-"""Fork-based parallelism over copy-on-write shared state.
+"""Persistent forked workers over copy-on-write shared state.
 
-Two execution shapes share one frame protocol here:
+:func:`spawn_worker` forks one child that serves a request/response loop
+for the serving tier's worker pool (:mod:`repro.service.pool`); the
+parent keeps a :class:`WorkerHandle` to it. The child is forked once,
+inherits the parent's snapshot copy-on-write, and then serves many
+requests over a pair of pipes until it is told to shut down, so the fork
+(and the page faults of first touching the snapshot) are paid once per
+worker lifetime.
 
-* :func:`forked_map` -- the original fork-per-batch fan-out: children are
-  forked for one batch, each computes its slice, writes one result frame,
-  and exits. The parent pays a fork per batch.
-* :func:`spawn_worker` / :class:`WorkerHandle` -- a **persistent**
-  request/response loop for the serving tier's worker pool
-  (:mod:`repro.service.pool`): a child is forked once, inherits the
-  parent's snapshot copy-on-write, and then serves many requests over a
-  pair of pipes until it is told to shut down. The fork (and the page
-  faults of first touching the snapshot) are paid once per worker
-  lifetime instead of once per batch.
-
-``fork(2)`` is the sharing mechanism in both shapes: children inherit the
-whole address space copy-on-write, so the only data crossing a process
-boundary is each request's *result*, pickled over a pipe. Threads cannot
-help here -- matching is pure Python and GIL-bound -- and spawn-based
-pools would pay a full snapshot pickle per worker.
+``fork(2)`` is the sharing mechanism: a child inherits the whole address
+space copy-on-write, so the only data crossing a process boundary is
+each request's payload and its response, pickled over a pipe. Threads
+cannot help here -- matching is pure Python and GIL-bound -- and
+spawn-based pools would pay a full snapshot pickle per worker.
 
 Frame protocol
 --------------
 Every message is one length-prefixed pickle frame: a ``>BQ`` header
 (status byte, payload length) followed by the payload. Status values:
 
-* ``_OK`` / ``_FAILED`` -- a result frame (``_FAILED`` payloads carry the
-  stringified worker exception);
+* ``_OK`` / ``_FAILED`` -- a response frame (``_FAILED`` payloads carry
+  the stringified handler exception);
 * ``_REQUEST`` -- a parent-to-worker request carrying ``(request_id,
   payload)``;
 * ``_SHUTDOWN`` -- the graceful-drain sentinel: a worker that reads it
   finishes nothing further and exits cleanly.
 
 The parent treats a short read *or an undecodable payload* as worker
-death: a truncated or corrupt frame must fail that one worker, never
-abort the drain of its siblings (a previous version let ``pickle.loads``
-raise out of the drain loop, abandoning the remaining children un-drained
-and un-reaped).
+death: :meth:`WorkerHandle.recv` returns ``None`` and the pool reaps the
+worker, redelivers its in-flight request and forks a replacement.
 
 Children never touch shared mutable service state: they compute, write
-frames, and ``os._exit``. A worker that dies without producing a frame
-(or that reports an exception) fails the whole map with
-:class:`WorkerError` -- partial results are never silently returned.
-
-``fork_available()`` gates every caller: on platforms without ``fork``
-(or when explicitly disabled) callers fall back to sequential execution,
-which is also the required behaviour below their view-count thresholds.
+frames, and ``os._exit``. ``fork_available()`` gates every caller.
 """
 
 from __future__ import annotations
@@ -53,20 +40,15 @@ import os
 import pickle
 import signal
 import struct
-from typing import Any, BinaryIO, Callable, Iterable, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable
 
 __all__ = [
     "WorkerError",
     "WorkerHandle",
-    "default_worker_count",
     "effective_cpu_count",
     "fork_available",
-    "forked_map",
     "spawn_worker",
 ]
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 _HEADER = struct.Struct(">BQ")
 _OK = 1
@@ -76,7 +58,7 @@ _SHUTDOWN = 3
 
 
 class WorkerError(RuntimeError):
-    """A forked worker raised or died before reporting a result."""
+    """A pooled request failed: its handler raised, or its worker died."""
 
 
 def fork_available() -> bool:
@@ -105,13 +87,8 @@ def effective_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def default_worker_count() -> int:
-    """Worker count matching the machine's *usable* cores (affinity-aware)."""
-    return effective_cpu_count()
-
-
 # ---------------------------------------------------------------------------
-# Frame helpers (shared by the batch fan-out and the persistent loop)
+# Frame helpers
 
 
 def _write_frame(stream: BinaryIO, status: int, payload: bytes) -> None:
@@ -144,126 +121,11 @@ def _reap(pid: int) -> None:
         pass
 
 
-def _kill_and_reap(pid: int) -> None:
-    """Force-terminate and reap one child (partial fan-out cleanup)."""
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-    _reap(pid)
-
-
 def _close_quietly(fd: int) -> None:
     try:
         os.close(fd)
     except OSError:
         pass
-
-
-# ---------------------------------------------------------------------------
-# Fork-per-batch map
-
-
-def _child_main(
-    write_fd: int, func: Callable[[_T], _R], items: Sequence[_T], indices: Sequence[int]
-) -> None:
-    """Worker body: compute assigned items, write one frame, exit."""
-    try:
-        try:
-            payload = pickle.dumps(
-                [(index, func(items[index])) for index in indices],
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            status = _OK
-        except BaseException as exc:  # report, never propagate out of the fork
-            payload = pickle.dumps(
-                f"{type(exc).__name__}: {exc}", protocol=pickle.HIGHEST_PROTOCOL
-            )
-            status = _FAILED
-        with os.fdopen(write_fd, "wb") as stream:
-            stream.write(_HEADER.pack(status, len(payload)))
-            stream.write(payload)
-    finally:
-        # _exit skips atexit/finalizers: the child must not run the
-        # parent's cleanup (tracers, metric flushes) a second time.
-        os._exit(0)
-
-
-def forked_map(
-    func: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: int,
-) -> list[_R]:
-    """``[func(item) for item in items]`` fanned out across forked workers.
-
-    Items are assigned round-robin so adjacent (likely similar-cost) items
-    spread across workers; results come back in input order regardless.
-    Falls back to the sequential comprehension when one worker suffices or
-    ``fork`` is unavailable, so callers can invoke it unconditionally.
-
-    A spawn failure mid-fan-out (``os.pipe`` or ``os.fork`` raising, e.g.
-    ``EAGAIN`` under load) cleans up the partial fan-out -- every
-    already-opened read fd is closed and every already-forked child is
-    killed and reaped -- before the error propagates, so a burst of
-    failed batches cannot leak fds or accumulate zombies.
-    """
-    sequence = list(items)
-    if not sequence:
-        return []
-    workers = max(1, min(workers, len(sequence)))
-    if workers == 1 or not fork_available():
-        return [func(item) for item in sequence]
-
-    children: list[tuple[int, int]] = []
-    try:
-        for worker in range(workers):
-            indices = range(worker, len(sequence), workers)
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                _close_quietly(read_fd)
-                _close_quietly(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _child_main(write_fd, func, sequence, indices)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-    except BaseException:
-        for pid, read_fd in children:
-            _close_quietly(read_fd)
-            _kill_and_reap(pid)
-        raise
-
-    results: list[_R | None] = [None] * len(sequence)
-    failure: str | None = None
-    for pid, read_fd in children:
-        with os.fdopen(read_fd, "rb") as stream:
-            frame = _read_frame(stream)
-        _reap(pid)
-        if frame is None:
-            failure = failure or f"worker {pid} died without reporting a result"
-            continue
-        status, payload = frame
-        try:
-            decoded = _decode(payload)
-        except Exception as exc:
-            # A corrupt frame is that worker's failure; the siblings'
-            # pipes must still be drained and their processes reaped.
-            failure = (
-                failure
-                or f"worker {pid} returned an undecodable frame: {exc}"
-            )
-            continue
-        if status != _OK:
-            failure = failure or f"worker {pid} failed: {decoded}"
-            continue
-        for index, value in decoded:
-            results[index] = value
-    if failure is not None:
-        raise WorkerError(failure)
-    return results  # type: ignore[return-value]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +171,8 @@ def _worker_loop(
                     reply = _FAILED
                 _write_frame(outbox, reply, body)
     finally:
-        # Same rationale as _child_main: never run parent finalizers.
+        # _exit skips atexit/finalizers: the child must not run the
+        # parent's cleanup (tracers, metric flushes) a second time.
         os._exit(0)
 
 
@@ -427,7 +290,12 @@ def spawn_worker(
     if not fork_available():  # pragma: no cover - POSIX-only code base
         raise RuntimeError("persistent workers require os.fork")
     request_read, request_write = os.pipe()
-    response_read, response_write = os.pipe()
+    try:
+        response_read, response_write = os.pipe()
+    except BaseException:
+        _close_quietly(request_read)
+        _close_quietly(request_write)
+        raise
     try:
         pid = os.fork()
     except BaseException:

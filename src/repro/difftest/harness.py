@@ -51,13 +51,6 @@ class DifftestConfig:
     shrink_budget: int = 400
     max_divergences: int = 5
     parameters: CoveringParameters | None = None
-    # > 1 exercises the sharded parallel matching path: every case's
-    # matcher is built with that many shards and matching fans out across
-    # forked workers, so the rewrites being executed are exactly the ones
-    # the parallel path produced. Falls back to sequential matching on
-    # platforms without fork (results are identical either way -- that is
-    # the property under test).
-    parallel_workers: int = 1
 
     def case_seed(self, index: int) -> int:
         """The per-case RNG seed (stable under changes to ``cases``)."""
@@ -171,12 +164,7 @@ def run_difftest(
             break
         case_seed = config.case_seed(index)
         case = generator.case(case_seed, views=config.views_per_case)
-        if config.parallel_workers > 1:
-            matcher = ViewMatcher(
-                catalog, shard_count=config.parallel_workers
-            )
-        else:
-            matcher = ViewMatcher(catalog)
+        matcher = ViewMatcher(catalog)
         views: dict[str, SelectStatement] = {}
         for name, view in case.views.items():
             try:
@@ -189,12 +177,7 @@ def run_difftest(
         if not views:
             continue
         try:
-            if config.parallel_workers > 1:
-                results = matcher.match(
-                    case.query, workers=config.parallel_workers
-                )
-            else:
-                results = matcher.match(case.query)
+            results = matcher.match(case.query)
         except (ReproError, ValueError):
             report.match_errors += 1
             continue

@@ -33,11 +33,7 @@ from ..catalog import tpch_catalog
 from ..core import ViewMatcher
 from ..core.filtertree import QueryProbe
 from ..core.interning import packed_backend_name
-from ..core.parallel import (
-    default_worker_count,
-    effective_cpu_count,
-    fork_available,
-)
+from ..core.parallel import effective_cpu_count
 from ..memsize import cache_memory_report, packed_table_bytes, view_memory_report
 from ..sql.printer import statement_to_sql
 from ..stats import synthetic_tpch_stats
@@ -68,27 +64,6 @@ PROBE_SPEEDUP_FLOOR = 2.0
 # budget; the in-process PROBE_SPEEDUP_FLOOR gate handles ratios
 # host-independently.
 PROBE_REGRESSION_TOLERANCE = 0.6
-
-# The end-to-end section times the fork fan-out leg only where it has
-# cores to use. It carries no speedup floor: both legs run the same
-# serving stack, so the section verifies identical results and reports
-# timings; serve-path throughput is gated by ``benchmarks/e2e``.
-END_TO_END_MIN_CORES = 2
-
-# The persistent serving pool must beat fork-per-batch rewriting on both
-# sustained throughput and p99 latency (ratios > 1.0) where it has cores
-# to use. A single-core host still skips the per-batch fork plus the
-# full result pickle, so the pool usually wins there too, but scheduler
-# noise between two process fleets on one core is large -- the gate
-# degrades to "not meaningfully worse" with headroom.
-POOL_MIN_CORES = 2
-POOL_RATIO_FLOOR = 1.0
-POOL_SINGLE_CORE_RATIO_FLOOR = 0.8
-# Ratio gates only apply to runs at a real catalog size: below this many
-# views the batches are so small that per-request IPC overhead and one
-# mid-load fleet swap dominate the measurement, and the ratios are
-# scheduler noise. Smoke-sized runs still gate on zero failed requests.
-POOL_GATE_MIN_VIEWS = 500
 
 # Tolerance for the tracing-overhead guard: with the null tracer
 # installed (tracing disabled), the instrumented hot path may be at most
@@ -154,12 +129,11 @@ class HotpathConfig:
     catalog_scale_views: int = 100000
     catalog_scale_repetitions: int = 10
     catalog_scale_runs: int = 2
-    # Sustained-load serving-pool point: the persistent worker pool vs.
-    # fork-per-batch ``rewrite_many`` over the same distinct-query
-    # schedule at this many views, with live epoch swaps injected during
-    # the pool run. 0 disables the section. The smoke config shrinks it
-    # (the committed-baseline comparison then skips on the view-count
-    # mismatch; the absolute pool-vs-fork gate still applies).
+    # Sustained-load serving-pool point: the persistent worker pool over
+    # a distinct-query schedule at this many views, with live epoch
+    # swaps injected mid-run. 0 disables the section. The smoke config
+    # shrinks it (the committed-baseline comparison then skips on the
+    # view-count mismatch; the failure and swap gates still apply).
     pool_views: int = 1000
     pool_queries: int = 25
     pool_passes: int = 8
@@ -346,20 +320,14 @@ def _run_end_to_end(config, catalog, stats, views, queries, echo) -> list[dict]:
     """Serve the workload end to end: sequential vs. batched.
 
     One server, the default serving stack: the sequential leg is one
-    ``serve`` call per query, the batched leg one ``rewrite_many`` over
-    all of them, optionally fanning its misses out across forked
-    workers. The rewrite cache is disabled so every timing run measures
-    real rewrite work, and the legs' results are verified identical
-    before anything is timed.
+    ``serve`` call per query, the batched leg one in-process
+    ``rewrite_many`` over all of them. The rewrite cache is disabled so
+    every timing run measures real rewrite work, and the legs' results
+    are verified identical before anything is timed.
     """
     from ..service import ViewServer
 
     sqls = [statement_to_sql(query) for query in queries]
-    # Affinity-aware: on a cpuset-restricted runner the fan-out gate must
-    # key off the cores this process can actually use, not the host's.
-    cpu_count = effective_cpu_count()
-    workers = default_worker_count()
-    measure_parallel = fork_available() and cpu_count >= END_TO_END_MIN_CORES
     entries: list[dict] = []
     for view_count in config.end_to_end_view_counts:
         definitions = [
@@ -386,37 +354,20 @@ def _run_end_to_end(config, catalog, stats, views, queries, echo) -> list[dict]:
             batched_ms = _time_serving(
                 lambda: server.rewrite_many(sqls), config.end_to_end_runs
             )
-            parallel_ms = None
-            if measure_parallel:
-                parallel_ms = _time_serving(
-                    lambda: server.rewrite_many(sqls, parallel=workers),
-                    config.end_to_end_runs,
-                )
-        best_ms = min(batched_ms, parallel_ms or batched_ms)
         entry = {
             "views": view_count,
             "queries": len(sqls),
-            "cpu_count": cpu_count,
-            "workers": workers if parallel_ms is not None else 1,
             "sequential_ms": round(sequential_ms, 2),
             "batched_ms": round(batched_ms, 2),
-            "batched_parallel_ms": (
-                round(parallel_ms, 2) if parallel_ms is not None else None
-            ),
-            "speedup": round(sequential_ms / best_ms, 2),
+            "speedup": round(sequential_ms / batched_ms, 2),
             "modes_identical": True,  # verified above
         }
         entries.append(entry)
         if echo is not None:
-            parallel = (
-                f"parallel {parallel_ms:8.1f}ms"
-                if parallel_ms is not None
-                else "parallel     (skipped)"
-            )
             echo(
                 f"{view_count:5d} views end-to-end: sequential "
                 f"{sequential_ms:8.1f}ms   batched {batched_ms:8.1f}ms   "
-                f"{parallel}   ({entry['speedup']:.2f}x)"
+                f"({entry['speedup']:.2f}x)"
             )
     return entries
 
@@ -582,7 +533,7 @@ def _environment() -> dict:
     """Host/backend facts stamped into the report.
 
     ``cpu_count`` and the numpy presence/version matter for interpreting
-    any entry: the end-to-end fan-out gate keys off the core count, and
+    any entry: the serving-pool numbers depend on the core count, and
     the candidate-filter numbers differ between the ``packed-numpy`` and
     ``packed-pure`` sweep backends.
     """
@@ -596,8 +547,8 @@ def _environment() -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         # ``cpu_count`` is the *usable* core count (cpuset/affinity
-        # aware) -- the one every parallel gate keys off; the host's
-        # logical count is kept alongside for provenance.
+        # aware); the host's logical count is kept alongside for
+        # provenance.
         "cpu_count": effective_cpu_count(),
         "cpu_count_logical": os.cpu_count() or 1,
         "numpy": numpy_version,
@@ -720,12 +671,9 @@ def _run_pool_bench(config: "HotpathConfig", echo) -> dict:
     if echo is not None:
         echo(
             f"serving pool at {bench.views} views: "
-            f"{report.pool.throughput:.0f}/s vs "
-            f"{report.fork_batch.throughput:.0f}/s fork-per-batch "
-            f"({report.throughput_ratio:.2f}x), p99 "
-            f"{report.pool.percentile(0.99) * 1e3:.0f}ms vs "
-            f"{report.fork_batch.percentile(0.99) * 1e3:.0f}ms "
-            f"({report.p99_ratio:.2f}x), {report.swaps} live swaps"
+            f"{report.pool.throughput:.0f}/s, p99 "
+            f"{report.pool.percentile(0.99) * 1e3:.0f}ms, "
+            f"{report.swaps} live swaps"
         )
     return report.to_dict()
 
@@ -961,16 +909,6 @@ def run_hotpath_benchmark(
     }
 
 
-def _report_cpu_count(report: dict) -> int:
-    """Usable cores from a report; tolerates pre-dedup baselines.
-
-    Current reports carry the count only under ``environment``; older
-    ones duplicated it at the top level.
-    """
-    environment = report.get("environment") or {}
-    return environment.get("cpu_count") or report.get("cpu_count") or 1
-
-
 def check_against_baseline(
     report: dict, baseline: dict, echo=print
 ) -> list[str]:
@@ -1022,16 +960,14 @@ def check_pool_slo(
 
     In-run, host-independent gates on the ``serving_pool`` section:
 
-    * zero failed requests in either serving mode (a pool that sheds or
-      errors under sustained load fails outright, whatever its speed);
-    * the pool's sustained throughput and p99 latency must beat
-      fork-per-batch (``POOL_RATIO_FLOOR``) on hosts with at least
-      ``POOL_MIN_CORES`` cores; single-core hosts get the
-      noise-absorbing ``POOL_SINGLE_CORE_RATIO_FLOOR`` instead. The
-      ratio gates need a real catalog (``POOL_GATE_MIN_VIEWS``) --
-      smoke-sized sections report but do not gate the ratios.
+    * zero failed requests (a pool that sheds or errors under sustained
+      load fails outright, whatever its speed);
+    * at least one applied epoch swap when the run injected churn (a
+      fleet that never swapped did not serve the churn it claims to).
 
-    With ``baseline``, additionally applies the calibration-normalized
+    No throughput or latency ratio is gated: the pool's throughput is
+    guarded end to end by ``benchmarks/e2e``'s ``pool_churn_1k``. With
+    ``baseline``, additionally applies the calibration-normalized
     regression gates (:func:`_check_pool_regression`).
     """
     failures: list[str] = []
@@ -1040,43 +976,16 @@ def check_pool_slo(
         if echo is not None:
             echo("pool SLO check skipped: report has no serving_pool section")
         return failures
-    for mode in ("pool", "fork_batch"):
-        failed = pool[mode]["failures"]
-        if failed:
-            failures.append(
-                f"serving-pool bench: {failed} failed requests in the "
-                f"{mode} run (must be 0)"
-            )
-    if pool["views"] < POOL_GATE_MIN_VIEWS:
-        if echo is not None:
-            echo(
-                f"pool ratio gates skipped: {pool['views']} views is a "
-                f"smoke-sized run (< {POOL_GATE_MIN_VIEWS}); ratios were "
-                f"{pool['throughput_ratio']:.2f}x throughput, "
-                f"{pool['p99_ratio']:.2f}x p99"
-            )
-        if baseline is not None:
-            failures.extend(_check_pool_regression(report, baseline, echo))
-        return failures
-    cores = _report_cpu_count(report)
-    single_core = cores < POOL_MIN_CORES
-    floor = POOL_SINGLE_CORE_RATIO_FLOOR if single_core else POOL_RATIO_FLOOR
-    note = " (single-core host)" if single_core else ""
-    for name, ratio in (
-        ("throughput", pool["throughput_ratio"]),
-        ("p99 latency", pool["p99_ratio"]),
-    ):
-        if echo is not None:
-            echo(
-                f"pool SLO gate at {pool['views']} views: {name} ratio "
-                f"{ratio:.2f}x vs fork-per-batch (floor {floor:g}x){note}"
-            )
-        if ratio < floor:
-            failures.append(
-                f"serving pool at {pool['views']} views: {name} ratio "
-                f"{ratio:.2f}x vs fork-per-batch is under the "
-                f"{floor:g}x floor{note}"
-            )
+    failed = pool["pool"]["failures"]
+    if failed:
+        failures.append(
+            f"serving-pool bench: {failed} failed requests (must be 0)"
+        )
+    if pool.get("churn_cycles") and not pool["swaps"]:
+        failures.append(
+            f"serving-pool bench: {pool['churn_cycles']} churn cycles "
+            "applied no epoch swap"
+        )
     if baseline is not None:
         failures.extend(_check_pool_regression(report, baseline, echo))
     return failures

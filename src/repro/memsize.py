@@ -9,7 +9,7 @@ recursive ``sys.getsizeof`` walk -- and two reporting helpers the
 benchmark writes into ``BENCH_matching.json``:
 
 * :func:`view_memory_report` -- total and per-view bytes for a filter
-  tree (single or sharded) including every registered view's reachable
+  tree including every registered view's reachable
   state, with the catalog/statistics objects excluded so schema metadata
   shared by all views is not attributed per view;
 * :func:`cache_memory_report` -- total and per-entry bytes for a
@@ -150,11 +150,10 @@ def _walk(obj: Any, seen: set[int]) -> int:
 def view_memory_report(
     tree: Any, *, exclude: Iterable[Any] = ()
 ) -> dict[str, Any]:
-    """Total/per-view resident bytes for a (sharded) filter tree.
+    """Total/per-view resident bytes for a filter tree.
 
-    ``tree`` is a :class:`~repro.core.filtertree.FilterTree` or
-    :class:`~repro.core.sharding.ShardedFilterTree` (anything with
-    ``views()``); ``exclude`` typically carries the catalog, statistics,
+    ``tree`` is a :class:`~repro.core.filtertree.FilterTree` (anything
+    with ``views()``); ``exclude`` typically carries the catalog, statistics,
     and options objects so shared schema metadata is not charged to the
     views. Reported keys: ``views``, ``total_bytes``, ``bytes_per_view``,
     and ``packed_table_bytes`` (the contiguous row storage alone, 0 when
@@ -172,15 +171,12 @@ def view_memory_report(
 
 
 def packed_table_bytes(tree: Any) -> int:
-    """Contiguous packed-row bytes of a (sharded) filter tree, 0 if none.
+    """Contiguous packed-row bytes of a filter tree, 0 if none.
 
     Cheap (no object walk): sums the ``PackedBitsetTable.nbytes`` of each
     subtree, so it stays usable at 100k views where :func:`deep_sizeof`
     would take a minute.
     """
-    shards = getattr(tree, "shards", None)
-    if shards is not None:
-        return sum(packed_table_bytes(shard) for shard in shards)
     total = 0
     for attr in ("_spj_packed", "_aggregate_packed"):
         subtree = getattr(tree, attr, None)

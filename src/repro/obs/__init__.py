@@ -18,13 +18,12 @@ Entry points:
   :func:`validate_trace_dict` -- the ``explain-rewrite`` output formats
   and the frozen export schema.
 
-The cross-process telemetry pipeline layers on top:
+The always-on telemetry pipeline layers on top:
 
 * :class:`DDSketch` -- mergeable relative-error percentile sketch.
 * :class:`TraceContext` / :func:`trace_context` -- the request identity
-  carried into forked matching workers and the CDC applier.
-* :class:`TelemetryHub` / :class:`WorkerTelemetry` -- parent-side merge
-  registry and child-side collector.
+  carried into the CDC applier.
+* :class:`TelemetryHub` -- the counter / sketch / span registry.
 * :class:`SloTracker` -- target-p99/error-budget burn rates.
 * :class:`WorkloadRecorder` / :func:`load_journal` -- the rotating
   JSONL request journal and its advisor-consumable aggregation.
@@ -48,9 +47,7 @@ from .recorder import (
 )
 from .telemetry import (
     TelemetryHub,
-    TelemetrySnapshot,
     TraceContext,
-    WorkerTelemetry,
     current_trace_context,
     set_telemetry_hub,
     telemetry_hub,
@@ -91,10 +88,8 @@ __all__ = [
     "TRACE_SCHEMA_V1",
     "TRACE_VERSION",
     "TelemetryHub",
-    "TelemetrySnapshot",
     "TraceContext",
     "TraceSampler",
-    "WorkerTelemetry",
     "WorkloadAggregate",
     "WorkloadRecorder",
     "activate",

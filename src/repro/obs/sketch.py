@@ -1,10 +1,9 @@
 """Mergeable constant-memory percentile sketch (DDSketch-style).
 
 The serving layer's ``LatencyHistogram`` answers percentile queries
-from a fixed log-spaced bucket table, which is fine inside one
-process but cannot absorb measurements taken in forked matching
-workers: the child's buckets die with the child.  ``DDSketch`` fixes
-both halves of that problem:
+from a fixed log-spaced bucket table, whose error grows with the
+bucket width and which cannot merge with a table built elsewhere.
+``DDSketch`` fixes both halves of that problem:
 
 * **Relative-error guarantee.**  Values are mapped to geometric
   buckets ``(gamma**(i-1), gamma**i]`` with
@@ -15,9 +14,8 @@ both halves of that problem:
 * **Lossless merge.**  Two sketches with the same ``alpha`` share a
   bucket universe, so merging is bucket-wise count addition -- the
   merged sketch is byte-identical to one built from the concatenated
-  samples.  That is the property the cross-process telemetry pipeline
-  leans on: workers serialize their sketches with :meth:`to_dict`,
-  the parent rebuilds them with :meth:`from_dict` and merges.
+  samples.  A sketch crosses a process boundary as :meth:`to_dict`
+  and comes back with :meth:`from_dict`.
 * **Constant memory.**  The bucket map is bounded by ``max_buckets``;
   on overflow the lowest buckets collapse together, trading accuracy
   at the far-left tail (the quantiles nobody alerts on) for a hard

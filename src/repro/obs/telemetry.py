@@ -1,31 +1,21 @@
-"""Cross-process telemetry: trace context, worker snapshots, merge hub.
+"""Telemetry plumbing: trace context and the hub.
 
-The tracer in :mod:`repro.obs.trace` is single-process: spans land on
-a contextvar-scoped ``RewriteTracer`` that dies with the process.
-That left two blind spots -- the forked matching workers in
-:mod:`repro.core.parallel` and the CDC applier, both of which do real
-work (candidate filtering, delta merges) that never reached the
-server's metrics.  This module closes them with three pieces:
+The tracer in :mod:`repro.obs.trace` is contextvar-scoped: spans land on
+a ``RewriteTracer`` installed for one request. Work that runs outside a
+tracer -- the CDC applier's scans and merges, the matcher's per-
+invocation counters -- reports here instead, through two pieces:
 
 ``TraceContext``
     A compact, picklable identity for one request: trace id, sampling
-    decision, optional deadline.  It rides a contextvar in the parent
-    and is captured by value into worker closures, so a span recorded
-    in a forked child can name the same trace id as the parent's
-    tracer and the two halves stitch together afterwards.
-
-``WorkerTelemetry`` / ``TelemetrySnapshot``
-    The child-side collector and its wire form.  A worker records
-    counters, sketch samples, and spans locally, then returns
-    ``snapshot().to_dict()`` -- plain dicts of ints/floats/strings --
-    alongside its match results through the existing pickle frame
-    protocol.  Nothing new crosses the fork boundary.
+    decision, optional deadline.  It rides a contextvar, so a span the
+    CDC applier records while a traced request drives it names the same
+    trace id as the request's tracer and the two stitch together
+    afterwards.
 
 ``TelemetryHub``
-    The parent-side mergeable registry.  Sketches are
-    :class:`~repro.obs.sketch.DDSketch`, so merging a worker snapshot
-    is bucket-wise addition and the merged percentiles equal a
-    single-process run over the same samples.  The hub renders to the
+    The thread-safe registry of counters, sketches and spans.  Sketches
+    are :class:`~repro.obs.sketch.DDSketch`, so percentiles stay within
+    a fixed relative error at bounded memory.  The hub renders to the
     Prometheus text format (counters as ``_total``, sketches as
     summaries with quantile labels) and feeds the ``repro-top``
     dashboard.
@@ -43,8 +33,8 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from .sketch import DDSketch
 
@@ -52,14 +42,10 @@ __all__ = [
     "TraceContext",
     "current_trace_context",
     "trace_context",
-    "TelemetrySnapshot",
-    "WorkerTelemetry",
     "TelemetryHub",
     "telemetry_hub",
     "set_telemetry_hub",
 ]
-
-SNAPSHOT_VERSION = 1
 
 # Default relative accuracy for every latency sketch in the pipeline.
 # 1% keeps p99 estimates within a microsecond at millisecond scale
@@ -135,110 +121,16 @@ def trace_context(context: TraceContext) -> Iterator[TraceContext]:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side collection
-
-
-@dataclass
-class TelemetrySnapshot:
-    """Wire form of one process's telemetry since its last snapshot.
-
-    Everything inside is JSON-safe (ints, floats, strings, plain
-    dicts), so a snapshot serializes through both the worker pool's
-    pickle frames and the workload journal unchanged.
-    """
-
-    counters: Dict[str, int] = field(default_factory=dict)
-    sketches: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "v": SNAPSHOT_VERSION,
-            "counters": dict(self.counters),
-            "sketches": {name: dict(d) for name, d in self.sketches.items()},
-            "spans": [dict(span) for span in self.spans],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TelemetrySnapshot":
-        return cls(
-            counters={
-                str(k): int(v) for k, v in data.get("counters", {}).items()
-            },
-            sketches={
-                str(k): dict(v) for k, v in data.get("sketches", {}).items()
-            },
-            spans=[dict(span) for span in data.get("spans", [])],
-        )
-
-
-class WorkerTelemetry:
-    """Single-threaded collector used inside forked workers.
-
-    No locks: a worker is one process running one function.  The
-    parent never touches the instance -- only the snapshot dict that
-    comes back through the result frame.
-    """
-
-    __slots__ = ("_counters", "_sketches", "_spans", "_accuracy")
-
-    def __init__(self, *, relative_accuracy: float = DEFAULT_ACCURACY) -> None:
-        self._counters: Dict[str, int] = {}
-        self._sketches: Dict[str, DDSketch] = {}
-        self._spans: List[Dict[str, Any]] = []
-        self._accuracy = relative_accuracy
-
-    def counter(self, name: str, amount: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + amount
-
-    def sketch(self, name: str) -> DDSketch:
-        sketch = self._sketches.get(name)
-        if sketch is None:
-            sketch = DDSketch(self._accuracy)
-            self._sketches[name] = sketch
-        return sketch
-
-    def record(self, name: str, value: float) -> None:
-        self.sketch(name).record(value)
-
-    def record_span(
-        self,
-        name: str,
-        duration: float,
-        *,
-        trace_id: Optional[str] = None,
-        **attributes: Any,
-    ) -> None:
-        span: Dict[str, Any] = {"name": name, "duration": duration}
-        if trace_id is not None:
-            span["trace_id"] = trace_id
-        if attributes:
-            span["attributes"] = attributes
-        self._spans.append(span)
-
-    def snapshot(self) -> TelemetrySnapshot:
-        return TelemetrySnapshot(
-            counters=dict(self._counters),
-            sketches={
-                name: sketch.to_dict()
-                for name, sketch in self._sketches.items()
-            },
-            spans=list(self._spans),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Parent-side merge hub
+# The hub
 
 
 class TelemetryHub:
-    """Thread-safe mergeable telemetry registry.
+    """Thread-safe telemetry registry.
 
-    In-process instrumentation calls :meth:`increment` / :meth:`record`
-    directly; the worker pool and CDC applier merge whole
-    :class:`TelemetrySnapshot` payloads with :meth:`merge_snapshot`.
-    Reads (:meth:`snapshot`, :meth:`to_prometheus`) take the same lock
-    as merges, so a scrape never observes a half-merged sketch.
+    Instrumentation calls :meth:`increment` / :meth:`record` /
+    :meth:`record_span`; reads (:meth:`snapshot`, :meth:`to_prometheus`)
+    take the same lock as writes, so a scrape never observes a
+    half-updated sketch.
     """
 
     def __init__(self, *, relative_accuracy: float = DEFAULT_ACCURACY) -> None:
@@ -247,7 +139,6 @@ class TelemetryHub:
         self._sketches: Dict[str, DDSketch] = {}
         self._spans: Deque[Dict[str, Any]] = deque(maxlen=_SPAN_RING_CAPACITY)
         self._accuracy = relative_accuracy
-        self._merged_snapshots = 0
 
     def increment(self, name: str, amount: int = 1) -> None:
         with self._lock:
@@ -277,46 +168,6 @@ class TelemetryHub:
         with self._lock:
             self._spans.append(span)
 
-    def merge_snapshot(self, snapshot: TelemetrySnapshot) -> None:
-        """Fold a worker's snapshot into the hub (lossless for
-        sketches with matching accuracy)."""
-
-        with self._lock:
-            self._merged_snapshots += 1
-            counters = self._counters
-            for name, amount in snapshot.counters.items():
-                counters[name] = counters.get(name, 0) + amount
-            for name, payload in snapshot.sketches.items():
-                incoming = DDSketch.from_dict(payload)
-                existing = self._sketches.get(name)
-                if existing is None:
-                    self._sketches[name] = incoming
-                else:
-                    existing.merge(incoming)
-            self._spans.extend(snapshot.spans)
-
-    def merge_snapshot_dict(self, data: Mapping[str, Any]) -> None:
-        self.merge_snapshot(TelemetrySnapshot.from_dict(data))
-
-    def export_snapshot(self) -> TelemetrySnapshot:
-        """The hub's whole contents as a wire snapshot.
-
-        The forked batch paths point a child's sinks at a fresh hub,
-        do the work, and ship ``export_snapshot().to_dict()`` back for
-        the parent to :meth:`merge_snapshot` -- hub-in-child, merge-in-
-        parent, with only plain dicts crossing the pipe.
-        """
-
-        with self._lock:
-            return TelemetrySnapshot(
-                counters=dict(self._counters),
-                sketches={
-                    name: sketch.to_dict()
-                    for name, sketch in self._sketches.items()
-                },
-                spans=list(self._spans),
-            )
-
     # -- reads --------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:
@@ -332,7 +183,7 @@ class TelemetryHub:
 
     def sketch(self, name: str) -> Optional[DDSketch]:
         """A copy of the named sketch (safe to read without racing
-        concurrent merges), or ``None``."""
+        concurrent records), or ``None``."""
 
         with self._lock:
             sketch = self._sketches.get(name)
@@ -352,7 +203,6 @@ class TelemetryHub:
                     name: sketch.snapshot()
                     for name, sketch in self._sketches.items()
                 },
-                "merged_snapshots": self._merged_snapshots,
                 "spans_buffered": len(self._spans),
             }
 
@@ -384,7 +234,6 @@ class TelemetryHub:
             self._counters.clear()
             self._sketches.clear()
             self._spans.clear()
-            self._merged_snapshots = 0
 
 
 def _sanitize(name: str) -> str:

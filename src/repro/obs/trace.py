@@ -45,8 +45,9 @@ from .telemetry import current_trace_context
 #: * 1 -- initial shape (PR 3).
 #: * 2 -- cross-process telemetry: top-level ``trace_id`` (nullable;
 #:   set when a :class:`~repro.obs.telemetry.TraceContext` was active)
-#:   so spans recorded in forked matching workers and the CDC applier
-#:   stitch to the request trace they belong to.
+#:   so spans recorded outside the tracer (forked matching workers at
+#:   the time, the CDC applier) stitch to the request trace they belong
+#:   to.
 #: * 3 -- vectorized verification: every funnel entry carries a
 #:   ``stage`` ("verify" = full ``match_view`` walk, "preverify" =
 #:   rejected by the columnar pre-verifier sweep, "skipped" = never

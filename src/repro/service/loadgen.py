@@ -265,7 +265,7 @@ def run_service_benchmark(
 
 
 # ---------------------------------------------------------------------------
-# Sustained-load pool benchmark: persistent workers vs. fork-per-batch
+# Sustained-load pool benchmark
 
 
 @dataclass(frozen=True)
@@ -273,15 +273,10 @@ class PoolBenchConfig:
     """Knobs of one pool-bench run (``repro pool-bench``).
 
     The benchmark replays the same distinct-query batch for
-    ``warmup_passes + passes`` passes through two serving modes over one
-    server (cache disabled, so every request really optimizes):
-
-    * **fork-per-batch** -- ``rewrite_many(parallel=workers)``, the
-      pre-pool path that forks a fresh fan-out per batch and pays the
-      fork plus a full result pickle every time;
-    * **pool** -- the same batches through :meth:`ViewServer.start_pool`
-      persistent workers, with ``churn_cycles`` epoch swaps injected
-      between timed passes to prove swaps do not stall the fleet.
+    ``warmup_passes + passes`` passes through one server's
+    :meth:`ViewServer.start_pool` persistent workers (cache disabled, so
+    every request really optimizes), with ``churn_cycles`` epoch swaps
+    injected between timed passes to prove swaps do not stall the fleet.
 
     Throughput is the median per-pass rate (robust to scheduler noise on
     small hosts), latency percentiles are over per-request server-side
@@ -312,9 +307,8 @@ class PoolBenchConfig:
 
 @dataclass
 class PoolRunStats:
-    """One serving mode's sustained-load numbers."""
+    """The pool's sustained-load numbers."""
 
-    mode: str
     served: int = 0
     failures: int = 0
     latencies: list[float] = field(default_factory=list)
@@ -350,26 +344,13 @@ class PoolRunStats:
 
 @dataclass
 class PoolBenchReport:
-    """Both modes side by side, plus the churn outcome."""
+    """The pool's numbers plus the churn outcome."""
 
     config: PoolBenchConfig
-    fork_batch: PoolRunStats
     pool: PoolRunStats
     swaps: int = 0
     shm_tables: int = 0
     shm_bytes: int = 0
-
-    @property
-    def throughput_ratio(self) -> float:
-        """Pool over fork-per-batch; > 1 means the pool is faster."""
-        fork = self.fork_batch.throughput
-        return self.pool.throughput / fork if fork else 0.0
-
-    @property
-    def p99_ratio(self) -> float:
-        """Fork-per-batch p99 over pool p99; > 1 means the pool is tighter."""
-        pool = self.pool.percentile(0.99)
-        return self.fork_batch.percentile(0.99) / pool if pool else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -379,10 +360,8 @@ class PoolBenchReport:
             "workers": self.config.workers,
             "seed": self.config.seed,
             "scale": self.config.scale,
-            "fork_batch": self.fork_batch.to_dict(),
+            "churn_cycles": self.config.churn_cycles,
             "pool": self.pool.to_dict(),
-            "throughput_ratio": round(self.throughput_ratio, 2),
-            "p99_ratio": round(self.p99_ratio, 2),
             "swaps": self.swaps,
             "shm_tables": self.shm_tables,
             "shm_bytes": self.shm_bytes,
@@ -390,21 +369,15 @@ class PoolBenchReport:
 
     def render(self) -> str:
         c = self.config
-        fork, pool = self.fork_batch, self.pool
+        pool = self.pool
         lines = [
             f"pool-bench: {c.views} views, {c.queries} queries x "
             f"{c.passes} passes, {c.workers} workers, seed {c.seed}",
-            f"throughput:  {pool.throughput:8.1f}/s (pool) vs "
-            f"{fork.throughput:8.1f}/s (fork-per-batch)  "
-            f"[{self.throughput_ratio:.2f}x]",
-            f"p50 latency: {pool.percentile(0.5) * 1e3:8.1f}ms (pool) vs "
-            f"{fork.percentile(0.5) * 1e3:8.1f}ms (fork-per-batch)",
-            f"p99 latency: {pool.percentile(0.99) * 1e3:8.1f}ms (pool) vs "
-            f"{fork.percentile(0.99) * 1e3:8.1f}ms (fork-per-batch)  "
-            f"[{self.p99_ratio:.2f}x]",
-            f"failures:    {pool.failures} (pool), "
-            f"{fork.failures} (fork-per-batch)",
-            f"epoch swaps during pool load: {self.swaps} "
+            f"throughput:  {pool.throughput:8.1f}/s",
+            f"p50 latency: {pool.percentile(0.5) * 1e3:8.1f}ms",
+            f"p99 latency: {pool.percentile(0.99) * 1e3:8.1f}ms",
+            f"failures:    {pool.failures}",
+            f"epoch swaps during load: {self.swaps} "
             f"(shm: {self.shm_tables} tables, {self.shm_bytes:,} bytes)",
         ]
         return "\n".join(lines)
@@ -432,12 +405,11 @@ def _timed_passes(
 def run_pool_benchmark(
     config: PoolBenchConfig | None = None, echo=print
 ) -> PoolBenchReport:
-    """Sustained-load comparison of the two batch serving modes.
+    """Sustained load through the persistent worker pool.
 
-    One server, one registered view pool, cache disabled. The fork mode
-    runs first (it needs the pool detached), then the persistent pool
-    serves the identical schedule while ``churn_cycles`` view
-    registrations force live generation swaps.
+    One server, one registered view pool, cache disabled. The pool
+    serves the schedule while ``churn_cycles`` view registrations force
+    live generation swaps.
     """
     config = config or PoolBenchConfig()
     views, queries = build_workload(
@@ -451,18 +423,10 @@ def run_pool_benchmark(
     catalog = tpch_catalog()
     stats = synthetic_tpch_stats(scale=config.scale)
     server = ViewServer(catalog, stats, cache_enabled=False)
-    fork = PoolRunStats(mode="fork_batch", batch_size=len(queries))
-    pool = PoolRunStats(mode="pool", batch_size=len(queries))
+    pool = PoolRunStats(batch_size=len(queries))
     try:
         for name, sql in views:
             server.register_view(name, sql)
-
-        _timed_passes(
-            lambda: server.rewrite_many(queries, parallel=config.workers),
-            fork,
-            config,
-        )
-
         server.start_pool(workers=config.workers)
         # Spread the swaps over the run, never before the first pass (the
         # un-churned pool must be measured too).
@@ -499,7 +463,6 @@ def run_pool_benchmark(
         pool_stats = server.stats().get("pool", {})
         report = PoolBenchReport(
             config=config,
-            fork_batch=fork,
             pool=pool,
             swaps=pool_stats.get("swaps", 0),
             shm_tables=pool_stats.get("shm_tables", 0),

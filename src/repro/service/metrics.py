@@ -178,24 +178,17 @@ class MetricsRegistry:
         return histogram
 
     def sketch(self, name: str) -> DDSketch:
-        """Get or create a mergeable percentile sketch.
+        """Get or create a percentile sketch.
 
-        Sketches complement the fixed-bucket histograms where the
-        measurements arrive from *other processes* (forked matching
-        workers, the CDC applier): a worker's serialized sketch merges
-        in losslessly, which fixed buckets only manage because they
-        happen to share bounds -- and sketches hold the ~1% relative
-        error the 10-buckets-per-decade histogram cannot.
+        Sketches complement the fixed-bucket histograms where ~1%
+        relative error matters: they hold it at any scale, which the
+        10-buckets-per-decade histogram cannot.
         """
         sketch = self._sketches.get(name)
         if sketch is None:
             with self._create_lock:
                 sketch = self._sketches.setdefault(name, DDSketch())
         return sketch
-
-    def merge_sketch(self, name: str, payload: dict) -> None:
-        """Merge a serialized worker sketch (``DDSketch.to_dict``)."""
-        self.sketch(name).merge(DDSketch.from_dict(payload))
 
     def counters(self) -> dict[str, int]:
         """All counter values, by name."""

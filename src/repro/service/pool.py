@@ -1,10 +1,8 @@
 """The persistent worker-pool serving tier.
 
-:mod:`repro.core.parallel`'s fork-per-batch fan-out pays a fork plus a
-full result pickle on every ``rewrite_many`` call and leaves single-query
-traffic entirely sequential. This module keeps a fleet of **long-lived**
-forked workers instead: each worker is forked once per epoch generation,
-inherits the published :class:`~repro.service.snapshot.CatalogSnapshot`
+The only multi-process tier the server has: a fleet of **long-lived**
+forked workers (:func:`repro.core.parallel.spawn_worker`). Each worker is
+forked once per epoch generation, inherits the published :class:`~repro.service.snapshot.CatalogSnapshot`
 copy-on-write (with the packed lattice rows pinned in shared memory by
 :mod:`repro.service.shm`, so reference-count traffic cannot duplicate
 them), and then serves many requests over a pipe pair.
@@ -53,7 +51,7 @@ from typing import Any, Callable
 from ..core.parallel import (
     WorkerError,
     WorkerHandle,
-    default_worker_count,
+    effective_cpu_count,
     fork_available,
     spawn_worker,
 )
@@ -242,7 +240,9 @@ class WorkerPool:
     ):
         if not fork_available():  # pragma: no cover - POSIX-only code base
             raise RuntimeError("WorkerPool requires os.fork")
-        self._target = max(1, workers if workers is not None else default_worker_count())
+        self._target = max(
+            1, workers if workers is not None else effective_cpu_count()
+        )
         self._handler = handler
         self._max_queue = max_queue
         self._max_retries = max_retries
@@ -301,6 +301,11 @@ class WorkerPool:
             )
             self._counters["submitted"] += 1
             self._pump_locked()
+            # No worker and none coming (every spawn failed): fail now
+            # rather than queue for a worker that will never exist.
+            no_workers = self._fail_if_dead_locked()
+        for request in no_workers:
+            request.resolve(None, WorkerError("pool has no live workers"))
         return future
 
     def swap(self, handler: Callable[[Any], Any]) -> None:
@@ -789,6 +794,7 @@ class ServingPool:
         metrics.counter("requests").increment()
         if error is not None:
             metrics.counter("errors").increment()
+            metrics.histogram("total").record(latency)
             served = self._served_result(
                 sql=sql, error=str(error), latency_seconds=latency
             )

@@ -34,17 +34,11 @@ from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
-from ..core.parallel import default_worker_count, fork_available, forked_map
+from ..core.parallel import fork_available
 from ..errors import DeadlineExceeded, ReproError
 from ..maintenance.maintainer import ViewChangeEvent, ViewMaintainer
 from ..obs.slo import SloObjectives, SloTracker
-from ..obs.telemetry import (
-    TelemetryHub,
-    TraceContext,
-    WorkerTelemetry,
-    current_trace_context,
-    trace_context,
-)
+from ..obs.telemetry import TelemetryHub, TraceContext, trace_context
 from ..obs.trace import (
     RewriteTrace,
     RewriteTracer,
@@ -260,9 +254,8 @@ class ViewServer:
             self._observe(result)
             return result
         # Install the TraceContext *before* constructing the tracer: the
-        # tracer captures the context's trace id at init, and forked
-        # matching workers capture the contextvar by value, so worker and
-        # CDC spans stitch back under this one id.
+        # tracer captures the context's trace id at init, so CDC spans
+        # recorded under the same context stitch back under this one id.
         with trace_context(TraceContext.new()):
             tracer = RewriteTracer(sql=sql)
             token = activate(tracer)
@@ -515,7 +508,6 @@ class ViewServer:
         self,
         sqls,
         *,
-        parallel: int | None = None,
         max_staleness: float | None = None,
         tenant: str = "default",
         deadline: float | None = None,
@@ -523,23 +515,17 @@ class ViewServer:
         """Serve a batch of SQL queries, amortizing per-request overheads.
 
         With a persistent worker pool attached (:meth:`start_pool`), the
-        whole batch is fanned through the pool's long-lived workers
-        (``parallel`` is then ignored: concurrency is the pool's worker
-        count) and ``tenant``/``deadline`` apply per request.
+        whole batch is fanned through the pool's long-lived workers and
+        ``tenant``/``deadline`` apply per request.
 
-        One snapshot read, one cache probe per *distinct* fingerprint, and
-        one optimization per distinct miss serve the whole batch --
-        duplicate query shapes within the batch are optimized once and the
-        shared result fanned back to every occurrence (``cache_hit`` stays
-        ``False`` on those: they were deduplicated, not cached).
-
-        ``parallel`` forces the worker count for optimizing the distinct
-        misses across forked processes (sharing the snapshot
-        copy-on-write). Left ``None``, misses run in-process unless the
-        catalog and the batch are both large enough for fork fan-out to
-        pay for itself; on platforms without ``fork`` the batch always
-        runs sequentially. Results are returned in input order and each
-        carries the whole batch's wall-clock latency.
+        Otherwise the batch runs in-process: one snapshot read, one cache
+        probe per *distinct* fingerprint, and one optimization per
+        distinct miss serve the whole batch -- duplicate query shapes
+        within the batch are optimized once and the shared result fanned
+        back to every occurrence (``cache_hit`` stays ``False`` on those:
+        they were deduplicated, not cached). Results are returned in
+        input order and each carries the whole batch's wall-clock
+        latency.
 
         Tracing is likewise amortized: the sampler is consulted once per
         batch, and an elected batch produces a single trace covering
@@ -559,7 +545,7 @@ class ViewServer:
                 deadline=deadline,
             )
         if not self._sampler.should_sample():
-            results = self._rewrite_many(sqls, parallel, max_staleness)
+            results = self._rewrite_many(sqls, max_staleness)
             for result in results:
                 self._observe(result)
             return results
@@ -567,7 +553,7 @@ class ViewServer:
             tracer = RewriteTracer(sql=f"<batch of {len(sqls)}>")
             token = activate(tracer)
             try:
-                results = self._rewrite_many(sqls, parallel, max_staleness)
+                results = self._rewrite_many(sqls, max_staleness)
             finally:
                 deactivate(token)
         epoch = next((r.epoch for r in results if r.epoch >= 0), None)
@@ -582,7 +568,6 @@ class ViewServer:
     def _rewrite_many(
         self,
         sqls: list[str],
-        parallel: int | None,
         max_staleness: float | None = None,
     ) -> list[ServedResult]:
         started = time.perf_counter()
@@ -636,57 +621,8 @@ class ViewServer:
                 hit=bool(hits),
                 epoch=snapshot.epoch,
             )
-        workers = self._batch_workers(parallel, len(misses), snapshot)
-        if workers > 1:
-            # Optimize in forked children against the copy-on-write
-            # shared snapshot.
-            context = current_trace_context()
-            batch_trace_id = context.trace_id if context is not None else None
-
-            def optimize_one(statement):
-                worker = WorkerTelemetry()
-                work_started = time.perf_counter()
-                result = snapshot.optimizer.optimize(
-                    statement, staleness=staleness
-                )
-                elapsed = time.perf_counter() - work_started
-                worker.record("batch_worker_optimize_seconds", elapsed)
-                worker.counter("batch_worker_queries")
-                if result.uses_view:
-                    worker.counter("batch_worker_rewrites")
-                worker.record_span(
-                    "rewrite.worker",
-                    elapsed,
-                    trace_id=batch_trace_id,
-                    uses_view=result.uses_view,
-                )
-                return result, worker.snapshot().to_dict()
-
-            outcomes = []
-            for result, worker_snapshot in forked_map(
-                optimize_one, [statement for _, statement in misses], workers
-            ):
-                outcomes.append(result)
-                self._record_optimized(result)
-                self.telemetry.merge_snapshot_dict(worker_snapshot)
-                if tracer.active:
-                    # Stitch the worker's span back under the batch trace
-                    # (the fork boundary would otherwise swallow it).
-                    for span in worker_snapshot.get("spans", ()):
-                        attributes = dict(span.get("attributes", {}))
-                        if span.get("trace_id") is not None:
-                            attributes["trace_id"] = span["trace_id"]
-                        tracer.record_span(
-                            span["name"],
-                            span.get("duration", 0.0),
-                            **attributes,
-                        )
-        else:
-            outcomes = [
-                self._optimize(snapshot, statement, staleness=staleness)
-                for _, statement in misses
-            ]
-        for (fingerprint, _), result in zip(misses, outcomes):
+        for fingerprint, statement in misses:
+            result = self._optimize(snapshot, statement, staleness=staleness)
             resolved[fingerprint] = result
             if use_cache:
                 self.cache.put(fingerprint, snapshot.epoch, result)
@@ -714,26 +650,6 @@ class ViewServer:
                 )
             )
         return results
-
-    def _batch_workers(
-        self,
-        parallel: int | None,
-        miss_count: int,
-        snapshot: CatalogSnapshot,
-    ) -> int:
-        """Worker count for a batch's cache misses (1 = in-process).
-
-        Forking pays a fixed cost per worker, so the auto policy stays
-        sequential until both the registry and the miss count are large
-        enough that per-miss matching work dominates it.
-        """
-        if miss_count < 2 or not fork_available():
-            return 1
-        if parallel is not None:
-            return max(1, min(parallel, miss_count))
-        if snapshot.view_count >= 512 and miss_count >= 4:
-            return min(default_worker_count(), miss_count)
-        return 1
 
     # -- catalog mutation ----------------------------------------------------
 

@@ -6,10 +6,9 @@ Three layers of pinning:
   ``(row ^ flip) & query == 0`` on randomized tables, on both backends,
   through append/pop churn and copy-on-write snapshots; the survivor
   loop's split of the output requirements against the unsplit test;
-* tree: packed ``FilterTree``/``ShardedFilterTree`` candidates must be
-  *identical* (same views, same registration order) to the interned
-  non-packed tree walk and to the frozenset reference tree, across shard
-  counts and registration churn;
+* tree: packed ``FilterTree`` candidates must be *identical* (same
+  views, same registration order) to the interned non-packed tree walk
+  and to the frozenset reference tree, through registration churn;
 * epoch: ``clone_cow`` shares the packed buffers with the source and a
   delta-mutated clone equals a freshly built tree, while the source keeps
   answering exactly as before.
@@ -36,7 +35,6 @@ from repro.core.filtertree import (
     _split_requirements,
 )
 from repro.core.interning import KeyInterner, PackedBitsetTable
-from repro.core.sharding import ShardedFilterTree
 from repro.stats import synthetic_tpch_stats
 from repro.workload import WorkloadGenerator
 
@@ -222,14 +220,11 @@ def _names(tree, description):
 
 
 class TestPackedTreeEquivalence:
-    @pytest.mark.parametrize("shard_count", [1, 3])
     def test_candidates_identical_and_in_registration_order(
-        self, workload, backend, shard_count
+        self, workload, backend
     ):
         options, registered, descriptions = workload
-        packed = ShardedFilterTree(
-            options, shard_count=shard_count, interner=KeyInterner()
-        )
+        packed = FilterTree(options, interner=KeyInterner())
         unpacked = FilterTree(
             options, interner=KeyInterner(), use_packed=False
         )

@@ -1,18 +1,18 @@
-"""Regression tests for fork/drain failure paths in ``core.parallel``.
+"""Failure paths of the persistent workers in ``core.parallel``.
 
-Two historical bugs, each pinned here:
+Pinned here, for ``spawn_worker`` / ``WorkerHandle`` and the
+``WorkerPool`` fleet above them:
 
-* ``forked_map`` leaked pipe fds and zombie children when ``os.fork``
-  raised mid-fan-out (e.g. ``EAGAIN`` under load): already-spawned
-  children were never drained or reaped, already-opened fds never
-  closed.
-* a truncated/corrupt result frame made ``pickle.loads`` raise inside
-  the parent's drain loop, abandoning the remaining children un-drained
-  and un-reaped; undecodable frames must count as that one worker's
-  failure while the drain continues.
+* a spawn failure (``os.pipe`` or ``os.fork`` raising, e.g. ``EAGAIN``
+  under load) while a pool forks its fleet closes every pipe end it
+  opened and leaves no child behind; the pool runs with the workers it
+  got, and a pool that got none fails requests instead of queueing them
+  forever;
+* a corrupt response frame counts as that worker's death, never as an
+  ``UnpicklingError`` in the parent: the pool reaps the worker,
+  redelivers its in-flight request to a fresh one, and leaks nothing.
 
-Plus coverage of the persistent request/response worker loop the serving
-pool builds on (``spawn_worker`` / ``WorkerHandle``).
+Plus coverage of the request/response loop itself.
 """
 
 import errno
@@ -21,16 +21,14 @@ import os
 import pytest
 
 import repro.core.parallel as parallel
-from repro.core.parallel import (
-    WorkerError,
-    fork_available,
-    forked_map,
-    spawn_worker,
-)
+from repro.core.parallel import WorkerError, fork_available, spawn_worker
+from repro.service.pool import WorkerPool
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="os.fork unavailable on this platform"
 )
+
+WAIT = 30  # generous per-future timeout
 
 
 def _open_fds() -> set[int]:
@@ -49,7 +47,8 @@ def _no_zombie_children() -> bool:
 @needs_fork
 class TestForkFailureCleanup:
     def test_fork_eagain_mid_fanout_leaks_nothing(self, monkeypatch):
-        """Spawn failure after real forks: fds closed, children reaped."""
+        """Fork failing after real forks: the pool keeps the workers it
+        got, and closing it closes every fd and reaps every child."""
         real_fork = os.fork
         forks = {"count": 0}
 
@@ -59,42 +58,64 @@ class TestForkFailureCleanup:
                 raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
             return real_fork()
 
-        monkeypatch.setattr(os, "fork", flaky_fork)
         before = _open_fds()
-        with pytest.raises(OSError):
-            forked_map(lambda x: x, list(range(16)), workers=4)
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        pool = WorkerPool(lambda x: x * 2, workers=4)
         monkeypatch.undo()
+        try:
+            assert forks["count"] == 4  # two real children, two failures
+            stats = pool.stats()
+            assert (stats["workers"], stats["spawn_failures"]) == (2, 2)
+            futures = [pool.submit(i) for i in range(6)]
+            assert [f.result(timeout=WAIT) for f in futures] == [
+                i * 2 for i in range(6)
+            ]
+        finally:
+            pool.close()
         assert _open_fds() == before  # no leaked pipe ends
-        assert forks["count"] == 3  # two real children were spawned
         assert _no_zombie_children()
 
     def test_fork_failing_immediately_leaks_nothing(self, monkeypatch):
+        """A pool that could fork no worker fails requests at once."""
+
         def broken_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(os, "fork", broken_fork)
         before = _open_fds()
-        with pytest.raises(OSError):
-            forked_map(lambda x: x, list(range(8)), workers=2)
+        monkeypatch.setattr(os, "fork", broken_fork)
+        pool = WorkerPool(lambda x: x, workers=2)
         monkeypatch.undo()
+        try:
+            assert pool.stats()["spawn_failures"] == 2
+            with pytest.raises(WorkerError, match="no live workers"):
+                pool.submit(1).result(timeout=WAIT)
+        finally:
+            pool.close()
         assert _open_fds() == before
         assert _no_zombie_children()
 
     def test_pipe_failure_mid_fanout_leaks_nothing(self, monkeypatch):
+        """The second worker's response pipe fails after its request
+        pipe opened: both ends of the opened pipe are closed again."""
         real_pipe = os.pipe
         pipes = {"count": 0}
 
         def flaky_pipe():
             pipes["count"] += 1
-            if pipes["count"] >= 3:
+            if pipes["count"] == 4:
                 raise OSError(errno.EMFILE, "Too many open files")
             return real_pipe()
 
-        monkeypatch.setattr(os, "pipe", flaky_pipe)
         before = _open_fds()
-        with pytest.raises(OSError):
-            forked_map(lambda x: x, list(range(16)), workers=4)
+        monkeypatch.setattr(os, "pipe", flaky_pipe)
+        pool = WorkerPool(lambda x: x + 1, workers=2)
         monkeypatch.undo()
+        try:
+            stats = pool.stats()
+            assert (stats["workers"], stats["spawn_failures"]) == (1, 1)
+            assert pool.submit(41).result(timeout=WAIT) == 42
+        finally:
+            pool.close()
         assert _open_fds() == before
         assert _no_zombie_children()
 
@@ -102,8 +123,29 @@ class TestForkFailureCleanup:
 @needs_fork
 class TestCorruptFrameDrain:
     def test_undecodable_frame_is_worker_failure_not_crash(self, monkeypatch):
-        """A corrupt frame raises WorkerError, never an UnpicklingError,
-        and the remaining children are still drained and reaped."""
+        """``recv`` reports a corrupt response frame as worker death
+        (``None``), never as an ``UnpicklingError``."""
+        handle = spawn_worker(lambda x: x * 2)
+        # Patched after the fork: only the parent's decoding is corrupt.
+        monkeypatch.setattr(
+            parallel,
+            "_decode",
+            lambda payload: (_ for _ in ()).throw(ValueError("corrupt")),
+        )
+        try:
+            handle.send(1, 21)
+            assert handle.recv() is None
+        finally:
+            monkeypatch.undo()
+            handle.reap()
+        assert not handle.alive()
+        assert _no_zombie_children()
+
+    def test_corrupt_response_is_redelivered_to_a_fresh_worker(
+        self, monkeypatch
+    ):
+        """One corrupt response: the pool replaces the worker, the
+        in-flight request completes on the replacement, nothing leaks."""
         real_decode = parallel._decode
         calls = {"count": 0}
 
@@ -113,25 +155,38 @@ class TestCorruptFrameDrain:
                 raise ValueError("truncated pickle stream")
             return real_decode(payload)
 
-        monkeypatch.setattr(parallel, "_decode", corrupt_first)
         before = _open_fds()
-        with pytest.raises(WorkerError, match="undecodable"):
-            forked_map(lambda x: x * 2, list(range(12)), workers=3)
-        monkeypatch.undo()
-        # Every sibling's pipe was drained and closed, every child reaped.
+        pool = WorkerPool(lambda x: x * 2, workers=1, max_retries=1)
+        monkeypatch.setattr(parallel, "_decode", corrupt_first)
+        try:
+            assert pool.submit(21).result(timeout=WAIT) == 42
+            stats = pool.stats()
+            assert stats["respawns"] == 1
+            assert stats["redelivered"] == 1
+            assert stats["failed"] == 0
+        finally:
+            pool.close()
+            monkeypatch.undo()
         assert _open_fds() == before
-        assert calls["count"] == 3
         assert _no_zombie_children()
 
     def test_all_frames_corrupt_still_reaps_everyone(self, monkeypatch):
+        """Every response corrupt: the request fails once its retries
+        are spent, and closing the pool reaps every worker it forked."""
+        before = _open_fds()
+        pool = WorkerPool(lambda x: x, workers=2, max_retries=1)
         monkeypatch.setattr(
             parallel,
             "_decode",
             lambda payload: (_ for _ in ()).throw(ValueError("corrupt")),
         )
-        with pytest.raises(WorkerError, match="undecodable"):
-            forked_map(lambda x: x, list(range(9)), workers=3)
-        monkeypatch.undo()
+        try:
+            with pytest.raises(WorkerError, match="2 attempts"):
+                pool.submit(7).result(timeout=WAIT)
+        finally:
+            pool.close()
+            monkeypatch.undo()
+        assert _open_fds() == before
         assert _no_zombie_children()
 
     def test_worker_death_without_frame_reported(self):
@@ -140,8 +195,14 @@ class TestCorruptFrameDrain:
                 os._exit(13)
             return x
 
-        with pytest.raises(WorkerError, match="died"):
-            forked_map(die, list(range(8)), workers=4)
+        handle = spawn_worker(die)
+        try:
+            handle.send(1, 4)
+            assert handle.recv() == (1, True, 4)
+            handle.send(2, 5)
+            assert handle.recv() is None  # EOF: died without a frame
+        finally:
+            handle.reap()
         assert _no_zombie_children()
 
 

@@ -2,7 +2,9 @@
 
 import os
 
-from repro.core.parallel import default_worker_count, effective_cpu_count
+import pytest
+
+from repro.core.parallel import effective_cpu_count, fork_available
 from repro.experiments.hotpath import (
     TELEMETRY_OVERHEAD_TOLERANCE,
     _check_telemetry_overhead,
@@ -87,5 +89,12 @@ class TestEffectiveCpuCount:
     def test_at_least_one(self):
         assert effective_cpu_count() >= 1
 
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
     def test_default_workers_never_exceed_affinity(self):
-        assert 1 <= default_worker_count() <= effective_cpu_count()
+        from repro.service.pool import WorkerPool
+
+        pool = WorkerPool(lambda payload: payload)
+        try:
+            assert 1 <= pool.stats()["target"] <= effective_cpu_count()
+        finally:
+            pool.close()

@@ -38,7 +38,7 @@ class StubServer:
 
     def __init__(self):
         self.telemetry = TelemetryHub()
-        self.telemetry.record("match_worker_view_seconds", 0.004)
+        self.telemetry.record("match_invocation_seconds", 0.004)
         self.telemetry.increment("match_invocations", 7)
         self.slo = SloTracker(SloObjectives())
         self.slo.record(0.001)
@@ -84,7 +84,7 @@ class TestFrames:
         assert frame["source"] == "server"
         assert frame["epoch"] == 3
         assert frame["funnel"] == {"RANGE": 5, "EQUIJOIN": 1}
-        assert frame["sketches"]["match_worker_view_seconds"]["count"] == 1
+        assert frame["sketches"]["match_invocation_seconds"]["count"] == 1
         assert frame["counters"]["match_invocations"] == 7
         assert frame["cdc"] == {"mv": 1.25}
         assert frame["slo"]["requests"] == 2

@@ -1,9 +1,9 @@
-"""Cross-process telemetry: context propagation, worker merge, the hub.
+"""Telemetry: context propagation, sketch merge across forks, the hub.
 
-The two acceptance properties of the pipeline live here: merged
-percentiles from forked workers equal a single-process run over the
-same samples, and spans recorded by matching workers and the CDC
-applier stitch under one trace id.
+The two acceptance properties of the pipeline live here: sketches
+recorded in forked workers merge into percentiles equal to a
+single-process run over the same samples, and spans recorded by the CDC
+applier stitch under the driving request's trace id.
 """
 
 import random
@@ -12,15 +12,12 @@ import pytest
 
 from repro.catalog import tpch_catalog
 from repro.cdc import CdcPipeline
-from repro.core.matcher import ViewMatcher
-from repro.core.parallel import fork_available, forked_map
+from repro.core.parallel import fork_available, spawn_worker
 from repro.datagen import generate_tpch
 from repro.obs.sketch import DDSketch
 from repro.obs.telemetry import (
     TelemetryHub,
-    TelemetrySnapshot,
     TraceContext,
-    WorkerTelemetry,
     current_trace_context,
     set_telemetry_hub,
     telemetry_hub,
@@ -59,25 +56,6 @@ class TestTraceContext:
         assert context.remaining() < 0.0
 
 
-class TestWorkerTelemetry:
-    def test_snapshot_round_trip(self):
-        worker = WorkerTelemetry()
-        worker.counter("probes", 3)
-        worker.record("seconds", 0.004)
-        worker.record_span("match.worker", 0.01, trace_id="t1", shards=[0, 2])
-        snapshot = TelemetrySnapshot.from_dict(worker.snapshot().to_dict())
-        assert snapshot.counters == {"probes": 3}
-        assert snapshot.sketches["seconds"]["count"] == 1
-        assert snapshot.spans == [
-            {
-                "name": "match.worker",
-                "duration": 0.01,
-                "trace_id": "t1",
-                "attributes": {"shards": [0, 2]},
-            }
-        ]
-
-
 class TestTelemetryHub:
     def test_counters_and_sketches(self):
         hub = TelemetryHub()
@@ -86,19 +64,6 @@ class TestTelemetryHub:
         hub.record("latency", 0.002)
         assert hub.counters() == {"requests": 5}
         assert hub.sketch_snapshots()["latency"]["count"] == 1
-
-    def test_merge_snapshot_accumulates(self):
-        hub = TelemetryHub()
-        hub.increment("queries", 1)
-        hub.record("latency", 0.001)
-        worker = WorkerTelemetry()
-        worker.counter("queries", 2)
-        worker.record("latency", 0.003)
-        hub.merge_snapshot_dict(worker.snapshot().to_dict())
-        assert hub.counters()["queries"] == 3
-        merged = hub.sketch("latency")
-        assert merged is not None and merged.count == 2
-        assert hub.snapshot()["merged_snapshots"] == 1
 
     def test_span_ring_is_bounded(self):
         hub = TelemetryHub()
@@ -150,24 +115,27 @@ class TestForkedMerge:
         partitions = [samples[start::workers] for start in range(workers)]
 
         def collect(partition):
-            worker = WorkerTelemetry()
+            sketch = DDSketch()
             for value in partition:
-                worker.record("latency_seconds", value)
-            worker.counter("samples", len(partition))
-            return worker.snapshot().to_dict()
+                sketch.record(value)
+            return sketch.to_dict()
 
-        hub = TelemetryHub()
-        for snapshot in forked_map(collect, partitions, workers):
-            hub.merge_snapshot_dict(snapshot)
+        merged = DDSketch()
+        for index, partition in enumerate(partitions):
+            handle = spawn_worker(collect)
+            try:
+                handle.send(index, partition)
+                request_id, ok, wire = handle.recv()
+            finally:
+                handle.reap()
+            assert (request_id, ok) == (index, True)
+            merged.merge(DDSketch.from_dict(wire))
 
         single = DDSketch()
         for value in samples:
             single.record(value)
 
-        merged = hub.sketch("latency_seconds")
-        assert merged is not None
         assert merged.count == single.count == len(samples)
-        assert hub.counters()["samples"] == len(samples)
         # Bucket-wise addition is lossless, so the merged quantiles are
         # not merely close -- they are identical to the single-process
         # sketch, and both sit within the relative-error bound of the
@@ -183,24 +151,12 @@ ROLLUP = (
     "select o_custkey as c, sum(o_totalprice) as total, "
     "count_big(*) as cnt from orders group by o_custkey"
 )
-SHARD_VIEWS = {
-    f"v_q{threshold}": (
-        "select l_partkey, l_quantity from lineitem "
-        f"where l_quantity >= {threshold}"
-    )
-    for threshold in range(1, 9)
-}
-
-
 class TestTraceStitching:
-    """Acceptance: worker and CDC spans stitch under one trace id."""
+    """Acceptance: CDC spans stitch under the request's trace id."""
 
     def test_worker_and_cdc_spans_share_the_trace_id(self):
         catalog = tpch_catalog()
         hub = TelemetryHub()
-        matcher = ViewMatcher(catalog, shard_count=4, telemetry=hub)
-        for name, sql in SHARD_VIEWS.items():
-            matcher.register_view(name, catalog.bind_sql(sql))
         pipeline = CdcPipeline(
             catalog, generate_tpch(scale=0.0005, seed=3), telemetry=hub
         )
@@ -213,12 +169,6 @@ class TestTraceStitching:
 
         context = TraceContext.new()
         with trace_context(context):
-            matcher.match(
-                catalog.bind_sql(
-                    "select l_partkey from lineitem where l_quantity >= 20"
-                ),
-                workers=2,
-            )
             pipeline.insert("orders", [tuple(row)])
             pipeline.scan()
             pipeline.merge()
@@ -228,10 +178,7 @@ class TestTraceStitching:
             for span in hub.spans()
             if span.get("trace_id") == context.trace_id
         }
-        expected = {"cdc.scan", "cdc.merge"}
-        if fork_available():
-            expected.add("match.worker")
-        assert expected <= stitched
+        assert {"cdc.scan", "cdc.merge"} <= stitched
         # Per-view CDC lag landed in the shared hub as a sketch.
         assert hub.sketch_snapshots()["cdc_view_lag_seconds.mv"]["count"] >= 1
 

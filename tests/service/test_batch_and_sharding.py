@@ -1,15 +1,11 @@
 """Incremental epoch snapshots, bulk registration, and batched rewriting.
 
-Every epoch serves from one copy-on-write filter tree; sharding survives
-only as the :class:`ViewMatcher`-level fan-out, which must keep answering
-like the serving tree.
+Every epoch serves from one copy-on-write filter tree, and a batch runs
+its distinct misses in-process.
 """
 
 import pytest
 
-from repro.core import ViewMatcher
-from repro.core.parallel import fork_available
-from repro.optimizer import Optimizer
 from repro.service import ViewServer
 
 VIEWS = {
@@ -24,11 +20,6 @@ QUERIES = [
     "select o_orderkey from orders where o_orderkey >= 1",
     "select l_partkey, l_quantity from lineitem where l_quantity >= 8",
 ]
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="os.fork unavailable on this platform"
-)
-
 
 @pytest.fixture()
 def server(catalog, paper_stats):
@@ -45,24 +36,7 @@ def _packed_tables(server):
 
 
 class TestShardedSnapshots:
-    """Epochs hold one incrementally-built tree; shards exist only at
-    the matcher level."""
-
-    def test_sharded_serving_matches_unsharded(
-        self, catalog, paper_stats, server
-    ):
-        """The matcher-level shard fan-out answers like the serving tree."""
-        matcher = ViewMatcher(catalog, shard_count=4)
-        for name, sql in VIEWS.items():
-            server.register_view(name, sql)
-            matcher.register_view(name, catalog.bind_sql(sql))
-        fanned_out = Optimizer(catalog, paper_stats, matcher=matcher)
-        for sql in QUERIES:
-            a = server.submit(sql)
-            b = fanned_out.optimize(catalog.bind_sql(sql))
-            assert a.ok
-            assert a.view_names == b.view_names
-            assert a.result.cost == b.cost
+    """Epochs hold one incrementally-built tree."""
 
     def test_incremental_publish_reuses_unchanged_images(self, server):
         server.register_views(VIEWS)
@@ -177,19 +151,3 @@ class TestRewriteMany:
 
     def test_empty_batch(self, server):
         assert server.rewrite_many([]) == []
-
-    @needs_fork
-    def test_forced_parallel_equals_sequential(
-        self, catalog, paper_stats
-    ):
-        with ViewServer(
-            catalog, paper_stats, workers=1, cache_enabled=False
-        ) as server:
-            server.register_views(VIEWS)
-            sequential = server.rewrite_many(QUERIES)
-            parallel = server.rewrite_many(QUERIES, parallel=2)
-            for a, b in zip(sequential, parallel):
-                assert a.ok == b.ok
-                assert a.view_names == b.view_names
-                assert a.fingerprint == b.fingerprint
-

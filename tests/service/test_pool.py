@@ -398,6 +398,32 @@ class TestServingPool:
             assert "pv_line" in after.view_names
             assert server.stats()["pool"]["swaps"] >= 1
 
+    def test_pool_failures_land_in_the_total_histogram(
+        self, catalog, paper_stats, monkeypatch
+    ):
+        """A request whose worker dies on every attempt is a served
+        failure: its latency counts toward ``total`` like any other."""
+        from repro.service import pool as pool_module
+
+        def doomed_handler(catalog, snapshot):
+            def handle(payload):
+                os._exit(9)
+
+            return handle
+
+        monkeypatch.setattr(pool_module, "_build_handler", doomed_handler)
+        with ViewServer(catalog, paper_stats, workers=2) as server:
+            server.start_pool(workers=1, max_retries=1)
+            result = server.rewrite(QUERY_SQL)
+            assert result.error is not None and not result.ok
+            metrics = server.metrics
+            assert metrics.counter("errors").value == 1
+            assert (
+                metrics.histogram("total").count
+                == metrics.counter("requests").value
+                == 1
+            )
+
     def test_stop_pool_restores_inprocess_serving(self, catalog, paper_stats):
         with ViewServer(catalog, paper_stats, workers=2) as server:
             server.register_view("pv_line", VIEW_SQL)
