@@ -7,11 +7,11 @@ log records the view has not absorbed) and ``lag_seconds`` (how long ago
 the first unabsorbed record was written -- the standard "replication
 lag" estimate, which is what callers bound with ``max_staleness``).
 
-:meth:`FreshnessTracker.bound` freezes the verdicts for one request into
-a :class:`StalenessBound`: a plain callable-over-a-dict that the core
-matcher invokes per candidate. Freezing at creation keeps the serving
-hot path lock-free and makes the policy safe to hand to any thread
-(it is pure data).
+:meth:`FreshnessTracker.bound` freezes the inputs of the verdicts for
+one request into a :class:`StalenessBound`, a callable the core matcher
+invokes per candidate. Freezing at creation keeps the serving hot path
+lock-free and makes the policy safe to hand to any thread; each verdict
+is computed on the first call that names its view.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from .log import ChangeLog
+from .log import ChangeLog, ChangeRecord
 
 
 @dataclass(frozen=True)
@@ -52,29 +52,87 @@ class StalenessBound:
     detail string when it must be skipped (recorded as the ``STALE``
     reject reason in the match funnel). Views the tracker has never heard
     of -- unmanaged views -- are treated as fresh.
+
+    Creation is O(1): the bound keeps the watermark map, the log head and
+    window, and the clock instant as they were, and judges a view on the
+    first call that names it (the matcher asks about a few candidates
+    per request, not about every tracked view).
     """
 
-    __slots__ = ("max_seconds", "head_lsn", "_stale")
+    __slots__ = (
+        "max_seconds",
+        "head_lsn",
+        "_applied",
+        "_now",
+        "_base_lsn",
+        "_records",
+        "_verdicts",
+    )
 
     def __init__(
-        self, max_seconds: float, head_lsn: int, stale: dict[str, str]
+        self,
+        max_seconds: float,
+        head_lsn: int,
+        applied: dict[str, int],
+        now: float,
+        base_lsn: int = 0,
+        records: Sequence[ChangeRecord] = (),
     ):
         self.max_seconds = max_seconds
         self.head_lsn = head_lsn
-        self._stale = stale
+        self._applied = applied
+        self._now = now
+        self._base_lsn = base_lsn
+        self._records = records
+        self._verdicts: dict[str, str | None] = {}
 
     def __call__(self, view_name: str) -> str | None:
-        return self._stale.get(view_name)
+        verdicts = self._verdicts
+        if view_name in verdicts:
+            return verdicts[view_name]
+        verdict = verdicts[view_name] = self._verdict(view_name)
+        return verdict
+
+    def _verdict(self, view_name: str) -> str | None:
+        applied = self._applied.get(view_name)
+        if applied is None:
+            return None
+        head = self.head_lsn
+        lag = max(head - applied, 0)
+        if lag == 0:
+            return None
+        max_seconds = self.max_seconds
+        if max_seconds <= 0:
+            return (
+                f"applied lsn {applied} trails head {head} by {lag} "
+                "record(s); max_staleness=0 requires a fully applied view"
+            )
+        lag_seconds = 0.0
+        index = applied - self._base_lsn
+        if index < 0:
+            raise ValueError(
+                f"records after lsn {applied} already truncated "
+                f"(retained window starts after {self._base_lsn})"
+            )
+        if index < len(self._records):
+            first = self._records[index]
+            lag_seconds = max(self._now - first.timestamp, 0.0)
+        if lag_seconds > max_seconds:
+            return (
+                f"lag {lag_seconds:.3f}s exceeds max_staleness "
+                f"{max_seconds:g}s (applied lsn {applied}, head {head})"
+            )
+        return None
 
     @property
     def stale_views(self) -> frozenset[str]:
-        """Names of every view this bound excludes."""
-        return frozenset(self._stale)
+        """Names of every view this bound excludes (judges them all)."""
+        return frozenset(name for name in self._applied if self(name) is not None)
 
     def __repr__(self) -> str:
         return (
             f"StalenessBound(max_seconds={self.max_seconds!r}, "
-            f"head_lsn={self.head_lsn}, stale={sorted(self._stale)})"
+            f"head_lsn={self.head_lsn}, stale={sorted(self.stale_views)})"
         )
 
 
@@ -94,18 +152,29 @@ class FreshnessTracker:
         self._clock = clock
         self._lock = threading.Lock()
         self._applied: dict[str, int] = {}
+        # True once a bound holds ``_applied``: the next write copies it
+        # first, so a bound never sees a later watermark.
+        self._shared = False
 
     # -- watermark maintenance ----------------------------------------------
 
     def track(self, view: str, applied_lsn: int) -> None:
         """Record that ``view`` has absorbed every record up to the LSN."""
         with self._lock:
-            self._applied[view] = applied_lsn
+            self._writable()[view] = applied_lsn
 
     def forget(self, view: str) -> None:
         """Drop a view's watermark (no-op when untracked)."""
         with self._lock:
-            self._applied.pop(view, None)
+            self._writable().pop(view, None)
+
+    def _writable(self) -> dict[str, int]:
+        """The watermark map, copied first if a bound holds it. Caller
+        holds the lock."""
+        if self._shared:
+            self._applied = dict(self._applied)
+            self._shared = False
+        return self._applied
 
     def applied_lsn(self, view: str) -> int | None:
         """The view's watermark, or ``None`` when untracked."""
@@ -162,26 +231,18 @@ class FreshnessTracker:
         excludes a view only when its first unabsorbed record is older
         than the bound -- stale-but-recent views stay eligible, which is
         the whole point of bounded-staleness serving.
+
+        O(1) in the number of tracked views: the bound shares the
+        watermark map (copied by the next :meth:`track`, not here) and
+        judges each view when first asked.
         """
-        head = self._log.head_lsn
-        stale: dict[str, str] = {}
-        for freshness in self.all_freshness():
-            lag = freshness.lag_records
-            if lag == 0:
-                continue
-            if max_seconds <= 0:
-                stale[freshness.view] = (
-                    f"applied lsn {freshness.applied_lsn} trails head "
-                    f"{head} by {lag} record(s); max_staleness=0 requires "
-                    "a fully applied view"
-                )
-            elif freshness.lag_seconds > max_seconds:
-                stale[freshness.view] = (
-                    f"lag {freshness.lag_seconds:.3f}s exceeds "
-                    f"max_staleness {max_seconds:g}s (applied lsn "
-                    f"{freshness.applied_lsn}, head {head})"
-                )
-        return StalenessBound(max_seconds, head, stale)
+        with self._lock:
+            applied = self._applied
+            self._shared = True
+        base, head, records = self._log.window()
+        return StalenessBound(
+            max_seconds, head, applied, self._clock(), base, records
+        )
 
 
 __all__ = ["FreshnessTracker", "StalenessBound", "ViewFreshness"]

@@ -112,7 +112,9 @@ class ChangeLog:
             keep_from = min(max(lsn, self._base_lsn), self._head_lsn)
             dropped = keep_from - self._base_lsn
             if dropped > 0:
-                del self._records[:dropped]
+                # A new list, not a cut: a :meth:`window` handed out
+                # earlier keeps the records it covers.
+                self._records = self._records[dropped:]
                 self._base_lsn = keep_from
             return dropped
 
@@ -152,6 +154,17 @@ class ChangeLog:
             if limit is None:
                 return tuple(self._records[start:])
             return tuple(self._records[start : start + limit])
+
+    def window(self) -> tuple[int, int, list[ChangeRecord]]:
+        """``(base lsn, head lsn, records)`` as of now, in O(1).
+
+        ``records[i]`` is the record with LSN ``base + 1 + i`` for every
+        LSN up to ``head``, for good: later appends land past ``head`` and
+        :meth:`truncate_through` replaces the list instead of cutting it.
+        The caller must not mutate it.
+        """
+        with self._lock:
+            return self._base_lsn, self._head_lsn, self._records
 
     def first_after(self, lsn: int) -> ChangeRecord | None:
         """The first retained record with LSN > ``lsn``, or ``None``."""

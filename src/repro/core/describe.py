@@ -105,9 +105,9 @@ class SpjgDescription:
     candidate verified needs the rest.
     """
 
-    # A registered catalog keeps one description per view: slots, not an
-    # instance dict. ``_side`` is the matcher's query-side memo (``None``
-    # until first computed).
+    # Many descriptions live at once (one per block of a request, one per
+    # view while it registers): slots, not an instance dict. ``_side`` is
+    # the matcher's query-side memo (``None`` until first computed).
     __slots__ = (
         "statement",
         "catalog",
@@ -128,7 +128,6 @@ class SpjgDescription:
         "simple_output_map",
         "expression_outputs",
         "_side",
-        "__weakref__",  # DatabaseStats.view_rows is keyed weakly
     )
 
     def __init__(

@@ -27,6 +27,7 @@ never prunes a view the matcher would accept.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -38,18 +39,23 @@ from .analyze import (
     bit_masks,
     normalized_aggregate_template,
 )
-from .describe import SpjgDescription
+from ..sql.printer import statement_to_sql
+from ..sql.statements import SelectStatement
+from .describe import SpjgDescription, describe
 from .equivalence import ColumnKey
-from .fkgraph import compute_hub
+from .fkgraph import hub_over
 from .interning import KeyInterner, PackedBitsetTable
 from .lattice import Key, LatticeIndex
-from .matching import ViewRecord
+from .matching import ViewRecord, _intern
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .residual import ShallowForm
 
 if TYPE_CHECKING:
     from ..catalog.catalog import Catalog
+
+# The text of a numeric literal the tokenizer reads back as that number.
+_PLAIN_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 # Key-element tags: keys are frozensets mixing tables, columns and templates.
 _TABLE = "t"
@@ -69,24 +75,134 @@ def _templates_key(templates: Iterable[str]) -> Key:
     return frozenset((_TEMPLATE, t) for t in templates)
 
 
-@dataclass(frozen=True)
 class RegisteredView:
-    """A view plus the registration-time metadata the filter tree keys on.
+    """What a registered view keeps: it is its record.
 
-    ``record`` is what the matcher's decision reads of the view
-    (:class:`~repro.core.matching.ViewRecord`), compiled once at
-    registration; it rides along through snapshot rebuilds so epoch
-    replays never recompile it.
+    ``record`` is what the matcher's decision, the optimizer's pricing
+    and the winners' substitute builds read of the view
+    (:class:`~repro.core.matching.ViewRecord`, which also holds its
+    extent estimate); ``hub`` is its Section 4.2.2 hub, ``row`` the keys
+    of its packed filter-tree row (:func:`packed_row`), and ``sql`` the
+    text it was registered from (:meth:`definition`). All are compiled
+    once at registration and ride along through snapshot rebuilds. No
+    description, parsed statement or output list is kept:
+    :attr:`description` re-derives one from ``sql`` on every read, for
+    the few readers off the request path.
     """
 
-    description: SpjgDescription
-    hub: frozenset[str]
-    record: ViewRecord
+    __slots__ = ("hub", "record", "row", "sql")
+
+    def __init__(
+        self,
+        hub: frozenset[str],
+        record: ViewRecord,
+        row: tuple | None,
+        sql: str | SelectStatement,
+    ) -> None:
+        self.hub = hub
+        self.record = record
+        self.row = row
+        self.sql = sql
+
+    @classmethod
+    def of(
+        cls,
+        description: SpjgDescription,
+        options: MatchOptions = DEFAULT_OPTIONS,
+        interner: KeyInterner | None = None,
+        sql: str | None = None,
+    ) -> "RegisteredView":
+        """Compile a described view: hub, record, the packed row under
+        ``interner`` (none without one) and, unless given, its text."""
+        if description.name is None:
+            raise ValueError("only named views can be registered")
+        record = ViewRecord.of(description, options)
+        hub = hub_over(description, list(record.fk_edges), options)
+        return cls(
+            hub,
+            record,
+            None if interner is None else packed_row(description, hub, interner),
+            cls.definition(description.statement) if sql is None else sql,
+        )
+
+    @staticmethod
+    def definition(statement: SelectStatement) -> str | SelectStatement:
+        """What a view registered as a bound statement keeps to re-derive
+        it from: its text (``statement_to_sql``), which binds back to an
+        equal statement -- unless a numeric literal renders as something
+        else than one number token (a negative one reads back as a unary
+        minus, which is not a range bound), when it keeps the statement.
+        """
+        for expression in statement.expressions():
+            for node in expression.walk():
+                if (
+                    type(node) is Literal
+                    and type(node.value) in (int, float)
+                    and _PLAIN_NUMBER.fullmatch(str(node.value)) is None
+                ):
+                    return statement
+        return statement_to_sql(statement)
 
     @property
     def name(self) -> str:
-        assert self.description.name is not None
-        return self.description.name
+        return self.record.name
+
+    @property
+    def description(self) -> SpjgDescription:
+        """The view's description, re-derived from its text (uncached)."""
+        record = self.record
+        catalog = record.catalog
+        sql = self.sql
+        return describe(
+            catalog.bind_sql(sql) if type(sql) is str else sql,
+            catalog,
+            name=record.name,
+            options=record.options,
+        )
+
+    def __repr__(self) -> str:
+        return f"<RegisteredView {self.name}>"
+
+
+class _Keyed:
+    """A view's description and hub, what the levels key it by
+    (:meth:`_Level.view_key`). A registered view's description is
+    re-derived once per use (:meth:`of`)."""
+
+    __slots__ = ("description", "hub")
+
+    def __init__(self, description: SpjgDescription, hub: frozenset[str]) -> None:
+        self.description = description
+        self.hub = hub
+
+    @classmethod
+    def of(cls, view: RegisteredView) -> "_Keyed":
+        return cls(view.description, view.hub)
+
+
+def packed_row(
+    description: SpjgDescription, hub: frozenset[str], interner: KeyInterner
+) -> tuple:
+    """The keys of a view's packed filter-tree row.
+
+    ``(residual templates, range-constrained classes, output templates,
+    grouping templates, output-column key mask, grouping-column key mask,
+    interner)``: plain values for the levels a subtree fuses over its own
+    atoms (the two template sets ``None`` for an SPJ view) and masks
+    under ``interner`` for the two per-item requirement levels. Interning
+    writes: callers serialize it.
+    """
+    keyed = _Keyed(description, hub)
+    aggregate = description.is_aggregate
+    return (
+        _intern(description.residual_templates()),
+        _intern(description.range_constrained_classes()),
+        _intern(description.output_templates()) if aggregate else None,
+        _intern(description.grouping_templates()) if aggregate else None,
+        interner.mask(_OUTPUT_COLUMN_LEVEL.view_key(keyed)),
+        interner.mask(_GROUPING_COLUMN_LEVEL.view_key(keyed)) if aggregate else 0,
+        interner,
+    )
 
 
 @dataclass(frozen=True)
@@ -667,7 +783,7 @@ class _Level:
 
     name = "level"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         raise NotImplementedError
 
     def projection(self, key: Key) -> Key:
@@ -720,7 +836,7 @@ class HubLevel(_Level):
 
     name = "hub"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         return _tables_key(view.hub)
 
     def search(
@@ -745,7 +861,7 @@ class SourceTableLevel(_Level):
 
     name = "source-tables"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         return _tables_key(view.description.tables)
 
     def search(
@@ -775,7 +891,7 @@ class OutputExpressionLevel(_Level):
 
     name = "output-expressions"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         return _templates_key(view.description.output_templates())
 
     def search(
@@ -805,7 +921,7 @@ class OutputColumnLevel(_Level):
 
     name = "output-columns"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         description = view.description
         return _columns_key(description.extended_output_columns()) | _templates_key(
             description.output_templates()
@@ -844,7 +960,7 @@ class ResidualLevel(_Level):
 
     name = "residual"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         return _templates_key(view.description.residual_templates())
 
     def search(
@@ -876,7 +992,7 @@ class RangeConstraintLevel(_Level):
 
     name = "range-constraints"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         description = view.description
         classes = description.range_constrained_classes()
         return frozenset(_columns_key(cls) for cls in classes)
@@ -934,7 +1050,7 @@ class GroupingExpressionLevel(_Level):
 
     name = "grouping-expressions"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         return _templates_key(view.description.grouping_templates())
 
     def search(
@@ -964,7 +1080,7 @@ class GroupingColumnLevel(_Level):
 
     name = "grouping-columns"
 
-    def view_key(self, view: RegisteredView) -> Key:
+    def view_key(self, view: _Keyed) -> Key:
         description = view.description
         return _columns_key(
             description.extended_grouping_columns()
@@ -1356,21 +1472,28 @@ class _PackedSubtree:
             mask |= bit
         return mask
 
-    def add(self, view: RegisteredView) -> None:
-        interner = self.interner
-        description = view.description
+    def add(self, view: RegisteredView, row: tuple) -> None:
+        """Append ``view`` under its :func:`packed_row` keys ``row``
+        (interned under this subtree's interner)."""
+        (
+            residual_templates,
+            range_classes,
+            output_templates,
+            grouping_templates,
+            output_bits,
+            grouping_bits,
+            _,
+        ) = row
         mask = self._union(self._hub_atoms, view.hub, False)
         self._hub_universe |= mask
         row_mask = mask
-        row_mask |= self._union(self._tables_atoms, description.tables, True)
-        mask = self._union(
-            self._residual_atoms, description.residual_templates(), False
-        )
+        row_mask |= self._union(self._tables_atoms, view.record.tables, True)
+        mask = self._union(self._residual_atoms, residual_templates, False)
         self._residual_universe |= mask
         row_mask |= mask
         range_atoms = self._range_atoms
         range_columns = self._range_columns
-        for cls in description.range_constrained_classes():
+        for cls in range_classes:
             bit = range_atoms.get(cls)
             if bit is None:
                 bit = range_atoms[cls] = self.table.alloc_bit(False)
@@ -1379,21 +1502,14 @@ class _PackedSubtree:
                     range_columns[column] = range_columns.get(column, 0) | bit
             row_mask |= bit
         if self.aggregate:
+            row_mask |= self._union(self._outexpr_atoms, output_templates, True)
             row_mask |= self._union(
-                self._outexpr_atoms, description.output_templates(), True
+                self._groupexpr_atoms, grouping_templates, True
             )
-            row_mask |= self._union(
-                self._groupexpr_atoms, description.grouping_templates(), True
-            )
-            self._grouping_bits.append(
-                interner.mask(_GROUPING_COLUMN_LEVEL.view_key(view))
-            )
-        self._output_bits.append(
-            interner.mask(_OUTPUT_COLUMN_LEVEL.view_key(view))
-        )
-        row = self.table.append(row_mask)
+            self._grouping_bits.append(grouping_bits)
+        self._output_bits.append(output_bits)
         self._views.append(view)
-        self._row_of[view.name] = row
+        self._row_of[view.name] = self.table.append(row_mask)
 
     def remove(self, view: RegisteredView) -> None:
         row = self._row_of.pop(view.name)
@@ -1485,6 +1601,81 @@ class _PackedSubtree:
                     continue
                 out.append(views[row])
 
+    def level_survivors(
+        self, probe: _PackedProbe
+    ) -> list[tuple["_Level", list[RegisteredView]]]:
+        """The views left after each level, in this subtree's level order.
+
+        The levels own disjoint atom bits of the fused row, so one level
+        alone is a sweep with the query vector restricted to its atoms
+        (:meth:`collect` builds the same atoms into one vector); the two
+        requirement levels run the survivor checks. The last entry is
+        what :meth:`collect` returns, in row order.
+        """
+        table = self.table
+        rows = list(range(len(self._views)))
+        found: list[tuple[_Level, list[RegisteredView]]] = []
+        for level in AGGREGATE_LEVELS if self.aggregate else SPJ_LEVELS:
+            rows = self._level_rows(level, probe, rows, table)
+            found.append((level, [self._views[row] for row in rows]))
+        return found
+
+    def _level_rows(self, level, probe, rows: list[int], table) -> list[int]:
+        """The ``rows`` passing ``level`` alone."""
+        if not rows:
+            return rows
+        if level is _OUTPUT_COLUMN_LEVEL or level is _GROUPING_COLUMN_LEVEL:
+            if level is _OUTPUT_COLUMN_LEVEL:
+                column_masks, requirements = probe.output_check
+                bits = self._output_bits
+            else:
+                column_masks, requirements = (), probe.grouping_requirements
+                bits = self._grouping_bits
+            return [
+                row
+                for row in rows
+                if all(mask & bits[row] for mask in column_masks)
+                and (
+                    not requirements
+                    or _requirements_satisfied_bits(requirements, bits[row])
+                )
+            ]
+        if level is _HUB_LEVEL:
+            allowed = 0
+            for table_name in probe.tables:
+                allowed |= self._hub_atoms.get(table_name, 0)
+            query = self._hub_universe & ~allowed
+        elif level is _RESIDUAL_LEVEL:
+            allowed = 0
+            for template in probe.residual_templates:
+                allowed |= self._residual_atoms.get(template, 0)
+            query = self._residual_universe & ~allowed
+        elif level is _RANGE_LEVEL:
+            allowed = 0
+            for column in probe.constrained_columns:
+                allowed |= self._range_columns.get(column, 0)
+            query = self._range_universe & ~allowed
+        else:  # a superset level: an atom unknown here passes no view
+            atoms, elements = {
+                _SOURCE_TABLE_LEVEL: (self._tables_atoms, probe.tables),
+                _OUTPUT_EXPRESSION_LEVEL: (
+                    self._outexpr_atoms,
+                    probe.aggregate_templates,
+                ),
+                _GROUPING_EXPRESSION_LEVEL: (
+                    self._groupexpr_atoms,
+                    probe.grouping_templates,
+                ),
+            }[level]
+            query = 0
+            for element in elements:
+                bit = atoms.get(element)
+                if bit is None:
+                    return []
+                query |= bit
+        passing = set(table.sweep_mask(query))
+        return [row for row in rows if row in passing]
+
     # -- copy-on-write snapshots -----------------------------------------------
 
     def snapshot(self) -> "_PackedSubtree":
@@ -1540,31 +1731,32 @@ class _TreeNode:
                 projection=level.projection, interner=self.interner
             )
 
-    def add(self, view: RegisteredView) -> None:
+    def add(self, view: RegisteredView, keyed: _Keyed) -> None:
+        """Insert ``view``, keyed at every level from ``keyed``."""
         if self.is_leaf:
             self.views.append(view)
             return
         level = self.levels[self.depth]
-        key = level.view_key(view)
+        key = level.view_key(keyed)
         node = self.index.node(key)
         if node is None or not node.payloads:
             child = _TreeNode(self.levels, self.depth + 1, self.interner)
             self.index.insert(key, child)
         else:
             child = node.payloads[0]
-        child.add(view)
+        child.add(view, keyed)
 
-    def remove(self, view: RegisteredView) -> None:
+    def remove(self, view: RegisteredView, keyed: _Keyed) -> None:
         if self.is_leaf:
             self.views.remove(view)
             return
         level = self.levels[self.depth]
-        key = level.view_key(view)
+        key = level.view_key(keyed)
         node = self.index.node(key)
         if node is None or not node.payloads:
             raise KeyError(f"view {view.name} not present at level {level.name}")
         child: _TreeNode = node.payloads[0]
-        child.remove(view)
+        child.remove(view, keyed)
         if child.is_empty():
             self.index.remove_payload(key, child)
 
@@ -1707,64 +1899,66 @@ class FilterTree:
         In packed mode the flat sweep serves every search, so the trees
         exist only for diagnostics and explicit traversals; they are
         replayed here on first access (registration order, for
-        deterministic lattice links) and kept in sync by the mutators
-        afterwards. Copy-on-write clones reset them to lazy again.
+        deterministic lattice links), each view's description re-derived
+        from its text, and kept in sync by the mutators afterwards.
+        Copy-on-write clones reset them to lazy again.
         """
         spj = _TreeNode(self._spj_levels, 0, self.interner)
         aggregate = _TreeNode(self._aggregate_levels, 0, self.interner)
         order = self._order
         for name in sorted(self._registered, key=order.__getitem__):
             view = self._registered[name]
-            if view.description.is_aggregate:
-                aggregate.add(view)
-            else:
-                spj.add(view)
+            root = aggregate if view.record.aggregate else spj
+            root.add(view, _Keyed.of(view))
         self._spj_root_node = spj
         self._aggregate_root_node = aggregate
 
     def register(self, description: SpjgDescription) -> RegisteredView:
         """Index a view description into the tree.
 
-        Computes the hub and compiles the view's :class:`ViewRecord` here,
-        once -- re-registering a name after :meth:`unregister` therefore
-        always yields a fresh record for the new description.
+        Computes the hub, compiles the view's :class:`ViewRecord` and
+        packed row and renders its text here, once
+        (:meth:`RegisteredView.of`) -- re-registering a name after
+        :meth:`unregister` therefore always yields a fresh record for the
+        new description. The tree keeps no reference to ``description``.
         """
-        if description.name is None:
-            raise ValueError("only named views can be registered")
-        view = RegisteredView(
-            description=description,
-            hub=compute_hub(description, self.options),
-            record=ViewRecord.of(description, self.options),
+        view = RegisteredView.of(
+            description,
+            self.options,
+            self.interner if self._use_packed else None,
         )
         self.register_prebuilt(view)
         return view
 
     def register_prebuilt(self, view: RegisteredView) -> RegisteredView:
-        """Index an already-described view, reusing its description and hub.
+        """Index an already-compiled view, reusing its record and hub.
 
         Describing a view and compiling its hub and record is the
         expensive part of registration; the serving layer does it outside
         its writer lock, keeps the :class:`RegisteredView`, and indexes it
-        into the next epoch's tree through this entry point.
+        into the next epoch's tree through this entry point. A view whose
+        packed row was interned under another interner (or not at all)
+        has it recompiled from a re-derived description.
         """
-        name = view.description.name
-        if name is None:
-            raise ValueError("only named views can be registered")
+        name = view.name
         if name in self._registered:
             raise ValueError(f"view {name} already registered")
-        aggregate = view.description.is_aggregate
+        aggregate = view.record.aggregate
         if self._use_packed:
+            row = view.row
+            if row is None or row[-1] is not self.interner:
+                row = packed_row(view.description, view.hub, self.interner)
             (self._aggregate_packed if aggregate else self._spj_packed).add(
-                view
+                view, row
             )
             root = (
                 self._aggregate_root_node if aggregate else self._spj_root_node
             )
             if root is not None:  # keep a materialized tree in sync
-                root.add(view)
+                root.add(view, _Keyed.of(view))
         else:
             (self._aggregate_root_node if aggregate else self._spj_root_node).add(
-                view
+                view, _Keyed.of(view)
             )
         self._registered[name] = view
         self._order[name] = self._next_order
@@ -1777,7 +1971,7 @@ class FilterTree:
         if view is None:
             raise KeyError(f"view {name} not registered")
         del self._order[name]
-        aggregate = view.description.is_aggregate
+        aggregate = view.record.aggregate
         if self._use_packed:
             (self._aggregate_packed if aggregate else self._spj_packed).remove(
                 view
@@ -1786,11 +1980,11 @@ class FilterTree:
                 self._aggregate_root_node if aggregate else self._spj_root_node
             )
             if root is not None:
-                root.remove(view)
+                root.remove(view, _Keyed.of(view))
         else:
             (
                 self._aggregate_root_node if aggregate else self._spj_root_node
-            ).remove(view)
+            ).remove(view, _Keyed.of(view))
 
     def views(self) -> tuple[RegisteredView, ...]:
         """All registered views, in registration order."""
@@ -1848,7 +2042,7 @@ class FilterTree:
             self.compile_probe(query), found, query.is_aggregate
         )
         order = self._order
-        found.sort(key=lambda view: order[view.description.name])
+        found.sort(key=lambda view: order[view.name])
         tracer = current_tracer()
         if tracer.active:
             tracer.on_filter_tree(self, query, found)
@@ -1917,45 +2111,70 @@ class FilterTree:
     ) -> list[tuple[str, int, int, tuple[str, ...]]]:
         """Per-level narrowing attribution for one query (diagnostics).
 
-        Evaluates each level's condition directly on every registered
-        view's key, in tree order, and reports for every level the
-        ``(name, entering, survivors, pruned_view_names)`` tuple -- which
-        views each level eliminated, not just how many survived. This is
-        the data behind :meth:`filter_statistics`, the rewrite-path
-        tracer's filter funnel, and the experiment harness's per-level
-        narrowing report. The final survivor count equals
+        Applies each level's condition, in tree order, and reports for
+        every level the ``(name, entering, survivors, pruned_view_names)``
+        tuple -- which views each level eliminated, not just how many
+        survived. This is the data behind :meth:`filter_statistics`, the
+        rewrite-path tracer's filter funnel, and the experiment harness's
+        per-level narrowing report. The final survivor count equals
         ``len(candidates(query))``.
+
+        The packed layout answers from its rows, one sweep per level
+        (:meth:`_PackedSubtree.level_survivors`): the same bits that
+        choose the candidates. Other layouts evaluate each level's
+        condition on every view's key, re-deriving each description.
         """
-        probe = QueryProbe.of(query, self.options)
-        spj_views = [
-            v for v in self._registered.values() if not v.description.is_aggregate
-        ]
-        aggregate_views = (
-            [v for v in self._registered.values() if v.description.is_aggregate]
-            if query.is_aggregate
-            else []
-        )
+        if self._use_packed:
+            probe = self.compile_probe(query)
+            subtrees = [self._spj_packed.level_survivors(probe)]
+            entering = [list(self._spj_packed._views)]
+            if query.is_aggregate:
+                subtrees.append(self._aggregate_packed.level_survivors(probe))
+                entering.append(list(self._aggregate_packed._views))
+        else:
+            probe = QueryProbe.of(query, self.options)
+            subtrees = []
+            entering = []
+            for aggregate, levels in (
+                (False, self._spj_levels),
+                (True, self._aggregate_levels),
+            ):
+                if aggregate and not query.is_aggregate:
+                    continue
+                views = [
+                    (view, _Keyed.of(view))
+                    for view in self._registered.values()
+                    if view.record.aggregate == aggregate
+                ]
+                entering.append([view for view, _ in views])
+                survivors = []
+                for level in levels:
+                    views = [
+                        (view, keyed)
+                        for view, keyed in views
+                        if level.qualifies(level.view_key(keyed), probe)
+                    ]
+                    survivors.append((level, [view for view, _ in views]))
+                subtrees.append(survivors)
         attribution: list[tuple[str, int, int, tuple[str, ...]]] = []
         max_depth = max(
             len(self._spj_levels), len(self._aggregate_levels)
         )
+        current = entering
         for depth in range(max_depth):
-            entering = len(spj_views) + len(aggregate_views)
+            before = sum(map(len, current))
             pruned: list[str] = []
-            for views, levels in (
-                (spj_views, self._spj_levels),
-                (aggregate_views, self._aggregate_levels),
-            ):
-                if depth >= len(levels):
+            for index, survivors in enumerate(subtrees):
+                if depth >= len(survivors):
                     continue
-                level = levels[depth]
-                kept = []
-                for view in views:
-                    if level.qualifies(level.view_key(view), probe):
-                        kept.append(view)
-                    else:
-                        pruned.append(view.name)
-                views[:] = kept
+                kept = survivors[depth][1]
+                names_kept = {view.name for view in kept}
+                pruned.extend(
+                    view.name
+                    for view in current[index]
+                    if view.name not in names_kept
+                )
+                current[index] = kept
             names = set()
             for levels in (self._spj_levels, self._aggregate_levels):
                 if depth < len(levels):
@@ -1963,8 +2182,8 @@ class FilterTree:
             attribution.append(
                 (
                     "+".join(sorted(names)),
-                    entering,
-                    len(spj_views) + len(aggregate_views),
+                    before,
+                    sum(map(len, current)),
                     tuple(sorted(pruned)),
                 )
             )

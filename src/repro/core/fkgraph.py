@@ -169,6 +169,16 @@ def compute_hub(
     edges = build_fk_join_graph(
         description.tables, description.eqclasses, description.catalog, options
     )
+    return hub_over(description, edges, options)
+
+
+def hub_over(
+    description: "SpjgDescription",
+    edges: list[FkEdge],
+    options: MatchOptions = DEFAULT_OPTIONS,
+) -> frozenset[str]:
+    """:func:`compute_hub` over the view's join graph ``edges`` (what
+    :func:`build_fk_join_graph` returns for it), when the caller has it."""
     removable = set(description.tables)
     if options.effective_hub_refinement:
         eqclasses = description.eqclasses

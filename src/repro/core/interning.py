@@ -76,7 +76,7 @@ class KeyInterner:
         """The bitmask of ``atoms``, interning any not yet seen.
 
         Registration-side only: callers must serialize interning writes
-        (the filter tree mutators and the serving layer's writer lock do).
+        (the filter tree mutators and the serving layer's intern lock do).
         """
         bits = self._bits
         encoded = 0

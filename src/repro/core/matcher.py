@@ -1,10 +1,10 @@
 """The view-matching service: registration, filtering, matching, statistics.
 
 :class:`ViewMatcher` is the component a transformation-based optimizer calls
-from its view-matching rule. It keeps an in-memory description of every
-materialized view, indexes the descriptions in a filter tree, and -- per
-invocation -- narrows to candidates, runs the full matching tests, and
-returns substitute expressions.
+from its view-matching rule. It describes every materialized view once, at
+registration, keeps what the tests read of it (a view record) and the
+filter tree's keys, and -- per invocation -- narrows to candidates, runs
+the full matching tests, and returns substitute expressions.
 
 The matcher counts what Section 5 of the paper reports: invocations,
 candidate-set sizes, how many candidates survive full matching, and
@@ -295,7 +295,7 @@ class ViewMatcher:
         bounds = None
         if cost_policy is not None and candidates:
             bounds = [
-                cost_policy.lower_bound(candidate.description)
+                cost_policy.lower_bound(candidate.record)
                 for candidate in candidates
             ]
             order = sorted(order, key=lambda p: (bounds[p], p))
@@ -311,27 +311,24 @@ class ViewMatcher:
                 ):
                     stats.candidates_skipped += 1
                     results[position] = MatchResult(
-                        view=candidate.description, stage=STAGE_SKIPPED
+                        view=candidate.record, stage=STAGE_SKIPPED
                     )
                     continue
             stats.views_considered += 1
+            record = candidate.record
             stale_detail = (
-                staleness(candidate.description.name)
-                if staleness is not None
-                else None
+                staleness(record.name) if staleness is not None else None
             )
             if stale_detail is not None:
                 result = MatchResult(
-                    view=candidate.description,
+                    view=record,
                     reject_reason=RejectReason.STALE,
                     reject_detail=stale_detail,
                 )
-            elif candidate.record.options is options:
-                result = decide(query, candidate.record, options)
-            else:
-                result = match_view(
-                    query, candidate.description, options, candidate.record
-                )
+            elif record.options is options or record.options == options:
+                result = decide(query, record, options)
+            else:  # compiled under other options: re-derive the view
+                result = match_view(query, candidate.description, options)
             if result.matched:
                 matched += 1
                 stats.matches += 1
@@ -389,6 +386,7 @@ class ViewMatcher:
 
         if isinstance(query, SelectStatement):
             query = self.describe_query(query)
+        # Off the request path: each candidate's description is re-derived.
         candidates = [view.description for view in self.candidates(query)]
         return find_union_substitutes(query, candidates, self.options)
 

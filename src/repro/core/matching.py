@@ -30,7 +30,7 @@ experiment harness can report where candidates die.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 from ..sql.expressions import (
@@ -56,6 +56,7 @@ from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .ranges import (
     UNBOUNDED,
+    Interval,
     RangePredicate,
     as_range_predicate,
     compensating_range_conjuncts,
@@ -98,7 +99,8 @@ class MatchResult:
     (``filtered``: it has a WHERE clause; ``grouped``: it groups or
     aggregates; :meth:`range_columns`). ``reject_detail`` is formatted and
     ``substitute`` built on first read, once; building drops the result's
-    references to the query and the view record.
+    reference to the query. ``view`` is the view's :class:`ViewRecord`
+    (callers read its ``name``).
     """
 
     # Class-level defaults: a result stores only what differs from them.
@@ -121,7 +123,7 @@ class MatchResult:
 
     def __init__(
         self,
-        view: SpjgDescription,
+        view: "ViewRecord",
         substitute: SelectStatement | None = None,
         reject_reason: RejectReason | None = None,
         reject_detail: str = "",
@@ -280,13 +282,28 @@ class ViewRecord:
       (``use_check_constraints``); ``fk_edges`` the cardinality-preserving
       joins extra-table elimination may use.
 
-    ``view`` is the description itself: results carry it and the build
-    reads it; the decision turns to it only for back-join keys and for a
-    query class that holds two constrained view classes.
+    The build and pricing read the rest, so a registered view needs no
+    description once its record exists:
+
+    * ``names`` -- the output name of each exposed column, in position
+      order (the first output of a column names it);
+    * ``conjuncts`` -- ``(position, op, constant)`` of each plain range
+      conjunct and ``or_ranges`` ``(position, interval set)`` of each
+      disjunctive one, in conjunct order (for a query class holding two
+      constrained view classes, and for the substitute's compensations);
+    * ``joins``, ``residual_conjuncts``, ``group_keys`` -- what the extent
+      estimate multiplies besides the tables and the plain class
+      intervals: the equalities that merged two classes, the residual
+      conjuncts, and the columns of each grouping expression (``None``
+      for an SPJ view); ``estimate`` memoizes ``(statistics, rows)``.
+
+    ``name`` and ``catalog`` are the view's; results carry the record as
+    their ``view``.
     """
 
     __slots__ = (
-        "view",
+        "name",
+        "catalog",
         "options",
         "tables",
         "domain",
@@ -294,7 +311,8 @@ class ViewRecord:
         "distinct",
         "classes",
         "ranges",
-        "or_positions",
+        "conjuncts",
+        "or_ranges",
         "residuals",
         "groups",
         "expressions",
@@ -305,6 +323,11 @@ class ViewRecord:
         "check_or",
         "check_residuals",
         "fk_edges",
+        "names",
+        "joins",
+        "residual_conjuncts",
+        "group_keys",
+        "estimate",
     )
 
     @classmethod
@@ -314,7 +337,8 @@ class ViewRecord:
         if view.name is None:
             raise ValueError("view description must carry a view name")
         record = cls.__new__(cls)
-        record.view = view
+        record.name = view.name
+        record.catalog = view.catalog
         record.options = options
         record.tables = view.tables
         domain = record.domain = column_domain(view.catalog, view.tables)
@@ -345,8 +369,17 @@ class ViewRecord:
             (root, plain, interval_set)
             for root, (plain, interval_set) in ranges.items()
         )
-        record.or_positions = _intern(
-            tuple(position[or_range.column] for or_range in view.or_ranges)
+        record.conjuncts = tuple(
+            [
+                (position[predicate.column], predicate.op, predicate.value)
+                for predicate in view.classified.range_predicates
+            ]
+        )
+        record.or_ranges = tuple(
+            [
+                (position[or_range.column], or_range.interval_set)
+                for or_range in view.or_ranges
+            ]
         )
         record.residuals = view.residual_forms
         record.groups = view.group_forms
@@ -360,16 +393,20 @@ class ViewRecord:
                 if expression.name == "count_big" and expression.star:
                     count_big = info.name
                 else:
-                    aggregates.append(info)
+                    aggregates.append((info.form, info.name))
             else:
-                expressions.append(info)
+                expressions.append((info.form, info.name))
         record.expressions = tuple(expressions)
         record.aggregates = tuple(aggregates)
         record.count_big = count_big
+        named = sorted(
+            [(position[key], name) for key, name in view.simple_output_map.items()]
+        )
         exposed = 0
-        for key in view.simple_output_map:
-            exposed |= 1 << position[key]
+        for column, _ in named:
+            exposed |= 1 << column
         record.exposed = _intern(exposed)
+        record.names = tuple([name for _, name in named])
 
         check_ranges, check_or_ranges, check_residuals = (
             _check_constraint_predicates(view, options)
@@ -394,7 +431,61 @@ class ViewRecord:
                 )
             )
         )
+        record.joins = tuple(view.merging_equalities)
+        record.residual_conjuncts = view.classified.residuals
+        record.group_keys = (
+            tuple(
+                [
+                    (expression.key,)
+                    if type(expression) is ColumnRef
+                    else tuple([ref.key for ref in expression.column_refs()])
+                    for expression in view.statement.group_by
+                ]
+            )
+            if view.is_aggregate
+            else None
+        )
+        record.estimate = None
         return record
+
+    def output_name(self, column: int) -> str | None:
+        """The output name of domain position ``column`` (``None``: the
+        view does not expose it)."""
+        bit = 1 << column
+        exposed = self.exposed
+        if not exposed & bit:
+            return None
+        return self.names[(exposed & (bit - 1)).bit_count()]
+
+    def estimated_rows(self, estimator) -> float:
+        """The view's extent estimate under ``estimator``'s statistics
+        (a :class:`~repro.stats.estimator.CardinalityEstimator`),
+        memoized for the last statistics object asked about."""
+        estimate = self.estimate
+        stats = estimator.stats
+        if estimate is None or estimate[0] is not stats:
+            estimate = self.estimate = (stats, estimator.extent_rows(self))
+        return estimate[1]
+
+    def plain_intervals(self) -> list[tuple[ColumnKey, Interval]]:
+        """``(column, interval)`` of each plain range conjunct."""
+        columns = self.domain.columns
+        found = []
+        for column, op, value in self.conjuncts:
+            key = columns[column]
+            found.append((key, RangePredicate(key, op, value).interval()))
+        return found
+
+    def range_items(self) -> list[tuple[ColumnKey, IntervalSet]]:
+        """Each range-bearing conjunct as a ``(column, interval set)``
+        pair: the plain ones, then the disjunctions."""
+        columns = self.domain.columns
+        items = [
+            (key, IntervalSet.of([interval]))
+            for key, interval in self.plain_intervals()
+        ]
+        items.extend((columns[column], found) for column, found in self.or_ranges)
+        return items
 
 
 def _check_constraint_predicates(
@@ -814,14 +905,12 @@ def match_view(
     """Match one query expression against one materialized view.
 
     ``record`` is the view's :class:`ViewRecord`, compiled at
-    registration; when absent (or compiled for another description or
-    under other options) one is compiled here, so direct callers need
-    not manage records.
+    registration (the caller vouches that it is ``view``'s); when absent,
+    or compiled under other options, one is compiled here, so direct
+    callers need not manage records.
     """
-    if (
-        record is None
-        or record.view is not view
-        or (record.options is not options and record.options != options)
+    if record is None or (
+        record.options is not options and record.options != options
     ):
         record = ViewRecord.of(view, options)
     return decide(query, record, options)
@@ -840,7 +929,7 @@ def decide(
     eliminated and back-joined tables and pricing inputs; its substitute
     is built on first read.
     """
-    result = MatchResult(record.view)
+    result = MatchResult(record)
     if record.aggregate and not query.is_aggregate:
         return result._reject(RejectReason.VIEW_KIND, "aggregation view, SPJ query")
     if record.distinct:
@@ -902,7 +991,7 @@ def decide(
     for view_root, view_plain, view_set in record.ranges:
         representative = root[view_root]
         if representative in view_ranges:
-            view_ranges = _regrouped_view_ranges(record.view, side)
+            view_ranges = _regrouped_view_ranges(record, side)
             break
         view_ranges[representative] = (view_plain, view_set)
     check_sets = (
@@ -937,8 +1026,8 @@ def decide(
             query_set,
         )
     or_roots = side.or_roots
-    if record.or_positions:
-        or_roots = or_roots | {root[column] for column in record.or_positions}
+    if record.or_ranges:
+        or_roots = or_roots | {root[column] for column, _ in record.or_ranges}
     ranged: list[int] = []  # the class of each compensating range conjunct
     for representative, query_interval in side.plain.items():
         if representative in or_roots:
@@ -1118,30 +1207,24 @@ def decide(
     return result
 
 
-def _regrouped_view_ranges(view: SpjgDescription, side: _QuerySide) -> dict:
+def _regrouped_view_ranges(record: ViewRecord, side: _QuerySide) -> dict:
     """``{query class root: (plain interval or None, interval set)}``
     from the view's range conjuncts, intersected per query class in
     conjunct order -- for a query class holding two constrained view
-    classes."""
-    position = side.position
+    classes. The record's positions are the side's: both range over
+    the view's column domain."""
     root = side.root
-    predicates = view.classified.range_predicates
+    position = side.position
+    items = record.range_items()
     sets = _group_sets(
-        [
-            (position[predicate.column], IntervalSet.of([predicate.interval()]))
-            for predicate in predicates
-        ]
-        + [
-            (position[or_range.column], or_range.interval_set)
-            for or_range in view.or_ranges
-        ],
+        [(position[column], interval_set) for column, interval_set in items],
         root,
     )
     plain: dict = {}
-    for predicate in predicates:
-        representative = root[position[predicate.column]]
+    for column, interval in record.plain_intervals():
+        representative = root[position[column]]
         plain[representative] = plain.get(representative, UNBOUNDED).intersect(
-            predicate.interval()
+            interval
         )
     return {
         representative: (plain.get(representative), interval_set)
@@ -1176,12 +1259,12 @@ def _class_keys(mask: int, columns: list[ColumnKey]) -> list[ColumnKey]:
 
 
 def _find(outputs: tuple, template: str, roots: tuple, side: _QuerySide):
-    """The name of the first view output whose shallow form has template
-    ``template`` and its columns, pairwise, in the classes ``roots``."""
-    for info in outputs:
-        form = info.form
+    """The name of the first view output ``(shallow form, name)`` whose
+    form has template ``template`` and its columns, pairwise, in the
+    classes ``roots``."""
+    for form, name in outputs:
         if form.template == template and side.roots(form.refs) == roots:
-            return info.name
+            return name
     return None
 
 
@@ -1226,7 +1309,7 @@ class _Mapper:
         joined = self.joined
         if table_name in joined:
             return True
-        table = record.view.catalog.table(table_name)
+        table = record.catalog.table(table_name)
         side = self.side
         position = side.position
         exposed = record.exposed
@@ -1300,12 +1383,13 @@ class _Mapper:
     def column_name(self, key: ColumnKey) -> str:
         """The column a mapped reference to ``key`` names: the first
         exposed member of its class, or (back-joined) its own."""
-        simple = self.record.view.simple_output_map
-        name = simple.get(key)
+        output_name = self.record.output_name
+        position = self.side.position
+        name = output_name(position[key])
         if name is not None:
             return name
         for member in sorted(self.side.eqclasses.class_of(key)):
-            name = simple.get(member)
+            name = output_name(position[member])
             if name is not None:
                 return name
         return key[1]
@@ -1383,18 +1467,18 @@ def _build(pending: _Pending) -> SelectStatement:
     outputs mapped onto the view's output columns."""
     query = pending.query
     options = pending.options
-    view = pending.record.view
+    record = pending.record
     augmented = pending.side.eqclasses
-    outputs = _ViewOutputs.of(view)
-    if options.allow_backjoins and not view.is_aggregate:
-        backjoins = _BackjoinState(view, augmented)
+    outputs = _ViewOutputs.of(record)
+    if options.allow_backjoins and not record.aggregate:
+        backjoins = _BackjoinState(record, augmented)
         backjoins.outputs = outputs
         outputs.backjoins = backjoins
     compensations: list[Expression] = []
-    for partition in _equality_partitions(view, augmented):
-        compensations.extend(_map_equality_partition(partition, outputs, view))
+    for partition in _equality_partitions(record, augmented):
+        compensations.extend(_map_equality_partition(partition, outputs))
     range_compensations, or_range_compensations = _range_compensations(
-        query, view, augmented
+        query, record, augmented
     )
     for representative, op, value in range_compensations:
         reference = _mapped(outputs.column_for(representative, augmented))
@@ -1414,13 +1498,13 @@ def _build(pending: _Pending) -> SelectStatement:
     if not query.is_aggregate:
         select_items = _map_spj_outputs(query, augmented, outputs, options)
         group_by: tuple[Expression, ...] = ()
-    elif not view.is_aggregate:
+    elif not record.aggregate:
         select_items, group_by = _map_aggregation_over_spj_view(
             query, augmented, outputs, options
         )
     else:
         select_items, group_by = _map_aggregation_over_agg_view(
-            query, view, augmented, outputs, options
+            query, record, augmented, outputs, options
         )
 
     from_tables = [TableRef(name=outputs.view_name)]
@@ -1451,39 +1535,41 @@ class _ViewOutputs:
     """Lookup structures over a view's output list, for one build."""
 
     view_name: str
-    simple: dict[ColumnKey, str]
-    expressions: list[tuple[ShallowForm, str]] = field(default_factory=list)
-    aggregates: list[tuple[ShallowForm, str]] = field(default_factory=list)
+    record: ViewRecord
+    expressions: tuple[tuple[ShallowForm, str], ...] = ()
+    aggregates: tuple[tuple[ShallowForm, str], ...] = ()
     count_big_column: str | None = None
     backjoins: "_BackjoinState | None" = None
 
     @classmethod
-    def of(cls, view: SpjgDescription) -> "_ViewOutputs":
-        assert view.name is not None
-        outputs = cls(view_name=view.name, simple=view.simple_output_map)
-        for info in view.expression_outputs:
-            assert info.name is not None
-            expr = info.expression
-            if isinstance(expr, FuncCall) and expr.is_aggregate():
-                if expr.name == "count_big" and expr.star:
-                    outputs.count_big_column = info.name
-                else:
-                    outputs.aggregates.append((info.form, info.name))
-            else:
-                outputs.expressions.append((info.form, info.name))
-        return outputs
+    def of(cls, record: ViewRecord) -> "_ViewOutputs":
+        return cls(
+            view_name=record.name,
+            record=record,
+            expressions=record.expressions,
+            aggregates=record.aggregates,
+            count_big_column=record.count_big,
+        )
+
+    def simple(self, key: ColumnKey) -> str | None:
+        """The output name exposing column ``key`` (``None``: none does)."""
+        record = self.record
+        column = record.domain.position.get(key)
+        return None if column is None else record.output_name(column)
 
     def direct_column_for(
         self, key: ColumnKey, eqclasses: EquivalenceClasses
     ) -> ColumnRef | None:
         """Reroute ``key`` to an exposed output column (no backjoins)."""
-        if key in self.simple:
-            return ColumnRef(self.view_name, self.simple[key])
+        name = self.simple(key)
+        if name is not None:
+            return ColumnRef(self.view_name, name)
         if key not in eqclasses:
             return None
         for member in sorted(eqclasses.class_of(key)):
-            if member in self.simple:
-                return ColumnRef(self.view_name, self.simple[member])
+            name = self.simple(member)
+            if name is not None:
+                return ColumnRef(self.view_name, name)
         return None
 
     def column_for(
@@ -1527,20 +1613,20 @@ class _BackjoinState:
     non-aggregation views, where view rows are base-row images.
     """
 
-    def __init__(self, view: SpjgDescription, augmented: EquivalenceClasses):
-        self.view = view
+    def __init__(self, record: ViewRecord, augmented: EquivalenceClasses):
+        self.record = record
         self.augmented = augmented
         self.outputs: _ViewOutputs | None = None
         self.joined: dict[str, tuple[Expression, ...]] = {}
 
     def resolve(self, key: ColumnKey) -> ColumnRef | None:
         table_name, column = key
-        if table_name not in self.view.tables:
+        if table_name not in self.record.tables:
             return None
         if table_name in self.joined:
             return ColumnRef(table_name, column)
         assert self.outputs is not None
-        table = self.view.catalog.table(table_name)
+        table = self.record.catalog.table(table_name)
         for unique_key in table.all_unique_keys():
             if any(table.is_nullable(kc) for kc in unique_key):
                 continue  # a NULL key value would break the equijoin
@@ -1572,7 +1658,7 @@ class _BackjoinState:
 
 
 def _equality_partitions(
-    view: SpjgDescription, augmented: EquivalenceClasses
+    record: ViewRecord, augmented: EquivalenceClasses
 ) -> list[list[frozenset[ColumnKey]]]:
     """Group view equivalence classes by the query class they map into.
 
@@ -1584,15 +1670,30 @@ def _equality_partitions(
     augmented classes range over the view's column domain (the query's
     own when the table sets are equal), and ``merged_classes`` lists
     classes by their first column in it: the order a walk over every
-    view class would meet the partitions in.
+    view class would meet the partitions in. A view class is a member
+    mask of the record's (``classes``), or one column.
     """
-    view_classes = view.eqclasses
+    position = record.domain.position
+    columns = record.domain.columns
+    class_of: dict[int, int] = {}
+    for _, mask in record.classes:
+        rest = mask
+        while rest:
+            low = rest & -rest
+            class_of[low.bit_length() - 1] = mask
+            rest ^= low
     partitions: list[list[frozenset[ColumnKey]]] = []
     for query_class in dict.fromkeys(augmented.merged_classes().values()):
-        view_roots = dict.fromkeys(map(view_classes.find, query_class))
-        if len(view_roots) > 1:
+        view_masks = dict.fromkeys(
+            class_of.get(column, 1 << column)
+            for column in map(position.__getitem__, query_class)
+        )
+        if len(view_masks) > 1:
             partitions.append(
-                sorted(map(view_classes.class_of, view_roots), key=sorted)
+                sorted(
+                    (frozenset(_class_keys(mask, columns)) for mask in view_masks),
+                    key=sorted,
+                )
             )
     return partitions
 
@@ -1600,7 +1701,6 @@ def _equality_partitions(
 def _map_equality_partition(
     partition: list[frozenset[ColumnKey]],
     outputs: _ViewOutputs,
-    view: SpjgDescription,
 ) -> list[Expression]:
     """Build the compensating equality chain for one query class.
 
@@ -1612,9 +1712,9 @@ def _map_equality_partition(
     for view_class in partition:
         exposed = next(
             (
-                ColumnRef(outputs.view_name, outputs.simple[member])
-                for member in sorted(view_class)
-                if member in outputs.simple
+                ColumnRef(outputs.view_name, name)
+                for name in map(outputs.simple, sorted(view_class))
+                if name is not None
             ),
             None,
         )
@@ -1633,7 +1733,7 @@ def _map_equality_partition(
 def _range_items(
     range_predicates: tuple[RangePredicate, ...],
     or_ranges: tuple[OrRangePredicate, ...],
-) -> tuple[tuple[ColumnKey, IntervalSet], ...]:
+) -> list[tuple[ColumnKey, IntervalSet]]:
     """Each range-bearing conjunct as a ``(column, interval set)`` pair."""
     items = [
         (predicate.column, IntervalSet.of([predicate.interval()]))
@@ -1642,17 +1742,15 @@ def _range_items(
     items.extend(
         (or_range.column, or_range.interval_set) for or_range in or_ranges
     )
-    return tuple(items)
+    return items
 
 
 def _interval_sets(
-    range_predicates: tuple[RangePredicate, ...],
-    or_ranges: tuple[OrRangePredicate, ...],
-    eqclasses: EquivalenceClasses,
+    items: list[tuple[ColumnKey, IntervalSet]], eqclasses: EquivalenceClasses
 ) -> dict[ColumnKey, IntervalSet]:
     """Per-class interval sets: plain bounds intersected with disjunctions."""
     sets: dict[ColumnKey, IntervalSet] = {}
-    for column, interval_set in _range_items(range_predicates, or_ranges):
+    for column, interval_set in items:
         representative = eqclasses.find(column)
         current = sets.get(representative, UNBOUNDED_SET)
         sets[representative] = current.intersect(interval_set)
@@ -1661,7 +1759,7 @@ def _interval_sets(
 
 def _range_compensations(
     query: SpjgDescription,
-    view: SpjgDescription,
+    record: ViewRecord,
     augmented: EquivalenceClasses,
 ) -> tuple[list[tuple[ColumnKey, str, object]], list[Expression]]:
     """Compensating range predicates, assuming containment already holds.
@@ -1674,13 +1772,19 @@ def _range_compensations(
     already enforces.
     """
     query_plain = derive_ranges(query.classified.range_predicates, augmented)
-    view_plain = derive_ranges(view.classified.range_predicates, augmented)
+    view_plain: dict[ColumnKey, object] = {}
+    for column, interval in record.plain_intervals():
+        representative = augmented.find(column)
+        view_plain[representative] = view_plain.get(
+            representative, UNBOUNDED
+        ).intersect(interval)
+    columns = record.domain.columns
     or_representatives: set[ColumnKey] = {
         augmented.find(orr.column) for orr in query.or_ranges
     } | {
-        augmented.find(orr.column)
-        for orr in view.or_ranges
-        if orr.column in augmented
+        augmented.find(columns[column])
+        for column, _ in record.or_ranges
+        if columns[column] in augmented
     }
     plain_compensations: list[tuple[ColumnKey, str, object]] = []
     for representative, query_interval in query_plain.items():
@@ -1692,11 +1796,10 @@ def _range_compensations(
     or_compensations: list[Expression] = []
     if or_representatives:
         query_sets = _interval_sets(
-            query.classified.range_predicates, query.or_ranges, augmented
+            _range_items(query.classified.range_predicates, query.or_ranges),
+            augmented,
         )
-        view_sets = _interval_sets(
-            view.classified.range_predicates, view.or_ranges, augmented
-        )
+        view_sets = _interval_sets(record.range_items(), augmented)
         for representative in sorted(or_representatives):
             query_set = query_sets.get(representative)
             if query_set is None:
@@ -1824,7 +1927,7 @@ def _recompute_aggregate(
 
 def _map_aggregation_over_agg_view(
     query: SpjgDescription,
-    view: SpjgDescription,
+    record: ViewRecord,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
     options: MatchOptions,
@@ -1839,10 +1942,10 @@ def _map_aggregation_over_agg_view(
     """
     matched_view_groups: set[int] = set()
     for query_form in query.group_forms:
-        for i, view_form in enumerate(view.group_forms):
+        for i, view_form in enumerate(record.groups):
             if view_form.matches(query_form, eqclasses):
                 matched_view_groups.add(i)
-    regroup = len(matched_view_groups) < len(view.group_forms)
+    regroup = len(matched_view_groups) < len(record.groups)
 
     group_by: tuple[Expression, ...] = ()
     if regroup:

@@ -30,7 +30,7 @@ from ..catalog.catalog import Catalog
 from ..core.analyze import QueryAnalysis, bit_indices, bit_masks
 from ..core.describe import SpjgDescription, describe_block
 from ..core.matcher import ViewMatcher
-from ..core.matching import STAGE_SKIPPED
+from ..core.matching import STAGE_SKIPPED, ViewRecord
 from ..core.options import DEFAULT_OPTIONS
 from ..errors import DeadlineExceeded
 from ..obs.trace import PlanAlternative, current_tracer
@@ -260,19 +260,17 @@ class Optimizer:
         )
         return "\n".join(lines)
 
-    def view_estimated_rows(self, view: SpjgDescription) -> float:
-        """Cached cardinality estimate for a registered view's extent.
+    def view_estimated_rows(self, view: ViewRecord) -> float:
+        """The cardinality estimate of a registered view's extent.
 
-        Memoized on the statistics, keyed by the description object: the
-        estimate outlives this optimizer (the serving layer builds one
-        per epoch over the same statistics and descriptions), and a name
-        re-registered with a new definition never inherits the old one's.
+        Priced from the inputs its record compiled at registration and
+        memoized on the record for these statistics: the estimate
+        outlives this optimizer (the serving layer builds one per epoch
+        over the same statistics and records, and fills it before
+        publishing), and a name re-registered with a new definition gets
+        a new record.
         """
-        cache = self.stats.view_rows
-        cached = cache.get(view)
-        if cached is None:
-            cached = cache[view] = self.estimator.output_cardinality(view)
-        return cached
+        return view.estimated_rows(self.estimator)
 
 
 class _Search:
@@ -887,7 +885,7 @@ class _CostBoundPolicy:
     def bound(self) -> float:
         return self._bound
 
-    def lower_bound(self, view: SpjgDescription) -> float:
+    def lower_bound(self, view: ViewRecord) -> float:
         optimizer = self._search.optimizer
         model = self._search.cost_model
         view_rows = optimizer.view_estimated_rows(view)
@@ -896,7 +894,7 @@ class _CostBoundPolicy:
             cost = min(
                 cost, model.index_seek(min(view_rows, self._output_rows))
             )
-        if self._regroup and not view.is_aggregate:
+        if self._regroup and not view.aggregate:
             cost += model.group(view_rows, self._output_rows)
         return cost
 

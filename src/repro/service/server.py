@@ -53,7 +53,7 @@ from ..stats.statistics import DatabaseStats
 from .cache import LruMemo, RewriteCache
 from .fingerprint import statement_fingerprint
 from .metrics import MetricsRegistry
-from .snapshot import CatalogSnapshot, SnapshotManager, collector_paused
+from .snapshot import CatalogSnapshot, SnapshotManager
 
 _STAGE_ORDER = ("parse", "fingerprint", "match", "plan", "hit", "miss", "total")
 
@@ -661,12 +661,9 @@ class ViewServer:
         Publishing the new snapshot bumps the epoch, which wholesale
         invalidates the cache's previous generation.
         """
-        if isinstance(definition, str):
-            definition = self.catalog.bind_sql(definition)
         snapshot = self.snapshots.register_view(name, definition)
         return snapshot.epoch
 
-    @collector_paused()  # binding is most of a bulk load
     def register_views(self, definitions) -> int:
         """Register a batch of views in one epoch; returns that epoch.
 
@@ -674,16 +671,11 @@ class ViewServer:
         definition)`` pairs, each definition SQL text or a bound
         statement. The whole batch publishes a single snapshot, so
         bulk-loading a large catalog costs one tree build rather than one
-        rebuild per view.
+        rebuild per view (see :meth:`SnapshotManager.register_views`).
         """
         if hasattr(definitions, "items"):
             definitions = definitions.items()
-        pairs = []
-        for name, definition in definitions:
-            if isinstance(definition, str):
-                definition = self.catalog.bind_sql(definition)
-            pairs.append((name, definition))
-        snapshot = self.snapshots.register_views(pairs)
+        snapshot = self.snapshots.register_views(definitions)
         return snapshot.epoch
 
     def unregister_view(self, name: str) -> int:

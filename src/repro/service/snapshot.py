@@ -27,15 +27,14 @@ from typing import Callable, Iterable, Iterator
 
 from ..catalog.catalog import Catalog
 from ..core.describe import describe, validate_view_description
-from ..core.fkgraph import compute_hub
 from ..core.filtertree import FilterTree, RegisteredView
 from ..core.interning import KeyInterner
 from ..core.matcher import ViewMatcher
-from ..core.matching import ViewRecord
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
 from ..optimizer.cost import DEFAULT_COST_MODEL, CostModel
 from ..optimizer.optimizer import Optimizer, OptimizerConfig
 from ..sql.statements import SelectStatement
+from ..stats.estimator import CardinalityEstimator
 from ..stats.statistics import DatabaseStats
 
 
@@ -142,8 +141,12 @@ class SnapshotManager:
         # One interner for the manager's whole lifetime: every epoch's
         # filter tree shares it, so key-atom bit assignments (and the
         # bound-probe encodings readers cache) stay valid across rebuilds.
-        # It only ever grows on the serialized writer path.
+        # It only ever grows when a registration compiles its packed row,
+        # before the writer lock is taken; ``_intern_lock`` serializes
+        # those writes.
         self._interner = KeyInterner()
+        self._intern_lock = threading.Lock()
+        self._estimator = CardinalityEstimator(stats)
         # Insertion order is registration order (a re-registered name
         # moves to the end), the order candidate lists are returned in.
         self._views: dict[str, RegisteredView] = {}
@@ -166,17 +169,18 @@ class SnapshotManager:
     # -- writer side ---------------------------------------------------------
 
     def register_view(
-        self, name: str, statement: SelectStatement
+        self, name: str, definition: str | SelectStatement
     ) -> CatalogSnapshot:
         """Describe, validate, and publish a view; returns the new snapshot.
 
-        The expensive work (describe + hub + view record) happens before
-        the writer lock is taken; only the registry copy, tree clone, and
-        publish are serialized. Raises :class:`~repro.errors.MatchError` for view
-        definitions outside the indexable class and :class:`ValueError`
-        for duplicate names.
+        ``definition`` is SQL text or a bound statement. The expensive
+        work (bind + describe + hub + view record + extent estimate)
+        happens before the writer lock is taken; only the registry copy,
+        tree clone, and publish are serialized. Raises
+        :class:`~repro.errors.MatchError` for view definitions outside the
+        indexable class and :class:`ValueError` for duplicate names.
         """
-        view = self._prepare(name, statement)
+        view = self._prepare(name, definition)
         with self._write_lock:
             if name in self._views:
                 raise ValueError(f"view {name} already registered")
@@ -186,13 +190,16 @@ class SnapshotManager:
 
     @collector_paused()
     def register_views(
-        self, definitions: Iterable[tuple[str, SelectStatement]]
+        self, definitions: Iterable[tuple[str, str | SelectStatement]]
     ) -> CatalogSnapshot:
         """Register a batch of views with one snapshot publication.
 
-        All descriptions are built and validated before the writer lock is
-        taken, and the whole batch lands in a single epoch -- bulk-loading
-        ``n`` views costs one epoch instead of ``n``. The batch is atomic:
+        Every definition (SQL text or a bound statement) is described,
+        validated and compiled before the writer lock is taken, one at a
+        time -- each description is let go once its view is compiled, so
+        a batch never holds them all -- and the whole batch lands in a
+        single epoch: bulk-loading ``n`` views costs one epoch instead of
+        ``n``. The batch is atomic:
         any invalid definition or duplicate name (within the batch or
         against the registry) raises before anything is published. The
         cyclic collector is paused for the duration
@@ -200,11 +207,11 @@ class SnapshotManager:
         """
         prepared: list[tuple[str, RegisteredView]] = []
         seen: set[str] = set()
-        for name, statement in definitions:
+        for name, definition in definitions:
             if name in seen:
                 raise ValueError(f"view {name} duplicated in batch")
             seen.add(name)
-            prepared.append((name, self._prepare(name, statement)))
+            prepared.append((name, self._prepare(name, definition)))
         with self._write_lock:
             if not prepared:
                 return self._snapshot
@@ -274,18 +281,32 @@ class SnapshotManager:
 
     # -- internals -----------------------------------------------------------
 
-    def _prepare(self, name: str, statement: SelectStatement) -> RegisteredView:
-        # The expensive per-view work (describe + hub + view record),
-        # run before the writer lock is taken.
+    def _prepare(
+        self, name: str, definition: str | SelectStatement
+    ) -> RegisteredView:
+        """The expensive per-view work, run before the writer lock is
+        taken: describe the view, compile its hub, record and packed row,
+        and fill in its extent estimate (so pool workers forked from this
+        process inherit it). Only the text stays: SQL text as given, a
+        statement rendered once (:meth:`RegisteredView.definition`). The
+        description goes when this returns.
+        """
+        if isinstance(definition, str):
+            sql = definition
+            statement = self.catalog.bind_sql(definition)
+        else:
+            sql = RegisteredView.definition(definition)
+            statement = definition
         description = describe(
             statement, self.catalog, name=name, options=self.options
         )
         validate_view_description(description)
-        return RegisteredView(
-            description=description,
-            hub=compute_hub(description, self.options),
-            record=ViewRecord.of(description, self.options),
-        )
+        with self._intern_lock:
+            view = RegisteredView.of(
+                description, self.options, self._interner, sql
+            )
+        view.record.estimated_rows(self._estimator)
+        return view
 
     def _publish(
         self, views: dict[str, RegisteredView], changed: Iterable[str]

@@ -167,3 +167,35 @@ class CardinalityEstimator:
         if description.is_aggregate:
             return self.group_count(description)
         return self.spj_cardinality(description)
+
+    def extent_rows(self, record) -> float:
+        """:meth:`output_cardinality` of a registered view, from the
+        inputs its :class:`~repro.core.matching.ViewRecord` compiled at
+        registration: the same terms multiplied in the same order, so the
+        estimate equals its description's bit for bit."""
+        stats = self.stats
+        cardinality = 1.0
+        for table in record.tables:
+            cardinality *= max(1, stats.row_count(table))
+        column = self.column_stats
+        for a, b in record.joins:
+            cardinality *= equijoin_selectivity(column(a), column(b))
+        columns = record.domain.columns
+        for root, interval, _ in record.ranges:
+            if interval is not None:
+                cardinality *= range_selectivity(column(columns[root]), interval)
+        for conjunct in record.residual_conjuncts:
+            cardinality *= residual_selectivity(conjunct)
+        cardinality = max(cardinality, 0.0)
+        group_keys = record.group_keys
+        if group_keys is None:
+            return cardinality
+        if not group_keys:
+            return 1.0
+        distinct_product = 1.0
+        for keys in group_keys:
+            if keys:
+                distinct_product *= max(
+                    1, min(column(key).distinct for key in keys)
+                )
+        return max(1.0, min(cardinality, distinct_product))

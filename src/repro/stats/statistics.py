@@ -11,7 +11,6 @@ rows.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from ..catalog.schema import ColumnType
@@ -56,12 +55,6 @@ class DatabaseStats:
 
     def __init__(self, tables: dict[str, TableStats]):
         self._tables = tables
-        #: Extent estimates of registered views under these statistics,
-        #: keyed weakly by the view's description *object*: an entry is
-        #: shared by every optimizer built over these statistics and dies
-        #: with the description, so it can never be served for a different
-        #: definition registered under the same name.
-        self.view_rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def table(self, name: str) -> TableStats:
         return self._tables[name]

@@ -34,7 +34,7 @@ from ..sql.expressions import (
     Literal,
     conjunction,
 )
-from ..sql.statements import SelectItem, SelectStatement, TableRef
+from ..sql.statements import SelectItem, SelectStatement
 from ..stats.estimator import CardinalityEstimator
 from ..stats.statistics import DatabaseStats
 
@@ -125,6 +125,15 @@ class WorkloadGenerator:
         self._joinable = self._build_join_edges()
         self._view_counter = 0
 
+    def _column(self, table: str, column: str) -> ColumnRef:
+        """The catalog's shared reference to ``table.column``: generated
+        statements reuse the leaves the binder hands out, so a generated
+        catalog costs its statements' inner nodes only."""
+        reference = self.catalog.column_ref(table, column)
+        if reference is None:
+            raise KeyError(f"no column {table}.{column}")
+        return reference
+
     # -- join topology -----------------------------------------------------
 
     def _build_join_edges(self) -> dict[str, list[tuple[str, ForeignKey]]]:
@@ -162,8 +171,8 @@ class WorkloadGenerator:
                     predicates.append(
                         BinaryOp(
                             "=",
-                            ColumnRef(child, fk_column),
-                            ColumnRef(fk.parent_table, parent_column),
+                            self._column(child, fk_column),
+                            self._column(fk.parent_table, parent_column),
                         )
                     )
             if len(tables) == count:
@@ -236,7 +245,7 @@ class WorkloadGenerator:
         upper_value: object = (
             round(start + span) if is_integer else round(start + span, 2)
         )
-        reference = ColumnRef(table, column)
+        reference = self._column(table, column)
         conjuncts: list[Expression] = [BinaryOp(">=", reference, Literal(lower_value))]
         # One-sided predicates happen when the span reaches the domain edge.
         if float(upper_value) < high:  # type: ignore[arg-type]
@@ -259,7 +268,7 @@ class WorkloadGenerator:
         def estimate(predicate_list: list[Expression]) -> float:
             statement = SelectStatement(
                 select_items=(SelectItem(Literal(1)),),
-                from_tables=tuple(TableRef(t) for t in tables),
+                from_tables=tuple(map(self.catalog.table_ref, tables)),
                 where=conjunction(predicate_list),
             )
             return self.estimator.spj_cardinality(
@@ -322,12 +331,12 @@ class WorkloadGenerator:
         outputs = self._pick_output_columns(tables)
         if not aggregate:
             items = tuple(
-                SelectItem(ColumnRef(t, c), alias=c if for_view else None)
+                SelectItem(self._column(t, c), alias=c if for_view else None)
                 for t, c in outputs
             )
             statement = SelectStatement(
                 select_items=items,
-                from_tables=tuple(TableRef(t) for t in tables),
+                from_tables=tuple(map(self.catalog.table_ref, tables)),
                 where=conjunction(predicates),
             )
             return GeneratedStatement(
@@ -349,13 +358,13 @@ class WorkloadGenerator:
             if (t, c) not in grouping and self._is_numeric(t, c)
         ]
         items = [
-            SelectItem(ColumnRef(t, c), alias=c if for_view else None)
+            SelectItem(self._column(t, c), alias=c if for_view else None)
             for t, c in grouping
         ]
         for t, c in sum_columns:
             items.append(
                 SelectItem(
-                    FuncCall("sum", (ColumnRef(t, c),)),
+                    FuncCall("sum", (self._column(t, c),)),
                     alias=f"sum_{c}" if for_view else None,
                 )
             )
@@ -365,9 +374,9 @@ class WorkloadGenerator:
             items.append(SelectItem(FuncCall("count", star=True)))
         statement = SelectStatement(
             select_items=tuple(items),
-            from_tables=tuple(TableRef(t) for t in tables),
+            from_tables=tuple(map(self.catalog.table_ref, tables)),
             where=conjunction(predicates),
-            group_by=tuple(ColumnRef(t, c) for t, c in grouping),
+            group_by=tuple(self._column(t, c) for t, c in grouping),
         )
         return GeneratedStatement(
             statement=statement,

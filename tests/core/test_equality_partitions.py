@@ -73,7 +73,7 @@ def _compare(query, view, catalog, seen):
     if not view.eqclasses.refines(grown):
         return  # the matcher rejects before partitioning
     expected = reference_partitions(view, grown)
-    assert _equality_partitions(view, moved) == expected
+    assert _equality_partitions(ViewRecord.of(view), moved) == expected
     if expected:
         seen["extras" if view.tables != query.tables else "plain"] += 1
         seen["several"] += len(expected) > 1
@@ -124,7 +124,7 @@ def test_partitions_follow_the_view_domain_with_an_extra_table(catalog):
     expected = reference_partitions(view, grown)
     assert [len(partition) for partition in expected] == [2, 2]
     assert ("customer", "c_custkey") in expected[0][0]
-    assert _equality_partitions(view, moved) == expected
+    assert _equality_partitions(ViewRecord.of(view), moved) == expected
     # The matcher's own augmentation emits the compensations in that order.
     assert statement_to_sql(match_view(query, view).substitute) == (
         "SELECT v.o_orderkey FROM v WHERE "

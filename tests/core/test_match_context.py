@@ -27,11 +27,12 @@ def described(catalog, sql, name=None):
 class TestRegistrationBuildsContext:
     def test_register_attaches_context_for_the_description(self, catalog):
         tree = FilterTree()
-        view = tree.register(
-            described(catalog, "select l_orderkey as k from lineitem", "v")
-        )
+        description = described(catalog, "select l_orderkey as k from lineitem", "v")
+        view = tree.register(description)
         assert isinstance(view.record, ViewRecord)
-        assert view.record.view is view.description
+        assert view.record.name == "v"
+        assert view.record.tables is description.tables
+        assert view.sql == "SELECT lineitem.l_orderkey AS k FROM lineitem"
 
     def test_reregistering_same_name_builds_fresh_context(self, catalog):
         tree = FilterTree()
@@ -53,7 +54,8 @@ class TestRegistrationBuildsContext:
         # Same name, new definition: the record must reflect the new
         # statement, not the stale one.
         assert second.record is not first.record
-        assert second.record.view is second.description
+        assert second.record.conjuncts != first.record.conjuncts
+        assert second.sql != first.sql
         (registered,) = tree.views()
         assert registered.record is second.record
 
@@ -84,8 +86,9 @@ class TestRegistrationBuildsContext:
         fresh = match_view(query, wide, record=ViewRecord.of(wide))
         assert fresh.matched
         assert fresh.substitute is not None  # and builds a real substitute
-        # Another view's record is not reused: it is compiled afresh.
-        assert match_view(query, wide, record=ViewRecord.of(narrow)).matched
+        # A record is what the decision reads: another view's decides as
+        # that view (the caller vouches for the pairing).
+        assert not match_view(query, wide, record=ViewRecord.of(narrow)).matched
 
 
 class TestMatcherModesAgree:
@@ -139,7 +142,7 @@ class TestSnapshotRebuilds:
         (view,) = [
             v
             for v in snapshot.matcher.registered_views()
-            if v.description.name == name
+            if v.name == name
         ]
         return view.record
 
@@ -169,7 +172,7 @@ class TestSnapshotRebuilds:
         )
         reborn = self.record_of(revived, "v_cheap")
         assert reborn is not dropped
-        assert reborn.view.tables != dropped.view.tables
+        assert reborn.tables != dropped.tables
 
     def test_interner_persists_across_epochs(self, manager, catalog):
         before = manager.current.matcher.interner

@@ -78,6 +78,18 @@ class TestSharedLeaves:
         assert one.where.right is not other.where.right
 
 
+    def test_generated_statements_use_the_catalog_leaves(self, paper_stats):
+        catalog = tpch_catalog()
+        generator = WorkloadGenerator(catalog, paper_stats, seed=42)
+        statements = [view.statement for _, view in generator.generate_views(200)]
+        statements += [query.statement for query in generator.generate_queries(200)]
+        for statement in statements:
+            for ref in column_refs(statement):
+                assert ref is catalog.column_ref(*ref.key)
+            for table in statement.from_tables:
+                assert table is catalog.table_ref(table.name)
+
+
 class TestSharedNames:
     def test_a_catalog_ref_builds_its_key_once(self):
         catalog = tpch_catalog()

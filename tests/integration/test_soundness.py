@@ -79,16 +79,18 @@ class TestFilterTreeCompletenessAtScale:
     def test_filter_never_prunes_matching_views(self, catalog, workload):
         matcher, _database, queries = workload
         filtered = ViewMatcher(catalog, use_filter_tree=True)
-        for view in matcher.registered_views():
-            filtered.filter_tree.register(view.description)
+        # A registered view keeps no description: re-derive each once.
+        described = [view.description for view in matcher.registered_views()]
+        for description in described:
+            filtered.filter_tree.register(description)
         for statement in queries:
             query = describe(statement, catalog)
             candidates = {v.name for v in filtered.filter_tree.candidates(query)}
-            for view in matcher.registered_views():
-                result = match_view(query, view.description)
+            for description in described:
+                result = match_view(query, description)
                 if result.matched:
-                    assert view.name in candidates, (
-                        f"filter tree pruned matching view {view.name} for\n"
+                    assert description.name in candidates, (
+                        f"filter tree pruned matching view {description.name} for\n"
                         f"{statement_to_sql(statement)}"
                     )
 

@@ -287,9 +287,7 @@ class TestViewRowsMemo:
         matcher.register_view(
             "v", catalog.bind_sql("select o_orderkey as k from orders")
         )
-        wide = optimizer.view_estimated_rows(
-            matcher.registered_views()[0].description
-        )
+        wide = optimizer.view_estimated_rows(matcher.registered_views()[0].record)
         matcher.unregister_view("v")
         matcher.register_view(
             "v",
@@ -298,7 +296,7 @@ class TestViewRowsMemo:
             ),
         )
         narrow = optimizer.view_estimated_rows(
-            matcher.registered_views()[0].description
+            matcher.registered_views()[0].record
         )
         assert narrow < wide
 
@@ -309,13 +307,13 @@ class TestViewRowsMemo:
         matcher.register_view(
             "v", catalog.bind_sql("select o_orderkey as k from orders")
         )
-        view = matcher.registered_views()[0].description
+        view = matcher.registered_views()[0].record
         first = Optimizer(catalog, paper_stats, matcher=matcher)
         rows = first.view_estimated_rows(view)
         second = Optimizer(catalog, paper_stats, matcher=matcher)
         monkeypatch.setattr(
             second.estimator,
-            "output_cardinality",
-            lambda description: pytest.fail("re-estimated a known view"),
+            "extent_rows",
+            lambda record: pytest.fail("re-estimated a known view"),
         )
         assert second.view_estimated_rows(view) == rows

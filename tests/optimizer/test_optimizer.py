@@ -245,7 +245,7 @@ class TestEdgeCases:
             "v1", catalog.bind_sql("select l_orderkey as k from lineitem")
         )
         optimizer = Optimizer(catalog, tiny_stats, matcher=matcher)
-        view = matcher.registered_views()[0].description
+        view = matcher.registered_views()[0].record
         first = optimizer.view_estimated_rows(view)
         second = optimizer.view_estimated_rows(view)
         assert first == second

@@ -91,12 +91,17 @@ class TestCloseReclaims:
             kept.append(server)
             return live_objects()
 
+        # The first load also builds the schema-bounded state every later
+        # one shares (catalog caches, interned record values), which no
+        # close frees: measure from after it, whatever ran before.
+        one_round()
         baseline = live_objects()
         first = one_round()
         one_round()
         third = one_round()
-        catalog_objects = loaded[0] - baseline
-        assert catalog_objects > 50 * len(views)
+        catalog_objects = loaded[1] - baseline
+        # A registered view is its record: about 30 container objects.
+        assert catalog_objects > 20 * len(views)
         # A closed server keeps its counters and histograms, not its
         # catalog: two more of them cost under 2 % of one loaded catalog.
         assert third - first <= 0.02 * catalog_objects

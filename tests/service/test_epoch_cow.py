@@ -55,9 +55,9 @@ def _count_calls(monkeypatch, method: str) -> list:
     calls: list[str] = []
     original = getattr(_PackedSubtree, method)
 
-    def counted(self, view):
+    def counted(self, view, *rest):
         calls.append(view.name)
-        return original(self, view)
+        return original(self, view, *rest)
 
     monkeypatch.setattr(_PackedSubtree, method, counted)
     return calls

@@ -69,7 +69,7 @@ class TestImmutability:
         # view set, regardless of what writers did since.
         def tree_names(snapshot):
             return {
-                view.description.name
+                view.name
                 for view in snapshot.matcher.filter_tree.views()
             }
 

@@ -1,8 +1,11 @@
 """Workload generator tests: the Section 5 recipe."""
 
+import hashlib
+
 import pytest
 
 from repro.core import ViewMatcher, describe
+from repro.sql import statement_to_sql
 from repro.workload import (
     QUERY_TABLE_COUNT_DISTRIBUTION,
     WorkloadGenerator,
@@ -26,6 +29,33 @@ class TestDeterminism:
     def test_view_names_are_sequential(self, generator):
         names = [name for name, _ in generator.generate_views(3)]
         assert names == ["mv00001", "mv00002", "mv00003"]
+
+
+def _digest(statements) -> str:
+    digest = hashlib.sha256()
+    for statement in statements:
+        digest.update(statement_to_sql(statement).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedOutput:
+    """The generated SQL, byte for byte: seed 42, paper statistics at
+    scale 0.5. A change to how statements are assembled must leave every
+    generated text alone (the serve-path benchmark's workload digests
+    depend on it)."""
+
+    def test_views(self, catalog, paper_stats):
+        generator = WorkloadGenerator(catalog, paper_stats, seed=42)
+        assert _digest(v.statement for _, v in generator.generate_views(500)) == (
+            "b62f91d212b613bfb6f7318025f1b34b798f81e454b0119a6780dc6cec637cfd"
+        )
+
+    def test_queries(self, catalog, paper_stats):
+        generator = WorkloadGenerator(catalog, paper_stats, seed=42)
+        assert _digest(q.statement for q in generator.generate_queries(300)) == (
+            "f61b16cfd4997a3c25c278bef0763def0bd19de95966bce72866eba8d24a4ea9"
+        )
 
 
 class TestViews:
