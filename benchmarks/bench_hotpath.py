@@ -1,10 +1,9 @@
-"""Hot-path benchmark: bitset-interned candidate filtering, before/after.
+"""Hot-path benchmark: probe building, the packed filter sweep, matching.
 
-Times one filter-tree ``candidates`` call at 100/500/1000 registered
-views, comparing the interned bitset path against the frozenset
-reference path, and one full ``match`` invocation on the interned path.
-Both trees are cross-checked to return identical candidate sets and
-matcher statistics before anything is timed. Run directly::
+Times one packed filter-tree sweep and one full ``match`` invocation at
+each registered view count. Before anything is timed, the filter tree is
+checked complete against the paper's NoFilter configuration: both must
+accept the same views for every query. Run directly::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py                 # full sweep
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke         # CI, seconds
@@ -195,10 +194,9 @@ def test_hotpath_bench_smoke():
     (entry,) = report["sizes"]
     assert entry["modes_identical"]
     assert entry["funnel"]["invocations"] == 6
-    # Identical-result verification ran inside run_hotpath_benchmark; a
+    # The NoFilter completeness check ran inside run_hotpath_benchmark; a
     # timing assertion here would be flaky, so only sanity-check shape.
     assert entry["candidate_filter_us"]["interned"] > 0
-    assert entry["candidate_filter_us"]["reference"] > 0
     assert entry["probe_build_us"]["fast"] > 0
     assert entry["probe_build_us"]["reference"] > 0
     # The batched path must return the same rewrites as the serve loop

@@ -5,9 +5,9 @@ Solution".
 The package implements the paper's view-matching algorithm for SPJG views
 (equijoin / range / residual subsumption over column equivalence classes,
 cardinality-preserving join elimination, aggregation rollup), the filter
-tree with lattice indexes over view descriptions, and everything around
-them needed to actually run the paper's experiments: a SQL frontend for
-the SPJG subset, a catalog with the four constraint kinds, a bag-semantics
+tree over view descriptions (its levels fused into one packed sweep), and
+everything around them needed to actually run the paper's experiments: a
+SQL frontend for the SPJG subset, a catalog with the four constraint kinds, a bag-semantics
 execution engine, a TPC-H data generator and synthetic statistics, a
 cost-based optimizer with an integrated view-matching rule, the Section 5
 random workload generator, and the experiment harness regenerating
@@ -52,7 +52,6 @@ from .catalog import (
 from .core import (
     DEFAULT_OPTIONS,
     FilterTree,
-    LatticeIndex,
     MatchOptions,
     MatchResult,
     RejectReason,
@@ -133,7 +132,6 @@ __all__ = [
     "MatchError",
     "MatchOptions",
     "MatchResult",
-    "LatticeIndex",
     "MaintainedView",
     "ViewMaintainer",
     "Optimizer",

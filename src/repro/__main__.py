@@ -22,11 +22,10 @@ Commands
     requests and an applied swap, ``--check-baseline`` the
     calibration-normalized regression against a committed report.
 ``bench-hotpath [--smoke]``
-    Time the matching hot path before/after the bitset-interned filter
-    tree against the frozenset reference tree, cross-checking that both
-    configurations return identical candidates and match statistics.
-    Also times single-pass probe compilation against the reference
-    pipeline and the batched serving path against the sequential loop
+    Time the matching hot path: the packed filter sweep and full
+    matching, after checking that the filter tree accepts the same views
+    as the paper's NoFilter configuration for every query. Also times
+    single-pass probe compilation against the reference pipeline and the batched serving path against the sequential loop
     (``--check-speedups`` gates on the floors, ``--profile N`` prints
     cProfile tables instead of benchmarking).
 ``explain-rewrite <sql> [--json]``

@@ -383,11 +383,11 @@ def run_bench_hotpath(
     check_speedups: bool = False,
     profile: int | None = None,
 ) -> int:
-    """Benchmark the matching hot path (bitset interning, view records).
+    """Benchmark the matching hot path (packed sweep, view records).
 
-    Times candidate filtering and full matching in the interned and
-    reference configurations, verifying both return identical results,
-    plus probe compilation (single-pass vs reference pipeline) and the
+    Times candidate filtering and full matching after checking the filter
+    tree accepts the same views as NoFilter for every query, plus probe
+    compilation (single-pass vs reference pipeline) and the
     batched end-to-end serving path against the sequential serve loop.
     ``output`` writes the machine-readable report; ``check_baseline``
     gates against a committed ``BENCH_matching.json`` and returns

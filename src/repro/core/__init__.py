@@ -6,7 +6,6 @@ from .filtertree import FilterTree, QueryProbe, RegisteredView
 from .fkgraph import FkEdge, build_fk_join_graph, compute_hub, eliminate_tables
 from .interning import KeyInterner
 from .intervalsets import IntervalSet, OrRangePredicate, as_or_range
-from .lattice import LatticeIndex, LatticeNode
 from .matcher import MatcherStatistics, ViewMatcher, matcher_for_catalog
 from .matching import MatchResult, RejectReason, ViewRecord, match_view
 from .normalize import ClassifiedPredicate, classify_predicate, to_cnf
@@ -28,8 +27,6 @@ __all__ = [
     "KeyInterner",
     "OrRangePredicate",
     "as_or_range",
-    "LatticeIndex",
-    "LatticeNode",
     "MatchOptions",
     "MatchResult",
     "MatcherStatistics",

@@ -1,14 +1,18 @@
-"""The filter tree (Section 4 of the paper).
+"""The filter tree (Section 4 of the paper), as one packed sweep.
 
-A filter tree recursively subdivides the registered views into smaller
-partitions: each level partitions by one condition, and the keys of a node
-are organised in a lattice index so a search can skip non-qualifying
-partitions wholesale.
+The paper's filter tree partitions the registered views level by level,
+one condition per level, with a lattice index per node. The conditions
+"are independent and can be composed in any order", and each is a pure
+filter, so the partition search equals the flat conjunction of the
+levels: :class:`FilterTree` evaluates it as one columnar sweep per
+subtree (:class:`_PackedSubtree`) over the views' packed rows. The
+level-by-level lattice walk is kept in the test suite as the sweep's
+oracle.
 
-Levels follow the paper's Section 4.2 conditions. The tree is split at the
-top into an SPJ subtree and an aggregation-view subtree (the paper's "two
-additional levels for aggregation views"); an SPJ query searches only the
-SPJ subtree, an aggregation query searches both.
+The tree is split at the top into an SPJ subtree and an aggregation-view
+subtree (the paper's "two additional levels for aggregation views"); an
+SPJ query searches only the SPJ subtree, an aggregation query searches
+both.
 
 Level order (paper Section 4.3): hubs, source tables, output expressions,
 output columns, residual predicates, range constraints, then -- aggregation
@@ -28,7 +32,7 @@ never prunes a view the matcher would accept.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..obs.trace import current_tracer
@@ -45,7 +49,6 @@ from .describe import SpjgDescription, describe
 from .equivalence import ColumnKey
 from .fkgraph import hub_over
 from .interning import KeyInterner, PackedBitsetTable
-from .lattice import Key, LatticeIndex
 from .matching import ViewRecord, _intern
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
@@ -53,6 +56,9 @@ from .residual import ShallowForm
 
 if TYPE_CHECKING:
     from ..catalog.catalog import Catalog
+
+#: A key: a frozenset of tagged atoms (tables, columns, templates).
+Key = frozenset
 
 # The text of a numeric literal the tokenizer reads back as that number.
 _PLAIN_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")
@@ -96,7 +102,7 @@ class RegisteredView:
         self,
         hub: frozenset[str],
         record: ViewRecord,
-        row: tuple | None,
+        row: tuple,
         sql: str | SelectStatement,
     ) -> None:
         self.hub = hub
@@ -108,20 +114,19 @@ class RegisteredView:
     def of(
         cls,
         description: SpjgDescription,
-        options: MatchOptions = DEFAULT_OPTIONS,
-        interner: KeyInterner | None = None,
+        options: MatchOptions,
+        interner: KeyInterner,
         sql: str | None = None,
     ) -> "RegisteredView":
         """Compile a described view: hub, record, the packed row under
-        ``interner`` (none without one) and, unless given, its text."""
+        ``interner`` and, unless given, its text."""
         if description.name is None:
             raise ValueError("only named views can be registered")
         record = ViewRecord.of(description, options)
-        hub = hub_over(description, list(record.fk_edges), options)
         return cls(
-            hub,
+            hub_over(description, list(record.fk_edges), options),
             record,
-            None if interner is None else packed_row(description, hub, interner),
+            packed_row(description, interner),
             cls.definition(description.statement) if sql is None else sql,
         )
 
@@ -164,43 +169,33 @@ class RegisteredView:
         return f"<RegisteredView {self.name}>"
 
 
-class _Keyed:
-    """A view's description and hub, what the levels key it by
-    (:meth:`_Level.view_key`). A registered view's description is
-    re-derived once per use (:meth:`of`)."""
-
-    __slots__ = ("description", "hub")
-
-    def __init__(self, description: SpjgDescription, hub: frozenset[str]) -> None:
-        self.description = description
-        self.hub = hub
-
-    @classmethod
-    def of(cls, view: RegisteredView) -> "_Keyed":
-        return cls(view.description, view.hub)
-
-
-def packed_row(
-    description: SpjgDescription, hub: frozenset[str], interner: KeyInterner
-) -> tuple:
+def packed_row(description: SpjgDescription, interner: KeyInterner) -> tuple:
     """The keys of a view's packed filter-tree row.
 
     ``(residual templates, range-constrained classes, output templates,
     grouping templates, output-column key mask, grouping-column key mask,
     interner)``: plain values for the levels a subtree fuses over its own
     atoms (the two template sets ``None`` for an SPJ view) and masks
-    under ``interner`` for the two per-item requirement levels. Interning
-    writes: callers serialize it.
+    under ``interner`` for the two per-item requirement levels. Their
+    keys are heterogeneous (see the module docstring): the view's
+    extended output (grouping) columns and its output (grouping)
+    templates. Interning writes: callers serialize it.
     """
-    keyed = _Keyed(description, hub)
     aggregate = description.is_aggregate
+    output_key = _columns_key(description.extended_output_columns()) | (
+        _templates_key(description.output_templates())
+    )
+    if aggregate:
+        grouping_key = _columns_key(description.extended_grouping_columns()) | (
+            _templates_key(description.grouping_templates())
+        )
     return (
         _intern(description.residual_templates()),
         _intern(description.range_constrained_classes()),
         _intern(description.output_templates()) if aggregate else None,
         _intern(description.grouping_templates()) if aggregate else None,
-        interner.mask(_OUTPUT_COLUMN_LEVEL.view_key(keyed)),
-        interner.mask(_GROUPING_COLUMN_LEVEL.view_key(keyed)) if aggregate else 0,
+        interner.mask(output_key),
+        interner.mask(grouping_key) if aggregate else 0,
         interner,
     )
 
@@ -223,24 +218,6 @@ class OutputRequirement:
         if not self.column_groups:
             return False
         return all(group & key for group in self.column_groups)
-
-
-def _bind_requirement(
-    requirement: OutputRequirement, interner: KeyInterner
-) -> tuple[int, tuple[int, ...]]:
-    """Compile one :class:`OutputRequirement` to ``(templates_mask, group_masks)``.
-
-    Probe atoms the interner has never seen are dropped from the masks:
-    every registered key atom *is* interned, so an unknown probe atom can
-    never witness an intersection with a view key, and dropping it is
-    exact. The pair is consumed by :func:`_requirements_satisfied_bits`,
-    which replicates :meth:`OutputRequirement.satisfied` on bitmasks.
-    """
-    templates_mask, _ = interner.known_mask(requirement.templates)
-    group_masks = tuple(
-        interner.known_mask(group)[0] for group in requirement.column_groups
-    )
-    return templates_mask, group_masks
 
 
 def _requirements_satisfied_bits(
@@ -277,97 +254,15 @@ def _split_requirements(requirements: tuple) -> tuple[tuple[int, ...], tuple]:
     return tuple(column_masks), tuple(rest)
 
 
-def _classes_hit_bits(
-    key: Key,
-    probe: "QueryProbe",
-    bound: "_BoundProbe",
-    interner: KeyInterner,
-) -> bool:
-    """Range-constraint full condition on interned class-member masks.
-
-    Every equivalence class in ``key`` must intersect the query's
-    range-constrained columns. A class whose members are all interned is
-    tested exactly by the mask (an un-interned probe column can never
-    equal an interned member); classes with un-interned members fall back
-    to the frozenset intersection. Per-class masks are memoized on the
-    bound probe.
-    """
-    range_mask = bound.range_mask
-    class_masks = bound.class_masks
-    constrained = None
-    for cls in key:
-        entry = class_masks.get(cls)
-        if entry is None:
-            entry = interner.known_mask(cls)
-            class_masks[cls] = entry
-        mask, complete = entry
-        if mask & range_mask:
-            continue
-        if complete:
-            return False
-        if constrained is None:
-            constrained = probe.range_constrained_columns
-        if not (cls & constrained):
-            return False
-    return True
-
-
-class _BoundProbe:
-    """A :class:`QueryProbe` encoded as bitmasks against one interner.
-
-    Built once per search of a recursive (non-packed) interned tree --
-    both subtrees share the tree's interner -- and reused by every
-    lattice index the search touches. ``class_masks`` memoizes the
-    per-equivalence-class masks the range-constraint level's full
-    condition needs.
-    """
-
-    __slots__ = (
-        "tables_mask",
-        "tables_complete",
-        "residual_mask",
-        "range_mask",
-        "aggregate_mask",
-        "aggregate_complete",
-        "grouping_mask",
-        "grouping_complete",
-        "output_requirements",
-        "grouping_requirements",
-        "class_masks",
-    )
-
-    def __init__(self, probe: "QueryProbe", interner: KeyInterner):
-        self.tables_mask, self.tables_complete = interner.known_mask(
-            probe.tables
-        )
-        self.residual_mask, _ = interner.known_mask(probe.residual_templates)
-        self.range_mask, _ = interner.known_mask(
-            probe.range_constrained_columns
-        )
-        self.aggregate_mask, self.aggregate_complete = interner.known_mask(
-            probe.aggregate_templates
-        )
-        self.grouping_mask, self.grouping_complete = interner.known_mask(
-            probe.grouping_templates
-        )
-        self.output_requirements = tuple(
-            _bind_requirement(req, interner)
-            for req in probe.output_requirements
-        )
-        self.grouping_requirements = tuple(
-            _bind_requirement(req, interner)
-            for req in probe.grouping_requirements
-        )
-        self.class_masks: dict[Key, tuple[int, bool]] = {}
-
-
 @dataclass
 class QueryProbe:
-    """The query-side search keys as frozenset lattice keys.
+    """The query-side search keys as frozenset keys.
 
-    What the recursive tree's lattice searches and the per-level
-    diagnostics consume; the packed layout derives its own
-    :class:`_PackedProbe` from the request's analysis instead.
+    What the level-by-level lattice walk kept as the packed sweep's test
+    oracle consumes; the packed layout derives its own
+    :class:`_PackedProbe` from the request's analysis instead. Both
+    compilers stay here because the hot-path benchmark times one against
+    the other.
     """
 
     tables: Key
@@ -388,14 +283,9 @@ class QueryProbe:
         """Compile the query-side search keys (fast single-pass pipeline).
 
         Reuses the shallow forms and merged classes the description
-        already carries, derives every per-column group through one
-        ``class_of`` lookup, and pulls check-constraint keys from a
-        per-catalog cache. ``options.use_fast_probe=False`` dispatches to
-        :meth:`of_reference`, the pre-fusion pipeline kept as the hot-path
-        benchmark's baseline; both build identical probes.
+        already carries and derives every per-column group through one
+        ``class_of`` lookup. Builds the same probe as :meth:`of_reference`.
         """
-        if not options.use_fast_probe:
-            return cls.of_reference(query, options)
         residual_templates = query.residual_templates()
         constrained = query.extended_range_constrained_columns()
         if options.use_check_constraints:
@@ -461,42 +351,31 @@ class QueryProbe:
 def _catalog_check_keys(
     catalog: "Catalog", support_or_ranges: bool
 ) -> tuple[frozenset[ColumnKey], frozenset[str]]:
-    """Probe keys derived from the catalog's check constraints (cached).
+    """Probe keys derived from the catalog's check constraints.
 
     Check constraints strengthen the antecedent, so a view predicate may be
     implied by a check constraint alone; the probe must then include the
     check-derived keys or the filter would prune views the matcher accepts.
     Constraints of *every* catalog table are included because a view's extra
-    tables need not appear in the query. The derivation depends only on the
-    catalog and the OR-range flag, so it is computed once per catalog
-    instead of once per probe.
+    tables need not appear in the query. Derived from the live catalog on
+    every call, so a table added later is seen by the next probe.
     """
     from .intervalsets import as_or_range
 
-    cache = getattr(catalog, "_check_key_cache", None)
-    if cache is None:
-        cache = {}
-        catalog._check_key_cache = cache
-    entry = cache.get(support_or_ranges)
-    if entry is None:
-        constrained: set[ColumnKey] = set()
-        templates: set[str] = set()
-        for table in catalog.tables():
-            for check in table.check_constraints:
-                classified = classify_predicate(check.predicate)
-                for rp in classified.range_predicates:
-                    constrained.add(rp.column)
-                for conjunct in classified.residuals:
-                    recognised = (
-                        as_or_range(conjunct) if support_or_ranges else None
-                    )
-                    if recognised is not None:
-                        constrained.add(recognised.column)
-                    else:
-                        templates.add(ShallowForm.of(conjunct).template)
-        entry = (frozenset(constrained), frozenset(templates))
-        cache[support_or_ranges] = entry
-    return entry
+    constrained: set[ColumnKey] = set()
+    templates: set[str] = set()
+    for table in catalog.tables():
+        for check in table.check_constraints:
+            classified = classify_predicate(check.predicate)
+            for rp in classified.range_predicates:
+                constrained.add(rp.column)
+            for conjunct in classified.residuals:
+                recognised = as_or_range(conjunct) if support_or_ranges else None
+                if recognised is not None:
+                    constrained.add(recognised.column)
+                else:
+                    templates.add(ShallowForm.of(conjunct).template)
+    return frozenset(constrained), frozenset(templates)
 
 
 def _output_requirements(
@@ -777,373 +656,26 @@ def _grouping_requirements_reference(
 # Levels
 # ---------------------------------------------------------------------------
 
-
-class _Level:
-    """One partitioning condition: a view key and a lattice search."""
-
-    name = "level"
-
-    def view_key(self, view: _Keyed) -> Key:
-        raise NotImplementedError
-
-    def projection(self, key: Key) -> Key:
-        return key
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        """Lattice search for the level's condition.
-
-        ``bound`` is the probe's bitmask encoding under the index's
-        interner, bound once per tree search; ``None`` selects the plain
-        frozenset search path.
-        """
-        raise NotImplementedError
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        """Direct evaluation of the level's condition on one key.
-
-        Used by :meth:`FilterTree.filter_statistics` to attribute pruning
-        to levels; the lattice searches above are the fast path and must
-        return exactly the keys this predicate accepts.
-        """
-        raise NotImplementedError
-
-    def match_bits(
-        self,
-        node,
-        probe: QueryProbe,
-        bound: "_BoundProbe",
-        interner: KeyInterner,
-    ) -> bool:
-        """The level's condition on one lattice node's bitmask encoding.
-
-        Must agree with :meth:`qualifies` on every stored key. The tree
-        search uses it to test singleton indexes directly -- most internal
-        lattice indexes hold exactly one node, where even the flat-scan
-        lattice search costs more than a single bit test. The default
-        falls back to the exact key predicate so custom levels stay
-        correct without a bits implementation.
-        """
-        return self.qualifies(node.key, probe)
-
-
-class HubLevel(_Level):
-    """Section 4.2.2: the view's hub must be a subset of the query tables."""
-
-    name = "hub"
-
-    def view_key(self, view: _Keyed) -> Key:
-        return _tables_key(view.hub)
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            return index.subsets_of(probe.tables, probe_bits=bound.tables_mask)
-        return index.subsets_of(probe.tables)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return key <= probe.tables
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        return node.order_bits & bound.tables_mask == node.order_bits
-
-
-class SourceTableLevel(_Level):
-    """Section 4.2.1: the view's tables must be a superset of the query's."""
-
-    name = "source-tables"
-
-    def view_key(self, view: _Keyed) -> Key:
-        return _tables_key(view.description.tables)
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            return index.supersets_of(
-                probe.tables,
-                probe_bits=bound.tables_mask,
-                probe_complete=bound.tables_complete,
-            )
-        return index.supersets_of(probe.tables)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return key >= probe.tables
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        mask = bound.tables_mask
-        return bound.tables_complete and node.order_bits & mask == mask
-
-
-class OutputExpressionLevel(_Level):
-    """Section 4.2.7, aggregation subtree: textual aggregate containment."""
-
-    name = "output-expressions"
-
-    def view_key(self, view: _Keyed) -> Key:
-        return _templates_key(view.description.output_templates())
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            return index.supersets_of(
-                probe.aggregate_templates,
-                probe_bits=bound.aggregate_mask,
-                probe_complete=bound.aggregate_complete,
-            )
-        return index.supersets_of(probe.aggregate_templates)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return key >= probe.aggregate_templates
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        mask = bound.aggregate_mask
-        return bound.aggregate_complete and node.order_bits & mask == mask
-
-
-class OutputColumnLevel(_Level):
-    """Sections 4.2.3/4.2.7 merged: per-item output availability."""
-
-    name = "output-columns"
-
-    def view_key(self, view: _Keyed) -> Key:
-        description = view.description
-        return _columns_key(description.extended_output_columns()) | _templates_key(
-            description.output_templates()
-        )
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            pairs = bound.output_requirements
-            return index.descend_monotone(
-                self._qualify(probe),
-                qualify_bits=lambda key_bits: _requirements_satisfied_bits(
-                    pairs, key_bits
-                ),
-            )
-        return index.descend_monotone(self._qualify(probe))
-
-    @staticmethod
-    def _qualify(probe: QueryProbe):
-        requirements = probe.output_requirements
-        return lambda key: all(req.satisfied(key) for req in requirements)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return all(req.satisfied(key) for req in probe.output_requirements)
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        return _requirements_satisfied_bits(bound.output_requirements, node.bits)
-
-
-class ResidualLevel(_Level):
-    """Section 4.2.6: view residual templates within the query's."""
-
-    name = "residual"
-
-    def view_key(self, view: _Keyed) -> Key:
-        return _templates_key(view.description.residual_templates())
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            return index.subsets_of(
-                probe.residual_templates, probe_bits=bound.residual_mask
-            )
-        return index.subsets_of(probe.residual_templates)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return key <= probe.residual_templates
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        return node.order_bits & bound.residual_mask == node.order_bits
-
-
-class RangeConstraintLevel(_Level):
-    """Section 4.2.5: view-constrained classes hit query-constrained columns.
-
-    The identity key is the full constraint-class list; the lattice order
-    uses the reduced list (trivial-class columns only), exactly the paper's
-    weak-condition construction.
-    """
-
-    name = "range-constraints"
-
-    def view_key(self, view: _Keyed) -> Key:
-        description = view.description
-        classes = description.range_constrained_classes()
-        return frozenset(_columns_key(cls) for cls in classes)
-
-    def projection(self, key: Key) -> Key:
-        reduced: set = set()
-        for cls in key:
-            if len(cls) == 1:
-                reduced.update(cls)
-        return frozenset(reduced)
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        constrained = probe.range_constrained_columns
-
-        def weak_qualify(order_key: Key) -> bool:
-            return order_key <= constrained
-
-        def qualify(key: Key) -> bool:
-            return all(cls & constrained for cls in key)
-
-        interner = index.interner
-        if bound is not None and interner is not None:
-            range_mask = bound.range_mask
-
-            def weak_qualify_bits(order_bits: int) -> bool:
-                return order_bits & range_mask == order_bits
-
-            def qualify_interned(key: Key) -> bool:
-                return _classes_hit_bits(key, probe, bound, interner)
-
-            return index.ascend_weak(
-                weak_qualify,
-                qualify_interned,
-                weak_qualify_bits=weak_qualify_bits,
-            )
-        return index.ascend_weak(weak_qualify, qualify)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return all(cls & probe.range_constrained_columns for cls in key)
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        # The order key is the union of the trivial classes' columns, so
-        # the weak order-key test is implied by the full condition and
-        # testing the full condition alone is exact.
-        return _classes_hit_bits(node.key, probe, bound, interner)
-
-
-class GroupingExpressionLevel(_Level):
-    """Section 4.2.8, aggregation subtree only."""
-
-    name = "grouping-expressions"
-
-    def view_key(self, view: _Keyed) -> Key:
-        return _templates_key(view.description.grouping_templates())
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        if bound is not None:
-            return index.supersets_of(
-                probe.grouping_templates,
-                probe_bits=bound.grouping_mask,
-                probe_complete=bound.grouping_complete,
-            )
-        return index.supersets_of(probe.grouping_templates)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return key >= probe.grouping_templates
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        mask = bound.grouping_mask
-        return bound.grouping_complete and node.order_bits & mask == mask
-
-
-class GroupingColumnLevel(_Level):
-    """Section 4.2.4, aggregation subtree only."""
-
-    name = "grouping-columns"
-
-    def view_key(self, view: _Keyed) -> Key:
-        description = view.description
-        return _columns_key(
-            description.extended_grouping_columns()
-        ) | _templates_key(description.grouping_templates())
-
-    def search(
-        self,
-        index: LatticeIndex,
-        probe: QueryProbe,
-        bound: _BoundProbe | None = None,
-    ) -> list:
-        requirements = probe.grouping_requirements
-
-        def qualify(key: Key) -> bool:
-            return all(req.satisfied(key) for req in requirements)
-
-        if bound is not None:
-            pairs = bound.grouping_requirements
-            return index.descend_monotone(
-                qualify,
-                qualify_bits=lambda key_bits: _requirements_satisfied_bits(
-                    pairs, key_bits
-                ),
-            )
-        return index.descend_monotone(qualify)
-
-    def qualifies(self, key: Key, probe: QueryProbe) -> bool:
-        return all(req.satisfied(key) for req in probe.grouping_requirements)
-
-    def match_bits(self, node, probe, bound, interner) -> bool:
-        return _requirements_satisfied_bits(
-            bound.grouping_requirements, node.bits
-        )
-
-
-# Levels are stateless; the default compositions and the packed flat
-# layout below share these singletons so every path keys views identically.
-_HUB_LEVEL = HubLevel()
-_SOURCE_TABLE_LEVEL = SourceTableLevel()
-_OUTPUT_EXPRESSION_LEVEL = OutputExpressionLevel()
-_OUTPUT_COLUMN_LEVEL = OutputColumnLevel()
-_RESIDUAL_LEVEL = ResidualLevel()
-_RANGE_LEVEL = RangeConstraintLevel()
-_GROUPING_EXPRESSION_LEVEL = GroupingExpressionLevel()
-_GROUPING_COLUMN_LEVEL = GroupingColumnLevel()
-
-SPJ_LEVELS: tuple[_Level, ...] = (
-    _HUB_LEVEL,
-    _SOURCE_TABLE_LEVEL,
-    _OUTPUT_COLUMN_LEVEL,
-    _RESIDUAL_LEVEL,
-    _RANGE_LEVEL,
+# The paper's level conditions by name, in Section 4.3 order. The packed
+# subtrees fuse them into one sweep; :meth:`_PackedSubtree.level_survivors`
+# evaluates them one by one, in this order, for attribution.
+SPJ_LEVELS: tuple[str, ...] = (
+    "hub",
+    "source-tables",
+    "output-columns",
+    "residual",
+    "range-constraints",
 )
 
-AGGREGATE_LEVELS: tuple[_Level, ...] = (
-    _HUB_LEVEL,
-    _SOURCE_TABLE_LEVEL,
-    _OUTPUT_EXPRESSION_LEVEL,
-    _OUTPUT_COLUMN_LEVEL,
-    _RESIDUAL_LEVEL,
-    _RANGE_LEVEL,
-    _GROUPING_EXPRESSION_LEVEL,
-    _GROUPING_COLUMN_LEVEL,
+AGGREGATE_LEVELS: tuple[str, ...] = (
+    "hub",
+    "source-tables",
+    "output-expressions",
+    "output-columns",
+    "residual",
+    "range-constraints",
+    "grouping-expressions",
+    "grouping-columns",
 )
 
 
@@ -1227,7 +759,8 @@ class _PackedProbe:
     (:meth:`QueryAnalysis.block_keys`); an SPJ block's outputs are its
     needed columns, so its requirements are one group per needed column.
     Atoms the interner has never seen are dropped from the masks, which
-    is exact (see :func:`_bind_requirement`). Check-constraint keys widen
+    is exact: every atom of a registered key is interned, so an unknown
+    one never witnesses an intersection. Check-constraint keys widen
     the residual and range levels exactly as in :meth:`QueryProbe.of`.
     A description made from scratch is probed through an analysis of its
     statement, so every probe takes this one path.
@@ -1373,8 +906,8 @@ class _PackedSubtree:
     """One subtree's level conditions, fused into a single columnar sweep.
 
     The decomposition: a view survives the tree search iff it satisfies
-    every level's condition (each level is a pure filter, so the recursive
-    partition search equals the flat conjunction). The mask-only levels --
+    every level's condition (each level is a pure filter, so the paper's
+    recursive partition search equals the flat conjunction). The mask-only levels --
     hub (subset), source tables (superset), residual templates (subset),
     range-constraint classes, and on the aggregate subtree output and
     grouping expressions (superset) -- compile into one
@@ -1389,16 +922,16 @@ class _PackedSubtree:
     superset-level atoms are allocated flip=True and contribute the
     probe's atoms (a row fails if it lacks one). A superset-level probe
     atom absent from the local dictionary means no view here carries it,
-    so the subtree returns empty -- exactly the lattice's completeness
-    short-circuit. The range level reduces to subset form per query: each
-    distinct constraint class is one atom, a class passes iff it holds a
-    range-constrained query column (a column -> class-bits index, filled
-    at ``add``, turns the probe's columns into the passing atoms), and a
-    view passes iff its class atoms avoid every failing class.
+    so the subtree returns empty. The range level reduces to subset form
+    per query: each distinct constraint class is one atom, a class passes
+    iff it holds a range-constrained query column (a column -> class-bits
+    index, filled at ``add``, turns the probe's columns into the passing
+    atoms), and a view passes iff its class atoms avoid every failing
+    class.
 
     Atoms are keyed by plain values per level (table names, templates,
-    classes of column keys): the dictionaries are per level, so the
-    tagged lattice keys of the recursive tree are not needed here.
+    classes of column keys): the dictionaries are per level, so no tags
+    are needed here.
 
     The two per-item requirement levels (output columns, grouping
     columns) do not fuse into fixed-width masks; they are evaluated only
@@ -1603,7 +1136,7 @@ class _PackedSubtree:
 
     def level_survivors(
         self, probe: _PackedProbe
-    ) -> list[tuple["_Level", list[RegisteredView]]]:
+    ) -> list[tuple[str, list[RegisteredView]]]:
         """The views left after each level, in this subtree's level order.
 
         The levels own disjoint atom bits of the fused row, so one level
@@ -1614,18 +1147,20 @@ class _PackedSubtree:
         """
         table = self.table
         rows = list(range(len(self._views)))
-        found: list[tuple[_Level, list[RegisteredView]]] = []
+        found: list[tuple[str, list[RegisteredView]]] = []
         for level in AGGREGATE_LEVELS if self.aggregate else SPJ_LEVELS:
             rows = self._level_rows(level, probe, rows, table)
             found.append((level, [self._views[row] for row in rows]))
         return found
 
-    def _level_rows(self, level, probe, rows: list[int], table) -> list[int]:
-        """The ``rows`` passing ``level`` alone."""
+    def _level_rows(
+        self, level: str, probe, rows: list[int], table
+    ) -> list[int]:
+        """The ``rows`` passing the level named ``level`` alone."""
         if not rows:
             return rows
-        if level is _OUTPUT_COLUMN_LEVEL or level is _GROUPING_COLUMN_LEVEL:
-            if level is _OUTPUT_COLUMN_LEVEL:
+        if level in ("output-columns", "grouping-columns"):
+            if level == "output-columns":
                 column_masks, requirements = probe.output_check
                 bits = self._output_bits
             else:
@@ -1640,29 +1175,29 @@ class _PackedSubtree:
                     or _requirements_satisfied_bits(requirements, bits[row])
                 )
             ]
-        if level is _HUB_LEVEL:
+        if level == "hub":
             allowed = 0
             for table_name in probe.tables:
                 allowed |= self._hub_atoms.get(table_name, 0)
             query = self._hub_universe & ~allowed
-        elif level is _RESIDUAL_LEVEL:
+        elif level == "residual":
             allowed = 0
             for template in probe.residual_templates:
                 allowed |= self._residual_atoms.get(template, 0)
             query = self._residual_universe & ~allowed
-        elif level is _RANGE_LEVEL:
+        elif level == "range-constraints":
             allowed = 0
             for column in probe.constrained_columns:
                 allowed |= self._range_columns.get(column, 0)
             query = self._range_universe & ~allowed
         else:  # a superset level: an atom unknown here passes no view
             atoms, elements = {
-                _SOURCE_TABLE_LEVEL: (self._tables_atoms, probe.tables),
-                _OUTPUT_EXPRESSION_LEVEL: (
+                "source-tables": (self._tables_atoms, probe.tables),
+                "output-expressions": (
                     self._outexpr_atoms,
                     probe.aggregate_templates,
                 ),
-                _GROUPING_EXPRESSION_LEVEL: (
+                "grouping-expressions": (
                     self._groupexpr_atoms,
                     probe.grouping_templates,
                 ),
@@ -1711,98 +1246,8 @@ class _PackedSubtree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _TreeNode:
-    """An internal node: one lattice index whose payloads are child nodes."""
-
-    levels: tuple[_Level, ...]
-    depth: int
-    interner: KeyInterner | None = None
-    index: LatticeIndex = field(init=False)
-    views: list[RegisteredView] = field(default_factory=list)  # leaves only
-
-    def __post_init__(self) -> None:
-        # Plain attribute, not a property: the recursive search tests it
-        # once per visited node and the tree shape never changes.
-        self.is_leaf = self.depth >= len(self.levels)
-        if not self.is_leaf:
-            level = self.levels[self.depth]
-            self.index = LatticeIndex(
-                projection=level.projection, interner=self.interner
-            )
-
-    def add(self, view: RegisteredView, keyed: _Keyed) -> None:
-        """Insert ``view``, keyed at every level from ``keyed``."""
-        if self.is_leaf:
-            self.views.append(view)
-            return
-        level = self.levels[self.depth]
-        key = level.view_key(keyed)
-        node = self.index.node(key)
-        if node is None or not node.payloads:
-            child = _TreeNode(self.levels, self.depth + 1, self.interner)
-            self.index.insert(key, child)
-        else:
-            child = node.payloads[0]
-        child.add(view, keyed)
-
-    def remove(self, view: RegisteredView, keyed: _Keyed) -> None:
-        if self.is_leaf:
-            self.views.remove(view)
-            return
-        level = self.levels[self.depth]
-        key = level.view_key(keyed)
-        node = self.index.node(key)
-        if node is None or not node.payloads:
-            raise KeyError(f"view {view.name} not present at level {level.name}")
-        child: _TreeNode = node.payloads[0]
-        child.remove(view, keyed)
-        if child.is_empty():
-            self.index.remove_payload(key, child)
-
-    def is_empty(self) -> bool:
-        if self.is_leaf:
-            return not self.views
-        return len(self.index) == 0
-
-    def search(
-        self,
-        probe: QueryProbe,
-        bound: "_BoundProbe | None",
-        out: list[RegisteredView],
-    ) -> None:
-        """Collect every registered view under this node that passes all
-        remaining levels.
-
-        Iterative depth-first walk: Python call frames per visited tree
-        node are a measurable share of filter cost. Interned singleton
-        indexes -- the overwhelming majority once the tree fans out -- are
-        tested with one direct ``match_bits`` call instead of a full
-        lattice search.
-        """
-        interner = self.interner
-        stack = [self]
-        while stack:
-            tree_node = stack.pop()
-            if tree_node.is_leaf:
-                out.extend(tree_node.views)
-                continue
-            level = tree_node.levels[tree_node.depth]
-            index = tree_node.index
-            if bound is not None:
-                node = index.sole
-                if node is not None:
-                    if level.match_bits(node, probe, bound, interner):
-                        stack.extend(node.payloads)
-                    continue
-            # Reversed push keeps the depth-first visit order of the
-            # recursive formulation (first search result explored first).
-            for node in reversed(level.search(index, probe, bound)):
-                stack.extend(node.payloads)
-
-
 class FilterTree:
-    """The complete index over registered view descriptions.
+    """The complete index over registered views: two packed subtrees.
 
     ``candidates`` returns a superset of the views the matching algorithm
     would accept for the query (never a false negative under the default
@@ -1812,106 +1257,30 @@ class FilterTree:
     def __init__(
         self,
         options: MatchOptions = DEFAULT_OPTIONS,
-        spj_levels: tuple[_Level, ...] | None = None,
-        aggregate_levels: tuple[_Level, ...] | None = None,
         interner: KeyInterner | None = None,
-        use_interning: bool = True,
-        use_packed: bool = True,
     ):
         """Build an empty tree.
 
-        ``spj_levels`` / ``aggregate_levels`` override the default level
-        composition -- the paper notes the conditions "are independent and
-        can be composed in any order", and the level-ordering ablation
-        benchmark exercises exactly this hook. Every ordering yields the
-        same candidate sets; only search cost differs.
-
         ``interner`` shares an existing :class:`KeyInterner` (the serving
         layer passes one across epoch rebuilds so bit assignments are
-        stable); by default each tree creates its own. ``use_interning=
-        False`` drops to plain frozenset keys everywhere -- the reference
-        configuration of the hot-path benchmark and property tests.
-
-        ``use_packed`` selects the columnar flat layout: with the default
-        level composition and an interner, candidate searches sweep two
-        :class:`_PackedSubtree` tables instead of walking the recursive
-        tree, and the Hasse-diagram tree is only materialized on demand
-        (diagnostics, custom traversals). ``use_packed=False`` keeps the
-        recursive tree as the primary index -- the property tests pin the
-        two paths to identical candidate lists.
+        stable); by default each tree creates its own.
         """
         self.options = options
-        if interner is None and use_interning:
+        if interner is None:
             interner = KeyInterner()
         self.interner = interner
-        self._spj_levels = spj_levels or SPJ_LEVELS
-        self._aggregate_levels = aggregate_levels or AGGREGATE_LEVELS
-        # The packed layout fuses exactly the default level conditions;
-        # custom compositions (the ordering-ablation hook) fall back to
-        # the recursive tree, as does the non-interned reference mode.
-        self._use_packed = (
-            use_packed
-            and interner is not None
-            and spj_levels is None
-            and aggregate_levels is None
-        )
-        if self._use_packed:
-            self._spj_packed = _PackedSubtree(interner, aggregate=False)
-            self._aggregate_packed = _PackedSubtree(interner, aggregate=True)
-            self._spj_root_node: _TreeNode | None = None
-            self._aggregate_root_node: _TreeNode | None = None
-        else:
-            self._spj_packed = None
-            self._aggregate_packed = None
-            self._spj_root_node = _TreeNode(self._spj_levels, 0, interner)
-            self._aggregate_root_node = _TreeNode(
-                self._aggregate_levels, 0, interner
-            )
+        self._spj_packed = _PackedSubtree(interner, aggregate=False)
+        self._aggregate_packed = _PackedSubtree(interner, aggregate=True)
         self._registered: dict[str, RegisteredView] = {}
         # Registration sequence numbers: candidate lists are returned in
-        # registration order (a deterministic, index-layout-independent
-        # contract -- packed sweep, tree walk and copy-on-write epoch
-        # clones all preserve it, so cost ties in the optimizer break
-        # identically whichever layout answers).
+        # registration order (a deterministic contract the copy-on-write
+        # epoch clones preserve, so cost ties in the optimizer break
+        # identically whichever epoch answers).
         self._order: dict[str, int] = {}
         self._next_order = 0
 
     def __len__(self) -> int:
         return len(self._registered)
-
-    # -- the recursive tree (materialized on demand in packed mode) -----------
-
-    @property
-    def _spj_root(self) -> _TreeNode:
-        if self._spj_root_node is None:
-            self._materialize_trees()
-        return self._spj_root_node
-
-    @property
-    def _aggregate_root(self) -> _TreeNode:
-        if self._aggregate_root_node is None:
-            self._materialize_trees()
-        return self._aggregate_root_node
-
-    def _materialize_trees(self) -> None:
-        """Build the recursive Hasse-diagram trees from the registry.
-
-        In packed mode the flat sweep serves every search, so the trees
-        exist only for diagnostics and explicit traversals; they are
-        replayed here on first access (registration order, for
-        deterministic lattice links), each view's description re-derived
-        from its text, and kept in sync by the mutators afterwards.
-        Copy-on-write clones reset them to lazy again.
-        """
-        spj = _TreeNode(self._spj_levels, 0, self.interner)
-        aggregate = _TreeNode(self._aggregate_levels, 0, self.interner)
-        order = self._order
-        for name in sorted(self._registered, key=order.__getitem__):
-            view = self._registered[name]
-            root = aggregate if view.record.aggregate else spj
-            root.add(view, _Keyed.of(view))
-        self._spj_root_node = spj
-        self._aggregate_root_node = aggregate
 
     def register(self, description: SpjgDescription) -> RegisteredView:
         """Index a view description into the tree.
@@ -1922,11 +1291,7 @@ class FilterTree:
         :meth:`unregister` therefore always yields a fresh record for the
         new description. The tree keeps no reference to ``description``.
         """
-        view = RegisteredView.of(
-            description,
-            self.options,
-            self.interner if self._use_packed else None,
-        )
+        view = RegisteredView.of(description, self.options, self.interner)
         self.register_prebuilt(view)
         return view
 
@@ -1937,29 +1302,16 @@ class FilterTree:
         expensive part of registration; the serving layer does it outside
         its writer lock, keeps the :class:`RegisteredView`, and indexes it
         into the next epoch's tree through this entry point. A view whose
-        packed row was interned under another interner (or not at all)
-        has it recompiled from a re-derived description.
+        packed row was interned under another interner has it recompiled
+        from a re-derived description.
         """
         name = view.name
         if name in self._registered:
             raise ValueError(f"view {name} already registered")
-        aggregate = view.record.aggregate
-        if self._use_packed:
-            row = view.row
-            if row is None or row[-1] is not self.interner:
-                row = packed_row(view.description, view.hub, self.interner)
-            (self._aggregate_packed if aggregate else self._spj_packed).add(
-                view, row
-            )
-            root = (
-                self._aggregate_root_node if aggregate else self._spj_root_node
-            )
-            if root is not None:  # keep a materialized tree in sync
-                root.add(view, _Keyed.of(view))
-        else:
-            (self._aggregate_root_node if aggregate else self._spj_root_node).add(
-                view, _Keyed.of(view)
-            )
+        row = view.row
+        if row[-1] is not self.interner:
+            row = packed_row(view.description, self.interner)
+        self._subtree(view).add(view, row)
         self._registered[name] = view
         self._order[name] = self._next_order
         self._next_order += 1
@@ -1971,20 +1323,12 @@ class FilterTree:
         if view is None:
             raise KeyError(f"view {name} not registered")
         del self._order[name]
-        aggregate = view.record.aggregate
-        if self._use_packed:
-            (self._aggregate_packed if aggregate else self._spj_packed).remove(
-                view
-            )
-            root = (
-                self._aggregate_root_node if aggregate else self._spj_root_node
-            )
-            if root is not None:
-                root.remove(view, _Keyed.of(view))
-        else:
-            (
-                self._aggregate_root_node if aggregate else self._spj_root_node
-            ).remove(view, _Keyed.of(view))
+        self._subtree(view).remove(view)
+
+    def _subtree(self, view: RegisteredView) -> _PackedSubtree:
+        return (
+            self._aggregate_packed if view.record.aggregate else self._spj_packed
+        )
 
     def views(self) -> tuple[RegisteredView, ...]:
         """All registered views, in registration order."""
@@ -1994,46 +1338,23 @@ class FilterTree:
         """The registered view under ``name`` (None when absent)."""
         return self._registered.get(name)
 
-    def compile_probe(self, query: SpjgDescription):
-        """The query's search keys in the form this tree's layout sweeps.
-
-        Packed mode derives a :class:`_PackedProbe` from the query's
-        analysis and block mask; every other configuration gets the frozenset
-        :class:`QueryProbe` plus its bitmask binding (``None`` without
-        interning). Trees sharing options, interner and layout can share
-        one compiled probe.
-        """
-        if self._use_packed:
-            return _PackedProbe(query, self.options, self.interner)
-        probe = QueryProbe.of(query, self.options)
-        bound = (
-            _BoundProbe(probe, self.interner)
-            if self.interner is not None
-            else None
-        )
-        return probe, bound
+    def compile_probe(self, query: SpjgDescription) -> _PackedProbe:
+        """The query's search keys in the form the packed subtrees sweep,
+        derived from the query's analysis and block mask. Trees sharing
+        options and interner can share one compiled probe."""
+        return _PackedProbe(query, self.options, self.interner)
 
     def collect_candidates(
         self,
-        compiled,
+        compiled: _PackedProbe,
         out: list[RegisteredView],
         include_aggregate: bool,
     ) -> None:
-        """Append this tree's candidates (unsorted) for a compiled probe.
-
-        The single entry point behind :meth:`candidates`: packed mode
-        sweeps the flat subtree tables, every other configuration walks
-        the recursive tree.
-        """
-        if self._use_packed:
-            self._spj_packed.collect(compiled, out)
-            if include_aggregate:
-                self._aggregate_packed.collect(compiled, out)
-            return
-        probe, bound = compiled
-        self._spj_root.search(probe, bound, out)
+        """Append this tree's candidates (unsorted) for a compiled probe:
+        the sweep behind :meth:`candidates`."""
+        self._spj_packed.collect(compiled, out)
         if include_aggregate:
-            self._aggregate_root.search(probe, bound, out)
+            self._aggregate_packed.collect(compiled, out)
 
     def candidates(self, query: SpjgDescription) -> list[RegisteredView]:
         """Views passing all filter conditions, in registration order."""
@@ -2054,57 +1375,26 @@ class FilterTree:
         The serving layer derives every epoch's tree from the previous
         epoch's this way: the clone shares the packed byte images (copied
         only if a side mutates rows) and copies the registry dictionaries
-        flat, then the caller applies the registration delta. The
-        recursive trees are reset to lazy -- an unregister on the clone
-        must not splice nodes out of lattice structures the published
-        previous epoch still serves.
+        flat, then the caller applies the registration delta.
         """
-        if not self._use_packed:
-            raise ValueError("clone_cow requires the packed layout")
         clone = FilterTree.__new__(FilterTree)
         clone.options = self.options
         clone.interner = self.interner
-        clone._spj_levels = self._spj_levels
-        clone._aggregate_levels = self._aggregate_levels
-        clone._use_packed = True
         clone._spj_packed = self._spj_packed.snapshot()
         clone._aggregate_packed = self._aggregate_packed.snapshot()
-        clone._spj_root_node = None
-        clone._aggregate_root_node = None
         clone._registered = dict(self._registered)
         clone._order = dict(self._order)
         clone._next_order = self._next_order
         return clone
 
     def packed_tables(self) -> tuple:
-        """The packed row tables backing this tree (empty unless packed).
+        """The packed row tables backing this tree.
 
         The serving pool exports each table's byte image into shared
         memory before forking workers; see
         :func:`repro.service.shm.export_snapshot`.
         """
-        if not self._use_packed:
-            return ()
         return (self._spj_packed.table, self._aggregate_packed.table)
-
-    def lattice_node_count(self) -> int:
-        """Total lattice nodes across every index of both subtrees.
-
-        A diagnostic for register/unregister churn tests: dropping views
-        must splice their nodes out of every level, so the count returns
-        to its prior value after a register/unregister round trip.
-        """
-
-        def count(tree_node: _TreeNode) -> int:
-            if tree_node.is_leaf:
-                return 0
-            total = len(tree_node.index)
-            for lattice_node in tree_node.index.nodes():
-                for child in lattice_node.payloads:
-                    total += count(child)
-            return total
-
-        return count(self._spj_root) + count(self._aggregate_root)
 
     def level_attribution(
         self, query: SpjgDescription
@@ -2119,49 +1409,19 @@ class FilterTree:
         per-level narrowing report. The final survivor count equals
         ``len(candidates(query))``.
 
-        The packed layout answers from its rows, one sweep per level
+        Answered from the packed rows, one sweep per level
         (:meth:`_PackedSubtree.level_survivors`): the same bits that
-        choose the candidates. Other layouts evaluate each level's
-        condition on every view's key, re-deriving each description.
+        choose the candidates. A depth's name joins the two subtrees'
+        level names there.
         """
-        if self._use_packed:
-            probe = self.compile_probe(query)
-            subtrees = [self._spj_packed.level_survivors(probe)]
-            entering = [list(self._spj_packed._views)]
-            if query.is_aggregate:
-                subtrees.append(self._aggregate_packed.level_survivors(probe))
-                entering.append(list(self._aggregate_packed._views))
-        else:
-            probe = QueryProbe.of(query, self.options)
-            subtrees = []
-            entering = []
-            for aggregate, levels in (
-                (False, self._spj_levels),
-                (True, self._aggregate_levels),
-            ):
-                if aggregate and not query.is_aggregate:
-                    continue
-                views = [
-                    (view, _Keyed.of(view))
-                    for view in self._registered.values()
-                    if view.record.aggregate == aggregate
-                ]
-                entering.append([view for view, _ in views])
-                survivors = []
-                for level in levels:
-                    views = [
-                        (view, keyed)
-                        for view, keyed in views
-                        if level.qualifies(level.view_key(keyed), probe)
-                    ]
-                    survivors.append((level, [view for view, _ in views]))
-                subtrees.append(survivors)
+        probe = self.compile_probe(query)
+        subtrees = [self._spj_packed.level_survivors(probe)]
+        current = [list(self._spj_packed._views)]
+        if query.is_aggregate:
+            subtrees.append(self._aggregate_packed.level_survivors(probe))
+            current.append(list(self._aggregate_packed._views))
         attribution: list[tuple[str, int, int, tuple[str, ...]]] = []
-        max_depth = max(
-            len(self._spj_levels), len(self._aggregate_levels)
-        )
-        current = entering
-        for depth in range(max_depth):
+        for depth in range(max(len(SPJ_LEVELS), len(AGGREGATE_LEVELS))):
             before = sum(map(len, current))
             pruned: list[str] = []
             for index, survivors in enumerate(subtrees):
@@ -2175,10 +1435,11 @@ class FilterTree:
                     if view.name not in names_kept
                 )
                 current[index] = kept
-            names = set()
-            for levels in (self._spj_levels, self._aggregate_levels):
-                if depth < len(levels):
-                    names.add(levels[depth].name)
+            names = {
+                levels[depth]
+                for levels in (SPJ_LEVELS, AGGREGATE_LEVELS)
+                if depth < len(levels)
+            }
             attribution.append(
                 (
                     "+".join(sorted(names)),

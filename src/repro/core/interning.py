@@ -1,30 +1,30 @@
-"""Key-atom interning: lattice keys as integer bitmasks.
+"""Key-atom interning and the packed row tables the filter tree sweeps.
 
-The filter tree's lattice keys are frozensets of tagged atoms -- table
-names, column keys, expression templates, whole equivalence classes. The
-subset/superset partial order the lattice searches walk only ever *compares*
-those sets, so the atoms themselves are opaque; what matters is fast
-``A ⊆ B`` tests. A :class:`KeyInterner` assigns each distinct atom one bit
-position, encoding any key as a single (arbitrary-precision) integer whose
-subset test is ``a & b == a`` -- one machine-word operation per 64 atoms
-instead of a per-element hash probe.
+A :class:`KeyInterner` assigns each distinct key atom -- a tagged column
+key or expression template -- one bit position, so a set of atoms is a
+single (arbitrary-precision) integer and an intersection test is one
+``a & b``. The packed filter tree keeps each view's output-column and
+grouping-column keys as interned masks and tests the query's per-item
+requirements against them.
 
 Two access modes matter for the concurrent serving layer:
 
 * **Interning** (``mask``) assigns fresh bits to unseen atoms. It runs on
   the registration path only, which the serving layer serializes under its
   writer lock.
-* **Lookup** (``known_mask``) never mutates: query-side probes are encoded
-  against the bits already assigned. Probe atoms the interner has never
-  seen cannot occur in any registered key, so a subset search simply drops
-  them while a superset search can return empty immediately. Keeping the
+* **Lookup** (``known_bit``) never mutates: query-side probes are encoded
+  against the bits already assigned. A probe atom the interner has never
+  seen occurs in no registered key, so dropping it is exact. Keeping the
   read path mutation-free means unbounded query diversity cannot grow the
   interner, and lock-free readers race only against GIL-atomic dict reads.
 
-One interner is shared by every lattice index of a filter tree, and the
-serving layer's :class:`~repro.service.snapshot.SnapshotManager` shares a
-single interner across all epoch rebuilds, so bit assignments (and the
-integer key encodings cached on registered views) survive snapshot churn.
+The serving layer's :class:`~repro.service.snapshot.SnapshotManager`
+shares a single interner across all epoch rebuilds, so bit assignments
+(and the masks kept in registered views' packed rows) survive snapshot
+churn.
+
+:class:`PackedBitsetTable` stores fixed-width rows contiguously and
+sweeps them in bulk (see its docstring).
 """
 
 from __future__ import annotations
@@ -91,25 +91,6 @@ class KeyInterner:
     def known_bit(self, atom: Hashable) -> int:
         """The atom's bit, or 0 when it was never interned (read-only)."""
         return self._bits.get(atom, 0)
-
-    def known_mask(self, atoms: Iterable[Hashable]) -> tuple[int, bool]:
-        """``(mask of already-interned atoms, whether all were interned)``.
-
-        Read-only: never assigns bits, so it is safe on the lock-free
-        query path. An atom the interner has not seen belongs to no
-        registered key; the boolean lets superset-style searches fail
-        fast while subset-style searches may ignore it.
-        """
-        bits = self._bits
-        encoded = 0
-        complete = True
-        for atom in atoms:
-            bit = bits.get(atom)
-            if bit is None:
-                complete = False
-            else:
-                encoded |= bit
-        return encoded, complete
 
 
 class PackedBitsetTable:

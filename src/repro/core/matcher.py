@@ -125,29 +125,24 @@ class ViewMatcher:
         options: MatchOptions = DEFAULT_OPTIONS,
         use_filter_tree: bool = True,
         interner: KeyInterner | None = None,
-        use_interning: bool = True,
         telemetry: TelemetryHub | None = None,
     ):
         """``interner`` shares key-atom bit assignments with other trees
         (the serving layer reuses one across epoch rebuilds).
-        ``use_interning=False`` disables the bitset keys -- the "before"
-        configuration the hot-path benchmark compares against; production
-        callers leave it on. ``telemetry`` injects the sink for the
-        always-on invocation telemetry (sketches and counters); ``None``
-        falls back to the process-global hub.
+        ``telemetry`` injects the sink for the always-on invocation
+        telemetry (sketches and counters); ``None`` falls back to the
+        process-global hub.
         """
         self.catalog = catalog
         self.options = options
         self.use_filter_tree = use_filter_tree
         self.telemetry = telemetry
-        self.filter_tree = FilterTree(
-            options, interner=interner, use_interning=use_interning
-        )
+        self.filter_tree = FilterTree(options, interner=interner)
         self.statistics = MatcherStatistics()
 
     @property
-    def interner(self) -> KeyInterner | None:
-        """The filter tree's key interner (None in reference mode)."""
+    def interner(self) -> KeyInterner:
+        """The filter tree's key interner."""
         return self.filter_tree.interner
 
     @classmethod

@@ -49,12 +49,6 @@ class MatchOptions:
         disabled when ``use_check_constraints`` is set, because a check
         constraint can satisfy a view predicate the refinement assumes must
         come from the query.
-
-    ``use_fast_probe``
-        Compile query probes through the fused single-pass pipeline
-        (memoized class maps, reused shallow forms, cached check-constraint
-        keys). Off selects ``QueryProbe.of_reference``, the pre-fusion
-        pipeline kept for benchmarking; both produce identical probes.
     """
 
     use_check_constraints: bool = False
@@ -63,7 +57,6 @@ class MatchOptions:
     support_or_ranges: bool = False
     allow_backjoins: bool = False
     hub_refinement: bool = True
-    use_fast_probe: bool = True
 
     @property
     def effective_hub_refinement(self) -> bool:

@@ -1,20 +1,22 @@
-"""Hot-path benchmark: bitset-interned filtering vs. the reference path.
+"""Hot-path benchmark: probe building, the packed filter sweep, matching.
 
-Measures the two costs the interning work targets, before and after, on
-the same registered view pool:
+Measures, on one registered view pool per size point:
 
-* **candidate filtering** -- one :meth:`FilterTree.candidates` call with a
-  warm probe cache, comparing the bitset-interned tree against the plain
-  frozenset reference tree (``use_interning=False``);
-* **full matching** -- one :meth:`ViewMatcher.match` invocation on the
-  interned tree, each candidate decided from its registration-time
+* **probe building** -- :meth:`QueryProbe.of` (the fused single-pass
+  compiler) against :meth:`QueryProbe.of_reference` (the preserved
+  multi-walk pipeline), on the same descriptions; the two must build
+  identical probes;
+* **candidate filtering** -- one packed sweep of the filter tree for an
+  already-compiled probe;
+* **full matching** -- one :meth:`ViewMatcher.match` invocation, each
+  candidate decided from its registration-time
   :class:`~repro.core.matching.ViewRecord`.
 
-Both trees see the *same* queries against the *same* views and the engine
-verifies they agree exactly: identical candidate sets per query and
-identical matcher funnel statistics (candidates considered, matches,
-substitutes, rejection reasons). A speed number from a mode that returned
-different answers would be meaningless.
+Before anything is timed, every size point checks the filter tree's
+completeness against the paper's NoFilter configuration
+(``use_filter_tree=False``): for every query both must accept the same
+views. A speed number from a filter that dropped an answer would be
+meaningless.
 
 The report serializes to ``BENCH_matching.json``; the committed copy is
 the regression baseline the CI smoke job checks new runs against.
@@ -120,9 +122,9 @@ class HotpathConfig:
     maintenance_insert_batches: int = 20
     maintenance_batch_rows: int = 5
     maintenance_recompute_sample: int = 20
-    # Catalog-scale point: register this many views through the packed
-    # interned path only (no reference tree -- it would take minutes and
-    # prove nothing new) and time candidate filtering, demonstrating the
+    # Catalog-scale point: register this many views (no NoFilter check --
+    # it would take minutes and prove nothing new) and time candidate
+    # filtering, demonstrating the
     # per-level sweeps keep python-level work sublinear in catalog size.
     # 0 disables the section (the smoke config: a 100k registration is
     # a minutes-scale build, not a CI smoke).
@@ -193,8 +195,8 @@ class HotpathMismatchError(AssertionError):
     """The before/after modes disagreed on candidates or match results."""
 
 
-def _build_matcher(catalog, views, *, use_interning):
-    matcher = ViewMatcher(catalog, use_interning=use_interning)
+def _build_matcher(catalog, views):
+    matcher = ViewMatcher(catalog)
     for name, view in views:
         matcher.register_view(name, view.statement)
     return matcher
@@ -231,8 +233,8 @@ def _calibrate(runs: int = 5) -> float:
 def _time_filter(tree, descriptions, repetitions: int, runs: int) -> float:
     """Best-of-``runs`` mean latency (us) of one candidate search.
 
-    The search proper -- the packed sweep or the lattice walk -- for an
-    already-compiled probe; probe compilation is timed on its own
+    The search proper -- the packed sweep -- for an already-compiled
+    probe; probe compilation is timed on its own
     (:func:`_time_probe`).
     """
     compiled = [
@@ -383,28 +385,30 @@ def _funnel(matcher) -> dict:
     }
 
 
-def _verify_modes(interned, reference, descriptions) -> tuple[dict, dict]:
-    """Cross-check the two modes; returns both funnels (must be equal)."""
+def _verify_modes(matcher, descriptions) -> dict:
+    """The filter tree's completeness against the paper's NoFilter toggle.
+
+    For every query the matcher and a NoFilter matcher over the same
+    registered views (``use_filter_tree=False``: every view is a
+    candidate) must accept the same view names; raises
+    :class:`HotpathMismatchError` otherwise. Returns the matcher's funnel
+    over one invocation per query.
+    """
+    unfiltered = ViewMatcher.with_filter_tree(
+        matcher.catalog, matcher.filter_tree, options=matcher.options
+    )
+    unfiltered.use_filter_tree = False
+    matcher.statistics.reset()
     for description in descriptions:
-        fast = sorted(v.name for v in interned.filter_tree.candidates(description))
-        slow = sorted(v.name for v in reference.filter_tree.candidates(description))
-        if fast != slow:
+        accepted = [r.view.name for r in matcher.match(description) if r.matched]
+        expected = [
+            r.view.name for r in unfiltered.match(description) if r.matched
+        ]
+        if accepted != expected:
             raise HotpathMismatchError(
-                f"candidate sets diverge: interned {fast} vs reference {slow}"
+                f"filter tree accepts {accepted}, NoFilter accepts {expected}"
             )
-    interned.statistics.reset()
-    reference.statistics.reset()
-    for description in descriptions:
-        interned.match(description)
-        reference.match(description)
-    interned_funnel = _funnel(interned)
-    reference_funnel = _funnel(reference)
-    if interned_funnel != reference_funnel:
-        raise HotpathMismatchError(
-            "matcher statistics diverge: "
-            f"{interned_funnel} vs {reference_funnel}"
-        )
-    return interned_funnel, reference_funnel
+    return _funnel(matcher)
 
 
 def _maintenance_view_sql(index: int, group_columns, bounds) -> str:
@@ -681,16 +685,15 @@ def _run_pool_bench(config: "HotpathConfig", echo) -> dict:
 def _run_catalog_scale(
     config, catalog, stats, queries, sizes, echo
 ) -> dict | None:
-    """The 100k-view point: packed/interned path only.
+    """The 100k-view point: registration and filtering at scale.
 
     A fresh generator with the config seed reproduces the main pool as a
-    prefix and extends it to ``catalog_scale_views``. Only the interned
-    matcher is built (the reference tree at this size would dominate the
-    whole bench); correctness of the packed path against the reference is
-    pinned at the sweep sizes and by the property tests, so this point
-    measures scale, not equivalence. ``filter_scaleup`` relates the
-    per-query latency to the largest sweep entry: sublinear python-level
-    work shows up as a scaleup well under the view-count ratio.
+    prefix and extends it to ``catalog_scale_views``. Completeness is
+    checked at the sweep sizes and pinned against the test suite's
+    oracle, so this point measures scale, not equivalence.
+    ``filter_scaleup`` relates the per-query latency to the largest sweep
+    entry: sublinear python-level work shows up as a scaleup well under
+    the view-count ratio.
     """
     target = config.catalog_scale_views
     if not target:
@@ -700,7 +703,7 @@ def _run_catalog_scale(
     pool = generator.generate_views(target)
     generate_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    matcher = _build_matcher(catalog, pool, use_interning=True)
+    matcher = _build_matcher(catalog, pool)
     register_seconds = time.perf_counter() - started
     descriptions = [matcher.describe_query(q) for q in queries]
     filter_us = _time_filter(
@@ -768,50 +771,42 @@ def run_hotpath_benchmark(
     calibrations = [_calibrate()]
     for view_count in config.view_counts:
         pool = views[:view_count]
-        interned = _build_matcher(catalog, pool, use_interning=True)
-        reference = _build_matcher(catalog, pool, use_interning=False)
-        descriptions = [interned.describe_query(q) for q in queries]
+        matcher = _build_matcher(catalog, pool)
+        descriptions = [matcher.describe_query(q) for q in queries]
 
         # Probe compilation, timed both ways on the same descriptions:
         # the fused single-pass compiler against the preserved multi-walk
         # reference pipeline (verified to produce identical probes).
-        _verify_probes(descriptions, interned.options)
+        _verify_probes(descriptions, matcher.options)
         probe_fast = _time_probe(
             descriptions,
-            interned.options,
+            matcher.options,
             QueryProbe.of,
             config.probe_repetitions,
             config.probe_runs,
         )
         probe_reference = _time_probe(
             descriptions,
-            interned.options,
+            matcher.options,
             QueryProbe.of_reference,
             config.probe_repetitions,
             config.probe_runs,
         )
 
-        funnel, _ = _verify_modes(interned, reference, descriptions)
+        funnel = _verify_modes(matcher, descriptions)
 
-        interned_filter = _time_filter(
-            interned.filter_tree,
+        filter_us = _time_filter(
+            matcher.filter_tree,
             descriptions,
             config.filter_repetitions,
             config.filter_runs,
         )
-        reference_filter = _time_filter(
-            reference.filter_tree,
-            descriptions,
-            config.filter_repetitions,
-            config.filter_runs,
+        match_us = _time_match(
+            matcher, descriptions, config.match_repetitions, config.match_runs
         )
-        interned_match = _time_match(
-            interned, descriptions, config.match_repetitions, config.match_runs
-        )
-        reference = None
 
         mean_candidates = sum(
-            len(interned.filter_tree.candidates(d)) for d in descriptions
+            len(matcher.filter_tree.candidates(d)) for d in descriptions
         ) / len(descriptions)
         entry = {
             "views": view_count,
@@ -822,34 +817,27 @@ def run_hotpath_benchmark(
                 "reference": round(probe_reference, 2),
                 "speedup": round(probe_reference / probe_fast, 2),
             },
-            "candidate_filter_us": {
-                "interned": round(interned_filter, 2),
-                "reference": round(reference_filter, 2),
-                "speedup": round(reference_filter / interned_filter, 2),
-            },
-            # The key predates view records; the committed baseline and
-            # the tracing-overhead gate read it.
-            "full_match_us": {"with_contexts": round(interned_match, 2)},
+            # The key names predate the single filter tree and the view
+            # records; the committed baseline and the gates read them.
+            "candidate_filter_us": {"interned": round(filter_us, 2)},
+            "full_match_us": {"with_contexts": round(match_us, 2)},
             "funnel": funnel,
             "modes_identical": True,  # _verify_modes raised otherwise
         }
         sizes.append(entry)
         if config.measure_memory and view_count == max(config.view_counts):
             memory_views = view_memory_report(
-                interned.filter_tree,
-                exclude=(catalog, stats, interned.options),
+                matcher.filter_tree,
+                exclude=(catalog, stats, matcher.options),
             )
         calibrations.append(_calibrate())
         if echo is not None:
             probe = entry["probe_build_us"]
-            filt = entry["candidate_filter_us"]
-            full = entry["full_match_us"]
             echo(
                 f"{view_count:5d} views: probe {probe['fast']:7.1f}us vs "
                 f"{probe['reference']:7.1f}us ({probe['speedup']:.2f}x)   "
-                f"filter {filt['interned']:8.1f}us "
-                f"vs {filt['reference']:8.1f}us ({filt['speedup']:.2f}x)   "
-                f"match {full['with_contexts']:8.1f}us"
+                f"filter {filter_us:8.1f}us   "
+                f"match {match_us:8.1f}us"
             )
 
     end_to_end = (
@@ -914,14 +902,14 @@ def check_against_baseline(
 ) -> list[str]:
     """Regression check for CI; returns a list of failure messages.
 
-    Compares the interned candidate-filter latency at the largest view
+    Compares the candidate-filter latency at the largest view
     count measured by *both* reports; a fresh run more than
     ``REGRESSION_FACTOR`` times slower than the committed baseline fails.
     The fast probe-build latency is gated much tighter
     (``PROBE_REGRESSION_TOLERANCE``) but calibration-normalized, so
     host-speed differences divide out instead of eating the budget. The
-    interned-vs-reference speedup is reported but not gated here (it is
-    gated absolutely by :func:`check_speedup_gates`).
+    probe fast-vs-reference speedup is not gated here (it is gated
+    absolutely by :func:`check_speedup_gates`).
     """
     failures: list[str] = []
     fresh_by_views = {entry["views"]: entry for entry in report["sizes"]}
@@ -1231,7 +1219,7 @@ def check_tracing_overhead(
 
     The tracing instrumentation threaded through the filter tree,
     matcher, and optimizer must be a strict no-op when disabled. This
-    compares the fresh run's interned candidate-filter and full-match
+    compares the fresh run's candidate-filter and full-match
     latencies (measured with the default null tracer installed) against
     the committed baseline at the largest shared view count, failing on
     a more-than-``tolerance`` relative regression.
@@ -1359,7 +1347,7 @@ def profile_hotpath(
     queries = [
         q.statement for q in generator.generate_queries(config.query_count)
     ]
-    matcher = _build_matcher(catalog, views, use_interning=True)
+    matcher = _build_matcher(catalog, views)
     descriptions = [matcher.describe_query(q) for q in queries]
     options = matcher.options
 

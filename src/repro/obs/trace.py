@@ -427,9 +427,10 @@ class RewriteTracer:
     def on_filter_tree(self, tree, query, candidates) -> None:
         """Called by :meth:`FilterTree.candidates` after one search.
 
-        Attribution (which level pruned which view) is recomputed by
-        direct per-level evaluation -- affordable because it only runs for
-        traced requests.
+        Attribution (which level pruned which view) comes from
+        :meth:`FilterTree.level_attribution`: one sweep of the packed rows
+        per level, the same bits that chose the candidates -- run only
+        for traced requests.
         """
         self._pending_levels = tuple(
             FilterLevelTrace(

@@ -3,7 +3,7 @@
 The only multi-process tier the server has: a fleet of **long-lived**
 forked workers (:func:`repro.core.parallel.spawn_worker`). Each worker is
 forked once per epoch generation, inherits the published :class:`~repro.service.snapshot.CatalogSnapshot`
-copy-on-write (with the packed lattice rows pinned in shared memory by
+copy-on-write (with the packed filter-tree rows pinned in shared memory by
 :mod:`repro.service.shm`, so reference-count traffic cannot duplicate
 them), and then serves many requests over a pipe pair.
 

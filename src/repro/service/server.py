@@ -744,7 +744,7 @@ class ViewServer:
         """Attach a persistent forked worker pool and route rewrites to it.
 
         Workers are forked holding the current epoch snapshot (packed
-        lattice rows exported to shared memory first) and respawned on
+        filter-tree rows exported to shared memory first) and respawned on
         epoch change or death; see :class:`repro.service.pool.ServingPool`.
         ``admission`` is an optional
         :class:`~repro.service.pool.AdmissionController` for per-tenant

@@ -1,4 +1,4 @@
-"""Shared-memory export of an epoch's packed lattice rows.
+"""Shared-memory export of an epoch's packed filter-tree rows.
 
 The serving pool forks long-lived workers that each pin one
 :class:`~repro.service.snapshot.CatalogSnapshot`. Fork already shares the

@@ -4,7 +4,7 @@ After binding, every :class:`ColumnRef` carries the *base table name* of its
 defining table (aliases and schema qualifiers are resolved away), so that
 structural equality of references means identity of columns. The paper's
 algorithm assumes this canonical form throughout — equivalence classes and
-all lattice-index keys are sets of (table, column) pairs.
+the filter tree's column keys are sets of (table, column) pairs.
 
 The binder also validates the statement against the supported SPJG class:
 each base table may appear at most once in the FROM clause (the class of

@@ -7,6 +7,13 @@ from repro.core.filtertree import QueryProbe
 from repro.stats import synthetic_tpch_stats
 from repro.workload import WorkloadGenerator
 
+from ._reference_filtertree import (
+    AGGREGATE_LEVELS,
+    SPJ_LEVELS,
+    ReferenceFilterTree,
+    SourceTableLevel,
+)
+
 
 def register(tree, catalog, name, sql):
     tree.register(describe(catalog.bind_sql(sql), catalog, name=name))
@@ -255,59 +262,39 @@ class TestFilterStatistics:
 
 
 class TestLevelOrderings:
-    """Any level composition yields identical candidate sets (Section 4.3)."""
+    """Any level composition yields identical candidate sets (Section 4.3).
+
+    The shipped tree fuses every level into one sweep, so level order has
+    no meaning there; the reference lattice walk takes the order and
+    must agree with the packed tree whatever it is.
+    """
 
     def test_orderings_agree_on_candidates(self, catalog):
-        from repro.core.filtertree import (
-            GroupingColumnLevel,
-            GroupingExpressionLevel,
-            HubLevel,
-            OutputColumnLevel,
-            OutputExpressionLevel,
-            RangeConstraintLevel,
-            ResidualLevel,
-            SourceTableLevel,
-        )
-        from repro.stats import synthetic_tpch_stats
-        from repro.workload import WorkloadGenerator
-
-        default_tree = FilterTree()
-        reversed_tree = FilterTree(
-            spj_levels=(
-                RangeConstraintLevel(),
-                ResidualLevel(),
-                OutputColumnLevel(),
-                SourceTableLevel(),
-                HubLevel(),
-            ),
-            aggregate_levels=(
-                GroupingColumnLevel(),
-                GroupingExpressionLevel(),
-                RangeConstraintLevel(),
-                ResidualLevel(),
-                OutputColumnLevel(),
-                OutputExpressionLevel(),
-                SourceTableLevel(),
-                HubLevel(),
-            ),
+        packed = FilterTree()
+        default_tree = ReferenceFilterTree()
+        reversed_tree = ReferenceFilterTree(
+            spj_levels=tuple(reversed(SPJ_LEVELS)),
+            aggregate_levels=tuple(reversed(AGGREGATE_LEVELS)),
         )
         stats = synthetic_tpch_stats(0.5)
         generator = WorkloadGenerator(catalog, stats, seed=404)
         for name, view in generator.generate_views(80):
             description = describe(view.statement, catalog, name=name)
-            default_tree.register(description)
-            reversed_tree.register(description)
+            registered = packed.register(description)
+            default_tree.register_prebuilt(registered, description)
+            reversed_tree.register_prebuilt(registered, description)
+        found = 0
         for generated in generator.generate_queries(25):
             query = describe(generated.statement, catalog)
-            default_names = {v.name for v in default_tree.candidates(query)}
-            reversed_names = {v.name for v in reversed_tree.candidates(query)}
-            assert default_names == reversed_names
+            expected = [v.name for v in packed.candidates(query)]
+            assert [v.name for v in default_tree.candidates(query)] == expected
+            assert [v.name for v in reversed_tree.candidates(query)] == expected
+            found += len(expected)
+        assert found > 0
 
     def test_single_level_tree_over_approximates(self, catalog):
-        from repro.core.filtertree import SourceTableLevel
-
         full = FilterTree()
-        coarse = FilterTree(
+        coarse = ReferenceFilterTree(
             spj_levels=(SourceTableLevel(),),
             aggregate_levels=(SourceTableLevel(),),
         )
@@ -349,28 +336,56 @@ class TestCompleteness:
                     )
 
 
-class TestChurnNodeCounts:
-    """Unregister must splice every lattice node back out (no stale leaks).
+def _packed_state(tree):
+    """Row count and row-of-name map of both packed subtrees."""
+    return [
+        (len(subtree.table), dict(subtree._row_of))
+        for subtree in (tree._spj_packed, tree._aggregate_packed)
+    ]
 
-    ``lattice_node_count`` totals the nodes of every per-tree-node index;
-    a register/unregister round trip that leaves the count elevated means
-    ``LatticeIndex.remove_payload`` stranded an empty node somewhere.
+
+def _fresh(tree):
+    fresh = FilterTree(tree.options, interner=tree.interner)
+    for view in tree.views():
+        fresh.register_prebuilt(view)
+    return fresh
+
+
+def _same_candidates(tree, other, catalog, queries):
+    for generated in queries:
+        query = describe(generated.statement, catalog)
+        assert [v.name for v in tree.candidates(query)] == [
+            v.name for v in other.candidates(query)
+        ]
+
+
+class TestChurnNodeCounts:
+    """Unregister must take every row back out of the packed subtrees.
+
+    A register/unregister round trip leaves the row counts and the
+    row-of-name maps as they were, and the candidates equal those of a
+    fresh build over the views left.
     """
 
-    @pytest.mark.parametrize("use_interning", [True, False])
-    def test_bulk_round_trip_returns_to_empty(self, catalog, use_interning):
+    @pytest.mark.parametrize("cloned", [False, True])
+    def test_bulk_round_trip_returns_to_empty(self, catalog, cloned):
         stats = synthetic_tpch_stats(0.5)
         generator = WorkloadGenerator(catalog, stats, seed=77)
-        tree = FilterTree(use_interning=use_interning)
-        assert tree.lattice_node_count() == 0
+        tree = FilterTree()
+        empty = _packed_state(tree)
         views = list(generator.generate_views(40))
         for name, view in views:
             tree.register(describe(view.statement, catalog, name=name))
-        assert tree.lattice_node_count() > 0
+        full = _packed_state(tree)
+        assert sum(rows for rows, _ in full) == 40
+        # On an epoch clone the published source must keep every row.
+        churned = tree.clone_cow() if cloned else tree
         for name, _ in views:
-            tree.unregister(name)
-        assert len(tree) == 0
-        assert tree.lattice_node_count() == 0
+            churned.unregister(name)
+        assert len(churned) == 0
+        assert _packed_state(churned) == empty
+        if cloned:
+            assert _packed_state(tree) == full
 
     def test_interleaved_churn_holds_count_at_baseline(self, catalog):
         stats = synthetic_tpch_stats(0.5)
@@ -379,26 +394,67 @@ class TestChurnNodeCounts:
         tree = FilterTree()
         for name, view in views[:20]:
             tree.register(describe(view.statement, catalog, name=name))
-        resident = tree.lattice_node_count()
+        resident = _packed_state(tree)
         # Churning transient views through a populated tree must never
-        # move the node count: each one splices fully back out.
+        # move a row: each one comes back out of its tail slot.
         for name, view in views[20:]:
             tree.register(describe(view.statement, catalog, name=name))
             tree.unregister(name)
-            assert tree.lattice_node_count() == resident
+            assert _packed_state(tree) == resident
         assert len(tree) == 20
+        _same_candidates(
+            tree, _fresh(tree), catalog, generator.generate_queries(15)
+        )
 
     def test_shared_path_nodes_survive_partial_unregister(self, catalog):
         tree = FilterTree()
         sql = "select l_orderkey as k from lineitem where l_quantity >= 10"
         register(tree, catalog, "twin_a", sql)
-        shared = tree.lattice_node_count()
-        # An identical twin shares every lattice node along the path.
         register(tree, catalog, "twin_b", sql)
-        assert tree.lattice_node_count() == shared
         tree.unregister("twin_a")
-        # Dropping one twin must not tear down nodes the survivor uses.
-        assert tree.lattice_node_count() == shared
+        # Dropping one twin moves the survivor into the freed row and
+        # must not disturb what it answers.
+        assert _packed_state(tree) == [(1, {"twin_b": 0}), (0, {})]
         assert candidate_names(tree, catalog, sql) == {"twin_b"}
+        assert candidate_names(_fresh(tree), catalog, sql) == {"twin_b"}
         tree.unregister("twin_b")
-        assert tree.lattice_node_count() == 0
+        assert _packed_state(tree) == [(0, {}), (0, {})]
+
+
+class TestCheckConstraintKeys:
+    """Check constraints widen the probe from the live catalog."""
+
+    def test_table_added_after_a_probe_is_seen(self, two_table_catalog):
+        from repro.catalog import CheckConstraint, Column, ColumnType, Table
+        from repro.core import MatchOptions, ViewMatcher
+        from repro.sql import parse_predicate
+
+        catalog = two_table_catalog
+        options = MatchOptions(use_check_constraints=True)
+        filtered = ViewMatcher(catalog, options=options)
+        # A probe before the table exists must not fix the check keys.
+        filtered.match(catalog.bind_sql("select pk from parent"))
+        catalog.add_table(
+            Table(
+                name="t",
+                columns=(
+                    Column("a", ColumnType.INTEGER),
+                    Column("b", ColumnType.INTEGER),
+                ),
+                check_constraints=(
+                    CheckConstraint("a_floor", parse_predicate("t.a >= 10")),
+                ),
+            )
+        )
+        filtered.register_view(
+            "v", catalog.bind_sql("select a, b from t where a >= 5")
+        )
+        unfiltered = ViewMatcher.with_filter_tree(
+            catalog, filtered.filter_tree, options=options
+        )
+        unfiltered.use_filter_tree = False
+        query = catalog.bind_sql("select a, b from t")
+        accepted = [r.view.name for r in filtered.match(query) if r.matched]
+        expected = [r.view.name for r in unfiltered.match(query) if r.matched]
+        assert expected == ["v"]
+        assert accepted == expected

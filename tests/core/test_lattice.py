@@ -1,9 +1,9 @@
-"""Lattice index tests, including properties against brute force."""
+"""The reference filter tree's lattice index against brute force."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lattice import LatticeIndex
+from ._reference_filtertree import LatticeIndex
 
 
 def build(keys, projection=None):

@@ -1,4 +1,4 @@
-"""The columnar packed sweep against the per-node tree walk.
+"""The columnar packed sweep against the reference lattice walk.
 
 Three layers of pinning:
 
@@ -7,8 +7,8 @@ Three layers of pinning:
   through append/pop churn and copy-on-write snapshots; the survivor
   loop's split of the output requirements against the unsplit test;
 * tree: packed ``FilterTree`` candidates must be *identical* (same
-  views, same registration order) to the interned non-packed tree walk
-  and to the frozenset reference tree, through registration churn;
+  views, same registration order) to the frozenset lattice walk of
+  ``_reference_filtertree.py``, through registration churn;
 * epoch: ``clone_cow`` shares the packed buffers with the source and a
   delta-mutated clone equals a freshly built tree, while the source keeps
   answering exactly as before.
@@ -37,6 +37,8 @@ from repro.core.filtertree import (
 from repro.core.interning import KeyInterner, PackedBitsetTable
 from repro.stats import synthetic_tpch_stats
 from repro.workload import WorkloadGenerator
+
+from ._reference_filtertree import ReferenceFilterTree
 
 KERNEL_BACKENDS = (
     ("numpy", "pure") if interning._numpy is not None else ("pure",)
@@ -206,13 +208,18 @@ def workload(catalog, paper_stats):
     generator = WorkloadGenerator(catalog, paper_stats, seed=13)
     views = generator.generate_views(250)
     queries = [q.statement for q in generator.generate_queries(40)]
-    matcher = ViewMatcher(catalog, use_interning=True)
+    matcher = ViewMatcher(catalog)
     for name, generated in views:
         matcher.register_view(name, generated.statement)
     descriptions = [matcher.describe_query(q) for q in queries]
-    # RegisteredView carries describe + context state; re-registering the
-    # same objects into fresh trees isolates the tree layout under test.
-    return matcher.options, matcher.filter_tree.views(), descriptions
+    # Re-registering the same views into fresh trees isolates the tree
+    # under test. The oracle keys each view by its re-derived
+    # description once, at registration.
+    registered = matcher.filter_tree.views()
+    reference = ReferenceFilterTree(matcher.options)
+    for view in registered:
+        reference.register_prebuilt(view)
+    return matcher.options, registered, descriptions, reference
 
 
 def _names(tree, description):
@@ -223,36 +230,29 @@ class TestPackedTreeEquivalence:
     def test_candidates_identical_and_in_registration_order(
         self, workload, backend
     ):
-        options, registered, descriptions = workload
+        options, registered, descriptions, reference = workload
         packed = FilterTree(options, interner=KeyInterner())
-        unpacked = FilterTree(
-            options, interner=KeyInterner(), use_packed=False
-        )
-        reference = FilterTree(options, use_interning=False)
         for view in registered:
             packed.register_prebuilt(view)
-            unpacked.register_prebuilt(view)
-            reference.register_prebuilt(view)
         order = {view.name: i for i, view in enumerate(registered)}
         hits = 0
         for description in descriptions:
             got = _names(packed, description)
-            assert got == _names(unpacked, description)
             assert got == _names(reference, description)
             assert got == sorted(got, key=order.__getitem__)
             hits += len(got)
         assert hits > 0  # the workload must actually exercise the sweep
 
     def test_equivalence_survives_registration_churn(self, workload, backend):
-        options, registered, descriptions = workload
+        options, registered, descriptions, _ = workload
         packed = FilterTree(options, interner=KeyInterner())
-        reference = FilterTree(options, use_interning=False)
+        reference = ReferenceFilterTree(options)
         for view in registered:
             packed.register_prebuilt(view)
             reference.register_prebuilt(view)
         # Drop every third view, then re-register half of the dropped
         # ones: survivors keep their original relative order, returners
-        # append at the tail -- on both paths.
+        # append at the tail -- on both trees.
         dropped = [view for i, view in enumerate(registered) if i % 3 == 0]
         for view in dropped:
             packed.unregister(view.name)
@@ -268,7 +268,7 @@ class TestPackedTreeEquivalence:
     def test_clone_cow_shares_buffers_and_isolates_mutation(
         self, workload, backend
     ):
-        options, registered, descriptions = workload
+        options, registered, descriptions, _ = workload
         base_pool, spare = registered[:200], registered[200:]
         tree = FilterTree(options, interner=KeyInterner())
         for view in base_pool:
@@ -309,7 +309,7 @@ def test_100k_view_catalog_smoke(catalog):
     generator = WorkloadGenerator(catalog, stats, seed=42)
     views = generator.generate_views(100_000)
     queries = [q.statement for q in generator.generate_queries(10)]
-    matcher = ViewMatcher(catalog, use_interning=True)
+    matcher = ViewMatcher(catalog)
     for name, generated in views:
         matcher.register_view(name, generated.statement)
     tree = matcher.filter_tree

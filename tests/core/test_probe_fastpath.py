@@ -40,20 +40,6 @@ class TestFastReferenceEquivalence:
                 reference = QueryProbe.of_reference(description, options)
                 assert fast == reference
 
-    def test_use_fast_probe_off_dispatches_to_reference(self, catalog):
-        options = MatchOptions(use_fast_probe=False)
-        description = describe(
-            catalog.bind_sql(
-                "select l_orderkey as k, sum(l_quantity) as q from lineitem "
-                "where l_quantity >= 10 group by l_orderkey"
-            ),
-            catalog,
-            options=options,
-        )
-        legacy = QueryProbe.of(description, options)
-        reference = QueryProbe.of_reference(description, options)
-        assert legacy == reference
-
 
 class TestBoundProbeStaleness:
     """Regression: a description probed before a registration must see

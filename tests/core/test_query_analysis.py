@@ -5,7 +5,8 @@ every sub-block's description, cardinality terms and filter-tree probe
 from it by table mask. These tests keep the from-scratch path alive *as
 a test helper* -- block statements built by AST walks, ``describe`` on
 the result, the description-walk probe compiler
-(``_reference_probe.py``), the recursive lattice tree -- and pin the
+(``_reference_probe.py``), the reference lattice tree
+(``_reference_filtertree.py``) -- and pin the
 derived path to it: same statements, same descriptions in the same
 iteration order (the cardinality estimator multiplies floats in that
 order, so ``==`` on the estimate, not approx), same compiled probes and
@@ -16,16 +17,14 @@ candidates_considered, invocations)`` for every request.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.catalog import CheckConstraint, tpch_catalog
-from repro.core import FilterTree, ViewMatcher, describe
+from repro.core import ViewMatcher, describe
 from repro.core.analyze import QueryAnalysis, bit_indices
 from repro.core.describe import describe_block
 from repro.core.filtertree import (
-    _BoundProbe,
     _PackedProbe,
     _split_requirements,
     QueryProbe,
@@ -46,14 +45,14 @@ from repro.sql.statements import SelectItem, SelectStatement, TableRef
 from repro.stats.estimator import CardinalityEstimator
 from repro.workload import WorkloadGenerator
 
+from ._reference_filtertree import ReferenceFilterTree
 from ._reference_probe import reference_probe
 
 OPTIONS = MatchOptions(support_or_ranges=True, use_check_constraints=True)
 SEEDS = (5, 17)
 
 
-@pytest.fixture(scope="module")
-def checked_catalog():
+def checked_tpch_catalog():
     """TPC-H with check constraints: a range, an IN list and a residual."""
     catalog = tpch_catalog()
     catalog.table("lineitem").check_constraints = (
@@ -125,11 +124,15 @@ def _enrich(statement: SelectStatement, rng: random.Random) -> SelectStatement:
 
 
 @pytest.fixture(scope="module")
-def queries(checked_catalog, paper_stats):
+def checked_catalog():
+    return checked_tpch_catalog()
+
+
+def enriched_queries(catalog, stats) -> list[SelectStatement]:
     """Generated queries of 2-7 tables, SPJ and aggregate, two seeds."""
     statements = []
     for seed in SEEDS:
-        generator = WorkloadGenerator(checked_catalog, paper_stats, seed=seed)
+        generator = WorkloadGenerator(catalog, stats, seed=seed)
         rng = random.Random(seed)
         wanted = {(n, agg) for n in range(2, 8) for agg in (False, True)}
         while wanted:
@@ -140,6 +143,11 @@ def queries(checked_catalog, paper_stats):
             wanted.discard(shape)
             statements.append(_enrich(generated.statement, rng))
     return statements
+
+
+@pytest.fixture(scope="module")
+def queries(checked_catalog, paper_stats):
+    return enriched_queries(checked_catalog, paper_stats)
 
 
 # -- the from-scratch path (what the optimizer did before the analysis) ------
@@ -325,6 +333,23 @@ def _described_blocks(catalog, stats, matcher, statements):
     return described
 
 
+def _bound(requirements, interner) -> tuple:
+    """Frozenset :class:`OutputRequirement` s as interned
+    ``(templates_mask, group_masks)`` pairs; atoms never interned are
+    dropped, which is exact."""
+
+    def mask(atoms) -> int:
+        bits = 0
+        for atom in atoms:
+            bits |= interner.known_bit(atom)
+        return bits
+
+    return tuple(
+        (mask(req.templates), tuple(map(mask, req.column_groups)))
+        for req in requirements
+    )
+
+
 def _assert_probe_equals(packed, reference) -> None:
     assert set(packed.tables) == reference.tables
     assert set(packed.residual_templates) == reference.residual_templates
@@ -363,7 +388,7 @@ class TestCompiledProbeAndPlans:
                 describe(derived.statement, checked_catalog, options=OPTIONS),
                 OPTIONS,
             )
-            bound = _BoundProbe(reference, interner)
+            outputs = _bound(reference.output_requirements, interner)
             assert {("t", t) for t in packed.tables} == reference.tables
             assert {
                 ("x", t) for t in packed.residual_templates
@@ -371,9 +396,7 @@ class TestCompiledProbeAndPlans:
             assert {
                 ("c", *c) for c in packed.constrained_columns
             } == reference.range_constrained_columns
-            assert packed.output_check == _split_requirements(
-                bound.output_requirements
-            )
+            assert packed.output_check == _split_requirements(outputs)
             if derived.is_aggregate:
                 assert {
                     ("x", t) for t in packed.aggregate_templates
@@ -381,8 +404,8 @@ class TestCompiledProbeAndPlans:
                 assert {
                     ("x", t) for t in packed.grouping_templates
                 } == reference.grouping_templates
-                assert (
-                    packed.grouping_requirements == bound.grouping_requirements
+                assert packed.grouping_requirements == _bound(
+                    reference.grouping_requirements, interner
                 )
             nonzero += any(mask for mask in packed.output_check[0])
         assert nonzero > len(described) // 2  # the comparison was not vacuous
@@ -442,11 +465,8 @@ class TestCompiledProbeAndPlans:
         self, checked_catalog, paper_stats, queries, catalog_1k
     ):
         derived_matcher = _matcher(checked_catalog)
-        scratch_options = replace(OPTIONS, use_fast_probe=False)
         scratch_matcher = _ScratchMatcher.with_filter_tree(
-            checked_catalog,
-            FilterTree(scratch_options, use_packed=False),
-            options=scratch_options,
+            checked_catalog, ReferenceFilterTree(OPTIONS), options=OPTIONS
         )
         for name, statement in catalog_1k:
             derived_matcher.register_view(name, statement)

@@ -13,13 +13,14 @@ import pytest
 from repro import ViewServer
 from repro.core import ViewMatcher, describe
 from repro.core.filtertree import FilterTree, RegisteredView
-from repro.core.interning import KeyInterner
 from repro.core.matching import ViewRecord
 from repro.core.options import MatchOptions
 from repro.sql import statement_to_sql
 from repro.sql.expressions import Literal, UnaryMinus
 from repro.stats.estimator import CardinalityEstimator
 from repro.workload import WorkloadGenerator
+
+from ._reference_filtertree import ReferenceFilterTree
 
 EXTENSIONS = MatchOptions(
     use_check_constraints=True,
@@ -122,13 +123,13 @@ def test_extent_estimates_equal_the_description_estimates(
 )
 def test_packed_attribution_equals_the_level_walk(generated, catalog, options):
     """One sweep per level over the packed rows attributes every pruned
-    view to the level the per-level key walk does."""
+    view to the level the reference tree's per-level key walk does."""
     views, queries = generated
     matcher = ViewMatcher(catalog, options=options)
     for name, view in views[:250]:
         matcher.register_view(name, view.statement)
     packed = matcher.filter_tree
-    walked = FilterTree(options, interner=KeyInterner(), use_packed=False)
+    walked = ReferenceFilterTree(options)
     for view in packed.views():
         walked.register_prebuilt(view)
     pruned = 0

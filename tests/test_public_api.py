@@ -68,7 +68,7 @@ class TestDocstrings:
 
     def test_public_methods_of_key_classes_documented(self):
         from repro import Optimizer, ViewMatcher, ViewServer
-        from repro.core import FilterTree, LatticeIndex
+        from repro.core import FilterTree
         from repro.maintenance import ViewMaintainer
         from repro.service import RewriteCache, SnapshotManager
 
@@ -76,7 +76,6 @@ class TestDocstrings:
             ViewMatcher,
             Optimizer,
             FilterTree,
-            LatticeIndex,
             ViewMaintainer,
             ViewServer,
             RewriteCache,
