@@ -81,7 +81,7 @@ def main() -> None:
         exposition = server.prometheus_metrics()
         for line in exposition.splitlines():
             interesting = "_total" in line or "match_rejects" in line
-            if interesting and "_bucket" not in line and not line.startswith("#"):
+            if interesting and "_seconds" not in line and not line.startswith("#"):
                 print(line)
 
 

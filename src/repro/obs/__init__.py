@@ -1,7 +1,7 @@
 """Observability for the rewrite path: tracing, funnels, exposition.
 
-``repro.obs`` answers the questions the aggregate counters in
-``repro.service.metrics`` cannot: *why* did a specific view fail to
+``repro.obs`` answers the questions the aggregate counters of a
+:class:`TelemetryHub` cannot: *why* did a specific view fail to
 match, *where* in the filter tree did candidates get narrowed out, and
 *how* did the winning rewrite's cost compare to the base plan. One
 :class:`RewriteTrace` per traced request, recorded through a
@@ -23,7 +23,8 @@ The always-on telemetry pipeline layers on top:
 * :class:`DDSketch` -- mergeable relative-error percentile sketch.
 * :class:`TraceContext` / :func:`trace_context` -- the request identity
   carried into the CDC applier.
-* :class:`TelemetryHub` -- the counter / sketch / span registry.
+* :class:`TelemetryHub` -- the counter / sketch / span registry; a
+  ``ViewServer``'s only metrics registry.
 * :class:`SloTracker` -- target-p99/error-budget burn rates.
 * :class:`WorkloadRecorder` / :func:`load_journal` -- the rotating
   JSONL request journal and its advisor-consumable aggregation.

@@ -13,8 +13,9 @@ Sections, top to bottom:
   between frames) and duration percentiles from the ``total`` stage.
 * **Funnel** -- reject reasons ranked with percentage bars: the
   paper's per-level pruning behaviour as a live view.
-* **Sketches** -- merged cross-process percentile sketches (worker
-  matching, CDC scan/merge) from the telemetry hub.
+* **Sketches** -- every percentile sketch in the server's telemetry
+  hub: the serving stages, matcher invocations, pool workers, CDC
+  scan/merge.
 * **CDC** -- per-view maintenance lag.
 * **SLO** -- multi-window burn rates with a ``!`` marker past 1.0.
 """
@@ -51,14 +52,8 @@ def server_frame(server: Any) -> Dict[str, Any]:
         "counters": dict(stats.get("counters", {})),
         "latency": dict(stats.get("latency", {})),
         "cache": stats.get("cache"),
+        "sketches": stats.get("telemetry", {}).get("sketches", {}),
     }
-    telemetry = getattr(server, "telemetry", None)
-    if telemetry is not None:
-        snap = telemetry.snapshot()
-        frame["sketches"] = snap["sketches"]
-        # Merge hub counters in (worker-side tallies).
-        for name, value in snap["counters"].items():
-            frame["counters"].setdefault(name, value)
     funnel = stats.get("rejects")
     if funnel is None:
         try:

@@ -1,9 +1,11 @@
 """Mergeable constant-memory percentile sketch (DDSketch-style).
 
-The serving layer's ``LatencyHistogram`` answers percentile queries
-from a fixed log-spaced bucket table, whose error grows with the
-bucket width and which cannot merge with a table built elsewhere.
-``DDSketch`` fixes both halves of that problem:
+Every latency a ``ViewServer`` reports -- its stage times, the
+matcher's per-invocation times, CDC scans and merges -- is a
+``DDSketch`` held by its :class:`~repro.obs.telemetry.TelemetryHub`.
+A fixed log-spaced bucket table would lose accuracy with the bucket
+width and could not merge with a table built elsewhere; the sketch
+does neither:
 
 * **Relative-error guarantee.**  Values are mapped to geometric
   buckets ``(gamma**(i-1), gamma**i]`` with
@@ -121,14 +123,12 @@ class DDSketch:
     # -- queries ------------------------------------------------------
 
     def percentile(self, q: float) -> float:
-        """Estimated value at quantile ``q`` (0 < q <= 100 accepted as
-        percent, matching ``LatencyHistogram.percentile``)."""
+        """Estimated value at quantile ``q``, a fraction in ``[0, 1]``."""
 
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
         if self.count == 0:
             return 0.0
-        if q > 1.0:
-            q = q / 100.0
-        q = min(max(q, 0.0), 1.0)
         rank = max(0, math.ceil(q * self.count) - 1)
         if rank < self._zero_count:
             return 0.0
@@ -215,8 +215,8 @@ class DDSketch:
         return sketch
 
     def snapshot(self) -> Dict[str, float]:
-        """Summary in the same shape ``LatencyHistogram.snapshot``
-        uses, so reports and dashboards can render either."""
+        """Summary as ``count / mean / min / max / p50 / p90 / p99``
+        (the shape of every latency in ``ViewServer.stats()``)."""
 
         if self.count == 0:
             return {
@@ -233,9 +233,9 @@ class DDSketch:
             "mean": self.mean,
             "min": self.minimum,
             "max": self.maximum,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": self.percentile(0.5),
+            "p90": self.percentile(0.9),
+            "p99": self.percentile(0.99),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

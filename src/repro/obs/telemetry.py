@@ -22,7 +22,10 @@ invocation counters -- reports here instead, through two pieces:
 
 A process-global hub (``telemetry_hub()``) is the default sink so
 instrumented code stays always-on without plumbing; the ``ViewServer``
-installs its own hub instance for isolation.
+installs its own hub instance for isolation, and that hub is its only
+metrics registry: the serving counters (``requests``, ``cache_hits``,
+...) and stage latencies (sketches named ``{stage}_seconds``) live
+beside the matcher's, the pool's and the CDC applier's.
 """
 
 from __future__ import annotations
@@ -129,8 +132,8 @@ class TelemetryHub:
 
     Instrumentation calls :meth:`increment` / :meth:`record` /
     :meth:`record_span`; reads (:meth:`snapshot`, :meth:`to_prometheus`)
-    take the same lock as writes, so a scrape never observes a
-    half-updated sketch.
+    take the same lock as writes, so counts are exact under concurrency
+    and a scrape never observes a half-updated sketch.
     """
 
     def __init__(self, *, relative_accuracy: float = DEFAULT_ACCURACY) -> None:

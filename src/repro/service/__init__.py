@@ -11,8 +11,10 @@ per-entry on view-staleness signals from the maintainer.
 
 Design rule the whole package is built around: **readers never lock**.
 Snapshot access is one attribute read, cache hits are GIL-coherent dict
-probes, metrics are lock-free increments; only catalog mutation and
-cache insertion serialize on writer locks.
+probes; only catalog mutation and cache insertion serialize on writer
+locks. Metrics are the exception by choice: every counter and stage
+latency goes to the server's :class:`~repro.obs.telemetry.TelemetryHub`,
+whose short lock keeps counts exact under concurrency.
 """
 
 from .cache import CacheStatistics, RewriteCache
@@ -26,7 +28,6 @@ from .loadgen import (
     run_pool_benchmark,
     run_service_benchmark,
 )
-from .metrics import Counter, LatencyHistogram, MetricsRegistry
 from .pool import (
     AdmissionController,
     PoolSaturatedError,
@@ -43,9 +44,6 @@ __all__ = [
     "BenchReport",
     "CacheStatistics",
     "CatalogSnapshot",
-    "Counter",
-    "LatencyHistogram",
-    "MetricsRegistry",
     "PoolBenchConfig",
     "PoolBenchReport",
     "PoolSaturatedError",

@@ -539,7 +539,7 @@ def _build_handler(catalog, snapshot):
     """The per-generation child request handler.
 
     Runs in the forked worker, so it must not touch parent-shared locks
-    (metrics registry, telemetry hub, the server's statement memo): it
+    (the server's telemetry hub, its statement memo): it
     binds and fingerprints with a child-private memo and optimizes
     against the pinned snapshot. It returns a compact response frame,
     ``(epoch, fingerprint, error, timed_out, result, serve_seconds)``:
@@ -600,7 +600,7 @@ class ServingPool:
     ``rewrite`` / ``submit`` add per-tenant admission control and a
     parent-side fast path (fingerprint memo + rewrite cache probe) so
     repeated hot queries never cross a process boundary. Pool responses
-    are folded back into the server's metrics, telemetry hub, and --
+    are folded back into the server's telemetry hub and --
     only when their epoch is still current -- its rewrite cache, on the
     reader thread that received them; the caller's one future resolves
     to the finished :class:`ServedResult`.
@@ -699,7 +699,7 @@ class ServingPool:
         if self._closed:
             raise RuntimeError("serving pool is closed")
         if self.admission is not None and not self.admission.admit(tenant):
-            server.metrics.counter("pool_throttled").increment()
+            server.telemetry.increment("pool_throttled")
             return self._immediate(
                 self._served_result(sql=sql, rejected=True)
             )
@@ -716,10 +716,11 @@ class ServingPool:
                 cached = server.cache.get(fingerprint, epoch)
                 if cached is not None:
                     latency = time.perf_counter() - started
-                    server.metrics.counter("requests").increment()
-                    server.metrics.counter("cache_hits").increment()
-                    server.metrics.histogram("hit").record(latency)
-                    server.metrics.histogram("total").record(latency)
+                    telemetry = server.telemetry
+                    telemetry.increment("requests")
+                    telemetry.increment("cache_hits")
+                    telemetry.record("hit_seconds", latency)
+                    telemetry.record("total_seconds", latency)
                     return self._immediate(
                         self._served_result(
                             sql=sql,
@@ -736,7 +737,7 @@ class ServingPool:
                 partial(self._finish, sql, started, max_staleness),
             )
         except PoolSaturatedError:
-            server.metrics.counter("rejected").increment()
+            server.telemetry.increment("rejected")
             return self._immediate(
                 self._served_result(sql=sql, rejected=True)
             )
@@ -789,44 +790,52 @@ class ServingPool:
         """One worker response frame (or the pool's failure) as the
         caller's :class:`ServedResult`; runs on the worker's reader."""
         server = self.server
-        metrics = server.metrics
+        telemetry = server.telemetry
         latency = time.perf_counter() - started
-        metrics.counter("requests").increment()
+        telemetry.increment("requests")
         if error is not None:
-            metrics.counter("errors").increment()
-            metrics.histogram("total").record(latency)
+            telemetry.increment("errors")
+            telemetry.record("total_seconds", latency)
             served = self._served_result(
                 sql=sql, error=str(error), latency_seconds=latency
             )
             server._observe(served)
             return served
         epoch, fingerprint, message, timed_out, encoded, serve_seconds = frame
+        if (
+            fingerprint is not None
+            and max_staleness is None
+            and server.cache is not None
+        ):
+            # The worker bound the query, so in-process it would have
+            # probed the cache: it missed (a hit never leaves the parent).
+            telemetry.increment("cache_misses")
         if message is not None:
-            metrics.counter("errors").increment()
-            metrics.histogram("total").record(latency)
+            telemetry.increment("errors")
+            telemetry.record("total_seconds", latency)
             served = self._served_result(
                 sql=sql, error=message, latency_seconds=latency
             )
         elif timed_out:
-            metrics.counter("timeouts").increment()
-            metrics.histogram("total").record(latency)
+            telemetry.increment("timeouts")
+            telemetry.record("total_seconds", latency)
             served = self._served_result(
                 sql=sql, timed_out=True, latency_seconds=latency
             )
         else:
             result = OptimizationResult.from_frame(encoded)
-            telemetry = server.telemetry
             telemetry.record("pool_worker_serve_seconds", serve_seconds)
             telemetry.increment("pool_worker_requests")
-            metrics.histogram("match").record(result.matching_seconds)
-            metrics.histogram("plan").record(
-                max(result.optimize_seconds - result.matching_seconds, 0.0)
+            telemetry.record("match_seconds", result.matching_seconds)
+            telemetry.record(
+                "plan_seconds",
+                max(result.optimize_seconds - result.matching_seconds, 0.0),
             )
-            metrics.histogram("miss").record(latency)
-            metrics.histogram("total").record(latency)
+            telemetry.record("miss_seconds", latency)
+            telemetry.record("total_seconds", latency)
             if result.uses_view:
                 telemetry.increment("pool_worker_rewrites")
-                metrics.counter("rewrites").increment()
+                telemetry.increment("rewrites")
             if fingerprint is not None:
                 self._fingerprints.put(sql, fingerprint)
                 if (

@@ -9,7 +9,8 @@ taken the server sheds load by returning a rejected result instead of
 queueing unboundedly, and a per-request deadline expires requests that
 waited too long in the queue.
 
-Request hot path (no locks anywhere):
+Request hot path (the only lock on it is the telemetry hub's, held for
+one counter add or sketch sample at a time):
 
 1. parse + bind the SQL and compute its canonical fingerprint (memoized
    by exact text, so a repeated query string skips the parser entirely);
@@ -52,10 +53,20 @@ from ..sql.statements import SelectStatement
 from ..stats.statistics import DatabaseStats
 from .cache import LruMemo, RewriteCache
 from .fingerprint import statement_fingerprint
-from .metrics import MetricsRegistry
 from .snapshot import CatalogSnapshot, SnapshotManager
 
-_STAGE_ORDER = ("parse", "fingerprint", "match", "plan", "hit", "miss", "total")
+# The serving stages, in pipeline order: stage ``s`` is the hub sketch
+# ``{s}_seconds``, reported as ``stats()["latency"][s]``.
+_STAGE_ORDER = (
+    "parse",
+    "fingerprint",
+    "match",
+    "plan",
+    "hit",
+    "miss",
+    "total",
+    "batch_total",
+)
 
 
 @dataclass(frozen=True)
@@ -125,9 +136,7 @@ class ViewServer:
         available through :meth:`traces`.
 
         Every epoch serves from one filter tree derived copy-on-write
-        from its predecessor's, so a registration costs its delta;
-        :meth:`rewrite_many` may fan batch misses out across forked
-        workers when the catalog is large enough.
+        from its predecessor's, so a registration costs its delta.
 
         ``slo`` attaches latency/error objectives: every served request
         burns the error budget when it errors, times out, is rejected,
@@ -139,9 +148,10 @@ class ViewServer:
         if queue_depth < 1:
             raise ValueError("queue depth must be positive")
         self.catalog = catalog
-        # One hub per server: every epoch's matcher, every forked batch
-        # worker, and an attached CDC applier all merge into it, so the
-        # whole pipeline's sketches read out of one place.
+        # One hub per server and its only metrics registry: the serving
+        # counters and stage sketches, every epoch's matcher, the worker
+        # pool's responses and an attached CDC applier all record into
+        # it, so the whole pipeline reads out of one place.
         self.telemetry = TelemetryHub()
         self.snapshots = SnapshotManager(
             catalog,
@@ -155,7 +165,6 @@ class ViewServer:
         self.cache: RewriteCache | None = (
             RewriteCache(cache_size) if cache_enabled else None
         )
-        self.metrics = MetricsRegistry()
         self.default_deadline = default_deadline
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -196,7 +205,7 @@ class ViewServer:
         if deadline is None:
             deadline = self.default_deadline
         if not self._slots.acquire(blocking=False):
-            self.metrics.counter("rejected").increment()
+            self.telemetry.increment("rejected")
             shed = ServedResult(sql=sql, rejected=True)
             self._observe(shed)
             future: Future[ServedResult] = Future()
@@ -217,7 +226,7 @@ class ViewServer:
             if deadline is not None:
                 remaining = deadline - (time.perf_counter() - enqueued)
                 if remaining <= 0:
-                    self.metrics.counter("timeouts").increment()
+                    self.telemetry.increment("timeouts")
                     expired = ServedResult(sql=sql, timed_out=True)
                     self._observe(expired)
                     return expired
@@ -270,7 +279,7 @@ class ViewServer:
         )
         with self._traces_lock:
             self._traces.append(trace)
-        self.metrics.counter("traces_sampled").increment()
+        self.telemetry.increment("traces_sampled")
         self._observe(result)
         return result
 
@@ -356,13 +365,13 @@ class ViewServer:
         deadline_at: float | None = None,
     ) -> ServedResult:
         started = time.perf_counter()
-        self.metrics.counter("requests").increment()
+        self.telemetry.increment("requests")
         try:
             statement, fingerprint = self._bind(sql)
         except (ReproError, ValueError) as exc:
-            self.metrics.counter("errors").increment()
+            self.telemetry.increment("errors")
             latency = time.perf_counter() - started
-            self.metrics.histogram("total").record(latency)
+            self.telemetry.record("total_seconds", latency)
             return ServedResult(
                 sql=sql, error=str(exc), latency_seconds=latency
             )
@@ -372,7 +381,7 @@ class ViewServer:
             # entry cached here would leak a lag-dependent plan to
             # unbounded callers, and a cached unbounded plan may read
             # views this bound excludes.
-            self.metrics.counter("bounded_requests").increment()
+            self.telemetry.increment("bounded_requests")
             staleness = snapshot.staleness_bound(max_staleness)
             try:
                 result = self._optimize(
@@ -384,10 +393,10 @@ class ViewServer:
             except DeadlineExceeded:
                 return self._overran(sql, started)
             latency = time.perf_counter() - started
-            self.metrics.histogram("miss").record(latency)
-            self.metrics.histogram("total").record(latency)
+            self.telemetry.record("miss_seconds", latency)
+            self.telemetry.record("total_seconds", latency)
             if result.uses_view:
-                self.metrics.counter("rewrites").increment()
+                self.telemetry.increment("rewrites")
             return ServedResult(
                 sql=sql,
                 fingerprint=fingerprint,
@@ -410,9 +419,9 @@ class ViewServer:
                 )
             if cached is not None:
                 latency = time.perf_counter() - started
-                self.metrics.counter("cache_hits").increment()
-                self.metrics.histogram("hit").record(latency)
-                self.metrics.histogram("total").record(latency)
+                self.telemetry.increment("cache_hits")
+                self.telemetry.record("hit_seconds", latency)
+                self.telemetry.record("total_seconds", latency)
                 return ServedResult(
                     sql=sql,
                     fingerprint=fingerprint,
@@ -421,7 +430,7 @@ class ViewServer:
                     result=cached,
                     latency_seconds=latency,
                 )
-            self.metrics.counter("cache_misses").increment()
+            self.telemetry.increment("cache_misses")
         try:
             result = self._optimize(
                 snapshot, statement, deadline_at=deadline_at
@@ -431,10 +440,10 @@ class ViewServer:
         if self.cache is not None:
             self.cache.put(fingerprint, snapshot.epoch, result)
         latency = time.perf_counter() - started
-        self.metrics.histogram("miss").record(latency)
-        self.metrics.histogram("total").record(latency)
+        self.telemetry.record("miss_seconds", latency)
+        self.telemetry.record("total_seconds", latency)
         if result.uses_view:
-            self.metrics.counter("rewrites").increment()
+            self.telemetry.increment("rewrites")
         return ServedResult(
             sql=sql,
             fingerprint=fingerprint,
@@ -446,9 +455,9 @@ class ViewServer:
 
     def _overran(self, sql: str, started: float) -> ServedResult:
         """A request whose optimization overran its deadline mid-search."""
-        self.metrics.counter("timeouts").increment()
+        self.telemetry.increment("timeouts")
         latency = time.perf_counter() - started
-        self.metrics.histogram("total").record(latency)
+        self.telemetry.record("total_seconds", latency)
         return ServedResult(
             sql=sql, timed_out=True, latency_seconds=latency
         )
@@ -463,11 +472,11 @@ class ViewServer:
         parse_started = time.perf_counter()
         statement = self.catalog.bind_sql(sql)
         parse_seconds = time.perf_counter() - parse_started
-        self.metrics.histogram("parse").record(parse_seconds)
+        self.telemetry.record("parse_seconds", parse_seconds)
         fingerprint_started = time.perf_counter()
         fingerprint = statement_fingerprint(statement)
         fingerprint_seconds = time.perf_counter() - fingerprint_started
-        self.metrics.histogram("fingerprint").record(fingerprint_seconds)
+        self.telemetry.record("fingerprint_seconds", fingerprint_seconds)
         if tracer.active:
             tracer.record_span("parse", parse_seconds, memoized=False)
             tracer.record_span("fingerprint", fingerprint_seconds)
@@ -488,9 +497,10 @@ class ViewServer:
         return result
 
     def _record_optimized(self, result: OptimizationResult) -> None:
-        self.metrics.histogram("match").record(result.matching_seconds)
-        self.metrics.histogram("plan").record(
-            max(result.optimize_seconds - result.matching_seconds, 0.0)
+        self.telemetry.record("match_seconds", result.matching_seconds)
+        self.telemetry.record(
+            "plan_seconds",
+            max(result.optimize_seconds - result.matching_seconds, 0.0),
         )
         tracer = current_tracer()
         if tracer.active:
@@ -560,7 +570,7 @@ class ViewServer:
         trace = tracer.finish(cache_hit=None, epoch=epoch, error=None)
         with self._traces_lock:
             self._traces.append(trace)
-        self.metrics.counter("traces_sampled").increment()
+        self.telemetry.increment("traces_sampled")
         for result in results:
             self._observe(result)
         return results
@@ -571,13 +581,13 @@ class ViewServer:
         max_staleness: float | None = None,
     ) -> list[ServedResult]:
         started = time.perf_counter()
-        self.metrics.counter("batch_requests").increment()
-        self.metrics.counter("batch_queries").increment(len(sqls))
+        self.telemetry.increment("batch_requests")
+        self.telemetry.increment("batch_queries", len(sqls))
         snapshot = self.snapshots.current  # one snapshot serves the batch
         staleness = None
         use_cache = self.cache is not None
         if max_staleness is not None:
-            self.metrics.counter("bounded_requests").increment()
+            self.telemetry.increment("bounded_requests")
             staleness = snapshot.staleness_bound(max_staleness)
             use_cache = False  # lag-dependent plans must not be cached
         bound: list[tuple[SelectStatement, str] | None] = []
@@ -589,7 +599,7 @@ class ViewServer:
             except (ReproError, ValueError) as exc:
                 bound.append(None)
                 errors.append(str(exc))
-                self.metrics.counter("errors").increment()
+                self.telemetry.increment("errors")
         unique: dict[str, SelectStatement] = {}
         for pair in bound:
             if pair is not None and pair[1] not in unique:
@@ -608,11 +618,11 @@ class ViewServer:
             if cached is not None:
                 resolved[fingerprint] = cached
                 hits.add(fingerprint)
-                self.metrics.counter("cache_hits").increment()
+                self.telemetry.increment("cache_hits")
             else:
                 misses.append((fingerprint, statement))
                 if use_cache:
-                    self.metrics.counter("cache_misses").increment()
+                    self.telemetry.increment("cache_misses")
         if tracer.active:
             # One amortized probe span for the whole batch.
             tracer.record_span(
@@ -627,9 +637,9 @@ class ViewServer:
             if use_cache:
                 self.cache.put(fingerprint, snapshot.epoch, result)
             if result.uses_view:
-                self.metrics.counter("rewrites").increment()
+                self.telemetry.increment("rewrites")
         latency = time.perf_counter() - started
-        self.metrics.histogram("batch_total").record(latency)
+        self.telemetry.record("batch_total_seconds", latency)
         results: list[ServedResult] = []
         for sql, pair, error in zip(sqls, bound, errors):
             if pair is None:
@@ -684,7 +694,7 @@ class ViewServer:
         return snapshot.epoch
 
     def _on_publish(self, snapshot: CatalogSnapshot) -> None:
-        self.metrics.counter("epoch_bumps").increment()
+        self.telemetry.increment("epoch_bumps")
         if self.cache is not None:
             self.cache.purge_stale(snapshot.epoch)
 
@@ -703,7 +713,7 @@ class ViewServer:
             return
         evicted = self.cache.invalidate_views(event.views)
         if evicted:
-            self.metrics.counter("staleness_evictions").increment(evicted)
+            self.telemetry.increment("staleness_evictions", evicted)
 
     def attach_cdc(self, pipeline) -> None:
         """Wire a :class:`repro.cdc.CdcPipeline` into serving.
@@ -791,10 +801,13 @@ class ViewServer:
         """A structured snapshot of every serving metric.
 
         Keys: ``epoch``, ``views`` (registered count), ``cache`` (counter
-        dict, or ``None`` with caching disabled), ``counters``, and
-        ``latency`` (per-stage histogram summaries in seconds).
+        dict, or ``None`` with caching disabled), ``counters`` (every hub
+        counter, by name), ``latency`` (per-stage sketch summaries in
+        seconds, pipeline order) and ``telemetry`` (the hub snapshot
+        both are read from, in one locked read).
         """
-        metrics = self.metrics.snapshot()
+        telemetry = self.telemetry.snapshot()
+        sketches = telemetry["sketches"]
         stats = {
             "epoch": self.snapshots.epoch,
             "views": self.snapshots.current.view_count,
@@ -803,10 +816,14 @@ class ViewServer:
                 if self.cache is not None
                 else None
             ),
-            "counters": metrics["counters"],
-            "latency": metrics["latency"],
+            "counters": dict(sorted(telemetry["counters"].items())),
+            "latency": {
+                stage: sketches[f"{stage}_seconds"]
+                for stage in _STAGE_ORDER
+                if f"{stage}_seconds" in sketches
+            },
             "memos": {"statement": self._statement_memo.stats()},
-            "telemetry": self.telemetry.snapshot(),
+            "telemetry": telemetry,
         }
         if self.slo is not None:
             stats["slo"] = self.slo.snapshot()
@@ -830,10 +847,11 @@ class ViewServer:
     def prometheus_metrics(self, prefix: str = "repro") -> str:
         """Prometheus text exposition for this server.
 
-        Combines the registry's counters and stage histograms with
-        serving gauges (epoch, registered views), the rewrite cache's
-        counters, and the current snapshot matcher's reject-reason
-        tallies (labelled ``{prefix}_match_rejects_total{{reason=...}}``).
+        Combines the hub's counters and sketches (the serving stages as
+        ``{prefix}_{stage}_seconds`` summaries) with serving gauges
+        (epoch, registered views), the rewrite cache's counters, and
+        the current snapshot matcher's reject-reason tallies (labelled
+        ``{prefix}_match_rejects_total{{reason=...}}``).
         With a CDC pipeline attached, also exports per-view freshness
         gauges (``{prefix}_cdc_view_lag_records{{view=...}}`` and
         friends) plus applier throughput counters. Suitable for a
@@ -841,9 +859,6 @@ class ViewServer:
         """
         snapshot = self.snapshots.current
         lines = []
-        body = self.metrics.to_prometheus(prefix=prefix)
-        if body:
-            lines.append(body.rstrip("\n"))
         hub = self.telemetry.to_prometheus(prefix=prefix)
         if hub:
             lines.append(hub.rstrip("\n"))
@@ -855,7 +870,7 @@ class ViewServer:
         lines.append(f"{prefix}_views_registered {snapshot.view_count}")
         if self.cache is not None:
             # Named rewrite_cache_* so they cannot collide with the
-            # registry's cache_hits/cache_misses request counters.
+            # hub's cache_hits/cache_misses request counters.
             cache = self.cache.statistics.snapshot()
             for key in (
                 "hits",
@@ -977,7 +992,25 @@ class ViewServer:
                 f"{cache['epoch_invalidations']} epoch + "
                 f"{cache['view_invalidations']} staleness invalidations"
             )
-        lines.append(self.metrics.report(histogram_order=_STAGE_ORDER))
+        counters = stats["counters"]
+        if counters:
+            width = max(len(name) for name in counters)
+            for name, value in counters.items():
+                lines.append(f"{name:{width}s} {value:10d}")
+        latency = stats["latency"]
+        if latency:
+            width = max(len("stage"), *(len(stage) for stage in latency))
+            lines.append(
+                f"{'stage':{width}s} {'count':>8s} {'mean':>9s} "
+                f"{'p50':>9s} {'p90':>9s} {'p99':>9s} {'max':>9s}"
+            )
+            for stage, s in latency.items():
+                lines.append(
+                    f"{stage:{width}s} {s['count']:8d} "
+                    f"{s['mean'] * 1e3:8.3f}ms {s['p50'] * 1e3:8.3f}ms "
+                    f"{s['p90'] * 1e3:8.3f}ms {s['p99'] * 1e3:8.3f}ms "
+                    f"{s['max'] * 1e3:8.3f}ms"
+                )
         return "\n".join(lines)
 
     def close(self) -> None:

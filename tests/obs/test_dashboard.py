@@ -40,16 +40,25 @@ class StubServer:
         self.telemetry = TelemetryHub()
         self.telemetry.record("match_invocation_seconds", 0.004)
         self.telemetry.increment("match_invocations", 7)
+        for name, value in (
+            ("requests", 10),
+            ("errors", 1),
+            ("cache_hits", 6),
+            ("cache_misses", 4),
+        ):
+            self.telemetry.increment(name, value)
         self.slo = SloTracker(SloObjectives())
         self.slo.record(0.001)
         self.slo.record(0.5)  # slow: burns budget
 
     def stats(self):
+        # Like ViewServer.stats(): counters and sketches from one hub.
+        telemetry = self.telemetry.snapshot()
         return {
             "epoch": 3,
             "views": 12,
-            "counters": {"requests": 10, "errors": 1, "cache_hits": 6,
-                         "cache_misses": 4},
+            "counters": telemetry["counters"],
+            "telemetry": telemetry,
             "latency": {
                 "total": {
                     "count": 10,

@@ -11,7 +11,7 @@ from repro.obs.sketch import DDSketch
 
 def true_percentile(samples, q):
     ordered = sorted(samples)
-    rank = max(0, math.ceil((q / 100.0) * len(ordered)) - 1)
+    rank = max(0, math.ceil(q * len(ordered)) - 1)
     return ordered[rank]
 
 
@@ -22,16 +22,22 @@ class TestAccuracy:
         sketch = DDSketch(relative_accuracy=0.01)
         for value in samples:
             sketch.record(value)
-        for q in (50, 75, 90, 99, 99.9):
+        for q in (0.5, 0.75, 0.9, 0.99, 0.999):
             truth = true_percentile(samples, q)
             estimate = sketch.percentile(q)
             assert abs(estimate - truth) / truth <= 0.011
 
-    def test_fraction_and_percent_quantiles_agree(self):
+    def test_quantile_outside_unit_interval_is_rejected(self):
         sketch = DDSketch()
         for value in range(1, 101):
             sketch.record(value / 1000.0)
-        assert sketch.percentile(0.9) == sketch.percentile(90)
+        assert sketch.percentile(0.0) == 0.001
+        assert sketch.percentile(1.0) == pytest.approx(0.1, rel=0.011)
+        for q in (-0.01, 1.01, 2, 90):
+            with pytest.raises(ValueError):
+                sketch.percentile(q)
+        with pytest.raises(ValueError):
+            DDSketch().percentile(50)
 
     def test_min_max_mean_exact(self):
         sketch = DDSketch()
@@ -44,27 +50,27 @@ class TestAccuracy:
     def test_single_value_percentiles_clamp_exact(self):
         sketch = DDSketch()
         sketch.record(0.0042)
-        for q in (1, 50, 99):
+        for q in (0.01, 0.5, 0.99):
             assert sketch.percentile(q) == 0.0042
 
     def test_negative_values_clamp_to_zero(self):
         sketch = DDSketch()
         sketch.record(-5.0)
         assert sketch.count == 1
-        assert sketch.percentile(50) == 0.0
+        assert sketch.percentile(0.5) == 0.0
 
     def test_zero_values_land_in_zero_bucket(self):
         sketch = DDSketch()
         for _ in range(9):
             sketch.record(0.0)
         sketch.record(1.0)
-        assert sketch.percentile(50) == 0.0
-        assert sketch.percentile(99) == pytest.approx(1.0, rel=0.011)
+        assert sketch.percentile(0.5) == 0.0
+        assert sketch.percentile(0.99) == pytest.approx(1.0, rel=0.011)
 
     def test_empty_sketch(self):
         sketch = DDSketch()
         assert sketch.count == 0
-        assert sketch.percentile(99) == 0.0
+        assert sketch.percentile(0.99) == 0.0
         assert sketch.snapshot()["count"] == 0
 
     def test_weighted_record(self):
@@ -72,8 +78,8 @@ class TestAccuracy:
         sketch.record(0.001, weight=99)
         sketch.record(1.0, weight=1)
         assert sketch.count == 100
-        assert sketch.percentile(50) < 0.01
-        assert sketch.percentile(100) == pytest.approx(1.0, rel=0.011)
+        assert sketch.percentile(0.5) < 0.01
+        assert sketch.percentile(1.0) == pytest.approx(1.0, rel=0.011)
         sketch.record(5.0, weight=0)  # non-positive weight: no-op
         assert sketch.count == 100
 
@@ -95,7 +101,7 @@ class TestMerge:
         assert merged._buckets == whole._buckets
         assert merged.minimum == whole.minimum
         assert merged.maximum == whole.maximum
-        for q in (50, 90, 99):
+        for q in (0.5, 0.9, 0.99):
             assert merged.percentile(q) == whole.percentile(q)
 
     def test_merge_empty_is_noop(self):
@@ -123,8 +129,8 @@ class TestBoundedMemory:
         tight = DDSketch(max_buckets=64)
         for value in samples:
             tight.record(value)
-        truth = true_percentile(samples, 99)
-        assert abs(tight.percentile(99) - truth) / truth <= 0.011
+        truth = true_percentile(samples, 0.99)
+        assert abs(tight.percentile(0.99) - truth) / truth <= 0.011
 
     def test_merge_respects_bucket_bound(self):
         target = DDSketch(max_buckets=16)
@@ -145,13 +151,13 @@ class TestSerialization:
         rebuilt = DDSketch.from_dict(wire)
         assert rebuilt.count == sketch.count
         assert rebuilt._buckets == sketch._buckets
-        for q in (50, 90, 99):
+        for q in (0.5, 0.9, 0.99):
             assert rebuilt.percentile(q) == sketch.percentile(q)
 
     def test_empty_round_trip(self):
         rebuilt = DDSketch.from_dict(DDSketch().to_dict())
         assert rebuilt.count == 0
-        assert rebuilt.percentile(99) == 0.0
+        assert rebuilt.percentile(0.99) == 0.0
 
     def test_snapshot_shape_matches_histogram(self):
         sketch = DDSketch()

@@ -6,6 +6,7 @@ single-process run over the same samples, and spans recorded by the CDC
 applier stitch under the driving request's trace id.
 """
 
+import math
 import random
 
 import pytest
@@ -141,9 +142,9 @@ class TestForkedMerge:
         # sketch, and both sit within the relative-error bound of the
         # true sample quantiles.
         ordered = sorted(samples)
-        for q in (50, 90, 99):
+        for q in (0.5, 0.9, 0.99):
             assert merged.percentile(q) == single.percentile(q)
-            truth = ordered[max(0, -(-q * len(ordered) // 100) - 1)]
+            truth = ordered[max(0, math.ceil(q * len(ordered)) - 1)]
             assert abs(merged.percentile(q) - truth) / truth <= 0.011
 
 

@@ -1,159 +1,129 @@
-"""Metrics-registry units: counters, log-bucket histograms, reporting."""
+"""The server's metrics registry is its ``TelemetryHub``.
+
+Counters are ``hub.increment(name)``; a serving stage's latency is the
+hub sketch ``{stage}_seconds``, summarised in ``stats()["latency"]``
+with the seven keys ``count / mean / min / max / p50 / p90 / p99``.
+"""
 
 import pytest
 
-from repro.service import Counter, LatencyHistogram, MetricsRegistry
+from repro.obs.telemetry import TelemetryHub
+from repro.service import ViewServer
+
+BASE_ONLY = "select o_orderkey, o_totalprice from orders where o_totalprice > 100"
+
+STAGE_KEYS = {"count", "mean", "min", "max", "p50", "p90", "p99"}
 
 
 class TestCounter:
     def test_increments(self):
-        counter = Counter("requests")
-        counter.increment()
-        counter.increment(4)
-        assert counter.value == 5
+        hub = TelemetryHub()
+        hub.increment("requests")
+        hub.increment("requests", 4)
+        assert hub.counters() == {"requests": 5}
 
 
 class TestLatencyHistogram:
-    def test_empty_snapshot(self):
-        snapshot = LatencyHistogram("total").snapshot()
-        assert snapshot == {
-            "count": 0,
-            "mean": 0.0,
-            "min": 0.0,
-            "max": 0.0,
-            "p50": 0.0,
-            "p90": 0.0,
-            "p99": 0.0,
-        }
+    """A stage latency is a sketch named ``{stage}_seconds``."""
+
+    def test_empty_snapshot(self, catalog, paper_stats):
+        with ViewServer(catalog, paper_stats) as server:
+            assert server.stats()["latency"] == {}
+            server.submit(BASE_ONLY)
+            latency = server.stats()["latency"]
+        assert set(latency["total"]) == STAGE_KEYS
+        # A stage nothing recorded stays out of the summary.
+        assert "batch_total" not in latency
 
     def test_exact_aggregates(self):
-        histogram = LatencyHistogram("total")
+        hub = TelemetryHub()
         for value in (0.001, 0.002, 0.003):
-            histogram.record(value)
-        assert histogram.count == 3
-        assert histogram.mean == pytest.approx(0.002)
-        assert histogram.minimum == pytest.approx(0.001)
-        assert histogram.maximum == pytest.approx(0.003)
-
-    def test_percentiles_within_bucket_error(self):
-        # Log buckets at 10/decade have ~26% relative width, but the
-        # estimator interpolates within the winning bucket, so the
-        # estimate lands well inside one bucket of the true value
-        # (returning the bucket's lower bound would bias low by up to
-        # the full width).
-        histogram = LatencyHistogram("total")
-        for i in range(1, 101):
-            histogram.record(i / 1000.0)  # 1ms .. 100ms uniform
-        assert histogram.percentile(0.50) == pytest.approx(0.050, rel=0.10)
-        assert histogram.percentile(0.90) == pytest.approx(0.090, rel=0.10)
-        assert histogram.percentile(0.99) == pytest.approx(0.099, rel=0.10)
+            hub.record("total_seconds", value)
+        snapshot = hub.sketch_snapshots()["total_seconds"]
+        assert snapshot["count"] == 3
+        assert snapshot["mean"] == pytest.approx(0.002)
+        assert snapshot["min"] == pytest.approx(0.001)
+        assert snapshot["max"] == pytest.approx(0.003)
 
     def test_single_observation_percentiles_are_exact(self):
-        # Interpolation clamps to the observed min/max, so a histogram
-        # with one sample reports that sample at every percentile.
-        histogram = LatencyHistogram("total")
-        histogram.record(0.0042)
-        assert histogram.percentile(0.50) == pytest.approx(0.0042)
-        assert histogram.percentile(0.99) == pytest.approx(0.0042)
-
-    def test_extremes_clamp_to_edge_buckets(self):
-        histogram = LatencyHistogram("total")
-        histogram.record(-1.0)  # clamps to 0: below the 1us floor
-        histogram.record(1e-9)
-        histogram.record(500.0)  # above the 100s ceiling
-        assert histogram.count == 3
-        assert histogram.percentile(0.01) > 0
-        assert histogram.percentile(1.0) == pytest.approx(500.0)
+        # Estimates clamp to the observed min/max, so a sketch with one
+        # sample reports that sample at every percentile.
+        hub = TelemetryHub()
+        hub.record("total_seconds", 0.0042)
+        snapshot = hub.sketch_snapshots()["total_seconds"]
+        assert snapshot["p50"] == snapshot["p99"] == 0.0042
 
 
 class TestMetricsRegistry:
+    """``ViewServer.telemetry`` is the one registry behind ``stats()``."""
+
     def test_counter_and_histogram_identity(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-        assert registry.histogram("y") is registry.histogram("y")
+        # A name is one series: repeated writes land on one counter and
+        # one sketch.
+        hub = TelemetryHub()
+        hub.increment("x")
+        hub.increment("x")
+        hub.record("y_seconds", 0.01)
+        hub.record("y_seconds", 0.02)
+        snapshot = hub.snapshot()
+        assert snapshot["counters"] == {"x": 2}
+        assert list(snapshot["sketches"]) == ["y_seconds"]
+        assert snapshot["sketches"]["y_seconds"]["count"] == 2
 
-    def test_snapshot_shape(self):
-        registry = MetricsRegistry()
-        registry.counter("requests").increment(3)
-        registry.histogram("total").record(0.01)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"] == {"requests": 3}
-        assert snapshot["latency"]["total"]["count"] == 1
+    def test_snapshot_shape(self, catalog, paper_stats):
+        with ViewServer(catalog, paper_stats) as server:
+            server.submit(BASE_ONLY)
+            server.submit(BASE_ONLY)
+            stats = server.stats()
+        hub = stats["telemetry"]
+        assert stats["counters"] == hub["counters"]
+        assert stats["counters"]["requests"] == 2
+        for stage, summary in stats["latency"].items():
+            assert summary == hub["sketches"][f"{stage}_seconds"]
+        assert stats["latency"]["total"]["count"] == 2
 
-    def test_report_orders_stages_then_alphabetical(self):
-        registry = MetricsRegistry()
-        registry.histogram("zeta").record(0.01)
-        registry.histogram("parse").record(0.01)
-        registry.histogram("alpha").record(0.01)
-        report = registry.report(histogram_order=("parse",))
-        lines = [line.split()[0] for line in report.splitlines()[1:]]
-        assert lines == ["parse", "alpha", "zeta"]
+    def test_report_orders_stages_then_alphabetical(
+        self, catalog, paper_stats
+    ):
+        # Stages print in pipeline order; counters alphabetically.
+        with ViewServer(catalog, paper_stats) as server:
+            server.rewrite_many([BASE_ONLY])
+            server.submit(BASE_ONLY)
+            report = server.report().splitlines()
+        header = next(
+            index for index, line in enumerate(report)
+            if line.startswith("stage")
+        )
+        stages = [line.split()[0] for line in report[header + 1:]]
+        assert stages == [
+            "parse", "fingerprint", "match", "plan", "hit", "total",
+            "batch_total",
+        ]
+        counters = [line.split()[0] for line in report[2:header]]
+        assert counters == sorted(counters)
 
 
 class TestPrometheusRoundTrip:
-    """The exposition text must parse back into a *cumulative* histogram:
-    every fixed bucket bound present, counts non-decreasing in ``le``,
-    closed by ``+Inf`` == ``_count`` -- and the bucket set must be
-    byte-stable across scrapes, or ``rate()`` over ``_bucket`` series
-    sees counter resets."""
-
     @staticmethod
-    def parse_buckets(text, metric):
-        buckets = []
-        for line in text.splitlines():
-            if line.startswith(f"{metric}_bucket{{le="):
-                label = line.split('le="', 1)[1].split('"', 1)[0]
-                buckets.append((label, int(line.rsplit(" ", 1)[1])))
-        return buckets
-
-    @staticmethod
-    def scalar(text, name):
-        for line in text.splitlines():
-            if line.startswith(name + " "):
-                return float(line.rsplit(" ", 1)[1])
-        raise AssertionError(f"{name} not found")
-
-    def make_registry(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("total")
-        for seconds in (0.0000005, 0.0002, 0.0002, 0.004, 0.004, 0.09, 250.0):
-            histogram.record(seconds)
-        registry.counter("requests").increment(7)
-        return registry
-
-    def test_buckets_are_cumulative_and_closed_by_inf(self):
-        registry = self.make_registry()
-        text = registry.to_prometheus(prefix="repro")
-        buckets = self.parse_buckets(text, "repro_total_seconds")
-        assert buckets[-1][0] == "+Inf"
-        counts = [count for _, count in buckets]
-        assert counts == sorted(counts)  # cumulative: non-decreasing in le
-        assert counts[-1] == 7  # +Inf carries every observation
-        assert self.scalar(text, "repro_total_seconds_count") == 7
-        assert self.scalar(text, "repro_total_seconds_sum") == pytest.approx(
-            0.0000005 + 2 * 0.0002 + 2 * 0.004 + 0.09 + 250.0
-        )
-        # Finite bounds are parseable floats in increasing order.
-        bounds = [float(label) for label, _ in buckets[:-1]]
-        assert bounds == sorted(bounds)
-
-    def test_bucket_set_is_stable_across_scrapes(self):
-        registry = self.make_registry()
-        first = self.parse_buckets(
-            registry.to_prometheus(), "repro_total_seconds"
-        )
-        registry.histogram("total").record(1.5)
-        second = self.parse_buckets(
-            registry.to_prometheus(), "repro_total_seconds"
-        )
-        assert [label for label, _ in first] == [label for label, _ in second]
-        assert all(b >= a for (_, a), (_, b) in zip(first, second))
+    def quantile_labels(text, metric):
+        return [
+            line.split('quantile="', 1)[1].split('"', 1)[0]
+            for line in text.splitlines()
+            if line.startswith(f"{metric}{{quantile=")
+        ]
 
     def test_counter_and_summary_lines(self):
-        registry = self.make_registry()
-        registry.sketch("worker").record(0.002)
-        text = registry.to_prometheus(prefix="repro")
-        assert "# TYPE repro_requests_total counter" in text
-        assert "repro_requests_total 7" in text
-        assert '# TYPE repro_worker_seconds summary' in text
-        assert 'repro_worker_seconds{quantile="0.99"}' in text
+        hub = TelemetryHub()
+        hub.increment("requests", 7)
+        hub.record("total_seconds", 0.002)
+        first = hub.to_prometheus(prefix="repro")
+        hub.record("total_seconds", 1.5)
+        second = hub.to_prometheus(prefix="repro")
+        assert "# TYPE repro_requests_total counter" in first
+        assert "repro_requests_total 7" in first.splitlines()
+        assert "# TYPE repro_total_seconds summary" in first
+        assert "repro_total_seconds_count 2" in second.splitlines()
+        # A summary's series set is the same on every scrape.
+        labels = self.quantile_labels(first, "repro_total_seconds")
+        assert labels == ["0.5", "0.9", "0.99"]
+        assert self.quantile_labels(second, "repro_total_seconds") == labels

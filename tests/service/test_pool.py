@@ -301,6 +301,37 @@ def _child_pids() -> set[int]:
     return children
 
 
+@pytest.mark.parametrize(
+    "pooled",
+    [False, pytest.param(True, marks=needs_fork)],
+    ids=["in_process", "pool"],
+)
+def test_pool_counts_requests_like_in_process(catalog, paper_stats, pooled):
+    """The serving counters read the same whichever path served: a
+    pooled cache miss is counted where the worker bound the query, as
+    the in-process path counts it at its cache probe."""
+    with ViewServer(catalog, paper_stats, workers=2) as server:
+        server.register_view("pv_line", VIEW_SQL)
+        if pooled:
+            server.start_pool(workers=2)
+        for sql in (
+            QUERY_SQL,
+            QUERY_SQL,
+            "select nope from missing_table",
+            CHURN_QUERIES[2],
+        ):
+            server.rewrite(sql)
+        counters = server.stats()["counters"]
+    counted = ("requests", "cache_hits", "cache_misses", "rewrites", "errors")
+    assert {name: counters.get(name, 0) for name in counted} == {
+        "requests": 4,
+        "cache_hits": 1,
+        "cache_misses": 2,
+        "rewrites": 1,
+        "errors": 1,
+    }
+
+
 @needs_fork
 class TestServingPool:
     def test_rewrite_routes_through_pool(self, catalog, paper_stats):
@@ -416,11 +447,11 @@ class TestServingPool:
             server.start_pool(workers=1, max_retries=1)
             result = server.rewrite(QUERY_SQL)
             assert result.error is not None and not result.ok
-            metrics = server.metrics
-            assert metrics.counter("errors").value == 1
+            stats = server.stats()
+            assert stats["counters"]["errors"] == 1
             assert (
-                metrics.histogram("total").count
-                == metrics.counter("requests").value
+                stats["latency"]["total"]["count"]
+                == stats["counters"]["requests"]
                 == 1
             )
 

@@ -281,10 +281,8 @@ class TestPrometheusExposition:
         assert "repro_epoch 1" in lines
         assert "repro_views_registered 1" in lines
         assert "repro_rewrite_cache_hits_total 1" in lines
-        assert any(
-            line.startswith("repro_total_seconds_bucket{le=") for line in lines
-        )
-        assert 'repro_total_seconds_bucket{le="+Inf"} 2' in lines
+        assert "# TYPE repro_total_seconds summary" in lines
+        assert 'repro_total_seconds{quantile="0.99"}' in text
         assert "repro_total_seconds_count 2" in lines
 
     def test_reject_reasons_exported_with_labels(self, server):
@@ -302,8 +300,19 @@ class TestPrometheusExposition:
         assert "repro_" not in text
 
     def test_help_and_type_headers(self, server):
-        server.submit(BASE_ONLY)
+        server.register_view("v", VIEW)
+        server.submit(QUERY)
+        server.rewrite_many([QUERY, BASE_ONLY])
         text = server.prometheus_metrics()
         assert "# TYPE repro_requests_total counter" in text
-        assert "# TYPE repro_total_seconds histogram" in text
+        assert "# TYPE repro_total_seconds summary" in text
         assert "# TYPE repro_epoch gauge" in text
+        # Serving counters, stage sketches and the hub's own series come
+        # from one registry: every family is declared exactly once.
+        families = [
+            line.split()[2]
+            for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        ]
+        assert len(families) == len(set(families))
+        assert "repro_match_invocations_total" in families
