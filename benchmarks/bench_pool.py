@@ -2,8 +2,8 @@
 
 Replays a distinct-query schedule through one ``ViewServer``'s
 persistent worker pool (cache disabled so every request really
-optimizes), which forks once per epoch generation and pins the snapshot
-in shared memory. Live epoch swaps are injected mid-run, so the numbers
+optimizes), which forks once per epoch generation and shares the
+snapshot copy-on-write. Live epoch swaps are injected mid-run, so the numbers
 include generation churn. Run directly::
 
     PYTHONPATH=src python benchmarks/bench_pool.py            # full, 1000 views

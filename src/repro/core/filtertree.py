@@ -1388,12 +1388,8 @@ class FilterTree:
         return clone
 
     def packed_tables(self) -> tuple:
-        """The packed row tables backing this tree.
-
-        The serving pool exports each table's byte image into shared
-        memory before forking workers; see
-        :func:`repro.service.shm.export_snapshot`.
-        """
+        """The packed row tables backing this tree (diagnostics: byte
+        images, copy-on-write sharing between epochs)."""
         return (self._spj_packed.table, self._aggregate_packed.table)
 
     def level_attribution(

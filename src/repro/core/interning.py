@@ -208,8 +208,7 @@ class PackedBitsetTable:
     def packed_bytes(self) -> bytes:
         """The packed little-endian byte image (identical across backends)."""
         self._ensure_packed()
-        data = self._data
-        return data if isinstance(data, bytes) else bytes(data)
+        return self._data
 
     # -- mutation (registration side; callers serialize) ----------------------
 
@@ -415,31 +414,3 @@ class PackedBitsetTable:
             and not other._dirty
             and self._data is other._data
         )
-
-    def adopt_buffer(self, buffer) -> None:
-        """Re-point the packed image at an externally owned buffer.
-
-        ``buffer`` (a writable or read-only buffer, normally a
-        ``multiprocessing.shared_memory`` view) must already hold exactly
-        this table's packed bytes; the serving tier copies
-        :meth:`packed_bytes` into a shared segment, adopts it here, and
-        forks -- workers then sweep the one physical copy instead of each
-        holding a COW duplicate of the row image. The buffer is only read,
-        never written. Any later mutation marks the table dirty and the
-        next :meth:`_ensure_packed` rebuilds a private byte image,
-        automatically un-sharing this table from the segment.
-        """
-        self._ensure_packed()
-        view = memoryview(buffer).cast("B")
-        if len(view) != len(self._data):
-            raise ValueError(
-                f"buffer holds {len(view)} bytes, table packs "
-                f"{len(self._data)}"
-            )
-        if view != self._data:
-            raise ValueError("buffer content differs from the packed image")
-        self._data = view
-        if self._use_numpy and self._rows:
-            self._matrix = _numpy.frombuffer(view, dtype="<u8").reshape(
-                len(self._rows), self._words
-            )

@@ -246,6 +246,16 @@ def _sanitize(name: str) -> str:
     return "".join(out)
 
 
+def escape_label_value(value: str) -> str:
+    """``value`` as a Prometheus label value: backslash, double quote
+    and newline escaped, as the text exposition format requires."""
+    return (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+    )
+
+
 def _format(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))

@@ -349,8 +349,6 @@ class PoolBenchReport:
     config: PoolBenchConfig
     pool: PoolRunStats
     swaps: int = 0
-    shm_tables: int = 0
-    shm_bytes: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -363,8 +361,6 @@ class PoolBenchReport:
             "churn_cycles": self.config.churn_cycles,
             "pool": self.pool.to_dict(),
             "swaps": self.swaps,
-            "shm_tables": self.shm_tables,
-            "shm_bytes": self.shm_bytes,
         }
 
     def render(self) -> str:
@@ -377,8 +373,7 @@ class PoolBenchReport:
             f"p50 latency: {pool.percentile(0.5) * 1e3:8.1f}ms",
             f"p99 latency: {pool.percentile(0.99) * 1e3:8.1f}ms",
             f"failures:    {pool.failures}",
-            f"epoch swaps during load: {self.swaps} "
-            f"(shm: {self.shm_tables} tables, {self.shm_bytes:,} bytes)",
+            f"epoch swaps during load: {self.swaps}",
         ]
         return "\n".join(lines)
 
@@ -449,8 +444,8 @@ def run_pool_benchmark(
             before_pass=churn,
         )
         # Let any still-pending generation swap land before reading the
-        # counters: the watcher re-exports and re-forks asynchronously,
-        # and back-to-back publications coalesce into one swap.
+        # counters: the watcher re-forks asynchronously, and back-to-back
+        # publications coalesce into one swap.
         serving = server.serving_pool
         settle = time.monotonic() + 10.0
         while time.monotonic() < settle:
@@ -465,8 +460,6 @@ def run_pool_benchmark(
             config=config,
             pool=pool,
             swaps=pool_stats.get("swaps", 0),
-            shm_tables=pool_stats.get("shm_tables", 0),
-            shm_bytes=pool_stats.get("shm_bytes", 0),
         )
     finally:
         server.close()

@@ -3,9 +3,9 @@
 The only multi-process tier the server has: a fleet of **long-lived**
 forked workers (:func:`repro.core.parallel.spawn_worker`). Each worker is
 forked once per epoch generation, inherits the published :class:`~repro.service.snapshot.CatalogSnapshot`
-copy-on-write (with the packed filter-tree rows pinned in shared memory by
-:mod:`repro.service.shm`, so reference-count traffic cannot duplicate
-them), and then serves many requests over a pipe pair.
+copy-on-write (every publish calls ``gc.freeze()``, so the collector
+never writes the epoch's pages), and then serves many requests over a
+pipe pair.
 
 Three cooperating layers:
 
@@ -24,10 +24,9 @@ Three cooperating layers:
   while a freshly forked fleet takes over.
 * :class:`ServingPool` -- the :class:`~repro.service.server.ViewServer`
   integration: builds the per-epoch worker handler (bind +
-  optimize against the pinned snapshot, no parent locks touched), exports
-  each new epoch's packed tables to shared memory, listens for snapshot
-  publications and swaps generations off the writer's critical path, and
-  turns each worker's compact response frame into a
+  optimize against the pinned snapshot, no parent locks touched), listens
+  for snapshot publications and swaps generations off the writer's
+  critical path, and turns each worker's compact response frame into a
   :class:`ServedResult` on the reader thread that received it.
 
 Epoch correctness: a worker serves every request against the single
@@ -59,12 +58,6 @@ from ..errors import DeadlineExceeded, ReproError
 from ..optimizer.optimizer import OptimizationResult
 from .cache import LruMemo
 from .fingerprint import statement_fingerprint
-from .shm import (
-    SnapshotArena,
-    export_snapshot,
-    resource_tracker_running,
-    stop_resource_tracker,
-)
 
 __all__ = [
     "AdmissionController",
@@ -539,9 +532,11 @@ def _build_handler(catalog, snapshot):
     """The per-generation child request handler.
 
     Runs in the forked worker, so it must not touch parent-shared locks
-    (the server's telemetry hub, its statement memo): it
-    binds and fingerprints with a child-private memo and optimizes
-    against the pinned snapshot. It returns a compact response frame,
+    (the server's telemetry hub, its statement memo): it binds and
+    fingerprints with a child-private memo -- a worker sees a text again
+    whenever the parent's cache cannot answer it (cache off, or a
+    ``max_staleness`` request) -- and optimizes against the pinned
+    snapshot. It returns a compact response frame,
     ``(epoch, fingerprint, error, timed_out, result, serve_seconds)``:
     ``result`` is the optimization's :meth:`OptimizationResult.to_frame`
     -- scalars plus the plan as bytes, which the parent decodes only if
@@ -591,11 +586,10 @@ class ServingPool:
     """Routes a :class:`ViewServer`'s rewrites through persistent workers.
 
     Construction forks the first worker generation against the server's
-    current snapshot (packed rows exported to shared memory first, so
-    every generation maps one physical copy) and registers a snapshot
-    listener: each published epoch schedules a generation swap, performed
-    by a watcher thread strictly *off* the publisher's critical path --
-    registration latency never includes a fork.
+    current snapshot and registers a snapshot listener: each published
+    epoch schedules a generation swap, performed by a watcher thread
+    strictly *off* the publisher's critical path -- registration latency
+    never includes a fork.
 
     ``rewrite`` / ``submit`` add per-tenant admission control and a
     parent-side fast path (fingerprint memo + rewrite cache probe) so
@@ -618,26 +612,16 @@ class ServingPool:
         max_queue: int = 1024,
         max_retries: int = 1,
         admission: AdmissionController | None = None,
-        export_shared_memory: bool = True,
     ):
         from .server import ServedResult  # circular at import time
 
         self._served_result = ServedResult
         self.server = server
         self.admission = admission
-        self._export = export_shared_memory
         self._closed = False
         self._fingerprints = LruMemo(_FINGERPRINT_MEMO_CAPACITY)
         snapshot = server.snapshots.current
         self._epoch = snapshot.epoch
-        # Exporting starts multiprocessing's resource-tracker child; if
-        # it was not running before, close() stops it again.
-        self._owns_tracker = (
-            export_shared_memory and not resource_tracker_running()
-        )
-        self._arena: SnapshotArena | None = (
-            export_snapshot(snapshot) if export_shared_memory else None
-        )
         self._pool = WorkerPool(
             _build_handler(server.catalog, snapshot),
             workers=workers,
@@ -656,8 +640,8 @@ class ServingPool:
     # -- epoch swaps ---------------------------------------------------------
 
     def _on_publish(self, snapshot) -> None:
-        # Runs under the SnapshotManager writer lock: must not fork,
-        # export, or block -- just schedule.
+        # Runs under the SnapshotManager writer lock: must not fork or
+        # block -- just schedule.
         if not self._closed:
             self._swap_wanted.set()
 
@@ -671,10 +655,8 @@ class ServingPool:
             snapshot = server.snapshots.current
             if snapshot.epoch == self._epoch:
                 continue
-            arena = export_snapshot(snapshot) if self._export else None
             handler = _build_handler(server.catalog, snapshot)
             self._epoch = snapshot.epoch
-            self._arena = arena  # old arena pages die with their tables
             self._pool.swap(handler)
 
     # -- serving -------------------------------------------------------------
@@ -802,13 +784,16 @@ class ServingPool:
             server._observe(served)
             return served
         epoch, fingerprint, message, timed_out, encoded, serve_seconds = frame
-        if (
+        # The request the parent's fast path probes: an unbounded one,
+        # cache on, whose worker bound the query.
+        cacheable = (
             fingerprint is not None
             and max_staleness is None
             and server.cache is not None
-        ):
-            # The worker bound the query, so in-process it would have
-            # probed the cache: it missed (a hit never leaves the parent).
+        )
+        if cacheable:
+            # In-process this request would have probed the cache: it
+            # missed (a hit never leaves the parent).
             telemetry.increment("cache_misses")
         if message is not None:
             telemetry.increment("errors")
@@ -836,13 +821,10 @@ class ServingPool:
             if result.uses_view:
                 telemetry.increment("pool_worker_rewrites")
                 telemetry.increment("rewrites")
-            if fingerprint is not None:
+            if cacheable:
+                # Remembered only where submit() reads it back.
                 self._fingerprints.put(sql, fingerprint)
-                if (
-                    max_staleness is None
-                    and server.cache is not None
-                    and epoch == server.epoch
-                ):
+                if epoch == server.epoch:
                     # A lagging (retiring-generation) worker's result
                     # must not poison the cache under a newer epoch;
                     # insert only while its epoch is still the served one.
@@ -869,9 +851,6 @@ class ServingPool:
     def stats(self) -> dict:
         stats = dict(self._pool.stats())
         stats["epoch"] = self._epoch
-        if self._arena is not None:
-            stats["shm_tables"] = self._arena.tables_exported
-            stats["shm_bytes"] = self._arena.bytes_exported
         if self.admission is not None:
             stats["admission"] = self.admission.stats()
         return stats
@@ -879,13 +858,10 @@ class ServingPool:
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
         """Stop the watcher and the pool (``drain`` as in
         :meth:`WorkerPool.close`), leaving no child process behind: the
-        workers are reaped and the resource-tracker child the
-        shared-memory export started is stopped. Idempotent."""
+        workers are reaped. Idempotent."""
         if self._closed:
             return
         self._closed = True
         self._swap_wanted.set()  # wake the watcher so it can exit
         self._watcher.join(timeout=5.0)
         self._pool.close(drain=drain, timeout=timeout)
-        if self._owns_tracker and self._pool.worker_count() == 0:
-            stop_resource_tracker()

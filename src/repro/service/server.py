@@ -39,7 +39,12 @@ from ..core.parallel import fork_available
 from ..errors import DeadlineExceeded, ReproError
 from ..maintenance.maintainer import ViewChangeEvent, ViewMaintainer
 from ..obs.slo import SloObjectives, SloTracker
-from ..obs.telemetry import TelemetryHub, TraceContext, trace_context
+from ..obs.telemetry import (
+    TelemetryHub,
+    TraceContext,
+    escape_label_value,
+    trace_context,
+)
 from ..obs.trace import (
     RewriteTrace,
     RewriteTracer,
@@ -749,13 +754,12 @@ class ViewServer:
         max_queue: int = 1024,
         max_retries: int = 1,
         admission=None,
-        export_shared_memory: bool = True,
     ):
         """Attach a persistent forked worker pool and route rewrites to it.
 
-        Workers are forked holding the current epoch snapshot (packed
-        filter-tree rows exported to shared memory first) and respawned on
-        epoch change or death; see :class:`repro.service.pool.ServingPool`.
+        Workers are forked holding the current epoch snapshot (shared
+        copy-on-write) and respawned on epoch change or death; see
+        :class:`repro.service.pool.ServingPool`.
         ``admission`` is an optional
         :class:`~repro.service.pool.AdmissionController` for per-tenant
         token-bucket throttling. Returns the pool.
@@ -774,7 +778,6 @@ class ViewServer:
             max_queue=max_queue,
             max_retries=max_retries,
             admission=admission,
-            export_shared_memory=export_shared_memory,
         )
         return self._serving_pool
 
@@ -915,18 +918,13 @@ class ViewServer:
             metric = f"{prefix}_pool_utilization"
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric} {format(utilization, '.6g')}")
-            if "shm_bytes" in pool:
-                metric = f"{prefix}_pool_shm_bytes"
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {pool['shm_bytes']}")
         rejects = snapshot.matcher.statistics.rejects_by_reason
         if rejects:
             metric = f"{prefix}_match_rejects_total"
             lines.append(f"# TYPE {metric} counter")
             for reason, count in sorted(rejects.items()):
-                lines.append(
-                    f'{metric}{{reason="{reason.lower()}"}} {count}'
-                )
+                label = escape_label_value(reason.lower())
+                lines.append(f'{metric}{{reason="{label}"}} {count}')
         if self._cdc is not None:
             lines.append(f"# TYPE {prefix}_cdc_head_lsn gauge")
             lines.append(f"{prefix}_cdc_head_lsn {self._cdc.head_lsn}")
@@ -939,14 +937,11 @@ class ViewServer:
                 lines.append(f"# TYPE {lag_records} gauge")
                 lines.append(f"# TYPE {lag_seconds} gauge")
                 for f in freshness:
+                    label = f'{{view="{escape_label_value(f.view)}"}}'
+                    lines.append(f"{applied}{label} {f.applied_lsn}")
+                    lines.append(f"{lag_records}{label} {f.lag_records}")
                     lines.append(
-                        f'{applied}{{view="{f.view}"}} {f.applied_lsn}'
-                    )
-                    lines.append(
-                        f'{lag_records}{{view="{f.view}"}} {f.lag_records}'
-                    )
-                    lines.append(
-                        f'{lag_seconds}{{view="{f.view}"}} '
+                        f"{lag_seconds}{label} "
                         f"{format(f.lag_seconds, '.6g')}"
                     )
             applier = self._cdc.stats

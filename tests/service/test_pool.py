@@ -21,7 +21,7 @@ import time
 
 import pytest
 
-from repro.core.parallel import WorkerError, fork_available
+from repro.core.parallel import WorkerError, fork_available, spawn_worker
 from repro.service import (
     AdmissionController,
     PoolSaturatedError,
@@ -301,6 +301,12 @@ def _child_pids() -> set[int]:
     return children
 
 
+def _worker_pids(pool) -> set[int]:
+    """Pids of the serving pool's live workers, every generation."""
+    with pool._pool._work:
+        return set(pool._pool._workers)
+
+
 @pytest.mark.parametrize(
     "pooled",
     [False, pytest.param(True, marks=needs_fork)],
@@ -466,14 +472,11 @@ class TestServingPool:
             assert result.ok and result.uses_view
 
     def test_close_leaves_no_child_process(self, catalog, paper_stats):
-        """Exporting a snapshot to shared memory starts multiprocessing's
-        resource-tracker child; ``close()`` must stop and reap it along
-        with every worker of every generation."""
-        from multiprocessing import resource_tracker
-
-        # A tracker some earlier test left running is not the pool's to
-        # stop: start from none.
-        resource_tracker._resource_tracker._stop()
+        """While the pool serves, the server's only children are the
+        pool's workers (the fork shares the epoch; no helper process is
+        started), and ``close()`` reaps every worker of every
+        generation. Children some earlier test left are not the pool's:
+        only the difference from the start counts."""
         before = _child_pids()
         with ViewServer(catalog, paper_stats, workers=2) as server:
             server.register_view("pv_line", VIEW_SQL)
@@ -486,9 +489,78 @@ class TestServingPool:
             deadline = time.monotonic() + WAIT
             while pool.epoch != server.epoch and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert pool.epoch == server.epoch  # the publish was exported
-            assert _child_pids() - before  # workers + tracker are running
+            assert pool.epoch == server.epoch  # the publish was picked up
+            assert server.rewrite(QUERY_SQL).ok
+            # The retired generation exits on its own; wait it out.
+            deadline = time.monotonic() + WAIT
+            workers = _worker_pids(pool)
+            while (
+                _child_pids() - before != workers
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+                workers = _worker_pids(pool)
+            assert len(workers) == 2
+            assert _child_pids() - before == workers
         assert _child_pids() - before == set()
+
+    def test_forked_worker_sweeps_the_parents_candidates(
+        self, catalog, paper_stats
+    ):
+        """A worker reads its epoch through plain fork copy-on-write:
+        its packed row images and its filter-tree candidates match the
+        parent's byte for byte."""
+        with ViewServer(catalog, paper_stats) as server:
+            server.register_views([("pv_line", VIEW_SQL), *CHURN_VIEWS])
+            matcher = server.snapshots.current.matcher
+            tree = matcher.filter_tree
+
+            def sweep(_payload):
+                images = [
+                    table.packed_bytes() for table in tree.packed_tables()
+                ]
+                names = [
+                    [
+                        view.name
+                        for view in tree.candidates(
+                            matcher.describe_query(catalog.bind_sql(sql))
+                        )
+                    ]
+                    for sql in CHURN_QUERIES
+                ]
+                return images, names
+
+            expected = sweep(None)  # packs the images before the fork
+            assert any(expected[0]) and any(expected[1])
+            handle = spawn_worker(sweep)
+            try:
+                handle.send(1, None)
+                assert handle.recv() == (1, True, expected)
+            finally:
+                handle.shutdown()
+                handle.reap()
+
+    def test_fingerprint_memo_fills_only_where_it_is_read(
+        self, catalog, paper_stats
+    ):
+        """The parent remembers a query's fingerprint only for the cache
+        fast path: not with the cache off, not for bounded requests."""
+        with ViewServer(
+            catalog, paper_stats, workers=2, cache_enabled=False
+        ) as server:
+            server.register_view("pv_line", VIEW_SQL)
+            pool = server.start_pool(workers=1)
+            for sql in CHURN_QUERIES:
+                assert server.rewrite(sql).ok
+            assert len(pool._fingerprints) == 0
+        with ViewServer(catalog, paper_stats, workers=2) as server:
+            server.register_view("pv_line", VIEW_SQL)
+            pool = server.start_pool(workers=1)
+            for sql in CHURN_QUERIES:
+                assert server.rewrite(sql, max_staleness=60.0).ok
+            assert len(pool._fingerprints) == 0
+            assert server.rewrite(QUERY_SQL).ok
+            assert len(pool._fingerprints) == 1
 
     def test_epoch_churn_yields_no_torn_reads(self, catalog, paper_stats):
         """Readers hammer the pool while a writer registers and drops

@@ -6,6 +6,8 @@ request demonstrably serves from the lagging view, and the funnel /
 metrics surfaces record the ``STALE`` rejections.
 """
 
+import re
+
 import pytest
 
 from repro.cdc import CdcPipeline
@@ -140,3 +142,34 @@ def test_stats_expose_cdc_freshness(server, pipeline):
     assert stats["views"]["mv_rev"]["lag_records"] == 1
     pipeline.drain()
     assert server.stats()["cdc"]["views"]["mv_rev"]["lag_records"] == 0
+
+
+_SAMPLE_LINE = re.compile(
+    r"[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"'
+    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})?'
+    r" [-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?"
+)
+
+
+def test_label_values_are_escaped(catalog, paper_stats, clock):
+    """A view name holding a backslash, a double quote and a newline
+    still yields valid text exposition: every sample line parses."""
+    name = 'mv"rev\\x\nz'
+    pipeline = CdcPipeline(
+        catalog, generate_tpch(scale=0.0005, seed=3), clock=clock
+    )
+    pipeline.register_view(name, catalog.bind_sql(VIEW))
+    with ViewServer(catalog, paper_stats) as server:
+        server.register_view("mv_rev", VIEW)
+        server.attach_cdc(pipeline)
+        pipeline.insert("orders", [fresh_order_row(pipeline)])
+        server.rewrite(QUERY, max_staleness=0)
+        exposition = server.prometheus_metrics()
+    assert (
+        'repro_cdc_view_lag_records{view="mv\\"rev\\\\x\\nz"} 1'
+        in exposition
+    )
+    for line in exposition.splitlines():
+        if not line.startswith("#"):
+            assert _SAMPLE_LINE.fullmatch(line), line
