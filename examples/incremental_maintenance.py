@@ -6,23 +6,24 @@ Demonstrates why indexed views carry ``count_big(*)`` (paper, Section 2):
 a revenue-per-customer view is maintained through order inserts and
 deletes -- groups update in place and disappear exactly when their count
 reaches zero -- while the view matcher keeps answering queries from the
-(always-fresh) view.
+view. Writes go through the CDC pipeline; draining it after each write
+keeps the view as fresh as the base table.
 """
 
 from repro import (
+    CdcPipeline,
     ViewMatcher,
     execute,
     generate_tpch,
     statement_to_sql,
     tpch_catalog,
 )
-from repro.maintenance import ViewMaintainer
 
 
 def main() -> None:
     catalog = tpch_catalog()
     database = generate_tpch(scale=0.0005, seed=9)
-    maintainer = ViewMaintainer(catalog, database)
+    pipeline = CdcPipeline(catalog, database)
     matcher = ViewMatcher(catalog)
 
     view_sql = """
@@ -30,7 +31,7 @@ def main() -> None:
         from orders group by o_custkey
     """
     statement = catalog.bind_sql(view_sql)
-    maintainer.register("cust_revenue", statement)
+    pipeline.register_view("cust_revenue", statement)
     matcher.register_view("cust_revenue", statement)
     print(f"materialized cust_revenue: {database.row_count('cust_revenue')} groups "
           f"over {database.row_count('orders')} orders")
@@ -59,12 +60,14 @@ def main() -> None:
         (next_key + 1, 1, "O", 777.0, 9001, "2-HIGH", "Clerk#2", 0, "new"),
         (next_key + 2, 10_001, "O", 42.0, 9002, "5-LOW", "Clerk#3", 0, "new"),
     ]
-    maintainer.insert("orders", new_orders)
+    pipeline.insert("orders", new_orders)
+    pipeline.drain()
     print(f"\ninserted {len(new_orders)} orders (customer 10001 is new)")
     verify("after inserts")
 
     # Delete every order of customer 1: its group must vanish.
-    removed = maintainer.delete_where("orders", lambda row: row[1] == 1)
+    removed = pipeline.delete_where("orders", lambda row: row[1] == 1)
+    pipeline.drain()
     print(f"\ndeleted all {removed} orders of customer 1")
     groups = {row[0] for row in database.relation("cust_revenue").rows}
     print(f"  group for customer 1 present: {1 in groups}")

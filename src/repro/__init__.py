@@ -36,6 +36,7 @@ from .cdc import (
     ChangeLog,
     ChangeRecord,
     FreshnessTracker,
+    MaintainedView,
     StalenessBound,
     ViewFreshness,
 )
@@ -82,7 +83,6 @@ from .errors import (
     UnsupportedSqlError,
 )
 from .experiments import ExperimentConfig, ExperimentHarness
-from .maintenance import MaintainedView, ViewChangeEvent, ViewMaintainer
 from .optimizer import Optimizer, OptimizerConfig, describe_plan, plan_result
 from .service import (
     CatalogSnapshot,
@@ -133,7 +133,6 @@ __all__ = [
     "MatchOptions",
     "MatchResult",
     "MaintainedView",
-    "ViewMaintainer",
     "Optimizer",
     "OptimizerConfig",
     "QueryResult",
@@ -146,7 +145,6 @@ __all__ = [
     "SqlSyntaxError",
     "Table",
     "UnsupportedSqlError",
-    "ViewChangeEvent",
     "ViewDefinition",
     "ViewMatcher",
     "ViewServer",

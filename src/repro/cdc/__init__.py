@@ -6,9 +6,11 @@ with every base-table change. This package relaxes that: base-table
 writes land immediately and are *captured* into an ordered change log
 (:class:`ChangeLog`, monotone LSNs, transactional-outbox style via
 :class:`CdcPipeline`); a deferred applier (:class:`ChangeApplier`)
-drains the log in batches through the same delta algebra the
-synchronous maintainer uses; and a :class:`FreshnessTracker` maps every
+drains the log in batches through the delta algebra of
+:mod:`repro.cdc.delta`; and a :class:`FreshnessTracker` maps every
 view to the last LSN it has absorbed plus a wall-clock lag estimate.
+It is the only view maintainer: a caller that wants the synchronous
+semantics calls :meth:`CdcPipeline.drain` after each write.
 
 The serving layer consumes freshness through
 :meth:`FreshnessTracker.bound`: a request's ``max_staleness`` freezes
@@ -18,6 +20,7 @@ bound -- otherwise it is skipped with the ``STALE`` reject reason.
 """
 
 from .applier import ApplierStats, ChangeApplier
+from .delta import MaintainedView
 from .freshness import FreshnessTracker, StalenessBound, ViewFreshness
 from .log import ChangeLog, ChangeRecord
 from .pipeline import CdcPipeline
@@ -29,6 +32,7 @@ __all__ = [
     "ChangeLog",
     "ChangeRecord",
     "FreshnessTracker",
+    "MaintainedView",
     "StalenessBound",
     "ViewFreshness",
 ]

@@ -13,10 +13,9 @@ order. Application is two-phase:
 
 * :meth:`ChangeApplier.scan` reads the next batch of log records, and
   for each record computes every affected view's delta against the
-  shadow (via the same overlay evaluation the synchronous maintainer
-  uses), queues the deltas per view, then advances the shadow by that
-  record. After a scan the shadow is exactly the base state as of the
-  scan watermark.
+  shadow (the overlay evaluation of :mod:`repro.cdc.delta`), queues the
+  deltas per view, then advances the shadow by that record. After a scan
+  the shadow is exactly the base state as of the scan watermark.
 * :meth:`ChangeApplier.merge` folds queued deltas into the stored view
   relations in the live database -- count/sum merge, empty-group
   deletion, SPJ append/remove -- advancing each view's freshness
@@ -41,19 +40,18 @@ from typing import Callable, Iterable
 from ..catalog.catalog import Catalog
 from ..engine.database import Database
 from ..engine.executor import execute
-from ..maintenance.maintainer import (
-    MaintainedView,
-    ViewChangeEvent,
-    analyze_view,
-    apply_view_delta,
-    compute_view_delta,
-)
 from ..obs.telemetry import (
     TelemetryHub,
     current_trace_context,
     telemetry_hub,
 )
 from ..sql.statements import SelectStatement
+from .delta import (
+    MaintainedView,
+    analyze_view,
+    apply_view_delta,
+    compute_view_delta,
+)
 from .freshness import FreshnessTracker
 from .log import ChangeLog
 
@@ -158,7 +156,7 @@ class ChangeApplier:
         self._pending: dict[str, deque[_PendingDelta]] = {}
         self._shadow = Database()
         self._scanned_lsn = log.head_lsn
-        self._listeners: list[Callable[[ViewChangeEvent], None]] = []
+        self._listeners: list[Callable[[tuple[str, ...]], None]] = []
 
     # -- introspection -------------------------------------------------------
 
@@ -213,14 +211,14 @@ class ChangeApplier:
 
     # -- change notifications ------------------------------------------------
 
-    def add_listener(
-        self, listener: Callable[[ViewChangeEvent], None]
-    ) -> None:
-        """Subscribe to ``cdc-apply`` events (fired per merged view).
+    def add_listener(self, listener: Callable[[tuple[str, ...]], None]) -> None:
+        """Subscribe to ``cdc-apply`` notifications.
 
-        The serving layer uses these to evict cached rewrites whose view
-        contents just moved. Failures are isolated, as in the
-        synchronous maintainer.
+        After every merge that changed stored views, each listener is
+        called with the tuple of their names; the serving layer uses it
+        to evict cached rewrites whose view contents just moved. A
+        raising listener is logged and skipped, so it neither undoes the
+        merge nor starves later listeners.
         """
         self._listeners.append(listener)
 
@@ -228,10 +226,9 @@ class ChangeApplier:
         names = tuple(views)
         if not names or not self._listeners:
             return
-        event = ViewChangeEvent(kind="cdc-apply", table=None, views=names)
         for listener in list(self._listeners):
             try:
-                listener(event)
+                listener(names)
             except Exception:
                 logger.exception(
                     "cdc-apply listener %r failed; continuing", listener
@@ -289,9 +286,9 @@ class ChangeApplier:
 
         For each record, affected views' deltas are computed against the
         shadow (pre-record state for inserts, post-removal state for
-        deletes -- mirroring the synchronous maintainer's sequencing) and
-        queued; then the shadow absorbs the record. Watermarks of views
-        with empty queues advance to the new scan watermark.
+        deletes, as :func:`~repro.cdc.delta.compute_view_delta` requires)
+        and queued; then the shadow absorbs the record. Watermarks of
+        views with empty queues advance to the new scan watermark.
         """
         with self._lock:
             started = self._clock()

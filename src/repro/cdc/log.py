@@ -4,11 +4,10 @@ The log is the durability point of the transactional-outbox pattern: a
 writer appends the concrete rows of each base-table insert or delete in
 the same critical section that mutates the live table, and every record
 gets the next log sequence number (LSN). Consumers -- the deferred
-applier in :mod:`repro.cdc.applier` -- read strictly in LSN order, which
-is what makes deferred view maintenance equivalent to the synchronous
-:class:`~repro.maintenance.ViewMaintainer` path: replaying the records
-in order reconstructs exactly the sequence of states the writer went
-through.
+applier in :mod:`repro.cdc.applier` -- read strictly in LSN order, so
+replaying the records in order reconstructs exactly the sequence of
+states the writer went through, and a drained view equals recomputing
+its query over the live tables.
 
 Durability is optional: pass ``journal_path`` and every append is also
 written as one JSON line (fsync-free append, in the spirit of an outbox
@@ -22,6 +21,9 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+_KINDS = ("insert", "delete")
+_JOURNAL_FIELDS = frozenset(("lsn", "kind", "table", "rows", "ts"))
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class ChangeLog:
         self, kind: str, table: str, rows: Sequence[Sequence[object]]
     ) -> ChangeRecord:
         """Append one change record; returns it with its assigned LSN."""
-        if kind not in ("insert", "delete"):
+        if kind not in _KINDS:
             raise ValueError(f"unknown change kind {kind!r}")
         frozen = tuple(tuple(row) for row in rows)
         with self._lock:
@@ -186,20 +188,34 @@ class ChangeLog:
         """Rebuild a log from a journal written by a previous instance.
 
         Records are restored with their original LSNs and timestamps; the
-        next append continues the sequence. Raises :class:`ValueError` on
-        a gap or regression in the journaled LSNs.
+        next append continues the sequence. The journal is outside input:
+        raises :class:`ValueError` on a gap or regression in the LSNs, and
+        one naming the line on a missing field or a kind other than
+        ``"insert"`` / ``"delete"``.
         """
         log = cls(journal_path=journal_path, clock=clock)
         with open(path) as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 entry = json.loads(line)
+                fields = entry.keys() if isinstance(entry, dict) else ()
+                missing = sorted(_JOURNAL_FIELDS.difference(fields))
+                if missing:
+                    raise ValueError(
+                        f"journal corrupt: line {number} lacks "
+                        f"{', '.join(missing)}"
+                    )
                 lsn = entry["lsn"]
                 if lsn != log._head_lsn + 1:
                     raise ValueError(
                         f"journal corrupt: lsn {lsn} follows {log._head_lsn}"
+                    )
+                if entry["kind"] not in _KINDS:
+                    raise ValueError(
+                        f"journal corrupt: line {number} has unknown change "
+                        f"kind {entry['kind']!r}"
                     )
                 log._records.append(
                     ChangeRecord(

@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Sequence
 from ..catalog.catalog import Catalog
 from ..engine.database import Database
 from ..errors import ExecutionError
-from ..maintenance.maintainer import MaintainedView, ViewChangeEvent
 from ..sql.statements import SelectStatement
 from .applier import ApplierStats, ChangeApplier
+from .delta import MaintainedView
 from .freshness import FreshnessTracker, StalenessBound, ViewFreshness
 from .log import ChangeLog, ChangeRecord
 
@@ -150,10 +150,8 @@ class CdcPipeline:
         """Absorb the whole log; afterwards every view is fresh."""
         return self.applier.drain()
 
-    def add_listener(
-        self, listener: Callable[[ViewChangeEvent], None]
-    ) -> None:
-        """Subscribe to ``cdc-apply`` events from the applier."""
+    def add_listener(self, listener: Callable[[tuple[str, ...]], None]) -> None:
+        """Call ``listener`` with the merged view names after each merge."""
         self.applier.add_listener(listener)
 
     # -- freshness reads ------------------------------------------------------

@@ -308,8 +308,8 @@ class PackedBitsetTable:
         query (``None`` keeps the allocation-time default); only its
         intersection with ``query_mask`` matters to the kernel. The pure
         backend replicates the probe into every row lane (a handful of
-        large shifts); callers cache the result keyed on
-        :attr:`generation` so steady-state sweeps skip it.
+        large shifts). The result records :attr:`generation`, and
+        :meth:`sweep` refuses it once the table has mutated.
         """
         self._ensure_packed()
         flip = (self._flip_mask if flip_mask is None else flip_mask) & query_mask

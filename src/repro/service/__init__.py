@@ -7,7 +7,7 @@ fingerprints, matches, and plans concurrent SQL requests against
 epoch-versioned immutable catalog snapshots (:class:`SnapshotManager`),
 short-circuiting repeats through a fingerprint-keyed rewrite cache
 (:class:`RewriteCache`) that is invalidated wholesale on epoch bumps and
-per-entry on view-staleness signals from the maintainer.
+per-entry when the CDC applier merges into a view.
 
 Design rule the whole package is built around: **readers never lock**.
 Snapshot access is one attribute read, cache hits are GIL-coherent dict

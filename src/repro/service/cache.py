@@ -10,8 +10,8 @@ stamped with the epoch it was computed under. Invalidation is two-tier:
   newly profitable one) is never served. ``purge_stale`` sweeps eagerly.
 * **per-entry on view staleness** -- ``invalidate_views`` evicts every
   entry whose result reads one of the named views; the serving layer
-  wires it to :class:`~repro.maintenance.maintainer.ViewMaintainer`
-  change events.
+  wires it to the CDC applier's merges
+  (:meth:`~repro.service.server.ViewServer.attach_cdc`).
 
 The hit path is deliberately lock-free: an ``OrderedDict`` probe, an
 epoch comparison, and a C-level ``move_to_end`` recency stamp -- each a
@@ -135,7 +135,7 @@ class RewriteCache:
         """Evict every entry whose plan reads one of the named views.
 
         Returns the number of entries evicted. This is the per-entry
-        staleness channel: when the maintainer changes a view's contents,
+        staleness channel: when the CDC applier changes a view's contents,
         rewrites that read it must be recomputed (or at least re-costed),
         while entries over unaffected views stay hot.
         """

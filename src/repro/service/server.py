@@ -34,10 +34,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
+from ..cdc.pipeline import CdcPipeline
 from ..core.options import DEFAULT_OPTIONS, MatchOptions
 from ..core.parallel import fork_available
 from ..errors import DeadlineExceeded, ReproError
-from ..maintenance.maintainer import ViewChangeEvent, ViewMaintainer
 from ..obs.slo import SloObjectives, SloTracker
 from ..obs.telemetry import (
     TelemetryHub,
@@ -703,32 +703,23 @@ class ViewServer:
         if self.cache is not None:
             self.cache.purge_stale(snapshot.epoch)
 
-    def attach_maintainer(self, maintainer: ViewMaintainer) -> None:
-        """Subscribe to a maintainer's staleness signals.
-
-        Base-table inserts/deletes propagated by the maintainer evict
-        exactly the cache entries whose plans read an affected view --
-        the per-entry invalidation channel (epoch bumps handle
-        registration changes).
-        """
-        maintainer.add_listener(self._on_view_change)
-
-    def _on_view_change(self, event: ViewChangeEvent) -> None:
-        if self.cache is None or not event.views:
+    def _on_view_change(self, views: tuple[str, ...]) -> None:
+        if self.cache is None:
             return
-        evicted = self.cache.invalidate_views(event.views)
+        evicted = self.cache.invalidate_views(views)
         if evicted:
             self.telemetry.increment("staleness_evictions", evicted)
 
-    def attach_cdc(self, pipeline) -> None:
+    def attach_cdc(self, pipeline: CdcPipeline) -> None:
         """Wire a :class:`repro.cdc.CdcPipeline` into serving.
 
         Three effects: snapshots carry the pipeline's freshness tracker
         (enabling ``max_staleness`` on :meth:`rewrite` /
-        :meth:`rewrite_many`), applier merges evict cached rewrites that
-        read the views whose contents just moved, and
-        :meth:`prometheus_metrics` / :meth:`stats` export per-view lag
-        and applier throughput.
+        :meth:`rewrite_many`), applier merges evict exactly the cached
+        rewrites that read the views whose contents just moved (the
+        per-entry invalidation channel; epoch bumps handle registration
+        changes), and :meth:`prometheus_metrics` / :meth:`stats` export
+        per-view lag and applier throughput.
         """
         self._cdc = pipeline
         pipeline.add_listener(self._on_view_change)
@@ -737,9 +728,7 @@ class ViewServer:
         # scan/merge sketches and spans land next to the serving ones
         # (and under the same trace id when a traced request drives the
         # applier).
-        applier = getattr(pipeline, "applier", None)
-        if applier is not None and hasattr(applier, "telemetry"):
-            applier.telemetry = self.telemetry
+        pipeline.applier.telemetry = self.telemetry
 
     # -- persistent worker pool ----------------------------------------------
 

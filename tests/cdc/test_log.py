@@ -68,12 +68,40 @@ def test_journal_round_trips_through_replay(tmp_path):
     ]
 
 
+def write_journal(path, *entries):
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+
 def test_replay_rejects_lsn_gaps(tmp_path):
     path = tmp_path / "journal.jsonl"
-    entries = [
+    write_journal(
+        path,
         {"lsn": 1, "kind": "insert", "table": "t", "rows": [[1]], "ts": 0.0},
         {"lsn": 3, "kind": "insert", "table": "t", "rows": [[2]], "ts": 0.0},
-    ]
-    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    )
     with pytest.raises(ValueError):
+        ChangeLog.replay(str(path))
+
+
+def test_replay_rejects_an_unknown_kind(tmp_path):
+    # An "update" record would otherwise reach the applier, whose scan
+    # treats every non-insert as a delete.
+    path = tmp_path / "journal.jsonl"
+    write_journal(
+        path,
+        {"lsn": 1, "kind": "insert", "table": "t", "rows": [[1]], "ts": 0.0},
+        {"lsn": 2, "kind": "update", "table": "t", "rows": [[1]], "ts": 0.0},
+    )
+    with pytest.raises(ValueError, match="line 2.*'update'"):
+        ChangeLog.replay(str(path))
+
+
+def test_replay_names_the_line_missing_a_field(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    write_journal(
+        path,
+        {"lsn": 1, "kind": "insert", "table": "t", "rows": [[1]], "ts": 0.0},
+        {"lsn": 2, "table": "t", "rows": [[1]], "ts": 0.0},
+    )
+    with pytest.raises(ValueError, match="line 2 lacks kind"):
         ChangeLog.replay(str(path))

@@ -140,11 +140,12 @@ class TestExecutorIntegration:
         assert sorted(result.rows) == [(42, 1), (43, 2)]
 
     def test_results_fresh_after_maintenance_updates(self, db, cat):
-        from repro.maintenance import ViewMaintainer
+        from repro.cdc import CdcPipeline
 
         db.indexes.create("idx_a", "t", ["a"])
-        maintainer = ViewMaintainer(cat, db)
+        pipeline = CdcPipeline(cat, db)
         statement = cat.bind_sql("select t.a, b from t where t.a >= 200")
         assert execute(statement, db).rows == []
-        maintainer.insert("t", [(200, 1, "fresh")])
+        pipeline.insert("t", [(200, 1, "fresh")])
+        pipeline.drain()
         assert execute(statement, db).rows == [(200, 1)]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.catalog import Catalog, Column, Table
 from repro.datagen import generate_tpch
 from repro.engine import Database, QueryResult, execute
-from repro.maintenance.maintainer import (
+from repro.cdc.delta import (
     analyze_view,
     apply_view_delta,
     compute_view_delta,

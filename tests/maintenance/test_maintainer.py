@@ -1,19 +1,18 @@
-"""Incremental view maintenance tests.
+"""Incremental view maintenance through the CDC pipeline.
 
-The central invariant: after any sequence of inserts and deletes, a
-maintained view's contents equal recomputing its query from scratch.
+The central invariant: after any sequence of inserts and deletes and a
+``drain()``, a maintained view's contents equal recomputing its query
+from scratch -- recomputation is the oracle.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, ColumnType, Table
-from repro.engine import Database, execute
+from repro.cdc import CdcPipeline
+from repro.engine import Database, QueryResult, execute
 from repro.errors import ExecutionError, MatchError
-from repro.maintenance import ViewChangeEvent, ViewMaintainer
 
 
 @pytest.fixture()
@@ -47,94 +46,108 @@ def setup():
         ],
     )
     database.store("d", ("dk", "dname"), [(0, "zero"), (1, "one")])
-    return catalog, database, ViewMaintainer(catalog, database)
+    return catalog, database, CdcPipeline(catalog, database)
 
 
-def recompute(catalog, database, statement):
-    return execute(statement, database)
-
-
-def view_matches_recompute(database, maintainer, name):
-    view = next(v for v in maintainer.views() if v.name == name)
+def view_matches_recompute(database, pipeline, name):
+    view = next(v for v in pipeline.applier.views() if v.name == name)
     fresh = execute(view.statement, database)
     stored = database.relation(name)
-    from repro.engine import QueryResult
-
     current = QueryResult(columns=stored.columns, rows=list(stored.rows))
     return fresh.bag_equals(current, float_digits=9)
 
 
 class TestSpjMaintenance:
     def test_insert_propagates(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k, v as v from t where g = 0")
         )
-        maintainer.insert("t", [(5, 0, 50.0, "c"), (6, 1, 60.0, "d")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        pipeline.insert("t", [(5, 0, 50.0, "c"), (6, 1, 60.0, "d")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
         assert database.row_count("mv") == 3  # rows 1, 2 and 5
 
     def test_delete_propagates(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k, v as v from t where g = 0")
         )
-        maintainer.delete("t", [(2, 0, 20.0, "b")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        pipeline.delete("t", [(2, 0, 20.0, "b")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
         assert database.row_count("mv") == 1
 
     def test_delete_of_unmatched_row_leaves_view_alone(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k from t where g = 0")
         )
-        maintainer.delete("t", [(3, 1, 30.0, "a")])
+        pipeline.delete("t", [(3, 1, 30.0, "a")])
+        pipeline.drain()
         assert database.row_count("mv") == 2
 
     def test_join_view_insert_on_fact_side(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv",
             catalog.bind_sql(
                 "select k as k, dname as dn from t, d where g = dk"
             ),
         )
-        maintainer.insert("t", [(7, 1, 70.0, "x")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        pipeline.insert("t", [(7, 1, 70.0, "x")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
 
     def test_join_view_insert_on_dimension_side(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv",
             catalog.bind_sql(
                 "select k as k, dname as dn from t, d where g = dk"
             ),
         )
         # New dimension row matches nothing yet; then a fact arrives.
-        maintainer.insert("d", [(2, "two")])
-        maintainer.insert("t", [(8, 2, 80.0, "y")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        pipeline.insert("d", [(2, "two")])
+        pipeline.drain()
+        pipeline.insert("t", [(8, 2, 80.0, "y")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
 
     def test_delete_missing_base_row_raises(self, setup):
-        catalog, database, maintainer = setup
+        catalog, database, pipeline = setup
+        pipeline.register_view(
+            "mv", catalog.bind_sql("select k as k from t where g = 0")
+        )
+        base_before = list(database.relation("t").rows)
+        view_before = list(database.relation("mv").rows)
+        head_before = pipeline.head_lsn
         with pytest.raises(ExecutionError, match="not present"):
-            maintainer.delete("t", [(99, 0, 1.0, "zz")])
+            pipeline.delete("t", [(1, 0, 10.0, "a"), (99, 0, 1.0, "zz")])
+        pipeline.drain()
+        # Nothing moved: not the base table, not the log, not the view.
+        assert database.relation("t").rows == base_before
+        assert pipeline.head_lsn == head_before
+        assert database.relation("mv").rows == view_before
 
     def test_delete_where(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k from t where g = 1")
         )
-        count = maintainer.delete_where("t", lambda row: row[1] == 1)
+        count = pipeline.delete_where("t", lambda row: row[1] == 1)
         assert count == 2
+        pipeline.drain()
         assert database.row_count("mv") == 0
 
     def test_duplicate_rows_removed_one_at_a_time(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select g as g from t"))
-        maintainer.insert("t", [(5, 0, 10.0, "a")])
-        maintainer.delete("t", [(1, 0, 10.0, "a")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql("select g as g from t"))
+        pipeline.insert("t", [(5, 0, 10.0, "a")])
+        pipeline.drain()
+        pipeline.delete("t", [(1, 0, 10.0, "a")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
 
 
 class TestAggregateMaintenance:
@@ -143,42 +156,46 @@ class TestAggregateMaintenance:
     )
 
     def test_insert_updates_existing_group(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql(self.AGG))
-        maintainer.insert("t", [(5, 0, 5.0, "z")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql(self.AGG))
+        pipeline.insert("t", [(5, 0, 5.0, "z")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
         rows = {row[0]: row for row in database.relation("mv").rows}
         assert rows[0] == (0, 35.0, 3)
 
     def test_insert_creates_new_group(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql(self.AGG))
-        maintainer.insert("t", [(5, 7, 5.0, "z")])
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql(self.AGG))
+        pipeline.insert("t", [(5, 7, 5.0, "z")])
+        pipeline.drain()
         rows = {row[0]: row for row in database.relation("mv").rows}
         assert rows[7] == (7, 5.0, 1)
 
     def test_delete_decrements_group(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql(self.AGG))
-        maintainer.delete("t", [(1, 0, 10.0, "a")])
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql(self.AGG))
+        pipeline.delete("t", [(1, 0, 10.0, "a")])
+        pipeline.drain()
         rows = {row[0]: row for row in database.relation("mv").rows}
         assert rows[0] == (0, 20.0, 1)
 
     def test_group_removed_when_count_reaches_zero(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql(self.AGG))
-        maintainer.delete("t", [(1, 0, 10.0, "a"), (2, 0, 20.0, "b")])
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql(self.AGG))
+        pipeline.delete("t", [(1, 0, 10.0, "a"), (2, 0, 20.0, "b")])
+        pipeline.drain()
         groups = {row[0] for row in database.relation("mv").rows}
         assert groups == {1}
-        assert view_matches_recompute(database, maintainer, "mv")
+        assert view_matches_recompute(database, pipeline, "mv")
 
     def test_emptied_group_is_gone_before_the_version_moves(self, setup):
         # Anything keyed on the version may be built the moment it moves
         # (another thread's join, a stored index). Build the join index
         # on the grouping column right then: it must not hold the group
         # the merge is emptying.
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql(self.AGG))
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql(self.AGG))
         relation = database.relation("mv")
         bump = relation.bump_version
 
@@ -187,54 +204,59 @@ class TestAggregateMaintenance:
             relation.hash_index((0,))
 
         relation.bump_version = bump_then_build
-        maintainer.delete("t", [(1, 0, 10.0, "a"), (2, 0, 20.0, "b")])
+        pipeline.delete("t", [(1, 0, 10.0, "a"), (2, 0, 20.0, "b")])
+        pipeline.drain()
         assert (0,) not in relation.hash_index((0,))
         assert relation.hash_index((0,)) == {(1,): [(1, 70.0, 2)]}
 
     def test_join_aggregate_view(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv",
             catalog.bind_sql(
                 "select dname as dn, sum(v) as sv, count_big(*) as cnt "
                 "from t, d where g = dk group by dname"
             ),
         )
-        maintainer.insert("t", [(5, 1, 5.0, "q")])
-        maintainer.delete("t", [(3, 1, 30.0, "a")])
-        assert view_matches_recompute(database, maintainer, "mv")
+        pipeline.insert("t", [(5, 1, 5.0, "q")])
+        pipeline.drain()
+        pipeline.delete("t", [(3, 1, 30.0, "a")])
+        pipeline.drain()
+        assert view_matches_recompute(database, pipeline, "mv")
 
     def test_global_aggregate_view(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv",
             catalog.bind_sql(
                 "select sum(v) as sv, count_big(*) as cnt from t"
             ),
         )
-        maintainer.insert("t", [(5, 0, 5.0, "z")])
-        maintainer.delete("t", [(1, 0, 10.0, "a")])
+        pipeline.insert("t", [(5, 0, 5.0, "z")])
+        pipeline.drain()
+        pipeline.delete("t", [(1, 0, 10.0, "a")])
+        pipeline.drain()
         (row,) = database.relation("mv").rows
         assert row == (95.0, 4)
 
 
 class TestRegistrationRules:
     def test_missing_count_big_rejected(self, setup):
-        catalog, _database, maintainer = setup
+        catalog, _database, pipeline = setup
         with pytest.raises(MatchError, match="count_big"):
-            maintainer.register(
+            pipeline.register_view(
                 "mv",
                 catalog.bind_sql("select g as g, sum(v) as sv from t group by g"),
             )
 
     def test_nullable_sum_argument_rejected(self, setup):
-        catalog, database, maintainer = setup
+        catalog, database, pipeline = setup
         catalog.add_table(
             Table(name="n", columns=(Column("a"), Column("b", nullable=True)))
         )
         database.store("n", ("a", "b"), [(1, None)])
         with pytest.raises(MatchError, match="nullable"):
-            maintainer.register(
+            pipeline.register_view(
                 "mv",
                 catalog.bind_sql(
                     "select a as a, sum(b) as sb, count_big(*) as cnt "
@@ -243,9 +265,9 @@ class TestRegistrationRules:
             )
 
     def test_avg_rejected(self, setup):
-        catalog, _database, maintainer = setup
+        catalog, _database, pipeline = setup
         with pytest.raises(MatchError, match="not maintainable"):
-            maintainer.register(
+            pipeline.register_view(
                 "mv",
                 catalog.bind_sql(
                     "select g as g, avg(v) as av, count_big(*) as cnt "
@@ -254,135 +276,72 @@ class TestRegistrationRules:
             )
 
     def test_distinct_view_rejected(self, setup):
-        catalog, _database, maintainer = setup
+        catalog, _database, pipeline = setup
         with pytest.raises(MatchError, match="DISTINCT"):
-            maintainer.register(
+            pipeline.register_view(
                 "mv", catalog.bind_sql("select distinct g as g from t")
             )
 
     def test_unnamed_output_rejected(self, setup):
-        catalog, _database, maintainer = setup
+        catalog, _database, pipeline = setup
         with pytest.raises(MatchError, match="name"):
-            maintainer.register("mv", catalog.bind_sql("select k + 1 from t"))
+            pipeline.register_view("mv", catalog.bind_sql("select k + 1 from t"))
 
     def test_unregister_drops_relation(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        maintainer.unregister("mv")
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql("select k as k from t"))
+        pipeline.unregister_view("mv")
         assert not database.has("mv")
-        assert maintainer.views() == ()
+        assert pipeline.applier.views() == ()
 
 
 class TestChangeEvents:
-    """Listener notifications: the staleness channel the serving layer uses."""
-
-    def test_register_and_unregister_events(self, setup):
-        catalog, _database, maintainer = setup
-        events: list[ViewChangeEvent] = []
-        maintainer.add_listener(events.append)
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        maintainer.unregister("mv")
-        assert [(e.kind, e.views) for e in events] == [
-            ("register", ("mv",)),
-            ("unregister", ("mv",)),
-        ]
-
-    def test_insert_event_names_affected_views_and_table(self, setup):
-        catalog, _database, maintainer = setup
-        maintainer.register(
-            "mv_t", catalog.bind_sql("select k as k from t where g = 0")
-        )
-        maintainer.register(
-            "mv_d", catalog.bind_sql("select dk as dk from d")
-        )
-        events: list[ViewChangeEvent] = []
-        maintainer.add_listener(events.append)
-        maintainer.insert("t", [(5, 0, 50.0, "c")])
-        (event,) = events
-        assert event.kind == "insert"
-        assert event.table == "t"
-        assert "mv_t" in event.views
-        assert "mv_d" not in event.views
+    """Merge notifications: the staleness channel the serving layer uses."""
 
     def test_delete_event_fires_after_propagation(self, setup):
-        catalog, database, maintainer = setup
-        maintainer.register(
+        catalog, database, pipeline = setup
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k from t where g = 0")
         )
         counts: list[int] = []
-        maintainer.add_listener(
-            lambda event: counts.append(database.row_count("mv"))
+        pipeline.add_listener(
+            lambda views: counts.append(database.row_count("mv"))
         )
-        maintainer.delete("t", [(2, 0, 20.0, "b")])
+        pipeline.delete("t", [(2, 0, 20.0, "b")])
+        pipeline.drain()
         # The view already reflects the delete when the listener runs.
         assert counts == [1]
 
-    def test_removed_listener_stops_firing(self, setup):
-        catalog, _database, maintainer = setup
-        events: list[ViewChangeEvent] = []
-        maintainer.add_listener(events.append)
-        maintainer.remove_listener(events.append)
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        assert events == []
-
     def test_failing_listener_is_isolated(self, setup):
         """A listener that raises must not break maintenance or starve
-        the listeners registered after it (regression: a raising
-        listener used to propagate out of ``insert``/``delete``,
-        leaving views updated but downstream caches never notified)."""
-        catalog, database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        events: list[ViewChangeEvent] = []
+        the listeners registered after it, else views would move while
+        downstream caches were never told."""
+        catalog, database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql("select k as k from t"))
+        events: list[tuple[str, ...]] = []
 
-        def failing(event):
+        def failing(views):
             raise RuntimeError("listener bug")
 
-        maintainer.add_listener(failing)
-        maintainer.add_listener(events.append)
-        maintainer.insert("t", [(5, 0, 50.0, "c")])
-        maintainer.delete("t", [(5, 0, 50.0, "c")])
-        # Maintenance completed and the healthy listener saw both events.
-        assert [e.kind for e in events] == ["insert", "delete"]
+        pipeline.add_listener(failing)
+        pipeline.add_listener(events.append)
+        pipeline.insert("t", [(5, 0, 50.0, "c")])
+        pipeline.drain()
+        pipeline.delete("t", [(5, 0, 50.0, "c")])
+        pipeline.drain()
+        # Maintenance completed and the healthy listener saw both merges.
+        assert events == [("mv",), ("mv",)]
         assert database.row_count("mv") == 4
 
-    def test_events_carry_the_changed_rows(self, setup):
-        catalog, _database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        events: list[ViewChangeEvent] = []
-        maintainer.add_listener(events.append)
-        maintainer.insert("t", [(5, 0, 50.0, "c")])
-        maintainer.delete("t", [(5, 0, 50.0, "c")])
-        assert [(e.kind, e.rows) for e in events] == [
-            ("insert", ((5, 0, 50.0, "c"),)),
-            ("delete", ((5, 0, 50.0, "c"),)),
-        ]
-
-    def test_delete_where_emits_the_same_events_as_delete(self, setup):
-        """``delete_where`` must route through ``delete`` so the change
-        stream (and hence a CDC log fed by it) records the concrete
-        victim rows -- a predicate delete that skipped the event channel
-        would silently desynchronize any downstream change consumer."""
-        catalog, _database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        predicate_events: list[ViewChangeEvent] = []
-        maintainer.add_listener(predicate_events.append)
-        removed = maintainer.delete_where("t", lambda row: row[1] == 0)
-        assert removed == 2
-        (event,) = predicate_events
-        assert event.kind == "delete"
-        assert event.table == "t"
-        assert "mv" in event.views
-        assert sorted(event.rows) == [
-            (1, 0, 10.0, "a"),
-            (2, 0, 20.0, "b"),
-        ]
-
     def test_delete_where_with_no_victims_emits_nothing(self, setup):
-        catalog, _database, maintainer = setup
-        maintainer.register("mv", catalog.bind_sql("select k as k from t"))
-        events: list[ViewChangeEvent] = []
-        maintainer.add_listener(events.append)
-        assert maintainer.delete_where("t", lambda row: row[0] > 99) == 0
+        catalog, _database, pipeline = setup
+        pipeline.register_view("mv", catalog.bind_sql("select k as k from t"))
+        events: list[tuple[str, ...]] = []
+        pipeline.add_listener(events.append)
+        head = pipeline.head_lsn
+        assert pipeline.delete_where("t", lambda row: row[0] > 99) == 0
+        pipeline.drain()
+        assert pipeline.head_lsn == head
         assert events == []
 
 
@@ -400,9 +359,9 @@ class TestMaintenanceMatchesRecomputation:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_change_sequences(self, setup, seed):
-        catalog, database, maintainer = setup
+        catalog, database, pipeline = setup
         for i, sql in enumerate(self.VIEWS):
-            maintainer.register(f"mv{i}", catalog.bind_sql(sql))
+            pipeline.register_view(f"mv{i}", catalog.bind_sql(sql))
         rng = random.Random(seed)
         next_key = 100
         for _ in range(60):
@@ -417,12 +376,13 @@ class TestMaintenanceMatchesRecomputation:
                     for j in range(rng.randint(1, 3))
                 ]
                 next_key += len(rows)
-                maintainer.insert("t", rows)
+                pipeline.insert("t", rows)
             else:
                 stored = database.relation("t").rows
                 victims = rng.sample(stored, min(len(stored), rng.randint(1, 2)))
-                maintainer.delete("t", victims)
+                pipeline.delete("t", victims)
+            pipeline.drain()
             for i in range(len(self.VIEWS)):
-                assert view_matches_recompute(database, maintainer, f"mv{i}"), (
+                assert view_matches_recompute(database, pipeline, f"mv{i}"), (
                     f"view mv{i} diverged at seed {seed}"
                 )

@@ -1,8 +1,9 @@
 """Property-based maintenance soundness over random views and updates.
 
-For random maintainable SPJG views and random insert/delete sequences, the
-maintained view must always equal recomputation from scratch. Reuses the
-two-table random statement generator from the matcher property suite.
+For random maintainable SPJG views and random insert/delete sequences, a
+view the CDC pipeline maintains must equal recomputation from scratch
+after every write and ``drain()``. Reuses the two-table random statement
+generator from the matcher property suite.
 """
 
 from __future__ import annotations
@@ -10,9 +11,9 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cdc import CdcPipeline
 from repro.engine import Database, QueryResult, execute
 from repro.errors import MatchError
-from repro.maintenance import ViewMaintainer
 from repro.sql import statement_to_sql
 
 from ..integration.test_matcher_property import CATALOG, DATABASE, spjg_statements
@@ -48,23 +49,23 @@ operations = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(spjg_statements(for_view=True), operations)
 def test_maintained_view_equals_recomputation(view_statement, ops):
-    maintainer = ViewMaintainer(CATALOG, fresh_database())
-    database = maintainer.database
+    pipeline = CdcPipeline(CATALOG, fresh_database())
+    database = pipeline.database
     try:
-        maintainer.register("mv", view_statement)
+        view = pipeline.register_view("mv", view_statement)
     except MatchError:
         return  # not maintainable (e.g. missing count_big)
-    view = maintainer.views()[0]
     for kind, rows, rng in ops:
         if kind == "insert":
-            maintainer.insert("fact", rows)
+            pipeline.insert("fact", rows)
         else:
             stored = database.relation("fact").rows
             if not stored:
                 continue
             count = min(len(stored), len(rows))
             victims = rng.sample(stored, count)
-            maintainer.delete("fact", victims)
+            pipeline.delete("fact", victims)
+        pipeline.drain()
         fresh = execute(view.statement, database)
         stored_view = database.relation("mv")
         current = QueryResult(
@@ -103,28 +104,28 @@ def test_views_survive_mutation_and_registration_churn(definitions, ops):
     through the same delta path as row deletes) and views registered
     mid-stream over an already-mutated table.
     """
-    maintainer = ViewMaintainer(CATALOG, fresh_database())
-    database = maintainer.database
+    pipeline = CdcPipeline(CATALOG, fresh_database())
+    database = pipeline.database
     registered: dict[str, object] = {}
     sequence = 0
     for kind, rows, rng in ops:
         if kind == "insert":
-            maintainer.insert("fact", rows)
+            pipeline.insert("fact", rows)
         elif kind == "delete":
             stored = database.relation("fact").rows
             if not stored:
                 continue
             victims = rng.sample(stored, min(len(stored), len(rows)))
-            maintainer.delete("fact", victims)
+            pipeline.delete("fact", victims)
         elif kind == "delete_where":
             group = rng.randrange(6)
-            maintainer.delete_where("fact", lambda row: row[1] == group)
+            pipeline.delete_where("fact", lambda row: row[1] == group)
         elif kind == "register":
             statement = definitions[sequence % len(definitions)]
             name = f"mv{sequence}"
             sequence += 1
             try:
-                maintainer.register(name, statement)
+                pipeline.register_view(name, statement)
             except MatchError:
                 continue  # not maintainable (e.g. missing count_big)
             registered[name] = statement
@@ -132,10 +133,11 @@ def test_views_survive_mutation_and_registration_churn(definitions, ops):
             if not registered:
                 continue
             name = rng.choice(sorted(registered))
-            maintainer.unregister(name)
+            pipeline.unregister_view(name)
             del registered[name]
+        pipeline.drain()
         for name in registered:
-            view = next(v for v in maintainer.views() if v.name == name)
+            view = next(v for v in pipeline.applier.views() if v.name == name)
             fresh = execute(view.statement, database)
             stored_view = database.relation(name)
             current = QueryResult(

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.catalog import Catalog, Column, ColumnType, Table
+from repro.cdc import CdcPipeline
 from repro.engine import Database
-from repro.maintenance import ViewMaintainer
 from repro.service import ViewServer
 from repro.stats import DatabaseStats
 
@@ -154,36 +154,38 @@ class TestMaintainerIntegration:
         database.store(
             "t", ("k", "g", "v"), [(1, 0, 10.0), (2, 0, 20.0), (3, 1, 30.0)]
         )
-        maintainer = ViewMaintainer(catalog, database)
+        pipeline = CdcPipeline(catalog, database)
         stats = DatabaseStats.collect(database, catalog)
         server = ViewServer(catalog, stats, workers=1)
-        server.attach_maintainer(maintainer)
-        yield catalog, maintainer, server
+        server.attach_cdc(pipeline)
+        yield catalog, pipeline, server
         server.close()
 
     def test_base_table_change_evicts_affected_entries(self, stack):
-        catalog, maintainer, server = stack
+        catalog, pipeline, server = stack
         sql = "select k as k, v as v from t where g = 0"
-        maintainer.register("mv", catalog.bind_sql(sql))
+        pipeline.register_view("mv", catalog.bind_sql(sql))
         server.register_view("mv", sql)
         query = "select k from t where g = 0"
         assert server.submit(query).uses_view
         assert server.submit(query).cache_hit
-        maintainer.insert("t", [(4, 0, 40.0)])
-        # The maintainer's change event evicted the cached rewrite.
+        pipeline.insert("t", [(4, 0, 40.0)])
+        pipeline.drain()
+        # The merge event evicted the cached rewrite.
         refreshed = server.submit(query)
         assert not refreshed.cache_hit
         assert server.stats()["counters"]["staleness_evictions"] >= 1
         assert server.stats()["cache"]["view_invalidations"] >= 1
 
     def test_untouched_views_stay_cached(self, stack):
-        catalog, maintainer, server = stack
-        maintainer.register(
+        catalog, pipeline, server = stack
+        pipeline.register_view(
             "mv", catalog.bind_sql("select k as k from t where g = 1")
         )
         unrelated = "select k from t where g = 0"
         server.submit(unrelated)
-        maintainer.insert("t", [(5, 1, 50.0)])  # touches mv only
+        pipeline.insert("t", [(5, 1, 50.0)])  # touches mv only
+        pipeline.drain()
         assert server.submit(unrelated).cache_hit
 
 

@@ -1,18 +1,18 @@
 """Stale-rewrite invalidation across the two channels at once.
 
 The cache has two staleness channels: epoch bumps (view registration
-changes, wholesale) and maintainer change events (base-table data
-changes, per-entry). Each is unit-tested on its own; these tests pin the
-interactions -- a maintainer event must keep working after an epoch
-swap, and an event naming a dropped view must not resurrect or crash
-anything -- so a cached plan can never outlive either kind of change.
+changes, wholesale) and CDC merge events (base-table data changes,
+per-entry). Each is unit-tested on its own; these tests pin the
+interactions -- a merge event must keep working after an epoch swap,
+and an event naming a dropped view must not resurrect or crash anything
+-- so a cached plan can never outlive either kind of change.
 """
 
 import pytest
 
 from repro.catalog import Catalog, Column, ColumnType, Table
+from repro.cdc import CdcPipeline
 from repro.engine import Database
-from repro.maintenance import ViewMaintainer
 from repro.service import RewriteCache, ViewServer
 from repro.stats import DatabaseStats
 
@@ -40,63 +40,66 @@ def stack():
     database.store(
         "t", ("k", "g", "v"), [(1, 0, 10.0), (2, 0, 20.0), (3, 1, 30.0)]
     )
-    maintainer = ViewMaintainer(catalog, database)
+    pipeline = CdcPipeline(catalog, database)
     stats = DatabaseStats.collect(database, catalog)
     server = ViewServer(catalog, stats, workers=1)
-    server.attach_maintainer(maintainer)
-    yield catalog, maintainer, server
+    server.attach_cdc(pipeline)  # publishes epoch 1
+    yield catalog, pipeline, server
     server.close()
 
 
 class TestAcrossEpochSwap:
     def test_change_event_still_evicts_after_epoch_bump(self, stack):
-        catalog, maintainer, server = stack
-        maintainer.register("mv", catalog.bind_sql(VIEW_SQL))
+        catalog, pipeline, server = stack
+        pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
         server.register_view("mv", VIEW_SQL)
         # A second registration bumps the epoch again; the rewrite below
         # is cached under the *new* generation.
         server.register_view("mv_other", "select k as k from t where g = 1")
-        assert server.epoch == 2
+        assert server.epoch == 3
         assert server.submit(QUERY).uses_view
         assert server.submit(QUERY).cache_hit
-        maintainer.insert("t", [(4, 0, 40.0)])
+        pipeline.insert("t", [(4, 0, 40.0)])
+        pipeline.drain()
         refreshed = server.submit(QUERY)
         assert not refreshed.cache_hit
         assert server.stats()["counters"]["staleness_evictions"] >= 1
 
     def test_epoch_swap_retires_plan_survived_by_events(self, stack):
-        catalog, maintainer, server = stack
-        maintainer.register("mv", catalog.bind_sql(VIEW_SQL))
+        catalog, pipeline, server = stack
+        pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
         server.register_view("mv", VIEW_SQL)
         warm = server.submit(QUERY)
-        assert warm.uses_view and warm.epoch == 1
+        assert warm.uses_view and warm.epoch == 2
         # Unregister: the epoch swap alone must stop the cached plan,
-        # no maintainer event fires for a server-side drop.
-        assert server.unregister_view("mv") == 2
+        # no merge event fires for a server-side drop.
+        assert server.unregister_view("mv") == 3
         served = server.submit(QUERY)
         assert not served.cache_hit
         assert "mv" not in served.view_names
         assert not served.uses_view
 
     def test_event_for_dropped_view_is_harmless(self, stack):
-        catalog, maintainer, server = stack
-        maintainer.register("mv", catalog.bind_sql(VIEW_SQL))
+        catalog, pipeline, server = stack
+        pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
         server.register_view("mv", VIEW_SQL)
         assert server.submit(QUERY).uses_view
         server.unregister_view("mv")
         before = server.submit(QUERY)
         assert not before.uses_view
-        # The maintainer still maintains mv and fires an event naming
-        # it; nothing cached reads it any more.
-        maintainer.insert("t", [(5, 0, 50.0)])
+        # The pipeline still maintains mv and fires an event naming it;
+        # nothing cached reads it any more.
+        pipeline.insert("t", [(5, 0, 50.0)])
+        pipeline.drain()
         after = server.submit(QUERY)
         assert after.cache_hit
         assert not after.uses_view
 
     def test_event_before_any_submit_is_harmless(self, stack):
-        catalog, maintainer, server = stack
-        maintainer.register("mv", catalog.bind_sql(VIEW_SQL))
-        maintainer.insert("t", [(6, 0, 60.0)])
+        catalog, pipeline, server = stack
+        pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
+        pipeline.insert("t", [(6, 0, 60.0)])
+        pipeline.drain()
         server.register_view("mv", VIEW_SQL)
         assert server.submit(QUERY).uses_view
 

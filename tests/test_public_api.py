@@ -23,7 +23,6 @@ SUBPACKAGES = [
     "repro.optimizer",
     "repro.workload",
     "repro.experiments",
-    "repro.maintenance",
     "repro.advisor",
     "repro.service",
     "repro.cdc",
@@ -67,16 +66,22 @@ class TestDocstrings:
         )
 
     def test_public_methods_of_key_classes_documented(self):
-        from repro import Optimizer, ViewMatcher, ViewServer
+        from repro import (
+            CdcPipeline,
+            ChangeApplier,
+            Optimizer,
+            ViewMatcher,
+            ViewServer,
+        )
         from repro.core import FilterTree
-        from repro.maintenance import ViewMaintainer
         from repro.service import RewriteCache, SnapshotManager
 
         for cls in (
             ViewMatcher,
             Optimizer,
             FilterTree,
-            ViewMaintainer,
+            CdcPipeline,
+            ChangeApplier,
             ViewServer,
             RewriteCache,
             SnapshotManager,
