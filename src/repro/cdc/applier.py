@@ -67,7 +67,10 @@ class ApplierStats:
     indexes built over the shadow tables. Builds that keep pace with
     evaluations mean indexes are rebuilt every record (deletes
     invalidate them); few builds and a low ``rows_per_second`` mean the
-    views themselves are slow.
+    views themselves are slow. ``views_materialized`` and
+    ``materialize_seconds`` count the registrations and the time spent
+    executing and storing their views, the price a view set pays before
+    any delta arrives.
     """
 
     records_scanned: int = 0
@@ -78,6 +81,8 @@ class ApplierStats:
     join_index_builds: int = 0
     scan_seconds: float = 0.0
     merge_seconds: float = 0.0
+    views_materialized: int = 0
+    materialize_seconds: float = 0.0
 
     @property
     def apply_seconds(self) -> float:
@@ -103,6 +108,8 @@ class ApplierStats:
             "scan_seconds": self.scan_seconds,
             "merge_seconds": self.merge_seconds,
             "rows_per_second": self.rows_per_second,
+            "views_materialized": self.views_materialized,
+            "materialize_seconds": self.materialize_seconds,
         }
 
 
@@ -258,9 +265,12 @@ class ChangeApplier:
                         table, live.columns, list(live.rows)
                     )
             columns = tuple(item.name for item in statement.select_items)
+            started = self._clock()
             result = execute(statement, self._shadow)
             self._count_index_builds()
             self.database.store(name, columns, result.rows)  # type: ignore[arg-type]
+            self.stats.views_materialized += 1
+            self.stats.materialize_seconds += self._clock() - started
             self._views[name] = view
             for table in view.tables:
                 self._views_by_table.setdefault(table, []).append(view)

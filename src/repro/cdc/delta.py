@@ -28,6 +28,8 @@ every stored view against recomputing its query from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from ..catalog.catalog import Catalog
 from ..engine.database import Database, Relation
@@ -160,10 +162,7 @@ def merge_aggregate_delta(
     """
     relation = database.relation(view.name)
     group_positions = view.group_positions
-    index: dict[tuple[object, ...], int] = {
-        tuple(row[p] for p in group_positions): i
-        for i, row in enumerate(relation.rows)
-    }
+    index = _positions_by_group(relation.rows, group_positions)
     removed: list[int] = []
     for delta_row in delta:
         key = tuple(delta_row[p] for p in group_positions)
@@ -189,6 +188,18 @@ def merge_aggregate_delta(
     # Only now: an index built at the new version must not see a group
     # that is about to be deleted.
     relation.bump_version()
+
+
+def _positions_by_group(
+    rows: list[tuple[object, ...]], group_positions: tuple[int, ...]
+) -> dict[tuple[object, ...], int]:
+    """Group key -> position of the stored row holding it, in C-level
+    passes over the stored rows' grouping columns."""
+    if not group_positions:
+        keys = repeat(())
+    else:
+        keys = zip(*[map(itemgetter(p), rows) for p in group_positions])
+    return dict(zip(keys, range(len(rows))))
 
 
 def apply_view_delta(

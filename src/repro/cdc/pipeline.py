@@ -200,7 +200,9 @@ class CdcPipeline:
             f"{stats.delta_rows_merged} delta row(s) merged, "
             f"{stats.rows_per_second:.0f} rows/s, "
             f"{stats.delta_evaluations} delta evaluation(s), "
-            f"{stats.join_index_builds} join index build(s)"
+            f"{stats.join_index_builds} join index build(s), "
+            f"{stats.views_materialized} view(s) materialized in "
+            f"{stats.materialize_seconds:.3f}s"
         )
         return "\n".join(lines)
 

@@ -87,7 +87,7 @@ def _raises(message: str) -> Compiled:
     return fail
 
 
-def _slot(expression: Expression, slots: Slots) -> int | None:
+def slot_of(expression: Expression, slots: Slots) -> int | None:
     """Position of a plain slot read, ``None`` for anything computed.
 
     A bound column the row carries, or -- in a grouping context, which
@@ -102,7 +102,7 @@ def _slot(expression: Expression, slots: Slots) -> int | None:
 
 def compile_expression(expression: Expression, slots: Slots) -> Compiled:
     """``row -> value`` of ``expression`` over rows laid out by ``slots``."""
-    slot = _slot(expression, slots)
+    slot = slot_of(expression, slots)
     if slot is not None:
         return itemgetter(slot)
     if isinstance(expression, Literal):
@@ -353,7 +353,7 @@ def compile_tuple(
     Several plain slot reads become one ``itemgetter``.
     """
     expressions = list(expressions)
-    positions = [_slot(expression, slots) for expression in expressions]
+    positions = [slot_of(expression, slots) for expression in expressions]
     if len(positions) > 1 and None not in positions:
         return itemgetter(*positions)
     readers = [compile_expression(e, slots) for e in expressions]

@@ -29,6 +29,8 @@ class StoredIndex:
     unique: bool = False
     _keys: list[tuple] = field(default_factory=list, repr=False)
     _rows: list[tuple] = field(default_factory=list, repr=False)
+    # The leading column of every key, for range bisection.
+    _leading: list = field(default_factory=list, repr=False)
     _built_version: int = -1
 
     def _ensure_fresh(self, relation: Relation) -> None:
@@ -52,6 +54,7 @@ class StoredIndex:
                     )
         self._keys = [key for key, _ in entries]
         self._rows = [row for _, row in entries]
+        self._leading = [key[0] for key in self._keys]
         self._built_version = relation.version
 
     def lookup_equal(
@@ -75,7 +78,7 @@ class StoredIndex:
     ) -> list[tuple]:
         """Rows whose leading column lies in the given (value, inclusive) range."""
         self._ensure_fresh(relation)
-        first_column = [key[0] for key in self._keys]
+        first_column = self._leading
         if lower is None:
             low = 0
         else:

@@ -19,13 +19,13 @@ integer comparison.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from ..catalog.catalog import Catalog
+from ..collector import collector_paused
 from ..core.describe import describe, validate_view_description
 from ..core.filtertree import FilterTree, RegisteredView
 from ..core.interning import KeyInterner
@@ -36,28 +36,6 @@ from ..optimizer.optimizer import Optimizer, OptimizerConfig
 from ..sql.statements import SelectStatement
 from ..stats.estimator import CardinalityEstimator
 from ..stats.statistics import DatabaseStats
-
-
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector from running during a bulk load.
-
-    A load allocates hundreds of long-lived objects per view and no
-    reference cycle, so every collection it triggers re-walks the
-    growing catalog to free nothing (a quarter of a 10k-view load).
-    The collector is process-wide state, so the pause only ever hands
-    back what it found: it nests, leaves a collector the application
-    disabled disabled, and restores on error. Two threads pausing at
-    once can at worst re-enable the collector while the slower one is
-    still loading. Also usable as ``@collector_paused()``.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True)

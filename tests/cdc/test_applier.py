@@ -250,6 +250,23 @@ def test_stats_tell_rebuilt_indexes_from_slow_views(pipeline, catalog):
     assert "9 delta evaluation(s)" in pipeline.report()
 
 
+def test_stats_count_materializations_and_their_time(pipeline, catalog):
+    stats = pipeline.stats
+    assert (stats.views_materialized, stats.materialize_seconds) == (0, 0.0)
+    pipeline.register_view("mv", catalog.bind_sql(JOIN_VIEW))
+    pipeline.register_view("rollup", catalog.bind_sql(ROLLUP))
+    assert stats.views_materialized == 2
+    assert stats.materialize_seconds > 0
+    snapshot = stats.snapshot()
+    assert snapshot["views_materialized"] == 2
+    assert snapshot["materialize_seconds"] == stats.materialize_seconds
+    assert "2 view(s) materialized in " in pipeline.report()
+    # Maintenance is not materialization.
+    pipeline.insert("orders", [fresh_order_row(pipeline)])
+    pipeline.drain()
+    assert stats.views_materialized == 2
+
+
 def test_unregistered_view_no_longer_receives_deltas(pipeline, catalog):
     pipeline.register_view("mv", catalog.bind_sql(ROLLUP))
     pipeline.register_view("other", catalog.bind_sql(ROLLUP))

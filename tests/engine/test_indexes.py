@@ -72,6 +72,15 @@ class TestStoredIndex:
         relation.bump_version()
         assert index.lookup_equal(relation, (500,)) == [(500, 0, "late")]
 
+    def test_range_probe_after_extend_sees_the_new_rows(self, db):
+        index = db.indexes.create("idx_a", "t", ["a"])
+        relation = db.relation("t")
+        assert index.lookup_range(relation, (99, True), None) == [(99, 4, "row99")]
+        relation.extend([(150, 0, "late"), (-5, 0, "early")])
+        rows = index.lookup_range(relation, (99, True), None)
+        assert rows == [(99, 4, "row99"), (150, 0, "late")]
+        assert index.lookup_range(relation, None, (0, False)) == [(-5, 0, "early")]
+
     def test_unique_violation_detected(self, db):
         relation = db.relation("t")
         relation.rows.append((42, 9, "dup"))
