@@ -1,4 +1,4 @@
-"""Hot-path benchmark: probe building, the packed filter sweep, matching.
+"""Hot-path benchmark: the packed filter sweep and matching.
 
 Times one packed filter-tree sweep and one full ``match`` invocation at
 each registered view count. Before anything is timed, the filter tree is
@@ -10,9 +10,7 @@ accept the same views for every query. Run directly::
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke \\
         --check-baseline BENCH_matching.json                          # CI gate
 
-Each size point also times single-pass probe compilation against the
-preserved reference pipeline, and the sweep finishes with an end-to-end
-serving comparison: the sequential ``serve`` loop against batched
+The sweep finishes with an end-to-end serving comparison: the sequential ``serve`` loop against batched
 ``rewrite_many`` through the ``ViewServer`` stack (results verified
 identical; timings reported, not gated -- ``benchmarks/e2e`` owns
 serve-path throughput).
@@ -20,14 +18,13 @@ serve-path throughput).
 ``--output`` writes the machine-readable report (the repository commits
 it as ``BENCH_matching.json``); ``--check-baseline`` exits non-zero when
 candidate filtering at the largest shared view count is more than 2x
-slower than the committed baseline, or probe building more than 25 %
-slower (calibration-normalized). ``--check-overhead`` applies the much
+slower than the committed baseline. ``--check-overhead`` applies the much
 tighter disabled-tracing guard (calibration-normalized; run the full
 sweep, not ``--smoke``, so the configuration matches the baseline's).
-``--check-speedups`` enforces the absolute floors: probe compilation
->=2x over the reference pipeline and the memory budget. ``--profile N``
-skips timing and
-prints cProfile top-N tables for the probe-build and full-match phases.
+``--check-speedups`` enforces the in-run gates: the memory budget and
+the serving-pool SLO. ``--profile N`` skips timing and prints the
+cProfile top-N table for the full-match phase (probe compilation, the
+packed sweep and the candidate decisions).
 The module is also collectable by pytest (one smoke-sized test), like
 the other bench files.
 """
@@ -110,16 +107,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check-speedups",
         action="store_true",
-        help="fail unless probe building is >=2x the reference pipeline "
-        "and the memory budget holds",
+        help="fail unless the memory budget and the serving-pool SLO hold",
     )
     parser.add_argument(
         "--profile",
         type=int,
         default=None,
         metavar="N",
-        help="skip the benchmark; print cProfile top-N tables for the "
-        "probe-build and full-match phases",
+        help="skip the benchmark; print the cProfile top-N table for the "
+        "full-match phase",
     )
     arguments = parser.parse_args(argv)
 
@@ -179,8 +175,6 @@ def test_hotpath_bench_smoke():
         filter_repetitions=3,
         filter_runs=1,
         match_repetitions=1,
-        probe_repetitions=3,
-        probe_runs=1,
         end_to_end_view_counts=(120,),
         end_to_end_runs=1,
         catalog_scale_views=0,  # the 100k point is not a smoke test
@@ -197,8 +191,6 @@ def test_hotpath_bench_smoke():
     # The NoFilter completeness check ran inside run_hotpath_benchmark; a
     # timing assertion here would be flaky, so only sanity-check shape.
     assert entry["candidate_filter_us"]["interned"] > 0
-    assert entry["probe_build_us"]["fast"] > 0
-    assert entry["probe_build_us"]["reference"] > 0
     # The batched path must return the same rewrites as the serve loop
     # (verified inside _run_end_to_end; an end-to-end timing assertion
     # would be flaky on shared runners).

@@ -25,9 +25,9 @@ Commands
     Time the matching hot path: the packed filter sweep and full
     matching, after checking that the filter tree accepts the same views
     as the paper's NoFilter configuration for every query. Also times
-    single-pass probe compilation against the reference pipeline and the batched serving path against the sequential loop
-    (``--check-speedups`` gates on the floors, ``--profile N`` prints
-    cProfile tables instead of benchmarking).
+    the batched serving path against the sequential loop
+    (``--check-speedups`` gates on the memory budget and the pool SLO,
+    ``--profile N`` prints a cProfile table instead of benchmarking).
 ``explain-rewrite <sql> [--json]``
     Trace one query through the rewrite path and print the match-funnel
     report: filter-tree narrowing per level, each candidate's reject
@@ -143,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         "--match-only",
         action="store_true",
         help=(
-            "run only the matching sweep (probe/filter/match); "
+            "run only the matching sweep (filter/match); "
             "skips the end-to-end, maintenance, "
             "catalog-scale, pool, telemetry, and memory sections"
         ),
@@ -178,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         "--check-speedups",
         action="store_true",
         help=(
-            "fail unless probe compilation is >=2x faster than the "
-            "reference pipeline and the memory budget holds"
+            "fail unless the bytes-per-view memory budget and the "
+            "serving-pool SLO hold"
         ),
     )
     hotpath.add_argument(
@@ -188,8 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "skip the benchmark; print cProfile top-N tables for the "
-            "probe-build and full-match phases instead"
+            "skip the benchmark; print the cProfile top-N table for "
+            "the full-match phase instead"
         ),
     )
     pool = subparsers.add_parser(

@@ -386,27 +386,26 @@ def run_bench_hotpath(
     """Benchmark the matching hot path (packed sweep, view records).
 
     Times candidate filtering and full matching after checking the filter
-    tree accepts the same views as NoFilter for every query, plus probe
-    compilation (single-pass vs reference pipeline) and the
+    tree accepts the same views as NoFilter for every query, plus the
     batched end-to-end serving path against the sequential serve loop.
     ``output`` writes the machine-readable report; ``check_baseline``
     gates against a committed ``BENCH_matching.json`` and returns
-    non-zero on a >2x candidate-filter regression or a >25 % probe-build
-    regression at the largest shared view count. ``check_overhead``
+    non-zero on a >2x candidate-filter regression at the largest shared
+    view count. ``check_overhead``
     applies the much tighter disabled-tracing guard (default 5 %)
     against the same baseline: the whole run executes with the null
     tracer installed, so any regression it reports is overhead the
     tracing instrumentation added to the disabled path.
-    ``check_speedups`` enforces the absolute floors: probe compilation
-    >=2x over the reference pipeline, and -- when the report carries a
-    memory section -- the bytes-per-registered-view budget.
+    ``check_speedups`` enforces the in-run gates: the
+    bytes-per-registered-view budget (when the report carries a memory
+    section) and the serving-pool SLO.
     ``catalog_scale`` overrides the 100k-view packed-path point's view
     count (0 disables it). ``match_only`` restricts the run
-    to the matching sweep (probe / filter / match timings), disabling
+    to the matching sweep (filter / match timings), disabling
     the end-to-end, maintenance, catalog-scale, pool, telemetry, and
     memory sections -- the quick loop for iterating on matcher code.
     ``profile`` skips the benchmark entirely and prints cProfile top-N
-    tables for the probe-build and full-match phases instead.
+    tables for the full-match phase instead.
     """
     import dataclasses
     import json

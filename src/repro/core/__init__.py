@@ -2,7 +2,7 @@
 
 from .describe import SpjgDescription, describe, validate_view_description
 from .equivalence import ColumnKey, EquivalenceClasses
-from .filtertree import FilterTree, QueryProbe, RegisteredView
+from .filtertree import FilterTree, RegisteredView
 from .fkgraph import FkEdge, build_fk_join_graph, compute_hub, eliminate_tables
 from .interning import KeyInterner
 from .intervalsets import IntervalSet, OrRangePredicate, as_or_range
@@ -30,7 +30,6 @@ __all__ = [
     "MatchOptions",
     "MatchResult",
     "MatcherStatistics",
-    "QueryProbe",
     "RangePredicate",
     "RegisteredView",
     "RejectReason",

@@ -337,17 +337,6 @@ class SpjgDescription:
     def residual_templates(self) -> frozenset[str]:
         return frozenset(form.template for form in self.residual_forms)
 
-    def aggregate_templates(self) -> frozenset[str]:
-        """Normalized templates of every aggregate call in the output list.
-
-        The query-side counterpart of :meth:`output_templates`: the
-        aggregation subtree's output-expression level probes with these.
-        """
-        templates: set[str] = set()
-        for call in self.statement.aggregate_outputs():
-            templates.update(normalized_aggregate_template(call))
-        return frozenset(templates)
-
     # -- grouping metadata -------------------------------------------------------
 
     @property
@@ -376,12 +365,6 @@ class SpjgDescription:
 
     # -- range metadata -------------------------------------------------------
 
-    def _constrained_representatives(self) -> set[ColumnKey]:
-        representatives = set(self.ranges)
-        for or_range in self.or_ranges:
-            representatives.add(self.eqclasses.find(or_range.column))
-        return representatives
-
     def range_constrained_classes(self) -> tuple[frozenset[ColumnKey], ...]:
         """The equivalence classes that carry at least one range bound.
 
@@ -389,24 +372,11 @@ class SpjgDescription:
         too: their presence in a view demands a corresponding constraint in
         the query just like a plain bound does.
         """
+        representatives = set(self.ranges)
+        for or_range in self.or_ranges:
+            representatives.add(self.eqclasses.find(or_range.column))
         class_of = self.eqclasses.class_of
-        return tuple(
-            class_of(rep) for rep in sorted(self._constrained_representatives())
-        )
-
-    def extended_range_constrained_columns(self) -> frozenset[ColumnKey]:
-        """All columns equivalent to some range-constrained column."""
-        members: set[ColumnKey] = set()
-        for cls in self.range_constrained_classes():
-            members.update(cls)
-        return frozenset(members)
-
-    def reduced_range_constrained_columns(self) -> frozenset[ColumnKey]:
-        """Range-constrained columns in *trivial* classes (Section 4.2.5)."""
-        is_trivial = self.eqclasses.is_trivial
-        return frozenset(
-            rep for rep in self._constrained_representatives() if is_trivial(rep)
-        )
+        return tuple(class_of(rep) for rep in sorted(representatives))
 
     # -- misc -------------------------------------------------------------------
 

@@ -32,17 +32,11 @@ never prunes a view the matcher would accept.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..obs.trace import current_tracer
-from ..sql.expressions import ColumnRef, Expression, FuncCall, Literal
-from .analyze import (
-    QueryAnalysis,
-    bit_indices,
-    bit_masks,
-    normalized_aggregate_template,
-)
+from ..sql.expressions import ColumnRef, Literal
+from .analyze import QueryAnalysis, bit_indices, bit_masks
 from ..sql.printer import statement_to_sql
 from ..sql.statements import SelectStatement
 from .describe import SpjgDescription, describe
@@ -200,26 +194,6 @@ def packed_row(description: SpjgDescription, interner: KeyInterner) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class OutputRequirement:
-    """One query output (or grouping) item's availability requirement.
-
-    Satisfied when any of the ``templates`` is present in the view key, or
-    when every ``column_group`` intersects the view key. Both disjuncts are
-    monotone in the key, as the lattice descent requires.
-    """
-
-    templates: Key
-    column_groups: tuple[Key, ...]
-
-    def satisfied(self, key: Key) -> bool:
-        if self.templates & key:
-            return True
-        if not self.column_groups:
-            return False
-        return all(group & key for group in self.column_groups)
-
-
 def _requirements_satisfied_bits(
     pairs: tuple[tuple[int, tuple[int, ...]], ...], key_bits: int
 ) -> bool:
@@ -254,97 +228,8 @@ def _split_requirements(requirements: tuple) -> tuple[tuple[int, ...], tuple]:
     return tuple(column_masks), tuple(rest)
 
 
-@dataclass
-class QueryProbe:
-    """The query-side search keys as frozenset keys.
-
-    What the level-by-level lattice walk kept as the packed sweep's test
-    oracle consumes; the packed layout derives its own
-    :class:`_PackedProbe` from the request's analysis instead. Both
-    compilers stay here because the hot-path benchmark times one against
-    the other.
-    """
-
-    tables: Key
-    output_requirements: tuple[OutputRequirement, ...]
-    residual_templates: Key
-    range_constrained_columns: Key
-    aggregate_templates: Key
-    grouping_templates: Key
-    grouping_requirements: tuple[OutputRequirement, ...]
-    is_aggregate: bool
-
-    @classmethod
-    def of(
-        cls,
-        query: SpjgDescription,
-        options: MatchOptions = DEFAULT_OPTIONS,
-    ) -> "QueryProbe":
-        """Compile the query-side search keys (fast single-pass pipeline).
-
-        Reuses the shallow forms and merged classes the description
-        already carries and derives every per-column group through one
-        ``class_of`` lookup. Builds the same probe as :meth:`of_reference`.
-        """
-        residual_templates = query.residual_templates()
-        constrained = query.extended_range_constrained_columns()
-        if options.use_check_constraints:
-            check_columns, check_templates = _catalog_check_keys(
-                query.catalog, query.options.support_or_ranges
-            )
-            residual_templates = residual_templates | check_templates
-            constrained = constrained | check_columns
-        return cls(
-            tables=_tables_key(query.tables),
-            output_requirements=_output_requirements(query),
-            residual_templates=_templates_key(residual_templates),
-            range_constrained_columns=_columns_key(constrained),
-            aggregate_templates=_templates_key(query.aggregate_templates()),
-            grouping_templates=_templates_key(query.grouping_templates()),
-            grouping_requirements=_grouping_requirements(query),
-            is_aggregate=query.is_aggregate,
-        )
-
-    @classmethod
-    def of_reference(
-        cls,
-        query: SpjgDescription,
-        options: MatchOptions = DEFAULT_OPTIONS,
-    ) -> "QueryProbe":
-        """The pre-fusion probe pipeline, preserved verbatim.
-
-        Recomputes every derived set from first principles -- per-call
-        ``class_of`` scans, shallow-form rederivation, a fresh catalog
-        check-constraint walk -- exactly as probe compilation worked before
-        the single-pass analyzer. The hot-path benchmark times this against
-        :meth:`of` on identical descriptions so the reported speedup is
-        measured in-run rather than against a stale baseline, and the
-        equivalence property test asserts both pipelines agree.
-        """
-        residual_templates = set(
-            form.template for form in query.residual_forms
-        )
-        constrained = set(_extended_range_constrained_reference(query))
-        if options.use_check_constraints:
-            _add_check_constraint_keys_reference(
-                query, residual_templates, constrained
-            )
-        return cls(
-            tables=_tables_key(query.tables),
-            output_requirements=_output_requirements_reference(query),
-            residual_templates=_templates_key(residual_templates),
-            range_constrained_columns=_columns_key(constrained),
-            aggregate_templates=_templates_key(
-                _query_aggregate_templates_reference(query)
-            ),
-            grouping_templates=_templates_key(query.grouping_templates()),
-            grouping_requirements=_grouping_requirements_reference(query),
-            is_aggregate=query.is_aggregate,
-        )
-
-
 # ---------------------------------------------------------------------------
-# Fast probe compilation
+# Check-constraint probe keys
 # ---------------------------------------------------------------------------
 
 
@@ -376,280 +261,6 @@ def _catalog_check_keys(
                 else:
                     templates.add(ShallowForm.of(conjunct).template)
     return frozenset(constrained), frozenset(templates)
-
-
-def _output_requirements(
-    query: SpjgDescription,
-) -> tuple[OutputRequirement, ...]:
-    """Availability requirements for every output and grouping item.
-
-    One pass over the select list and grouping; shallow forms come from
-    the description, column groups from ``class_of`` lookups with a
-    per-probe group cache (outputs and groupings overwhelmingly repeat
-    the same columns).
-    """
-    class_of = query.eqclasses.class_of
-    backjoins = query.options.allow_backjoins
-    catalog = query.catalog
-    group_cache: dict = {}
-
-    def column_group(key: ColumnKey) -> Key:
-        group = group_cache.get(key)
-        if group is None:
-            group = _columns_key(class_of(key))
-            if backjoins:
-                table = catalog.table(key[0])
-                for unique_key in table.all_unique_keys():
-                    if any(table.is_nullable(column) for column in unique_key):
-                        continue
-                    for column in unique_key:
-                        group |= _columns_key(class_of((key[0], column)))
-            group_cache[key] = group
-        return group
-
-    requirements: list[OutputRequirement] = []
-    no_templates = _templates_key(())
-
-    # Depth-first over an explicit stack: a nested function that calls
-    # itself is a reference cycle through its own closure cell, which
-    # would leave ``query`` -- the whole description -- to the collector.
-    pending = [item.expression for item in query.statement.select_items]
-    pending.extend(query.statement.group_by)
-    pending.reverse()
-    while pending:
-        expression = pending.pop()
-        if isinstance(expression, ColumnRef):
-            requirements.append(
-                OutputRequirement(no_templates, (column_group(expression.key),))
-            )
-        elif isinstance(expression, FuncCall) and expression.is_aggregate():
-            if expression.star:
-                continue  # count(*) needs no columns from any view kind
-            argument = expression.args[0]
-            argument_form = query.shallow_form(argument)
-            templates = set(
-                normalized_aggregate_template(expression, argument_form)
-            )
-            templates.add(argument_form.template)
-            requirements.append(
-                OutputRequirement(
-                    _templates_key(templates),
-                    tuple(
-                        column_group(ref.key)
-                        for ref in argument.column_refs()
-                    ),
-                )
-            )
-        elif expression.contains_aggregate():
-            pending.extend(reversed(expression.children()))
-        elif not isinstance(expression, Literal):
-            requirements.append(
-                OutputRequirement(
-                    _templates_key((query.shallow_form(expression).template,)),
-                    tuple(
-                        column_group(ref.key) for ref in expression.column_refs()
-                    ),
-                )
-            )
-    return tuple(requirements)
-
-
-def _grouping_requirements(
-    query: SpjgDescription,
-) -> tuple[OutputRequirement, ...]:
-    """Per-item grouping conditions for the grouping-column level."""
-    class_of = query.eqclasses.class_of
-    requirements: list[OutputRequirement] = []
-    for form, expr in zip(query.group_forms, query.statement.group_by):
-        if isinstance(expr, ColumnRef):
-            requirements.append(
-                OutputRequirement(
-                    _templates_key(()), (_columns_key(class_of(expr.key)),)
-                )
-            )
-        else:
-            requirements.append(
-                OutputRequirement(_templates_key((form.template,)), ())
-            )
-    return tuple(requirements)
-
-
-# ---------------------------------------------------------------------------
-# Reference probe compilation (the pre-fusion pipeline, kept verbatim so the
-# hot-path benchmark measures the fast path's speedup from identical inputs;
-# see QueryProbe.of_reference)
-# ---------------------------------------------------------------------------
-
-
-def _class_of_reference(
-    query: SpjgDescription, key: ColumnKey
-) -> frozenset[ColumnKey]:
-    """``key``'s class by a scan of every registered column.
-
-    How ``class_of`` answered before the equivalence classes kept a class
-    map: the per-call rescan this pipeline is the baseline for.
-    """
-    eqclasses = query.eqclasses
-    root = eqclasses.find(key)
-    return frozenset(
-        column for column in eqclasses.columns() if eqclasses.find(column) == root
-    )
-
-
-def _extended_range_constrained_reference(
-    query: SpjgDescription,
-) -> set[ColumnKey]:
-    """Pre-fusion extended range-constrained columns (per-call class scans)."""
-    representatives = set(query.ranges)
-    for or_range in query.or_ranges:
-        representatives.add(query.eqclasses.find(or_range.column))
-    members: set[ColumnKey] = set()
-    for rep in representatives:
-        members.update(_class_of_reference(query, rep))
-    return members
-
-
-def _add_check_constraint_keys_reference(
-    query: SpjgDescription,
-    residual_templates: set[str],
-    constrained: set[ColumnKey],
-) -> None:
-    """Pre-fusion check-constraint widening (full catalog walk per probe)."""
-    from .intervalsets import as_or_range
-
-    for table in query.catalog.tables():
-        for check in table.check_constraints:
-            classified = classify_predicate(check.predicate)
-            for rp in classified.range_predicates:
-                constrained.add(rp.column)
-            for conjunct in classified.residuals:
-                recognised = (
-                    as_or_range(conjunct)
-                    if query.options.support_or_ranges
-                    else None
-                )
-                if recognised is not None:
-                    constrained.add(recognised.column)
-                else:
-                    residual_templates.add(ShallowForm.of(conjunct).template)
-
-
-def _query_aggregate_templates_reference(query: SpjgDescription) -> set[str]:
-    templates: set[str] = set()
-    for call in query.statement.aggregate_outputs():
-        templates.update(normalized_aggregate_template(call))
-    return templates
-
-
-def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
-    """Key elements that can make one required column available.
-
-    The column's own query equivalence class always qualifies. With the
-    backjoin extension enabled, exposing any column of a non-nullable
-    unique key of the owning table also suffices (the matcher can join the
-    view back to the base table), so those classes widen the group.
-    """
-    group = set(_class_of_reference(query, key))
-    if query.options.allow_backjoins:
-        table = query.catalog.table(key[0])
-        for unique_key in table.all_unique_keys():
-            if any(table.is_nullable(column) for column in unique_key):
-                continue
-            for column in unique_key:
-                group |= _class_of_reference(query, (key[0], column))
-    return _columns_key(group)
-
-
-def _expression_requirement_reference(
-    query: SpjgDescription, expression: Expression
-) -> OutputRequirement | None:
-    """Availability requirement for one non-aggregate scalar expression."""
-    if isinstance(expression, Literal):
-        return None
-    if isinstance(expression, ColumnRef):
-        return OutputRequirement(
-            templates=frozenset(),
-            column_groups=(_column_group_reference(query, expression.key),),
-        )
-    templates = {ShallowForm.of(expression).template}
-    groups = tuple(
-        _column_group_reference(query, ref.key)
-        for ref in expression.column_refs()
-    )
-    return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
-
-
-def _aggregate_requirement_reference(
-    query: SpjgDescription, call: FuncCall
-) -> OutputRequirement | None:
-    """Availability requirement for one aggregate call.
-
-    Weakest across view kinds: an aggregation view satisfies it through the
-    normalized aggregate template, an SPJ view through the argument's
-    template or source columns.
-    """
-    if call.star:
-        return None  # count(*) needs no columns from any view kind
-    argument = call.args[0]
-    argument_form = ShallowForm.of(argument)
-    templates = set(normalized_aggregate_template(call))
-    templates.add(argument_form.template)
-    groups = tuple(
-        _column_group_reference(query, ref.key)
-        for ref in argument.column_refs()
-    )
-    return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
-
-
-def _output_requirements_reference(
-    query: SpjgDescription,
-) -> tuple[OutputRequirement, ...]:
-    requirements: list[OutputRequirement] = []
-
-    def add_expression(expression: Expression) -> None:
-        if isinstance(expression, FuncCall) and expression.is_aggregate():
-            requirement = _aggregate_requirement_reference(query, expression)
-            if requirement is not None:
-                requirements.append(requirement)
-            return
-        if expression.contains_aggregate():
-            for child in expression.children():
-                add_expression(child)
-            return
-        requirement = _expression_requirement_reference(query, expression)
-        if requirement is not None:
-            requirements.append(requirement)
-
-    for info in query.outputs:
-        add_expression(info.expression)
-    for expr in query.statement.group_by:
-        add_expression(expr)
-    return tuple(requirements)
-
-
-def _grouping_requirements_reference(
-    query: SpjgDescription,
-) -> tuple[OutputRequirement, ...]:
-    """Per-item grouping conditions for the grouping-column level."""
-    requirements: list[OutputRequirement] = []
-    for expr in query.statement.group_by:
-        if isinstance(expr, ColumnRef):
-            requirements.append(
-                OutputRequirement(
-                    templates=frozenset(),
-                    column_groups=(
-                        _columns_key(_class_of_reference(query, expr.key)),
-                    ),
-                )
-            )
-        else:
-            requirements.append(
-                OutputRequirement(
-                    templates=_templates_key({ShallowForm.of(expr).template}),
-                    column_groups=(),
-                )
-            )
-    return tuple(requirements)
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +371,8 @@ class _PackedProbe:
     needed columns, so its requirements are one group per needed column.
     Atoms the interner has never seen are dropped from the masks, which
     is exact: every atom of a registered key is interned, so an unknown
-    one never witnesses an intersection. Check-constraint keys widen
-    the residual and range levels exactly as in :meth:`QueryProbe.of`.
+    one never witnesses an intersection. Check-constraint keys
+    (:func:`_catalog_check_keys`) widen the residual and range levels.
     A description made from scratch is probed through an analysis of its
     statement, so every probe takes this one path.
     """

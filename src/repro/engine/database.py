@@ -9,7 +9,6 @@ path as a query over base tables.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,40 +85,18 @@ class Relation:
         """Remove one occurrence per given row (bag semantics).
 
         Each value given ``k`` times drops its earliest ``k`` stored
-        occurrences. A row that is not stored raises
-        :class:`ExecutionError`; rows before it stay removed, and the
-        version moves either way. A batch of fewer than
-        :data:`_ONE_PASS_FROM` rows is removed a row at a time, each a
-        C-level scan; a larger one in one pass over the stored rows.
+        occurrences, a row at a time, each a C-level scan. A row that is
+        not stored raises :class:`ExecutionError`; rows before it stay
+        removed, and the version moves either way.
         """
-        rows = list(rows)
         try:
-            if len(rows) < _ONE_PASS_FROM:
-                for row in rows:
-                    try:
-                        self.rows.remove(row)
-                    except ValueError:
-                        raise ExecutionError(
-                            f"{self.name} out of sync: row {row} not present"
-                        ) from None
-                return
-            wanted = Counter(rows)
-            kept, missing = _drop_earliest(self.rows, wanted)
-            if missing:
-                # Only the rows before the first one that is not stored go,
-                # as removing the rows one at a time would have left it.
-                stored = wanted - missing
-                seen: Counter = Counter()
-                for first, row in enumerate(rows):
-                    seen[row] += 1
-                    if seen[row] > stored[row]:
-                        break
-                kept, _ = _drop_earliest(self.rows, Counter(rows[:first]))
-                self.rows[:] = kept
-                raise ExecutionError(
-                    f"{self.name} out of sync: row {row} not present"
-                )
-            self.rows[:] = kept
+            for row in rows:
+                try:
+                    self.rows.remove(row)
+                except ValueError:
+                    raise ExecutionError(
+                        f"{self.name} out of sync: row {row} not present"
+                    ) from None
         finally:
             self.bump_version()
             self._hash_indexes = {}
@@ -146,12 +123,6 @@ class Relation:
         return buckets
 
 
-# Below this many rows, :meth:`Relation.remove` takes them out one at a
-# time: a C-level scan per row beats a pass in Python over every stored
-# row until about a dozen rows (measured at 6,000 stored rows).
-_ONE_PASS_FROM = 12
-
-
 def _fill_buckets(
     buckets: dict, positions: tuple[int, ...], rows: list[tuple[object, ...]]
 ) -> None:
@@ -164,22 +135,6 @@ def _fill_buckets(
             buckets[key] = [row]
         else:
             bucket.append(row)
-
-
-def _drop_earliest(
-    rows: list[tuple[object, ...]], wanted: Counter
-) -> tuple[list[tuple[object, ...]], Counter]:
-    """``rows`` without the earliest ``wanted[row]`` occurrences of each
-    row, and what of ``wanted`` was not found."""
-    pending = wanted.copy()
-    kept = []
-    for row in rows:
-        left = pending.get(row)
-        if left:
-            pending[row] = left - 1
-        else:
-            kept.append(row)
-    return kept, +pending
 
 
 class Database:

@@ -1,11 +1,7 @@
-"""Hot-path benchmark: probe building, the packed filter sweep, matching.
+"""Hot-path benchmark: the packed filter sweep and matching.
 
 Measures, on one registered view pool per size point:
 
-* **probe building** -- :meth:`QueryProbe.of` (the fused single-pass
-  compiler) against :meth:`QueryProbe.of_reference` (the preserved
-  multi-walk pipeline), on the same descriptions; the two must build
-  identical probes;
 * **candidate filtering** -- one packed sweep of the filter tree for an
   already-compiled probe;
 * **full matching** -- one :meth:`ViewMatcher.match` invocation, each
@@ -33,7 +29,6 @@ from dataclasses import dataclass
 
 from ..catalog import tpch_catalog
 from ..core import ViewMatcher
-from ..core.filtertree import QueryProbe
 from ..core.interning import packed_backend_name
 from ..core.parallel import effective_cpu_count
 from ..memsize import cache_memory_report, packed_table_bytes, view_memory_report
@@ -46,26 +41,6 @@ from ..workload import WorkloadGenerator
 # measured view count (absorbs host-speed differences between the
 # machine that committed the baseline and the CI runner).
 REGRESSION_FACTOR = 2.0
-
-# The single-pass probe compiler must beat the preserved reference
-# pipeline by at least this factor at the gated view count. Both sides
-# are timed in the same process on the same descriptions, so the gate is
-# host-independent.
-PROBE_SPEEDUP_FLOOR = 2.0
-
-# Calibration-normalized regression budget for the fast probe-build
-# latency against the committed baseline. Wider than the other
-# normalized tolerances because the measurement itself is dispersed:
-# the probe loop is short enough (tens of microseconds per pass) that
-# scheduler interference moves the best-of result by up to ~2x between
-# otherwise-identical runs on one host, and calibration does not track
-# it (the calibration loop is an order of magnitude longer). The
-# regression class this check exists for -- accidentally timing the
-# multi-walk reference pipeline, with its per-lookup class rescans, as
-# the fast path -- costs 3.5-4.5x at 1,000 views, still far outside the
-# budget; the in-process PROBE_SPEEDUP_FLOOR gate handles ratios
-# host-independently.
-PROBE_REGRESSION_TOLERANCE = 0.6
 
 # Tolerance for the tracing-overhead guard: with the null tracer
 # installed (tracing disabled), the instrumented hot path may be at most
@@ -105,8 +80,6 @@ class HotpathConfig:
     filter_runs: int = 3          # timing runs (best-of)
     match_repetitions: int = 3    # full-match passes per timing run
     match_runs: int = 3           # full-match timing runs (best-of)
-    probe_repetitions: int = 20   # probe-build passes per timing run
-    probe_runs: int = 3           # probe-build timing runs (best-of)
     # End-to-end serving sweep: sequential serve loop vs. batched
     # rewrite_many through the full ViewServer stack. () disables it.
     end_to_end_view_counts: tuple[int, ...] = (1000, 10000)
@@ -155,8 +128,8 @@ class HotpathConfig:
 
     @classmethod
     def smoke(cls) -> "HotpathConfig":
-        """CI-sized: still the gated points (1000 views for filtering and
-        probe building, 10000 for end-to-end serving), fewer queries.
+        """CI-sized: still the gated points (1000 views for filtering,
+        10000 for end-to-end serving), fewer queries.
 
         The leading 100-view size is a warm-up, not a gated point: the
         committed baseline's 1000-view numbers come from the full sweep,
@@ -174,12 +147,6 @@ class HotpathConfig:
             filter_runs=2,
             match_repetitions=1,
             match_runs=2,
-            # Probe building is the tightest baseline check; best-of-2
-            # wobbles ~30% run-to-run on a busy runner, so the smoke
-            # config samples it harder than the full sweep -- the cost
-            # is milliseconds.
-            probe_repetitions=12,
-            probe_runs=5,
             end_to_end_view_counts=(10000,),
             end_to_end_runs=2,
             catalog_scale_views=0,
@@ -234,8 +201,7 @@ def _time_filter(tree, descriptions, repetitions: int, runs: int) -> float:
     """Best-of-``runs`` mean latency (us) of one candidate search.
 
     The search proper -- the packed sweep -- for an already-compiled
-    probe; probe compilation is timed on its own
-    (:func:`_time_probe`).
+    probe.
     """
     compiled = [
         (tree.compile_probe(description), description.is_aggregate)
@@ -270,41 +236,6 @@ def _time_match(matcher, descriptions, repetitions: int, runs: int) -> float:
         per_call = elapsed / (repetitions * len(descriptions)) * 1e6
         best = per_call if best is None else min(best, per_call)
     return best
-
-
-def _time_probe(descriptions, options, builder, repetitions, runs) -> float:
-    """Best-of-``runs`` mean latency (us) of one probe construction.
-
-    ``builder`` is :meth:`QueryProbe.of` (the fused single-pass compiler)
-    or :meth:`QueryProbe.of_reference` (the preserved multi-walk
-    pipeline). A warm-up pass derives the descriptions' output metadata
-    and merged classes first so both builders are timed at their steady
-    state.
-    """
-    for description in descriptions:
-        builder(description, options)
-    best = None
-    for _ in range(runs):
-        start = time.perf_counter()
-        for _ in range(repetitions):
-            for description in descriptions:
-                builder(description, options)
-        elapsed = time.perf_counter() - start
-        per_call = elapsed / (repetitions * len(descriptions)) * 1e6
-        best = per_call if best is None else min(best, per_call)
-    return best
-
-
-def _verify_probes(descriptions, options) -> None:
-    """The fast and reference probe compilers must agree exactly."""
-    for description in descriptions:
-        fast = QueryProbe.of(description, options)
-        slow = QueryProbe.of_reference(description, options)
-        if fast != slow:
-            raise HotpathMismatchError(
-                "fast and reference probes diverge for "
-                f"{description.tables}: {fast} vs {slow}"
-            )
 
 
 def _time_serving(serve_batch, runs: int) -> float:
@@ -774,25 +705,6 @@ def run_hotpath_benchmark(
         matcher = _build_matcher(catalog, pool)
         descriptions = [matcher.describe_query(q) for q in queries]
 
-        # Probe compilation, timed both ways on the same descriptions:
-        # the fused single-pass compiler against the preserved multi-walk
-        # reference pipeline (verified to produce identical probes).
-        _verify_probes(descriptions, matcher.options)
-        probe_fast = _time_probe(
-            descriptions,
-            matcher.options,
-            QueryProbe.of,
-            config.probe_repetitions,
-            config.probe_runs,
-        )
-        probe_reference = _time_probe(
-            descriptions,
-            matcher.options,
-            QueryProbe.of_reference,
-            config.probe_repetitions,
-            config.probe_runs,
-        )
-
         funnel = _verify_modes(matcher, descriptions)
 
         filter_us = _time_filter(
@@ -812,11 +724,6 @@ def run_hotpath_benchmark(
             "views": view_count,
             "queries": len(descriptions),
             "mean_candidates": round(mean_candidates, 2),
-            "probe_build_us": {
-                "fast": round(probe_fast, 2),
-                "reference": round(probe_reference, 2),
-                "speedup": round(probe_reference / probe_fast, 2),
-            },
             # The key names predate the single filter tree and the view
             # records; the committed baseline and the gates read them.
             "candidate_filter_us": {"interned": round(filter_us, 2)},
@@ -832,10 +739,8 @@ def run_hotpath_benchmark(
             )
         calibrations.append(_calibrate())
         if echo is not None:
-            probe = entry["probe_build_us"]
             echo(
-                f"{view_count:5d} views: probe {probe['fast']:7.1f}us vs "
-                f"{probe['reference']:7.1f}us ({probe['speedup']:.2f}x)   "
+                f"{view_count:5d} views: "
                 f"filter {filter_us:8.1f}us   "
                 f"match {match_us:8.1f}us"
             )
@@ -905,11 +810,6 @@ def check_against_baseline(
     Compares the candidate-filter latency at the largest view
     count measured by *both* reports; a fresh run more than
     ``REGRESSION_FACTOR`` times slower than the committed baseline fails.
-    The fast probe-build latency is gated much tighter
-    (``PROBE_REGRESSION_TOLERANCE``) but calibration-normalized, so
-    host-speed differences divide out instead of eating the budget. The
-    probe fast-vs-reference speedup is not gated here (it is gated
-    absolutely by :func:`check_speedup_gates`).
     """
     failures: list[str] = []
     fresh_by_views = {entry["views"]: entry for entry in report["sizes"]}
@@ -935,7 +835,6 @@ def check_against_baseline(
             f"{fresh_us:.1f}us > {REGRESSION_FACTOR:g}x baseline "
             f"({base_us:.1f}us)"
         )
-    failures.extend(_check_probe_regression(report, baseline, views, echo))
     failures.extend(_check_maintenance_regression(report, baseline, echo))
     failures.extend(_check_pool_regression(report, baseline, echo))
     return failures
@@ -1117,96 +1016,30 @@ def _check_maintenance_regression(
     return []
 
 
-def _check_probe_regression(
-    report: dict, baseline: dict, views: int, echo=print
-) -> list[str]:
-    """Probe-build regression vs. the committed baseline (>25 % fails).
+def check_speedup_gates(report: dict, echo=print) -> list[str]:
+    """The absolute in-run gate; returns failure messages.
 
-    Both latencies are normalized by their own run's ``calibration_us``
-    so the tight budget measures the code, not the host. Baselines from
-    before the fast/reference probe split (scalar ``probe_build_us``)
-    are skipped with a note -- regenerate with ``--output``.
+    When the report carries a ``memory`` section, the deep-walk bytes
+    per registered view must stay within ``MEMORY_BYTES_PER_VIEW_BUDGET``
+    -- calibration-free, since bytes do not depend on host speed.
     """
-    fresh_entry = {e["views"]: e for e in report["sizes"]}[views]
-    base_entry = {e["views"]: e for e in baseline["sizes"]}[views]
-    base_probe = base_entry.get("probe_build_us")
-    fresh_calibration = report.get("calibration_us")
-    base_calibration = baseline.get("calibration_us")
-    if not isinstance(base_probe, dict):
-        if echo is not None:
-            echo(
-                "probe-build check skipped: baseline predates the "
-                "fast/reference split; regenerate with --output"
-            )
+    memory = report.get("memory")
+    if not memory or not memory.get("views"):
         return []
-    if not fresh_calibration or not base_calibration:
-        return [
-            "probe-build check needs calibration_us in both reports; "
-            "regenerate the baseline with bench-hotpath --output"
-        ]
-    fresh_ratio = fresh_entry["probe_build_us"]["fast"] / fresh_calibration
-    base_ratio = base_probe["fast"] / base_calibration
-    limit = base_ratio * (1.0 + PROBE_REGRESSION_TOLERANCE)
+    per_view = memory["views"]["bytes_per_view"]
+    count = memory["views"]["views"]
     if echo is not None:
         echo(
-            f"probe-build check at {views} views: fresh "
-            f"{fresh_ratio:.3f}x-cal, baseline {base_ratio:.3f}x-cal, "
-            f"limit {limit:.3f}x-cal"
+            f"memory gate at {count} views: {per_view:,.0f} bytes/view "
+            f"(budget {MEMORY_BYTES_PER_VIEW_BUDGET:,})"
         )
-    if fresh_ratio > limit:
+    if per_view > MEMORY_BYTES_PER_VIEW_BUDGET:
         return [
-            f"probe building at {views} views regressed: "
-            f"{fresh_ratio:.3f}x calibration > baseline "
-            f"{base_ratio:.3f}x + {PROBE_REGRESSION_TOLERANCE:.0%}"
+            f"resident footprint at {count} views is "
+            f"{per_view:,.0f} bytes/view, over the "
+            f"{MEMORY_BYTES_PER_VIEW_BUDGET:,}-byte budget"
         ]
     return []
-
-
-def check_speedup_gates(report: dict, echo=print) -> list[str]:
-    """Absolute in-run speedup gates; returns failure messages.
-
-    * Probe building: the single-pass compiler must beat the preserved
-      reference pipeline by ``PROBE_SPEEDUP_FLOOR`` at the 1000-view
-      point (both sides timed in-run, so the gate holds on any host).
-    * Memory: when the report carries a ``memory`` section, the deep-walk
-      bytes per registered view must stay within
-      ``MEMORY_BYTES_PER_VIEW_BUDGET`` -- calibration-free, since bytes
-      do not depend on host speed.
-    """
-    failures: list[str] = []
-    sizes = {entry["views"]: entry for entry in report["sizes"]}
-    if sizes:
-        views = 1000 if 1000 in sizes else max(sizes)
-        speedup = sizes[views]["probe_build_us"]["speedup"]
-        if echo is not None:
-            echo(
-                f"probe-build speedup gate at {views} views: "
-                f"{speedup:.2f}x (floor {PROBE_SPEEDUP_FLOOR:g}x)"
-            )
-        if speedup < PROBE_SPEEDUP_FLOOR:
-            failures.append(
-                f"probe building at {views} views is only {speedup:.2f}x "
-                f"faster than the reference pipeline "
-                f"(floor {PROBE_SPEEDUP_FLOOR:g}x)"
-            )
-    memory = report.get("memory")
-    if memory and memory.get("views"):
-        per_view = memory["views"]["bytes_per_view"]
-        count = memory["views"]["views"]
-        if echo is not None:
-            echo(
-                f"memory gate at {count} views: {per_view:,.0f} bytes/view "
-                f"(budget {MEMORY_BYTES_PER_VIEW_BUDGET:,})"
-            )
-        # Calibration-free: bytes are host-speed independent, so no
-        # normalization is needed (or possible) here.
-        if per_view > MEMORY_BYTES_PER_VIEW_BUDGET:
-            failures.append(
-                f"resident footprint at {count} views is "
-                f"{per_view:,.0f} bytes/view, over the "
-                f"{MEMORY_BYTES_PER_VIEW_BUDGET:,}-byte budget"
-            )
-    return failures
 
 
 def check_tracing_overhead(
@@ -1327,12 +1160,12 @@ def _check_telemetry_overhead(
 def profile_hotpath(
     config: HotpathConfig | None = None, top: int = 20, echo=print
 ) -> None:
-    """``cProfile`` the two gated phases and print the top-``top`` rows.
+    """``cProfile`` full matching and print the top-``top`` rows.
 
-    Profiles probe building (the fused single-pass compiler) and full
-    matching separately, at the largest configured view count, so a
-    regression flagged by the bench gate can be attributed to a function
-    without re-running anything by hand.
+    Profiles :meth:`ViewMatcher.match` -- probe compilation, the packed
+    sweep and the candidate decisions -- at the largest configured view
+    count, so a regression flagged by the bench gate can be attributed
+    to a function without re-running anything by hand.
     """
     import cProfile
     import io
@@ -1349,37 +1182,23 @@ def profile_hotpath(
     ]
     matcher = _build_matcher(catalog, views)
     descriptions = [matcher.describe_query(q) for q in queries]
-    options = matcher.options
 
-    def profile_phase(label, body) -> None:
-        body()  # warm caches and memos outside the profile
-        profiler = cProfile.Profile()
-        profiler.enable()
-        body()
-        profiler.disable()
-        stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream).sort_stats(
-            "cumulative"
-        ).print_stats(top)
-        echo(f"--- {label} ({view_count} views, top {top} by cumulative) ---")
-        echo(stream.getvalue().rstrip())
+    def body() -> None:
+        for _ in range(config.match_repetitions):
+            for description in descriptions:
+                matcher.match(description)
 
-    profile_phase(
-        "probe build",
-        lambda: [
-            QueryProbe.of(description, options)
-            for _ in range(config.probe_repetitions)
-            for description in descriptions
-        ],
+    body()  # warm caches and memos outside the profile
+    profiler = cProfile.Profile()
+    profiler.enable()
+    body()
+    profiler.disable()
+    stream = io.StringIO()
+    pstats.Stats(profiler, stream=stream).sort_stats("cumulative").print_stats(
+        top
     )
-    profile_phase(
-        "full match",
-        lambda: [
-            matcher.match(description)
-            for _ in range(config.match_repetitions)
-            for description in descriptions
-        ],
-    )
+    echo(f"--- full match ({view_count} views, top {top} by cumulative) ---")
+    echo(stream.getvalue().rstrip())
 
 
 def write_report(report: dict, path: str) -> None:
@@ -1395,8 +1214,6 @@ __all__ = [
     "POOL_MIN_CORES",
     "POOL_RATIO_FLOOR",
     "POOL_SINGLE_CORE_RATIO_FLOOR",
-    "PROBE_REGRESSION_TOLERANCE",
-    "PROBE_SPEEDUP_FLOOR",
     "REGRESSION_FACTOR",
     "TELEMETRY_OVERHEAD_TOLERANCE",
     "TRACING_OVERHEAD_TOLERANCE",

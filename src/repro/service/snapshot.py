@@ -354,4 +354,4 @@ class SnapshotManager:
         return len(self._snapshot.view_names)
 
 
-__all__ = ["CatalogSnapshot", "SnapshotManager", "collector_paused"]
+__all__ = ["CatalogSnapshot", "SnapshotManager"]

@@ -6,8 +6,10 @@ index (Section 4.1) so a search skips non-qualifying partitions
 wholesale. The shipped index evaluates every level as one fused
 conjunction over packed rows (``repro.core.filtertree``); this module is
 the level-by-level walk it replaced, in plain frozenset form: keys are
-frozensets of tagged atoms, probes are :meth:`QueryProbe.of_reference`,
-and every search walks the Hasse diagram.
+frozensets of tagged atoms, probes are :class:`QueryProbe` s compiled by
+:meth:`QueryProbe.of_reference` (the probe pipeline from before any
+fusion, kept here as the packed probe's second oracle), and every search
+walks the Hasse diagram.
 
 :class:`ReferenceFilterTree` has enough of ``FilterTree``'s surface
 (``register``, ``register_prebuilt``, ``unregister``, ``views``,
@@ -22,18 +24,270 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core.analyze import normalized_aggregate_template
 from repro.core.describe import SpjgDescription
+from repro.core.equivalence import ColumnKey
 from repro.core.filtertree import (
-    QueryProbe,
     RegisteredView,
     _columns_key,
     _tables_key,
     _templates_key,
 )
 from repro.core.interning import KeyInterner
+from repro.core.intervalsets import as_or_range
+from repro.core.normalize import classify_predicate
 from repro.core.options import DEFAULT_OPTIONS, MatchOptions
+from repro.core.residual import ShallowForm
+from repro.sql.expressions import ColumnRef, Expression, FuncCall, Literal
 
 Key = frozenset
+
+
+# ---------------------------------------------------------------------------
+# The reference probe
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OutputRequirement:
+    """One query output (or grouping) item's availability requirement.
+
+    Satisfied when any of the ``templates`` is present in the view key, or
+    when every ``column_group`` intersects the view key. Both disjuncts are
+    monotone in the key, as the lattice descent requires.
+    """
+
+    templates: Key
+    column_groups: tuple[Key, ...]
+
+    def satisfied(self, key: Key) -> bool:
+        if self.templates & key:
+            return True
+        if not self.column_groups:
+            return False
+        return all(group & key for group in self.column_groups)
+
+
+@dataclass
+class QueryProbe:
+    """The query-side search keys as frozenset keys: what the lattice
+    walk's levels consume."""
+
+    tables: Key
+    output_requirements: tuple[OutputRequirement, ...]
+    residual_templates: Key
+    range_constrained_columns: Key
+    aggregate_templates: Key
+    grouping_templates: Key
+    grouping_requirements: tuple[OutputRequirement, ...]
+    is_aggregate: bool
+
+    @classmethod
+    def of_reference(
+        cls,
+        query: SpjgDescription,
+        options: MatchOptions = DEFAULT_OPTIONS,
+    ) -> "QueryProbe":
+        """The probe pipeline from before any fusion.
+
+        Recomputes every derived set from first principles -- per-call
+        ``class_of`` scans, shallow-form rederivation, a fresh catalog
+        check-constraint walk -- with none of the shipped probe's shared
+        analysis, so the parity tests compare two independent
+        derivations.
+        """
+        residual_templates = set(
+            form.template for form in query.residual_forms
+        )
+        constrained = set(_extended_range_constrained_reference(query))
+        if options.use_check_constraints:
+            _add_check_constraint_keys_reference(
+                query, residual_templates, constrained
+            )
+        return cls(
+            tables=_tables_key(query.tables),
+            output_requirements=_output_requirements_reference(query),
+            residual_templates=_templates_key(residual_templates),
+            range_constrained_columns=_columns_key(constrained),
+            aggregate_templates=_templates_key(
+                _query_aggregate_templates_reference(query)
+            ),
+            grouping_templates=_templates_key(query.grouping_templates()),
+            grouping_requirements=_grouping_requirements_reference(query),
+            is_aggregate=query.is_aggregate,
+        )
+
+
+
+
+def _class_of_reference(
+    query: SpjgDescription, key: ColumnKey
+) -> frozenset[ColumnKey]:
+    """``key``'s class by a scan of every registered column.
+
+    How ``class_of`` answered before the equivalence classes kept a class
+    map: a per-call rescan, independent of the map the shipped probe
+    reads.
+    """
+    eqclasses = query.eqclasses
+    root = eqclasses.find(key)
+    return frozenset(
+        column for column in eqclasses.columns() if eqclasses.find(column) == root
+    )
+
+
+def _extended_range_constrained_reference(
+    query: SpjgDescription,
+) -> set[ColumnKey]:
+    """Pre-fusion extended range-constrained columns (per-call class scans)."""
+    representatives = set(query.ranges)
+    for or_range in query.or_ranges:
+        representatives.add(query.eqclasses.find(or_range.column))
+    members: set[ColumnKey] = set()
+    for rep in representatives:
+        members.update(_class_of_reference(query, rep))
+    return members
+
+
+def _add_check_constraint_keys_reference(
+    query: SpjgDescription,
+    residual_templates: set[str],
+    constrained: set[ColumnKey],
+) -> None:
+    """Pre-fusion check-constraint widening (full catalog walk per probe)."""
+    for table in query.catalog.tables():
+        for check in table.check_constraints:
+            classified = classify_predicate(check.predicate)
+            for rp in classified.range_predicates:
+                constrained.add(rp.column)
+            for conjunct in classified.residuals:
+                recognised = (
+                    as_or_range(conjunct)
+                    if query.options.support_or_ranges
+                    else None
+                )
+                if recognised is not None:
+                    constrained.add(recognised.column)
+                else:
+                    residual_templates.add(ShallowForm.of(conjunct).template)
+
+
+def _query_aggregate_templates_reference(query: SpjgDescription) -> set[str]:
+    templates: set[str] = set()
+    for call in query.statement.aggregate_outputs():
+        templates.update(normalized_aggregate_template(call))
+    return templates
+
+
+def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
+    """Key elements that can make one required column available.
+
+    The column's own query equivalence class always qualifies. With the
+    backjoin extension enabled, exposing any column of a non-nullable
+    unique key of the owning table also suffices (the matcher can join the
+    view back to the base table), so those classes widen the group.
+    """
+    group = set(_class_of_reference(query, key))
+    if query.options.allow_backjoins:
+        table = query.catalog.table(key[0])
+        for unique_key in table.all_unique_keys():
+            if any(table.is_nullable(column) for column in unique_key):
+                continue
+            for column in unique_key:
+                group |= _class_of_reference(query, (key[0], column))
+    return _columns_key(group)
+
+
+def _expression_requirement_reference(
+    query: SpjgDescription, expression: Expression
+) -> OutputRequirement | None:
+    """Availability requirement for one non-aggregate scalar expression."""
+    if isinstance(expression, Literal):
+        return None
+    if isinstance(expression, ColumnRef):
+        return OutputRequirement(
+            templates=frozenset(),
+            column_groups=(_column_group_reference(query, expression.key),),
+        )
+    templates = {ShallowForm.of(expression).template}
+    groups = tuple(
+        _column_group_reference(query, ref.key)
+        for ref in expression.column_refs()
+    )
+    return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
+
+
+def _aggregate_requirement_reference(
+    query: SpjgDescription, call: FuncCall
+) -> OutputRequirement | None:
+    """Availability requirement for one aggregate call.
+
+    Weakest across view kinds: an aggregation view satisfies it through the
+    normalized aggregate template, an SPJ view through the argument's
+    template or source columns.
+    """
+    if call.star:
+        return None  # count(*) needs no columns from any view kind
+    argument = call.args[0]
+    argument_form = ShallowForm.of(argument)
+    templates = set(normalized_aggregate_template(call))
+    templates.add(argument_form.template)
+    groups = tuple(
+        _column_group_reference(query, ref.key)
+        for ref in argument.column_refs()
+    )
+    return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
+
+
+def _output_requirements_reference(
+    query: SpjgDescription,
+) -> tuple[OutputRequirement, ...]:
+    requirements: list[OutputRequirement] = []
+
+    def add_expression(expression: Expression) -> None:
+        if isinstance(expression, FuncCall) and expression.is_aggregate():
+            requirement = _aggregate_requirement_reference(query, expression)
+            if requirement is not None:
+                requirements.append(requirement)
+            return
+        if expression.contains_aggregate():
+            for child in expression.children():
+                add_expression(child)
+            return
+        requirement = _expression_requirement_reference(query, expression)
+        if requirement is not None:
+            requirements.append(requirement)
+
+    for info in query.outputs:
+        add_expression(info.expression)
+    for expr in query.statement.group_by:
+        add_expression(expr)
+    return tuple(requirements)
+
+
+def _grouping_requirements_reference(
+    query: SpjgDescription,
+) -> tuple[OutputRequirement, ...]:
+    """Per-item grouping conditions for the grouping-column level."""
+    requirements: list[OutputRequirement] = []
+    for expr in query.statement.group_by:
+        if isinstance(expr, ColumnRef):
+            requirements.append(
+                OutputRequirement(
+                    templates=frozenset(),
+                    column_groups=(
+                        _columns_key(_class_of_reference(query, expr.key)),
+                    ),
+                )
+            )
+        else:
+            requirements.append(
+                OutputRequirement(
+                    templates=_templates_key({ShallowForm.of(expr).template}),
+                    column_groups=(),
+                )
+            )
+    return tuple(requirements)
 
 
 # ---------------------------------------------------------------------------

@@ -139,12 +139,32 @@ def _grouping_requirements(
     return tuple(requirements)
 
 
+def aggregate_templates(query: SpjgDescription) -> frozenset[str]:
+    """Normalized templates of every aggregate call in the output list:
+    the query-side counterpart of ``output_templates``, what the
+    aggregation subtree's output-expression level probes with."""
+    templates: set[str] = set()
+    for call in query.statement.aggregate_outputs():
+        templates.update(normalized_aggregate_template(call))
+    return frozenset(templates)
+
+
+def extended_range_constrained_columns(
+    query: SpjgDescription,
+) -> frozenset[ColumnKey]:
+    """All columns equivalent to some range-constrained column."""
+    members: set[ColumnKey] = set()
+    for cls in query.range_constrained_classes():
+        members.update(cls)
+    return frozenset(members)
+
+
 def reference_probe(
     query: SpjgDescription, options: MatchOptions, interner: KeyInterner
 ) -> ReferenceProbe:
     """The packed probe of ``query`` by a walk over its description."""
     residual_templates = query.residual_templates()
-    constrained = query.extended_range_constrained_columns()
+    constrained = extended_range_constrained_columns(query)
     if options.use_check_constraints:
         check_columns, check_templates = _catalog_check_keys(
             query.catalog, query.options.support_or_ranges
@@ -153,17 +173,17 @@ def reference_probe(
         constrained = constrained | check_columns
     output_requirements = _output_requirements(query, interner)
     if query.is_aggregate:
-        aggregate_templates = query.aggregate_templates()
+        aggregates = aggregate_templates(query)
         grouping_templates = query.grouping_templates()
         grouping_requirements = _grouping_requirements(query, interner)
     else:
-        aggregate_templates = grouping_templates = frozenset()
+        aggregates = grouping_templates = frozenset()
         grouping_requirements = ()
     return ReferenceProbe(
         tables=query.tables,
         residual_templates=residual_templates,
         constrained_columns=constrained,
-        aggregate_templates=aggregate_templates,
+        aggregate_templates=aggregates,
         grouping_templates=grouping_templates,
         output_requirements=output_requirements,
         output_check=_split_requirements(output_requirements),

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import FilterTree, describe, match_view
-from repro.core.filtertree import QueryProbe
 from repro.stats import synthetic_tpch_stats
 from repro.workload import WorkloadGenerator
 
@@ -207,8 +206,11 @@ class TestLevelFiltering:
 
 
 class TestProbe:
+    """The shipped probe, :meth:`FilterTree.compile_probe`: plain key
+    values the packed subtrees look up in their atom dictionaries."""
+
     def test_probe_of_simple_query(self, catalog):
-        probe = QueryProbe.of(
+        probe = FilterTree().compile_probe(
             describe(
                 catalog.bind_sql(
                     "select l_orderkey from lineitem where l_partkey > 5"
@@ -216,12 +218,14 @@ class TestProbe:
                 catalog,
             )
         )
-        assert not probe.is_aggregate
-        assert ("t", "lineitem") in probe.tables
-        assert ("c", "lineitem", "l_partkey") in probe.range_constrained_columns
+        assert set(probe.tables) == {"lineitem"}
+        assert ("lineitem", "l_partkey") in probe.constrained_columns
+        # An SPJ query searches only the SPJ subtree.
+        assert probe.aggregate_templates == frozenset()
+        assert probe.grouping_requirements == ()
 
     def test_probe_of_aggregate_query(self, catalog):
-        probe = QueryProbe.of(
+        probe = FilterTree().compile_probe(
             describe(
                 catalog.bind_sql(
                     "select o_custkey, sum(o_totalprice) from orders "
@@ -230,8 +234,9 @@ class TestProbe:
                 catalog,
             )
         )
-        assert probe.is_aggregate
-        assert ("x", "sum(?)") in probe.aggregate_templates
+        assert set(probe.tables) == {"orders"}
+        assert probe.aggregate_templates == {"sum(?)"}
+        assert len(probe.grouping_requirements) == 1
 
 
 class TestFilterStatistics:

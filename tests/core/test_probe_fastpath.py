@@ -1,44 +1,7 @@
-"""Probe compilation fast path: fused-vs-reference equivalence and the
-probe staleness regression across interner growth."""
-
-import pytest
+"""Probe compilation: the probe staleness regression across interner
+growth."""
 
 from repro.core import FilterTree, describe
-from repro.core.filtertree import QueryProbe
-from repro.core.options import MatchOptions
-from repro.stats import synthetic_tpch_stats
-from repro.workload.covering import CoveringCaseGenerator
-
-OPTION_VARIANTS = [
-    MatchOptions(),
-    MatchOptions(support_or_ranges=True),
-    MatchOptions(allow_backjoins=True),
-    MatchOptions(use_check_constraints=True),
-    MatchOptions(
-        support_or_ranges=True,
-        allow_backjoins=True,
-        use_check_constraints=True,
-        map_complex_expressions=True,
-        allow_null_rejecting_fk=True,
-    ),
-]
-
-
-class TestFastReferenceEquivalence:
-    """``QueryProbe.of`` and ``of_reference`` must build identical probes."""
-
-    @pytest.mark.parametrize("options_index", range(len(OPTION_VARIANTS)))
-    def test_generated_cases_agree(self, catalog, options_index):
-        options = OPTION_VARIANTS[options_index]
-        generator = CoveringCaseGenerator(catalog, synthetic_tpch_stats())
-        for seed in range(25):
-            case = generator.case(seed, views=2)
-            statements = [case.query, *case.views.values()]
-            for statement in statements:
-                description = describe(statement, catalog, options=options)
-                fast = QueryProbe.of(description, options)
-                reference = QueryProbe.of_reference(description, options)
-                assert fast == reference
 
 
 class TestBoundProbeStaleness:

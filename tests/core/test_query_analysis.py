@@ -24,11 +24,7 @@ from repro.catalog import CheckConstraint, tpch_catalog
 from repro.core import ViewMatcher, describe
 from repro.core.analyze import QueryAnalysis, bit_indices
 from repro.core.describe import describe_block
-from repro.core.filtertree import (
-    _PackedProbe,
-    _split_requirements,
-    QueryProbe,
-)
+from repro.core.filtertree import _PackedProbe, _split_requirements
 from repro.core.options import MatchOptions
 from repro.optimizer import Optimizer, OptimizerConfig
 from repro.optimizer.optimizer import _Search
@@ -45,7 +41,7 @@ from repro.sql.statements import SelectItem, SelectStatement, TableRef
 from repro.stats.estimator import CardinalityEstimator
 from repro.workload import WorkloadGenerator
 
-from ._reference_filtertree import ReferenceFilterTree
+from ._reference_filtertree import QueryProbe, ReferenceFilterTree
 from ._reference_probe import reference_probe
 
 OPTIONS = MatchOptions(support_or_ranges=True, use_check_constraints=True)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import Database
-from repro.engine.database import _ONE_PASS_FROM
 from repro.errors import ExecutionError
 
 
@@ -78,31 +77,20 @@ class TestRelation:
         assert relation.rows == [(2,)]
         assert relation.version > version
 
-    # A batch this long is removed in one pass, a shorter one a row at a time.
-    @pytest.mark.parametrize("padding", [0, _ONE_PASS_FROM], ids=["rows", "pass"])
     def test_remove_drops_the_earliest_occurrences_of_interleaved_duplicates(
-        self, padding
+        self,
     ):
         rows = [(1, "a"), (2, "b"), (1, "a"), (3, "c"), (1, "a"), (2, "b")]
-        filler = [(100 + i, "f") for i in range(padding)]
-        relation = Database().store("t", ("k", "v"), filler + rows)
-        batch = [(1, "a"), *filler, (2, "b"), (1, "a")]
-        relation.remove(batch)
-        # As if each given row were removed one at a time, first match first.
-        expected = filler + rows
-        for row in batch:
-            expected.remove(row)
-        assert relation.rows == expected == [(3, "c"), (1, "a"), (2, "b")]
+        relation = Database().store("t", ("k", "v"), rows)
+        relation.remove([(1, "a"), (2, "b"), (1, "a")])
+        assert relation.rows == [(3, "c"), (1, "a"), (2, "b")]
 
-    @pytest.mark.parametrize("padding", [0, _ONE_PASS_FROM], ids=["rows", "pass"])
-    def test_remove_keeps_what_follows_the_first_row_not_stored(self, padding):
-        filler = [(100 + i,) for i in range(padding)]
-        relation = Database().store("t", ("a",), [(1,), (2,), (1,), (3,), *filler])
+    def test_remove_keeps_what_follows_the_first_row_not_stored(self):
+        relation = Database().store("t", ("a",), [(1,), (2,), (1,), (3,)])
         version = relation.version
-        # The second (2,) is not stored: the (1,), (2,) and filler before it
-        # go, the (3,) after it stays.
+        # The second (2,) is not stored: the (1,) and (2,) before it go,
+        # the (3,) after it stays.
         with pytest.raises(ExecutionError, match=r"row \(2,\) not present"):
-            relation.remove([(1,), (2,), *filler, (2,), (3,)])
+            relation.remove([(1,), (2,), (2,), (3,)])
         assert relation.rows == [(1,), (3,)]
         assert relation.version > version
-

@@ -11,8 +11,9 @@ import gc
 import pytest
 
 from repro import ViewServer, tpch_catalog
+from repro.collector import collector_paused
 from repro.errors import MatchError
-from repro.service.snapshot import SnapshotManager, collector_paused
+from repro.service.snapshot import SnapshotManager
 from repro.sql import statement_to_sql
 from repro.workload import WorkloadGenerator
 
