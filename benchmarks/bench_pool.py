@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check-baseline",
         default=None,
         metavar="JSON",
-        help="committed BENCH_matching.json for the calibration-"
+        help="committed report (BENCH_pool.json) for the calibration-"
         "normalized regression gates",
     )
     arguments = parser.parse_args(argv)

@@ -13,7 +13,9 @@ Commands
     Load-test the concurrent rewrite-serving layer: register a TPC-H
     view pool, replay a repeated query workload from closed-loop worker
     threads with the rewrite cache on and off, and print hit-rate and
-    latency statistics.
+    latency statistics. Exits 1 below an 80 % hit rate, or when the
+    telemetry pipeline (recorder + SLO tracker) slows serving by more
+    than 25 %.
 ``pool-bench [--smoke]``
     Sustained load through the persistent worker-pool serving tier: a
     distinct-query schedule replayed through ``rewrite_many`` (cache
@@ -21,13 +23,6 @@ Commands
     throughput and latency percentiles. ``--check`` gates zero failed
     requests and an applied swap, ``--check-baseline`` the
     calibration-normalized regression against a committed report.
-``bench-hotpath [--smoke]``
-    Time the matching hot path: the packed filter sweep and full
-    matching, after checking that the filter tree accepts the same views
-    as the paper's NoFilter configuration for every query. Also times
-    the batched serving path against the sequential loop
-    (``--check-speedups`` gates on the memory budget and the pool SLO,
-    ``--profile N`` prints a cProfile table instead of benchmarking).
 ``explain-rewrite <sql> [--json]``
     Trace one query through the rewrite path and print the match-funnel
     report: filter-tree narrowing per level, each candidate's reject
@@ -108,90 +103,6 @@ def main(argv: list[str] | None = None) -> int:
             "path (for workload-report / repro-top)"
         ),
     )
-    hotpath = subparsers.add_parser(
-        "bench-hotpath", help="time the matching hot path before/after interning"
-    )
-    hotpath.add_argument(
-        "--smoke", action="store_true", help="reduced run (seconds)"
-    )
-    hotpath.add_argument(
-        "--views", type=int, nargs="+", default=None, help="view counts to sweep"
-    )
-    hotpath.add_argument("--queries", type=int, default=None)
-    hotpath.add_argument("--seed", type=int, default=None)
-    hotpath.add_argument(
-        "--catalog-scale",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "override the catalog-scale point's view count (default "
-            "100000 in the full sweep, disabled in --smoke; 0 disables)"
-        ),
-    )
-    hotpath.add_argument(
-        "--pool-views",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "override the serving-pool point's view count (default 1000 "
-            "in the full sweep, 40 in --smoke; 0 disables)"
-        ),
-    )
-    hotpath.add_argument(
-        "--match-only",
-        action="store_true",
-        help=(
-            "run only the matching sweep (filter/match); "
-            "skips the end-to-end, maintenance, "
-            "catalog-scale, pool, telemetry, and memory sections"
-        ),
-    )
-    hotpath.add_argument("--output", default=None, help="write JSON report here")
-    hotpath.add_argument(
-        "--check-baseline",
-        default=None,
-        metavar="JSON",
-        help="gate against a committed BENCH_matching.json",
-    )
-    hotpath.add_argument(
-        "--check-overhead",
-        default=None,
-        metavar="JSON",
-        help=(
-            "fail if the null-tracer hot path is >5%% slower than the "
-            "committed baseline (load-normalized)"
-        ),
-    )
-    hotpath.add_argument(
-        "--overhead-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help=(
-            "override the overhead budget; shared CI runners need "
-            "headroom above the 0.05 default for scheduling noise"
-        ),
-    )
-    hotpath.add_argument(
-        "--check-speedups",
-        action="store_true",
-        help=(
-            "fail unless the bytes-per-view memory budget and the "
-            "serving-pool SLO hold"
-        ),
-    )
-    hotpath.add_argument(
-        "--profile",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "skip the benchmark; print the cProfile top-N table for "
-            "the full-match phase instead"
-        ),
-    )
     pool = subparsers.add_parser(
         "pool-bench",
         help="sustained-load bench of the persistent worker pool",
@@ -223,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="JSON",
         help=(
             "also gate calibration-normalized throughput/p99 against a "
-            "committed BENCH_matching.json serving_pool section"
+            "committed report's serving_pool section (BENCH_pool.json)"
         ),
     )
     explain = subparsers.add_parser(
@@ -421,24 +332,6 @@ def main(argv: list[str] | None = None) -> int:
         from .cli import run_examples
 
         return run_examples()
-    if arguments.command == "bench-hotpath":
-        from .cli import run_bench_hotpath
-
-        return run_bench_hotpath(
-            smoke=arguments.smoke,
-            views=tuple(arguments.views) if arguments.views else None,
-            queries=arguments.queries,
-            seed=arguments.seed,
-            catalog_scale=arguments.catalog_scale,
-            pool_views=arguments.pool_views,
-            match_only=arguments.match_only,
-            output=arguments.output,
-            check_baseline=arguments.check_baseline,
-            check_overhead=arguments.check_overhead,
-            overhead_tolerance=arguments.overhead_tolerance,
-            check_speedups=arguments.check_speedups,
-            profile=arguments.profile,
-        )
     if arguments.command == "pool-bench":
         from .cli import run_pool_bench
 

@@ -212,15 +212,22 @@ def run_serve_bench(
     Prints the cache hit rate and the median rewrite latency of both
     runs. Returns non-zero when the hit rate lands below 80 % -- a
     deterministic regression signal (the workload repeats every query
-    ``repeat`` times, so the expected rate is ``(repeat-1)/repeat``);
-    latency numbers are printed but not gated, since they depend on the
-    host. ``journal`` additionally records every request of the cached
-    run to a workload journal readable by ``repro workload-report`` and
-    ``repro repro-top --journal``.
+    ``repeat`` times, so the expected rate is ``(repeat-1)/repeat``) --
+    or when attaching the workload recorder and SLO tracker slows
+    serving by more than the telemetry budget (an on/off ratio at 200
+    views and 25 queries, measured in this process, whatever the other
+    options). Latency numbers are printed but not gated, since they
+    depend on the host. ``journal`` additionally records every request
+    of the cached run to a workload journal readable by ``repro
+    workload-report`` and ``repro repro-top --journal``.
     """
     import dataclasses
 
     from .service import BenchConfig, run_service_benchmark
+    from .service.loadgen import (
+        check_telemetry_overhead,
+        measure_telemetry_overhead,
+    )
 
     config = BenchConfig.smoke() if smoke else BenchConfig()
     overrides = {
@@ -240,10 +247,12 @@ def run_serve_bench(
     report = run_service_benchmark(config)
     if journal:
         print(f"workload journal written to {journal}")
+    failures = check_telemetry_overhead(measure_telemetry_overhead())
     if report.hit_rate < 0.8:
-        print(f"FAIL: cache hit-rate {report.hit_rate:.1%} below 80%")
-        return 1
-    return 0
+        failures.append(f"cache hit-rate {report.hit_rate:.1%} below 80%")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
 
 
 def run_workload_report(
@@ -368,110 +377,6 @@ def run_repro_top(
         server.close()
 
 
-def run_bench_hotpath(
-    smoke: bool = False,
-    views: tuple[int, ...] | None = None,
-    queries: int | None = None,
-    seed: int | None = None,
-    catalog_scale: int | None = None,
-    pool_views: int | None = None,
-    match_only: bool = False,
-    output: str | None = None,
-    check_baseline: str | None = None,
-    check_overhead: str | None = None,
-    overhead_tolerance: float | None = None,
-    check_speedups: bool = False,
-    profile: int | None = None,
-) -> int:
-    """Benchmark the matching hot path (packed sweep, view records).
-
-    Times candidate filtering and full matching after checking the filter
-    tree accepts the same views as NoFilter for every query, plus the
-    batched end-to-end serving path against the sequential serve loop.
-    ``output`` writes the machine-readable report; ``check_baseline``
-    gates against a committed ``BENCH_matching.json`` and returns
-    non-zero on a >2x candidate-filter regression at the largest shared
-    view count. ``check_overhead``
-    applies the much tighter disabled-tracing guard (default 5 %)
-    against the same baseline: the whole run executes with the null
-    tracer installed, so any regression it reports is overhead the
-    tracing instrumentation added to the disabled path.
-    ``check_speedups`` enforces the in-run gates: the
-    bytes-per-registered-view budget (when the report carries a memory
-    section) and the serving-pool SLO.
-    ``catalog_scale`` overrides the 100k-view packed-path point's view
-    count (0 disables it). ``match_only`` restricts the run
-    to the matching sweep (filter / match timings), disabling
-    the end-to-end, maintenance, catalog-scale, pool, telemetry, and
-    memory sections -- the quick loop for iterating on matcher code.
-    ``profile`` skips the benchmark entirely and prints cProfile top-N
-    tables for the full-match phase instead.
-    """
-    import dataclasses
-    import json
-
-    from .experiments import (
-        HotpathConfig,
-        check_against_baseline,
-        check_pool_slo,
-        check_speedup_gates,
-        check_tracing_overhead,
-        profile_hotpath,
-        run_hotpath_benchmark,
-    )
-    from .experiments.hotpath import write_report
-
-    config = HotpathConfig.smoke() if smoke else HotpathConfig()
-    overrides = {}
-    if views is not None:
-        overrides["view_counts"] = tuple(views)
-    if queries is not None:
-        overrides["query_count"] = queries
-    if seed is not None:
-        overrides["seed"] = seed
-    if catalog_scale is not None:
-        overrides["catalog_scale_views"] = catalog_scale
-    if pool_views is not None:
-        overrides["pool_views"] = pool_views
-    if match_only:
-        overrides.update(
-            end_to_end_view_counts=(),
-            maintenance_view_count=0,
-            catalog_scale_views=0,
-            pool_views=0,
-            telemetry_overhead_views=0,
-            measure_memory=False,
-        )
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    if profile is not None:
-        profile_hotpath(config, top=profile)
-        return 0
-    report = run_hotpath_benchmark(config)
-    if output:
-        write_report(report, output)
-        print(f"report written to {output}")
-    failures = []
-    if check_baseline:
-        with open(check_baseline) as handle:
-            baseline = json.load(handle)
-        failures += check_against_baseline(report, baseline)
-    if check_overhead:
-        with open(check_overhead) as handle:
-            baseline = json.load(handle)
-        overhead_kwargs = (
-            {} if overhead_tolerance is None
-            else {"tolerance": overhead_tolerance}
-        )
-        failures += check_tracing_overhead(report, baseline, **overhead_kwargs)
-    if check_speedups:
-        failures += check_speedup_gates(report)
-        failures += check_pool_slo(report)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
-
-
 def run_pool_bench(
     smoke: bool = False,
     views: int | None = None,
@@ -490,15 +395,20 @@ def run_pool_bench(
     latency percentiles. ``check`` applies the in-run SLO gate (zero
     failed requests, at least one applied swap when churn was asked
     for); ``check_baseline`` additionally applies the
-    calibration-normalized regression gates against a committed
-    ``BENCH_matching.json``. ``output`` writes the JSON report.
+    calibration-normalized regression gates against a committed report
+    (``BENCH_pool.json``). ``output`` writes the JSON report, in the
+    same shape.
     """
     import dataclasses
     import json
     import os
 
-    from .experiments.hotpath import _calibrate, check_pool_slo
-    from .service.loadgen import PoolBenchConfig, run_pool_benchmark
+    from .service.loadgen import (
+        PoolBenchConfig,
+        _calibrate,
+        check_pool_slo,
+        run_pool_benchmark,
+    )
 
     config = PoolBenchConfig.smoke() if smoke else PoolBenchConfig()
     overrides = {}

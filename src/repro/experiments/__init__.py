@@ -19,16 +19,6 @@ from .harness import (
     ExperimentResult,
     MeasurementPoint,
 )
-from .hotpath import (
-    HotpathConfig,
-    HotpathMismatchError,
-    check_against_baseline,
-    check_pool_slo,
-    check_speedup_gates,
-    check_tracing_overhead,
-    profile_hotpath,
-    run_hotpath_benchmark,
-)
 from .reporting import render_table
 
 __all__ = [
@@ -37,15 +27,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentHarness",
     "ExperimentResult",
-    "HotpathConfig",
-    "HotpathMismatchError",
     "MeasurementPoint",
-    "check_against_baseline",
-    "check_pool_slo",
-    "check_speedup_gates",
-    "check_tracing_overhead",
-    "profile_hotpath",
-    "run_hotpath_benchmark",
     "figure2",
     "figure3",
     "figure4",

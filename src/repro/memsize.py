@@ -5,8 +5,7 @@ catalog must also *fit*, and the dominant resident costs in this
 implementation are the per-view match state (descriptions, view
 records, filter-tree rows) and the rewrite cache's entries. This module
 measures both with one primitive, :func:`deep_sizeof` -- a cycle-safe
-recursive ``sys.getsizeof`` walk -- and two reporting helpers the
-benchmark writes into ``BENCH_matching.json``:
+recursive ``sys.getsizeof`` walk -- and two reporting helpers:
 
 * :func:`view_memory_report` -- total and per-view bytes for a filter
   tree including every registered view's reachable
@@ -18,11 +17,11 @@ benchmark writes into ``BENCH_matching.json``:
 Shared objects are counted **once** per call (identity-based ``seen``
 set), so per-view figures are *amortized* marginal cost across the whole
 catalog -- the number that predicts how the footprint grows with the
-next 10k registrations, which is what the memory gate in
-``--check-speedups`` budgets against. Figures are approximate in the
-usual ``getsizeof`` sense (interpreter-version dependent, no allocator
-overhead) but comparable across runs on one interpreter, which is all a
-regression gate needs.
+next 10k registrations. ``benchmarks/e2e`` reports it per workload as
+``memsize.bytes_per_view``, and CI's e2e smoke budgets it at 24 KiB per
+view. Figures are approximate in the usual ``getsizeof`` sense
+(interpreter-version dependent, no allocator overhead) but comparable
+across runs on one interpreter, which is all a regression gate needs.
 """
 
 from __future__ import annotations

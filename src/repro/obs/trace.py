@@ -13,9 +13,10 @@ Design constraints, in priority order:
 1. **Zero-cost when off.** Every instrumented hot path does one
    ``current_tracer()`` contextvar read and one attribute test
    (``tracer.active``); with the module-level :data:`NULL_TRACER`
-   installed -- the default -- nothing else happens. The hot-path
-   benchmark gate (``bench-hotpath --check-overhead``) holds this to
-   within a few percent of the pre-instrumentation baseline.
+   installed -- the default -- nothing else happens.
+   ``tests/obs/test_disabled_tracing.py`` holds this exactly: with
+   sampling off, serving and optimizing construct no trace object and
+   call no null-tracer hook.
 2. **Contextvar-scoped.** A tracer is installed for one request on one
    thread (or task); concurrent requests under the serving layer never
    see each other's spans. :func:`activate` returns a token for

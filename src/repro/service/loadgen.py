@@ -11,13 +11,23 @@ The benchmark runs the same schedule twice, cache enabled and disabled,
 and reports the cache hit rate and the median/percentile rewrite
 latencies of both runs side by side. The first pass over the batch is
 all misses, every later pass should hit, so with ``repeat`` passes the
-expected hit rate is ``(repeat - 1) / repeat``.
+expected hit rate is ``(repeat - 1) / repeat``. Beside it,
+:func:`measure_telemetry_overhead` times serving with and without the
+workload recorder and SLO tracker, and ``serve-bench`` fails when that
+costs more than :data:`TELEMETRY_OVERHEAD_TOLERANCE`.
+
+The pool benchmark (:func:`run_pool_benchmark`) carries its own gates:
+:func:`check_pool_slo` (zero failures, an applied swap) and, against a
+committed report such as ``BENCH_pool.json``, the
+calibration-normalized throughput and p99 bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import statistics as stats_module
+import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -264,6 +274,112 @@ def run_service_benchmark(
     return report
 
 
+# Budget for the always-on telemetry pipeline: serving the same workload
+# with the workload recorder + SLO tracker attached may be at most this
+# fraction slower than without them. Measured as an on/off ratio in one
+# process, so host speed divides out by construction (no calibration
+# needed); the cache is disabled on both sides so the comparison times
+# real rewrite work rather than journal writes against cache probes.
+TELEMETRY_OVERHEAD_TOLERANCE = 0.25
+# The workload the budget is measured on, whatever serve-bench's own
+# options: best of TELEMETRY_RUNS timed passes over this view pool.
+TELEMETRY_WORKLOAD = BenchConfig(views=200, queries=25)
+TELEMETRY_RUNS = 3
+
+
+def measure_telemetry_overhead(echo=print) -> dict:
+    """On/off cost of the workload recorder + SLO tracker; self-normalized.
+
+    Serves the same query list through two identically configured
+    servers (cache off) -- one plain, one with an SLO tracker and a
+    journaling recorder attached -- and reports the relative slowdown
+    of the best of ``TELEMETRY_RUNS`` timed passes. Both sides carry the
+    always-on matcher sketches, so the fraction isolates the per-request
+    observation cost the telemetry subsystem adds: one SLO ring update
+    and one JSON line per request.
+    """
+    from ..obs.recorder import WorkloadRecorder
+    from ..obs.slo import SloObjectives
+
+    definitions, sqls = build_workload(TELEMETRY_WORKLOAD)
+    catalog = tpch_catalog()
+    stats = synthetic_tpch_stats(scale=TELEMETRY_WORKLOAD.scale)
+
+    def serve_time(server) -> float:
+        for sql in sqls:  # warm memos outside the timed runs
+            server.serve(sql)
+        best = float("inf")
+        for _ in range(TELEMETRY_RUNS):
+            started = time.perf_counter()
+            for sql in sqls:
+                server.serve(sql)
+            best = min(best, time.perf_counter() - started)
+        return best * 1000.0
+
+    with ViewServer(catalog, stats, workers=1, cache_enabled=False) as plain:
+        plain.register_views(definitions)
+        off_ms = serve_time(plain)
+    with tempfile.TemporaryDirectory() as tmpdir, ViewServer(
+        catalog,
+        stats,
+        workers=1,
+        cache_enabled=False,
+        slo=SloObjectives(),
+    ) as instrumented:
+        instrumented.register_views(definitions)
+        recorder = WorkloadRecorder(os.path.join(tmpdir, "journal.jsonl"))
+        instrumented.attach_recorder(recorder)
+        on_ms = serve_time(instrumented)
+        recorder.close()
+    overhead = on_ms / off_ms - 1.0
+    section = {
+        "views": len(definitions),
+        "queries": len(sqls),
+        "runs": TELEMETRY_RUNS,
+        "telemetry_off_ms": round(off_ms, 2),
+        "telemetry_on_ms": round(on_ms, 2),
+        "overhead_fraction": round(overhead, 4),
+    }
+    if echo is not None:
+        echo(
+            f"telemetry overhead at {len(definitions)} views: "
+            f"off {off_ms:8.1f}ms   on {on_ms:8.1f}ms   "
+            f"({overhead:+.1%})"
+        )
+    return section
+
+
+def check_telemetry_overhead(
+    section: dict | None,
+    tolerance: float = TELEMETRY_OVERHEAD_TOLERANCE,
+    echo=print,
+) -> list[str]:
+    """Gate the telemetry pipeline's on/off serving overhead.
+
+    ``section`` is :func:`measure_telemetry_overhead`'s result (both
+    sides of the ratio come from one process, so no baseline or
+    calibration is involved); fails when attaching the recorder + SLO
+    tracker slowed serving by more than ``tolerance``. ``None`` passes.
+    """
+    if not section:
+        return []
+    overhead = section["overhead_fraction"]
+    if echo is not None:
+        echo(
+            f"telemetry-overhead check ({section['views']} views): "
+            f"on {section['telemetry_on_ms']:.1f}ms vs "
+            f"off {section['telemetry_off_ms']:.1f}ms "
+            f"({overhead:+.1%}, budget {tolerance:.0%})"
+        )
+    if overhead > tolerance:
+        return [
+            f"telemetry pipeline overhead {overhead:.1%} exceeds the "
+            f"{tolerance:.0%} budget (recorder + SLO attached vs plain "
+            f"serving at {section['views']} views)"
+        ]
+    return []
+
+
 # ---------------------------------------------------------------------------
 # Sustained-load pool benchmark
 
@@ -468,6 +584,160 @@ def run_pool_benchmark(
     return report
 
 
+# Regression tolerance of the pool baseline gate: calibration-normalized
+# throughput may fall to 1/REGRESSION_FACTOR of the committed report's,
+# and p99 may grow to REGRESSION_FACTOR times it (absorbs host-speed
+# differences the calibration leaves between the machine that committed
+# the baseline and the runner).
+REGRESSION_FACTOR = 2.0
+
+
+def _calibrate(runs: int = 5) -> float:
+    """Best-of timing (us) of a fixed pure-Python reference workload.
+
+    The pool regression gate normalizes throughput and p99 by this
+    number before comparing against the committed baseline: both are
+    measured in the same process, so host-speed differences between the
+    baseline machine and the CI runner cancel out. The workload mixes
+    dict lookups, set sizing, and integer arithmetic -- the same
+    interpreter operations the filter tree and matcher spend their time
+    on. ``pool-bench`` takes the minimum of samples before and after
+    the pool run, so the calibration floor is measured under the same
+    load windows as the numbers it normalizes.
+    """
+    payload = list(range(256))
+    table = {i: frozenset((i, i + 1, i + 2)) for i in payload}
+    best = None
+    for _ in range(runs):
+        start = time.perf_counter()
+        acc = 0
+        for _ in range(100):
+            for i in payload:
+                acc += len(table[i]) + (i & 7)
+        elapsed = (time.perf_counter() - start) * 1e6
+        best = elapsed if best is None else min(best, elapsed)
+    assert acc >= 0  # keep the loop observable
+    return best
+
+
+def check_pool_slo(
+    report: dict, baseline: dict | None = None, echo=print
+) -> list[str]:
+    """The serving-pool SLO gate; returns failure messages.
+
+    In-run, host-independent gates on the ``serving_pool`` section:
+
+    * zero failed requests (a pool that sheds or errors under sustained
+      load fails outright, whatever its speed);
+    * at least one applied epoch swap when the run injected churn (a
+      fleet that never swapped did not serve the churn it claims to).
+
+    No throughput or latency ratio is gated: the pool's throughput is
+    guarded end to end by ``benchmarks/e2e``'s ``pool_churn_1k``. With
+    ``baseline``, additionally applies the calibration-normalized
+    regression gates (:func:`_check_pool_regression`).
+    """
+    failures: list[str] = []
+    pool = report.get("serving_pool")
+    if not pool:
+        if echo is not None:
+            echo("pool SLO check skipped: report has no serving_pool section")
+        return failures
+    failed = pool["pool"]["failures"]
+    if failed:
+        failures.append(
+            f"serving-pool bench: {failed} failed requests (must be 0)"
+        )
+    if pool.get("churn_cycles") and not pool["swaps"]:
+        failures.append(
+            f"serving-pool bench: {pool['churn_cycles']} churn cycles "
+            "applied no epoch swap"
+        )
+    if baseline is not None:
+        failures.extend(_check_pool_regression(report, baseline, echo))
+    return failures
+
+
+def _check_pool_regression(
+    report: dict, baseline: dict, echo=print
+) -> list[str]:
+    """Serving-pool throughput/p99 vs. the committed baseline.
+
+    Calibration-normalized: throughput is
+    multiplied by the run's own ``calibration_us`` (work per host-speed
+    unit, invariant across machines) and may drop to at most
+    ``1 / REGRESSION_FACTOR`` of the baseline; p99 latency is divided by
+    ``calibration_us`` and may grow to at most ``REGRESSION_FACTOR``
+    times the baseline. Skipped with a note when the baseline predates
+    the section or measured a different configuration -- regenerate with
+    ``pool-bench --output``.
+    """
+    fresh = report.get("serving_pool")
+    base = baseline.get("serving_pool")
+    if not fresh:
+        return []
+    if not base:
+        if echo is not None:
+            echo(
+                "pool regression check skipped: baseline has no "
+                "serving_pool section; regenerate with --output"
+            )
+        return []
+    if (base.get("views"), base.get("workers")) != (
+        fresh.get("views"),
+        fresh.get("workers"),
+    ):
+        if echo is not None:
+            echo(
+                "pool regression check skipped: baseline measured "
+                f"{base.get('views')} views / {base.get('workers')} "
+                f"workers, fresh run {fresh.get('views')} / "
+                f"{fresh.get('workers')}"
+            )
+        return []
+    fresh_calibration = report.get("calibration_us")
+    base_calibration = baseline.get("calibration_us")
+    if not fresh_calibration or not base_calibration:
+        return [
+            "pool regression check needs calibration_us in both reports; "
+            "regenerate the baseline with pool-bench --output"
+        ]
+    failures: list[str] = []
+    # requests/sec x host-speed proxy: invariant across machines.
+    fresh_thr = fresh["pool"]["throughput_rps"] * fresh_calibration
+    base_thr = base["pool"]["throughput_rps"] * base_calibration
+    floor = base_thr / REGRESSION_FACTOR
+    if echo is not None:
+        echo(
+            f"pool throughput check at {fresh['views']} views: fresh "
+            f"{fresh_thr:,.0f} norm-req/s, baseline {base_thr:,.0f}, "
+            f"floor {floor:,.0f}"
+        )
+    if fresh_thr < floor:
+        failures.append(
+            f"serving-pool throughput at {fresh['views']} views regressed: "
+            f"{fresh_thr:,.0f} norm-req/s is under 1/{REGRESSION_FACTOR:g} "
+            f"of baseline ({base_thr:,.0f})"
+        )
+    # latency / host-speed proxy, smaller is better.
+    fresh_p99 = fresh["pool"]["p99_ms"] / fresh_calibration
+    base_p99 = base["pool"]["p99_ms"] / base_calibration
+    limit = base_p99 * REGRESSION_FACTOR
+    if echo is not None:
+        echo(
+            f"pool p99 check at {fresh['views']} views: fresh "
+            f"{fresh_p99:.3f} norm-ms, baseline {base_p99:.3f}, "
+            f"limit {limit:.3f}"
+        )
+    if fresh_p99 > limit:
+        failures.append(
+            f"serving-pool p99 at {fresh['views']} views regressed: "
+            f"{fresh_p99:.3f} norm-ms is over {REGRESSION_FACTOR:g}x "
+            f"baseline ({base_p99:.3f})"
+        )
+    return failures
+
+
 __all__ = [
     "BenchConfig",
     "BenchReport",
@@ -475,7 +745,12 @@ __all__ = [
     "PoolBenchConfig",
     "PoolBenchReport",
     "PoolRunStats",
+    "REGRESSION_FACTOR",
+    "TELEMETRY_OVERHEAD_TOLERANCE",
     "build_workload",
+    "check_pool_slo",
+    "check_telemetry_overhead",
+    "measure_telemetry_overhead",
     "run_closed_loop",
     "run_pool_benchmark",
     "run_service_benchmark",

@@ -5,10 +5,10 @@ import os
 import pytest
 
 from repro.core.parallel import effective_cpu_count, fork_available
-from repro.experiments.hotpath import (
+from repro.service.loadgen import (
     TELEMETRY_OVERHEAD_TOLERANCE,
-    _check_telemetry_overhead,
-    check_tracing_overhead,
+    check_telemetry_overhead,
+    measure_telemetry_overhead,
 )
 
 
@@ -26,57 +26,52 @@ def section(overhead, views=200):
 
 class TestTelemetryOverheadGate:
     def test_within_budget_passes(self):
-        report = {"telemetry_overhead": section(0.10)}
-        assert _check_telemetry_overhead(report, echo=None) == []
+        assert check_telemetry_overhead(section(0.10), echo=None) == []
 
     def test_over_budget_fails_with_context(self):
-        report = {"telemetry_overhead": section(0.40)}
-        failures = _check_telemetry_overhead(report, echo=None)
+        failures = check_telemetry_overhead(section(0.40), echo=None)
         assert len(failures) == 1
         assert "40.0%" in failures[0]
         assert "recorder + SLO" in failures[0]
 
     def test_exactly_at_budget_passes(self):
-        report = {
-            "telemetry_overhead": section(TELEMETRY_OVERHEAD_TOLERANCE)
-        }
-        assert _check_telemetry_overhead(report, echo=None) == []
+        at_budget = section(TELEMETRY_OVERHEAD_TOLERANCE)
+        assert check_telemetry_overhead(at_budget, echo=None) == []
 
     def test_custom_tolerance(self):
-        report = {"telemetry_overhead": section(0.10)}
-        assert _check_telemetry_overhead(report, tolerance=0.05, echo=None)
+        assert check_telemetry_overhead(
+            section(0.10), tolerance=0.05, echo=None
+        )
 
     def test_reports_without_the_section_pass(self):
-        assert _check_telemetry_overhead({}, echo=None) == []
-        assert (
-            _check_telemetry_overhead({"telemetry_overhead": None}, echo=None)
-            == []
-        )
+        assert check_telemetry_overhead(None, echo=None) == []
+        assert check_telemetry_overhead({}, echo=None) == []
 
     def test_negative_overhead_passes(self):
         # Noise can make the instrumented run come out faster.
-        report = {"telemetry_overhead": section(-0.03)}
-        assert _check_telemetry_overhead(report, echo=None) == []
+        assert check_telemetry_overhead(section(-0.03), echo=None) == []
 
-    def test_rides_the_tracing_overhead_gate(self):
-        # check_tracing_overhead folds the telemetry gate in, so the
-        # existing CI step covers both without a new flag.
-        size = {
-            "views": 100,
-            "candidate_filter_us": {"interned": 10.0},
-            "full_match_us": {"with_contexts": 20.0},
-        }
-        baseline = {"calibration_us": 100.0, "sizes": [size]}
-        report = {
-            "calibration_us": 100.0,
-            "sizes": [dict(size)],
-            "telemetry_overhead": section(0.40),
-        }
-        failures = check_tracing_overhead(report, baseline, echo=None)
-        assert failures == [
-            "telemetry pipeline overhead 40.0% exceeds the 5% budget "
-            "(recorder + SLO attached vs plain serving at 200 views)"
-        ]
+    def test_measures_both_sides_of_the_ratio(self):
+        measured = measure_telemetry_overhead(echo=None)
+        assert (measured["views"], measured["queries"]) == (200, 25)
+        assert measured["telemetry_off_ms"] > 0
+        assert measured["telemetry_on_ms"] > 0
+
+    def test_fails_serve_bench_like_the_hit_rate_bar(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+        from repro.service import loadgen
+
+        monkeypatch.setattr(
+            loadgen,
+            "measure_telemetry_overhead",
+            lambda: section(0.40),
+        )
+        assert cli.run_serve_bench(smoke=True) == 1
+        assert "FAIL: telemetry pipeline overhead 40.0%" in (
+            capsys.readouterr().out
+        )
 
 
 class TestEffectiveCpuCount:

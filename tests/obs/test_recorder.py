@@ -226,7 +226,7 @@ class TestAggregate:
 class TestFunnelFidelity:
     """Acceptance: a recorded journal reproduces the serving tier's
     reject-reason funnel ranking -- RANGE dominates PREDICATE_MAPPING,
-    matching the committed BENCH_matching.json profile."""
+    as in the matcher's own reject tallies on the generated workload."""
 
     def test_journal_reproduces_reject_ranking(self, tmp_path):
         journal = str(tmp_path / "journal.jsonl")
