@@ -27,7 +27,7 @@ class BenchWorkload:
         self.catalog = tpch_catalog()
         self.stats = synthetic_tpch_stats(scale=0.5)
         generator = WorkloadGenerator(self.catalog, self.stats, seed=SEED)
-        self.views = generator.generate_views(MAX_VIEWS)
+        self.views = list(generator.generate_views(MAX_VIEWS))
         self.queries = [
             q.statement for q in generator.generate_queries(QUERY_BATCH)
         ]

@@ -30,7 +30,7 @@ def main() -> None:
     # A small view pool and query batch from the Section 5 generator
     # (seed chosen so part of the batch is answerable from the pool).
     generator = WorkloadGenerator(catalog, stats, seed=1)
-    views = generator.generate_views(12)
+    views = list(generator.generate_views(12))
     queries = [
         statement_to_sql(q.statement) for q in generator.generate_queries(10)
     ]

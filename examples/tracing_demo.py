@@ -29,7 +29,7 @@ def main() -> None:
     catalog = tpch_catalog()
     stats = synthetic_tpch_stats(scale=0.1)
     generator = WorkloadGenerator(catalog, stats, seed=1)
-    views = generator.generate_views(60)
+    views = list(generator.generate_views(60))
     queries = [
         statement_to_sql(q.statement) for q in generator.generate_queries(20)
     ]

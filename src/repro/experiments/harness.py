@@ -154,9 +154,10 @@ class ExperimentHarness:
             parameters=self.config.workload,
         )
         max_views = max(self.config.view_counts)
-        self.views = generator.generate_views(max_views)
-        self.queries: list[GeneratedStatement] = generator.generate_queries(
-            self.config.query_count
+        # Figure points re-register prefixes of one view list.
+        self.views = list(generator.generate_views(max_views))
+        self.queries: list[GeneratedStatement] = list(
+            generator.generate_queries(self.config.query_count)
         )
 
     def build_matcher(self, view_count: int, use_filter_tree: bool) -> ViewMatcher:

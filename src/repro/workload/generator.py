@@ -21,6 +21,7 @@ three, 17 % four, 13 % five, 8 % six, 2 % seven.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
@@ -123,6 +124,11 @@ class WorkloadGenerator:
         self.parameters = parameters or WorkloadParameters()
         self.estimator = CardinalityEstimator(stats)
         self._joinable = self._build_join_edges()
+        self._range_columns = {
+            table.name: self._rangeable_columns(table.name)
+            for table in catalog.tables()
+            if stats.has_table(table.name)
+        }
         self._view_counter = 0
 
     def _column(self, table: str, column: str) -> ColumnRef:
@@ -210,23 +216,23 @@ class WorkloadGenerator:
                 hot.add(column.name)
         return frozenset(hot)
 
-    def _rangeable_columns(self, tables: list[str]) -> list[tuple[str, str]]:
-        """Candidate range columns, hot columns repeated per their weight."""
+    def _rangeable_columns(self, table: str) -> list[tuple[str, str]]:
+        """Candidate range columns of ``table``, hot columns repeated per
+        their weight."""
         columns: list[tuple[str, str]] = []
-        for table in tables:
-            hot = self._hot_columns(table)
-            for column in self.catalog.table(table).columns:
-                if not column.type.is_numeric:
-                    continue
-                stats = self.stats.column(table, column.name)
-                if not stats.width or stats.width <= 0:
-                    continue
-                weight = (
-                    self.parameters.hot_range_column_weight
-                    if column.name in hot
-                    else 1
-                )
-                columns.extend([(table, column.name)] * weight)
+        hot = self._hot_columns(table)
+        for column in self.catalog.table(table).columns:
+            if not column.type.is_numeric:
+                continue
+            stats = self.stats.column(table, column.name)
+            if not stats.width or stats.width <= 0:
+                continue
+            weight = (
+                self.parameters.hot_range_column_weight
+                if column.name in hot
+                else 1
+            )
+            columns.extend([(table, column.name)] * weight)
         return columns
 
     def _range_predicate_for(
@@ -262,7 +268,11 @@ class WorkloadGenerator:
         largest = self.stats.largest_table_rows(tables)
         low_target, high_target = band[0] * largest, band[1] * largest
         predicates = list(join_predicates)
-        candidates = self._rangeable_columns(tables)
+        candidates = [
+            candidate
+            for table in tables
+            for candidate in self._range_columns[table]
+        ]
         self.rng.shuffle(candidates)
 
         def estimate(predicate_list: list[Expression]) -> float:
@@ -411,8 +421,22 @@ class WorkloadGenerator:
             tables, predicates, aggregate, for_view=False, cardinality=cardinality
         )
 
-    def generate_views(self, count: int) -> list[tuple[str, GeneratedStatement]]:
-        return [self.generate_view() for _ in range(count)]
+    def generate_views(
+        self, count: int
+    ) -> Iterator[tuple[str, GeneratedStatement]]:
+        """Yield ``count`` views one at a time.
 
-    def generate_queries(self, count: int) -> list[GeneratedStatement]:
-        return [self.generate_query() for _ in range(count)]
+        Lazy, so a bulk caller that renders or registers each view holds
+        one statement at a time, never the batch. Each view is drawn when
+        it is consumed: interleaving two streams of one generator
+        interleaves their draws, so a caller that needs the views after
+        drawing queries takes ``list()`` first.
+        """
+        for _ in range(count):
+            yield self.generate_view()
+
+    def generate_queries(self, count: int) -> Iterator[GeneratedStatement]:
+        """Yield ``count`` queries one at a time (lazy, as
+        :meth:`generate_views`)."""
+        for _ in range(count):
+            yield self.generate_query()

@@ -207,7 +207,7 @@ class TestRegistrationChurn:
     @pytest.fixture(scope="class")
     def workload(self, catalog, paper_stats):
         generator = WorkloadGenerator(catalog, paper_stats, seed=29)
-        views = generator.generate_views(80)
+        views = list(generator.generate_views(80))
         queries = [q.statement for q in generator.generate_queries(45)]
         return views, queries
 
@@ -238,7 +238,7 @@ class TestRegistrationChurn:
         self, catalog, paper_stats
     ):
         generator = WorkloadGenerator(catalog, paper_stats, seed=3)
-        views = generator.generate_views(30)
+        views = list(generator.generate_views(30))
         queries = [
             statement_to_sql(q.statement)
             for q in generator.generate_queries(8)

@@ -206,7 +206,7 @@ def backend(request, monkeypatch):
 @pytest.fixture(scope="module")
 def workload(catalog, paper_stats):
     generator = WorkloadGenerator(catalog, paper_stats, seed=13)
-    views = generator.generate_views(250)
+    views = list(generator.generate_views(250))
     queries = [q.statement for q in generator.generate_queries(40)]
     matcher = ViewMatcher(catalog)
     for name, generated in views:
@@ -307,11 +307,10 @@ def test_100k_view_catalog_smoke(catalog):
     """Registration and packed filtering stay sane at 100k views."""
     stats = synthetic_tpch_stats(scale=0.5)
     generator = WorkloadGenerator(catalog, stats, seed=42)
-    views = generator.generate_views(100_000)
-    queries = [q.statement for q in generator.generate_queries(10)]
     matcher = ViewMatcher(catalog)
-    for name, generated in views:
+    for name, generated in generator.generate_views(100_000):
         matcher.register_view(name, generated.statement)
+    queries = [q.statement for q in generator.generate_queries(10)]
     tree = matcher.filter_tree
     assert len(tree.views()) == 100_000
     descriptions = [matcher.describe_query(q) for q in queries]

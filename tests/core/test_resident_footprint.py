@@ -12,6 +12,12 @@ the columnar pre-verifier's rows gone a view kept about 9.0 KB (budget
 parsed statement or output list, only the record, hub, packed-row keys
 and its SQL text -- it keeps about 3.35 KB, and the budget is that plus
 15 %.
+
+Registration streams: the generator yields one view at a time and
+``register_views`` takes any iterable, so while 500 views are rendered
+and registered the traced peak stays within ~0.3 MB of what is left
+resident. A generator that returned its batch as a list kept every
+statement alive at once and peaked ~1.5 MB above it.
 """
 
 import gc
@@ -31,6 +37,7 @@ from repro.sql.statements import SelectStatement
 WARM_UP = 50
 MEASURED = 500
 BUDGET_BYTES_PER_VIEW = 3_850
+STREAMED_PEAK_EXCESS_BYTES = 1 << 20
 DERIVED_SLOTS = (
     "outputs",
     "group_forms",
@@ -85,6 +92,41 @@ def test_registered_view_keeps_at_most_the_budget(paper_stats):
         assert per_view <= BUDGET_BYTES_PER_VIEW, (
             f"a registered view keeps {per_view:.0f} B "
             f"(budget {BUDGET_BYTES_PER_VIEW} B)"
+        )
+    finally:
+        server.close()
+
+
+def test_streamed_registration_holds_no_batch(paper_stats):
+    """Rendering and registering a generated stream holds one statement
+    at a time: the traced peak exceeds what stays resident by the
+    publish's own transients, not by the batch."""
+    catalog = tpch_catalog()
+    warm_up = WorkloadGenerator(catalog, paper_stats, seed=7)
+    generator = WorkloadGenerator(catalog, paper_stats, seed=42)
+    server = ViewServer(catalog, paper_stats, cache_enabled=False)
+    try:
+        server.register_views(
+            (f"warm{index}", statement_to_sql(view.statement))
+            for index, (_, view) in enumerate(warm_up.generate_views(WARM_UP))
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            server.register_views(
+                (name, statement_to_sql(view.statement))
+                for name, view in generator.generate_views(MEASURED)
+            )
+            gc.collect()
+            resident, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(server.snapshots.current.view_names) == WARM_UP + MEASURED
+        excess = peak - resident
+        assert excess < STREAMED_PEAK_EXCESS_BYTES, (
+            f"registering {MEASURED} streamed views peaked {excess:,} B above "
+            f"the {resident - before:,} B they left resident"
         )
     finally:
         server.close()

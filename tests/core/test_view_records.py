@@ -41,7 +41,7 @@ def _same_record(left: ViewRecord, right: ViewRecord) -> bool:
 @pytest.fixture(scope="module")
 def generated(catalog, paper_stats):
     generator = WorkloadGenerator(catalog, paper_stats, seed=42)
-    return generator.generate_views(400), [
+    return list(generator.generate_views(400)), [
         query.statement for query in generator.generate_queries(60)
     ]
 

@@ -54,8 +54,10 @@ def _stale_every_fourth(view_name):
 def workload(request, catalog, paper_stats):
     """Generated views (each also registered under a second name) + queries."""
     seed = request.param
-    views = WorkloadGenerator(catalog, paper_stats, seed=seed).generate_views(
-        VIEW_COUNT
+    views = list(
+        WorkloadGenerator(catalog, paper_stats, seed=seed).generate_views(
+            VIEW_COUNT
+        )
     )
     matcher = ViewMatcher(catalog)
     for name, generated in views:
@@ -64,9 +66,11 @@ def workload(request, catalog, paper_stats):
     # position relative to other views differs from its original's.
     for name, generated in reversed(views):
         matcher.register_view(f"{name}_twin", generated.statement)
-    queries = WorkloadGenerator(
-        catalog, paper_stats, seed=seed + 100
-    ).generate_queries(QUERY_COUNT)
+    queries = list(
+        WorkloadGenerator(catalog, paper_stats, seed=seed + 100).generate_queries(
+            QUERY_COUNT
+        )
+    )
     return SimpleNamespace(views=views, matcher=matcher, queries=queries)
 
 

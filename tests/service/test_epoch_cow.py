@@ -21,7 +21,7 @@ from repro.workload import WorkloadGenerator
 @pytest.fixture(scope="module")
 def workload(catalog, paper_stats):
     generator = WorkloadGenerator(catalog, paper_stats, seed=23)
-    views = generator.generate_views(84)
+    views = list(generator.generate_views(84))
     queries = [q.statement for q in generator.generate_queries(12)]
     return views, queries
 

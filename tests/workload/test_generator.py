@@ -1,6 +1,7 @@
 """Workload generator tests: the Section 5 recipe."""
 
 import hashlib
+from collections.abc import Iterator
 
 import pytest
 
@@ -29,6 +30,19 @@ class TestDeterminism:
     def test_view_names_are_sequential(self, generator):
         names = [name for name, _ in generator.generate_views(3)]
         assert names == ["mv00001", "mv00002", "mv00003"]
+
+    def test_batches_are_lazy_iterators(self, generator):
+        """A batch is drawn as it is consumed: nothing is generated before
+        the first ``next`` and one statement comes out per step."""
+        state = generator.rng.getstate()
+        views = generator.generate_views(2)
+        queries = generator.generate_queries(2)
+        assert isinstance(views, Iterator)
+        assert isinstance(queries, Iterator)
+        assert generator.rng.getstate() == state
+        assert next(views)[0] == "mv00001"
+        assert len(list(views)) == 1
+        assert len(list(queries)) == 2
 
 
 def _digest(statements) -> str:
@@ -66,7 +80,7 @@ class TestViews:
         assert matcher.view_count == 100
 
     def test_aggregation_fraction_near_75_percent(self, catalog, generator):
-        views = generator.generate_views(300)
+        views = list(generator.generate_views(300))
         fraction = sum(v.is_aggregate for _, v in views) / len(views)
         assert 0.65 <= fraction <= 0.85
 
