@@ -75,11 +75,12 @@ _UNDECODED = object()
 class _PlanField:
     """The ``plan`` field of :class:`OptimizationResult`, decoded on demand.
 
-    A result built in-process holds its plan. A result rebuilt from a
-    worker-pool frame (:meth:`OptimizationResult.from_frame`) holds the
-    plan's pickle instead and decodes it on the first read of ``plan``;
-    the bytes are then dropped and every later read returns the decoded
-    object. Two threads reading a fresh frame at once may both decode,
+    A result fresh from :meth:`Optimizer.optimize` holds its plan. A
+    result rebuilt from a frame (:meth:`OptimizationResult.from_frame`)
+    -- every rewrite-cache entry, whether a pool worker or the serving
+    process optimized it -- holds the plan's pickle instead and decodes
+    it on the first read of ``plan``; the bytes are then dropped and
+    every later read returns the decoded object. Two threads reading a fresh frame at once may both decode,
     but ``dict.setdefault`` (atomic under the GIL) keeps the first
     decoded plan, so both return that same object.
     """
@@ -107,9 +108,9 @@ class OptimizationResult:
     """The chosen plan plus the instrumentation Section 5 reports.
 
     Frozen so results are safely cacheable and shareable across threads:
-    the rewrite-serving layer (``repro.service``) stores them in a
-    fingerprint-keyed cache and hands one instance to many concurrent
-    readers. ``view_names`` doubles as the cache-invalidation key -- an
+    the rewrite-serving layer (``repro.service``) stores them, as
+    frames, in a fingerprint-keyed cache and hands one instance to many
+    concurrent readers. ``view_names`` doubles as the cache-invalidation key -- an
     entry is evicted when any view it reads changes or is dropped.
 
     :meth:`to_frame` / :meth:`from_frame` carry a result across a

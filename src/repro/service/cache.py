@@ -2,7 +2,11 @@
 
 Entries map a canonical query fingerprint to the
 :class:`~repro.optimizer.optimizer.OptimizationResult` produced for it,
-stamped with the epoch it was computed under. Invalidation is two-tier:
+stamped with the epoch it was computed under. The serving layer inserts
+results rebuilt from compact frames (scalars plus the plan's pickle,
+:meth:`~repro.optimizer.optimizer.OptimizationResult.from_frame`), so an
+entry holds no plan node until something reads its ``plan``.
+Invalidation is two-tier:
 
 * **wholesale on epoch bump** -- a lookup passes the reader's current
   epoch; an entry computed under any other epoch is treated as a miss and
@@ -22,7 +26,8 @@ LRU: a hit racing an insert may land its stamp a hair out of order -- a
 deliberate trade for a zero-lock read side.
 
 :class:`LruMemo` is the same policy without epochs, for the serving
-layer's text-keyed memos.
+layer's text-keyed memos (the server's text -> fingerprint memo, a pool
+worker's statement memo).
 """
 
 from __future__ import annotations

@@ -522,8 +522,6 @@ class WorkerPool:
 # The ViewServer-facing serving pool
 
 
-#: Parent-side memo of query text -> fingerprint (the cache fast path).
-_FINGERPRINT_MEMO_CAPACITY = 8192
 #: Per-worker memo of query text -> (bound statement, fingerprint).
 _STATEMENT_MEMO_CAPACITY = 4096
 
@@ -592,11 +590,11 @@ class ServingPool:
     never includes a fork.
 
     ``rewrite`` / ``submit`` add per-tenant admission control and a
-    parent-side fast path (fingerprint memo + rewrite cache probe) so
-    repeated hot queries never cross a process boundary. Pool responses
-    are folded back into the server's telemetry hub and --
-    only when their epoch is still current -- its rewrite cache, on the
-    reader thread that received them; the caller's one future resolves
+    parent-side fast path (the server's statement memo + rewrite cache
+    probe) so repeated hot queries never cross a process boundary. Pool
+    responses are folded back into the server's telemetry hub and -- only
+    when their epoch is still current -- its rewrite cache, on the reader
+    thread that received them; the caller's one future resolves
     to the finished :class:`ServedResult`.
 
     Bounded-staleness note: freshness is evaluated against the worker's
@@ -619,7 +617,6 @@ class ServingPool:
         self.server = server
         self.admission = admission
         self._closed = False
-        self._fingerprints = LruMemo(_FINGERPRINT_MEMO_CAPACITY)
         snapshot = server.snapshots.current
         self._epoch = snapshot.epoch
         self._pool = WorkerPool(
@@ -689,10 +686,10 @@ class ServingPool:
             time.monotonic() + deadline if deadline is not None else None
         )
         if max_staleness is None and server.cache is not None:
-            # Parent fast path: a repeated query whose fingerprint we
-            # remember probes the lock-free cache without touching a
-            # worker.
-            fingerprint = self._fingerprints.get(sql)
+            # Parent fast path: a repeated query whose fingerprint the
+            # server's statement memo remembers probes the lock-free
+            # cache without touching a worker.
+            fingerprint = server._statement_memo.get(sql)
             if fingerprint is not None:
                 epoch = server.epoch
                 cached = server.cache.get(fingerprint, epoch)
@@ -823,7 +820,7 @@ class ServingPool:
                 telemetry.increment("rewrites")
             if cacheable:
                 # Remembered only where submit() reads it back.
-                self._fingerprints.put(sql, fingerprint)
+                server._statement_memo.put(sql, fingerprint)
                 if epoch == server.epoch:
                     # A lagging (retiring-generation) worker's result
                     # must not poison the cache under a newer epoch;

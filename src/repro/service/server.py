@@ -12,12 +12,18 @@ waited too long in the queue.
 Request hot path (the only lock on it is the telemetry hub's, held for
 one counter add or sketch sample at a time):
 
-1. parse + bind the SQL and compute its canonical fingerprint (memoized
-   by exact text, so a repeated query string skips the parser entirely);
+1. look the SQL text up in the statement memo, which maps exact text to
+   its canonical fingerprint; a text not in it is parsed, bound and
+   fingerprinted. The memo keeps no bound statement: a statement lives
+   only for the request that bound it;
 2. read the current :class:`CatalogSnapshot` -- a single attribute read;
-3. probe the :class:`RewriteCache` under (fingerprint, epoch);
-4. on a miss, optimize against the snapshot's immutable matcher and
-   insert the result.
+3. probe the :class:`RewriteCache` under (fingerprint, epoch); a hit
+   reached through the memo never touches the parser;
+4. on a miss, bind the text (again, when the memo answered step 1),
+   optimize against the snapshot's immutable matcher and insert the
+   result as a compact frame (scalars plus the plan's pickle, see
+   :meth:`OptimizationResult.to_frame`) -- the caller gets that same
+   object, so the first read of its ``plan`` decodes it once for both.
 
 Writers (:meth:`register_view` / :meth:`unregister_view`) build and
 publish a new snapshot under the manager's writer lock and purge the
@@ -176,6 +182,10 @@ class ViewServer:
         )
         self._slots = threading.BoundedSemaphore(queue_depth)
         self._memo_limit = max(4 * cache_size, 256)
+        # SQL text -> fingerprint, filled only by requests that probe the
+        # cache (unbounded, cache on), in-process and on the pool's parent
+        # fast path alike. It holds no bound statement: a request the
+        # cache cannot answer binds its text again.
         self._statement_memo = LruMemo(self._memo_limit)
         self._sampler = TraceSampler(trace_sample_rate)
         self._traces: deque[RewriteTrace] = deque(maxlen=trace_capacity)
@@ -371,48 +381,22 @@ class ViewServer:
     ) -> ServedResult:
         started = time.perf_counter()
         self.telemetry.increment("requests")
+        # Bounded-staleness requests skip the cache both ways: an entry
+        # cached here would leak a lag-dependent plan to unbounded
+        # callers, and a cached unbounded plan may read views this bound
+        # excludes.
+        cacheable = max_staleness is None and self.cache is not None
         try:
-            statement, fingerprint = self._bind(sql)
+            statement, fingerprint = self._bind(sql, remember=cacheable)
         except (ReproError, ValueError) as exc:
-            self.telemetry.increment("errors")
-            latency = time.perf_counter() - started
-            self.telemetry.record("total_seconds", latency)
-            return ServedResult(
-                sql=sql, error=str(exc), latency_seconds=latency
-            )
+            return self._failed(sql, exc, started)
         snapshot = self.snapshots.current  # the one lock-free snapshot read
+        staleness = None
         if max_staleness is not None:
-            # Bounded-staleness requests skip the cache both ways: an
-            # entry cached here would leak a lag-dependent plan to
-            # unbounded callers, and a cached unbounded plan may read
-            # views this bound excludes.
             self.telemetry.increment("bounded_requests")
             staleness = snapshot.staleness_bound(max_staleness)
-            try:
-                result = self._optimize(
-                    snapshot,
-                    statement,
-                    staleness=staleness,
-                    deadline_at=deadline_at,
-                )
-            except DeadlineExceeded:
-                return self._overran(sql, started)
-            latency = time.perf_counter() - started
-            self.telemetry.record("miss_seconds", latency)
-            self.telemetry.record("total_seconds", latency)
-            if result.uses_view:
-                self.telemetry.increment("rewrites")
-            return ServedResult(
-                sql=sql,
-                fingerprint=fingerprint,
-                epoch=snapshot.epoch,
-                cache_hit=False,
-                result=result,
-                latency_seconds=latency,
-                max_staleness=max_staleness,
-            )
-        tracer = current_tracer()
-        if self.cache is not None:
+        elif self.cache is not None:
+            tracer = current_tracer()
             probe_started = time.perf_counter() if tracer.active else 0.0
             cached = self.cache.get(fingerprint, snapshot.epoch)
             if tracer.active:
@@ -436,14 +420,22 @@ class ViewServer:
                     latency_seconds=latency,
                 )
             self.telemetry.increment("cache_misses")
+        if statement is None:  # the memo answered; this request binds again
+            try:
+                statement = self._parse(sql)
+            except (ReproError, ValueError) as exc:
+                return self._failed(sql, exc, started)
         try:
             result = self._optimize(
-                snapshot, statement, deadline_at=deadline_at
+                snapshot,
+                statement,
+                staleness=staleness,
+                deadline_at=deadline_at,
             )
         except DeadlineExceeded:
             return self._overran(sql, started)
-        if self.cache is not None:
-            self.cache.put(fingerprint, snapshot.epoch, result)
+        if cacheable:
+            result = self._cache_put(fingerprint, snapshot.epoch, result)
         latency = time.perf_counter() - started
         self.telemetry.record("miss_seconds", latency)
         self.telemetry.record("total_seconds", latency)
@@ -456,7 +448,15 @@ class ViewServer:
             cache_hit=False,
             result=result,
             latency_seconds=latency,
+            max_staleness=max_staleness,
         )
+
+    def _failed(self, sql: str, exc: Exception, started: float) -> ServedResult:
+        """A request whose SQL did not parse, bind or validate."""
+        self.telemetry.increment("errors")
+        latency = time.perf_counter() - started
+        self.telemetry.record("total_seconds", latency)
+        return ServedResult(sql=sql, error=str(exc), latency_seconds=latency)
 
     def _overran(self, sql: str, started: float) -> ServedResult:
         """A request whose optimization overran its deadline mid-search."""
@@ -467,26 +467,57 @@ class ViewServer:
             sql=sql, timed_out=True, latency_seconds=latency
         )
 
-    def _bind(self, sql: str) -> tuple[SelectStatement, str]:
+    def _cache_put(
+        self, fingerprint: str, epoch: int, result: OptimizationResult
+    ) -> OptimizationResult:
+        """Cache ``result`` as a compact frame and return the cached object.
+
+        The entry holds the plan's pickle, not its node graph, as a
+        pool-fed entry does; the first read of ``plan`` decodes it.
+        """
+        result = OptimizationResult.from_frame(result.to_frame())
+        self.cache.put(fingerprint, epoch, result)
+        return result
+
+    def _bind(
+        self, sql: str, remember: bool
+    ) -> tuple[SelectStatement | None, str]:
+        """``(statement, fingerprint)`` for ``sql``.
+
+        The statement is ``None`` when the memo knew the text's
+        fingerprint: a caller that needs the statement after all (a
+        cache miss, a bounded request) binds again with :meth:`_parse`.
+        A text bound here enters the memo only when ``remember``: the
+        request probes the cache, the one step a memo answer saves a
+        parse for.
+        """
         tracer = current_tracer()
-        memo = self._statement_memo.get(sql)
-        if memo is not None:
+        fingerprint = self._statement_memo.get(sql)
+        if fingerprint is not None:
             if tracer.active:
                 tracer.record_span("parse", 0.0, memoized=True)
-            return memo
-        parse_started = time.perf_counter()
-        statement = self.catalog.bind_sql(sql)
-        parse_seconds = time.perf_counter() - parse_started
-        self.telemetry.record("parse_seconds", parse_seconds)
+            return None, fingerprint
+        statement = self._parse(sql)
         fingerprint_started = time.perf_counter()
         fingerprint = statement_fingerprint(statement)
         fingerprint_seconds = time.perf_counter() - fingerprint_started
         self.telemetry.record("fingerprint_seconds", fingerprint_seconds)
         if tracer.active:
-            tracer.record_span("parse", parse_seconds, memoized=False)
             tracer.record_span("fingerprint", fingerprint_seconds)
-        self._statement_memo.put(sql, (statement, fingerprint))
+        if remember:
+            self._statement_memo.put(sql, fingerprint)
         return statement, fingerprint
+
+    def _parse(self, sql: str) -> SelectStatement:
+        """Parse and bind ``sql``: the statement lives for this request."""
+        parse_started = time.perf_counter()
+        statement = self.catalog.bind_sql(sql)
+        parse_seconds = time.perf_counter() - parse_started
+        self.telemetry.record("parse_seconds", parse_seconds)
+        tracer = current_tracer()
+        if tracer.active:
+            tracer.record_span("parse", parse_seconds, memoized=False)
+        return statement
 
     def _optimize(
         self,
@@ -595,26 +626,32 @@ class ViewServer:
             self.telemetry.increment("bounded_requests")
             staleness = snapshot.staleness_bound(max_staleness)
             use_cache = False  # lag-dependent plans must not be cached
-        bound: list[tuple[SelectStatement, str] | None] = []
+        bound: list[tuple[SelectStatement | None, str] | None] = []
         errors: list[str | None] = []
         for sql in sqls:
             try:
-                bound.append(self._bind(sql))
+                bound.append(self._bind(sql, remember=use_cache))
                 errors.append(None)
             except (ReproError, ValueError) as exc:
                 bound.append(None)
                 errors.append(str(exc))
                 self.telemetry.increment("errors")
-        unique: dict[str, SelectStatement] = {}
-        for pair in bound:
-            if pair is not None and pair[1] not in unique:
-                unique[pair[1]] = pair[0]
+        # Fingerprint -> (text, statement), keeping a statement this
+        # batch bound already over a memo answer (``None``).
+        unique: dict[str, tuple[str, SelectStatement | None]] = {}
+        for sql, pair in zip(sqls, bound):
+            if pair is None:
+                continue
+            statement, fingerprint = pair
+            if fingerprint not in unique or unique[fingerprint][1] is None:
+                unique[fingerprint] = (sql, statement)
         resolved: dict[str, OptimizationResult] = {}
+        failed: dict[str, str] = {}
         hits: set[str] = set()
-        misses: list[tuple[str, SelectStatement]] = []
+        misses: list[tuple[str, str, SelectStatement | None]] = []
         tracer = current_tracer()
         probe_started = time.perf_counter() if tracer.active else 0.0
-        for fingerprint, statement in unique.items():
+        for fingerprint, (sql, statement) in unique.items():
             cached = (
                 self.cache.get(fingerprint, snapshot.epoch)
                 if use_cache
@@ -625,7 +662,7 @@ class ViewServer:
                 hits.add(fingerprint)
                 self.telemetry.increment("cache_hits")
             else:
-                misses.append((fingerprint, statement))
+                misses.append((fingerprint, sql, statement))
                 if use_cache:
                     self.telemetry.increment("cache_misses")
         if tracer.active:
@@ -636,23 +673,32 @@ class ViewServer:
                 hit=bool(hits),
                 epoch=snapshot.epoch,
             )
-        for fingerprint, statement in misses:
+        for fingerprint, sql, statement in misses:
+            if statement is None:  # the memo answered; bind again
+                try:
+                    statement = self._parse(sql)
+                except (ReproError, ValueError) as exc:
+                    failed[fingerprint] = str(exc)
+                    continue
             result = self._optimize(snapshot, statement, staleness=staleness)
-            resolved[fingerprint] = result
             if use_cache:
-                self.cache.put(fingerprint, snapshot.epoch, result)
+                result = self._cache_put(fingerprint, snapshot.epoch, result)
+            resolved[fingerprint] = result
             if result.uses_view:
                 self.telemetry.increment("rewrites")
         latency = time.perf_counter() - started
         self.telemetry.record("batch_total_seconds", latency)
         results: list[ServedResult] = []
         for sql, pair, error in zip(sqls, bound, errors):
-            if pair is None:
+            if pair is not None and pair[1] in failed:
+                error = failed[pair[1]]
+                self.telemetry.increment("errors")
+            if error is not None:
                 results.append(
                     ServedResult(sql=sql, error=error, latency_seconds=latency)
                 )
                 continue
-            statement, fingerprint = pair
+            fingerprint = pair[1]
             results.append(
                 ServedResult(
                     sql=sql,

@@ -129,6 +129,9 @@ class WorkloadGenerator:
             for table in catalog.tables()
             if stats.has_table(table.name)
         }
+        # (tables, join predicates) -> the join-only SPJ estimate: the
+        # first estimate of every statement, the same for the same joins.
+        self._join_estimates: dict[tuple, float] = {}
         self._view_counter = 0
 
     def _column(self, table: str, column: str) -> ColumnRef:
@@ -258,34 +261,70 @@ class WorkloadGenerator:
             conjuncts.append(BinaryOp("<=", reference, Literal(upper_value)))
         return conjuncts
 
+    def _shuffled_tail(self, candidates: list, length: int) -> list:
+        """The last ``length`` items ``rng.shuffle(candidates)`` would leave.
+
+        Draws the very random numbers a full shuffle draws, so the
+        generator's stream is unchanged, but swaps only positions that
+        end in the tail: Fisher-Yates fixes position ``i`` at step ``i``,
+        so after the first ``length`` steps the tail is final and the
+        rest of the walk only permutes the head, which nobody reads.
+        """
+        count = len(candidates)
+        first = max(count - length, 1)
+        randbelow = self.rng._randbelow  # what random.shuffle draws with
+        moved: dict[int, object] = {}  # position -> item swapped there
+        tail = []
+        for i in reversed(range(first, count)):
+            j = randbelow(i + 1)
+            tail.append(moved.get(j, candidates[j]))
+            moved[j] = moved.get(i, candidates[i])
+        for i in reversed(range(1, first)):
+            randbelow(i + 1)
+        if 0 < count <= length:
+            tail.append(moved.get(0, candidates[0]))
+        tail.reverse()
+        return tail
+
+    def _estimate(
+        self, tables: list[str], predicates: list[Expression]
+    ) -> float:
+        statement = SelectStatement(
+            select_items=(SelectItem(Literal(1)),),
+            from_tables=tuple(map(self.catalog.table_ref, tables)),
+            where=conjunction(predicates),
+        )
+        return self.estimator.spj_cardinality(
+            describe(statement, self.catalog)
+        )
+
     def _add_range_predicates(
         self,
         tables: list[str],
         join_predicates: list[Expression],
         band: tuple[float, float],
     ) -> tuple[list[Expression], float]:
-        """Add range predicates until the estimate enters the band."""
+        """Add range predicates until the estimate enters the band.
+
+        At most ``max_range_predicates`` of the shuffled candidate
+        columns are ever taken, so only that tail is shuffled out.
+        """
         largest = self.stats.largest_table_rows(tables)
         low_target, high_target = band[0] * largest, band[1] * largest
         predicates = list(join_predicates)
-        candidates = [
-            candidate
-            for table in tables
-            for candidate in self._range_columns[table]
-        ]
-        self.rng.shuffle(candidates)
-
-        def estimate(predicate_list: list[Expression]) -> float:
-            statement = SelectStatement(
-                select_items=(SelectItem(Literal(1)),),
-                from_tables=tuple(map(self.catalog.table_ref, tables)),
-                where=conjunction(predicate_list),
-            )
-            return self.estimator.spj_cardinality(
-                describe(statement, self.catalog)
-            )
-
-        cardinality = estimate(predicates)
+        candidates = self._shuffled_tail(
+            [
+                candidate
+                for table in tables
+                for candidate in self._range_columns[table]
+            ],
+            self.parameters.max_range_predicates,
+        )
+        key = (tuple(tables), tuple(join_predicates))
+        cardinality = self._join_estimates.get(key)
+        if cardinality is None:
+            cardinality = self._estimate(tables, predicates)
+            self._join_estimates[key] = cardinality
         attempts = 0
         while (
             cardinality > high_target
@@ -297,7 +336,7 @@ class WorkloadGenerator:
             target = self.rng.uniform(low_target, high_target)
             fraction = min(1.0, max(1e-6, target / max(cardinality, 1.0)))
             trial = predicates + self._range_predicate_for(table, column, fraction)
-            trial_cardinality = estimate(trial)
+            trial_cardinality = self._estimate(tables, trial)
             if trial_cardinality >= low_target:
                 predicates = trial
                 cardinality = trial_cardinality

@@ -371,10 +371,8 @@ class TestServingPool:
     ):
         """A full memo evicts its least recent entry: a query first seen
         after it filled still reaches the parent fast path."""
-        from repro.service import pool as pool_module
-
-        monkeypatch.setattr(pool_module, "_FINGERPRINT_MEMO_CAPACITY", 2)
         with ViewServer(catalog, paper_stats, workers=2) as server:
+            monkeypatch.setattr(server._statement_memo, "capacity", 2)
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=1)
             for sql in CHURN_QUERIES:  # fills the memo, then overflows it
@@ -543,24 +541,25 @@ class TestServingPool:
     def test_fingerprint_memo_fills_only_where_it_is_read(
         self, catalog, paper_stats
     ):
-        """The parent remembers a query's fingerprint only for the cache
-        fast path: not with the cache off, not for bounded requests."""
+        """The parent remembers a query's fingerprint, in the server's
+        statement memo, only for the cache fast path: not with the cache
+        off, not for bounded requests."""
         with ViewServer(
             catalog, paper_stats, workers=2, cache_enabled=False
         ) as server:
             server.register_view("pv_line", VIEW_SQL)
-            pool = server.start_pool(workers=1)
+            server.start_pool(workers=1)
             for sql in CHURN_QUERIES:
                 assert server.rewrite(sql).ok
-            assert len(pool._fingerprints) == 0
+            assert len(server._statement_memo) == 0
         with ViewServer(catalog, paper_stats, workers=2) as server:
             server.register_view("pv_line", VIEW_SQL)
-            pool = server.start_pool(workers=1)
+            server.start_pool(workers=1)
             for sql in CHURN_QUERIES:
                 assert server.rewrite(sql, max_staleness=60.0).ok
-            assert len(pool._fingerprints) == 0
+            assert len(server._statement_memo) == 0
             assert server.rewrite(QUERY_SQL).ok
-            assert len(pool._fingerprints) == 1
+            assert len(server._statement_memo) == 1
 
     def test_epoch_churn_yields_no_torn_reads(self, catalog, paper_stats):
         """Readers hammer the pool while a writer registers and drops

@@ -6,7 +6,13 @@ from collections.abc import Iterator
 import pytest
 
 from repro.core import ViewMatcher, describe
-from repro.sql import statement_to_sql
+from repro.sql import (
+    Literal,
+    SelectItem,
+    SelectStatement,
+    conjunction,
+    statement_to_sql,
+)
 from repro.workload import (
     QUERY_TABLE_COUNT_DISTRIBUTION,
     WorkloadGenerator,
@@ -70,6 +76,94 @@ class TestPinnedOutput:
         assert _digest(q.statement for q in generator.generate_queries(300)) == (
             "f61b16cfd4997a3c25c278bef0763def0bd19de95966bce72866eba8d24a4ea9"
         )
+
+
+class _FullShuffleGenerator(WorkloadGenerator):
+    """The oracle: shuffles every weighted candidate column with
+    ``random.shuffle`` and estimates the join-only statement afresh for
+    every statement."""
+
+    def _add_range_predicates(self, tables, join_predicates, band):
+        largest = self.stats.largest_table_rows(tables)
+        low_target, high_target = band[0] * largest, band[1] * largest
+        predicates = list(join_predicates)
+        candidates = [
+            candidate
+            for table in tables
+            for candidate in self._range_columns[table]
+        ]
+        self.rng.shuffle(candidates)
+
+        def estimate(predicate_list):
+            statement = SelectStatement(
+                select_items=(SelectItem(Literal(1)),),
+                from_tables=tuple(map(self.catalog.table_ref, tables)),
+                where=conjunction(predicate_list),
+            )
+            return self.estimator.spj_cardinality(
+                describe(statement, self.catalog)
+            )
+
+        cardinality = estimate(predicates)
+        attempts = 0
+        while (
+            cardinality > high_target
+            and candidates
+            and attempts < self.parameters.max_range_predicates
+        ):
+            attempts += 1
+            table, column = candidates.pop()
+            target = self.rng.uniform(low_target, high_target)
+            fraction = min(1.0, max(1e-6, target / max(cardinality, 1.0)))
+            trial = predicates + self._range_predicate_for(table, column, fraction)
+            trial_cardinality = estimate(trial)
+            if trial_cardinality >= low_target:
+                predicates = trial
+                cardinality = trial_cardinality
+        return predicates, cardinality
+
+
+class TestFullShuffleOracle:
+    """The generator draws range columns from the tail of a shuffle it
+    never completes and memoizes the join-only estimate; both must leave
+    the SQL and the random stream exactly as the full shuffle does."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 1234])
+    def test_same_sql_and_random_state(self, catalog, paper_stats, seed):
+        sides = [
+            cls(catalog, paper_stats, seed=seed)
+            for cls in (WorkloadGenerator, _FullShuffleGenerator)
+        ]
+        texts = []
+        for generator in sides:
+            views = [
+                statement_to_sql(view.statement)
+                for _, view in generator.generate_views(500)
+            ]
+            queries = [
+                statement_to_sql(query.statement)
+                for query in generator.generate_queries(500)
+            ]
+            texts.append((views, queries))
+        assert texts[0] == texts[1]
+        assert sides[0].rng.getstate() == sides[1].rng.getstate()
+
+    def test_fewer_candidates_than_the_tail(self, catalog, paper_stats):
+        """Every candidate can be popped when there are at most
+        ``max_range_predicates`` of them."""
+        parameters = WorkloadParameters(
+            max_range_predicates=400, hot_range_column_weight=1
+        )
+        sides = [
+            cls(catalog, paper_stats, seed=3, parameters=parameters)
+            for cls in (WorkloadGenerator, _FullShuffleGenerator)
+        ]
+        texts = [
+            [statement_to_sql(q.statement) for q in g.generate_queries(100)]
+            for g in sides
+        ]
+        assert texts[0] == texts[1]
+        assert sides[0].rng.getstate() == sides[1].rng.getstate()
 
 
 class TestViews:
