@@ -43,7 +43,7 @@ from .describe import SpjgDescription, describe
 from .equivalence import ColumnKey
 from .fkgraph import hub_over
 from .interning import KeyInterner, PackedBitsetTable
-from .matching import ViewRecord, _intern
+from .matching import ViewRecord, _dedupe
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .residual import ShallowForm
@@ -111,16 +111,19 @@ class RegisteredView:
         options: MatchOptions,
         interner: KeyInterner,
         sql: str | None = None,
+        batch: dict | None = None,
     ) -> "RegisteredView":
         """Compile a described view: hub, record, the packed row under
-        ``interner`` and, unless given, its text."""
+        ``interner`` and, unless given, its text. Views compiled with one
+        ``batch`` dict share the equal parts of their records and rows
+        (:meth:`ViewRecord.of`)."""
         if description.name is None:
             raise ValueError("only named views can be registered")
-        record = ViewRecord.of(description, options)
+        record = ViewRecord.of(description, options, batch)
         return cls(
             hub_over(description, list(record.fk_edges), options),
             record,
-            packed_row(description, interner),
+            packed_row(description, interner, batch),
             cls.definition(description.statement) if sql is None else sql,
         )
 
@@ -163,7 +166,9 @@ class RegisteredView:
         return f"<RegisteredView {self.name}>"
 
 
-def packed_row(description: SpjgDescription, interner: KeyInterner) -> tuple:
+def packed_row(
+    description: SpjgDescription, interner: KeyInterner, batch: dict | None = None
+) -> tuple:
     """The keys of a view's packed filter-tree row.
 
     ``(residual templates, range-constrained classes, output templates,
@@ -173,23 +178,28 @@ def packed_row(description: SpjgDescription, interner: KeyInterner) -> tuple:
     under ``interner`` for the two per-item requirement levels. Their
     keys are heterogeneous (see the module docstring): the view's
     extended output (grouping) columns and its output (grouping)
-    templates. Interning writes: callers serialize it.
+    templates. Interning writes: callers serialize it. Rows compiled with
+    one ``batch`` share their equal values.
     """
+    if batch is None:
+        batch = {}
     aggregate = description.is_aggregate
+    output_templates = description.output_templates()
     output_key = _columns_key(description.extended_output_columns()) | (
-        _templates_key(description.output_templates())
+        _templates_key(output_templates)
     )
     if aggregate:
+        grouping_templates = description.grouping_templates()
         grouping_key = _columns_key(description.extended_grouping_columns()) | (
-            _templates_key(description.grouping_templates())
+            _templates_key(grouping_templates)
         )
     return (
-        _intern(description.residual_templates()),
-        _intern(description.range_constrained_classes()),
-        _intern(description.output_templates()) if aggregate else None,
-        _intern(description.grouping_templates()) if aggregate else None,
-        interner.mask(output_key),
-        interner.mask(grouping_key) if aggregate else 0,
+        _dedupe(batch, description.residual_templates()),
+        _dedupe(batch, description.range_constrained_classes()),
+        _dedupe(batch, output_templates) if aggregate else None,
+        _dedupe(batch, grouping_templates) if aggregate else None,
+        _dedupe(batch, interner.mask(output_key)),
+        _dedupe(batch, interner.mask(grouping_key)) if aggregate else 0,
         interner,
     )
 

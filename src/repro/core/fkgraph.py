@@ -20,13 +20,14 @@ from typing import TYPE_CHECKING
 from .analyze import intern_tables
 from .equivalence import ColumnKey, EquivalenceClasses
 from .options import DEFAULT_OPTIONS, MatchOptions
+from .parts import shared_parts
 
 if TYPE_CHECKING:
     from ..catalog.catalog import Catalog
     from .describe import SpjgDescription
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FkEdge:
     """A cardinality-preserving join: ``source`` extends itself with ``target``.
 
@@ -55,7 +56,10 @@ def build_fk_join_graph(
     flagged ``nullable`` for the matcher to re-verify against the query),
     and each FK column is in the same equivalence class as its parent
     column -- i.e. the view really performs the join, possibly transitively.
+    Edges and their column pairs are the catalog's shared ones
+    (:class:`~repro.core.parts.SharedParts`).
     """
+    parts = shared_parts(catalog)
     edges: list[FkEdge] = []
     for child in sorted(tables):
         child_table = catalog.table(child)
@@ -78,14 +82,16 @@ def build_fk_join_graph(
                 if not eqclasses.same_class(child_key, parent_key):
                     joined = False
                     break
-                pairs.append((child_key, parent_key))
+                pairs.append(parts.pair(child_key, parent_key))
             if joined:
                 edges.append(
-                    FkEdge(
-                        source=child,
-                        target=fk.parent_table,
-                        column_pairs=tuple(pairs),
-                        nullable=has_nullable,
+                    parts.edge(
+                        FkEdge(
+                            source=child,
+                            target=fk.parent_table,
+                            column_pairs=tuple(pairs),
+                            nullable=has_nullable,
+                        )
                     )
                 )
     return edges

@@ -31,7 +31,7 @@ from .equivalence import ColumnKey
 from .ranges import Bound, Interval, as_range_predicate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """A normalized union of disjoint, non-empty intervals.
 
@@ -137,7 +137,7 @@ def _merge(left: Interval, right: Interval) -> Interval:
     return Interval(lower=left.lower, upper=upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrRangePredicate:
     """A recognised disjunctive range conjunct on a single column."""
 

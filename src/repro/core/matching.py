@@ -54,6 +54,7 @@ from .fkgraph import FkEdge, build_fk_join_graph, eliminate_tables
 from .intervalsets import UNBOUNDED_SET, IntervalSet, OrRangePredicate, as_or_range
 from .normalize import classify_predicate
 from .options import DEFAULT_OPTIONS, MatchOptions
+from .parts import shared_parts
 from .ranges import (
     UNBOUNDED,
     Interval,
@@ -233,20 +234,14 @@ class MatchResult:
         return f"<MatchResult {self.view.name} {outcome}>"
 
 
-# Record fields repeat heavily across views (check constraints and fk
-# edges derive from the catalog tables a view reads, class layouts and
-# output masks from its joins and select list, and thousands of generated
-# views share the same few of each), so identical values are interned to
-# one object. Keys are the values themselves; the memo stays
-# schema-bounded. Unhashable payloads simply skip interning.
-_MEMO: dict = {}
-
-
-def _intern(value):
-    try:
-        return _MEMO.setdefault(value, value)
-    except TypeError:
-        return value
+def _dedupe(batch: dict, value):
+    """``value``, or the equal one an earlier record of the registration
+    batch keeps. Every value deduplicated so is equal only to what it can
+    stand for: ints, names, column keys, templates and shallow forms, and
+    tuples and sets of them -- a form's template spells each constant
+    with its type (``1``, ``1.0``, ``True``), so forms that differ in one
+    are unequal although the constants compare equal."""
+    return batch.setdefault(value, value)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +290,17 @@ class ViewRecord:
       estimate multiplies besides the tables and the plain class
       intervals: the equalities that merged two classes, the residual
       conjuncts, and the columns of each grouping expression (``None``
-      for an SPJ view); ``estimate`` memoizes ``(statistics, rows)``.
+      for an SPJ view); ``estimate`` is the extent estimate (a float)
+      under the statistics object ``estimate_stats`` (``None``: not
+      estimated yet).
+
+    What the schema bounds -- join pairs, grouping-column keys,
+    foreign-key edges, check constraints -- is the catalog's one object
+    of each (:class:`~repro.core.parts.SharedParts`; the shallow forms of
+    a column or of an aggregate over one are ``catalog.shallow_forms``);
+    class layouts, output masks, name and grouping lists and
+    ``(form, name)`` pairs are shared by the records of one registration
+    batch (``batch``).
 
     ``name`` and ``catalog`` are the view's; results carry the record as
     their ``view``.
@@ -328,20 +333,31 @@ class ViewRecord:
         "residual_conjuncts",
         "group_keys",
         "estimate",
+        "estimate_stats",
     )
 
     @classmethod
     def of(
-        cls, view: SpjgDescription, options: MatchOptions = DEFAULT_OPTIONS
+        cls,
+        view: SpjgDescription,
+        options: MatchOptions = DEFAULT_OPTIONS,
+        batch: dict | None = None,
     ) -> "ViewRecord":
+        """Compile ``view``'s record. ``batch`` is the registration
+        batch's dedupe table: records compiled with one ``batch`` share
+        their equal parts (``None``: a batch of one)."""
         if view.name is None:
             raise ValueError("view description must carry a view name")
+        if batch is None:
+            batch = {}
+        catalog = view.catalog
+        parts = shared_parts(catalog)
         record = cls.__new__(cls)
         record.name = view.name
-        record.catalog = view.catalog
+        record.catalog = catalog
         record.options = options
-        record.tables = view.tables
-        domain = record.domain = column_domain(view.catalog, view.tables)
+        tables = record.tables = view.tables
+        domain = record.domain = column_domain(catalog, tables)
         position = domain.position
         record.aggregate = view.is_aggregate
         record.distinct = view.statement.distinct
@@ -352,7 +368,7 @@ class ViewRecord:
         for column in eqclasses.merged_classes():
             root = position[find(column)]
             classes[root] = classes.get(root, 0) | 1 << position[column]
-        record.classes = _intern(tuple(classes.items()))
+        record.classes = _dedupe(batch, tuple(classes.items()))
 
         ranges: dict[int, list] = {}
         for key, interval in view.ranges.items():
@@ -382,7 +398,7 @@ class ViewRecord:
             ]
         )
         record.residuals = view.residual_forms
-        record.groups = view.group_forms
+        record.groups = _dedupe(batch, view.group_forms)
 
         expressions = []
         aggregates = []
@@ -392,12 +408,13 @@ class ViewRecord:
             if isinstance(expression, FuncCall) and expression.is_aggregate():
                 if expression.name == "count_big" and expression.star:
                     count_big = info.name
-                else:
-                    aggregates.append((info.form, info.name))
+                    continue
+                found = aggregates
             else:
-                expressions.append((info.form, info.name))
-        record.expressions = tuple(expressions)
-        record.aggregates = tuple(aggregates)
+                found = expressions
+            found.append(_dedupe(batch, (info.form, info.name)))
+        record.expressions = _dedupe(batch, tuple(expressions))
+        record.aggregates = _dedupe(batch, tuple(aggregates))
         record.count_big = count_big
         named = sorted(
             [(position[key], name) for key, name in view.simple_output_map.items()]
@@ -405,47 +422,40 @@ class ViewRecord:
         exposed = 0
         for column, _ in named:
             exposed |= 1 << column
-        record.exposed = _intern(exposed)
-        record.names = tuple([name for _, name in named])
+        record.exposed = _dedupe(batch, exposed)
+        record.names = _dedupe(batch, tuple([name for _, name in named]))
 
-        check_ranges, check_or_ranges, check_residuals = (
-            _check_constraint_predicates(view, options)
-        )
-        record.check_plain = _intern(
-            tuple(
-                (position[predicate.column], IntervalSet.of([predicate.interval()]))
-                for predicate in check_ranges
+        record.check_plain, record.check_or, record.check_residuals = (
+            parts.checks(
+                (tables, options.use_check_constraints, options.support_or_ranges),
+                lambda: _compiled_checks(catalog, tables, position, options),
             )
         )
-        record.check_or = _intern(
-            tuple(
-                (position[or_range.column], or_range.interval_set)
-                for or_range in check_or_ranges
-            )
+        record.fk_edges = parts.edges(
+            tuple(build_fk_join_graph(tables, eqclasses, catalog, options))
         )
-        record.check_residuals = _intern(check_residuals)
-        record.fk_edges = _intern(
-            tuple(
-                build_fk_join_graph(
-                    view.tables, view.eqclasses, view.catalog, options
-                )
-            )
+        pair = parts.pair
+        record.joins = _dedupe(
+            batch, tuple([pair(a, b) for a, b in view.merging_equalities])
         )
-        record.joins = tuple(view.merging_equalities)
         record.residual_conjuncts = view.classified.residuals
-        record.group_keys = (
-            tuple(
-                [
-                    (expression.key,)
-                    if type(expression) is ColumnRef
-                    else tuple([ref.key for ref in expression.column_refs()])
-                    for expression in view.statement.group_by
-                ]
+        if view.is_aggregate:
+            group_key = parts.group_key
+            record.group_keys = _dedupe(
+                batch,
+                tuple(
+                    [
+                        group_key(expression.key)
+                        if type(expression) is ColumnRef
+                        else tuple([ref.key for ref in expression.column_refs()])
+                        for expression in view.statement.group_by
+                    ]
+                ),
             )
-            if view.is_aggregate
-            else None
-        )
+        else:
+            record.group_keys = None
         record.estimate = None
+        record.estimate_stats = None
         return record
 
     def output_name(self, column: int) -> str | None:
@@ -460,12 +470,14 @@ class ViewRecord:
     def estimated_rows(self, estimator) -> float:
         """The view's extent estimate under ``estimator``'s statistics
         (a :class:`~repro.stats.estimator.CardinalityEstimator`),
-        memoized for the last statistics object asked about."""
-        estimate = self.estimate
+        memoized for the last statistics object asked about. A record is
+        priced under its server's one statistics object; the estimate is
+        stored before the statistics it belongs to."""
         stats = estimator.stats
-        if estimate is None or estimate[0] is not stats:
-            estimate = self.estimate = (stats, estimator.extent_rows(self))
-        return estimate[1]
+        if self.estimate_stats is not stats:
+            self.estimate = estimator.extent_rows(self)
+            self.estimate_stats = stats
+        return self.estimate
 
     def plain_intervals(self) -> list[tuple[ColumnKey, Interval]]:
         """``(column, interval)`` of each plain range conjunct."""
@@ -488,14 +500,12 @@ class ViewRecord:
         return items
 
 
-def _check_constraint_predicates(
-    view: SpjgDescription, options: MatchOptions
-) -> tuple[
-    tuple[RangePredicate, ...],
-    tuple[OrRangePredicate, ...],
-    tuple[ShallowForm, ...],
-]:
-    """Check constraints of all view tables, classified for the antecedent.
+def _compiled_checks(
+    catalog, tables: frozenset[str], position: dict, options: MatchOptions
+) -> tuple[tuple, tuple, tuple[ShallowForm, ...]]:
+    """Check constraints of the tables ``tables``, classified for the
+    antecedent: ``(check_plain, check_or, check_residuals)`` of a record
+    over them (``position``: their domain's positions).
 
     Check constraints hold on every row of a table, so they can be added to
     the query's where-clause without changing its result -- strengthening
@@ -503,24 +513,29 @@ def _check_constraint_predicates(
     """
     if not options.use_check_constraints:
         return (), (), ()
-    ranges: list[RangePredicate] = []
-    or_ranges: list[OrRangePredicate] = []
+    plain = []
+    or_ranges = []
     residuals: list[ShallowForm] = []
-    for table in sorted(view.tables):
-        for check in view.catalog.table(table).check_constraints:
+    for table in sorted(tables):
+        for check in catalog.table(table).check_constraints:
             classified = classify_predicate(check.predicate)
-            ranges.extend(classified.range_predicates)
+            plain.extend(
+                (position[predicate.column], IntervalSet.of([predicate.interval()]))
+                for predicate in classified.range_predicates
+            )
             for conjunct in classified.residuals:
                 recognised = (
                     as_or_range(conjunct) if options.support_or_ranges else None
                 )
                 if recognised is not None:
-                    or_ranges.append(recognised)
+                    or_ranges.append(
+                        (position[recognised.column], recognised.interval_set)
+                    )
                 else:
                     residuals.append(ShallowForm.of(conjunct))
             # Column equalities inside check constraints are ignored: they
             # are vanishingly rare and would complicate class augmentation.
-    return tuple(ranges), tuple(or_ranges), tuple(residuals)
+    return tuple(plain), tuple(or_ranges), tuple(residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ..sql.expressions import (
 from .equivalence import ColumnKey, EquivalenceClasses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound:
     """One endpoint: a constant value and whether the endpoint is included."""
 
@@ -32,7 +32,7 @@ class Bound:
         return f"{self.value}{'=' if self.inclusive else ''}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A (possibly unbounded, possibly empty) interval over an ordered domain.
 
@@ -195,7 +195,7 @@ def _upper_covers(outer: Bound | None, inner: Bound | None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangePredicate:
     """A recognised atomic range conjunct: ``column op constant``."""
 

@@ -87,7 +87,7 @@ def _schema_bounded(expression: Expression, catalog: "Catalog") -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShallowForm:
     """An expression's shallow-match representation."""
 

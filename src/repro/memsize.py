@@ -18,7 +18,7 @@ Shared objects are counted **once** per call (identity-based ``seen``
 set), so per-view figures are *amortized* marginal cost across the whole
 catalog -- the number that predicts how the footprint grows with the
 next 10k registrations. ``benchmarks/e2e`` reports it per workload as
-``memsize.bytes_per_view``, and CI's e2e smoke budgets it at 24 KiB per
+``memsize.bytes_per_view``, and CI's e2e smoke budgets it at 4 KiB per
 view. Figures are approximate in the usual ``getsizeof`` sense
 (interpreter-version dependent, no allocator overhead) but comparable
 across runs on one interpreter, which is all a regression gate needs.

@@ -158,7 +158,7 @@ class SnapshotManager:
         :class:`~repro.errors.MatchError` for view definitions outside the
         indexable class and :class:`ValueError` for duplicate names.
         """
-        view = self._prepare(name, definition)
+        view = self._prepare(name, definition, {})
         with self._write_lock:
             if name in self._views:
                 raise ValueError(f"view {name} already registered")
@@ -185,11 +185,13 @@ class SnapshotManager:
         """
         prepared: list[tuple[str, RegisteredView]] = []
         seen: set[str] = set()
+        batch: dict = {}
         for name, definition in definitions:
             if name in seen:
                 raise ValueError(f"view {name} duplicated in batch")
             seen.add(name)
-            prepared.append((name, self._prepare(name, definition)))
+            prepared.append((name, self._prepare(name, definition, batch)))
+        del batch  # the views hold what they share; the table goes before publishing
         with self._write_lock:
             if not prepared:
                 return self._snapshot
@@ -260,14 +262,17 @@ class SnapshotManager:
     # -- internals -----------------------------------------------------------
 
     def _prepare(
-        self, name: str, definition: str | SelectStatement
+        self, name: str, definition: str | SelectStatement, batch: dict
     ) -> RegisteredView:
         """The expensive per-view work, run before the writer lock is
         taken: describe the view, compile its hub, record and packed row,
         and fill in its extent estimate (so pool workers forked from this
         process inherit it). Only the text stays: SQL text as given, a
         statement rendered once (:meth:`RegisteredView.definition`). The
-        description goes when this returns.
+        description goes when this returns. ``batch`` is the registration
+        batch's dedupe table: the views of one batch share their equal
+        record parts (:meth:`RegisteredView.of`), and the table goes with
+        the batch.
         """
         if isinstance(definition, str):
             sql = definition
@@ -281,7 +286,7 @@ class SnapshotManager:
         validate_view_description(description)
         with self._intern_lock:
             view = RegisteredView.of(
-                description, self.options, self._interner, sql
+                description, self.options, self._interner, sql, batch
             )
         view.record.estimated_rows(self._estimator)
         return view

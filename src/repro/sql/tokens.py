@@ -44,7 +44,7 @@ Token = tuple[TokenType, str, int]
 
 # Capture-group numbers of the master pattern; ``Match.lastindex`` names
 # the alternative that matched (no alternative nests a capture group).
-_WORD, _STRING, _BAD = 1, 3, 11
+_WORD, _NUMBER, _STRING, _BAD = 1, 2, 3, 11
 _GROUP_KINDS = (
     None,
     None,  # _WORD: IDENT or KEYWORD, decided by the lowered text
@@ -84,6 +84,16 @@ def _master(alpha: str, digit: str) -> re.Pattern[str]:
 
 _ASCII = _master("[A-Za-z_]", "[0-9]")
 
+# One string object per operator and punctuation lexeme: a token's value
+# is the canonical string, never the match's fresh copy, so the operators
+# a statement keeps (and every view record built from it) share them.
+_LEXEMES = {
+    lexeme: lexeme
+    for lexeme in ("<=", ">=", "<>", "=", "<", ">", "+", "-", "/", "%",
+                   "*", ",", ".", "(", ")", ";")
+}
+_LEXEMES["!="] = "<>"
+
 
 @functools.lru_cache(maxsize=None)
 def _unicode() -> re.Pattern[str]:
@@ -110,15 +120,17 @@ def tokenize(text: str) -> list[Token]:
     """Convert SQL text into a token list ending with an EOF token.
 
     Identifiers and keywords are lower-cased (the SQL subset is
-    case-insensitive) and identifiers ``sys.intern``-ed; string literal
-    contents are preserved verbatim with ``''`` unescaped to ``'``, and
-    ``!=`` reads as ``<>``.
+    case-insensitive) and identifiers ``sys.intern``-ed; an operator or
+    punctuation token carries the one canonical string of its lexeme
+    (``!=`` reads as ``<>``); string literal contents are preserved
+    verbatim with ``''`` unescaped to ``'``.
     """
     pattern = _ASCII if text.isascii() else _unicode()
     tokens: list[Token] = []
     append = tokens.append
     keywords = KEYWORDS
     kinds = _GROUP_KINDS
+    lexemes = _LEXEMES
     ident, keyword = TokenType.IDENT, TokenType.KEYWORD
     intern = sys.intern
     for match in pattern.finditer(text):
@@ -134,6 +146,8 @@ def tokenize(text: str) -> list[Token]:
         elif group is None:
             append((TokenType.EOF, "", match.end()))
             break
+        elif group == _NUMBER:
+            append((TokenType.NUMBER, match.group(group), match.start(group)))
         elif group == _STRING:
             body = match.group(group)[1:-1]
             append((TokenType.STRING, body.replace("''", "'"), match.start(group)))
@@ -146,8 +160,7 @@ def tokenize(text: str) -> list[Token]:
             )
             raise SqlSyntaxError(message, *position(text, match.start(group)))
         else:
-            lexeme = match.group(group)
-            append((kinds[group], "<>" if lexeme == "!=" else lexeme, match.start(group)))
+            append((kinds[group], lexemes[match.group(group)], match.start(group)))
     return tokens
 
 

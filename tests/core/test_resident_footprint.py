@@ -10,8 +10,11 @@ union-find the sparse classes replaced kept 15.5 KB per view here; with
 the columnar pre-verifier's rows gone a view kept about 9.0 KB (budget
 10.3 KB). Since a registered view is its record -- no description,
 parsed statement or output list, only the record, hub, packed-row keys
-and its SQL text -- it keeps about 3.35 KB, and the budget is that plus
-15 %.
+and its SQL text -- it kept about 3.35 KB (budget 3.85 KB). Since the
+schema-bounded parts of a record come from the catalog's shared table,
+the parts repeated within a registration batch are shared, and the
+interval, shallow-form and foreign-key-edge values have slots, it keeps
+about 2.23 KB, and the budget is that plus 15 %.
 
 Registration streams: the generator yields one view at a time and
 ``register_views`` takes any iterable, so while 500 views are rendered
@@ -36,7 +39,7 @@ from repro.sql.statements import SelectStatement
 
 WARM_UP = 50
 MEASURED = 500
-BUDGET_BYTES_PER_VIEW = 3_850
+BUDGET_BYTES_PER_VIEW = 2_570
 STREAMED_PEAK_EXCESS_BYTES = 1 << 20
 DERIVED_SLOTS = (
     "outputs",

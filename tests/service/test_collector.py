@@ -101,8 +101,10 @@ class TestCloseReclaims:
         one_round()
         third = one_round()
         catalog_objects = loaded[1] - baseline
-        # A registered view is its record: about 30 container objects.
-        assert catalog_objects > 20 * len(views)
+        # A registered view is its record: about 15 container objects
+        # (25 before its repeated parts were shared and its interval,
+        # form and edge values slotted).
+        assert catalog_objects > 12 * len(views)
         # A closed server keeps its counters and histograms, not its
         # catalog: two more of them cost under 2 % of one loaded catalog.
         assert third - first <= 0.02 * catalog_objects
