@@ -9,20 +9,6 @@ Commands
 ``figures [--quick]``
     Rerun the Section 5 sweep and print the Figure 2-4 tables and the
     filtering statistics.
-``serve-bench [--smoke]``
-    Load-test the concurrent rewrite-serving layer: register a TPC-H
-    view pool, replay a repeated query workload from closed-loop worker
-    threads with the rewrite cache on and off, and print hit-rate and
-    latency statistics. Exits 1 below an 80 % hit rate, or when the
-    telemetry pipeline (recorder + SLO tracker) slows serving by more
-    than 25 %.
-``pool-bench [--smoke]``
-    Sustained load through the persistent worker-pool serving tier: a
-    distinct-query schedule replayed through ``rewrite_many`` (cache
-    disabled) with live epoch swaps injected mid-run, reporting
-    throughput and latency percentiles. ``--check`` gates zero failed
-    requests and an applied swap, ``--check-baseline`` the
-    calibration-normalized regression against a committed report.
 ``explain-rewrite <sql> [--json]``
     Trace one query through the rewrite path and print the match-funnel
     report: filter-tree narrowing per level, each candidate's reject
@@ -43,14 +29,19 @@ Commands
     monotone LSNs, and bounded applier lag. Non-zero exit on any
     violation; wired into CI.
 ``workload-report <journal> [--json]``
-    Aggregate a recorded workload journal (``serve-bench --journal``)
-    into query-shape frequencies, the ranked reject-reason funnel,
-    cache hit rate, and latency percentiles; ``--json`` emits the
-    advisor-consumable aggregate.
+    Aggregate a workload journal (what a
+    :class:`~repro.obs.recorder.WorkloadRecorder` attached to a
+    ``ViewServer`` writes) into query-shape frequencies, the ranked
+    reject-reason funnel, cache hit rate, and latency percentiles;
+    ``--json`` emits the advisor-consumable aggregate.
 ``repro-top [--journal PATH | --demo]``
     Live terminal dashboard: RED metrics, reject funnel, merged
     cross-process telemetry sketches, CDC lag, and SLO burn rates --
     over a recorded journal or a demo in-process server.
+
+The serving layer (rewrite cache, worker pool, CDC beside reads) is
+load-tested by the serve-path benchmark, ``python -m benchmarks.e2e``
+from a source checkout, not by a command here.
 """
 
 from __future__ import annotations
@@ -79,64 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     figures.add_argument("--views", type=int, default=None, help="max view count")
     figures.add_argument("--queries", type=int, default=None, help="query batch size")
     figures.add_argument("--seed", type=int, default=42)
-    serve = subparsers.add_parser(
-        "serve-bench", help="load-test the rewrite-serving layer"
-    )
-    serve.add_argument(
-        "--smoke", action="store_true", help="reduced run (a few seconds)"
-    )
-    serve.add_argument("--views", type=int, default=None, help="view pool size")
-    serve.add_argument("--queries", type=int, default=None, help="distinct queries")
-    serve.add_argument(
-        "--repeat", type=int, default=None, help="passes over the query batch"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=None, help="closed-loop worker threads"
-    )
-    serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "journal the cache-enabled run's requests to this JSONL "
-            "path (for workload-report / repro-top)"
-        ),
-    )
-    pool = subparsers.add_parser(
-        "pool-bench",
-        help="sustained-load bench of the persistent worker pool",
-    )
-    pool.add_argument(
-        "--smoke", action="store_true", help="reduced run (a few seconds)"
-    )
-    pool.add_argument("--views", type=int, default=None, help="view pool size")
-    pool.add_argument("--queries", type=int, default=None, help="distinct queries")
-    pool.add_argument(
-        "--passes", type=int, default=None, help="timed passes over the batch"
-    )
-    pool.add_argument(
-        "--workers", type=int, default=None, help="pool worker count"
-    )
-    pool.add_argument("--seed", type=int, default=None)
-    pool.add_argument("--output", default=None, help="write JSON report here")
-    pool.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "fail on any failed request, or when churn was asked for and "
-            "no epoch swap was applied"
-        ),
-    )
-    pool.add_argument(
-        "--check-baseline",
-        default=None,
-        metavar="JSON",
-        help=(
-            "also gate calibration-normalized throughput/p99 against a "
-            "committed report's serving_pool section (BENCH_pool.json)"
-        ),
-    )
     explain = subparsers.add_parser(
         "explain-rewrite",
         help="trace one query's rewrite path and print the match funnel",
@@ -244,7 +177,9 @@ def main(argv: list[str] | None = None) -> int:
         "workload-report",
         help="aggregate a recorded workload journal into an advisor input",
     )
-    report.add_argument("journal", help="journal path from serve-bench --journal")
+    report.add_argument(
+        "journal", help="journal path a WorkloadRecorder wrote"
+    )
     report.add_argument(
         "--json",
         action="store_true",
@@ -332,32 +267,6 @@ def main(argv: list[str] | None = None) -> int:
         from .cli import run_examples
 
         return run_examples()
-    if arguments.command == "pool-bench":
-        from .cli import run_pool_bench
-
-        return run_pool_bench(
-            smoke=arguments.smoke,
-            views=arguments.views,
-            queries=arguments.queries,
-            passes=arguments.passes,
-            workers=arguments.workers,
-            seed=arguments.seed,
-            output=arguments.output,
-            check=arguments.check,
-            check_baseline=arguments.check_baseline,
-        )
-    if arguments.command == "serve-bench":
-        from .cli import run_serve_bench
-
-        return run_serve_bench(
-            smoke=arguments.smoke,
-            views=arguments.views,
-            queries=arguments.queries,
-            repeat=arguments.repeat,
-            workers=arguments.workers,
-            seed=arguments.seed,
-            journal=arguments.journal,
-        )
     if arguments.command == "workload-report":
         from .cli import run_workload_report
 

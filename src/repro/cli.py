@@ -198,63 +198,6 @@ def run_examples() -> int:
     return 0
 
 
-def run_serve_bench(
-    smoke: bool = False,
-    views: int | None = None,
-    queries: int | None = None,
-    repeat: int | None = None,
-    workers: int | None = None,
-    seed: int | None = None,
-    journal: str | None = None,
-) -> int:
-    """Benchmark the rewrite-serving layer (cache on vs. off).
-
-    Prints the cache hit rate and the median rewrite latency of both
-    runs. Returns non-zero when the hit rate lands below 80 % -- a
-    deterministic regression signal (the workload repeats every query
-    ``repeat`` times, so the expected rate is ``(repeat-1)/repeat``) --
-    or when attaching the workload recorder and SLO tracker slows
-    serving by more than the telemetry budget (an on/off ratio at 200
-    views and 25 queries, measured in this process, whatever the other
-    options). Latency numbers are printed but not gated, since they
-    depend on the host. ``journal`` additionally records every request
-    of the cached run to a workload journal readable by ``repro
-    workload-report`` and ``repro repro-top --journal``.
-    """
-    import dataclasses
-
-    from .service import BenchConfig, run_service_benchmark
-    from .service.loadgen import (
-        check_telemetry_overhead,
-        measure_telemetry_overhead,
-    )
-
-    config = BenchConfig.smoke() if smoke else BenchConfig()
-    overrides = {
-        name: value
-        for name, value in (
-            ("views", views),
-            ("queries", queries),
-            ("repeat", repeat),
-            ("workers", workers),
-            ("seed", seed),
-            ("journal", journal),
-        )
-        if value is not None
-    }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    report = run_service_benchmark(config)
-    if journal:
-        print(f"workload journal written to {journal}")
-    failures = check_telemetry_overhead(measure_telemetry_overhead())
-    if report.hit_rate < 0.8:
-        failures.append(f"cache hit-rate {report.hit_rate:.1%} below 80%")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
-
-
 def run_workload_report(
     journal: str,
     json_output: bool = False,
@@ -263,10 +206,10 @@ def run_workload_report(
     """Aggregate a recorded workload journal into a report.
 
     Reads the JSONL journal (including rotated files) written by a
-    :class:`~repro.obs.recorder.WorkloadRecorder` -- e.g. by
-    ``serve-bench --journal`` -- and prints query-shape frequencies,
-    the ranked reject-reason funnel, cache hit rate, and latency
-    percentiles. ``--json`` emits the advisor-consumable aggregate
+    :class:`~repro.obs.recorder.WorkloadRecorder` attached to a server
+    with ``ViewServer.attach_recorder`` -- and prints query-shape
+    frequencies, the ranked reject-reason funnel, cache hit rate, and
+    latency percentiles. ``--json`` emits the advisor-consumable aggregate
     instead. Exit 2 when the journal does not exist, 1 when it holds
     no readable events.
     """
@@ -334,15 +277,25 @@ def run_repro_top(
     from .catalog import tpch_catalog
     from .obs.slo import SloObjectives
     from .service import ViewServer
-    from .service.loadgen import BenchConfig, build_workload
+    from .sql.printer import statement_to_sql
     from .stats import synthetic_tpch_stats
+    from .workload import WorkloadGenerator
 
-    config = BenchConfig.smoke()
-    views, queries = build_workload(config)
+    catalog = tpch_catalog()
+    stats = synthetic_tpch_stats(scale=0.1)
+    generator = WorkloadGenerator(catalog, stats, seed=42)
+    views = [
+        (name, statement_to_sql(generated.statement))
+        for name, generated in generator.generate_views(20)
+    ]
+    queries = [
+        statement_to_sql(generated.statement)
+        for generated in generator.generate_queries(8)
+    ]
     server = ViewServer(
-        tpch_catalog(),
-        synthetic_tpch_stats(scale=config.scale),
-        workers=config.workers,
+        catalog,
+        stats,
+        workers=2,
         slo=SloObjectives(),
         trace_sample_rate=0.1,
     )
@@ -375,79 +328,6 @@ def run_repro_top(
     finally:
         stop.set()
         server.close()
-
-
-def run_pool_bench(
-    smoke: bool = False,
-    views: int | None = None,
-    queries: int | None = None,
-    passes: int | None = None,
-    workers: int | None = None,
-    seed: int | None = None,
-    output: str | None = None,
-    check: bool = False,
-    check_baseline: str | None = None,
-) -> int:
-    """Sustained-load benchmark of the persistent serving pool.
-
-    Replays a distinct-query schedule through the persistent worker pool
-    (with live epoch swaps injected mid-load), then prints throughput and
-    latency percentiles. ``check`` applies the in-run SLO gate (zero
-    failed requests, at least one applied swap when churn was asked
-    for); ``check_baseline`` additionally applies the
-    calibration-normalized regression gates against a committed report
-    (``BENCH_pool.json``). ``output`` writes the JSON report, in the
-    same shape.
-    """
-    import dataclasses
-    import json
-    import os
-
-    from .service.loadgen import (
-        PoolBenchConfig,
-        _calibrate,
-        check_pool_slo,
-        run_pool_benchmark,
-    )
-
-    config = PoolBenchConfig.smoke() if smoke else PoolBenchConfig()
-    overrides = {}
-    if views is not None:
-        overrides["views"] = views
-    if queries is not None:
-        overrides["queries"] = queries
-    if passes is not None:
-        overrides["passes"] = passes
-    if workers is not None:
-        overrides["workers"] = workers
-    if seed is not None:
-        overrides["seed"] = seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    calibrations = [_calibrate()]
-    bench = run_pool_benchmark(config)
-    calibrations.append(_calibrate())
-    report = {
-        "benchmark": "serving-pool",
-        "cpu_count": os.cpu_count(),
-        "calibration_us": round(min(calibrations), 2),
-        "serving_pool": bench.to_dict(),
-    }
-    if output:
-        with open(output, "w") as handle:
-            json.dump(report, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"report written to {output}")
-    failures = []
-    baseline = None
-    if check_baseline:
-        with open(check_baseline) as handle:
-            baseline = json.load(handle)
-    if check or baseline is not None:
-        failures = check_pool_slo(report, baseline)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
 
 
 def run_difftest(

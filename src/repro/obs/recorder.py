@@ -16,18 +16,15 @@ Event schema (version 1)::
      "timed_out": bool, "rejected": bool,
      "max_staleness": float | null,
      "reject_tallies": {reason: count, ...},
-     "preverified_rejects": int, "candidates_skipped": int,
-     "preaggregations_dropped": int}
+     "candidates_skipped": int, "preaggregations_dropped": int}
 
-The last three fields (candidates dismissed by the columnar
-pre-verifier, candidates never verified because the cost bound
+The last two fields (candidates never verified because the cost bound
 closed the search, and pre-aggregation alternatives dropped before
 their matcher invocation because no inner plan could fit their budget)
 are additive within version 1: readers fold them with
 ``.get(..., 0)``, so journals written before them keep aggregating.
-The pre-verifier is gone, so ``preverified_rejects`` is now always 0;
-the field stays, like ``OptimizationResult.preverified_rejects``, until
-the serve-path benchmark harness that reads it is next revised.
+Journals written while the columnar pre-verifier existed also carry a
+``preverified_rejects`` count; readers ignore it.
 
 Unknown versions are skipped on read, so a newer writer never breaks
 an older ``workload-report``.  Rotation is copy-free rename chaining
@@ -144,13 +141,11 @@ class WorkloadRecorder:
         """
 
         tallies: Dict[str, int] = {}
-        preverified = 0
         skipped = 0
         dropped = 0
         inner = getattr(result, "result", None)
         if inner is not None:
             tallies = dict(getattr(inner, "reject_tallies", ()) or ())
-            preverified = int(getattr(inner, "preverified_rejects", 0) or 0)
             skipped = int(getattr(inner, "candidates_skipped", 0) or 0)
             dropped = int(getattr(inner, "preaggregations_dropped", 0) or 0)
         sql = result.sql or ""
@@ -168,7 +163,6 @@ class WorkloadRecorder:
                 "rejected": bool(result.rejected),
                 "max_staleness": result.max_staleness,
                 "reject_tallies": tallies,
-                "preverified_rejects": preverified,
                 "candidates_skipped": skipped,
                 "preaggregations_dropped": dropped,
             }
@@ -279,7 +273,6 @@ class WorkloadAggregate:
         self.uses_view = 0
         self.bounded = 0
         self.stale_rejects = 0
-        self.preverified_rejects = 0
         self.candidates_skipped = 0
         self.preaggregations_dropped = 0
         self.reject_funnel: Dict[str, int] = {}
@@ -306,9 +299,6 @@ class WorkloadAggregate:
             self.rejected += 1
         if event.get("max_staleness") is not None:
             self.bounded += 1
-        preverified = event.get("preverified_rejects")
-        if isinstance(preverified, int):
-            self.preverified_rejects += preverified
         skipped = event.get("candidates_skipped")
         if isinstance(skipped, int):
             self.candidates_skipped += skipped
@@ -399,7 +389,6 @@ class WorkloadAggregate:
                 for fingerprint, entry in self.top_fingerprints(top)
             ],
             "reject_funnel": dict(self.ranked_rejects()),
-            "preverified_rejects": self.preverified_rejects,
             "candidates_skipped": self.candidates_skipped,
             "preaggregations_dropped": self.preaggregations_dropped,
             "latency": self.latency.snapshot(),
@@ -432,14 +421,9 @@ class WorkloadAggregate:
             lines.append(f"reject funnel ({total} rejects):")
             for reason, count in ranked:
                 lines.append(f"  {reason:<18} {count:>8}  {count / total:6.1%}")
-        if (
-            self.preverified_rejects
-            or self.candidates_skipped
-            or self.preaggregations_dropped
-        ):
+        if self.candidates_skipped or self.preaggregations_dropped:
             lines.append(
-                f"verification: {self.preverified_rejects} pre-verified "
-                f"rejects, {self.candidates_skipped} cost-bound skips, "
+                f"verification: {self.candidates_skipped} cost-bound skips, "
                 f"{self.preaggregations_dropped} pre-aggregation "
                 "alternatives dropped over budget"
             )

@@ -220,16 +220,8 @@ def render_trace(trace: RewriteTrace) -> str:
             )
 
     for number, invocation in enumerate(trace.invocations, start=1):
-        extras = ""
-        preverified = invocation.preverified_rejects
         skipped = invocation.skipped
-        if preverified or skipped:
-            parts = []
-            if preverified:
-                parts.append(f"{preverified} pre-verified rejects")
-            if skipped:
-                parts.append(f"{skipped} skipped")
-            extras = f"  ({', '.join(parts)})"
+        extras = f"  ({skipped} skipped)" if skipped else ""
         lines.append(
             f"match invocation {number}: {invocation.registered} registered "
             f"-> {invocation.candidates} candidates "

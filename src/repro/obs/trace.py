@@ -152,10 +152,6 @@ class MatchInvocationTrace:
         return sum(1 for c in self.funnel if c.matched)
 
     @property
-    def preverified_rejects(self) -> int:
-        return sum(1 for c in self.funnel if c.stage == "preverify")
-
-    @property
     def skipped(self) -> int:
         return sum(1 for c in self.funnel if c.stage == "skipped")
 

@@ -135,8 +135,8 @@ class OptimizationResult:
     #: answered from the rewrite cache.
     reject_tallies: tuple[tuple[str, int], ...] = ()
     #: Always 0: every candidate goes through the one verification path.
-    #: ``benchmarks/e2e/runner.py`` and the workload journal still read
-    #: it; it stays until that harness is next revised.
+    #: ``benchmarks/e2e/runner.py`` still reads it; it stays until that
+    #: harness is next revised.
     preverified_rejects: int = 0
     #: Candidates the cost bound skipped without verifying at all.
     candidates_skipped: int = 0

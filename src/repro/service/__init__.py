@@ -19,15 +19,6 @@ whose short lock keeps counts exact under concurrency.
 
 from .cache import CacheStatistics, RewriteCache
 from .fingerprint import canonical_parts, statement_fingerprint
-from .loadgen import (
-    BenchConfig,
-    BenchReport,
-    PoolBenchConfig,
-    PoolBenchReport,
-    run_closed_loop,
-    run_pool_benchmark,
-    run_service_benchmark,
-)
 from .pool import (
     AdmissionController,
     PoolSaturatedError,
@@ -40,12 +31,8 @@ from .snapshot import CatalogSnapshot, SnapshotManager
 
 __all__ = [
     "AdmissionController",
-    "BenchConfig",
-    "BenchReport",
     "CacheStatistics",
     "CatalogSnapshot",
-    "PoolBenchConfig",
-    "PoolBenchReport",
     "PoolSaturatedError",
     "RewriteCache",
     "ServedResult",
@@ -55,8 +42,5 @@ __all__ = [
     "ViewServer",
     "WorkerPool",
     "canonical_parts",
-    "run_closed_loop",
-    "run_pool_benchmark",
-    "run_service_benchmark",
     "statement_fingerprint",
 ]

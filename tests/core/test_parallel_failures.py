@@ -12,7 +12,8 @@ Pinned here, for ``spawn_worker`` / ``WorkerHandle`` and the
   ``UnpicklingError`` in the parent: the pool reaps the worker,
   redelivers its in-flight request to a fresh one, and leaks nothing.
 
-Plus coverage of the request/response loop itself.
+Plus coverage of the request/response loop itself, and of the
+affinity-aware CPU count a pool sizes its default fleet by.
 """
 
 import errno
@@ -21,7 +22,12 @@ import os
 import pytest
 
 import repro.core.parallel as parallel
-from repro.core.parallel import WorkerError, fork_available, spawn_worker
+from repro.core.parallel import (
+    WorkerError,
+    effective_cpu_count,
+    fork_available,
+    spawn_worker,
+)
 from repro.service.pool import WorkerPool
 
 needs_fork = pytest.mark.skipif(
@@ -262,3 +268,22 @@ class TestPersistentWorker:
             spawn_worker(lambda x: x)
         monkeypatch.undo()
         assert _open_fds() == before
+
+
+class TestEffectiveCpuCount:
+    def test_matches_scheduler_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert effective_cpu_count() == len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platform fallback
+            assert effective_cpu_count() == (os.cpu_count() or 1)
+
+    def test_at_least_one(self):
+        assert effective_cpu_count() >= 1
+
+    @needs_fork
+    def test_default_workers_never_exceed_affinity(self):
+        pool = WorkerPool(lambda payload: payload)
+        try:
+            assert 1 <= pool.stats()["target"] <= effective_cpu_count()
+        finally:
+            pool.close()

@@ -13,7 +13,12 @@ from repro.obs.recorder import (
     iter_events,
     load_journal,
 )
-from repro.service.loadgen import BenchConfig, run_service_benchmark
+from repro.__main__ import main
+from repro.catalog import tpch_catalog
+from repro.service import ViewServer
+from repro.sql.printer import statement_to_sql
+from repro.stats import synthetic_tpch_stats
+from repro.workload import WorkloadGenerator
 
 
 def read_lines(path):
@@ -104,6 +109,7 @@ class TestRecorder:
         assert event["max_staleness"] == 5.0
         assert event["candidates_skipped"] == 7
         assert event["preaggregations_dropped"] == 3
+        assert "preverified_rejects" not in event
 
     def test_validation(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -219,32 +225,84 @@ class TestAggregate:
             in aggregate.render()
         )
 
+    def test_old_journals_with_pre_verifier_counts_still_fold(self):
+        # Journals written while the columnar pre-verifier existed carry
+        # a ``preverified_rejects`` count; readers ignore it.
+        aggregate = aggregate_events(
+            [rewrite_event(preverified_rejects=5, candidates_skipped=2)]
+        )
+        assert aggregate.events == 1
+        assert aggregate.candidates_skipped == 2
+        assert "preverified_rejects" not in aggregate.to_advisor_input()
+        assert "pre-verified" not in aggregate.render()
+
     def test_empty_render(self):
         assert "0 events" in WorkloadAggregate().render()
 
 
 class TestFunnelFidelity:
-    """Acceptance: a recorded journal reproduces the serving tier's
-    reject-reason funnel ranking -- RANGE dominates PREDICATE_MAPPING,
-    as in the matcher's own reject tallies on the generated workload."""
+    """Acceptance: a journal recorded by a serving ``ViewServer``
+    reproduces its reject-reason funnel ranking -- RANGE dominates
+    PREDICATE_MAPPING, as in the matcher's own reject tallies on the
+    generated workload -- and the journal tools read it."""
 
-    def test_journal_reproduces_reject_ranking(self, tmp_path):
-        journal = str(tmp_path / "journal.jsonl")
-        config = BenchConfig(
-            views=200,
-            queries=40,
-            repeat=2,
-            workers=2,
-            scale=0.1,
-            seed=42,
-            journal=journal,
-        )
-        report = run_service_benchmark(config, echo=None)
+    VIEWS = 200
+    QUERIES = 40
+    PASSES = 2
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        """Two sequential passes over 40 queries, 200 views, cache on."""
+        journal = str(tmp_path_factory.mktemp("journal") / "journal.jsonl")
+        catalog = tpch_catalog()
+        stats = synthetic_tpch_stats(scale=0.1)
+        generator = WorkloadGenerator(catalog, stats, seed=42)
+        views = [
+            (name, statement_to_sql(generated.statement))
+            for name, generated in generator.generate_views(self.VIEWS)
+        ]
+        queries = [
+            statement_to_sql(generated.statement)
+            for generated in generator.generate_queries(self.QUERIES)
+        ]
+        with ViewServer(catalog, stats) as server:
+            server.register_views(views)
+            with WorkloadRecorder(journal) as recorder:
+                server.attach_recorder(recorder)
+                results = [
+                    server.serve(sql)
+                    for _ in range(self.PASSES)
+                    for sql in queries
+                ]
+            cache_hits = server.stats()["cache"]["hits"]
+        return journal, results, cache_hits
+
+    def test_journal_reproduces_reject_ranking(self, served):
+        journal, results, _ = served
         aggregate = load_journal(journal)
-        # Every cache-enabled request was journaled.
-        assert aggregate.events == len(report.cached.results)
+        # Every request was journaled.
+        assert aggregate.events == len(results)
         ranked = aggregate.ranked_rejects()
         funnel = dict(ranked)
         assert ranked[0][0] == "RANGE"
         assert "PREDICATE_MAPPING" in funnel
         assert funnel["RANGE"] > funnel["PREDICATE_MAPPING"]
+
+    def test_every_repeat_is_a_cache_hit(self, served):
+        journal, results, cache_hits = served
+        assert all(result.ok for result in results)
+        distinct = {result.fingerprint for result in results}
+        # Each distinct text misses once; every other request hits.
+        assert cache_hits == len(results) - len(distinct)
+        assert load_journal(journal).cache_hits == cache_hits
+
+    def test_workload_report_and_repro_top_read_the_journal(
+        self, served, capsys
+    ):
+        journal, _, _ = served
+        assert main(["workload-report", journal]) == 0
+        assert "reject funnel" in capsys.readouterr().out
+        assert main(["workload-report", journal, "--json"]) == 0
+        advisor = json.loads(capsys.readouterr().out)
+        assert advisor["source_events"] == self.PASSES * self.QUERIES
+        assert main(["repro-top", "--once", "--journal", journal]) == 0

@@ -110,7 +110,6 @@ class TestV2Compatibility:
             for candidate in invocation.funnel
         }
         assert stages == {"verify"}
-        assert trace.invocations[0].preverified_rejects == 0
         assert trace.invocations[0].skipped == 0
 
     def test_round_trip_re_export_upgrades_version(self):
@@ -119,3 +118,34 @@ class TestV2Compatibility:
         for candidate in data["invocations"][0]["funnel"]:
             assert candidate["stage"] == "verify"
         assert validate_trace_dict(data) == []
+
+
+class TestPreVerifierStage:
+    """Version-3 exports written while the columnar pre-verifier existed
+    carry ``"preverify"`` funnel stages; they still validate, rebuild
+    and render, although nothing writes that stage any more."""
+
+    @staticmethod
+    def export():
+        data = RewriteTrace.from_dict(load_fixture("trace_v2.json")).to_dict()
+        data["invocations"][0]["funnel"][1]["stage"] = "preverify"
+        return data
+
+    def test_still_validates(self):
+        assert validate_trace_dict(self.export()) == []
+
+    def test_rebuilds_and_renders(self):
+        trace = RewriteTrace.from_dict(self.export())
+        funnel = trace.invocations[0].funnel
+        assert [candidate.stage for candidate in funnel] == [
+            "verify",
+            "preverify",
+            "verify",
+        ]
+        assert trace.reject_tallies() == {
+            "RANGE": 1,
+            "PREDICATE_MAPPING": 1,
+        }
+        text = render_trace(trace)
+        assert "v2: rejected RANGE" in text
+        assert "[pre-verified]" in text

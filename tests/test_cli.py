@@ -22,6 +22,12 @@ class TestCli:
     def test_main_dispatch_demo(self, capsys):
         assert main(["demo"]) == 0
 
+    def test_repro_top_demo_serves_its_generated_workload(self, capsys):
+        assert main(["repro-top", "--demo", "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "20 views registered" in out
+        assert "errors 0" in out
+
     def test_main_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
