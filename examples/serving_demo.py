@@ -5,8 +5,8 @@ Run with:  python examples/serving_demo.py
 The paper's premise is that view matching is cheap enough to run on every
 query a production optimizer sees. This example puts that premise under
 service conditions: a :class:`repro.ViewServer` fronts the optimizer with
-a pool of worker threads, immutable epoch-versioned catalog snapshots
-(reader threads never lock), and a rewrite cache keyed by canonical query
+immutable epoch-versioned catalog snapshots (client threads calling
+``serve`` never lock), and a rewrite cache keyed by canonical query
 fingerprints -- so a repeated dashboard workload is answered from the
 cache, while registering or dropping a view bumps the epoch and retires
 every cached rewrite from the previous generation.
@@ -35,7 +35,7 @@ def main() -> None:
         statement_to_sql(q.statement) for q in generator.generate_queries(10)
     ]
 
-    with ViewServer(catalog, stats, workers=4, queue_depth=32) as server:
+    with ViewServer(catalog, stats) as server:
         for name, view in views:
             epoch = server.register_view(name, view.statement)
         print(f"registered {len(views)} views; serving epoch {epoch}")
@@ -45,7 +45,7 @@ def main() -> None:
         def client() -> None:
             for _ in range(5):
                 for sql in queries:
-                    result = server.submit(sql)
+                    result = server.serve(sql)
                     assert result.error is None, result.error
 
         threads = [threading.Thread(target=client) for _ in range(4)]
@@ -67,14 +67,11 @@ def main() -> None:
         victim = views[0][0]
         new_epoch = server.unregister_view(victim)
         print(f"dropped {victim}: epoch {epoch} -> {new_epoch}")
-        result = server.submit(queries[0])
+        result = server.serve(queries[0])
         print(
             f"first query after drop: cache_hit={result.cache_hit} "
             f"(epoch {result.epoch})"
         )
-
-        print()
-        print(server.report())
 
 
 if __name__ == "__main__":

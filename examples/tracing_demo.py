@@ -37,8 +37,7 @@ def main() -> None:
     # trace_sample_rate=1.0 samples every request; the ring keeps the
     # most recent trace_capacity traces.
     with ViewServer(
-        catalog, stats, workers=2, queue_depth=16,
-        trace_sample_rate=1.0, trace_capacity=64,
+        catalog, stats, trace_sample_rate=1.0, trace_capacity=64
     ) as server:
         for name, view in views:
             server.register_view(name, view.statement)

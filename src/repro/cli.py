@@ -293,11 +293,7 @@ def run_repro_top(
         for generated in generator.generate_queries(8)
     ]
     server = ViewServer(
-        catalog,
-        stats,
-        workers=2,
-        slo=SloObjectives(),
-        trace_sample_rate=0.1,
+        catalog, stats, slo=SloObjectives(), trace_sample_rate=0.1
     )
     stop = threading.Event()
 

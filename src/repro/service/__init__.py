@@ -19,18 +19,11 @@ whose short lock keeps counts exact under concurrency.
 
 from .cache import CacheStatistics, RewriteCache
 from .fingerprint import canonical_parts, statement_fingerprint
-from .pool import (
-    AdmissionController,
-    PoolSaturatedError,
-    ServingPool,
-    TokenBucket,
-    WorkerPool,
-)
+from .pool import PoolSaturatedError, ServingPool, WorkerPool
 from .server import ServedResult, ViewServer
 from .snapshot import CatalogSnapshot, SnapshotManager
 
 __all__ = [
-    "AdmissionController",
     "CacheStatistics",
     "CatalogSnapshot",
     "PoolSaturatedError",
@@ -38,7 +31,6 @@ __all__ = [
     "ServedResult",
     "ServingPool",
     "SnapshotManager",
-    "TokenBucket",
     "ViewServer",
     "WorkerPool",
     "canonical_parts",

@@ -7,12 +7,8 @@ copy-on-write (every publish calls ``gc.freeze()``, so the collector
 never writes the epoch's pages), and then serves many requests over a
 pipe pair.
 
-Three cooperating layers:
+Two cooperating layers:
 
-* :class:`TokenBucket` / :class:`AdmissionController` -- per-tenant
-  token-bucket admission. Traffic a tenant sends beyond its refill rate
-  is rejected *before* it consumes a queue slot, so one chatty tenant
-  cannot starve the rest (the front door of queue-based load leveling).
 * :class:`WorkerPool` -- the generic process pool: a bounded FIFO of
   pending requests paired with idle workers by the threads already
   holding the work (the submitter hands a request to an idle worker, a
@@ -27,7 +23,9 @@ Three cooperating layers:
   optimize against the pinned snapshot, no parent locks touched), listens
   for snapshot publications and swaps generations off the writer's
   critical path, and turns each worker's compact response frame into a
-  :class:`ServedResult` on the reader thread that received it.
+  :class:`ServedResult` on the reader thread that received it. Its one
+  request method, :meth:`ServingPool.rewrite`, is what
+  :meth:`ViewServer.rewrite` calls while a pool is started.
 
 Epoch correctness: a worker serves every request against the single
 snapshot it was forked with, so a request can never observe half of one
@@ -58,122 +56,17 @@ from ..errors import DeadlineExceeded, ReproError
 from ..optimizer.optimizer import OptimizationResult
 from .cache import LruMemo
 from .fingerprint import statement_fingerprint
+from .server import ServedResult
 
 __all__ = [
-    "AdmissionController",
     "PoolSaturatedError",
     "ServingPool",
-    "TokenBucket",
     "WorkerPool",
 ]
 
 
 class PoolSaturatedError(RuntimeError):
     """The pool's bounded request queue is full (caller should shed)."""
-
-
-# ---------------------------------------------------------------------------
-# Admission control
-
-
-class TokenBucket:
-    """A classic token bucket: ``capacity`` burst, steady ``rate``/s refill.
-
-    Not thread-safe on its own; :class:`AdmissionController` serializes
-    access. ``clock`` is injectable so tests can step time explicitly.
-    """
-
-    __slots__ = ("capacity", "rate", "_tokens", "_updated", "_clock")
-
-    def __init__(
-        self,
-        rate: float,
-        capacity: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if rate <= 0:
-            raise ValueError("token bucket rate must be positive")
-        self.rate = float(rate)
-        self.capacity = float(capacity if capacity is not None else rate)
-        self._tokens = self.capacity
-        self._clock = clock
-        self._updated = clock()
-
-    def try_acquire(self, tokens: float = 1.0) -> bool:
-        """Take ``tokens`` if available (refilling lazily); else refuse."""
-        now = self._clock()
-        elapsed = now - self._updated
-        self._updated = now
-        if elapsed > 0:
-            self._tokens = min(
-                self.capacity, self._tokens + elapsed * self.rate
-            )
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-
-class AdmissionController:
-    """Per-tenant token-bucket admission in front of the pool queue.
-
-    ``default_rate``/``default_burst`` apply to tenants without an
-    explicit :meth:`configure` entry; a ``default_rate`` of ``None``
-    admits unknown tenants unconditionally (rate limiting is opt-in per
-    tenant). Decisions and per-tenant counts are kept for
-    :meth:`stats`.
-    """
-
-    def __init__(
-        self,
-        default_rate: float | None = None,
-        default_burst: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self._default_rate = default_rate
-        self._default_burst = default_burst
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._buckets: dict[str, TokenBucket | None] = {}
-        self._admitted: dict[str, int] = {}
-        self._throttled: dict[str, int] = {}
-
-    def configure(
-        self, tenant: str, rate: float | None, burst: float | None = None
-    ) -> None:
-        """Set (or, with ``rate=None``, exempt) one tenant's bucket."""
-        with self._lock:
-            self._buckets[tenant] = (
-                None
-                if rate is None
-                else TokenBucket(rate, burst, clock=self._clock)
-            )
-
-    def admit(self, tenant: str) -> bool:
-        """Whether one request from ``tenant`` may enter the queue now."""
-        with self._lock:
-            if tenant not in self._buckets:
-                self._buckets[tenant] = (
-                    None
-                    if self._default_rate is None
-                    else TokenBucket(
-                        self._default_rate,
-                        self._default_burst,
-                        clock=self._clock,
-                    )
-                )
-            bucket = self._buckets[tenant]
-            admitted = bucket is None or bucket.try_acquire()
-            book = self._admitted if admitted else self._throttled
-            book[tenant] = book.get(tenant, 0) + 1
-            return admitted
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        with self._lock:
-            return {
-                "admitted": dict(self._admitted),
-                "throttled": dict(self._throttled),
-            }
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +482,18 @@ class ServingPool:
     strictly *off* the publisher's critical path -- registration latency
     never includes a fork.
 
-    ``rewrite`` / ``submit`` add per-tenant admission control and a
-    parent-side fast path (the server's statement memo + rewrite cache
-    probe) so repeated hot queries never cross a process boundary. Pool
-    responses are folded back into the server's telemetry hub and -- only
-    when their epoch is still current -- its rewrite cache, on the reader
-    thread that received them; the caller's one future resolves
-    to the finished :class:`ServedResult`.
+    :meth:`rewrite` first tries a parent-side fast path (the server's
+    statement memo + rewrite cache probe), so repeated hot queries never
+    cross a process boundary. Pool responses are folded back into the
+    server's telemetry hub and -- only when their epoch is still
+    current -- its rewrite cache, on the reader thread that received
+    them, and that thread completes the future the blocked
+    :meth:`rewrite` call waits on with the finished :class:`ServedResult`.
 
     Bounded-staleness note: freshness is evaluated against the worker's
     snapshot as of its fork, so a bounded request observes view lag with
     up to one generation of slack; callers needing exact freshness use
-    the in-process path (:meth:`ViewServer.rewrite`).
+    the in-process path (:meth:`ViewServer.serve`).
     """
 
     def __init__(
@@ -609,13 +502,8 @@ class ServingPool:
         workers: int | None = None,
         max_queue: int = 1024,
         max_retries: int = 1,
-        admission: AdmissionController | None = None,
     ):
-        from .server import ServedResult  # circular at import time
-
-        self._served_result = ServedResult
         self.server = server
-        self.admission = admission
         self._closed = False
         snapshot = server.snapshots.current
         self._epoch = snapshot.epoch
@@ -658,30 +546,23 @@ class ServingPool:
 
     # -- serving -------------------------------------------------------------
 
-    def submit(
+    def rewrite(
         self,
         sql: str,
         *,
-        tenant: str = "default",
         max_staleness: float | None = None,
         deadline: float | None = None,
-    ) -> "Future[Any]":
-        """Queue one rewrite; resolves to a :class:`ServedResult`.
+    ) -> ServedResult:
+        """Serve one query through the pool, blocking until it is done.
 
-        ``tenant`` feeds admission control (throttled requests come back
-        ``rejected`` without consuming a queue slot), ``deadline`` is
-        this request's total budget in seconds (queue wait + optimize;
-        overruns come back ``timed_out``).
+        ``deadline`` is this request's total budget in seconds (queue
+        wait + optimize; an overrun comes back ``timed_out``), and a
+        full queue sheds the request as ``rejected``.
         """
         server = self.server
         started = time.perf_counter()
         if self._closed:
             raise RuntimeError("serving pool is closed")
-        if self.admission is not None and not self.admission.admit(tenant):
-            server.telemetry.increment("pool_throttled")
-            return self._immediate(
-                self._served_result(sql=sql, rejected=True)
-            )
         deadline_at = (
             time.monotonic() + deadline if deadline is not None else None
         )
@@ -700,68 +581,27 @@ class ServingPool:
                     telemetry.increment("cache_hits")
                     telemetry.record("hit_seconds", latency)
                     telemetry.record("total_seconds", latency)
-                    return self._immediate(
-                        self._served_result(
-                            sql=sql,
-                            fingerprint=fingerprint,
-                            epoch=epoch,
-                            cache_hit=True,
-                            result=cached,
-                            latency_seconds=latency,
-                        )
+                    served = ServedResult(
+                        sql=sql,
+                        fingerprint=fingerprint,
+                        epoch=epoch,
+                        cache_hit=True,
+                        result=cached,
+                        latency_seconds=latency,
                     )
+                    server._observe(served)
+                    return served
         try:
-            return self._pool.submit(
+            future = self._pool.submit(
                 (sql, max_staleness, deadline_at),
                 partial(self._finish, sql, started, max_staleness),
             )
         except PoolSaturatedError:
             server.telemetry.increment("rejected")
-            return self._immediate(
-                self._served_result(sql=sql, rejected=True)
-            )
-
-    def rewrite(
-        self,
-        sql: str,
-        *,
-        tenant: str = "default",
-        max_staleness: float | None = None,
-        deadline: float | None = None,
-    ):
-        """Blocking :meth:`submit`."""
-        return self.submit(
-            sql,
-            tenant=tenant,
-            max_staleness=max_staleness,
-            deadline=deadline,
-        ).result()
-
-    def rewrite_many(
-        self,
-        sqls,
-        *,
-        tenant: str = "default",
-        max_staleness: float | None = None,
-        deadline: float | None = None,
-    ) -> list:
-        """Fan a batch through the pool; results in input order."""
-        futures = [
-            self.submit(
-                sql,
-                tenant=tenant,
-                max_staleness=max_staleness,
-                deadline=deadline,
-            )
-            for sql in sqls
-        ]
-        return [future.result() for future in futures]
-
-    def _immediate(self, served) -> "Future[Any]":
-        self.server._observe(served)
-        future: Future = Future()
-        future.set_result(served)
-        return future
+            served = ServedResult(sql=sql, rejected=True)
+            server._observe(served)
+            return served
+        return future.result()
 
     def _finish(
         self, sql: str, started: float, max_staleness, frame, error
@@ -775,7 +615,7 @@ class ServingPool:
         if error is not None:
             telemetry.increment("errors")
             telemetry.record("total_seconds", latency)
-            served = self._served_result(
+            served = ServedResult(
                 sql=sql, error=str(error), latency_seconds=latency
             )
             server._observe(served)
@@ -795,13 +635,13 @@ class ServingPool:
         if message is not None:
             telemetry.increment("errors")
             telemetry.record("total_seconds", latency)
-            served = self._served_result(
+            served = ServedResult(
                 sql=sql, error=message, latency_seconds=latency
             )
         elif timed_out:
             telemetry.increment("timeouts")
             telemetry.record("total_seconds", latency)
-            served = self._served_result(
+            served = ServedResult(
                 sql=sql, timed_out=True, latency_seconds=latency
             )
         else:
@@ -819,14 +659,14 @@ class ServingPool:
                 telemetry.increment("pool_worker_rewrites")
                 telemetry.increment("rewrites")
             if cacheable:
-                # Remembered only where submit() reads it back.
+                # Remembered only where rewrite() reads it back.
                 server._statement_memo.put(sql, fingerprint)
                 if epoch == server.epoch:
                     # A lagging (retiring-generation) worker's result
                     # must not poison the cache under a newer epoch;
                     # insert only while its epoch is still the served one.
                     server.cache.put(fingerprint, epoch, result)
-            served = self._served_result(
+            served = ServedResult(
                 sql=sql,
                 fingerprint=fingerprint,
                 epoch=epoch,
@@ -848,8 +688,6 @@ class ServingPool:
     def stats(self) -> dict:
         stats = dict(self._pool.stats())
         stats["epoch"] = self._epoch
-        if self.admission is not None:
-            stats["admission"] = self.admission.stats()
         return stats
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:

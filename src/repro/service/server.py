@@ -1,13 +1,14 @@
 """The rewrite server: a thread-safe front-end over the optimizer.
 
-:class:`ViewServer.submit` takes raw SQL and returns a
-:class:`ServedResult` -- the optimized (possibly view-rewritten) plan plus
-serving metadata: which epoch answered, whether the rewrite cache hit,
-and the end-to-end latency. Requests run on a bounded
-:class:`~concurrent.futures.ThreadPoolExecutor`; when every queue slot is
-taken the server sheds load by returning a rejected result instead of
-queueing unboundedly, and a per-request deadline expires requests that
-waited too long in the queue.
+A request takes one of two paths. :meth:`ViewServer.serve` answers in
+this process, on the caller's thread; :meth:`ViewServer.rewrite` hands
+the request to the forked worker pool when one is started
+(:meth:`ViewServer.start_pool`) and is :meth:`serve` otherwise. Either
+returns a :class:`ServedResult` -- the optimized (possibly
+view-rewritten) plan plus serving metadata: which epoch answered,
+whether the rewrite cache hit, and the end-to-end latency. A per-request
+``deadline`` bounds the optimization; a full pool queue sheds the
+request as ``rejected``.
 
 Request hot path (the only lock on it is the telemetry hub's, held for
 one counter add or sketch sample at a time):
@@ -36,7 +37,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..catalog.catalog import Catalog
@@ -76,13 +76,13 @@ _STAGE_ORDER = (
     "hit",
     "miss",
     "total",
-    "batch_total",
 )
 
 
 @dataclass(frozen=True)
 class ServedResult:
-    """The outcome of one ``submit`` call.
+    """The outcome of one :meth:`ViewServer.serve` or
+    :meth:`ViewServer.rewrite` call.
 
     Exactly one of three shapes: a success (``result`` is set), an error
     (``error`` is set -- parse/bind/validation failures), or a shed
@@ -129,11 +129,8 @@ class ViewServer:
         stats: DatabaseStats,
         options: MatchOptions = DEFAULT_OPTIONS,
         optimizer_config: OptimizerConfig | None = None,
-        workers: int = 4,
-        queue_depth: int = 64,
         cache_size: int = 1024,
         cache_enabled: bool = True,
-        default_deadline: float | None = None,
         use_filter_tree: bool = True,
         index_registry=None,
         trace_sample_rate: float = 0.0,
@@ -154,10 +151,6 @@ class ViewServer:
         or exceeds the target p99, and multi-window burn rates surface
         in :meth:`stats` and :meth:`prometheus_metrics`.
         """
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        if queue_depth < 1:
-            raise ValueError("queue depth must be positive")
         self.catalog = catalog
         # One hub per server and its only metrics registry: the serving
         # counters and stage sketches, every epoch's matcher, the worker
@@ -176,11 +169,6 @@ class ViewServer:
         self.cache: RewriteCache | None = (
             RewriteCache(cache_size) if cache_enabled else None
         )
-        self.default_deadline = default_deadline
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
-        self._slots = threading.BoundedSemaphore(queue_depth)
         self._memo_limit = max(4 * cache_size, 256)
         # SQL text -> fingerprint, filled only by requests that probe the
         # cache (unbounded, cache on), in-process and on the pool's parent
@@ -199,80 +187,31 @@ class ViewServer:
 
     # -- serving -------------------------------------------------------------
 
-    def submit(self, sql: str, deadline: float | None = None) -> ServedResult:
-        """Serve one SQL query, blocking until its result is ready.
-
-        ``deadline`` (seconds, defaulting to the server-wide
-        ``default_deadline``) bounds how long the request may sit in the
-        worker queue; an expired request is returned ``timed_out`` without
-        being optimized. When every queue slot is occupied the request is
-        immediately ``rejected`` (closed-loop callers should back off).
-        """
-        future = self.submit_async(sql, deadline)
-        return future.result()
-
-    def submit_async(
-        self, sql: str, deadline: float | None = None
-    ) -> "Future[ServedResult]":
-        """Like :meth:`submit` but returns a future immediately."""
-        if self._closed:
-            raise RuntimeError("server is closed")
-        if deadline is None:
-            deadline = self.default_deadline
-        if not self._slots.acquire(blocking=False):
-            self.telemetry.increment("rejected")
-            shed = ServedResult(sql=sql, rejected=True)
-            self._observe(shed)
-            future: Future[ServedResult] = Future()
-            future.set_result(shed)
-            return future
-        enqueued = time.perf_counter()
-        try:
-            return self._pool.submit(self._serve_slot, sql, deadline, enqueued)
-        except BaseException:
-            self._slots.release()
-            raise
-
-    def _serve_slot(
-        self, sql: str, deadline: float | None, enqueued: float
-    ) -> ServedResult:
-        try:
-            deadline_at: float | None = None
-            if deadline is not None:
-                remaining = deadline - (time.perf_counter() - enqueued)
-                if remaining <= 0:
-                    self.telemetry.increment("timeouts")
-                    expired = ServedResult(sql=sql, timed_out=True)
-                    self._observe(expired)
-                    return expired
-                # The budget left after queueing bounds the optimization
-                # itself: a request that dequeues just under its deadline
-                # must not run unboundedly once it starts.
-                deadline_at = time.monotonic() + remaining
-            return self.serve(sql, deadline_at=deadline_at)
-        finally:
-            self._slots.release()
-
     def serve(
         self,
         sql: str,
+        *,
         max_staleness: float | None = None,
-        deadline_at: float | None = None,
+        deadline: float | None = None,
     ) -> ServedResult:
-        """The synchronous serving path (what pool workers execute).
+        """Serve one query in this process, on the caller's thread.
 
-        Callable directly for single-threaded use; ``submit`` adds the
-        queue, deadline, and backpressure semantics around it. When the
-        sampler elects this request, a :class:`RewriteTracer` is scoped
-        to it (contextvar, so concurrent workers never share one) and
-        the finished trace lands in the :meth:`traces` ring.
+        When the sampler elects this request, a :class:`RewriteTracer` is
+        scoped to it (contextvar, so concurrent callers never share one)
+        and the finished trace lands in the :meth:`traces` ring.
 
         ``max_staleness`` bounds how stale (seconds of maintenance lag) a
         view may be and still rewrite this query; see :meth:`rewrite`.
-        ``deadline_at`` (absolute ``time.monotonic()``) bounds the
-        optimization itself -- an overrun mid-search returns
-        ``timed_out`` instead of running to completion.
+        ``deadline`` (seconds from now) bounds the optimization itself --
+        an overrun mid-search returns ``timed_out`` instead of running to
+        completion. Raises :class:`RuntimeError` once the server is
+        closed.
         """
+        if self._closed:
+            raise RuntimeError("server is closed")
+        deadline_at = (
+            time.monotonic() + deadline if deadline is not None else None
+        )
         if not self._sampler.should_sample():
             result = self._serve(sql, max_staleness, deadline_at)
             self._observe(result)
@@ -301,9 +240,9 @@ class ViewServer:
     def _observe(self, result: ServedResult) -> None:
         """Feed one served outcome to the SLO tracker and the recorder.
 
-        Called once per request at the serving boundary (including shed
-        and expired requests, which burn error budget without ever
-        reaching the optimizer).
+        Called once per request at the serving boundary, including a
+        request the pool shed, which burns error budget without ever
+        reaching the optimizer.
         """
         if self.slo is not None:
             self.slo.record(
@@ -330,16 +269,17 @@ class ViewServer:
         sql: str,
         *,
         max_staleness: float | None = None,
-        tenant: str = "default",
         deadline: float | None = None,
     ) -> ServedResult:
-        """Serve one query, optionally bounding acceptable view staleness.
+        """Serve one query through the worker pool when one is started
+        (:meth:`start_pool`), else in-process exactly as :meth:`serve`.
 
-        With a persistent worker pool attached (:meth:`start_pool`), the
-        request routes through it: ``tenant`` feeds per-tenant admission
-        control and ``deadline`` bounds the request's total budget in
-        seconds. Without a pool both are served in-process (``tenant``
-        is ignored; ``deadline`` bounds the optimization).
+        Through the pool, ``deadline`` (seconds from now) bounds the
+        request's whole budget, queue wait included, and a full queue
+        sheds it as ``rejected``. A pool generation follows a publish
+        asynchronously, so a request sent right after
+        :meth:`register_view` returns may still be answered by the
+        previous epoch's workers; :meth:`serve` never lags.
 
         With a CDC pipeline attached (:meth:`attach_cdc`), stored views
         may lag the base tables; ``max_staleness`` says how much lag this
@@ -359,19 +299,12 @@ class ViewServer:
         with the applier's progress, which a (fingerprint, epoch) cache
         key cannot represent.
         """
-        if self._serving_pool is not None:
-            return self._serving_pool.rewrite(
-                sql,
-                tenant=tenant,
-                max_staleness=max_staleness,
-                deadline=deadline,
+        pool = self._serving_pool
+        if pool is not None:
+            return pool.rewrite(
+                sql, max_staleness=max_staleness, deadline=deadline
             )
-        deadline_at = (
-            time.monotonic() + deadline if deadline is not None else None
-        )
-        return self.serve(
-            sql, max_staleness=max_staleness, deadline_at=deadline_at
-        )
+        return self.serve(sql, max_staleness=max_staleness, deadline=deadline)
 
     def _serve(
         self,
@@ -529,10 +462,6 @@ class ViewServer:
         result = snapshot.optimizer.optimize(
             statement, staleness=staleness, deadline=deadline_at
         )
-        self._record_optimized(result)
-        return result
-
-    def _record_optimized(self, result: OptimizationResult) -> None:
         self.telemetry.record("match_seconds", result.matching_seconds)
         self.telemetry.record(
             "plan_seconds",
@@ -547,170 +476,7 @@ class ViewServer:
                 invocations=result.invocations,
                 substitutes=result.substitutes_produced,
             )
-
-    # -- batched serving -----------------------------------------------------
-
-    def rewrite_many(
-        self,
-        sqls,
-        *,
-        max_staleness: float | None = None,
-        tenant: str = "default",
-        deadline: float | None = None,
-    ) -> list[ServedResult]:
-        """Serve a batch of SQL queries, amortizing per-request overheads.
-
-        With a persistent worker pool attached (:meth:`start_pool`), the
-        whole batch is fanned through the pool's long-lived workers and
-        ``tenant``/``deadline`` apply per request.
-
-        Otherwise the batch runs in-process: one snapshot read, one cache
-        probe per *distinct* fingerprint, and one optimization per
-        distinct miss serve the whole batch -- duplicate query shapes
-        within the batch are optimized once and the shared result fanned
-        back to every occurrence (``cache_hit`` stays ``False`` on those:
-        they were deduplicated, not cached). Results are returned in
-        input order and each carries the whole batch's wall-clock
-        latency.
-
-        Tracing is likewise amortized: the sampler is consulted once per
-        batch, and an elected batch produces a single trace covering
-        every parse, cache-probe, and optimize span in it.
-
-        ``max_staleness`` applies one staleness bound (see
-        :meth:`rewrite`) to the whole batch: the policy is frozen once
-        against the batch's snapshot, and bounded batches bypass the
-        rewrite cache entirely.
-        """
-        sqls = list(sqls)
-        if self._serving_pool is not None:
-            return self._serving_pool.rewrite_many(
-                sqls,
-                tenant=tenant,
-                max_staleness=max_staleness,
-                deadline=deadline,
-            )
-        if not self._sampler.should_sample():
-            results = self._rewrite_many(sqls, max_staleness)
-            for result in results:
-                self._observe(result)
-            return results
-        with trace_context(TraceContext.new()):
-            tracer = RewriteTracer(sql=f"<batch of {len(sqls)}>")
-            token = activate(tracer)
-            try:
-                results = self._rewrite_many(sqls, max_staleness)
-            finally:
-                deactivate(token)
-        epoch = next((r.epoch for r in results if r.epoch >= 0), None)
-        trace = tracer.finish(cache_hit=None, epoch=epoch, error=None)
-        with self._traces_lock:
-            self._traces.append(trace)
-        self.telemetry.increment("traces_sampled")
-        for result in results:
-            self._observe(result)
-        return results
-
-    def _rewrite_many(
-        self,
-        sqls: list[str],
-        max_staleness: float | None = None,
-    ) -> list[ServedResult]:
-        started = time.perf_counter()
-        self.telemetry.increment("batch_requests")
-        self.telemetry.increment("batch_queries", len(sqls))
-        snapshot = self.snapshots.current  # one snapshot serves the batch
-        staleness = None
-        use_cache = self.cache is not None
-        if max_staleness is not None:
-            self.telemetry.increment("bounded_requests")
-            staleness = snapshot.staleness_bound(max_staleness)
-            use_cache = False  # lag-dependent plans must not be cached
-        bound: list[tuple[SelectStatement | None, str] | None] = []
-        errors: list[str | None] = []
-        for sql in sqls:
-            try:
-                bound.append(self._bind(sql, remember=use_cache))
-                errors.append(None)
-            except (ReproError, ValueError) as exc:
-                bound.append(None)
-                errors.append(str(exc))
-                self.telemetry.increment("errors")
-        # Fingerprint -> (text, statement), keeping a statement this
-        # batch bound already over a memo answer (``None``).
-        unique: dict[str, tuple[str, SelectStatement | None]] = {}
-        for sql, pair in zip(sqls, bound):
-            if pair is None:
-                continue
-            statement, fingerprint = pair
-            if fingerprint not in unique or unique[fingerprint][1] is None:
-                unique[fingerprint] = (sql, statement)
-        resolved: dict[str, OptimizationResult] = {}
-        failed: dict[str, str] = {}
-        hits: set[str] = set()
-        misses: list[tuple[str, str, SelectStatement | None]] = []
-        tracer = current_tracer()
-        probe_started = time.perf_counter() if tracer.active else 0.0
-        for fingerprint, (sql, statement) in unique.items():
-            cached = (
-                self.cache.get(fingerprint, snapshot.epoch)
-                if use_cache
-                else None
-            )
-            if cached is not None:
-                resolved[fingerprint] = cached
-                hits.add(fingerprint)
-                self.telemetry.increment("cache_hits")
-            else:
-                misses.append((fingerprint, sql, statement))
-                if use_cache:
-                    self.telemetry.increment("cache_misses")
-        if tracer.active:
-            # One amortized probe span for the whole batch.
-            tracer.record_span(
-                "cache probe",
-                time.perf_counter() - probe_started,
-                hit=bool(hits),
-                epoch=snapshot.epoch,
-            )
-        for fingerprint, sql, statement in misses:
-            if statement is None:  # the memo answered; bind again
-                try:
-                    statement = self._parse(sql)
-                except (ReproError, ValueError) as exc:
-                    failed[fingerprint] = str(exc)
-                    continue
-            result = self._optimize(snapshot, statement, staleness=staleness)
-            if use_cache:
-                result = self._cache_put(fingerprint, snapshot.epoch, result)
-            resolved[fingerprint] = result
-            if result.uses_view:
-                self.telemetry.increment("rewrites")
-        latency = time.perf_counter() - started
-        self.telemetry.record("batch_total_seconds", latency)
-        results: list[ServedResult] = []
-        for sql, pair, error in zip(sqls, bound, errors):
-            if pair is not None and pair[1] in failed:
-                error = failed[pair[1]]
-                self.telemetry.increment("errors")
-            if error is not None:
-                results.append(
-                    ServedResult(sql=sql, error=error, latency_seconds=latency)
-                )
-                continue
-            fingerprint = pair[1]
-            results.append(
-                ServedResult(
-                    sql=sql,
-                    fingerprint=fingerprint,
-                    epoch=snapshot.epoch,
-                    cache_hit=fingerprint in hits,
-                    result=resolved[fingerprint],
-                    latency_seconds=latency,
-                    max_staleness=max_staleness,
-                )
-            )
-        return results
+        return result
 
     # -- catalog mutation ----------------------------------------------------
 
@@ -760,8 +526,8 @@ class ViewServer:
         """Wire a :class:`repro.cdc.CdcPipeline` into serving.
 
         Three effects: snapshots carry the pipeline's freshness tracker
-        (enabling ``max_staleness`` on :meth:`rewrite` /
-        :meth:`rewrite_many`), applier merges evict exactly the cached
+        (enabling ``max_staleness`` on :meth:`serve` and
+        :meth:`rewrite`), applier merges evict exactly the cached
         rewrites that read the views whose contents just moved (the
         per-entry invalidation channel; epoch bumps handle registration
         changes), and :meth:`prometheus_metrics` / :meth:`stats` export
@@ -788,16 +554,13 @@ class ViewServer:
         workers: int | None = None,
         max_queue: int = 1024,
         max_retries: int = 1,
-        admission=None,
     ):
-        """Attach a persistent forked worker pool and route rewrites to it.
+        """Attach a persistent forked worker pool and route
+        :meth:`rewrite` to it (:meth:`serve` stays in-process).
 
         Workers are forked holding the current epoch snapshot (shared
         copy-on-write) and respawned on epoch change or death; see
-        :class:`repro.service.pool.ServingPool`.
-        ``admission`` is an optional
-        :class:`~repro.service.pool.AdmissionController` for per-tenant
-        token-bucket throttling. Returns the pool.
+        :class:`repro.service.pool.ServingPool`. Returns the pool.
         """
         from .pool import ServingPool  # deferred: pool imports ServedResult
 
@@ -812,7 +575,6 @@ class ViewServer:
             workers=workers,
             max_queue=max_queue,
             max_retries=max_retries,
-            admission=admission,
         )
         return self._serving_pool
 
@@ -1007,44 +769,8 @@ class ViewServer:
             )
         return "\n".join(lines) + "\n"
 
-    def report(self) -> str:
-        """Human-readable serving report (counters + stage latencies)."""
-        stats = self.stats()
-        lines = [
-            f"epoch {stats['epoch']}, {stats['views']} views registered"
-        ]
-        if stats["cache"] is not None:
-            cache = stats["cache"]
-            lines.append(
-                f"cache: {cache['hits']} hits / {cache['misses']} misses "
-                f"(hit rate {cache['hit_rate']:.1%}), "
-                f"{cache['evictions']} evictions, "
-                f"{cache['epoch_invalidations']} epoch + "
-                f"{cache['view_invalidations']} staleness invalidations"
-            )
-        counters = stats["counters"]
-        if counters:
-            width = max(len(name) for name in counters)
-            for name, value in counters.items():
-                lines.append(f"{name:{width}s} {value:10d}")
-        latency = stats["latency"]
-        if latency:
-            width = max(len("stage"), *(len(stage) for stage in latency))
-            lines.append(
-                f"{'stage':{width}s} {'count':>8s} {'mean':>9s} "
-                f"{'p50':>9s} {'p90':>9s} {'p99':>9s} {'max':>9s}"
-            )
-            for stage, s in latency.items():
-                lines.append(
-                    f"{stage:{width}s} {s['count']:8d} "
-                    f"{s['mean'] * 1e3:8.3f}ms {s['p50'] * 1e3:8.3f}ms "
-                    f"{s['p90'] * 1e3:8.3f}ms {s['p99'] * 1e3:8.3f}ms "
-                    f"{s['max'] * 1e3:8.3f}ms"
-                )
-        return "\n".join(lines)
-
     def close(self) -> None:
-        """Stop accepting work, shut the worker pools down and let go of
+        """Stop accepting work, shut the worker pool down and let go of
         the served catalog.
 
         Afterwards the server holds an empty epoch, an empty cache and an
@@ -1052,9 +778,8 @@ class ViewServer:
         registered view is freed by reference counting, without waiting
         for (or, frozen at publish, being lost to) the cyclic collector.
         """
-        self.stop_pool(drain=True)
         self._closed = True
-        self._pool.shutdown(wait=True)
+        self.stop_pool(drain=True)
         self.snapshots.close()
         if self.cache is not None:
             self.cache.clear()

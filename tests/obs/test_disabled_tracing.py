@@ -4,8 +4,8 @@ The tracer contract (``repro.obs.trace``): every instrumented site reads
 the contextvar and tests ``tracer.active`` before doing any trace-only
 work, so with the null tracer installed nothing else happens. This
 pins that promise exactly instead of timing it: a generated workload is
-served through ``ViewServer.serve``, ``rewrite_many`` and
-``Optimizer.optimize`` with every trace class's constructor and every
+served through ``ViewServer.serve``, an in-process ``ViewServer.rewrite``
+bounded by staleness and deadline, and ``Optimizer.optimize`` with every trace class's constructor and every
 null-tracer hook counted, and each count must be zero. A dropped guard
 either builds a trace object (its arguments) or calls a null hook.
 """
@@ -84,7 +84,7 @@ def test_the_counters_see_an_active_tracer(trace_work, workload):
     the disabled path must leave at zero (NullTracer hooks aside)."""
     catalog, stats, views, queries = workload
     with ViewServer(
-        catalog, stats, workers=1, cache_enabled=False, trace_sample_rate=1.0
+        catalog, stats, cache_enabled=False, trace_sample_rate=1.0
     ) as server:
         server.register_views(views)
         for query in queries:
@@ -96,19 +96,22 @@ def test_the_counters_see_an_active_tracer(trace_work, workload):
 def test_serving_with_sampling_off_builds_no_trace(
     trace_work, workload, cache_enabled
 ):
-    """Misses optimize in-process; with the cache on, the second pass and
-    the batch also take the cache-probe path."""
+    """Misses optimize in-process; with the cache on, the second pass
+    takes the cache-probe path, and the bounded rewrites bypass it."""
     catalog, stats, views, queries = workload
     sqls = [statement_to_sql(query) for query in queries]
     with ViewServer(
-        catalog, stats, workers=1, cache_enabled=cache_enabled
+        catalog, stats, cache_enabled=cache_enabled
     ) as server:
         server.register_views(views)
         served = [server.serve(sql) for sql in sqls + sqls]
-        batched = server.rewrite_many(sqls)
+        bounded = [
+            server.rewrite(sql, max_staleness=60.0, deadline=60.0)
+            for sql in sqls
+        ]
         counters = server.stats()["counters"]
     assert all(result.ok for result in served)
-    assert all(result.ok for result in batched)
+    assert all(result.ok for result in bounded)
     assert any(result.uses_view for result in served)
     assert counters["match_invocations"] > 0
     assert counters["match_candidates"] > 0

@@ -46,9 +46,9 @@ def measure_overhead(journal: str) -> tuple[float, float]:
     stats = synthetic_tpch_stats(scale=0.5)
     views, queries = _workload(catalog, stats)
     with ViewServer(
-        catalog, stats, workers=1, cache_enabled=False
+        catalog, stats, cache_enabled=False
     ) as plain, ViewServer(
-        catalog, stats, workers=1, cache_enabled=False, slo=SloObjectives()
+        catalog, stats, cache_enabled=False, slo=SloObjectives()
     ) as instrumented, WorkloadRecorder(journal) as recorder:
         instrumented.attach_recorder(recorder)
         sides = (plain, instrumented)

@@ -1,7 +1,8 @@
-"""Incremental epoch snapshots, bulk registration, and batched rewriting.
+"""Incremental epoch snapshots, bulk registration, and query batches.
 
-Every epoch serves from one copy-on-write filter tree, and a batch runs
-its distinct misses in-process.
+Every epoch serves from one copy-on-write filter tree. A batch of
+queries is a loop of ``serve`` calls: a repeat inside it is answered by
+the rewrite cache, as for any sequential caller.
 """
 
 import pytest
@@ -23,7 +24,7 @@ QUERIES = [
 
 @pytest.fixture()
 def server(catalog, paper_stats):
-    with ViewServer(catalog, paper_stats, workers=1) as server:
+    with ViewServer(catalog, paper_stats) as server:
         yield server
 
 
@@ -66,7 +67,7 @@ class TestShardedSnapshots:
         ]
         assert len(after[0]) == len(before[0]) - 1
         assert after[1].shares_buffer_with(before[1])
-        result = server.submit(QUERIES[2])
+        result = server.serve(QUERIES[2])
         assert name not in result.view_names
 
     def test_old_snapshot_unchanged_by_later_publish(self, server):
@@ -100,54 +101,41 @@ class TestBulkRegistration:
         assert server.snapshots.current.view_count == 1
 
     def test_bulk_matches_one_by_one_serving(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=1) as one_by_one:
+        with ViewServer(catalog, paper_stats) as one_by_one:
             for name, sql in VIEWS.items():
                 one_by_one.register_view(name, sql)
-            with ViewServer(catalog, paper_stats, workers=1) as bulk:
+            with ViewServer(catalog, paper_stats) as bulk:
                 bulk.register_views(VIEWS)
                 for sql in QUERIES:
                     assert (
-                        bulk.submit(sql).view_names
-                        == one_by_one.submit(sql).view_names
+                        bulk.serve(sql).view_names
+                        == one_by_one.serve(sql).view_names
                     )
 
 
 class TestRewriteMany:
-    def test_matches_individual_submits(self, catalog, paper_stats, server):
-        server.register_views(VIEWS)
-        with ViewServer(catalog, paper_stats, workers=1) as reference:
-            reference.register_views(VIEWS)
-            singles = [reference.submit(sql) for sql in QUERIES]
-        batch = server.rewrite_many(QUERIES)
-        assert len(batch) == len(QUERIES)
-        for single, batched in zip(singles, batch):
-            assert batched.ok == single.ok
-            assert batched.view_names == single.view_names
-            assert batched.fingerprint == single.fingerprint
-            assert batched.epoch == server.epoch
+    """A batch is a loop of serves: a repeat in it is a cache hit."""
 
     def test_duplicates_are_optimized_once(self, server):
         server.register_views(VIEWS)
-        results = server.rewrite_many([QUERIES[0], QUERIES[0], QUERIES[0]])
+        results = [server.serve(QUERIES[0]) for _ in range(3)]
         assert [r.ok for r in results] == [True] * 3
         assert len({id(r.result) for r in results}) == 1
         assert server.stats()["counters"]["cache_misses"] == 1
 
     def test_second_batch_hits_cache(self, server):
         server.register_views(VIEWS)
-        first = server.rewrite_many(QUERIES)
-        second = server.rewrite_many(QUERIES)
+        first = [server.serve(sql) for sql in QUERIES]
+        second = [server.serve(sql) for sql in QUERIES]
         assert all(not r.cache_hit for r in first)
         assert all(r.cache_hit for r in second)
         assert [r.result for r in second] == [r.result for r in first]
 
     def test_errors_reported_in_place(self, server):
-        results = server.rewrite_many(
-            [QUERIES[0], "select from broken", QUERIES[1]]
-        )
+        results = [
+            server.serve(sql)
+            for sql in (QUERIES[0], "select from broken", QUERIES[1])
+        ]
         assert results[0].ok and results[2].ok
         assert not results[1].ok
         assert results[1].error
-
-    def test_empty_batch(self, server):
-        assert server.rewrite_many([]) == []

@@ -84,7 +84,7 @@ class TestCloseReclaims:
         loaded = []
 
         def one_round() -> int:
-            server = ViewServer(catalog, paper_stats, workers=1)
+            server = ViewServer(catalog, paper_stats)
             server.register_views(views)
             assert server.serve(views[0][1]).ok
             loaded.append(live_objects())
@@ -118,7 +118,7 @@ class TestCloseReclaims:
         catalog = tpch_catalog()
         views = generated_views(catalog, paper_stats, 120)
         churn = generated_views(catalog, paper_stats, 20, seed=43, prefix="cv")
-        server = ViewServer(catalog, paper_stats, workers=1)
+        server = ViewServer(catalog, paper_stats)
         try:
             server.register_views(views)
 
@@ -169,7 +169,7 @@ class TestCollectorDiscipline:
     ):
         good = "select l_orderkey as k from lineitem where l_quantity > 5"
         invalid = "select distinct l_orderkey as k from lineitem"
-        server = ViewServer(catalog, paper_stats, workers=1)
+        server = ViewServer(catalog, paper_stats)
         if not host_enabled:
             gc.disable()
         try:
@@ -206,7 +206,7 @@ class TestCollectorDiscipline:
         self, catalog, paper_stats
     ):
         views = generated_views(catalog, paper_stats, 30)
-        with ViewServer(catalog, paper_stats, workers=1) as server:
+        with ViewServer(catalog, paper_stats) as server:
             gc.unfreeze()
             server.register_views(views)
             frozen_at_publish = gc.get_freeze_count()

@@ -4,8 +4,8 @@ Every rewrite-cache entry is a result frame -- scalars plus the plan's
 pickle, decoded on the first read of ``plan`` -- whether a pool worker
 or the serving process optimized it, and the statement memo maps SQL
 text to its fingerprint only. A request the memo answers but the cache
-cannot (an evicted or stale entry, a ``max_staleness`` request, a batch
-miss) binds its text again; these tests pin that it then returns what a
+cannot (an evicted or stale entry, a ``max_staleness`` request) binds
+its text again; these tests pin that it then returns what a
 fresh server returns, and that the second bind counts as a parse.
 """
 
@@ -43,7 +43,7 @@ def workload(catalog, paper_stats):
 
 
 def _server(catalog, paper_stats, views, **kwargs) -> ViewServer:
-    server = ViewServer(catalog, paper_stats, workers=1, **kwargs)
+    server = ViewServer(catalog, paper_stats, **kwargs)
     server.register_views(views)
     return server
 
@@ -102,7 +102,7 @@ class TestCacheEntriesAreFrames:
     ):
         views, _, queries = workload
         with _server(catalog, paper_stats, views) as server:
-            served = server.rewrite_many(queries)
+            served = [server.serve(sql) for sql in queries]
             for result in served:
                 entry = server.cache._entries[result.fingerprint]
                 assert entry.result is result.result
@@ -115,9 +115,8 @@ class TestCacheEntriesAreFrames:
     ):
         views, _, queries = workload
         with _server(catalog, paper_stats, views) as server:
-            for sql in queries:
+            for sql in queries + queries:
                 assert server.serve(sql).ok
-            server.rewrite_many(queries)
             memo = server._statement_memo
             assert sorted(memo.keys()) == sorted(queries)
             assert all(isinstance(memo[sql], str) for sql in queries)
@@ -131,12 +130,12 @@ class TestCacheEntriesAreFrames:
         with _server(
             catalog, paper_stats, views, cache_enabled=False
         ) as server:
-            assert server.serve(queries[0]).ok
-            server.rewrite_many(queries[:2])
+            for sql in queries[:2] + queries[:2]:
+                assert server.serve(sql).ok
             assert len(server._statement_memo) == 0
         with _server(catalog, paper_stats, views) as server:
-            assert server.serve(queries[0], max_staleness=60.0).ok
-            server.rewrite_many(queries[:2], max_staleness=60.0)
+            for sql in queries[:2] + queries[:2]:
+                assert server.serve(sql, max_staleness=60.0).ok
             assert len(server._statement_memo) == 0
 
 
@@ -183,29 +182,6 @@ class TestMemoHitThatBindsAgain:
                 assert served.max_staleness == 60.0
                 _same(served, expected[sql])
 
-    def test_inside_a_mixed_batch(
-        self, catalog, paper_stats, workload, expected
-    ):
-        """Cache hits, memo hits that bind again, new texts, a duplicate
-        and an error in one batch."""
-        views, _, queries = workload
-        with _server(catalog, paper_stats, views, cache_size=2) as server:
-            for sql in queries[:6]:  # the cache keeps queries 4 and 5
-                assert server.serve(sql).ok
-            batch = queries[:8] + [queries[1], "select nope from missing"]
-            parses = _count(server, "parse")
-            fingerprints = _count(server, "fingerprint")
-            served = server.rewrite_many(batch)
-            # Queries 0-3 bind again, 6-7 and the bad text bind first.
-            assert _count(server, "parse") == parses + 6
-            assert _count(server, "fingerprint") == fingerprints + 2
-            assert [result.cache_hit for result in served[:8]] == [
-                False, False, False, False, True, True, False, False
-            ]
-            for result in served[:9]:
-                _same(result, expected[result.sql])
-            assert served[9].error is not None
-
     def test_a_failed_second_bind_is_an_error_result(
         self, catalog, paper_stats, workload, monkeypatch
     ):
@@ -223,7 +199,7 @@ class TestMemoHitThatBindsAgain:
             monkeypatch.setattr(catalog, "bind_sql", refuse_first)
             errors = server.stats()["counters"].get("errors", 0)
             assert server.serve(queries[0]).error == "gone"
-            batch = server.rewrite_many([queries[0], queries[1], queries[0]])
+            batch = [server.serve(sql) for sql in queries[:2] + queries[:1]]
             assert [result.error for result in batch] == ["gone", None, "gone"]
             assert batch[1].cache_hit
             assert server.stats()["counters"]["errors"] == errors + 3

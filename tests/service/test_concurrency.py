@@ -42,9 +42,7 @@ WRITER_CYCLES = 12
 
 
 def test_readers_survive_concurrent_catalog_churn(catalog, paper_stats):
-    with ViewServer(
-        catalog, paper_stats, workers=4, queue_depth=64, cache_size=256
-    ) as server:
+    with ViewServer(catalog, paper_stats, cache_size=256) as server:
         # Epoch -> registered view set, recorded at publication time (the
         # listener runs under the writer lock, so the map is race-free).
         epoch_views = {0: frozenset()}
@@ -64,7 +62,7 @@ def test_readers_survive_concurrent_catalog_churn(catalog, paper_stats):
             start.wait()
             try:
                 for i in range(REQUESTS_PER_READER):
-                    result = server.submit(QUERIES[(slot + i) % len(QUERIES)])
+                    result = server.serve(QUERIES[(slot + i) % len(QUERIES)])
                     results_per_thread[slot].append(result)
             except Exception as exc:  # noqa: BLE001 - the test's whole point
                 errors.append(f"reader {slot}: {exc!r}")

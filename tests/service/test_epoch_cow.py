@@ -233,7 +233,7 @@ class TestPublishCost:
             (name, generated.statement)
             for name, generated in generator.generate_views(1001)
         ]
-        with ViewServer(catalog, paper_stats, workers=1) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_views(views[:1000])
             added = _count_calls(monkeypatch, "add")
             removed = _count_calls(monkeypatch, "remove")

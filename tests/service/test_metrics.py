@@ -29,11 +29,11 @@ class TestLatencyHistogram:
     def test_empty_snapshot(self, catalog, paper_stats):
         with ViewServer(catalog, paper_stats) as server:
             assert server.stats()["latency"] == {}
-            server.submit(BASE_ONLY)
+            server.serve(BASE_ONLY)
             latency = server.stats()["latency"]
         assert set(latency["total"]) == STAGE_KEYS
         # A stage nothing recorded stays out of the summary.
-        assert "batch_total" not in latency
+        assert "hit" not in latency
 
     def test_exact_aggregates(self):
         hub = TelemetryHub()
@@ -72,8 +72,8 @@ class TestMetricsRegistry:
 
     def test_snapshot_shape(self, catalog, paper_stats):
         with ViewServer(catalog, paper_stats) as server:
-            server.submit(BASE_ONLY)
-            server.submit(BASE_ONLY)
+            server.serve(BASE_ONLY)
+            server.serve(BASE_ONLY)
             stats = server.stats()
         hub = stats["telemetry"]
         assert stats["counters"] == hub["counters"]
@@ -85,21 +85,15 @@ class TestMetricsRegistry:
     def test_report_orders_stages_then_alphabetical(
         self, catalog, paper_stats
     ):
-        # Stages print in pipeline order; counters alphabetically.
+        # Stages come in pipeline order; counters alphabetically.
         with ViewServer(catalog, paper_stats) as server:
-            server.rewrite_many([BASE_ONLY])
-            server.submit(BASE_ONLY)
-            report = server.report().splitlines()
-        header = next(
-            index for index, line in enumerate(report)
-            if line.startswith("stage")
-        )
-        stages = [line.split()[0] for line in report[header + 1:]]
-        assert stages == [
-            "parse", "fingerprint", "match", "plan", "hit", "total",
-            "batch_total",
+            server.serve(BASE_ONLY)
+            server.serve(BASE_ONLY)
+            stats = server.stats()
+        assert list(stats["latency"]) == [
+            "parse", "fingerprint", "match", "plan", "hit", "miss", "total",
         ]
-        counters = [line.split()[0] for line in report[2:header]]
+        counters = list(stats["counters"])
         assert counters == sorted(counters)
 
 

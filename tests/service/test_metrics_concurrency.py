@@ -162,14 +162,12 @@ class TestServerCounts:
         self, catalog, paper_stats
     ):
         per_thread = 25
-        with ViewServer(
-            catalog, paper_stats, workers=THREADS, queue_depth=THREADS
-        ) as server:
+        with ViewServer(catalog, paper_stats) as server:
             results = [[] for _ in range(THREADS)]
 
             def worker(index):
                 for _ in range(per_thread):
-                    results[index].append(server.submit(BASE_ONLY))
+                    results[index].append(server.serve(BASE_ONLY))
 
             hammer(worker)
             stats = server.stats()

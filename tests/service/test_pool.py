@@ -10,9 +10,9 @@ Lifecycle contracts pinned here:
   ``close(drain=False)`` fails the backlog fast;
 * epoch swaps under concurrent rewrites yield **zero torn reads**: each
   result's plan reads only views registered in the epoch it reports,
-  because each worker serves against the single snapshot it forked with.
-
-Plus the admission-control primitives with an injected clock.
+  because each worker serves against the single snapshot it forked with;
+* ``rewrite`` goes to a worker while ``serve`` stays in-process, so a
+  ``serve`` right after a publish answers from the new epoch.
 """
 
 import os
@@ -22,104 +22,13 @@ import time
 import pytest
 
 from repro.core.parallel import WorkerError, fork_available, spawn_worker
-from repro.service import (
-    AdmissionController,
-    PoolSaturatedError,
-    TokenBucket,
-    ViewServer,
-    WorkerPool,
-)
+from repro.service import PoolSaturatedError, ViewServer, WorkerPool
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="os.fork unavailable on this platform"
 )
 
 WAIT = 30  # generous per-future timeout; the suite is event-driven
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestTokenBucket:
-    def test_burst_then_refusal(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, capacity=3.0, clock=clock)
-        assert [bucket.try_acquire() for _ in range(4)] == [
-            True,
-            True,
-            True,
-            False,
-        ]
-
-    def test_refill_is_rate_times_elapsed(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, capacity=10.0, clock=clock)
-        for _ in range(10):
-            assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        clock.advance(1.0)  # 2 tokens back
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_caps_at_capacity(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=100.0, capacity=2.0, clock=clock)
-        bucket.try_acquire(2.0)
-        clock.advance(3600.0)
-        assert bucket.try_acquire(2.0)
-        assert not bucket.try_acquire()
-
-    def test_capacity_defaults_to_rate(self):
-        bucket = TokenBucket(rate=5.0, clock=FakeClock())
-        assert bucket.capacity == 5.0
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0)
-
-
-class TestAdmissionController:
-    def test_unknown_tenants_unlimited_by_default(self):
-        admission = AdmissionController(clock=FakeClock())
-        assert all(admission.admit("anyone") for _ in range(100))
-
-    def test_default_rate_applies_to_unknown_tenants(self):
-        admission = AdmissionController(default_rate=2.0, clock=FakeClock())
-        assert admission.admit("t1")
-        assert admission.admit("t1")
-        assert not admission.admit("t1")
-        # Separate tenant, separate bucket.
-        assert admission.admit("t2")
-
-    def test_configure_overrides_and_exempts(self):
-        clock = FakeClock()
-        admission = AdmissionController(default_rate=1.0, clock=clock)
-        admission.configure("vip", rate=None)  # exempt
-        admission.configure("small", rate=1.0, burst=1.0)
-        assert all(admission.admit("vip") for _ in range(50))
-        assert admission.admit("small")
-        assert not admission.admit("small")
-        clock.advance(1.0)
-        assert admission.admit("small")
-
-    def test_stats_count_both_outcomes(self):
-        admission = AdmissionController(clock=FakeClock())
-        admission.configure("t", rate=1.0, burst=1.0)
-        admission.admit("t")
-        admission.admit("t")
-        admission.admit("t")
-        stats = admission.stats()
-        assert stats["admitted"]["t"] == 1
-        assert stats["throttled"]["t"] == 2
 
 
 @needs_fork
@@ -316,7 +225,7 @@ def test_pool_counts_requests_like_in_process(catalog, paper_stats, pooled):
     """The serving counters read the same whichever path served: a
     pooled cache miss is counted where the worker bound the query, as
     the in-process path counts it at its cache probe."""
-    with ViewServer(catalog, paper_stats, workers=2) as server:
+    with ViewServer(catalog, paper_stats) as server:
         server.register_view("pv_line", VIEW_SQL)
         if pooled:
             server.start_pool(workers=2)
@@ -341,7 +250,7 @@ def test_pool_counts_requests_like_in_process(catalog, paper_stats, pooled):
 @needs_fork
 class TestServingPool:
     def test_rewrite_routes_through_pool(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=2)
             result = server.rewrite(QUERY_SQL)
@@ -354,8 +263,27 @@ class TestServingPool:
             assert stats["completed"] == 1
             assert stats["epoch"] == server.epoch
 
+    def test_serve_stays_in_process_and_never_lags(
+        self, catalog, paper_stats
+    ):
+        """``rewrite`` is answered by a worker; ``serve``, called the
+        moment ``register_view`` returns, is answered in-process from the
+        new epoch -- the pool's generation swap may not have landed."""
+        with ViewServer(catalog, paper_stats) as server:
+            server.start_pool(workers=1)
+            routed = server.rewrite(QUERY_SQL)
+            assert routed.ok and not routed.uses_view
+            assert server.stats()["counters"]["pool_worker_requests"] == 1
+            epoch = server.register_view("pv_line", VIEW_SQL)
+            served = server.serve(QUERY_SQL)
+            assert served.epoch == epoch
+            assert served.view_names == ("pv_line",)
+            stats = server.stats()
+            assert stats["counters"]["pool_worker_requests"] == 1
+            assert stats["pool"]["submitted"] == 1
+
     def test_repeat_query_hits_parent_cache(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=2)
             first = server.rewrite(QUERY_SQL)
@@ -371,7 +299,7 @@ class TestServingPool:
     ):
         """A full memo evicts its least recent entry: a query first seen
         after it filled still reaches the parent fast path."""
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             monkeypatch.setattr(server._statement_memo, "capacity", 2)
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=1)
@@ -384,35 +312,21 @@ class TestServingPool:
             assert second.cache_hit
             assert server.stats()["pool"]["submitted"] == len(CHURN_QUERIES) + 1
 
-    def test_admission_throttles_before_queueing(self, catalog, paper_stats):
-        clock = FakeClock()
-        admission = AdmissionController(clock=clock)
-        admission.configure("metered", rate=1.0, burst=1.0)
-        with ViewServer(catalog, paper_stats, workers=2) as server:
-            server.start_pool(workers=1, admission=admission)
-            first = server.serving_pool.rewrite(QUERY_SQL, tenant="metered")
-            second = server.serving_pool.rewrite(QUERY_SQL, tenant="metered")
-            assert first.ok
-            assert second.rejected and not second.ok
-            assert server.stats()["pool"]["admission"]["throttled"] == {
-                "metered": 1
-            }
-
     def test_zero_deadline_times_out(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.start_pool(workers=1)
             result = server.rewrite(QUERY_SQL, deadline=0.0)
             assert result.timed_out and not result.ok
 
     def test_bad_sql_is_an_error_result(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.start_pool(workers=1)
             result = server.rewrite("select nope from missing_table")
             assert result.error is not None
             assert not result.ok
 
     def test_epoch_swap_picks_up_new_views(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.start_pool(workers=1)
             before = server.rewrite(QUERY_SQL)
             assert before.ok and not before.uses_view
@@ -447,7 +361,7 @@ class TestServingPool:
             return handle
 
         monkeypatch.setattr(pool_module, "_build_handler", doomed_handler)
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.start_pool(workers=1, max_retries=1)
             result = server.rewrite(QUERY_SQL)
             assert result.error is not None and not result.ok
@@ -460,7 +374,7 @@ class TestServingPool:
             )
 
     def test_stop_pool_restores_inprocess_serving(self, catalog, paper_stats):
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=1)
             assert server.rewrite(QUERY_SQL).ok
@@ -476,7 +390,7 @@ class TestServingPool:
         generation. Children some earlier test left are not the pool's:
         only the difference from the start counts."""
         before = _child_pids()
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=2)
             assert server.rewrite(QUERY_SQL).ok
@@ -545,14 +459,14 @@ class TestServingPool:
         statement memo, only for the cache fast path: not with the cache
         off, not for bounded requests."""
         with ViewServer(
-            catalog, paper_stats, workers=2, cache_enabled=False
+            catalog, paper_stats, cache_enabled=False
         ) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=1)
             for sql in CHURN_QUERIES:
                 assert server.rewrite(sql).ok
             assert len(server._statement_memo) == 0
-        with ViewServer(catalog, paper_stats, workers=2) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_view("pv_line", VIEW_SQL)
             server.start_pool(workers=1)
             for sql in CHURN_QUERIES:
@@ -569,7 +483,7 @@ class TestServingPool:
         REQUESTS = 12
         CYCLES = 3
         with ViewServer(
-            catalog, paper_stats, workers=2, cache_size=256
+            catalog, paper_stats, cache_size=256
         ) as server:
             epoch_views = {server.epoch: server.snapshots.current.view_names}
             server.snapshots.add_listener(

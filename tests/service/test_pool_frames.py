@@ -62,13 +62,13 @@ def served(catalog, paper_stats, workload):
     """Every query served in-process and then through a two-worker pool
     over the same epoch; the server stays open for the cache tests."""
     views, queries = workload
-    server = ViewServer(catalog, paper_stats, workers=2, cache_size=256)
+    server = ViewServer(catalog, paper_stats, cache_size=256)
     try:
         server.register_views(views)
         optimizer = server.snapshots.current.optimizer
         local = [optimizer.optimize(catalog.bind_sql(sql)) for sql in queries]
         server.start_pool(workers=2)
-        pooled = server.serving_pool.rewrite_many(queries)
+        pooled = [server.rewrite(sql) for sql in queries]
         yield server, queries, local, pooled
     finally:
         server.close()
@@ -114,11 +114,12 @@ class TestParity:
         database = generate_tpch(scale=0.001, seed=7)
         for name, sql in views:
             materialize_view(name, catalog.bind_sql(sql), database)
-        with ViewServer(catalog, paper_stats, workers=1) as server:
+        with ViewServer(catalog, paper_stats) as server:
             server.register_views(views)
             server.start_pool(workers=2)
             executed = 0
-            for served in server.serving_pool.rewrite_many(queries):
+            for sql in queries:
+                served = server.rewrite(sql)
                 assert served.ok, served.error
                 expected = execute(catalog.bind_sql(served.sql), database)
                 actual = plan_result(served.result.plan, database)

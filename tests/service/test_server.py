@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog import Catalog, Column, ColumnType, Table
 from repro.cdc import CdcPipeline
+from repro.core.parallel import fork_available
 from repro.engine import Database
 from repro.service import ViewServer
 from repro.stats import DatabaseStats
@@ -15,13 +16,13 @@ BASE_ONLY = "select o_orderkey from orders where o_orderkey >= 1"
 
 @pytest.fixture()
 def server(catalog, paper_stats):
-    with ViewServer(catalog, paper_stats, workers=2, queue_depth=8) as srv:
+    with ViewServer(catalog, paper_stats) as srv:
         yield srv
 
 
 class TestServingPaths:
     def test_successful_submit(self, server):
-        result = server.submit(BASE_ONLY)
+        result = server.serve(BASE_ONLY)
         assert result.ok
         assert result.error is None
         assert result.epoch == 0
@@ -31,19 +32,19 @@ class TestServingPaths:
         assert result.latency_seconds > 0
 
     def test_second_submit_hits_cache(self, server):
-        first = server.submit(BASE_ONLY)
-        second = server.submit(BASE_ONLY)
+        first = server.serve(BASE_ONLY)
+        second = server.serve(BASE_ONLY)
         assert not first.cache_hit
         assert second.cache_hit
         assert second.result is first.result  # the same frozen plan object
         assert server.stats()["cache"]["hits"] == 1
 
     def test_semantically_equal_sql_shares_cache_entry(self, server):
-        first = server.submit(
+        first = server.serve(
             "select l_partkey from lineitem, part "
             "where l_partkey = p_partkey and p_retailprice >= 100"
         )
-        second = server.submit(
+        second = server.serve(
             "select l_partkey from part, lineitem "
             "where p_retailprice >= 100 and p_partkey = l_partkey"
         )
@@ -52,68 +53,76 @@ class TestServingPaths:
 
     def test_view_rewrite_served(self, server):
         server.register_view("v_cheap", VIEW)
-        result = server.submit(QUERY)
+        result = server.serve(QUERY)
         assert result.ok
         assert result.uses_view
         assert "v_cheap" in result.view_names
         assert server.stats()["counters"]["rewrites"] >= 1
 
     def test_parse_error_is_reported_not_raised(self, server):
-        result = server.submit("select from nothing at all")
+        result = server.serve("select from nothing at all")
         assert not result.ok
         assert result.error
         assert server.stats()["counters"]["errors"] == 1
 
     def test_unknown_table_is_reported_not_raised(self, server):
-        result = server.submit("select x from no_such_table")
+        result = server.serve("select x from no_such_table")
         assert not result.ok
         assert result.error
 
     def test_cache_disabled_never_hits(self, catalog, paper_stats):
-        with ViewServer(
-            catalog, paper_stats, workers=1, cache_enabled=False
-        ) as server:
-            assert not server.submit(BASE_ONLY).cache_hit
-            assert not server.submit(BASE_ONLY).cache_hit
+        with ViewServer(catalog, paper_stats, cache_enabled=False) as server:
+            assert not server.serve(BASE_ONLY).cache_hit
+            assert not server.serve(BASE_ONLY).cache_hit
             assert server.stats()["cache"] is None
 
 
 class TestLoadShedding:
+    @pytest.mark.skipif(not fork_available(), reason="needs os.fork")
     def test_rejected_when_queue_full(self, server):
-        # Deterministically exhaust every queue slot, then submit.
-        held = 0
-        while server._slots.acquire(blocking=False):
-            held += 1
-        try:
-            result = server.submit(BASE_ONLY)
-            assert result.rejected
-            assert not result.ok
-            assert server.stats()["counters"]["rejected"] == 1
-        finally:
-            for _ in range(held):
-                server._slots.release()
-        # Slots released: the next request is served normally.
-        assert server.submit(BASE_ONLY).ok
+        # A pool with no queue room sheds every request it is handed.
+        server.start_pool(workers=1, max_queue=0)
+        result = server.rewrite(BASE_ONLY)
+        assert result.rejected
+        assert not result.ok
+        assert server.stats()["counters"]["rejected"] == 1
+        assert server.stats()["pool"]["saturated"] == 1
+        # Without the pool the next request is served normally.
+        server.stop_pool()
+        assert server.rewrite(BASE_ONLY).ok
 
     def test_expired_deadline_times_out(self, server):
-        result = server.submit(BASE_ONLY, deadline=0.0)
+        result = server.serve(BASE_ONLY, deadline=0.0)
         assert result.timed_out
         assert not result.ok
         assert server.stats()["counters"]["timeouts"] == 1
 
     def test_closed_server_rejects_submissions(self, catalog, paper_stats):
-        server = ViewServer(catalog, paper_stats, workers=1)
+        server = ViewServer(catalog, paper_stats)
         server.close()
         with pytest.raises(RuntimeError, match="closed"):
-            server.submit(BASE_ONLY)
+            server.serve(BASE_ONLY)
+
+    def test_closed_server_answers_nothing(self, catalog, paper_stats):
+        """A closed server has emptied its epoch: an answer from it would
+        be a plan over no views labelled with the old epoch."""
+        server = ViewServer(catalog, paper_stats)
+        server.register_view("v1", VIEW)
+        served = server.serve(QUERY)
+        assert served.view_names == ("v1",) and served.epoch == 1
+        server.close()
+        with pytest.raises(RuntimeError, match="server is closed"):
+            server.serve(QUERY)
+        with pytest.raises(RuntimeError, match="server is closed"):
+            server.rewrite(QUERY, max_staleness=60.0)
 
 
 class TestEpochInvalidation:
     def test_register_bumps_epoch_and_retires_cache(self, server):
-        warm = server.submit(QUERY)
-        assert server.submit(QUERY).cache_hit
+        warm = server.serve(QUERY)
+        assert server.serve(QUERY).cache_hit
         assert server.register_view("v_cheap", VIEW) == 1
-        after = server.submit(QUERY)
+        after = server.serve(QUERY)
         assert not after.cache_hit  # previous generation retired
         assert after.epoch == 1
         assert after.uses_view  # re-optimized against the new view
@@ -121,9 +130,9 @@ class TestEpochInvalidation:
 
     def test_unregister_bumps_epoch_and_stops_serving_view(self, server):
         server.register_view("v_cheap", VIEW)
-        assert server.submit(QUERY).uses_view
+        assert server.serve(QUERY).uses_view
         assert server.unregister_view("v_cheap") == 2
-        result = server.submit(QUERY)
+        result = server.serve(QUERY)
         assert not result.cache_hit
         assert not result.uses_view
         assert result.epoch == 2
@@ -156,7 +165,7 @@ class TestMaintainerIntegration:
         )
         pipeline = CdcPipeline(catalog, database)
         stats = DatabaseStats.collect(database, catalog)
-        server = ViewServer(catalog, stats, workers=1)
+        server = ViewServer(catalog, stats)
         server.attach_cdc(pipeline)
         yield catalog, pipeline, server
         server.close()
@@ -167,12 +176,12 @@ class TestMaintainerIntegration:
         pipeline.register_view("mv", catalog.bind_sql(sql))
         server.register_view("mv", sql)
         query = "select k from t where g = 0"
-        assert server.submit(query).uses_view
-        assert server.submit(query).cache_hit
+        assert server.serve(query).uses_view
+        assert server.serve(query).cache_hit
         pipeline.insert("t", [(4, 0, 40.0)])
         pipeline.drain()
         # The merge event evicted the cached rewrite.
-        refreshed = server.submit(query)
+        refreshed = server.serve(query)
         assert not refreshed.cache_hit
         assert server.stats()["counters"]["staleness_evictions"] >= 1
         assert server.stats()["cache"]["view_invalidations"] >= 1
@@ -183,15 +192,15 @@ class TestMaintainerIntegration:
             "mv", catalog.bind_sql("select k as k from t where g = 1")
         )
         unrelated = "select k from t where g = 0"
-        server.submit(unrelated)
+        server.serve(unrelated)
         pipeline.insert("t", [(5, 1, 50.0)])  # touches mv only
         pipeline.drain()
-        assert server.submit(unrelated).cache_hit
+        assert server.serve(unrelated).cache_hit
 
 
 class TestIntrospection:
     def test_stats_shape(self, server):
-        server.submit(BASE_ONLY)
+        server.serve(BASE_ONLY)
         stats = server.stats()
         assert stats["epoch"] == 0
         assert stats["views"] == 0
@@ -200,14 +209,6 @@ class TestIntrospection:
         assert stats["latency"]["total"]["count"] == 1
         assert stats["latency"]["total"]["p50"] > 0
 
-    def test_report_mentions_key_figures(self, server):
-        server.submit(BASE_ONLY)
-        server.submit(BASE_ONLY)
-        report = server.report()
-        assert "epoch 0" in report
-        assert "hit rate" in report
-        assert "total" in report
-
 
 class TestTracing:
     @pytest.fixture()
@@ -215,8 +216,6 @@ class TestTracing:
         with ViewServer(
             catalog,
             paper_stats,
-            workers=2,
-            queue_depth=8,
             trace_sample_rate=1.0,
             trace_capacity=4,
         ) as srv:
@@ -224,7 +223,7 @@ class TestTracing:
             yield srv
 
     def test_disabled_by_default_records_nothing(self, server):
-        server.submit(BASE_ONLY)
+        server.serve(BASE_ONLY)
         assert server.traces() == ()
         assert server.stats()["counters"].get("traces_sampled", 0) == 0
 
@@ -275,8 +274,8 @@ class TestTracing:
 class TestPrometheusExposition:
     def test_counters_histograms_and_gauges(self, server):
         server.register_view("v", VIEW)
-        server.submit(QUERY)
-        server.submit(QUERY)
+        server.serve(QUERY)
+        server.serve(QUERY)
         text = server.prometheus_metrics()
         lines = text.splitlines()
         assert "repro_requests_total 2" in lines
@@ -291,20 +290,20 @@ class TestPrometheusExposition:
         server.register_view("v", VIEW)
         # A query over the viewed table whose range the view cannot cover:
         # full matching runs and rejects, populating the funnel counters.
-        server.submit("select l_partkey from lineitem where l_quantity >= 5")
+        server.serve("select l_partkey from lineitem where l_quantity >= 5")
         text = server.prometheus_metrics()
         assert 'repro_match_rejects_total{reason="range"}' in text
 
     def test_custom_prefix(self, server):
-        server.submit(BASE_ONLY)
+        server.serve(BASE_ONLY)
         text = server.prometheus_metrics(prefix="mv")
         assert "mv_requests_total 1" in text
         assert "repro_" not in text
 
     def test_help_and_type_headers(self, server):
         server.register_view("v", VIEW)
-        server.submit(QUERY)
-        server.rewrite_many([QUERY, BASE_ONLY])
+        for sql in (QUERY, QUERY, BASE_ONLY):
+            server.serve(sql)
         text = server.prometheus_metrics()
         assert "# TYPE repro_requests_total counter" in text
         assert "# TYPE repro_total_seconds summary" in text

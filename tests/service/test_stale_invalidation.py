@@ -42,7 +42,7 @@ def stack():
     )
     pipeline = CdcPipeline(catalog, database)
     stats = DatabaseStats.collect(database, catalog)
-    server = ViewServer(catalog, stats, workers=1)
+    server = ViewServer(catalog, stats)
     server.attach_cdc(pipeline)  # publishes epoch 1
     yield catalog, pipeline, server
     server.close()
@@ -57,11 +57,11 @@ class TestAcrossEpochSwap:
         # is cached under the *new* generation.
         server.register_view("mv_other", "select k as k from t where g = 1")
         assert server.epoch == 3
-        assert server.submit(QUERY).uses_view
-        assert server.submit(QUERY).cache_hit
+        assert server.serve(QUERY).uses_view
+        assert server.serve(QUERY).cache_hit
         pipeline.insert("t", [(4, 0, 40.0)])
         pipeline.drain()
-        refreshed = server.submit(QUERY)
+        refreshed = server.serve(QUERY)
         assert not refreshed.cache_hit
         assert server.stats()["counters"]["staleness_evictions"] >= 1
 
@@ -69,12 +69,12 @@ class TestAcrossEpochSwap:
         catalog, pipeline, server = stack
         pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
         server.register_view("mv", VIEW_SQL)
-        warm = server.submit(QUERY)
+        warm = server.serve(QUERY)
         assert warm.uses_view and warm.epoch == 2
         # Unregister: the epoch swap alone must stop the cached plan,
         # no merge event fires for a server-side drop.
         assert server.unregister_view("mv") == 3
-        served = server.submit(QUERY)
+        served = server.serve(QUERY)
         assert not served.cache_hit
         assert "mv" not in served.view_names
         assert not served.uses_view
@@ -83,15 +83,15 @@ class TestAcrossEpochSwap:
         catalog, pipeline, server = stack
         pipeline.register_view("mv", catalog.bind_sql(VIEW_SQL))
         server.register_view("mv", VIEW_SQL)
-        assert server.submit(QUERY).uses_view
+        assert server.serve(QUERY).uses_view
         server.unregister_view("mv")
-        before = server.submit(QUERY)
+        before = server.serve(QUERY)
         assert not before.uses_view
         # The pipeline still maintains mv and fires an event naming it;
         # nothing cached reads it any more.
         pipeline.insert("t", [(5, 0, 50.0)])
         pipeline.drain()
-        after = server.submit(QUERY)
+        after = server.serve(QUERY)
         assert after.cache_hit
         assert not after.uses_view
 
@@ -101,7 +101,7 @@ class TestAcrossEpochSwap:
         pipeline.insert("t", [(6, 0, 60.0)])
         pipeline.drain()
         server.register_view("mv", VIEW_SQL)
-        assert server.submit(QUERY).uses_view
+        assert server.serve(QUERY).uses_view
 
 
 class TestCacheChannelInterplay:

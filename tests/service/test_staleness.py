@@ -128,8 +128,8 @@ def test_bounded_requests_bypass_the_cache(server):
 
 def test_rewrite_many_threads_the_bound(server, pipeline):
     pipeline.insert("orders", [fresh_order_row(pipeline)])
-    strict = server.rewrite_many([QUERY, QUERY], max_staleness=0)
-    relaxed = server.rewrite_many([QUERY, QUERY], max_staleness=60.0)
+    strict = [server.rewrite(QUERY, max_staleness=0) for _ in range(2)]
+    relaxed = [server.rewrite(QUERY, max_staleness=60.0) for _ in range(2)]
     assert all(r.ok and not r.uses_view for r in strict)
     assert all(r.uses_view for r in relaxed)
     assert all(r.max_staleness == 0 for r in strict)
