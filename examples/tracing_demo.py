@@ -14,13 +14,16 @@ three things back out:
   per-candidate reject reasons, plan cost comparison);
 * an aggregated reject-reason funnel across all sampled traces -- the
   operational "why don't my queries rewrite?" histogram;
-* the Prometheus text exposition (stage latencies, counters, gauges).
+* ``server.stats()`` -- every serving metric in one read -- and its
+  Prometheus text rendering (what ``server.prometheus_metrics()``
+  returns): the served epoch's reject tallies beside the counters.
 """
 
 from collections import Counter
 
 from repro import ViewServer, synthetic_tpch_stats, tpch_catalog
 from repro.obs import render_trace
+from repro.obs.telemetry import render_prometheus
 from repro.sql import statement_to_sql
 from repro.workload import WorkloadGenerator
 
@@ -76,9 +79,14 @@ def main() -> None:
         for reason, count in tallies.most_common():
             print(f"rejected {reason:20s} {count}")
 
-        print("\n--- prometheus exposition (counters, gauges, rejects) ---")
-        exposition = server.prometheus_metrics()
-        for line in exposition.splitlines():
+        # One read, one renderer: stats() holds every serving metric and
+        # the exposition is that same dict rendered as text.
+        stats = server.stats()
+        print("\n--- stats()['rejects']: the served epoch's funnel ---")
+        for reason, count in stats["rejects"].items():
+            print(f"rejected {reason:20s} {count}")
+        print("\n--- its prometheus rendering (counters, rejects) ---")
+        for line in render_prometheus(stats).splitlines():
             interesting = "_total" in line or "match_rejects" in line
             if interesting and "_seconds" not in line and not line.startswith("#"):
                 print(line)

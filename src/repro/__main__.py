@@ -35,9 +35,10 @@ Commands
     reject-reason funnel, cache hit rate, and latency percentiles;
     ``--json`` emits the advisor-consumable aggregate.
 ``repro-top [--journal PATH | --demo]``
-    Live terminal dashboard: RED metrics, reject funnel, merged
-    cross-process telemetry sketches, CDC lag, and SLO burn rates --
-    over a recorded journal or a demo in-process server.
+    Live terminal dashboard: RED metrics, reject funnel, CDC lag, SLO
+    burn rates and the server's telemetry sketches (its own process's
+    hub: pool workers' sketches are not merged) -- over a recorded
+    journal or a demo in-process server, read from ``stats()``.
 
 The serving layer (rewrite cache, worker pool, CDC beside reads) is
 load-tested by the serve-path benchmark, ``python -m benchmarks.e2e``

@@ -174,37 +174,5 @@ class CdcPipeline:
         """Freeze a staleness policy for one request."""
         return self.freshness.bound(max_seconds)
 
-    def report(self) -> str:
-        """Human-readable one-line-per-view freshness summary."""
-        lines = [
-            f"change log: head lsn {self.log.head_lsn}, "
-            f"{len(self.log)} record(s) retained, applier scanned through "
-            f"{self.applier.scanned_lsn}"
-        ]
-        for freshness in self.freshness.all_freshness():
-            state = (
-                "fresh"
-                if freshness.is_fresh
-                else (
-                    f"lagging {freshness.lag_records} record(s), "
-                    f"{freshness.lag_seconds:.3f}s"
-                )
-            )
-            lines.append(
-                f"  {freshness.view}: applied lsn "
-                f"{freshness.applied_lsn} ({state})"
-            )
-        stats = self.stats
-        lines.append(
-            f"applier: {stats.records_scanned} record(s) scanned, "
-            f"{stats.delta_rows_merged} delta row(s) merged, "
-            f"{stats.rows_per_second:.0f} rows/s, "
-            f"{stats.delta_evaluations} delta evaluation(s), "
-            f"{stats.join_index_builds} join index build(s), "
-            f"{stats.views_materialized} view(s) materialized in "
-            f"{stats.materialize_seconds:.3f}s"
-        )
-        return "\n".join(lines)
-
 
 __all__ = ["CdcPipeline"]

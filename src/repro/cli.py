@@ -244,9 +244,10 @@ def run_repro_top(
     ``--journal PATH`` replays a recorded workload journal (re-read
     every tick, so it may still be written to); ``--demo`` spins up a
     small in-process server with a background load thread and renders
-    its live RED metrics, reject funnel, merged telemetry sketches,
-    and SLO burn. ``--once`` renders a single frame without clearing
-    the screen -- the scriptable/CI form.
+    its ``stats()``: live RED metrics, reject funnel, the server
+    process's telemetry sketches (pool workers' sketches are not
+    merged) and SLO burn. ``--once`` renders a single frame without
+    clearing the screen -- the scriptable/CI form.
     """
     from .obs.dashboard import DashboardLoop, journal_frame, server_frame
 

@@ -90,31 +90,6 @@ class MatcherStatistics:
         self.rejects_by_reason.clear()
         self.candidates_skipped = 0
 
-    def report(self) -> str:
-        """A human-readable summary (candidate funnel + rejection reasons)."""
-        lines = [
-            f"invocations:            {self.invocations}",
-            f"candidates checked:     {self.views_considered} "
-            f"({self.candidate_fraction:.3%} of registered views)",
-            f"matches / substitutes:  {self.matches} / {self.substitutes} "
-            f"({self.candidate_success_rate:.0%} of candidates)",
-            f"substitutes/invocation: {self.substitutes_per_invocation:.2f}",
-        ]
-        if self.candidates_skipped:
-            lines.append(
-                f"cost-bound skipped:     {self.candidates_skipped}"
-            )
-        if self.rejects_by_reason:
-            lines.append("rejections by reason:")
-            total_rejects = sum(self.rejects_by_reason.values())
-            for reason, count in sorted(
-                self.rejects_by_reason.items(), key=lambda kv: -kv[1]
-            ):
-                lines.append(
-                    f"  {reason.lower():20s} {count:6d} ({count / total_rejects:.0%})"
-                )
-        return "\n".join(lines)
-
 
 class ViewMatcher:
     """Registry plus matching engine over one catalog."""

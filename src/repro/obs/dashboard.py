@@ -14,8 +14,9 @@ Sections, top to bottom:
 * **Funnel** -- reject reasons ranked with percentage bars: the
   paper's per-level pruning behaviour as a live view.
 * **Sketches** -- every percentile sketch in the server's telemetry
-  hub: the serving stages, matcher invocations, pool workers, CDC
-  scan/merge.
+  hub: the serving stages, matcher invocations, the pool's per-request
+  worker serve times, CDC scan/merge. The hub is this process's alone:
+  a pool worker's own sketches stay in the worker and are not merged.
 * **CDC** -- per-view maintenance lag.
 * **SLO** -- multi-window burn rates with a ``!`` marker past 1.0.
 """
@@ -41,37 +42,28 @@ _BAR_WIDTH = 24
 
 
 def server_frame(server: Any) -> Dict[str, Any]:
-    """Snapshot a running ``ViewServer`` into a renderable frame."""
+    """A running ``ViewServer``'s :meth:`stats` as a renderable frame."""
 
     stats = server.stats()
     frame: Dict[str, Any] = {
         "source": "server",
         "now": time.monotonic(),
-        "epoch": stats.get("epoch"),
-        "views": stats.get("views"),
-        "counters": dict(stats.get("counters", {})),
-        "latency": dict(stats.get("latency", {})),
-        "cache": stats.get("cache"),
-        "sketches": stats.get("telemetry", {}).get("sketches", {}),
+        "epoch": stats["epoch"],
+        "views": stats["views"],
+        "counters": stats["counters"],
+        "latency": stats["latency"],
+        "cache": stats["cache"],
+        "sketches": stats["telemetry"]["sketches"],
+        "funnel": stats["rejects"],
     }
-    funnel = stats.get("rejects")
-    if funnel is None:
-        try:
-            funnel = dict(
-                server.snapshots.current.matcher.statistics.rejects_by_reason
-            )
-        except AttributeError:
-            funnel = {}
-    frame["funnel"] = funnel
     if "cdc" in stats:
         frame["cdc"] = {
             view: entry["lag_seconds"]
-            for view, entry in stats["cdc"].get("views", {}).items()
+            for view, entry in stats["cdc"]["views"].items()
         }
-        frame["cdc_head_lsn"] = stats["cdc"].get("head_lsn")
-    slo = getattr(server, "slo", None)
-    if slo is not None:
-        frame["slo"] = slo.snapshot()
+        frame["cdc_head_lsn"] = stats["cdc"]["head_lsn"]
+    if "slo" in stats:
+        frame["slo"] = stats["slo"]
     return frame
 
 
@@ -189,7 +181,7 @@ def render_frame(
                 f"  {reason:<18} {count:>8}  {_bar(fraction)} {fraction:6.1%}"
             )
 
-    # Cross-process sketches.
+    # The server's hub sketches.
     sketches = frame.get("sketches") or {}
     if sketches:
         lines.append("")

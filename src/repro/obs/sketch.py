@@ -215,12 +215,13 @@ class DDSketch:
         return sketch
 
     def snapshot(self) -> Dict[str, float]:
-        """Summary as ``count / mean / min / max / p50 / p90 / p99``
-        (the shape of every latency in ``ViewServer.stats()``)."""
+        """Summary as ``count / sum / mean / min / max / p50 / p90 /
+        p99`` (the shape of every latency in ``ViewServer.stats()``)."""
 
         if self.count == 0:
             return {
                 "count": 0,
+                "sum": 0.0,
                 "mean": 0.0,
                 "min": 0.0,
                 "max": 0.0,
@@ -230,6 +231,7 @@ class DDSketch:
             }
         return {
             "count": self.count,
+            "sum": self.total,
             "mean": self.mean,
             "min": self.minimum,
             "max": self.maximum,

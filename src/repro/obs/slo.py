@@ -161,7 +161,8 @@ class SloTracker:
     def snapshot(self) -> Dict[str, Any]:
         rates = self.burn_rates()
         with self._lock:
-            total = self._total_good + self._total_errors + self._total_slow
+            bad = self._total_errors + self._total_slow
+            total = self._total_good + bad
             return {
                 "objectives": {
                     "target_p99_seconds": self.objectives.target_p99_seconds,
@@ -172,30 +173,9 @@ class SloTracker:
                 "good": self._total_good,
                 "errors": self._total_errors,
                 "slow": self._total_slow,
-                "bad_fraction": (
-                    (self._total_errors + self._total_slow) / total
-                    if total
-                    else 0.0
-                ),
+                "bad": bad,
+                "bad_fraction": bad / total if total else 0.0,
                 "burn_rates": {
                     str(int(window)): rate for window, rate in rates.items()
                 },
             }
-
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        snap = self.snapshot()
-        lines = [
-            f"# TYPE {prefix}_slo_requests_total counter",
-            f"{prefix}_slo_requests_total {snap['requests']}",
-            f"# TYPE {prefix}_slo_bad_total counter",
-            f"{prefix}_slo_bad_total {snap['errors'] + snap['slow']}",
-            f"# TYPE {prefix}_slo_burn_rate gauge",
-        ]
-        for window, rate in sorted(
-            snap["burn_rates"].items(), key=lambda item: int(item[0])
-        ):
-            lines.append(
-                f'{prefix}_slo_burn_rate{{window_seconds="{window}"}} '
-                f"{rate:.6g}"
-            )
-        return "\n".join(lines) + "\n"

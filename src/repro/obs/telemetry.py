@@ -1,4 +1,4 @@
-"""Telemetry plumbing: trace context and the hub.
+"""Telemetry plumbing: trace context, the hub and its exposition.
 
 The tracer in :mod:`repro.obs.trace` is contextvar-scoped: spans land on
 a ``RewriteTracer`` installed for one request. Work that runs outside a
@@ -15,10 +15,11 @@ invocation counters -- reports here instead, through two pieces:
 ``TelemetryHub``
     The thread-safe registry of counters, sketches and spans.  Sketches
     are :class:`~repro.obs.sketch.DDSketch`, so percentiles stay within
-    a fixed relative error at bounded memory.  The hub renders to the
-    Prometheus text format (counters as ``_total``, sketches as
-    summaries with quantile labels) and feeds the ``repro-top``
-    dashboard.
+    a fixed relative error at bounded memory.
+
+``render_prometheus`` is the one Prometheus text renderer: a table of
+families over a ``ViewServer.stats()`` dict, or any part of one such as
+``{"telemetry": hub.snapshot()}``.
 
 A process-global hub (``telemetry_hub()``) is the default sink so
 instrumented code stays always-on without plumbing; the ``ViewServer``
@@ -46,6 +47,7 @@ __all__ = [
     "current_trace_context",
     "trace_context",
     "TelemetryHub",
+    "render_prometheus",
     "telemetry_hub",
     "set_telemetry_hub",
 ]
@@ -131,9 +133,9 @@ class TelemetryHub:
     """Thread-safe telemetry registry.
 
     Instrumentation calls :meth:`increment` / :meth:`record` /
-    :meth:`record_span`; reads (:meth:`snapshot`, :meth:`to_prometheus`)
-    take the same lock as writes, so counts are exact under concurrency
-    and a scrape never observes a half-updated sketch.
+    :meth:`record_span`; reads (:meth:`snapshot`) take the same lock as
+    writes, so counts are exact under concurrency and a scrape never
+    observes a half-updated sketch.
     """
 
     def __init__(self, *, relative_accuracy: float = DEFAULT_ACCURACY) -> None:
@@ -173,17 +175,6 @@ class TelemetryHub:
 
     # -- reads --------------------------------------------------------
 
-    def counters(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counters)
-
-    def sketch_snapshots(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            return {
-                name: sketch.snapshot()
-                for name, sketch in self._sketches.items()
-            }
-
     def sketch(self, name: str) -> Optional[DDSketch]:
         """A copy of the named sketch (safe to read without racing
         concurrent records), or ``None``."""
@@ -209,29 +200,6 @@ class TelemetryHub:
                 "spans_buffered": len(self._spans),
             }
 
-    def to_prometheus(self, prefix: str = "repro") -> str:
-        """Prometheus text exposition: counters as ``_total``,
-        sketches as summaries with ``quantile`` labels."""
-
-        lines: List[str] = []
-        with self._lock:
-            for name in sorted(self._counters):
-                metric = f"{prefix}_{_sanitize(name)}_total"
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {self._counters[name]}")
-            for name in sorted(self._sketches):
-                sketch = self._sketches[name]
-                metric = f"{prefix}_{_sanitize(name)}"
-                lines.append(f"# TYPE {metric} summary")
-                for q in (0.5, 0.9, 0.99):
-                    value = sketch.percentile(q)
-                    lines.append(
-                        f'{metric}{{quantile="{q}"}} {_format(value)}'
-                    )
-                lines.append(f"{metric}_sum {_format(sketch.total)}")
-                lines.append(f"{metric}_count {sketch.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
     def reset(self) -> None:
         with self._lock:
             self._counters.clear()
@@ -239,11 +207,135 @@ class TelemetryHub:
             self._spans.clear()
 
 
+# ---------------------------------------------------------------------------
+# Prometheus text exposition of ``ViewServer.stats()``
+
+# Families with one sample at a fixed place in the stats dict: (family,
+# path to a section, key). A section the dict lacks -- no cache, no
+# pool, no CDC, no SLO -- renders nothing. A family ending in ``_total``
+# is a counter, any other a gauge.
+_SCALAR_FAMILIES = (
+    ("epoch", (), "epoch"),
+    ("views_registered", (), "views"),
+    # rewrite_cache_*: the hub's cache_hits / cache_misses count requests.
+    *(
+        (f"rewrite_cache_{key}_total", ("cache",), key)
+        for key in (
+            "hits", "misses", "evictions", "epoch_invalidations",
+            "view_invalidations",
+        )
+    ),
+    *(
+        (f"pool_{key}", ("pool",), key)
+        for key in (
+            "depth", "busy", "workers", "generation", "epoch", "utilization",
+        )
+    ),
+    *(
+        (f"pool_{key}_total", ("pool",), key)
+        for key in (
+            "submitted", "completed", "crashes", "respawns", "swaps",
+            "redelivered", "saturated",
+        )
+    ),
+    ("slo_requests_total", ("slo",), "requests"),
+    ("slo_bad_total", ("slo",), "bad"),
+    ("cdc_head_lsn", ("cdc",), "head_lsn"),
+    ("cdc_records_scanned_total", ("cdc", "applier"), "records_scanned"),
+    ("cdc_rows_applied_total", ("cdc", "applier"), "base_rows_scanned"),
+    ("cdc_apply_rows_per_second", ("cdc", "applier"), "rows_per_second"),
+    ("cdc_delta_evaluations_total", ("cdc", "applier"), "delta_evaluations"),
+    ("cdc_join_index_builds_total", ("cdc", "applier"), "join_index_builds"),
+)
+
+# Families with one labelled sample per entry of a section: (family,
+# path, label name, the label value's spelling, key in each entry or
+# None when the entry is the value).
+_LABELLED_FAMILIES = (
+    ("memo_entries", ("memos",), "memo", str, "size"),
+    ("memo_evictions_total", ("memos",), "memo", str, "evictions"),
+    ("match_rejects_total", ("rejects",), "reason", str.lower, None),
+    ("cdc_view_applied_lsn", ("cdc", "views"), "view", str, "applied_lsn"),
+    ("cdc_view_lag_records", ("cdc", "views"), "view", str, "lag_records"),
+    ("cdc_view_lag_seconds", ("cdc", "views"), "view", str, "lag_seconds"),
+    ("slo_burn_rate", ("slo", "burn_rates"), "window_seconds", str, None),
+)
+
+# Hub sketches named ``{base}.{value}`` render as one summary family
+# labelled with the value: a view name is data, never part of a name.
+_LABELLED_SKETCHES = {
+    "cdc_view_lag_seconds": ("cdc_view_merge_lag_seconds", "view"),
+}
+
+_QUANTILES = (("0.5", "p50"), ("0.9", "p90"), ("0.99", "p99"))
+
+
+def render_prometheus(stats: Dict[str, Any], prefix: str = "repro") -> str:
+    """Prometheus text exposition of a ``ViewServer.stats()`` dict.
+
+    Hub counters render as ``_total`` counters and hub sketches as
+    summaries with ``quantile`` labels; the tables above name the rest.
+    Every family is declared once, whatever order its samples come in.
+    """
+
+    families: Dict[str, Tuple[str, List[Tuple[str, tuple, float]]]] = {}
+
+    def add(family, value, labels=(), suffix="", kind=None):
+        if kind is None:
+            kind = "counter" if family.endswith("_total") else "gauge"
+        families.setdefault(family, (kind, []))[1].append(
+            (suffix, labels, value)
+        )
+
+    telemetry = stats.get("telemetry") or {}
+    for name, value in sorted(telemetry.get("counters", {}).items()):
+        add(f"{_sanitize(name)}_total", value)
+    for name, summary in sorted(telemetry.get("sketches", {}).items()):
+        base, _, value = name.partition(".")
+        family, labels = _sanitize(name), ()
+        if value and base in _LABELLED_SKETCHES:
+            family, label = _LABELLED_SKETCHES[base]
+            labels = ((label, value),)
+        for quantile, key in _QUANTILES:
+            quantile_labels = labels + (("quantile", quantile),)
+            add(family, summary[key], quantile_labels, kind="summary")
+        add(family, summary["sum"], labels, "_sum", "summary")
+        add(family, summary["count"], labels, "_count", "summary")
+    for family, path, key in _SCALAR_FAMILIES:
+        section = _section(stats, path)
+        if section is not None and key in section:
+            add(family, section[key])
+    for family, path, label, spell, key in _LABELLED_FAMILIES:
+        for name, entry in (_section(stats, path) or {}).items():
+            value = entry if key is None else entry[key]
+            add(family, value, ((label, spell(name)),))
+
+    lines: List[str] = []
+    for family, (kind, samples) in families.items():
+        metric = f"{prefix}_{family}"
+        lines.append(f"# TYPE {metric} {kind}")
+        for suffix, labels, value in samples:
+            if labels:
+                text = ",".join(
+                    f'{name}="{escape_label_value(label)}"'
+                    for name, label in labels
+                )
+                suffix = f"{suffix}{{{text}}}"
+            lines.append(f"{metric}{suffix} {_format(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _section(stats: Dict[str, Any], path: Tuple[str, ...]) -> Any:
+    for key in path:
+        stats = (stats or {}).get(key)
+    return stats
+
+
 def _sanitize(name: str) -> str:
-    out = []
-    for ch in name:
-        out.append(ch if (ch.isalnum() or ch == "_") else "_")
-    return "".join(out)
+    return "".join(
+        ch if ch.isascii() and (ch.isalnum() or ch == "_") else "_"
+        for ch in name
+    )
 
 
 def escape_label_value(value: str) -> str:

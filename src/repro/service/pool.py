@@ -257,27 +257,9 @@ class WorkerPool:
         for reader in self._readers:
             reader.join(timeout)
 
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    def depth(self) -> int:
-        """Requests waiting in the queue (the load-leveling backlog)."""
-        with self._work:
-            return len(self._queue)
-
-    def busy(self) -> int:
-        """Workers currently serving a request."""
-        with self._work:
-            return sum(
-                1 for handle in self._workers.values() if handle.inflight
-            )
-
-    def worker_count(self) -> int:
-        with self._work:
-            return len(self._workers)
-
     def stats(self) -> dict[str, int]:
+        """The counters plus ``depth`` (queued), ``busy``, ``workers``,
+        ``generation`` and ``target`` (fleet size), in one locked read."""
         with self._work:
             stats = dict(self._counters)
             stats["depth"] = len(self._queue)
@@ -680,14 +662,12 @@ class ServingPool:
 
     # -- lifecycle / introspection -------------------------------------------
 
-    @property
-    def epoch(self) -> int:
-        """The epoch the current worker generation is pinned to."""
-        return self._epoch
-
     def stats(self) -> dict:
+        """:meth:`WorkerPool.stats` plus ``epoch`` (the generation's) and
+        ``utilization`` (busy workers over the target fleet size)."""
         stats = dict(self._pool.stats())
         stats["epoch"] = self._epoch
+        stats["utilization"] = stats["busy"] / stats["target"]
         return stats
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:

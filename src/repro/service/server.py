@@ -48,7 +48,7 @@ from ..obs.slo import SloObjectives, SloTracker
 from ..obs.telemetry import (
     TelemetryHub,
     TraceContext,
-    escape_label_value,
+    render_prometheus,
     trace_context,
 )
 from ..obs.trace import (
@@ -530,8 +530,8 @@ class ViewServer:
         :meth:`rewrite`), applier merges evict exactly the cached
         rewrites that read the views whose contents just moved (the
         per-entry invalidation channel; epoch bumps handle registration
-        changes), and :meth:`prometheus_metrics` / :meth:`stats` export
-        per-view lag and applier throughput.
+        changes), and :meth:`stats` (so :meth:`prometheus_metrics`)
+        reports per-view lag and applier throughput.
         """
         self._cdc = pipeline
         pipeline.add_listener(self._on_view_change)
@@ -598,19 +598,24 @@ class ViewServer:
             return tuple(self._traces)
 
     def stats(self) -> dict:
-        """A structured snapshot of every serving metric.
+        """A structured snapshot of every serving metric: the one read
+        behind :meth:`prometheus_metrics` and ``repro-top``.
 
         Keys: ``epoch``, ``views`` (registered count), ``cache`` (counter
         dict, or ``None`` with caching disabled), ``counters`` (every hub
         counter, by name), ``latency`` (per-stage sketch summaries in
-        seconds, pipeline order) and ``telemetry`` (the hub snapshot
-        both are read from, in one locked read).
+        seconds, pipeline order), ``memos``, ``rejects`` (the served
+        epoch's matcher reject tallies by reason) and ``telemetry`` (the
+        hub snapshot both counters and latencies are read from, in one
+        locked read); ``slo``, ``pool`` and ``cdc`` when attached.
         """
+        snapshot = self.snapshots.current
         telemetry = self.telemetry.snapshot()
         sketches = telemetry["sketches"]
+        rejects = snapshot.matcher.statistics.rejects_by_reason
         stats = {
-            "epoch": self.snapshots.epoch,
-            "views": self.snapshots.current.view_count,
+            "epoch": snapshot.epoch,
+            "views": snapshot.view_count,
             "cache": (
                 self.cache.statistics.snapshot()
                 if self.cache is not None
@@ -623,6 +628,7 @@ class ViewServer:
                 if f"{stage}_seconds" in sketches
             },
             "memos": {"statement": self._statement_memo.stats()},
+            "rejects": dict(sorted(rejects.items())),
             "telemetry": telemetry,
         }
         if self.slo is not None:
@@ -645,129 +651,10 @@ class ViewServer:
         return stats
 
     def prometheus_metrics(self, prefix: str = "repro") -> str:
-        """Prometheus text exposition for this server.
-
-        Combines the hub's counters and sketches (the serving stages as
-        ``{prefix}_{stage}_seconds`` summaries) with serving gauges
-        (epoch, registered views), the rewrite cache's counters, and
-        the current snapshot matcher's reject-reason tallies (labelled
-        ``{prefix}_match_rejects_total{{reason=...}}``).
-        With a CDC pipeline attached, also exports per-view freshness
-        gauges (``{prefix}_cdc_view_lag_records{{view=...}}`` and
-        friends) plus applier throughput counters. Suitable for a
-        ``/metrics`` scrape endpoint or a one-shot dump.
-        """
-        snapshot = self.snapshots.current
-        lines = []
-        hub = self.telemetry.to_prometheus(prefix=prefix)
-        if hub:
-            lines.append(hub.rstrip("\n"))
-        if self.slo is not None:
-            lines.append(self.slo.to_prometheus(prefix=prefix).rstrip("\n"))
-        lines.append(f"# TYPE {prefix}_epoch gauge")
-        lines.append(f"{prefix}_epoch {snapshot.epoch}")
-        lines.append(f"# TYPE {prefix}_views_registered gauge")
-        lines.append(f"{prefix}_views_registered {snapshot.view_count}")
-        if self.cache is not None:
-            # Named rewrite_cache_* so they cannot collide with the
-            # hub's cache_hits/cache_misses request counters.
-            cache = self.cache.statistics.snapshot()
-            for key in (
-                "hits",
-                "misses",
-                "evictions",
-                "epoch_invalidations",
-                "view_invalidations",
-            ):
-                metric = f"{prefix}_rewrite_cache_{key}_total"
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {cache[key]}")
-        entries = f"{prefix}_memo_entries"
-        evicted = f"{prefix}_memo_evictions_total"
-        lines.append(f"# TYPE {entries} gauge")
-        lines.append(f"# TYPE {evicted} counter")
-        memo = self._statement_memo
-        lines.append(f'{entries}{{memo="statement"}} {len(memo)}')
-        lines.append(f'{evicted}{{memo="statement"}} {memo.evictions}')
-        if self._serving_pool is not None:
-            pool = self._serving_pool.stats()
-            for key, kind in (
-                ("depth", "gauge"),
-                ("busy", "gauge"),
-                ("workers", "gauge"),
-                ("generation", "gauge"),
-                ("epoch", "gauge"),
-                ("submitted", "counter"),
-                ("completed", "counter"),
-                ("crashes", "counter"),
-                ("respawns", "counter"),
-                ("swaps", "counter"),
-                ("redelivered", "counter"),
-                ("saturated", "counter"),
-            ):
-                suffix = "_total" if kind == "counter" else ""
-                metric = f"{prefix}_pool_{key}{suffix}"
-                lines.append(f"# TYPE {metric} {kind}")
-                lines.append(f"{metric} {pool[key]}")
-            utilization = (
-                pool["busy"] / pool["target"] if pool["target"] else 0.0
-            )
-            metric = f"{prefix}_pool_utilization"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {format(utilization, '.6g')}")
-        rejects = snapshot.matcher.statistics.rejects_by_reason
-        if rejects:
-            metric = f"{prefix}_match_rejects_total"
-            lines.append(f"# TYPE {metric} counter")
-            for reason, count in sorted(rejects.items()):
-                label = escape_label_value(reason.lower())
-                lines.append(f'{metric}{{reason="{label}"}} {count}')
-        if self._cdc is not None:
-            lines.append(f"# TYPE {prefix}_cdc_head_lsn gauge")
-            lines.append(f"{prefix}_cdc_head_lsn {self._cdc.head_lsn}")
-            lag_records = f"{prefix}_cdc_view_lag_records"
-            lag_seconds = f"{prefix}_cdc_view_lag_seconds"
-            applied = f"{prefix}_cdc_view_applied_lsn"
-            freshness = self._cdc.freshness.all_freshness()
-            if freshness:
-                lines.append(f"# TYPE {applied} gauge")
-                lines.append(f"# TYPE {lag_records} gauge")
-                lines.append(f"# TYPE {lag_seconds} gauge")
-                for f in freshness:
-                    label = f'{{view="{escape_label_value(f.view)}"}}'
-                    lines.append(f"{applied}{label} {f.applied_lsn}")
-                    lines.append(f"{lag_records}{label} {f.lag_records}")
-                    lines.append(
-                        f"{lag_seconds}{label} "
-                        f"{format(f.lag_seconds, '.6g')}"
-                    )
-            applier = self._cdc.stats
-            lines.append(f"# TYPE {prefix}_cdc_records_scanned_total counter")
-            lines.append(
-                f"{prefix}_cdc_records_scanned_total "
-                f"{applier.records_scanned}"
-            )
-            lines.append(f"# TYPE {prefix}_cdc_rows_applied_total counter")
-            lines.append(
-                f"{prefix}_cdc_rows_applied_total "
-                f"{applier.base_rows_scanned}"
-            )
-            lines.append(f"# TYPE {prefix}_cdc_apply_rows_per_second gauge")
-            lines.append(
-                f"{prefix}_cdc_apply_rows_per_second "
-                f"{format(applier.rows_per_second, '.6g')}"
-            )
-            lines.append(f"# TYPE {prefix}_cdc_delta_evaluations_total counter")
-            lines.append(
-                f"{prefix}_cdc_delta_evaluations_total "
-                f"{applier.delta_evaluations}"
-            )
-            lines.append(f"# TYPE {prefix}_cdc_join_index_builds_total counter")
-            lines.append(
-                f"{prefix}_cdc_join_index_builds_total "
-                f"{applier.join_index_builds}"
-            )
-        return "\n".join(lines) + "\n"
+        """Prometheus text exposition of :meth:`stats` (see
+        :func:`repro.obs.telemetry.render_prometheus`), for a
+        ``/metrics`` scrape endpoint or a one-shot dump."""
+        return render_prometheus(self.stats(), prefix)
 
     def close(self) -> None:
         """Stop accepting work, shut the worker pool down and let go of

@@ -247,7 +247,6 @@ def test_stats_tell_rebuilt_indexes_from_slow_views(pipeline, catalog):
     snapshot = stats.snapshot()
     assert snapshot["delta_evaluations"] == 9
     assert snapshot["join_index_builds"] == built + 2
-    assert "9 delta evaluation(s)" in pipeline.report()
 
 
 def test_stats_count_materializations_and_their_time(pipeline, catalog):
@@ -260,7 +259,6 @@ def test_stats_count_materializations_and_their_time(pipeline, catalog):
     snapshot = stats.snapshot()
     assert snapshot["views_materialized"] == 2
     assert snapshot["materialize_seconds"] == stats.materialize_seconds
-    assert "2 view(s) materialized in " in pipeline.report()
     # Maintenance is not materialization.
     pipeline.insert("orders", [fresh_order_row(pipeline)])
     pipeline.drain()

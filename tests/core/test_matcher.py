@@ -137,25 +137,6 @@ class TestStatistics:
         assert matcher.statistics.invocations == 0
         assert matcher.statistics.rejects_by_reason == {}
 
-    def test_report_renders_funnel_and_reasons(self, catalog):
-        matcher = ViewMatcher(catalog, use_filter_tree=False)
-        matcher.register_view(
-            "v1", catalog.bind_sql("select l_orderkey as k from lineitem")
-        )
-        matcher.register_view(
-            "v2", catalog.bind_sql("select o_orderkey as k from orders")
-        )
-        matcher.match_sql("select l_orderkey from lineitem")
-        report = matcher.statistics.report()
-        assert "invocations:" in report
-        assert "tables" in report
-        assert "substitutes/invocation" in report
-
-    def test_report_without_rejections(self, catalog):
-        matcher = ViewMatcher(catalog)
-        report = matcher.statistics.report()
-        assert "rejections" not in report
-
     def test_zero_division_guards(self, catalog):
         matcher = ViewMatcher(catalog)
         stats = matcher.statistics

@@ -34,7 +34,8 @@ def journal_events():
 
 
 class StubServer:
-    """Duck-typed stand-in for ViewServer: stats + telemetry + slo."""
+    """Duck-typed stand-in for ViewServer: the dashboard reads only
+    ``stats()``."""
 
     def __init__(self):
         self.telemetry = TelemetryHub()
@@ -52,7 +53,8 @@ class StubServer:
         self.slo.record(0.5)  # slow: burns budget
 
     def stats(self):
-        # Like ViewServer.stats(): counters and sketches from one hub.
+        # Like ViewServer.stats(): counters and sketches from one hub,
+        # the reject funnel, CDC and SLO beside them.
         telemetry = self.telemetry.snapshot()
         return {
             "epoch": 3,
@@ -76,6 +78,7 @@ class StubServer:
                 "head_lsn": 42,
                 "views": {"mv": {"lag_seconds": 1.25}},
             },
+            "slo": self.slo.snapshot(),
         }
 
 

@@ -163,4 +163,7 @@ class TestSerialization:
         sketch = DDSketch()
         sketch.record(0.002)
         snap = sketch.snapshot()
-        assert set(snap) == {"count", "mean", "min", "max", "p50", "p90", "p99"}
+        assert set(snap) == {
+            "count", "sum", "mean", "min", "max", "p50", "p90", "p99",
+        }
+        assert snap["sum"] == pytest.approx(0.002)

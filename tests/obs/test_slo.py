@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.slo import SloObjectives, SloTracker
+from repro.obs.telemetry import render_prometheus
 
 
 class FakeClock:
@@ -107,11 +108,11 @@ class TestExport:
         assert snap["objectives"]["target_p99_seconds"] == 0.005
         assert set(snap["burn_rates"]) == {"60", "300"}
 
-    def test_to_prometheus_lines(self):
+    def test_snapshot_renders_prometheus_lines(self):
         tracker, _ = make_tracker()
         tracker.record(0.001)
         tracker.record(0.001, error=True)
-        text = tracker.to_prometheus(prefix="repro")
+        text = render_prometheus({"slo": tracker.snapshot()}, prefix="repro")
         assert "repro_slo_requests_total 2" in text
         assert "repro_slo_bad_total 1" in text
         assert 'repro_slo_burn_rate{window_seconds="60"}' in text

@@ -20,6 +20,7 @@ from repro.obs.telemetry import (
     TelemetryHub,
     TraceContext,
     current_trace_context,
+    render_prometheus,
     set_telemetry_hub,
     telemetry_hub,
     trace_context,
@@ -63,8 +64,9 @@ class TestTelemetryHub:
         hub.increment("requests")
         hub.increment("requests", 4)
         hub.record("latency", 0.002)
-        assert hub.counters() == {"requests": 5}
-        assert hub.sketch_snapshots()["latency"]["count"] == 1
+        snapshot = hub.snapshot()
+        assert snapshot["counters"] == {"requests": 5}
+        assert snapshot["sketches"]["latency"]["count"] == 1
 
     def test_span_ring_is_bounded(self):
         hub = TelemetryHub()
@@ -74,17 +76,17 @@ class TestTelemetryHub:
         assert len(spans) == 512
         assert spans[-1]["attributes"]["index"] == 599
 
-    def test_to_prometheus_renders_counters_and_summaries(self):
+    def test_snapshot_renders_counters_and_summaries(self):
         hub = TelemetryHub()
         hub.increment("match_invocations", 2)
         hub.record("match_seconds", 0.002)
-        text = hub.to_prometheus(prefix="repro")
+        text = render_prometheus({"telemetry": hub.snapshot()})
         assert "# TYPE repro_match_invocations_total counter" in text
         assert "repro_match_invocations_total 2" in text
         assert 'repro_match_seconds{quantile="0.99"}' in text
         assert "repro_match_seconds_count 1" in text
         assert text.endswith("\n")
-        assert TelemetryHub().to_prometheus() == ""
+        assert render_prometheus({"telemetry": TelemetryHub().snapshot()}) == ""
 
     def test_reset_clears_everything(self):
         hub = TelemetryHub()
@@ -92,7 +94,7 @@ class TestTelemetryHub:
         hub.record("s", 1.0)
         hub.record_span("x", 1.0)
         hub.reset()
-        assert hub.counters() == {}
+        assert hub.snapshot()["counters"] == {}
         assert hub.spans() == ()
 
     def test_global_hub_swap(self):
@@ -181,7 +183,8 @@ class TestTraceStitching:
         }
         assert {"cdc.scan", "cdc.merge"} <= stitched
         # Per-view CDC lag landed in the shared hub as a sketch.
-        assert hub.sketch_snapshots()["cdc_view_lag_seconds.mv"]["count"] >= 1
+        sketches = hub.snapshot()["sketches"]
+        assert sketches["cdc_view_lag_seconds.mv"]["count"] >= 1
 
     def test_untraced_cdc_spans_carry_no_trace_id(self):
         catalog = tpch_catalog()

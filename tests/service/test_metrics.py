@@ -2,17 +2,17 @@
 
 Counters are ``hub.increment(name)``; a serving stage's latency is the
 hub sketch ``{stage}_seconds``, summarised in ``stats()["latency"]``
-with the seven keys ``count / mean / min / max / p50 / p90 / p99``.
+with the eight keys ``count / sum / mean / min / max / p50 / p90 / p99``.
 """
 
 import pytest
 
-from repro.obs.telemetry import TelemetryHub
+from repro.obs.telemetry import TelemetryHub, render_prometheus
 from repro.service import ViewServer
 
 BASE_ONLY = "select o_orderkey, o_totalprice from orders where o_totalprice > 100"
 
-STAGE_KEYS = {"count", "mean", "min", "max", "p50", "p90", "p99"}
+STAGE_KEYS = {"count", "sum", "mean", "min", "max", "p50", "p90", "p99"}
 
 
 class TestCounter:
@@ -20,7 +20,7 @@ class TestCounter:
         hub = TelemetryHub()
         hub.increment("requests")
         hub.increment("requests", 4)
-        assert hub.counters() == {"requests": 5}
+        assert hub.snapshot()["counters"] == {"requests": 5}
 
 
 class TestLatencyHistogram:
@@ -39,7 +39,7 @@ class TestLatencyHistogram:
         hub = TelemetryHub()
         for value in (0.001, 0.002, 0.003):
             hub.record("total_seconds", value)
-        snapshot = hub.sketch_snapshots()["total_seconds"]
+        snapshot = hub.snapshot()["sketches"]["total_seconds"]
         assert snapshot["count"] == 3
         assert snapshot["mean"] == pytest.approx(0.002)
         assert snapshot["min"] == pytest.approx(0.001)
@@ -50,7 +50,7 @@ class TestLatencyHistogram:
         # sample reports that sample at every percentile.
         hub = TelemetryHub()
         hub.record("total_seconds", 0.0042)
-        snapshot = hub.sketch_snapshots()["total_seconds"]
+        snapshot = hub.snapshot()["sketches"]["total_seconds"]
         assert snapshot["p50"] == snapshot["p99"] == 0.0042
 
 
@@ -110,9 +110,9 @@ class TestPrometheusRoundTrip:
         hub = TelemetryHub()
         hub.increment("requests", 7)
         hub.record("total_seconds", 0.002)
-        first = hub.to_prometheus(prefix="repro")
+        first = render_prometheus({"telemetry": hub.snapshot()}, "repro")
         hub.record("total_seconds", 1.5)
-        second = hub.to_prometheus(prefix="repro")
+        second = render_prometheus({"telemetry": hub.snapshot()}, "repro")
         assert "# TYPE repro_requests_total counter" in first
         assert "repro_requests_total 7" in first.splitlines()
         assert "# TYPE repro_total_seconds summary" in first

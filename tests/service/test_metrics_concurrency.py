@@ -8,7 +8,7 @@ torn structure.
 
 import threading
 
-from repro.obs.telemetry import TelemetryHub
+from repro.obs.telemetry import TelemetryHub, render_prometheus
 from repro.service import ViewServer
 
 THREADS = 8
@@ -42,7 +42,7 @@ class TestCreationRace:
             hub.increment("requests")
 
         hammer(worker)
-        assert hub.counters() == {"requests": THREADS}
+        assert hub.snapshot()["counters"] == {"requests": THREADS}
 
     def test_racing_histogram_and_sketch_creation(self):
         hub = TelemetryHub()
@@ -52,7 +52,7 @@ class TestCreationRace:
             hub.record("worker_seconds", 0.002)
 
         hammer(worker)
-        sketches = hub.sketch_snapshots()
+        sketches = hub.snapshot()["sketches"]
         assert sorted(sketches) == ["total_seconds", "worker_seconds"]
         assert sketches["total_seconds"]["count"] == THREADS
         assert sketches["worker_seconds"]["count"] == THREADS
@@ -65,7 +65,7 @@ class TestCreationRace:
                 hub.increment(f"c_{index}_{i}")
 
         hammer(worker)
-        counters = hub.counters()
+        counters = hub.snapshot()["counters"]
         assert len(counters) == THREADS * 50
         assert all(value == 1 for value in counters.values())
 
@@ -80,10 +80,13 @@ class TestConcurrentRecording:
                 hub.record(f"latency_{index}_seconds", 0.001)
 
         hammer(worker)
-        assert all(value == ITERATIONS for value in hub.counters().values())
+        snapshot = hub.snapshot()
+        assert all(
+            value == ITERATIONS for value in snapshot["counters"].values()
+        )
         assert all(
             snap["count"] == ITERATIONS
-            for snap in hub.sketch_snapshots().values()
+            for snap in snapshot["sketches"].values()
         )
 
     def test_shared_counter_loss_is_bounded(self):
@@ -95,7 +98,7 @@ class TestConcurrentRecording:
 
         hammer(worker)
         # The hub's lock bounds the loss at zero: the count is exact.
-        assert hub.counters() == {"shared": THREADS * ITERATIONS}
+        assert hub.snapshot()["counters"] == {"shared": THREADS * ITERATIONS}
 
     def test_shared_histogram_stays_structurally_sound(self):
         hub = TelemetryHub()
@@ -111,7 +114,7 @@ class TestConcurrentRecording:
         # Bucket tallies and the count are updated under one lock, so
         # they agree exactly.
         assert sum(wire["buckets"].values()) + wire["zero_count"] == expected
-        snapshot = hub.sketch_snapshots()["shared_seconds"]
+        snapshot = hub.snapshot()["sketches"]["shared_seconds"]
         assert snapshot["min"] <= snapshot["p50"] <= snapshot["max"]
 
     def test_reads_concurrent_with_writes_never_tear(self):
@@ -124,7 +127,7 @@ class TestConcurrentRecording:
             while not stop.is_set():
                 try:
                     snapshot = hub.snapshot()
-                    hub.to_prometheus()
+                    render_prometheus({"telemetry": snapshot})
                 except Exception as exc:  # pragma: no cover - the failure
                     failures.append(exc)
                     return
@@ -154,7 +157,8 @@ class TestConcurrentRecording:
             stop.set()
             thread.join()
         assert failures == []
-        assert sum(hub.counters().values()) == THREADS * ITERATIONS
+        counters = hub.snapshot()["counters"]
+        assert sum(counters.values()) == THREADS * ITERATIONS
 
 
 class TestServerCounts:

@@ -38,7 +38,7 @@ class TestTelemetryHubWiring:
         with ViewServer(catalog, paper_stats) as first:
             with ViewServer(catalog, paper_stats) as second:
                 first.serve(BASE_ONLY)
-                counters = second.telemetry.counters()
+                counters = second.telemetry.snapshot()["counters"]
                 assert counters.get("match_invocations", 0) == 0
 
     def test_prometheus_includes_hub_metrics(self, slo_server):

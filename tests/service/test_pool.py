@@ -70,7 +70,7 @@ class TestWorkerPool:
         try:
             blocker = pool.submit(0.3)
             deadline = time.monotonic() + WAIT
-            while pool.busy() == 0 and time.monotonic() < deadline:
+            while pool.stats()["busy"] == 0 and time.monotonic() < deadline:
                 time.sleep(0.005)  # wait for dispatch so queue slots free up
             queued = [pool.submit(0) for _ in range(2)]
             with pytest.raises(PoolSaturatedError):
@@ -107,7 +107,7 @@ class TestWorkerPool:
                 i * 2 for i in range(5)
             ]
             deadline = time.monotonic() + WAIT
-            while pool.worker_count() < 1 and time.monotonic() < deadline:
+            while pool.stats()["workers"] < 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
             stats = pool.stats()
             assert stats["workers"] == 1  # capacity recovered
@@ -140,12 +140,12 @@ class TestWorkerPool:
                 time.sleep(0.01)
             else:
                 pytest.fail("swap never produced a new-generation answer")
-            assert pool.generation == 1
+            assert pool.stats()["generation"] == 1
             assert pool.stats()["swaps"] == 1
             deadline = time.monotonic() + WAIT
-            while pool.worker_count() != 2 and time.monotonic() < deadline:
+            while pool.stats()["workers"] != 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert pool.worker_count() == 2  # old fleet fully retired
+            assert pool.stats()["workers"] == 2  # old fleet fully retired
         finally:
             pool.close()
 
@@ -154,13 +154,13 @@ class TestWorkerPool:
         futures = [pool.submit(i) for i in range(5)]
         pool.close(drain=True)
         assert [f.result(timeout=0) for f in futures] == list(range(5))
-        assert pool.worker_count() == 0
+        assert pool.stats()["workers"] == 0
 
     def test_nondrain_close_fails_backlog_fast(self):
         pool = WorkerPool(lambda x: time.sleep(x) or x, workers=1)
         blocker = pool.submit(0.2)
         deadline = time.monotonic() + WAIT
-        while pool.busy() == 0 and time.monotonic() < deadline:
+        while pool.stats()["busy"] == 0 and time.monotonic() < deadline:
             time.sleep(0.005)
         queued = [pool.submit(0) for _ in range(3)]
         pool.close(drain=False)
@@ -333,9 +333,12 @@ class TestServingPool:
             server.register_view("pv_line", VIEW_SQL)
             pool = server.serving_pool
             deadline = time.monotonic() + WAIT
-            while pool.epoch != server.epoch and time.monotonic() < deadline:
+            while (
+                pool.stats()["epoch"] != server.epoch
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
-            assert pool.epoch == server.epoch
+            assert pool.stats()["epoch"] == server.epoch
             deadline = time.monotonic() + WAIT
             while time.monotonic() < deadline:
                 after = server.rewrite(QUERY_SQL)
@@ -399,9 +402,12 @@ class TestServingPool:
             )
             pool = server.serving_pool
             deadline = time.monotonic() + WAIT
-            while pool.epoch != server.epoch and time.monotonic() < deadline:
+            while (
+                pool.stats()["epoch"] != server.epoch
+                and time.monotonic() < deadline
+            ):
                 time.sleep(0.01)
-            assert pool.epoch == server.epoch  # the publish was picked up
+            assert pool.stats()["epoch"] == server.epoch  # the publish was picked up
             assert server.rewrite(QUERY_SQL).ok
             # The retired generation exits on its own; wait it out.
             deadline = time.monotonic() + WAIT
