@@ -29,7 +29,6 @@ Quickstart::
         print(match.view.name, "->", match.substitute)
 """
 
-from .advisor import CandidateView, Recommendation, ViewAdvisor
 from .cdc import (
     CdcPipeline,
     ChangeApplier,
@@ -60,7 +59,6 @@ from .core import (
     ViewMatcher,
     describe,
     match_view,
-    matcher_for_catalog,
 )
 from .datagen import generate_tpch
 from .difftest import (
@@ -100,7 +98,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BindError",
-    "CandidateView",
     "CdcDifftestConfig",
     "CdcDifftestReport",
     "CdcPipeline",
@@ -108,9 +105,7 @@ __all__ = [
     "ChangeLog",
     "ChangeRecord",
     "FreshnessTracker",
-    "Recommendation",
     "StalenessBound",
-    "ViewAdvisor",
     "ViewFreshness",
     "Catalog",
     "CatalogError",
@@ -155,7 +150,6 @@ __all__ = [
     "execute",
     "generate_tpch",
     "match_view",
-    "matcher_for_catalog",
     "materialize_view",
     "parse_select",
     "parse_view",

@@ -366,13 +366,15 @@ class ChangeApplier:
             elapsed = self._clock() - started
             self.stats.merge_seconds += elapsed
             self._record_phase("merge", elapsed, batches=merged_total)
-            hub = self._hub()
-            for name in names:
-                freshness = self.freshness.freshness(name)
-                if freshness is not None:
-                    hub.record(
-                        f"cdc_view_lag_seconds.{name}", freshness.lag_seconds
-                    )
+            if merged_total:  # a no-op merge (drain's last) samples no lag
+                hub = self._hub()
+                for name in names:
+                    freshness = self.freshness.freshness(name)
+                    if freshness is not None:
+                        hub.record(
+                            f"cdc_view_lag_seconds.{name}",
+                            freshness.lag_seconds,
+                        )
         self._notify(touched)
         return merged_total
 

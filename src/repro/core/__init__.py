@@ -6,13 +6,12 @@ from .filtertree import FilterTree, RegisteredView
 from .fkgraph import FkEdge, build_fk_join_graph, compute_hub, eliminate_tables
 from .interning import KeyInterner
 from .intervalsets import IntervalSet, OrRangePredicate, as_or_range
-from .matcher import MatcherStatistics, ViewMatcher, matcher_for_catalog
+from .matcher import MatcherStatistics, ViewMatcher
 from .matching import MatchResult, RejectReason, ViewRecord, match_view
 from .normalize import ClassifiedPredicate, classify_predicate, to_cnf
 from .options import DEFAULT_OPTIONS, MatchOptions
 from .ranges import Bound, Interval, RangePredicate, as_range_predicate, derive_ranges
 from .residual import ShallowForm, match_residuals
-from .unions import UnionSubstitute, find_union_substitutes
 
 __all__ = [
     "Bound",
@@ -35,7 +34,6 @@ __all__ = [
     "RejectReason",
     "ShallowForm",
     "SpjgDescription",
-    "UnionSubstitute",
     "ViewRecord",
     "ViewMatcher",
     "as_range_predicate",
@@ -45,10 +43,8 @@ __all__ = [
     "derive_ranges",
     "describe",
     "eliminate_tables",
-    "find_union_substitutes",
     "match_residuals",
     "match_view",
-    "matcher_for_catalog",
     "to_cnf",
     "validate_view_description",
 ]

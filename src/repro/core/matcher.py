@@ -157,15 +157,6 @@ class ViewMatcher:
         validate_view_description(description)
         return self.filter_tree.register(description)
 
-    def register_from_catalog(self) -> int:
-        """Register every view currently defined in the catalog."""
-        count = 0
-        for view in self.catalog.views():
-            if self.filter_tree.view(view.name) is None:
-                self.register_view(view.name, view.query)
-                count += 1
-        return count
-
     def unregister_view(self, name: str) -> None:
         """Remove a view from the registry and the filter tree."""
         self.filter_tree.unregister(name)
@@ -344,33 +335,6 @@ class ViewMatcher:
         """Convenience: parse, bind, and match a SELECT statement."""
         return self.substitutes(self.catalog.bind_sql(sql))
 
-    def union_substitutes(self, query: SpjgDescription | SelectStatement):
-        """Union substitutes (Section 7) over the registered views.
-
-        Runs the restricted multi-view search of
-        :func:`repro.core.unions.find_union_substitutes` on the filter
-        tree's candidate set. Union substitutes do not participate in the
-        single-view statistics counters.
-        """
-        from .unions import find_union_substitutes
-
-        if isinstance(query, SelectStatement):
-            query = self.describe_query(query)
-        # Off the request path: each candidate's description is re-derived.
-        candidates = [view.description for view in self.candidates(query)]
-        return find_union_substitutes(query, candidates, self.options)
-
-
-def matcher_for_catalog(
-    catalog: "Catalog",
-    options: MatchOptions = DEFAULT_OPTIONS,
-    use_filter_tree: bool = True,
-) -> ViewMatcher:
-    """Build a matcher and register every view already in the catalog."""
-    matcher = ViewMatcher(catalog, options=options, use_filter_tree=use_filter_tree)
-    matcher.register_from_catalog()
-    return matcher
-
 
 __all__ = [
     "MatchError",
@@ -378,5 +342,4 @@ __all__ = [
     "MatchResult",
     "RejectReason",
     "ViewMatcher",
-    "matcher_for_catalog",
 ]

@@ -366,9 +366,9 @@ class WorkloadAggregate:
         )[:limit]
 
     def to_advisor_input(self, *, top: int = 100) -> Dict[str, Any]:
-        """The aggregate in the shape ``repro.advisor`` consumes: one
-        entry per distinct query shape with frequency and sample SQL,
-        plus the funnel explaining what blocked rewrites."""
+        """The aggregate as a view advisor's input (``workload-report
+        --json``): one entry per distinct query shape with frequency and
+        sample SQL, plus the funnel explaining what blocked rewrites."""
 
         return {
             "schema_version": EVENT_VERSION,

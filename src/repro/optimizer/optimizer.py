@@ -242,25 +242,6 @@ class Optimizer:
             preaggregations_dropped=search.preaggregations_dropped,
         )
 
-    def explain(self, statement: SelectStatement) -> str:
-        """Optimize and render the chosen plan plus instrumentation.
-
-        A convenience for interactive use: the plan tree with per-node
-        row/cost estimates, which views it reads, and the view-matching
-        counters for this optimization.
-        """
-        from .plans import describe_plan
-
-        result = self.optimize(statement)
-        lines = [describe_plan(result.plan)]
-        lines.append(
-            f"cost={result.cost:.0f} "
-            f"views={list(result.view_names) or 'none'} "
-            f"rule-invocations={result.invocations} "
-            f"substitutes={result.substitutes_produced}"
-        )
-        return "\n".join(lines)
-
     def view_estimated_rows(self, view: ViewRecord) -> float:
         """The cardinality estimate of a registered view's extent.
 

@@ -408,8 +408,11 @@ def _build_handler(catalog, snapshot):
     (the server's telemetry hub, its statement memo): it binds and
     fingerprints with a child-private memo -- a worker sees a text again
     whenever the parent's cache cannot answer it (cache off, or a
-    ``max_staleness`` request) -- and optimizes against the pinned
-    snapshot. It returns a compact response frame,
+    bounded-staleness request) -- and optimizes against the pinned
+    snapshot. A bounded request carries the parent's frozen verdicts, a
+    ``{view: detail}`` map of the views too stale to read (``None`` for
+    an unbounded request): the worker's fork-time freshness tracker
+    lags the change log. It returns a compact response frame,
     ``(epoch, fingerprint, error, timed_out, result, serve_seconds)``:
     ``result`` is the optimization's :meth:`OptimizationResult.to_frame`
     -- scalars plus the plan as bytes, which the parent decodes only if
@@ -419,7 +422,7 @@ def _build_handler(catalog, snapshot):
     statements = LruMemo(_STATEMENT_MEMO_CAPACITY)
 
     def handle(payload) -> tuple:
-        sql, max_staleness, deadline_at = payload
+        sql, stale, deadline_at = payload
         started = time.perf_counter()
         fingerprint = None
         try:
@@ -430,13 +433,10 @@ def _build_handler(catalog, snapshot):
                 statements.put(sql, (statement, fingerprint))
             else:
                 statement, fingerprint = pair
-            staleness = (
-                snapshot.staleness_bound(max_staleness)
-                if max_staleness is not None
-                else None
-            )
             result = snapshot.optimizer.optimize(
-                statement, staleness=staleness, deadline=deadline_at
+                statement,
+                staleness=stale.get if stale is not None else None,
+                deadline=deadline_at,
             )
         except DeadlineExceeded:
             return (snapshot.epoch, fingerprint, None, True, None, 0.0)
@@ -472,10 +472,9 @@ class ServingPool:
     them, and that thread completes the future the blocked
     :meth:`rewrite` call waits on with the finished :class:`ServedResult`.
 
-    Bounded-staleness note: freshness is evaluated against the worker's
-    snapshot as of its fork, so a bounded request observes view lag with
-    up to one generation of slack; callers needing exact freshness use
-    the in-process path (:meth:`ViewServer.serve`).
+    A bounded-staleness request is judged in the parent, against the
+    freshness tracker as of the request (a worker's copy is as old as
+    its fork), and ships its verdicts to the worker.
     """
 
     def __init__(
@@ -573,9 +572,14 @@ class ServingPool:
                     )
                     server._observe(served)
                     return served
+        stale = None
+        if max_staleness is not None:
+            bound = server.snapshots.current.staleness_bound(max_staleness)
+            if bound is not None:
+                stale = {name: bound(name) for name in bound.stale_views}
         try:
             future = self._pool.submit(
-                (sql, max_staleness, deadline_at),
+                (sql, stale, deadline_at),
                 partial(self._finish, sql, started, max_staleness),
             )
         except PoolSaturatedError:

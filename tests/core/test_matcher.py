@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ViewMatcher, matcher_for_catalog
+from repro.core import ViewMatcher
 from repro.errors import MatchError
 
 
@@ -33,39 +33,6 @@ class TestRegistration:
         )
         matcher.unregister_view("v1")
         assert matcher.view_count == 0
-
-    def test_matcher_for_catalog_registers_catalog_views(self, catalog):
-        import copy
-
-        from repro.catalog import tpch_catalog
-
-        cat = tpch_catalog()
-        cat.add_view("create view cv as select l_orderkey as k from lineitem")
-        matcher = matcher_for_catalog(cat)
-        assert matcher.view_count == 1
-
-    @pytest.mark.parametrize("preregistered", [1, 3])
-    def test_register_from_catalog_registers_each_view_once(self, preregistered):
-        from repro.catalog import tpch_catalog
-
-        cat = tpch_catalog()
-        for n in range(6):
-            cat.add_view(
-                f"create view cv{n} as select l_orderkey as k, "
-                f"l_quantity as q from lineitem where l_quantity >= {n}"
-            )
-        matcher = ViewMatcher(cat)
-        for n in range(preregistered):
-            matcher.register_view(
-                f"cv{n}", cat.bind_sql("select l_orderkey as k from lineitem")
-            )
-        # Views already registered under a catalog name are skipped.
-        assert matcher.register_from_catalog() == 6 - preregistered
-        assert sorted(view.name for view in matcher.registered_views()) == [
-            f"cv{n}" for n in range(6)
-        ]
-        assert matcher.register_from_catalog() == 0
-        assert matcher.view_count == 6
 
 
 class TestMatching:

@@ -229,48 +229,6 @@ def test_accepted_substitutes_are_sound_with_extensions(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    spjg_statements(for_view=True),
-    spjg_statements(for_view=True),
-    spjg_statements(for_view=False),
-)
-def test_union_substitutes_are_sound(view_a, view_b, query_statement):
-    """Any union substitute over random views is bag-equivalent too."""
-    from repro.core.unions import find_union_substitutes
-
-    views = []
-    for i, statement in enumerate((view_a, view_b)):
-        description = describe(statement, CATALOG, name=f"uv{i}")
-        try:
-            validate_view_description(description)
-        except MatchError:
-            continue
-        views.append(description)
-    if len(views) < 2:
-        return
-    query_description = describe(query_statement, CATALOG)
-    substitutes = find_union_substitutes(query_description, views)
-    if not substitutes:
-        return
-    database = Database()
-    for name in DATABASE.names():
-        relation = DATABASE.relation(name)
-        database.store(name, relation.columns, relation.rows)
-    for description in views:
-        materialize_view(
-            description.name, description.statement, database
-        )
-    expected = execute(query_statement, database)
-    for substitute in substitutes:
-        actual = substitute.execute(database)
-        assert expected.bag_equals(actual, float_digits=9), (
-            f"\nquery: {statement_to_sql(query_statement)}"
-            f"\nviews: {statement_to_sql(view_a)} | {statement_to_sql(view_b)}"
-            f"\npieces: {[statement_to_sql(p) for p in substitute.pieces]}"
-        )
-
-
-@settings(max_examples=200, deadline=None)
 @given(spjg_statements(for_view=True))
 def test_every_view_answers_itself(view_statement):
     """Reflexivity: a view must always be able to answer its own query."""

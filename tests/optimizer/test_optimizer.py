@@ -249,24 +249,3 @@ class TestEdgeCases:
         first = optimizer.view_estimated_rows(view)
         second = optimizer.view_estimated_rows(view)
         assert first == second
-
-
-class TestExplain:
-    def test_explain_renders_plan_and_counters(self, catalog, tiny_stats):
-        matcher = ViewMatcher(catalog)
-        matcher.register_view(
-            "vq",
-            catalog.bind_sql(
-                "select l_orderkey as k, l_quantity as q from lineitem "
-                "where l_quantity > 20"
-            ),
-        )
-        optimizer = Optimizer(catalog, tiny_stats, matcher=matcher)
-        text = optimizer.explain(
-            catalog.bind_sql(
-                "select l_orderkey, l_quantity from lineitem where l_quantity > 25"
-            )
-        )
-        assert "cost=" in text
-        assert "rule-invocations=" in text
-        assert "vq" in text

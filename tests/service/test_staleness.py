@@ -11,6 +11,7 @@ import re
 import pytest
 
 from repro.cdc import CdcPipeline
+from repro.core.parallel import fork_available
 from repro.datagen import generate_tpch
 from repro.service import ViewServer
 
@@ -97,6 +98,25 @@ def test_positive_bound_tracks_wall_clock_lag(server, pipeline, clock):
     assert server.rewrite(QUERY, max_staleness=10.0).uses_view
     clock.advance(30.0)
     assert not server.rewrite(QUERY, max_staleness=10.0).uses_view
+
+
+@pytest.mark.skipif(not fork_available(), reason="os.fork unavailable")
+def test_pooled_bound_judges_freshness_at_request_time(server, pipeline, clock):
+    """A pool worker holds its fork-time copy of the freshness tracker, so
+    a pooled bounded request must be judged by the parent's, as of the
+    request -- exactly as the in-process path judges it."""
+    server.start_pool(workers=1)
+    pipeline.insert("orders", [fresh_order_row(pipeline)])  # no drain
+    assert not server.serve(QUERY, max_staleness=0).uses_view
+    strict = server.rewrite(QUERY, max_staleness=0)
+    assert strict.ok and not strict.uses_view
+    assert strict.max_staleness == 0
+    clock.advance(3.0)
+    assert server.rewrite(QUERY, max_staleness=10.0).uses_view
+    clock.advance(30.0)
+    assert not server.rewrite(QUERY, max_staleness=10.0).uses_view
+    pipeline.drain()
+    assert server.rewrite(QUERY, max_staleness=0).uses_view
 
 
 def test_stale_rejections_reach_funnel_and_prometheus(server, pipeline):

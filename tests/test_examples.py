@@ -73,8 +73,3 @@ class TestExamples:
         output = run_example("scaling_experiment.py", "--quick")
         assert "Figure 2" in output
         assert "Figure 4" in output
-
-    @pytest.mark.slow
-    def test_view_advisor(self):
-        output = run_example("view_advisor.py")
-        assert "verified:" in output

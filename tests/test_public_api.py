@@ -23,7 +23,6 @@ SUBPACKAGES = [
     "repro.optimizer",
     "repro.workload",
     "repro.experiments",
-    "repro.advisor",
     "repro.service",
     "repro.cdc",
 ]
