@@ -110,9 +110,11 @@ class StalenessBound:
         lag_seconds = 0.0
         index = applied - self._base_lsn
         if index < 0:
-            raise ValueError(
-                f"records after lsn {applied} already truncated "
-                f"(retained window starts after {self._base_lsn})"
+            # Its first unapplied record is gone, and with it the lag.
+            return (
+                f"records after applied lsn {applied} already truncated "
+                f"(retained window starts after {self._base_lsn}); "
+                "lag unknown"
             )
         if index < len(self._records):
             first = self._records[index]

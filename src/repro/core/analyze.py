@@ -176,7 +176,7 @@ def _seed_classes(
     return EquivalenceClasses(domain=column_domain(catalog, tables))
 
 
-def _classify(conjunct: Expression, support_or_ranges: bool) -> tuple:
+def _classify(conjunct: Expression) -> tuple:
     """One conjunct's ``(kind, payload)``, with everything derived from it.
 
     The payload is the column-key pair of an equality, the
@@ -191,7 +191,7 @@ def _classify(conjunct: Expression, support_or_ranges: bool) -> tuple:
     if range_predicate is not None:
         return _RANGE, (range_predicate, range_predicate.interval())
     residual = _canonicalize_residual(conjunct)
-    recognised = as_or_range(residual) if support_or_ranges else None
+    recognised = as_or_range(residual)
     form = ShallowForm.of(residual) if recognised is None else None
     return _RESIDUAL, (residual, recognised, form)
 
@@ -289,15 +289,10 @@ def analyze_statement(
     statement: SelectStatement,
     tables: frozenset[str],
     catalog: "Catalog",
-    options: MatchOptions,
 ) -> PredicateAnalysis:
     """Analyze a statement's WHERE clause in a single conjunct sweep."""
-    support_or_ranges = options.support_or_ranges
     return _assemble(
-        (
-            _classify(conjunct, support_or_ranges)
-            for conjunct in to_cnf(statement.where)
-        ),
+        (_classify(conjunct) for conjunct in to_cnf(statement.where)),
         _seed_classes(catalog, tables),
     )
 
@@ -394,11 +389,7 @@ class QueryAnalysis:
         self._table_refs = [TableRef(name) for name in names]
         outside = 1 << len(names)  # a table no block contains
         self.conjuncts: tuple[Expression, ...] = to_cnf(statement.where)
-        support_or_ranges = options.support_or_ranges
-        self._classified = [
-            _classify(conjunct, support_or_ranges)
-            for conjunct in self.conjuncts
-        ]
+        self._classified = [_classify(conjunct) for conjunct in self.conjuncts]
         #: Per conjunct, the ``(key, key)`` of a column equality, else None.
         self.conjunct_equalities: list[tuple[ColumnKey, ColumnKey] | None] = [
             payload if kind == _EQUALITY else None

@@ -31,7 +31,6 @@ from .analyze import (
 from .equivalence import ColumnKey
 from .intervalsets import OrRangePredicate
 from .normalize import ClassifiedPredicate
-from .options import DEFAULT_OPTIONS, MatchOptions
 from .ranges import Interval
 from .residual import ShallowForm
 
@@ -112,7 +111,6 @@ class SpjgDescription:
         "statement",
         "catalog",
         "name",
-        "options",
         "tables",
         "_analysis",
         "_block",
@@ -135,14 +133,12 @@ class SpjgDescription:
         statement: SelectStatement,
         catalog: "Catalog",
         name: str | None = None,
-        options: MatchOptions = DEFAULT_OPTIONS,
     ) -> None:
         """Describe ``statement`` from scratch: one fused sweep over its
         CNF conjuncts (see :mod:`repro.core.analyze`)."""
         self.statement = statement
         self.catalog = catalog
         self.name = name
-        self.options = options
         tables = frozenset(statement.table_names())
         if not tables:
             raise UnsupportedSqlError("statement references no tables")
@@ -150,7 +146,7 @@ class SpjgDescription:
         self._analysis = None
         self._block = None
         self._set_predicates(
-            analyze_statement(statement, self.tables, catalog, options)
+            analyze_statement(statement, self.tables, catalog)
         )
         self.is_aggregate = statement.is_aggregate
         self._side = None
@@ -167,7 +163,6 @@ class SpjgDescription:
         description = cls.__new__(cls)
         description.catalog = analysis.catalog
         description.name = None
-        description.options = analysis.options
         description._analysis = analysis
         description._side = None
         if block is None:
@@ -368,8 +363,8 @@ class SpjgDescription:
     def range_constrained_classes(self) -> tuple[frozenset[ColumnKey], ...]:
         """The equivalence classes that carry at least one range bound.
 
-        Disjunctive ranges (the OR extension) count as range constraints
-        too: their presence in a view demands a corresponding constraint in
+        Disjunctive ranges (OR / IN) count as range constraints too:
+        their presence in a view demands a corresponding constraint in
         the query just like a plain bound does.
         """
         representatives = set(self.ranges)
@@ -403,10 +398,9 @@ def describe(
     statement: SelectStatement,
     catalog: "Catalog",
     name: str | None = None,
-    options: MatchOptions = DEFAULT_OPTIONS,
 ) -> SpjgDescription:
     """Build the description of a bound SPJG statement."""
-    return SpjgDescription(statement, catalog, name=name, options=options)
+    return SpjgDescription(statement, catalog, name=name)
 
 
 def describe_block(
@@ -422,8 +416,7 @@ def describe_block(
     under its local conjuncts, selecting ``select_items`` (default: the
     columns the rest of the query needs from it) grouped by ``group_by``
     -- is built on the result's first read of ``statement``; the
-    description equals ``describe`` of that statement under the
-    analysis's options.
+    description equals ``describe`` of that statement.
     """
     return SpjgDescription.of_block(analysis, block, select_items, group_by)
 

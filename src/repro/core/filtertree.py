@@ -43,9 +43,10 @@ from .describe import SpjgDescription, describe
 from .equivalence import ColumnKey
 from .fkgraph import hub_over
 from .interning import KeyInterner, PackedBitsetTable
+from .intervalsets import as_or_range
 from .matching import ViewRecord, _dedupe
 from .normalize import classify_predicate
-from .options import DEFAULT_OPTIONS, MatchOptions
+from .parts import shared_parts
 from .residual import ShallowForm
 
 if TYPE_CHECKING:
@@ -108,7 +109,6 @@ class RegisteredView:
     def of(
         cls,
         description: SpjgDescription,
-        options: MatchOptions,
         interner: KeyInterner,
         sql: str | None = None,
         batch: dict | None = None,
@@ -119,9 +119,9 @@ class RegisteredView:
         (:meth:`ViewRecord.of`)."""
         if description.name is None:
             raise ValueError("only named views can be registered")
-        record = ViewRecord.of(description, options, batch)
+        record = ViewRecord.of(description, batch)
         return cls(
-            hub_over(description, list(record.fk_edges), options),
+            hub_over(description, list(record.fk_edges)),
             record,
             packed_row(description, interner, batch),
             cls.definition(description.statement) if sql is None else sql,
@@ -159,7 +159,6 @@ class RegisteredView:
             catalog.bind_sql(sql) if type(sql) is str else sql,
             catalog,
             name=record.name,
-            options=record.options,
         )
 
     def __repr__(self) -> str:
@@ -244,33 +243,37 @@ def _split_requirements(requirements: tuple) -> tuple[tuple[int, ...], tuple]:
 
 
 def _catalog_check_keys(
-    catalog: "Catalog", support_or_ranges: bool
-) -> tuple[frozenset[ColumnKey], frozenset[str]]:
-    """Probe keys derived from the catalog's check constraints.
+    catalog: "Catalog",
+) -> tuple[tuple[ColumnKey, ...], tuple[str, ...]]:
+    """Probe keys derived from the catalog's check constraints:
+    ``(range-constrained columns, residual templates)``.
 
     Check constraints strengthen the antecedent, so a view predicate may be
     implied by a check constraint alone; the probe must then include the
     check-derived keys or the filter would prune views the matcher accepts.
     Constraints of *every* catalog table are included because a view's extra
-    tables need not appear in the query. Derived from the live catalog on
-    every call, so a table added later is seen by the next probe.
+    tables need not appear in the query. Derived once per catalog table set
+    (:meth:`SharedParts.checks`), so a table added later is seen by the
+    next request; both are empty when no table declares a check.
     """
-    from .intervalsets import as_or_range
 
-    constrained: set[ColumnKey] = set()
-    templates: set[str] = set()
-    for table in catalog.tables():
-        for check in table.check_constraints:
-            classified = classify_predicate(check.predicate)
-            for rp in classified.range_predicates:
-                constrained.add(rp.column)
-            for conjunct in classified.residuals:
-                recognised = as_or_range(conjunct) if support_or_ranges else None
-                if recognised is not None:
-                    constrained.add(recognised.column)
-                else:
-                    templates.add(ShallowForm.of(conjunct).template)
-    return frozenset(constrained), frozenset(templates)
+    def build() -> tuple[tuple[ColumnKey, ...], tuple[str, ...]]:
+        constrained: set[ColumnKey] = set()
+        templates: set[str] = set()
+        for table in catalog.tables():
+            for check in table.check_constraints:
+                classified = classify_predicate(check.predicate)
+                for rp in classified.range_predicates:
+                    constrained.add(rp.column)
+                for conjunct in classified.residuals:
+                    recognised = as_or_range(conjunct)
+                    if recognised is not None:
+                        constrained.add(recognised.column)
+                    else:
+                        templates.add(ShallowForm.of(conjunct).template)
+        return tuple(constrained), tuple(templates)
+
+    return shared_parts(catalog).checks(tuple(catalog._tables), build)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +320,24 @@ class _RequestKeys:
     rebuilt, so a description probed before a registration stays exact
     after it. A concurrent registration only adds atoms no view of the
     request's snapshot carries, so keys built either side of it agree
-    on that snapshot.
+    on that snapshot. ``checks`` are the catalog's check-constraint keys
+    (:func:`_catalog_check_keys`), read once per request.
     """
 
-    __slots__ = ("interner", "size", "column_bits", "groups", "templates")
+    __slots__ = (
+        "interner",
+        "size",
+        "column_bits",
+        "groups",
+        "templates",
+        "checks",
+    )
 
     def __init__(self, analysis: QueryAnalysis, interner: KeyInterner) -> None:
         known_bit = interner.known_bit
         self.interner = interner
         self.size = len(interner)
+        self.checks = _catalog_check_keys(analysis.catalog)
         self.column_bits = [
             known_bit((_COLUMN, *ref.key)) for ref in analysis.columns
         ]
@@ -383,8 +395,10 @@ class _PackedProbe:
     is exact: every atom of a registered key is interned, so an unknown
     one never witnesses an intersection. Check-constraint keys
     (:func:`_catalog_check_keys`) widen the residual and range levels.
-    A description made from scratch is probed through an analysis of its
-    statement, so every probe takes this one path.
+    Back-join keys widen the output requirements when the request's
+    analysis was made with ``allow_backjoins``. A description made from
+    scratch is probed through an analysis of its statement under the
+    default options, so every probe takes this one path.
     """
 
     __slots__ = (
@@ -398,15 +412,10 @@ class _PackedProbe:
         "_outputs",
     )
 
-    def __init__(
-        self,
-        query: SpjgDescription,
-        options: MatchOptions,
-        interner: KeyInterner,
-    ) -> None:
+    def __init__(self, query: SpjgDescription, interner: KeyInterner) -> None:
         analysis = query.analysis
         if analysis is None:
-            analysis = QueryAnalysis(query.statement, query.catalog, query.options)
+            analysis = QueryAnalysis(query.statement, query.catalog)
         block = query.block
         if block is None:
             mask = None
@@ -418,19 +427,18 @@ class _PackedProbe:
         components = block_keys.components
         residual_templates = block_keys.residual_templates
         constrained_columns = block_keys.constrained_columns
-        if options.use_check_constraints:
-            check_columns, check_templates = _catalog_check_keys(
-                query.catalog, query.options.support_or_ranges
-            )
-            residual_templates += tuple(check_templates)
-            constrained_columns += tuple(check_columns)
+        keys = _RequestKeys.of(analysis, interner)
+        check_columns, check_templates = keys.checks
+        if check_templates:
+            residual_templates += check_templates
+        if check_columns:
+            constrained_columns += check_columns
         self.tables = query.tables
         self.residual_templates = residual_templates
         self.constrained_columns = constrained_columns
 
-        keys = _RequestKeys.of(analysis, interner)
         widening = (
-            analysis.backjoin_columns if query.options.allow_backjoins else None
+            analysis.backjoin_columns if analysis.options.allow_backjoins else None
         )
         if items is None:  # an SPJ block selects the columns others need
             self._outputs = (
@@ -871,22 +879,17 @@ class FilterTree:
     """The complete index over registered views: two packed subtrees.
 
     ``candidates`` returns a superset of the views the matching algorithm
-    would accept for the query (never a false negative under the default
-    options; see the module docstring for the one documented refinement).
+    would accept for the query (never a false negative; see the module
+    docstring for the one documented refinement).
     """
 
-    def __init__(
-        self,
-        options: MatchOptions = DEFAULT_OPTIONS,
-        interner: KeyInterner | None = None,
-    ):
+    def __init__(self, interner: KeyInterner | None = None):
         """Build an empty tree.
 
         ``interner`` shares an existing :class:`KeyInterner` (the serving
         layer passes one across epoch rebuilds so bit assignments are
         stable); by default each tree creates its own.
         """
-        self.options = options
         if interner is None:
             interner = KeyInterner()
         self.interner = interner
@@ -912,7 +915,7 @@ class FilterTree:
         :meth:`unregister` therefore always yields a fresh record for the
         new description. The tree keeps no reference to ``description``.
         """
-        view = RegisteredView.of(description, self.options, self.interner)
+        view = RegisteredView.of(description, self.interner)
         self.register_prebuilt(view)
         return view
 
@@ -962,8 +965,8 @@ class FilterTree:
     def compile_probe(self, query: SpjgDescription) -> _PackedProbe:
         """The query's search keys in the form the packed subtrees sweep,
         derived from the query's analysis and block mask. Trees sharing
-        options and interner can share one compiled probe."""
-        return _PackedProbe(query, self.options, self.interner)
+        an interner can share one compiled probe."""
+        return _PackedProbe(query, self.interner)
 
     def collect_candidates(
         self,
@@ -999,7 +1002,6 @@ class FilterTree:
         flat, then the caller applies the registration delta.
         """
         clone = FilterTree.__new__(FilterTree)
-        clone.options = self.options
         clone.interner = self.interner
         clone._spj_packed = self._spj_packed.snapshot()
         clone._aggregate_packed = self._aggregate_packed.snapshot()

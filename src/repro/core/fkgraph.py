@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 
 from .analyze import intern_tables
 from .equivalence import ColumnKey, EquivalenceClasses
-from .options import DEFAULT_OPTIONS, MatchOptions
 from .parts import shared_parts
 
 if TYPE_CHECKING:
@@ -45,18 +44,18 @@ def build_fk_join_graph(
     tables: frozenset[str],
     eqclasses: EquivalenceClasses,
     catalog: "Catalog",
-    options: MatchOptions = DEFAULT_OPTIONS,
 ) -> list[FkEdge]:
     """All cardinality-preserving edges among ``tables`` under ``eqclasses``.
 
     An edge ``child -> parent`` exists when the child table declares a
     foreign key to the parent, the parent columns form a unique key (the
-    catalog guarantees this), every FK column is non-nullable (unless the
-    null-rejection extension is enabled, in which case the edge is emitted
-    flagged ``nullable`` for the matcher to re-verify against the query),
-    and each FK column is in the same equivalence class as its parent
-    column -- i.e. the view really performs the join, possibly transitively.
-    Edges and their column pairs are the catalog's shared ones
+    catalog guarantees this), and each FK column is in the same equivalence
+    class as its parent column -- i.e. the view really performs the join,
+    possibly transitively.
+    An edge over a nullable FK column is flagged ``nullable``: it preserves
+    cardinality only for the rows a null-rejecting query predicate keeps
+    (end of Section 3.2), which the matcher verifies per query. Edges and
+    their column pairs are the catalog's shared ones
     (:class:`~repro.core.parts.SharedParts`).
     """
     parts = shared_parts(catalog)
@@ -65,11 +64,6 @@ def build_fk_join_graph(
         child_table = catalog.table(child)
         for fk in child_table.foreign_keys:
             if fk.parent_table not in tables or fk.parent_table == child:
-                continue
-            has_nullable = any(
-                child_table.is_nullable(column) for column in fk.columns
-            )
-            if has_nullable and not options.allow_null_rejecting_fk:
                 continue
             pairs: list[tuple[ColumnKey, ColumnKey]] = []
             joined = True
@@ -90,7 +84,10 @@ def build_fk_join_graph(
                             source=child,
                             target=fk.parent_table,
                             column_pairs=tuple(pairs),
-                            nullable=has_nullable,
+                            nullable=any(
+                                child_table.is_nullable(column)
+                                for column in fk.columns
+                            ),
                         )
                     )
                 )
@@ -160,36 +157,35 @@ def eliminate_tables(
     )
 
 
-def compute_hub(
-    description: "SpjgDescription",
-    options: MatchOptions = DEFAULT_OPTIONS,
-) -> frozenset[str]:
+def compute_hub(description: "SpjgDescription") -> frozenset[str]:
     """The view's hub: what remains after eliminating everything possible.
 
-    With the Section 4.2.2 refinement enabled, a table whose trivial-class
-    column carries a range or residual predicate is pinned in the hub: such
+    The Section 4.2.2 refinement pins a table in the hub when a
+    trivial-class column of it carries a range or residual predicate: such
     a predicate can only be subsumed when the query itself references the
     table (see the paper's argument), so keeping the table prunes more views
-    without losing completeness.
+    without losing completeness. A table that declares a check constraint
+    is never pinned: its check joins the implication antecedent and can
+    imply the predicate without the query referencing the table.
     """
     edges = build_fk_join_graph(
-        description.tables, description.eqclasses, description.catalog, options
+        description.tables, description.eqclasses, description.catalog
     )
-    return hub_over(description, edges, options)
+    return hub_over(description, edges)
 
 
-def hub_over(
-    description: "SpjgDescription",
-    edges: list[FkEdge],
-    options: MatchOptions = DEFAULT_OPTIONS,
-) -> frozenset[str]:
+def hub_over(description: "SpjgDescription", edges: list[FkEdge]) -> frozenset[str]:
     """:func:`compute_hub` over the view's join graph ``edges`` (what
     :func:`build_fk_join_graph` returns for it), when the caller has it."""
     removable = set(description.tables)
-    if options.effective_hub_refinement:
-        eqclasses = description.eqclasses
-        for column in description.columns_with_predicates():
-            if column in eqclasses and eqclasses.is_trivial(column):
-                removable.discard(column[0])
+    eqclasses = description.eqclasses
+    table = description.catalog.table
+    for column in description.columns_with_predicates():
+        if (
+            column in eqclasses
+            and eqclasses.is_trivial(column)
+            and not table(column[0]).check_constraints
+        ):
+            removable.discard(column[0])
     result = eliminate_tables(description.tables, edges, frozenset(removable))
     return intern_tables(description.catalog, result.remaining)

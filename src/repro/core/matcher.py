@@ -35,7 +35,6 @@ from .matching import (
     MatchResult,
     RejectReason,
     decide,
-    match_view,
 )
 from .options import DEFAULT_OPTIONS, MatchOptions
 
@@ -112,7 +111,7 @@ class ViewMatcher:
         self.options = options
         self.use_filter_tree = use_filter_tree
         self.telemetry = telemetry
-        self.filter_tree = FilterTree(options, interner=interner)
+        self.filter_tree = FilterTree(interner=interner)
         self.statistics = MatcherStatistics()
 
     @property
@@ -151,9 +150,7 @@ class ViewMatcher:
         Raises :class:`MatchError` when the definition is outside the
         indexable-view class of Section 2.
         """
-        description = describe(
-            statement, self.catalog, name=name, options=self.options
-        )
+        description = describe(statement, self.catalog, name=name)
         validate_view_description(description)
         return self.filter_tree.register(description)
 
@@ -286,10 +283,8 @@ class ViewMatcher:
                     reject_reason=RejectReason.STALE,
                     reject_detail=stale_detail,
                 )
-            elif record.options is options or record.options == options:
+            else:
                 result = decide(query, record, options)
-            else:  # compiled under other options: re-derive the view
-                result = match_view(query, candidate.description, options)
             if result.matched:
                 matched += 1
                 stats.matches += 1

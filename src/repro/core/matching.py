@@ -273,9 +273,9 @@ class ViewRecord:
       expression and a SUM; ``count_big`` the ``count_big(*)`` column;
       ``exposed`` the mask of the columns the view outputs as they are;
     * ``check_plain``, ``check_or``, ``check_residuals`` -- the check
-      constraints of its tables, for the implication antecedent
-      (``use_check_constraints``); ``fk_edges`` the cardinality-preserving
-      joins extra-table elimination may use.
+      constraints of its tables, for the implication antecedent;
+      ``fk_edges`` the cardinality-preserving joins extra-table
+      elimination may use.
 
     The build and pricing read the rest, so a registered view needs no
     description once its record exists:
@@ -309,7 +309,6 @@ class ViewRecord:
     __slots__ = (
         "name",
         "catalog",
-        "options",
         "tables",
         "domain",
         "aggregate",
@@ -337,12 +336,7 @@ class ViewRecord:
     )
 
     @classmethod
-    def of(
-        cls,
-        view: SpjgDescription,
-        options: MatchOptions = DEFAULT_OPTIONS,
-        batch: dict | None = None,
-    ) -> "ViewRecord":
+    def of(cls, view: SpjgDescription, batch: dict | None = None) -> "ViewRecord":
         """Compile ``view``'s record. ``batch`` is the registration
         batch's dedupe table: records compiled with one ``batch`` share
         their equal parts (``None``: a batch of one)."""
@@ -355,7 +349,6 @@ class ViewRecord:
         record = cls.__new__(cls)
         record.name = view.name
         record.catalog = catalog
-        record.options = options
         tables = record.tables = view.tables
         domain = record.domain = column_domain(catalog, tables)
         position = domain.position
@@ -427,12 +420,11 @@ class ViewRecord:
 
         record.check_plain, record.check_or, record.check_residuals = (
             parts.checks(
-                (tables, options.use_check_constraints, options.support_or_ranges),
-                lambda: _compiled_checks(catalog, tables, position, options),
+                tables, lambda: _compiled_checks(catalog, tables, position)
             )
         )
         record.fk_edges = parts.edges(
-            tuple(build_fk_join_graph(tables, eqclasses, catalog, options))
+            tuple(build_fk_join_graph(tables, eqclasses, catalog))
         )
         pair = parts.pair
         record.joins = _dedupe(
@@ -501,7 +493,7 @@ class ViewRecord:
 
 
 def _compiled_checks(
-    catalog, tables: frozenset[str], position: dict, options: MatchOptions
+    catalog, tables: frozenset[str], position: dict
 ) -> tuple[tuple, tuple, tuple[ShallowForm, ...]]:
     """Check constraints of the tables ``tables``, classified for the
     antecedent: ``(check_plain, check_or, check_residuals)`` of a record
@@ -511,8 +503,6 @@ def _compiled_checks(
     the query's where-clause without changing its result -- strengthening
     the antecedent of the implication tests (Section 3.1.2).
     """
-    if not options.use_check_constraints:
-        return (), (), ()
     plain = []
     or_ranges = []
     residuals: list[ShallowForm] = []
@@ -524,9 +514,7 @@ def _compiled_checks(
                 for predicate in classified.range_predicates
             )
             for conjunct in classified.residuals:
-                recognised = (
-                    as_or_range(conjunct) if options.support_or_ranges else None
-                )
+                recognised = as_or_range(conjunct)
                 if recognised is not None:
                     or_ranges.append(
                         (position[recognised.column], recognised.interval_set)
@@ -921,13 +909,10 @@ def match_view(
 
     ``record`` is the view's :class:`ViewRecord`, compiled at
     registration (the caller vouches that it is ``view``'s); when absent,
-    or compiled under other options, one is compiled here, so direct
-    callers need not manage records.
+    one is compiled here, so direct callers need not manage records.
     """
-    if record is None or (
-        record.options is not options and record.options != options
-    ):
-        record = ViewRecord.of(view, options)
+    if record is None:
+        record = ViewRecord.of(view)
     return decide(query, record, options)
 
 
@@ -1087,7 +1072,7 @@ def decide(
     compensated = [index for index in range(len(forms)) if index not in matched]
 
     # ---- Step 5: compensating predicates map to view outputs -----------------
-    mapper = _Mapper(side, record, options)
+    mapper = _Mapper(side, record, options.allow_backjoins)
     joined = mapper.joined
     exposed = record.exposed
     columns = side.columns
@@ -1217,7 +1202,13 @@ def decide(
     )
     result.grouped = query.is_aggregate and (not record.aggregate or regroup)
     result._pending = _Pending(
-        query, record, options, side, ranged, or_compensations, compensated
+        query,
+        record,
+        options.allow_backjoins,
+        side,
+        ranged,
+        or_compensations,
+        compensated,
     )
     return result
 
@@ -1291,20 +1282,16 @@ class _Mapper:
     A column maps when its class holds an exposed view column or, with
     back-joins on, its table joins back to the view (``joined`` collects
     those tables; ``None``: back-joins off); an expression when it is a
-    view output expression (at the top, or anywhere under
-    ``map_complex_expressions``) or all its parts map.
+    view output expression or all its parts map.
     """
 
-    __slots__ = ("side", "record", "complex", "joined")
+    __slots__ = ("side", "record", "joined")
 
-    def __init__(
-        self, side: _QuerySide, record: ViewRecord, options: MatchOptions
-    ) -> None:
+    def __init__(self, side: _QuerySide, record: ViewRecord, backjoins: bool) -> None:
         self.side = side
         self.record = record
-        self.complex = options.map_complex_expressions
         self.joined: set[str] | None = (
-            set() if options.allow_backjoins and not record.aggregate else None
+            set() if backjoins and not record.aggregate else None
         )
 
     def column(self, key: ColumnKey) -> bool:
@@ -1339,16 +1326,15 @@ class _Mapper:
                 return True
         return False
 
-    def mappable(self, expression: Expression, top: bool = True) -> bool:
+    def mappable(self, expression: Expression) -> bool:
         if isinstance(expression, Literal):
             return True
         if isinstance(expression, ColumnRef):
             return self.column(expression.key)
-        complex_ = self.complex
-        if (top or complex_) and self.output(expression) is not None:
+        if self.output(expression) is not None:
             return True
         for child in expression.children():
-            if not self.mappable(child, complex_):
+            if not self.mappable(child):
                 return False
         return True
 
@@ -1428,7 +1414,7 @@ class _Mapper:
     def _mapped_column(self, expression: Expression) -> str | None:
         if isinstance(expression, ColumnRef):
             return self.column_name(expression.key)
-        if isinstance(expression, Literal) or not self.complex:
+        if isinstance(expression, Literal):
             return None
         return self.output(expression)
 
@@ -1439,7 +1425,7 @@ class _Pending:
     __slots__ = (
         "query",
         "record",
-        "options",
+        "backjoins",
         "side",
         "ranged",
         "or_compensations",
@@ -1447,18 +1433,18 @@ class _Pending:
     )
 
     def __init__(
-        self, query, record, options, side, ranged, or_compensations, compensated
+        self, query, record, backjoins, side, ranged, or_compensations, compensated
     ) -> None:
         self.query = query
         self.record = record
-        self.options = options
+        self.backjoins = backjoins
         self.side = side
         self.ranged = ranged
         self.or_compensations = or_compensations
         self.compensated = compensated
 
     def range_columns(self) -> tuple[str, ...]:
-        mapper = _Mapper(self.side, self.record, self.options)
+        mapper = _Mapper(self.side, self.record, self.backjoins)
         columns = self.side.columns
         names = [mapper.column_name(columns[root]) for root in self.ranged]
         forms = self.side.residual_forms
@@ -1481,11 +1467,10 @@ def _build(pending: _Pending) -> SelectStatement:
     """The substitute of an accepted decision: compensating predicates and
     outputs mapped onto the view's output columns."""
     query = pending.query
-    options = pending.options
     record = pending.record
     augmented = pending.side.eqclasses
     outputs = _ViewOutputs.of(record)
-    if options.allow_backjoins and not record.aggregate:
+    if pending.backjoins and not record.aggregate:
         backjoins = _BackjoinState(record, augmented)
         backjoins.outputs = outputs
         outputs.backjoins = backjoins
@@ -1500,26 +1485,24 @@ def _build(pending: _Pending) -> SelectStatement:
         compensations.append(BinaryOp(op, reference, Literal(value)))
     for expression in or_range_compensations:
         compensations.append(
-            _mapped(_map_expression(expression, augmented, outputs, options))
+            _mapped(_map_expression(expression, augmented, outputs))
         )
     forms = pending.side.residual_forms
     for index in pending.compensated:
         compensations.append(
-            _mapped(
-                _map_expression(forms[index].expression, augmented, outputs, options)
-            )
+            _mapped(_map_expression(forms[index].expression, augmented, outputs))
         )
 
     if not query.is_aggregate:
-        select_items = _map_spj_outputs(query, augmented, outputs, options)
+        select_items = _map_spj_outputs(query, augmented, outputs)
         group_by: tuple[Expression, ...] = ()
     elif not record.aggregate:
         select_items, group_by = _map_aggregation_over_spj_view(
-            query, augmented, outputs, options
+            query, augmented, outputs
         )
     else:
         select_items, group_by = _map_aggregation_over_agg_view(
-            query, record, augmented, outputs, options
+            query, record, augmented, outputs
         )
 
     from_tables = [TableRef(name=outputs.view_name)]
@@ -1845,36 +1828,26 @@ def _map_expression(
     expression: Expression,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
-    allow_top_match: bool = True,
 ) -> Expression | None:
     """Rewrite an expression over base tables into one over view outputs.
 
     Constants pass through; a column reference reroutes within its
-    equivalence class to an exposed output column; a whole expression that
-    matches a view output expression becomes a reference to that column
-    (always tried for output expressions, and for arbitrary subexpressions
-    only under the ``map_complex_expressions`` extension). Returns None
-    when the expression cannot be computed from the view's output.
+    equivalence class to an exposed output column; an expression, or any
+    subexpression of it, that matches a view output expression becomes a
+    reference to that column (Section 3.1.3: the output need not expose
+    the expression's source columns). Returns None when the expression
+    cannot be computed from the view's output.
     """
     if isinstance(expression, Literal):
         return expression
     if isinstance(expression, ColumnRef):
         return outputs.column_for(expression.key, eqclasses)
-    if allow_top_match or options.map_complex_expressions:
-        matched = outputs.expression_output_for(ShallowForm.of(expression), eqclasses)
-        if matched is not None:
-            return matched
-    children = expression.children()
+    matched = outputs.expression_output_for(ShallowForm.of(expression), eqclasses)
+    if matched is not None:
+        return matched
     mapped_children: list[Expression] = []
-    for child in children:
-        mapped = _map_expression(
-            child,
-            eqclasses,
-            outputs,
-            options,
-            allow_top_match=options.map_complex_expressions,
-        )
+    for child in expression.children():
+        mapped = _map_expression(child, eqclasses, outputs)
         if mapped is None:
             return None
         mapped_children.append(mapped)
@@ -1885,11 +1858,10 @@ def _map_spj_outputs(
     query: SpjgDescription,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
 ) -> list[SelectItem]:
     return [
         SelectItem(
-            _mapped(_map_expression(info.expression, eqclasses, outputs, options)),
+            _mapped(_map_expression(info.expression, eqclasses, outputs)),
             alias=info.item.alias,
         )
         for info in query.outputs
@@ -1900,7 +1872,6 @@ def _map_aggregation_over_spj_view(
     query: SpjgDescription,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
 ) -> tuple[list[SelectItem], tuple[Expression, ...]]:
     """An aggregation query over an SPJ view: re-aggregate the view's rows.
 
@@ -1909,14 +1880,14 @@ def _map_aggregation_over_spj_view(
     with its argument rerouted to view outputs.
     """
     group_by = tuple(
-        _mapped(_map_expression(expr, eqclasses, outputs, options))
+        _mapped(_map_expression(expr, eqclasses, outputs))
         for expr in query.statement.group_by
     )
     items = [
         SelectItem(
             _mapped(
                 _map_aggregate_aware(
-                    info.expression, eqclasses, outputs, options, _recompute_aggregate
+                    info.expression, eqclasses, outputs, _recompute_aggregate
                 )
             ),
             alias=info.item.alias,
@@ -1930,11 +1901,10 @@ def _recompute_aggregate(
     call: FuncCall,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
 ) -> Expression | None:
     if call.star:
         return call
-    mapped = _map_expression(call.args[0], eqclasses, outputs, options)
+    mapped = _map_expression(call.args[0], eqclasses, outputs)
     if mapped is None:
         return None
     return FuncCall(call.name, (mapped,))
@@ -1945,7 +1915,6 @@ def _map_aggregation_over_agg_view(
     record: ViewRecord,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
 ) -> tuple[list[SelectItem], tuple[Expression, ...]]:
     """An aggregation query over an aggregation view (Section 3.3).
 
@@ -1965,7 +1934,7 @@ def _map_aggregation_over_agg_view(
     group_by: tuple[Expression, ...] = ()
     if regroup:
         group_by = tuple(
-            _mapped(_map_expression(expr, eqclasses, outputs, options))
+            _mapped(_map_expression(expr, eqclasses, outputs))
             for expr in query.statement.group_by
         )
 
@@ -1976,19 +1945,14 @@ def _map_aggregation_over_agg_view(
     guard_empty = regroup and not query.statement.group_by
 
     def rollup(
-        call: FuncCall,
-        eqc: EquivalenceClasses,
-        out: _ViewOutputs,
-        opts: MatchOptions,
+        call: FuncCall, eqc: EquivalenceClasses, out: _ViewOutputs
     ) -> Expression | None:
         return _rollup_aggregate(call, eqc, out, regroup, guard_empty)
 
     items = [
         SelectItem(
             _mapped(
-                _map_aggregate_aware(
-                    info.expression, eqclasses, outputs, options, rollup
-                )
+                _map_aggregate_aware(info.expression, eqclasses, outputs, rollup)
             ),
             alias=info.item.alias,
         )
@@ -2046,19 +2010,16 @@ def _map_aggregate_aware(
     expression: Expression,
     eqclasses: EquivalenceClasses,
     outputs: _ViewOutputs,
-    options: MatchOptions,
     aggregate_handler,
 ) -> Expression | None:
     """Map an output expression, dispatching aggregate calls to a handler."""
     if isinstance(expression, FuncCall) and expression.is_aggregate():
-        return aggregate_handler(expression, eqclasses, outputs, options)
+        return aggregate_handler(expression, eqclasses, outputs)
     if not expression.contains_aggregate():
-        return _map_expression(expression, eqclasses, outputs, options)
+        return _map_expression(expression, eqclasses, outputs)
     mapped_children: list[Expression] = []
     for child in expression.children():
-        mapped = _map_aggregate_aware(
-            child, eqclasses, outputs, options, aggregate_handler
-        )
+        mapped = _map_aggregate_aware(child, eqclasses, outputs, aggregate_handler)
         if mapped is None:
             return None
         mapped_children.append(mapped)

@@ -1,4 +1,4 @@
-"""Matching options: paper-prototype defaults plus documented extensions."""
+"""Matching options: the one switch that changes plans."""
 
 from __future__ import annotations
 
@@ -7,25 +7,15 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class MatchOptions:
-    """Switches for the optional refinements the paper describes.
+    """The matcher's one configurable behaviour.
 
-    The defaults reproduce the behaviour of the paper's prototype; each
-    flag enables one extension the paper discusses but did not implement.
-
-    ``use_check_constraints``
-        Fold declared check constraints into the implication antecedent
-        (Section 3.1.2, "Check constraints can be readily incorporated").
-
-    ``allow_null_rejecting_fk``
-        Accept a nullable foreign-key column in a cardinality-preserving
-        join when the query carries a null-rejecting predicate on that
-        column (end of Section 3.2).
-
-    ``map_complex_expressions``
-        When mapping a compensating predicate, accept a view output column
-        whose defining expression matches a *sub*-requirement even when the
-        raw source columns are not exposed (Section 3.1.3 notes the
-        prototype "ignores this possibility").
+    Everything else the paper describes is always on: check constraints
+    in the implication antecedent and disjunctive (OR / IN) ranges
+    (Section 3.1.2), compensating predicates mapped onto precomputed
+    expression columns (Section 3.1.3), nullable foreign keys under a
+    null-rejecting query predicate (Section 3.2) and the hub refinement
+    (Section 4.2.2). None of them depends on an option, so view
+    registration takes none; only a request reads this one.
 
     ``allow_backjoins``
         When a (non-aggregation) view provides all required rows but lacks
@@ -33,34 +23,10 @@ class MatchOptions:
         owns them on one of its unique keys (Section 7: "base table
         backjoins cover the case when a view contains all tables and rows
         needed but some columns are missing"). Substitutes may then
-        reference the view plus base tables.
-
-    ``support_or_ranges``
-        Treat disjunctions of range predicates on one column -- including
-        IN lists -- as interval sets in the range subsumption test
-        (Section 3.1.2: "This range coverage algorithm can be extended to
-        support disjunctions (OR)... Our prototype does not support
-        disjunctions").
-
-    ``hub_refinement``
-        Keep a table in the hub when a trivial-class column of it carries a
-        range or residual predicate (Section 4.2.2's improvement). On by
-        default -- it is part of the paper's design -- but automatically
-        disabled when ``use_check_constraints`` is set, because a check
-        constraint can satisfy a view predicate the refinement assumes must
-        come from the query.
+        reference the view plus base tables, so plans change.
     """
 
-    use_check_constraints: bool = False
-    allow_null_rejecting_fk: bool = False
-    map_complex_expressions: bool = False
-    support_or_ranges: bool = False
     allow_backjoins: bool = False
-    hub_refinement: bool = True
-
-    @property
-    def effective_hub_refinement(self) -> bool:
-        return self.hub_refinement and not self.use_check_constraints
 
 
 DEFAULT_OPTIONS = MatchOptions()

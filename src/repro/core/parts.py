@@ -38,7 +38,8 @@ class SharedParts:
     * :meth:`pair` -- a ``(column, column)`` join pair;
     * :meth:`edge`, :meth:`edges` -- a foreign-key edge, and the tuple of
       edges a view's joins realise;
-    * :meth:`checks` -- the compiled check constraints of a table set.
+    * :meth:`checks` -- the compiled check constraints of a view's table
+      set, and the filter-tree probe keys of every catalog table's.
     """
 
     __slots__ = ("_group_keys", "_pairs", "_edges", "_edge_lists", "_checks")
@@ -66,9 +67,11 @@ class SharedParts:
     def edges(self, edges: tuple["FkEdge", ...]) -> tuple["FkEdge", ...]:
         return self._edge_lists.setdefault(edges, edges)
 
-    def checks(self, key: tuple, build: Callable[[], tuple]) -> tuple:
-        """The check-constraint parts under ``key`` (a table set and the
-        options that shape them), built by ``build`` on first ask."""
+    def checks(self, key, build: Callable[[], tuple]) -> tuple:
+        """The check-constraint parts under ``key``, built by ``build``
+        on first ask: a view's table set (a frozenset), or for the probe
+        keys the catalog's table names in order (a tuple; a table added
+        later makes a new key)."""
         found = self._checks.get(key)
         if found is None:
             found = self._checks.setdefault(key, build())

@@ -280,14 +280,10 @@ class SnapshotManager:
         else:
             sql = RegisteredView.definition(definition)
             statement = definition
-        description = describe(
-            statement, self.catalog, name=name, options=self.options
-        )
+        description = describe(statement, self.catalog, name=name)
         validate_view_description(description)
         with self._intern_lock:
-            view = RegisteredView.of(
-                description, self.options, self._interner, sql, batch
-            )
+            view = RegisteredView.of(description, self._interner, sql, batch)
         view.record.estimated_rows(self._estimator)
         return view
 
@@ -325,7 +321,7 @@ class SnapshotManager:
         return snapshot
 
     def _new_tree(self) -> FilterTree:
-        return FilterTree(self.options, interner=self._interner)
+        return FilterTree(interner=self._interner)
 
     def _build(
         self, epoch: int, tree: FilterTree, views: dict[str, RegisteredView]

@@ -100,13 +100,14 @@ class QueryProbe:
             form.template for form in query.residual_forms
         )
         constrained = set(_extended_range_constrained_reference(query))
-        if options.use_check_constraints:
-            _add_check_constraint_keys_reference(
-                query, residual_templates, constrained
-            )
+        _add_check_constraint_keys_reference(
+            query, residual_templates, constrained
+        )
         return cls(
             tables=_tables_key(query.tables),
-            output_requirements=_output_requirements_reference(query),
+            output_requirements=_output_requirements_reference(
+                query, options.allow_backjoins
+            ),
             residual_templates=_templates_key(residual_templates),
             range_constrained_columns=_columns_key(constrained),
             aggregate_templates=_templates_key(
@@ -161,11 +162,7 @@ def _add_check_constraint_keys_reference(
             for rp in classified.range_predicates:
                 constrained.add(rp.column)
             for conjunct in classified.residuals:
-                recognised = (
-                    as_or_range(conjunct)
-                    if query.options.support_or_ranges
-                    else None
-                )
+                recognised = as_or_range(conjunct)
                 if recognised is not None:
                     constrained.add(recognised.column)
                 else:
@@ -179,7 +176,9 @@ def _query_aggregate_templates_reference(query: SpjgDescription) -> set[str]:
     return templates
 
 
-def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
+def _column_group_reference(
+    query: SpjgDescription, key: ColumnKey, backjoins: bool
+) -> Key:
     """Key elements that can make one required column available.
 
     The column's own query equivalence class always qualifies. With the
@@ -188,7 +187,7 @@ def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
     view back to the base table), so those classes widen the group.
     """
     group = set(_class_of_reference(query, key))
-    if query.options.allow_backjoins:
+    if backjoins:
         table = query.catalog.table(key[0])
         for unique_key in table.all_unique_keys():
             if any(table.is_nullable(column) for column in unique_key):
@@ -199,7 +198,7 @@ def _column_group_reference(query: SpjgDescription, key: ColumnKey) -> Key:
 
 
 def _expression_requirement_reference(
-    query: SpjgDescription, expression: Expression
+    query: SpjgDescription, expression: Expression, backjoins: bool
 ) -> OutputRequirement | None:
     """Availability requirement for one non-aggregate scalar expression."""
     if isinstance(expression, Literal):
@@ -207,18 +206,20 @@ def _expression_requirement_reference(
     if isinstance(expression, ColumnRef):
         return OutputRequirement(
             templates=frozenset(),
-            column_groups=(_column_group_reference(query, expression.key),),
+            column_groups=(
+                _column_group_reference(query, expression.key, backjoins),
+            ),
         )
     templates = {ShallowForm.of(expression).template}
     groups = tuple(
-        _column_group_reference(query, ref.key)
+        _column_group_reference(query, ref.key, backjoins)
         for ref in expression.column_refs()
     )
     return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
 
 
 def _aggregate_requirement_reference(
-    query: SpjgDescription, call: FuncCall
+    query: SpjgDescription, call: FuncCall, backjoins: bool
 ) -> OutputRequirement | None:
     """Availability requirement for one aggregate call.
 
@@ -233,20 +234,22 @@ def _aggregate_requirement_reference(
     templates = set(normalized_aggregate_template(call))
     templates.add(argument_form.template)
     groups = tuple(
-        _column_group_reference(query, ref.key)
+        _column_group_reference(query, ref.key, backjoins)
         for ref in argument.column_refs()
     )
     return OutputRequirement(templates=_templates_key(templates), column_groups=groups)
 
 
 def _output_requirements_reference(
-    query: SpjgDescription,
+    query: SpjgDescription, backjoins: bool
 ) -> tuple[OutputRequirement, ...]:
     requirements: list[OutputRequirement] = []
 
     def add_expression(expression: Expression) -> None:
         if isinstance(expression, FuncCall) and expression.is_aggregate():
-            requirement = _aggregate_requirement_reference(query, expression)
+            requirement = _aggregate_requirement_reference(
+                query, expression, backjoins
+            )
             if requirement is not None:
                 requirements.append(requirement)
             return
@@ -254,7 +257,9 @@ def _output_requirements_reference(
             for child in expression.children():
                 add_expression(child)
             return
-        requirement = _expression_requirement_reference(query, expression)
+        requirement = _expression_requirement_reference(
+            query, expression, backjoins
+        )
         if requirement is not None:
             requirements.append(requirement)
 
@@ -792,7 +797,7 @@ class ReferenceFilterTree:
         return len(self._registered)
 
     def register(self, description: SpjgDescription) -> RegisteredView:
-        view = RegisteredView.of(description, self.options, self.interner)
+        view = RegisteredView.of(description, self.interner)
         return self.register_prebuilt(view, description)
 
     def register_prebuilt(

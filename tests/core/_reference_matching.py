@@ -350,9 +350,7 @@ class ViewMatchContext:
             check_residuals=_intern_tuple(check_residuals),
             fk_edges=_intern_tuple(
                 tuple(
-                    build_fk_join_graph(
-                        view.tables, view.eqclasses, view.catalog, options
-                    )
+                    build_fk_join_graph(view.tables, view.eqclasses, view.catalog)
                 )
             ),
         )
@@ -825,8 +823,6 @@ def _check_constraint_predicates(
     the query's where-clause without changing its result -- strengthening
     the antecedent of the implication tests (Section 3.1.2).
     """
-    if not options.use_check_constraints:
-        return (), (), ()
     ranges: list[RangePredicate] = []
     or_ranges: list[OrRangePredicate] = []
     residuals: list[ShallowForm] = []
@@ -835,9 +831,7 @@ def _check_constraint_predicates(
             classified = classify_predicate(check.predicate)
             ranges.extend(classified.range_predicates)
             for conjunct in classified.residuals:
-                recognised = (
-                    as_or_range(conjunct) if options.support_or_ranges else None
-                )
+                recognised = as_or_range(conjunct)
                 if recognised is not None:
                     or_ranges.append(recognised)
                 else:
@@ -896,15 +890,15 @@ def _map_expression(
     Constants pass through; a column reference reroutes within its
     equivalence class to an exposed output column; a whole expression that
     matches a view output expression becomes a reference to that column
-    (always tried for output expressions, and for arbitrary subexpressions
-    only under the ``map_complex_expressions`` extension). Returns None
-    when the expression cannot be computed from the view's output.
+    (tried for output expressions and for arbitrary subexpressions alike).
+    Returns None when the expression cannot be computed from the view's
+    output.
     """
     if isinstance(expression, Literal):
         return expression
     if isinstance(expression, ColumnRef):
         return outputs.column_for(expression.key, eqclasses)
-    if allow_top_match or options.map_complex_expressions:
+    if allow_top_match:
         matched = outputs.expression_output_for(ShallowForm.of(expression), eqclasses)
         if matched is not None:
             return matched
@@ -916,7 +910,7 @@ def _map_expression(
             eqclasses,
             outputs,
             options,
-            allow_top_match=options.map_complex_expressions,
+            allow_top_match=True,
         )
         if mapped is None:
             return None

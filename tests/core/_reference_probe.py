@@ -65,10 +65,12 @@ def _encoding(interner: KeyInterner):
     return columns_mask, templates_mask
 
 
-def _output_requirements(query: SpjgDescription, interner: KeyInterner) -> tuple:
+def _output_requirements(
+    query: SpjgDescription, options: MatchOptions, interner: KeyInterner
+) -> tuple:
     columns_mask, templates_mask = _encoding(interner)
     class_of = query.eqclasses.class_of
-    backjoins = query.options.allow_backjoins
+    backjoins = options.allow_backjoins
     catalog = query.catalog
     group_cache: dict = {}
 
@@ -165,13 +167,10 @@ def reference_probe(
     """The packed probe of ``query`` by a walk over its description."""
     residual_templates = query.residual_templates()
     constrained = extended_range_constrained_columns(query)
-    if options.use_check_constraints:
-        check_columns, check_templates = _catalog_check_keys(
-            query.catalog, query.options.support_or_ranges
-        )
-        residual_templates = residual_templates | check_templates
-        constrained = constrained | check_columns
-    output_requirements = _output_requirements(query, interner)
+    check_columns, check_templates = _catalog_check_keys(query.catalog)
+    residual_templates = residual_templates | frozenset(check_templates)
+    constrained = constrained | frozenset(check_columns)
+    output_requirements = _output_requirements(query, options, interner)
     if query.is_aggregate:
         aggregates = aggregate_templates(query)
         grouping_templates = query.grouping_templates()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import MatchOptions, RejectReason, ViewMatcher, describe, match_view
+from repro.core.analyze import QueryAnalysis
+from repro.core.describe import describe_block
 from repro.engine import Database, execute, materialize_view
 from repro.sql import statement_to_sql
 
@@ -10,8 +12,8 @@ BACKJOIN = MatchOptions(allow_backjoins=True)
 
 
 def match(catalog, view_sql, query_sql, options=BACKJOIN, name="v"):
-    view = describe(catalog.bind_sql(view_sql), catalog, name=name, options=options)
-    query = describe(catalog.bind_sql(query_sql), catalog, options=options)
+    view = describe(catalog.bind_sql(view_sql), catalog, name=name)
+    query = describe(catalog.bind_sql(query_sql), catalog)
     return match_view(query, view, options)
 
 
@@ -193,7 +195,7 @@ class TestFilterTreeWithBackjoins:
     def test_filter_does_not_prune_backjoinable_view(self, catalog):
         from repro.core import FilterTree
 
-        tree = FilterTree(BACKJOIN)
+        tree = FilterTree()
         view = describe(
             catalog.bind_sql(
                 "select o_orderkey as ok, o_custkey as ck from orders "
@@ -201,15 +203,18 @@ class TestFilterTreeWithBackjoins:
             ),
             catalog,
             name="v",
-            options=BACKJOIN,
         )
         tree.register(view)
-        query = describe(
-            catalog.bind_sql(
-                "select o_orderkey, o_totalprice from orders where o_custkey >= 10"
-            ),
-            catalog,
-            options=BACKJOIN,
+        # A request reads back-joins from its analysis.
+        query = describe_block(
+            QueryAnalysis(
+                catalog.bind_sql(
+                    "select o_orderkey, o_totalprice from orders "
+                    "where o_custkey >= 10"
+                ),
+                catalog,
+                BACKJOIN,
+            )
         )
         assert match_view(query, view, BACKJOIN).matched
         assert [v.name for v in tree.candidates(query)] == ["v"]

@@ -6,8 +6,8 @@ keeps the old walk, which built one for every accepted candidate. For
 generator views and queries, plus difftest covering cases whose views are
 derived from their queries (two seeds), on every block the optimizer
 fires the view-matching rule on -- each connected sub-block, each
-pre-aggregation inner block, the whole statement -- and under default and
-extension options, the two must agree on every view: matched, reason,
+pre-aggregation inner block, the whole statement -- and with back-joins
+off and on, the two must agree on every view: matched, reason,
 detail, substitute SQL, the three compensation counts, eliminated and
 back-joined tables, regrouping. The optimizer prices an accepted match
 from its decision; that price must equal the one the built substitute
@@ -32,13 +32,7 @@ from repro.workload.covering import CoveringCaseGenerator
 
 from . import _reference_matching as reference
 
-EXTENSIONS = MatchOptions(
-    use_check_constraints=True,
-    support_or_ranges=True,
-    allow_backjoins=True,
-    allow_null_rejecting_fk=True,
-    map_complex_expressions=True,
-)
+EXTENSIONS = MatchOptions(allow_backjoins=True)
 
 
 @dataclass(frozen=True)

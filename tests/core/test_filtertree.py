@@ -350,7 +350,7 @@ def _packed_state(tree):
 
 
 def _fresh(tree):
-    fresh = FilterTree(tree.options, interner=tree.interner)
+    fresh = FilterTree(interner=tree.interner)
     for view in tree.views():
         fresh.register_prebuilt(view)
     return fresh
@@ -431,12 +431,11 @@ class TestCheckConstraintKeys:
 
     def test_table_added_after_a_probe_is_seen(self, two_table_catalog):
         from repro.catalog import CheckConstraint, Column, ColumnType, Table
-        from repro.core import MatchOptions, ViewMatcher
+        from repro.core import ViewMatcher
         from repro.sql import parse_predicate
 
         catalog = two_table_catalog
-        options = MatchOptions(use_check_constraints=True)
-        filtered = ViewMatcher(catalog, options=options)
+        filtered = ViewMatcher(catalog)
         # A probe before the table exists must not fix the check keys.
         filtered.match(catalog.bind_sql("select pk from parent"))
         catalog.add_table(
@@ -454,9 +453,7 @@ class TestCheckConstraintKeys:
         filtered.register_view(
             "v", catalog.bind_sql("select a, b from t where a >= 5")
         )
-        unfiltered = ViewMatcher.with_filter_tree(
-            catalog, filtered.filter_tree, options=options
-        )
+        unfiltered = ViewMatcher.with_filter_tree(catalog, filtered.filter_tree)
         unfiltered.use_filter_tree = False
         query = catalog.bind_sql("select a, b from t")
         accepted = [r.view.name for r in filtered.match(query) if r.matched]

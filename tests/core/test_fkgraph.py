@@ -1,17 +1,31 @@
 """Foreign-key join graph tests: edges, elimination, hubs."""
 
-from repro.core import build_fk_join_graph, compute_hub, describe, eliminate_tables
+from repro.catalog import (
+    Catalog,
+    CheckConstraint,
+    Column,
+    ColumnType,
+    ForeignKey,
+    Table,
+)
+from repro.core import (
+    ViewMatcher,
+    build_fk_join_graph,
+    compute_hub,
+    describe,
+    eliminate_tables,
+)
 from repro.core.fkgraph import FkEdge
-from repro.core.options import MatchOptions
+from repro.sql import parse_predicate
 
 
 def desc(catalog, sql):
     return describe(catalog.bind_sql(sql), catalog, name="v")
 
 
-def edges_of(catalog, sql, options=MatchOptions()):
+def edges_of(catalog, sql):
     d = desc(catalog, sql)
-    return build_fk_join_graph(d.tables, d.eqclasses, catalog, options)
+    return build_fk_join_graph(d.tables, d.eqclasses, catalog)
 
 
 class TestEdgeConstruction:
@@ -57,16 +71,6 @@ class TestEdgeConstruction:
         )
         assert [(e.source, e.target) for e in full] == [("lineitem", "partsupp")]
 
-    def test_nullable_fk_skipped_by_default(self, two_table_catalog):
-        d = describe(
-            two_table_catalog.bind_sql(
-                "select ck from child, optional_parent where opt_id = opk"
-            ),
-            two_table_catalog,
-            name="v",
-        )
-        assert build_fk_join_graph(d.tables, d.eqclasses, two_table_catalog) == []
-
     def test_nullable_fk_flagged_with_extension(self, two_table_catalog):
         d = describe(
             two_table_catalog.bind_sql(
@@ -75,10 +79,7 @@ class TestEdgeConstruction:
             two_table_catalog,
             name="v",
         )
-        options = MatchOptions(allow_null_rejecting_fk=True)
-        (edge,) = build_fk_join_graph(
-            d.tables, d.eqclasses, two_table_catalog, options
-        )
+        (edge,) = build_fk_join_graph(d.tables, d.eqclasses, two_table_catalog)
         assert edge.nullable
 
 
@@ -167,30 +168,50 @@ class TestHub:
         )
         assert hub == {"lineitem"}
 
-    def test_refinement_disabled(self, catalog):
-        options = MatchOptions(hub_refinement=False)
-        hub = compute_hub(
-            desc(
-                catalog,
-                "select l_orderkey from lineitem, orders "
-                "where l_orderkey = o_orderkey and o_totalprice > 1000",
-            ),
-            options,
+    def test_check_constraints_disable_refinement(self):
+        # ``region`` declares a check, ``sales`` does not: a predicate on a
+        # trivial-class column pins only the table without one.
+        catalog = Catalog()
+        catalog.add_table(
+            Table(
+                name="region",
+                columns=(Column("rid"), Column("level")),
+                primary_key=("rid",),
+                check_constraints=(
+                    CheckConstraint(
+                        "level_floor", parse_predicate("region.level >= 0")
+                    ),
+                ),
+            )
         )
-        assert hub == {"lineitem"}
-
-    def test_check_constraints_disable_refinement(self, catalog):
-        options = MatchOptions(use_check_constraints=True)
-        assert not options.effective_hub_refinement
-        hub = compute_hub(
-            desc(
-                catalog,
-                "select l_orderkey from lineitem, orders "
-                "where l_orderkey = o_orderkey and o_totalprice > 1000",
-            ),
-            options,
+        catalog.add_table(
+            Table(
+                name="sales",
+                columns=(
+                    Column("id"),
+                    Column("region_id"),
+                    Column("amount", ColumnType.FLOAT),
+                ),
+                primary_key=("id",),
+                foreign_keys=(ForeignKey(("region_id",), "region", ("rid",)),),
+            )
         )
-        assert hub == {"lineitem"}
+        view_sql = (
+            "select id as i, amount as a from sales, region "
+            "where region_id = rid and level >= 0 and amount > 5"
+        )
+        assert compute_hub(desc(catalog, view_sql)) == {"sales"}
+        # The check implies the view's predicate on the table the query
+        # never names: the view stays a candidate and matches.
+        matcher = ViewMatcher(catalog)
+        matcher.register_view("v", catalog.bind_sql(view_sql))
+        query = matcher.describe_query(
+            catalog.bind_sql("select id, amount from sales where amount > 5")
+        )
+        assert [view.name for view in matcher.candidates(query)] == ["v"]
+        (result,) = matcher.match(query)
+        assert result.matched
+        assert result.eliminated_tables == ("region",)
 
     def test_residual_predicate_pins_table(self, catalog):
         hub = compute_hub(

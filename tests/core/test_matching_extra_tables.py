@@ -3,17 +3,15 @@
 import pytest
 
 from repro.catalog import Catalog, Column, ColumnType, ForeignKey, Table
-from repro.core import MatchOptions, RejectReason, describe, match_view
+from repro.core import RejectReason, describe, match_view
 from repro.engine import Database, execute, materialize_view
 from repro.sql import statement_to_sql
 
 
-def match(catalog, view_sql, query_sql, options=None, name="v"):
+def match(catalog, view_sql, query_sql, name="v"):
     view = describe(catalog.bind_sql(view_sql), catalog, name=name)
     query = describe(catalog.bind_sql(query_sql), catalog)
-    if options is None:
-        return match_view(query, view)
-    return match_view(query, view, options)
+    return match_view(query, view)
 
 
 @pytest.fixture()
@@ -213,43 +211,29 @@ class TestNullableForeignKeys:
         "where opt_id = opk"
     )
 
-    def test_nullable_fk_rejected_by_default(self, two_table_catalog):
-        result = match(
-            two_table_catalog,
-            self.VIEW,
-            "select ck, cdata from child where opt_id > 5",
-        )
-        assert result.reject_reason is RejectReason.EXTRA_TABLES
-
     def test_null_rejecting_range_predicate_enables_match(self, two_table_catalog):
-        options = MatchOptions(allow_null_rejecting_fk=True)
         result = match(
             two_table_catalog,
             "select ck as c, cdata as d, opt_id as o from child, optional_parent "
             "where opt_id = opk",
             "select ck, cdata from child where opt_id > 5",
-            options=options,
         )
         assert result.matched
 
     def test_no_null_rejecting_predicate_still_rejected(self, two_table_catalog):
-        options = MatchOptions(allow_null_rejecting_fk=True)
         result = match(
             two_table_catalog,
             self.VIEW,
             "select ck, cdata from child",
-            options=options,
         )
         assert result.reject_reason is RejectReason.NULLABLE_FK
 
     def test_is_not_null_predicate_enables_match(self, two_table_catalog):
-        options = MatchOptions(allow_null_rejecting_fk=True)
         result = match(
             two_table_catalog,
             "select ck as c, cdata as d, opt_id as o from child, optional_parent "
             "where opt_id = opk",
             "select ck, cdata from child where opt_id is not null",
-            options=options,
         )
         assert result.matched
 
@@ -279,7 +263,6 @@ class TestNullableForeignKeys:
             two_table_catalog,
             self.WITH_FK,
             f"select ck, cdata from child where {predicate}",
-            options=MatchOptions(allow_null_rejecting_fk=True),
         )
         assert result.reject_reason is RejectReason.NULLABLE_FK
 
@@ -288,7 +271,6 @@ class TestNullableForeignKeys:
             two_table_catalog,
             self.WITH_FK,
             "select ck, cdata from child where opt_id + 1 > 5",
-            options=MatchOptions(allow_null_rejecting_fk=True),
         )
         assert result.matched
 
@@ -308,9 +290,8 @@ class TestNullableForeignKeys:
             [(1, 1, None, 10, "a"), (2, 1, 7, 20, "b"), (3, 1, 0, 30, "c")],
         )
         materialize_view("v", catalog.bind_sql(self.WITH_FK), database)
-        options = MatchOptions(allow_null_rejecting_fk=True)
         accepted = "select ck, cdata from child where opt_id + 1 > 5"
-        result = match(catalog, self.WITH_FK, accepted, options=options)
+        result = match(catalog, self.WITH_FK, accepted)
         expected = execute(catalog.bind_sql(accepted), database)
         assert execute(result.substitute, database).bag_equals(expected)
         assert expected.rows == [(2, 20)]

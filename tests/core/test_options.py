@@ -1,4 +1,4 @@
-"""Tests for the optional extensions behind MatchOptions."""
+"""Tests for the paper's cheap extensions, which are always on."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.catalog import (
     ColumnType,
     Table,
 )
-from repro.core import MatchOptions, RejectReason, describe, match_view
+from repro.core import RejectReason, describe, match_view
 from repro.sql import parse_predicate, statement_to_sql
 
 
@@ -41,31 +41,17 @@ def checked_catalog():
     return cat
 
 
-def match(catalog, view_sql, query_sql, options):
+def match(catalog, view_sql, query_sql):
     view = describe(catalog.bind_sql(view_sql), catalog, name="v")
     query = describe(catalog.bind_sql(query_sql), catalog)
-    return match_view(query, view, options)
+    return match_view(query, view)
 
 
 class TestCheckConstraints:
     VIEW = "select id as i, amount as a from sales where amount >= 0"
 
-    def test_rejected_without_extension(self, checked_catalog):
-        result = match(
-            checked_catalog,
-            self.VIEW,
-            "select id from sales",
-            MatchOptions(),
-        )
-        assert result.reject_reason is RejectReason.RANGE
-
     def test_accepted_with_extension(self, checked_catalog):
-        result = match(
-            checked_catalog,
-            self.VIEW,
-            "select id from sales",
-            MatchOptions(use_check_constraints=True),
-        )
+        result = match(checked_catalog, self.VIEW, "select id from sales")
         assert result.matched
 
     def test_check_range_does_not_over_accept(self, checked_catalog):
@@ -74,7 +60,6 @@ class TestCheckConstraints:
             checked_catalog,
             "select id as i from sales where amount >= 10",
             "select id from sales",
-            MatchOptions(use_check_constraints=True),
         )
         assert result.reject_reason is RejectReason.RANGE
 
@@ -83,7 +68,6 @@ class TestCheckConstraints:
             checked_catalog,
             "select id as i from sales where region in ('na', 'eu', 'ap')",
             "select id from sales",
-            MatchOptions(use_check_constraints=True),
         )
         assert result.matched
         # No compensation is applied for check-implied predicates.
@@ -94,7 +78,6 @@ class TestCheckConstraints:
             checked_catalog,
             self.VIEW,
             "select id from sales where id > 5",
-            MatchOptions(use_check_constraints=True),
         )
         assert result.matched
         text = statement_to_sql(result.substitute)
@@ -112,11 +95,7 @@ class TestComplexExpressionMapping:
             "select l_orderkey from lineitem "
             "where l_quantity * l_extendedprice > 100"
         )
-        rejected = match(catalog, view_sql, query_sql, MatchOptions())
-        assert rejected.reject_reason is RejectReason.PREDICATE_MAPPING
-        accepted = match(
-            catalog, view_sql, query_sql, MatchOptions(map_complex_expressions=True)
-        )
+        accepted = match(catalog, view_sql, query_sql)
         assert accepted.matched
         assert "(v.rev > 100)" in statement_to_sql(accepted.substitute)
 
@@ -128,25 +107,6 @@ class TestComplexExpressionMapping:
         query_sql = (
             "select (l_quantity * l_extendedprice) + 1 from lineitem"
         )
-        rejected = match(catalog, view_sql, query_sql, MatchOptions())
-        assert rejected.reject_reason is RejectReason.OUTPUT_MAPPING
-        accepted = match(
-            catalog, view_sql, query_sql, MatchOptions(map_complex_expressions=True)
-        )
+        accepted = match(catalog, view_sql, query_sql)
         assert accepted.matched
         assert "(v.rev + 1)" in statement_to_sql(accepted.substitute)
-
-
-class TestOptionDefaults:
-    def test_defaults_match_paper_prototype(self):
-        options = MatchOptions()
-        assert not options.use_check_constraints
-        assert not options.allow_null_rejecting_fk
-        assert not options.map_complex_expressions
-        assert options.hub_refinement
-        assert options.effective_hub_refinement
-
-    def test_check_constraints_disable_hub_refinement(self):
-        options = MatchOptions(use_check_constraints=True)
-        assert options.hub_refinement
-        assert not options.effective_hub_refinement

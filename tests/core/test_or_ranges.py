@@ -1,15 +1,13 @@
-"""Tests for the OR/IN disjunctive-range extension (MatchOptions.support_or_ranges)."""
+"""Tests for disjunctive (OR / IN) ranges in range subsumption."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MatchOptions, RejectReason, describe, match_view
+from repro.core import RejectReason, describe, match_view
 from repro.core.intervalsets import IntervalSet, UNBOUNDED_SET, as_or_range
 from repro.core.ranges import Bound, Interval
 from repro.sql import parse_predicate, statement_to_sql
-
-OR_OPTIONS = MatchOptions(support_or_ranges=True)
 
 
 def interval(low=None, high=None, low_inc=True, high_inc=True):
@@ -106,88 +104,54 @@ class TestMatchingWithOrRanges:
         "where l_partkey < 100 or l_partkey > 200"
     )
 
-    def test_rejected_without_option(self, catalog):
+    def test_narrower_disjunction_accepted_with_option(self, catalog):
         view = describe(catalog.bind_sql(self.VIEW), catalog, name="v")
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem "
-                "where l_partkey < 100 or l_partkey > 200"
-            ),
-            catalog,
-        )
-        # Without the extension both conjuncts are residuals and match
-        # textually, so this exact-match case still works ...
-        assert match_view(query, view).matched
-        # ... but a narrower query does not.
-        narrower = describe(
-            catalog.bind_sql(
-                "select l_orderkey from lineitem "
                 "where l_partkey < 50 or l_partkey > 300"
             ),
             catalog,
         )
-        assert not match_view(narrower, view).matched
-
-    def test_narrower_disjunction_accepted_with_option(self, catalog):
-        view = describe(
-            catalog.bind_sql(self.VIEW), catalog, name="v", options=OR_OPTIONS
-        )
-        query = describe(
-            catalog.bind_sql(
-                "select l_orderkey from lineitem "
-                "where l_partkey < 50 or l_partkey > 300"
-            ),
-            catalog,
-            options=OR_OPTIONS,
-        )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.matched
         text = statement_to_sql(result.substitute)
         assert "(v.p < 50)" in text and "(v.p > 300)" in text
 
     def test_wider_disjunction_rejected(self, catalog):
-        view = describe(
-            catalog.bind_sql(self.VIEW), catalog, name="v", options=OR_OPTIONS
-        )
+        view = describe(catalog.bind_sql(self.VIEW), catalog, name="v")
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem "
                 "where l_partkey < 150 or l_partkey > 180"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.reject_reason is RejectReason.RANGE
 
     def test_plain_range_inside_one_arm(self, catalog):
-        view = describe(
-            catalog.bind_sql(self.VIEW), catalog, name="v", options=OR_OPTIONS
-        )
+        view = describe(catalog.bind_sql(self.VIEW), catalog, name="v")
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem "
                 "where l_partkey >= 10 and l_partkey <= 50"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.matched
 
     def test_plain_range_bridging_the_gap_rejected(self, catalog):
-        view = describe(
-            catalog.bind_sql(self.VIEW), catalog, name="v", options=OR_OPTIONS
-        )
+        view = describe(catalog.bind_sql(self.VIEW), catalog, name="v")
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem "
                 "where l_partkey >= 50 and l_partkey <= 250"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        assert match_view(query, view, OR_OPTIONS).reject_reason is RejectReason.RANGE
+        assert match_view(query, view).reject_reason is RejectReason.RANGE
 
     def test_in_list_subset(self, catalog):
         view = describe(
@@ -197,16 +161,14 @@ class TestMatchingWithOrRanges:
             ),
             catalog,
             name="v",
-            options=OR_OPTIONS,
         )
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem where l_partkey in (2, 4)"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.matched
         assert "IN (2, 4)" in statement_to_sql(result.substitute)
 
@@ -218,23 +180,20 @@ class TestMatchingWithOrRanges:
             ),
             catalog,
             name="v",
-            options=OR_OPTIONS,
         )
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem where l_partkey in (1, 2, 3)"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        assert match_view(query, view, OR_OPTIONS).reject_reason is RejectReason.RANGE
+        assert match_view(query, view).reject_reason is RejectReason.RANGE
 
     def test_view_without_constraint_compensates_query_disjunction(self, catalog):
         view = describe(
             catalog.bind_sql("select l_orderkey as k, l_partkey as p from lineitem"),
             catalog,
             name="v",
-            options=OR_OPTIONS,
         )
         query = describe(
             catalog.bind_sql(
@@ -242,25 +201,21 @@ class TestMatchingWithOrRanges:
                 "where l_partkey < 10 or l_partkey > 500"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.matched
         assert "OR" in statement_to_sql(result.substitute)
 
     def test_identical_sets_need_no_compensation(self, catalog):
-        view = describe(
-            catalog.bind_sql(self.VIEW), catalog, name="v", options=OR_OPTIONS
-        )
+        view = describe(catalog.bind_sql(self.VIEW), catalog, name="v")
         query = describe(
             catalog.bind_sql(
                 "select l_orderkey from lineitem "
                 "where l_partkey < 100 or l_partkey > 200"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
-        result = match_view(query, view, OR_OPTIONS)
+        result = match_view(query, view)
         assert result.matched
         assert result.substitute.where is None
 
@@ -272,15 +227,13 @@ class TestMatchingWithOrRanges:
             ),
             catalog,
             name="v",
-            options=OR_OPTIONS,
         )
         assert not view.or_ranges
         query = describe(
             catalog.bind_sql("select l_orderkey from lineitem"),
             catalog,
-            options=OR_OPTIONS,
         )
-        assert match_view(query, view, OR_OPTIONS).matched
+        assert match_view(query, view).matched
 
 
 class TestExecutionSoundness:
@@ -294,7 +247,7 @@ class TestExecutionSoundness:
         for name in tiny_db.names():
             relation = tiny_db.relation(name)
             database.store(name, relation.columns, relation.rows)
-        matcher = ViewMatcher(catalog, options=OR_OPTIONS)
+        matcher = ViewMatcher(catalog)
         view_statement = catalog.bind_sql(view_sql)
         matcher.register_view("v", view_statement)
         materialize_view("v", view_statement, database)
@@ -331,7 +284,7 @@ class TestFilterTreeWithOrRanges:
     def test_or_range_counts_as_range_constraint(self, catalog):
         from repro.core import FilterTree
 
-        tree = FilterTree(OR_OPTIONS)
+        tree = FilterTree()
         tree.register(
             describe(
                 catalog.bind_sql(
@@ -340,13 +293,11 @@ class TestFilterTreeWithOrRanges:
                 ),
                 catalog,
                 name="v",
-                options=OR_OPTIONS,
             )
         )
         unconstrained = describe(
             catalog.bind_sql("select l_orderkey from lineitem"),
             catalog,
-            options=OR_OPTIONS,
         )
         assert tree.candidates(unconstrained) == []
         constrained = describe(
@@ -355,7 +306,6 @@ class TestFilterTreeWithOrRanges:
                 "where l_partkey < 5 or l_partkey > 600"
             ),
             catalog,
-            options=OR_OPTIONS,
         )
         assert [v.name for v in tree.candidates(constrained)] == ["v"]
 

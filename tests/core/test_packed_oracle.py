@@ -5,13 +5,12 @@
 frozenset keys. Their candidate lists must be identical, in registration
 order:
 
-* at 1k generated views, under the default options, each of the five
-  ``MatchOptions`` extensions alone and all five together, for every
+* at 1k generated views, with back-joins off and on, for every
   block the optimizer probes while planning -- connected subsets,
   pre-aggregation inner blocks and whole statements -- each block probed
   by the sweep from its derived description and by the walk from a
   description made from scratch;
-* at 10k generated views under the default options, for whole queries.
+* at 10k generated views with back-joins off, for whole queries.
 """
 
 from __future__ import annotations
@@ -29,17 +28,9 @@ from .test_query_analysis import (
     enriched_queries,
 )
 
-EXTENSION_FLAGS = (
-    "use_check_constraints",
-    "allow_null_rejecting_fk",
-    "map_complex_expressions",
-    "support_or_ranges",
-    "allow_backjoins",
-)
 OPTION_SETS = {
     "default": MatchOptions(),
-    **{flag: MatchOptions(**{flag: True}) for flag in EXTENSION_FLAGS},
-    "all-five": MatchOptions(**{flag: True for flag in EXTENSION_FLAGS}),
+    "allow_backjoins": MatchOptions(allow_backjoins=True),
 }
 
 
@@ -63,10 +54,10 @@ def workload(checked_catalog, paper_stats):
 def _build(catalog, views, options):
     """The packed tree and the oracle over ``views``, each view described
     once for both."""
-    packed = FilterTree(options)
+    packed = FilterTree()
     oracle = ReferenceFilterTree(options)
     for name, statement in views:
-        description = describe(statement, catalog, name=name, options=options)
+        description = describe(statement, catalog, name=name)
         oracle.register_prebuilt(packed.register(description), description)
     return packed, oracle
 
@@ -93,7 +84,7 @@ def test_every_probed_block_at_1k_views(
     )
     found = 0
     for derived in blocks:
-        scratch = describe(derived.statement, checked_catalog, options=options)
+        scratch = describe(derived.statement, checked_catalog)
         expected = _names(oracle.candidates(scratch))
         assert _names(packed.candidates(derived)) == expected
         found += bool(expected)
@@ -108,7 +99,7 @@ def test_whole_queries_at_10k_views(checked_catalog, workload):
     order = {view.name: n for n, view in enumerate(packed.views())}
     found = 0
     for statement in queries:
-        query = describe(statement, checked_catalog, options=options)
+        query = describe(statement, checked_catalog)
         got = _names(packed.candidates(query))
         assert got == _names(oracle.candidates(query))
         assert got == sorted(got, key=order.__getitem__)

@@ -231,7 +231,7 @@ class TestPackedTreeEquivalence:
         self, workload, backend
     ):
         options, registered, descriptions, reference = workload
-        packed = FilterTree(options, interner=KeyInterner())
+        packed = FilterTree(interner=KeyInterner())
         for view in registered:
             packed.register_prebuilt(view)
         order = {view.name: i for i, view in enumerate(registered)}
@@ -245,7 +245,7 @@ class TestPackedTreeEquivalence:
 
     def test_equivalence_survives_registration_churn(self, workload, backend):
         options, registered, descriptions, _ = workload
-        packed = FilterTree(options, interner=KeyInterner())
+        packed = FilterTree(interner=KeyInterner())
         reference = ReferenceFilterTree(options)
         for view in registered:
             packed.register_prebuilt(view)
@@ -270,7 +270,7 @@ class TestPackedTreeEquivalence:
     ):
         options, registered, descriptions, _ = workload
         base_pool, spare = registered[:200], registered[200:]
-        tree = FilterTree(options, interner=KeyInterner())
+        tree = FilterTree(interner=KeyInterner())
         for view in base_pool:
             tree.register_prebuilt(view)
         before = [_names(tree, d) for d in descriptions]
@@ -286,7 +286,7 @@ class TestPackedTreeEquivalence:
         assert [_names(tree, d) for d in descriptions] == before
         # ...and the delta-mutated clone equals a fresh build over the
         # clone's view set, including registration order.
-        fresh = FilterTree(options, interner=KeyInterner())
+        fresh = FilterTree(interner=KeyInterner())
         survivors = [
             view
             for view in base_pool

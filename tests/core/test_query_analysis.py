@@ -44,7 +44,6 @@ from repro.workload import WorkloadGenerator
 from ._reference_filtertree import QueryProbe, ReferenceFilterTree
 from ._reference_probe import reference_probe
 
-OPTIONS = MatchOptions(support_or_ranges=True, use_check_constraints=True)
 SEEDS = (5, 17)
 
 
@@ -183,7 +182,6 @@ def _reference_block_statement(search: _Search, block: int):
 
 def _assert_same_description(derived, scratch) -> None:
     assert derived.statement == scratch.statement
-    assert derived.options == scratch.options
     # Iteration order, not just membership: spj_cardinality multiplies
     # floats in the order of tables, equalities, ranges and residuals.
     assert list(derived.tables) == list(scratch.tables)
@@ -210,7 +208,7 @@ def _assert_same_description(derived, scratch) -> None:
 
 
 def _matcher(catalog) -> ViewMatcher:
-    return ViewMatcher(catalog, options=OPTIONS)
+    return ViewMatcher(catalog)
 
 
 class TestDerivedBlocks:
@@ -228,7 +226,7 @@ class TestDerivedBlocks:
                 derived = search._block(subset)
                 reference = _reference_block_statement(search, subset)
                 assert derived.statement == reference
-                scratch = describe(reference, checked_catalog, options=OPTIONS)
+                scratch = describe(reference, checked_catalog)
                 _assert_same_description(derived, scratch)
                 assert estimator.spj_cardinality(
                     derived
@@ -256,9 +254,7 @@ class TestDerivedBlocks:
             optimizer.optimize(statement)
         inner_blocks = 0
         for derived in described:
-            scratch = describe(
-                derived.statement, checked_catalog, options=OPTIONS
-            )
+            scratch = describe(derived.statement, checked_catalog)
             _assert_same_description(derived, scratch)
             assert estimator.output_cardinality(
                 derived
@@ -274,11 +270,9 @@ class TestDerivedBlocks:
             "select l_orderkey from lineitem, orders "
             "where l_orderkey = o_orderkey and 1 = 1 and l_quantity > 5"
         )
-        analysis = QueryAnalysis(statement, checked_catalog, OPTIONS)
+        analysis = QueryAnalysis(statement, checked_catalog)
         whole = describe_block(analysis)
-        _assert_same_description(
-            whole, describe(statement, checked_catalog, options=OPTIONS)
-        )
+        _assert_same_description(whole, describe(statement, checked_catalog))
         # ...while no sub-block claims the table-less conjunct.
         both = describe_block(analysis, analysis.mask_of(statement.table_names()))
         assert len(both.classified.residuals) == 0
@@ -301,7 +295,7 @@ class _ScratchMatcher(ViewMatcher):
     def describe_query(self, statement, *block):
         if isinstance(statement, QueryAnalysis):
             statement = describe_block(statement, *block).statement
-        return describe(statement, self.catalog, options=self.options)
+        return describe(statement, self.catalog)
 
 
 def _described_blocks(catalog, stats, matcher, statements):
@@ -357,12 +351,8 @@ def _assert_probe_equals(packed, reference) -> None:
 
 
 PROBE_OPTIONS = {
-    "plain": MatchOptions(support_or_ranges=True),
-    "checks": MatchOptions(support_or_ranges=True, use_check_constraints=True),
-    "backjoins": MatchOptions(support_or_ranges=True, allow_backjoins=True),
-    "checks+backjoins": MatchOptions(
-        support_or_ranges=True, use_check_constraints=True, allow_backjoins=True
-    ),
+    "plain": MatchOptions(),
+    "backjoins": MatchOptions(allow_backjoins=True),
 }
 
 
@@ -379,10 +369,9 @@ class TestCompiledProbeAndPlans:
             checked_catalog, paper_stats, matcher, queries
         )
         for derived in described:
-            packed = _PackedProbe(derived, OPTIONS, interner)
+            packed = _PackedProbe(derived, interner)
             reference = QueryProbe.of_reference(
-                describe(derived.statement, checked_catalog, options=OPTIONS),
-                OPTIONS,
+                describe(derived.statement, checked_catalog)
             )
             outputs = _bound(reference.output_requirements, interner)
             assert {("t", t) for t in packed.tables} == reference.tables
@@ -436,14 +425,15 @@ class TestCompiledProbeAndPlans:
                 assert derived.statement == derived.analysis.block_statement(
                     *block
                 )
-            scratch = describe(derived.statement, checked_catalog, options=options)
+            scratch = describe(derived.statement, checked_catalog)
             reference = reference_probe(scratch, options, interner)
+            _assert_probe_equals(_PackedProbe(derived, interner), reference)
+            # A description made from scratch takes the same masked path,
+            # through an analysis under the default options (a request's
+            # back-joins come from its own analysis).
             _assert_probe_equals(
-                _PackedProbe(derived, options, interner), reference
-            )
-            # A description made from scratch takes the same masked path.
-            _assert_probe_equals(
-                _PackedProbe(scratch, options, interner), reference
+                _PackedProbe(scratch, interner),
+                reference_probe(scratch, MatchOptions(), interner),
             )
             expected: list = []
             tree.collect_candidates(reference, expected, derived.is_aggregate)
@@ -462,7 +452,7 @@ class TestCompiledProbeAndPlans:
     ):
         derived_matcher = _matcher(checked_catalog)
         scratch_matcher = _ScratchMatcher.with_filter_tree(
-            checked_catalog, ReferenceFilterTree(OPTIONS), options=OPTIONS
+            checked_catalog, ReferenceFilterTree()
         )
         for name, statement in catalog_1k:
             derived_matcher.register_view(name, statement)

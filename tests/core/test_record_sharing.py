@@ -51,7 +51,7 @@ VIEW = (
     "where o_custkey = c_custkey and o_orderkey >= {c} and o_shippriority <> {c} "
     "group by o_custkey, o_shippriority + {c}"
 )
-_UNSHARED_SLOTS = ("catalog", "options", "domain", "estimate", "estimate_stats")
+_UNSHARED_SLOTS = ("catalog", "domain", "estimate", "estimate_stats")
 
 
 def _exact(value):
@@ -103,10 +103,9 @@ def test_views_differing_in_a_constant_or_an_alias_keep_their_own(
         assert sorted(kept) == sorted(name for name, _ in definitions)
         for name, sql in definitions:
             view = kept[name]
-            options = server.snapshots.options
-            alone = describe(catalog.bind_sql(sql), catalog, name=name, options=options)
+            alone = describe(catalog.bind_sql(sql), catalog, name=name)
             assert _record_parts(view.record) == _record_parts(
-                ViewRecord.of(alone, options)
+                ViewRecord.of(alone)
             ), name
             assert _exact(view.row[:4]) == _exact(packed_row(alone, interner)[:4])
         types = [type(kept[f"v{index}"].record.conjuncts[0][2]) for index in range(3)]

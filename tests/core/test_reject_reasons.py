@@ -9,15 +9,13 @@ pair that triggers it and asserts the detail string is populated.
 
 import pytest
 
-from repro.core import MatchOptions, RejectReason, describe, match_view
+from repro.core import RejectReason, describe, match_view
 
 
-def match(catalog, view_sql, query_sql, options=None):
+def match(catalog, view_sql, query_sql):
     view = describe(catalog.bind_sql(view_sql), catalog, name="v")
     query = describe(catalog.bind_sql(query_sql), catalog)
-    if options is None:
-        return match_view(query, view)
-    return match_view(query, view, options)
+    return match_view(query, view)
 
 
 def assert_rejected(result, reason):
@@ -65,7 +63,6 @@ class TestEveryRejectReasonCarriesDetail:
             "select ck as c, cdata as d from child, optional_parent "
             "where opt_id = opk",
             "select ck, cdata from child",
-            options=MatchOptions(allow_null_rejecting_fk=True),
         )
         assert_rejected(result, RejectReason.NULLABLE_FK)
 

@@ -22,13 +22,7 @@ from repro.workload import WorkloadGenerator
 
 from ._reference_filtertree import ReferenceFilterTree
 
-EXTENSIONS = MatchOptions(
-    use_check_constraints=True,
-    support_or_ranges=True,
-    allow_backjoins=True,
-    allow_null_rejecting_fk=True,
-    map_complex_expressions=True,
-)
+EXTENSIONS = MatchOptions(allow_backjoins=True)
 _COMPARED_SLOTS = tuple(
     slot for slot in ViewRecord.__slots__ if slot not in ("estimate", "estimate_stats")
 )
@@ -70,16 +64,16 @@ def test_rederived_descriptions_equal_the_registered_ones(
             v.name: v for v in server.snapshots.current.matcher.registered_views()
         }
         for name, view in views:
-            original = describe(view.statement, catalog, name=name, options=options)
+            original = describe(view.statement, catalog, name=name)
             kept = matcher.filter_tree.view(name)
             again = kept.description
             assert again.statement == view.statement
-            assert _same_record(ViewRecord.of(again, options), kept.record)
-            assert _same_record(ViewRecord.of(original, options), kept.record)
+            assert _same_record(ViewRecord.of(again), kept.record)
+            assert _same_record(ViewRecord.of(original), kept.record)
             from_text = served[name]
             assert from_text.sql == statement_to_sql(view.statement)
             assert _same_record(
-                ViewRecord.of(from_text.description, options), from_text.record
+                ViewRecord.of(from_text.description), from_text.record
             )
     finally:
         server.close()

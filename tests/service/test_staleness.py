@@ -119,6 +119,29 @@ def test_pooled_bound_judges_freshness_at_request_time(server, pipeline, clock):
     assert server.rewrite(QUERY, max_staleness=0).uses_view
 
 
+@pytest.mark.skipif(not fork_available(), reason="os.fork unavailable")
+def test_a_log_truncated_past_a_view_judges_it_stale(server, pipeline):
+    """A bounded read cannot measure the lag of a view whose first
+    unapplied record the log no longer holds: the view is stale, and the
+    request is served from the base tables, in-process and pooled."""
+    pipeline.insert("orders", [fresh_order_row(pipeline)])
+    pipeline.insert("orders", [fresh_order_row(pipeline)])
+    pipeline.log.truncate_through(pipeline.log.head_lsn)
+    matcher = server.snapshots.current.matcher
+    before = matcher.statistics.rejects_by_reason.get("STALE", 0)
+    served = server.serve(QUERY, max_staleness=5.0)
+    assert served.ok and not served.uses_view
+    assert served.max_staleness == 5.0
+    assert matcher.statistics.rejects_by_reason.get("STALE", 0) == before + 1
+    bound = server.snapshots.current.staleness_bound(5.0)
+    assert "already truncated" in bound("mv_rev")
+    # An unbounded request still reads the view.
+    assert server.serve(QUERY).uses_view
+    server.start_pool(workers=1)
+    pooled = server.rewrite(QUERY, max_staleness=5.0)
+    assert pooled.ok and not pooled.uses_view
+
+
 def test_stale_rejections_reach_funnel_and_prometheus(server, pipeline):
     pipeline.insert("orders", [fresh_order_row(pipeline)])
     server.rewrite(QUERY, max_staleness=0)
