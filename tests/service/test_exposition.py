@@ -51,7 +51,6 @@ _TIMED_GAUGES = {
     "repro_cdc_apply_rows_per_second",
     "repro_slo_burn_rate",
 }
-_OLD_LAG_PREFIX = "repro_cdc_view_lag_seconds_"
 _LAG_SUMMARY = "repro_cdc_view_merge_lag_seconds"
 
 
@@ -116,22 +115,14 @@ def _comparable(types, labels, samples):
     """Families and exact values minus the time-dependent ones, with
     the per-view lag summaries keyed by view."""
     lag_counts = {}
-    families = {}
-    for family, kind in types.items():
-        if family == _LAG_SUMMARY or (
-            family.startswith(_OLD_LAG_PREFIX) and kind == "summary"
-        ):
-            continue
-        families[family] = (kind, frozenset(labels.get(family, ())))
+    families = {
+        family: (kind, frozenset(labels.get(family, ())))
+        for family, kind in types.items()
+    }
     values = {}
     for (metric, pairs), value in samples.items():
         if metric == f"{_LAG_SUMMARY}_count":
             lag_counts[dict(pairs)["view"]] = value
-        elif metric.startswith(_OLD_LAG_PREFIX) and metric.endswith("_count"):
-            view = metric[len(_OLD_LAG_PREFIX):-len("_count")]
-            lag_counts[view] = value
-        elif metric.startswith((_OLD_LAG_PREFIX, _LAG_SUMMARY)):
-            continue
         elif metric in _TIMED_GAUGES or metric.endswith("_sum") or any(
             key == "quantile" for key, _ in pairs
         ):
